@@ -42,6 +42,7 @@ var numKeys = map[string][]string{
 		"n_build", "n_probe", "tuple_size", "gomaxprocs",
 		"baseline_ms", "group_ms", "pipelined_ms",
 		"group_speedup", "pipelined_speedup",
+		"morsel_fanout", "morsel_group_ms",
 	},
 	"BENCH_spill.json": {
 		"n_build", "n_probe", "tuple_size", "skew", "fanout",

@@ -21,11 +21,12 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -291,7 +292,7 @@ func medianElapsed(rs []cli.PipelineResult) time.Duration {
 	for i, r := range rs {
 		sorted[i] = r.Elapsed
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	return sorted[len(sorted)/2]
 }
 
@@ -399,7 +400,7 @@ func secsMS(d time.Duration) float64 { return d.Seconds() * 1e3 }
 func medianResult(rs []native.Result) native.Result {
 	sorted := make([]native.Result, len(rs))
 	copy(sorted, rs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Elapsed < sorted[j].Elapsed })
+	slices.SortFunc(sorted, func(a, b native.Result) int { return cmp.Compare(a.Elapsed, b.Elapsed) })
 	return sorted[len(sorted)/2]
 }
 

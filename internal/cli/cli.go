@@ -25,6 +25,7 @@ import (
 	"hashjoin/internal/plan"
 	"hashjoin/internal/sched"
 	"hashjoin/internal/spill"
+	"hashjoin/internal/storage"
 	"hashjoin/internal/vmem"
 	"hashjoin/internal/workload"
 )
@@ -506,20 +507,41 @@ func (p *Pipeline) Materialize() {
 	p.Pair = workload.Generate(p.A, p.Spec)
 }
 
+// logical builds the pipeline's Scan ⋈ Scan -> HashAggregate plan over
+// the given relations.
+func (p *Pipeline) logical(build, probe *storage.Relation) *engine.Node {
+	valueOff := p.AggValueOff
+	if valueOff == 0 {
+		valueOff = 4
+	}
+	return engine.HashAggregate(
+		engine.HashJoinTyped(engine.Scan(build), engine.Scan(probe), p.JoinType),
+		valueOff, p.Spec.NBuild)
+}
+
 // scratchBytes estimates the per-run arena scratch of the compiled
-// Scan ⋈ Scan -> HashAggregate plan beyond the workload itself: the
-// streaming join's output ring (one probe batch's matches), the morsel
-// pipe buffers (2·workers+4 batches of concatenated rows), and the
-// aggregate's staging block (one AggTupleWidth row per possible group),
-// with slack for page rounding. Scoped allocation reclaims all of it
-// between runs, so this bounds the steady-state high-water mark, not a
-// per-run leak.
+// plan beyond the workload itself: the streaming join's output ring
+// (one probe batch's matches), the morsel pipe buffers (2·workers+4
+// batches), both in rows of the width the join emits
+// (Node.JoinEmitWidth), and the aggregate's staging block (one
+// AggTupleWidth row per possible group), with slack for page rounding.
+// Scoped allocation reclaims all of it between runs, so this bounds the
+// steady-state high-water mark, not a per-run leak.
 func (p *Pipeline) scratchBytes() uint64 {
 	tupleSize := p.Spec.TupleSize
 	if tupleSize < 8 {
 		tupleSize = 8
 	}
-	outWidth := uint64(2 * tupleSize)
+	// The arena is sized before the relations exist, so the width comes
+	// from the plan over empty relations of the workload's schema. A
+	// consulted planner may still pick nested-loop, which emits whole
+	// rows: size for that.
+	strategy := p.Strategy
+	if strategy == plan.Auto && p.Explain {
+		strategy = plan.NestedLoop
+	}
+	shape := &storage.Relation{Schema: storage.KeyPayloadSchema(tupleSize)}
+	outWidth := uint64(p.logical(shape, shape).JoinEmitWidth(engine.Config{Backend: p.Engine, Strategy: strategy}))
 	batch := p.Params.G
 	if batch < native.DefaultG {
 		batch = native.DefaultG // covers both backends' default G
@@ -564,14 +586,7 @@ func (p *Pipeline) spillPoolBytes() uint64 {
 // derived join totals against the workload's ground truth.
 func (p *Pipeline) Run() (PipelineResult, error) {
 	p.Materialize()
-	spec := p.Pair.Spec
-	valueOff := p.AggValueOff
-	if valueOff == 0 {
-		valueOff = 4
-	}
-	logical := engine.HashAggregate(
-		engine.HashJoinTyped(engine.Scan(p.Pair.Build), engine.Scan(p.Pair.Probe), p.JoinType),
-		valueOff, spec.NBuild)
+	logical := p.logical(p.Pair.Build, p.Pair.Probe)
 
 	strategy, fanout := plan.Auto, p.Fanout
 	dec := p.planDecision()

@@ -16,6 +16,7 @@ import (
 	"hashjoin/internal/engine"
 	"hashjoin/internal/memsim"
 	"hashjoin/internal/native"
+	"hashjoin/internal/plan"
 	"hashjoin/internal/sched"
 	"hashjoin/internal/spill"
 	"hashjoin/internal/workload"
@@ -412,5 +413,44 @@ func TestPipelineSpillRun(t *testing.T) {
 	}
 	if res.SpilledPartitions == 0 || res.SpillBytesWritten == 0 {
 		t.Fatalf("skewed budgeted run did not spill: %+v", res)
+	}
+}
+
+// TestScratchBytesBoundsRun pins scratchBytes against what a run really
+// allocates: with the arena's budget set to the workload plus exactly
+// the estimate, a run whose scratch high-water mark exceeds it fails
+// with an out-of-memory error. Tuples are wide enough that the join's
+// rows dominate the estimate's fixed slack, so the figure must follow
+// the emitted row width: key and value under the hash strategies, the
+// whole row under nested-loop.
+func TestScratchBytesBoundsRun(t *testing.T) {
+	spec := workload.Spec{NBuild: 300, TupleSize: 1000, MatchesPerBuild: 8, Skew: 4, Seed: 23}
+	estimate := map[string]uint64{}
+	for _, tc := range []struct {
+		name     string
+		jt       plan.JoinType
+		strategy plan.Strategy
+		fanout   int
+	}{
+		{"inner fanout=1", plan.Inner, plan.Auto, 1},
+		{"inner fanout=4", plan.Inner, plan.Auto, 4},
+		{"semi fanout=1", plan.LeftSemi, plan.Auto, 1},
+		{"semi fanout=4", plan.LeftSemi, plan.Auto, 4},
+		{"inner nested-loop", plan.Inner, plan.NestedLoop, 1},
+		{"semi nested-loop", plan.LeftSemi, plan.NestedLoop, 1},
+	} {
+		p := Pipeline{
+			Engine: engine.Native, Spec: spec, Scheme: core.SchemeGroup,
+			JoinType: tc.jt, Strategy: tc.strategy, Fanout: tc.fanout, Workers: 2,
+		}
+		p.Materialize()
+		estimate[tc.name] = p.scratchBytes()
+		p.A.SetBudget(p.A.Used() + estimate[tc.name])
+		if _, err := p.Run(); err != nil {
+			t.Errorf("%s: run inside its %d-byte scratch estimate: %v", tc.name, estimate[tc.name], err)
+		}
+	}
+	if !(estimate["inner fanout=4"] < estimate["semi nested-loop"] && estimate["semi nested-loop"] < estimate["inner nested-loop"]) {
+		t.Errorf("estimates do not follow the emitted row width: %v", estimate)
 	}
 }

@@ -18,12 +18,20 @@
 // inspection (Run, Groups, Collect) reads the arena directly and is
 // therefore backend-neutral too: for the same workload the two backends
 // produce identical logical results, row for row.
+//
+// Row contract: a join's rows carry the spans of its logical
+// build||probe row that its parent declared. An aggregate reads the key
+// and one 4-byte value, so the native hash join under it emits 8-byte
+// rows and the aggregate reads the value at its remapped offset; a root
+// drained by Run or Collect, and any other parent, sees the whole row.
+// The simulator's operators and the nested-loop join always emit whole
+// rows.
 package engine
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"hashjoin/internal/arena"
@@ -334,8 +342,9 @@ func Filter(input *Node, pred Pred) *Node {
 // KeyBetween selects lo <= key <= hi.
 func KeyBetween(lo, hi uint32) Pred { return Pred{Lo: lo, Hi: hi} }
 
-// HashJoin equi-joins build and probe on their 4-byte keys; output rows
-// are the concatenated build||probe tuples.
+// HashJoin equi-joins build and probe on their 4-byte keys; the logical
+// output rows are the concatenated build||probe tuples (see the package
+// comment's row contract for what an operator's rows carry of them).
 func HashJoin(build, probe *Node) *Node {
 	return HashJoinTyped(build, probe, plan.Inner)
 }
@@ -364,7 +373,7 @@ func HashAggregate(input *Node, valueOff, expectedGroups int) *Node {
 	return &Node{kind: aggNode, input: input, valueOff: valueOff, groups: expectedGroups}
 }
 
-// Width returns the node's fixed output row width in bytes.
+// Width returns the node's fixed logical output row width in bytes.
 func (n *Node) Width() int {
 	switch n.kind {
 	case scanNode:
@@ -402,6 +411,74 @@ func buildWidthOf(n *Node) int {
 		}
 	}
 	return -1
+}
+
+// span is a half-open byte range [lo, hi) of a node's logical output
+// row (the row Width describes).
+type span struct{ lo, hi int }
+
+func spansWidth(spans []span) int {
+	w := 0
+	for _, s := range spans {
+		w += s.hi - s.lo
+	}
+	return w
+}
+
+// projectOff maps a byte offset of the logical row to its offset in the
+// row that carries only spans, packed in order.
+func projectOff(spans []span, off int) int {
+	at := 0
+	for _, s := range spans {
+		if off >= s.lo && off < s.hi {
+			return at + off - s.lo
+		}
+		at += s.hi - s.lo
+	}
+	panic(fmt.Sprintf("engine: offset %d outside the declared spans %v", off, spans))
+}
+
+// reads returns the spans of its input's logical row that n's operator
+// reads, nil meaning the whole row. Spans begin with the key, [0,4):
+// every operator reads a row's key at offset 0. Only the aggregate
+// declares — it reads the key and one 4-byte value; a filter hands its
+// input rows on to a parent of its own, and a join copies its inputs
+// whole.
+func (n *Node) reads() []span {
+	if n.kind == aggNode {
+		return []span{{0, 4}, {n.valueOff, n.valueOff + 4}}
+	}
+	return nil
+}
+
+// emitSpans returns the spans of n's logical row that its operator's
+// rows carry, packed in order, when compiled under parent (nil: n is
+// the root, drained by Run or Collect). The native hash join emits what
+// its parent declared; every other operator — the simulator's, the
+// nested-loop join — emits the whole row.
+func (n *Node) emitSpans(parent *Node, cfg Config) []span {
+	if parent != nil && n.kind == joinNode && cfg.Backend == Native && cfg.Strategy != plan.NestedLoop {
+		if need := parent.reads(); need != nil {
+			return need
+		}
+	}
+	return []span{{0, n.Width()}}
+}
+
+// JoinEmitWidth returns the byte width of the rows the plan's join
+// writes into its per-run scratch (output ring, morsel pipe buffers)
+// when compiled under cfg's Backend and Strategy, or 0 for a plan
+// without a join. Scratch estimators size from it, so they follow the
+// join type's narrowing and the parent's declared spans without
+// mirroring either.
+func (n *Node) JoinEmitWidth(cfg Config) int {
+	var parent *Node
+	for ; n != nil; parent, n = n, n.input {
+		if n.kind == joinNode {
+			return spansWidth(n.emitSpans(parent, cfg))
+		}
+	}
+	return 0
 }
 
 // validatePlan checks cross-node invariants that only surface once the
@@ -517,10 +594,11 @@ func Compile(n *Node, cfg Config) (Operator, error) {
 	if cfg.Ctx == nil {
 		cfg.Ctx = context.Background()
 	}
-	return compileNode(n, cfg), nil
+	return compileNode(n, nil, cfg), nil
 }
 
-func compileNode(n *Node, cfg Config) Operator {
+// compileNode lowers n, whose rows parent consumes (nil: the root).
+func compileNode(n, parent *Node, cfg Config) Operator {
 	switch n.kind {
 	case scanNode:
 		if cfg.Backend == Sim {
@@ -532,14 +610,14 @@ func compileNode(n *Node, cfg Config) Operator {
 		s.ctx = cfg.Ctx
 		return s
 	case filterNode:
-		child := compileNode(n.input, cfg)
+		child := compileNode(n.input, n, cfg)
 		if cfg.Backend == Sim {
 			return newSimFilter(cfg.Mem, child, n.pred, cfg.batchSize())
 		}
 		return newNativeFilter(cfg.A, child, n.pred, cfg.batchSize())
 	case joinNode:
-		build := compileNode(n.build, cfg)
-		probe := compileNode(n.input, cfg)
+		build := compileNode(n.build, n, cfg)
+		probe := compileNode(n.input, n, cfg)
 		if cfg.Strategy == plan.NestedLoop {
 			return newNestedLoopJoin(cfg, build, probe,
 				n.build.scanRel(), n.joinType, n.build.Width(), n.input.Width())
@@ -552,14 +630,16 @@ func compileNode(n *Node, cfg Config) Operator {
 			cfg.Fanout = 1 // pin the single-table streaming path
 		}
 		return newNativeHashJoin(cfg, build, probe,
-			n.build.scanRel(), n.input.scanRel(), n.build.Width(), n.input.Width(), n.joinType)
+			n.build.scanRel(), n.input.scanRel(), n.build.Width(), n.input.Width(), n.joinType,
+			n.emitSpans(parent, cfg))
 	case aggNode:
-		child := compileNode(n.input, cfg)
+		child := compileNode(n.input, n, cfg)
 		if cfg.Backend == Sim {
 			return newSimHashAggregate(cfg.Mem, child, n.input.scanRel(),
 				n.input.Width(), n.valueOff, n.groups, cfg.Scheme, cfg.Params)
 		}
-		return newNativeHashAggregate(cfg, child, n.input.Width(), n.valueOff, n.groups)
+		in := n.input.emitSpans(n, cfg)
+		return newNativeHashAggregate(cfg, child, spansWidth(in), projectOff(in, n.valueOff), n.groups)
 	default:
 		panic("engine: unknown node kind")
 	}
@@ -630,6 +710,9 @@ func Groups(root Operator, a *arena.Arena) (out []Group, err error) {
 		return nil, err
 	}
 	defer root.Close()
+	if s, ok := root.(interface{ stagedRows() int }); ok {
+		out = slices.Grow(out, s.stagedRows()) // no groups stays nil, as on the simulator
+	}
 	var b Batch
 	for {
 		ok, berr := root.NextBatch(&b)
@@ -648,8 +731,45 @@ func Groups(root Operator, a *arena.Arena) (out []Group, err error) {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
+	return sortGroups(out), nil
+}
+
+// sortGroups orders gs by key, ascending, with a byte-wise LSD radix
+// sort: four counting passes at most, a pass skipped when every key
+// shares that byte, no comparisons and no reflection. It is stable. The
+// result is gs or the scatter buffer, whichever the last pass filled.
+func sortGroups(gs []Group) []Group {
+	if len(gs) < 2 {
+		return gs
+	}
+	var counts [4][256]int
+	for i := range gs {
+		k := gs[i].Key
+		counts[0][k&0xff]++
+		counts[1][k>>8&0xff]++
+		counts[2][k>>16&0xff]++
+		counts[3][k>>24]++
+	}
+	src, dst := gs, make([]Group, len(gs))
+	for d := range counts {
+		c := &counts[d]
+		shift := 8 * d
+		if c[src[0].Key>>shift&0xff] == len(src) {
+			continue
+		}
+		pos := 0
+		for b, n := range c {
+			c[b] = pos
+			pos += n
+		}
+		for i := range src {
+			b := src[i].Key >> shift & 0xff
+			dst[c[b]] = src[i]
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // Collect opens, drains, and closes root, returning an untimed copy of

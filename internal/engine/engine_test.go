@@ -240,10 +240,10 @@ func TestJoinClosesBuildChild(t *testing.T) {
 			return newSimHashJoin(m, b, p, nil, width, width, core.DefaultParams(), plan.Inner)
 		}},
 		{"native-stream", func(b, p Operator) Operator {
-			return newNativeHashJoin(nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 1), b, p, nil, nil, width, width, plan.Inner)
+			return newNativeHashJoin(nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 1), b, p, nil, nil, width, width, plan.Inner, []span{{0, 2 * width}})
 		}},
 		{"native-morsel", func(b, p Operator) Operator {
-			return newNativeHashJoin(nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 4), b, p, nil, nil, width, width, plan.Inner)
+			return newNativeHashJoin(nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 4), b, p, nil, nil, width, width, plan.Inner, []span{{0, 2 * width}})
 		}},
 	}
 	for _, tc := range cases {

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hashjoin/internal/core"
@@ -60,82 +62,102 @@ func FuzzPipelineParity(f *testing.F) {
 	})
 }
 
-// relKeys reads every tuple's leading u32 key straight off the
-// relation's pages — the raw input, independent of any join machinery.
-func relKeys(rel *storage.Relation) []uint32 {
-	keys := make([]uint32, 0, rel.NTuples)
+// relTuples copies every tuple straight off the relation's pages — the
+// raw input, independent of any join machinery.
+func relTuples(rel *storage.Relation) [][]byte {
+	tuples := make([][]byte, 0, rel.NTuples)
 	rel.Each(func(tuple []byte, _ uint32) {
-		keys = append(keys, binary.LittleEndian.Uint32(tuple))
+		tuples = append(tuples, append([]byte(nil), tuple...))
 	})
-	return keys
+	return tuples
 }
 
-// nestedLoopReference computes the expected aggregate groups of a join
-// with a naive O(|build| * |probe|)-spirit scan over the raw keys: a
-// per-key build multiset stands in for the inner loop. Group keys follow
-// the output-row convention — matches group under the build key, probe
-// survivors (left-outer pads group 0; semi/anti keep their own key)
-// under the probe side, unmatched build rows under their build key.
-func nestedLoopReference(jt plan.JoinType, buildKeys, probeKeys []uint32) map[uint32]uint64 {
-	buildCount := make(map[uint32]uint64, len(buildKeys))
-	for _, k := range buildKeys {
-		buildCount[k]++
+// referenceRows computes a join's full-width logical output rows with a
+// naive nested loop over the raw tuples, following the output-row
+// convention: matches are build||probe, a left-outer survivor has its
+// build half zeroed (so its key reads 0), semi/anti rows are the probe
+// tuple alone, and a right-outer unmatched build row has its probe half
+// zeroed.
+func referenceRows(jt plan.JoinType, build, probe [][]byte) [][]byte {
+	key := func(t []byte) uint32 { return binary.LittleEndian.Uint32(t) }
+	bw, pw := len(build[0]), len(probe[0])
+	concat := func(b, p []byte) []byte {
+		row := make([]byte, bw+pw)
+		copy(row, b)
+		copy(row[bw:], p)
+		return row
 	}
-	probeMatched := make(map[uint32]bool)
-	groups := make(map[uint32]uint64)
-	for _, k := range probeKeys {
-		n := buildCount[k]
-		switch {
-		case jt == plan.LeftSemi:
-			if n > 0 {
-				groups[k]++
+	var rows [][]byte
+	buildMatched := make([]bool, len(build))
+	for _, p := range probe {
+		found := false
+		for i, b := range build {
+			if key(b) != key(p) {
+				continue
 			}
-		case jt == plan.LeftAnti:
-			if n == 0 {
-				groups[k]++
+			found = true
+			buildMatched[i] = true
+			if jt.ProbeOnly() {
+				break
 			}
-		case n > 0:
-			groups[k] += n // one output row per matching build row
-		case jt == plan.LeftOuter:
-			groups[0]++ // null-padded build half: key reads as 0
+			rows = append(rows, concat(b, p))
 		}
-		if n > 0 {
-			probeMatched[k] = true
+		switch {
+		case jt == plan.LeftSemi && found, jt == plan.LeftAnti && !found:
+			rows = append(rows, p)
+		case jt == plan.LeftOuter && !found:
+			rows = append(rows, concat(nil, p))
 		}
 	}
 	if jt == plan.RightOuter {
-		for _, k := range buildKeys {
-			if !probeMatched[k] {
-				groups[k]++
+		for i, b := range build {
+			if !buildMatched[i] {
+				rows = append(rows, concat(b, nil))
 			}
 		}
 	}
-	return groups
+	return rows
 }
 
-func groupCounts(gs []Group) map[uint32]uint64 {
-	m := make(map[uint32]uint64, len(gs))
-	for _, g := range gs {
-		m[g.Key] = g.Count
+// aggregateRows groups rows by their leading key, counting and summing
+// the u32 at valueOff, and returns the groups in key order — what
+// Groups returns for an aggregate over those rows.
+func aggregateRows(rows [][]byte, valueOff int) []Group {
+	at := make(map[uint32]int)
+	var gs []Group
+	for _, r := range rows {
+		k := binary.LittleEndian.Uint32(r)
+		i, ok := at[k]
+		if !ok {
+			i = len(gs)
+			at[k] = i
+			gs = append(gs, Group{Key: k})
+		}
+		gs[i].Count++
+		gs[i].Sum += uint64(binary.LittleEndian.Uint32(r[valueOff:]))
 	}
-	return m
+	slices.SortFunc(gs, func(a, b Group) int { return cmp.Compare(a.Key, b.Key) })
+	return gs
 }
 
-// FuzzJoinTypeParity fuzzes every join type against a naive
-// nested-loop reference computed from the raw relation bytes, across
-// both backends, both native strategies the planner can pick for a
-// single-table join (stream and nested-loop), and the morsel path. The
-// workload generator's own ground truth is deliberately not used: the
-// reference re-derives the answer from the tuples, so a generator bug
-// cannot mask an engine bug.
+// FuzzJoinTypeParity fuzzes every join type and the aggregate's value
+// offset — anywhere in the output row, so the span the native join
+// emits for it lands in the build half, the probe half, or across the
+// seam — against a naive nested-loop reference computed from the raw
+// relation bytes, across both backends, both native strategies the
+// planner can pick for a single-table join (stream and nested-loop),
+// and the morsel path. The workload generator's own ground truth is
+// deliberately not used: the reference re-derives the answer from the
+// tuples, so a generator bug cannot mask an engine bug.
 func FuzzJoinTypeParity(f *testing.F) {
-	f.Add(uint8(0), uint8(40), uint8(50), uint8(0), uint8(0), int64(1))
-	f.Add(uint8(1), uint8(33), uint8(0), uint8(2), uint8(1), int64(2))  // left-outer, skewed build
-	f.Add(uint8(2), uint8(64), uint8(90), uint8(0), uint8(2), int64(3)) // right-outer, morsel
-	f.Add(uint8(3), uint8(5), uint8(100), uint8(1), uint8(0), int64(4)) // semi, tiny build
-	f.Add(uint8(4), uint8(21), uint8(10), uint8(0), uint8(1), int64(5)) // anti, sparse matches
+	f.Add(uint8(0), uint8(40), uint8(50), uint8(0), uint8(0), uint8(0), int64(1))
+	f.Add(uint8(1), uint8(33), uint8(0), uint8(2), uint8(1), uint8(10), int64(2))  // left-outer, skewed build, value across the seam
+	f.Add(uint8(2), uint8(64), uint8(90), uint8(0), uint8(2), uint8(16), int64(3)) // right-outer, morsel, value in the probe half
+	f.Add(uint8(3), uint8(5), uint8(100), uint8(1), uint8(0), uint8(8), int64(4))  // semi, tiny build, last 4 bytes
+	f.Add(uint8(4), uint8(21), uint8(10), uint8(0), uint8(1), uint8(3), int64(5))  // anti, sparse matches, unaligned value
+	f.Add(uint8(0), uint8(90), uint8(70), uint8(1), uint8(2), uint8(24), int64(6)) // inner, morsel, last 4 bytes
 
-	f.Fuzz(func(t *testing.T, jtRaw, nRaw, mrRaw, skewRaw, fanoutRaw uint8, seed int64) {
+	f.Fuzz(func(t *testing.T, jtRaw, nRaw, mrRaw, skewRaw, fanoutRaw, offRaw uint8, seed int64) {
 		jt := plan.JoinTypes()[int(jtRaw)%len(plan.JoinTypes())]
 		nBuild := 1 + int(nRaw) // 1..256
 		spec := workload.Spec{
@@ -148,8 +170,10 @@ func FuzzJoinTypeParity(f *testing.F) {
 			Seed:       seed,
 		}
 		pair, a, m := testEnv(t, spec)
-		want := nestedLoopReference(jt, relKeys(pair.Build), relKeys(pair.Probe))
-		logical := HashAggregate(HashJoinTyped(Scan(pair.Build), Scan(pair.Probe), jt), 4, nBuild)
+		join := HashJoinTyped(Scan(pair.Build), Scan(pair.Probe), jt)
+		valueOff := 4 + int(offRaw)%(join.Width()-7) // 4 .. width-4
+		want := aggregateRows(referenceRows(jt, relTuples(pair.Build), relTuples(pair.Probe)), valueOff)
+		logical := HashAggregate(join, valueOff, nBuild)
 
 		fanout := 1 << (int(fanoutRaw) % 3) // 1 (streaming), 2, 4 (morsel)
 		cfgs := map[string]Config{
@@ -162,10 +186,10 @@ func FuzzJoinTypeParity(f *testing.F) {
 			cfgs["nested-loop"] = nl
 		}
 		for name, cfg := range cfgs {
-			got := groupCounts(mustGroups(t, logical, cfg, a))
+			got := mustGroups(t, logical, cfg, a)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v %s fanout=%d n=%d mr=%.2f: %d groups vs reference %d",
-					jt, name, fanout, nBuild, spec.MatchRate, len(got), len(want))
+				t.Fatalf("%v %s fanout=%d n=%d mr=%.2f valueOff=%d: %d groups vs reference %d",
+					jt, name, fanout, nBuild, spec.MatchRate, valueOff, len(got), len(want))
 			}
 		}
 	})

@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/binary"
 	"runtime"
+	"slices"
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/hash"
@@ -168,9 +169,43 @@ type pipeBuf struct {
 	scratch arena.Addr
 }
 
+// emitSpan is one copy of writeMatch: output row bytes [dst, end) from
+// offset src of the build row (side 0) or the probe tuple (side 1).
+type emitSpan struct {
+	dst, end, src int32
+	side          uint8
+}
+
+// splitAtSeam turns spans of the logical build||probe row (the probe
+// tuple alone when seam is 0) into per-side copies packed in order, a
+// span that straddles the seam becoming two. Copies that continue one
+// another on the same side are merged.
+func splitAtSeam(spans []span, seam int) []emitSpan {
+	var out []emitSpan
+	var dst int32
+	add := func(lo, hi int, side uint8) {
+		if lo >= hi {
+			return
+		}
+		src, n := int32(lo-seam*int(side)), int32(hi-lo)
+		if k := len(out) - 1; k >= 0 && out[k].side == side && out[k].src+out[k].end-out[k].dst == src {
+			out[k].end += n
+		} else {
+			out = append(out, emitSpan{dst: dst, end: dst + n, src: src, side: side})
+		}
+		dst += n
+	}
+	for _, s := range spans {
+		add(s.lo, min(s.hi, seam), 0)
+		add(max(s.lo, seam), s.hi, 1)
+	}
+	return out
+}
+
 // nativeHashJoin joins natively in one of two modes (see the file
-// comment). Both deliver the concatenated build||probe rows in batches
-// of at most G.
+// comment). Both deliver, in batches of at most G, rows that carry the
+// spans of the logical build||probe row the parent declared
+// (Node.emitSpans) — the whole row for a root.
 type nativeHashJoin struct {
 	cfg        Config
 	a          *arena.Arena
@@ -181,7 +216,8 @@ type nativeHashJoin struct {
 	probeRel   *storage.Relation // non-nil: probe child is a plain scan
 	buildWidth int
 	probeWidth int
-	outWidth   int
+	emit       []emitSpan // writeMatch's copies
+	outWidth   int        // their total: the emitted row width
 	batch      int
 	jt         plan.JoinType
 
@@ -212,16 +248,17 @@ type nativeHashJoin struct {
 }
 
 func newNativeHashJoin(cfg Config, build, probe Operator, buildRel, probeRel *storage.Relation,
-	buildWidth, probeWidth int, jt plan.JoinType) *nativeHashJoin {
-	outWidth := buildWidth + probeWidth
+	buildWidth, probeWidth int, jt plan.JoinType, spans []span) *nativeHashJoin {
+	seam := buildWidth
 	if jt.ProbeOnly() {
-		outWidth = probeWidth
+		seam = 0 // the logical row is the probe tuple alone
 	}
 	return &nativeHashJoin{
 		cfg: cfg, a: cfg.A, buildChild: build, probeChild: probe,
 		buildRel: buildRel, probeRel: probeRel,
 		buildWidth: buildWidth, probeWidth: probeWidth,
-		outWidth: outWidth, batch: cfg.batchSize(), jt: jt,
+		emit: splitAtSeam(spans, seam), outWidth: spansWidth(spans),
+		batch: cfg.batchSize(), jt: jt,
 		morsel: cfg.Fanout > 1,
 	}
 }
@@ -361,21 +398,19 @@ func (h *nativeHashJoin) fillPending() error {
 // serialized row (the build relation is never touched on the probe
 // path); a nil build means no build row (probe-only output, or a
 // left-outer null pad), probeRef 0 means no probe row (a right-outer
-// sweep row, probe half null-padded).
+// sweep row, probe half null-padded). A missing side's spans are
+// zeroed.
 func (h *nativeHashJoin) writeMatch(dst arena.Addr, build []byte, pref uint64) Row {
 	d := h.data[dst-arena.Base:]
-	if h.jt.ProbeOnly() {
-		copy(d[:h.outWidth], h.data[pref-arena.Base:])
-	} else {
-		if build == nil {
-			clear(d[:h.buildWidth])
+	sides := [2][]byte{build, nil}
+	if pref != 0 {
+		sides[1] = h.data[pref-arena.Base:]
+	}
+	for _, s := range h.emit {
+		if src := sides[s.side&1]; src != nil { // &1: index provably in range
+			copy(d[s.dst:s.end], src[s.src:])
 		} else {
-			copy(d[:h.buildWidth], build)
-		}
-		if pref == 0 {
-			clear(d[h.buildWidth:h.outWidth])
-		} else {
-			copy(d[h.buildWidth:h.outWidth], h.data[pref-arena.Base:])
+			clear(d[s.dst:s.end])
 		}
 	}
 	key := binary.LittleEndian.Uint32(d)
@@ -640,7 +675,7 @@ func (ha *nativeHashAggregate) Open() error {
 
 	// Stage the group rows in one arena block.
 	n := table.NGroups()
-	ha.rows = ha.rows[:0]
+	ha.rows = slices.Grow(ha.rows[:0], n)
 	ha.next = 0
 	if n == 0 {
 		return nil
@@ -665,6 +700,10 @@ func (ha *nativeHashAggregate) NextBatch(b *Batch) (bool, error) {
 	}
 	return len(b.Rows) > 0, nil
 }
+
+// stagedRows reports how many rows Open staged, so Groups sizes its
+// result once.
+func (ha *nativeHashAggregate) stagedRows() int { return len(ha.rows) }
 
 // Close closes the child exactly once (it is normally closed at the end
 // of Open's drain).

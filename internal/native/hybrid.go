@@ -1,7 +1,8 @@
 package native
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"hashjoin/internal/plan"
 )
@@ -79,12 +80,8 @@ func planHybrid(bp *partitions, width, budget int) *hybridPlan {
 		p.order[i] = i
 		p.foot[i] = pairFootprint(len(bp.part(i)), width)
 	}
-	sort.SliceStable(p.order, func(a, b int) bool {
-		fa, fb := p.foot[p.order[a]], p.foot[p.order[b]]
-		if fa != fb {
-			return fa < fb
-		}
-		return p.order[a] < p.order[b]
+	slices.SortFunc(p.order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(p.foot[a], p.foot[b]), cmp.Compare(a, b))
 	})
 	for _, i := range p.order {
 		if p.foot[i] > budget {

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"hashjoin/internal/engine"
@@ -315,44 +316,6 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 		cachedBuild = pc.build.bs
 	}
 
-	// Service mode routes the run through admission. Native runs are
-	// granted a private scratch window and the shared worker pool;
-	// simulated runs are exclusive tenants (the cycle simulator is
-	// single-threaded and they scope scratch on the shared arena).
-	a := e.mem.A
-	var pool native.Pool
-	var budgetNow func() int
-	if e.svc != nil {
-		req := sched.Request{Tenant: pc.tenant, Weight: pc.weight, Exclusive: pc.engine == EngineSim}
-		if !req.Exclusive {
-			req.Planned = pc.planned
-			if req.Planned == 0 {
-				req.Planned = e.plannedScratch(&pc, build, probe)
-			}
-		}
-		g, aerr := e.svc.Admit(ctx, req)
-		if aerr != nil {
-			return PipelineResult{}, aerr
-		}
-		defer func() { g.Release(err) }()
-		a = g.Arena()
-		res.QueueWait = g.QueueWait()
-		res.AdmittedBytes = g.Planned()
-		if pc.engine == EngineNative {
-			pool = e.svc.Pool()
-			if pc.hybrid {
-				// The grant's advisory budget is the mid-join pressure
-				// signal: when neighbors queue, the controller shrinks it
-				// and the hybrid join demotes unstarted resident pairs.
-				budgetNow = g.BudgetNow
-			}
-		}
-	}
-	if pc.engine == EngineSim {
-		e.simMu.Lock()
-		defer e.simMu.Unlock()
-	}
-
 	buildNode := engine.Scan(build.rel)
 	if pc.hasFilter {
 		buildNode = engine.Filter(buildNode, engine.KeyBetween(pc.filterLo, pc.filterHi))
@@ -407,6 +370,45 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 		res.Plan = &dec
 	}
 
+	// Service mode routes the run through admission. Native runs are
+	// granted a private scratch window and the shared worker pool;
+	// simulated runs are exclusive tenants (the cycle simulator is
+	// single-threaded and they scope scratch on the shared arena).
+	a := e.mem.A
+	var pool native.Pool
+	var budgetNow func() int
+	if e.svc != nil {
+		req := sched.Request{Tenant: pc.tenant, Weight: pc.weight, Exclusive: pc.engine == EngineSim}
+		if !req.Exclusive {
+			req.Planned = pc.planned
+			if req.Planned == 0 {
+				width := logical.JoinEmitWidth(engine.Config{Backend: pc.engine, Strategy: strategy})
+				req.Planned = plannedScratch(&pc, width, build.rel.NTuples)
+			}
+		}
+		g, aerr := e.svc.Admit(ctx, req)
+		if aerr != nil {
+			return PipelineResult{}, aerr
+		}
+		defer func() { g.Release(err) }()
+		a = g.Arena()
+		res.QueueWait = g.QueueWait()
+		res.AdmittedBytes = g.Planned()
+		if pc.engine == EngineNative {
+			pool = e.svc.Pool()
+			if pc.hybrid {
+				// The grant's advisory budget is the mid-join pressure
+				// signal: when neighbors queue, the controller shrinks it
+				// and the hybrid join demotes unstarted resident pairs.
+				budgetNow = g.BudgetNow
+			}
+		}
+	}
+	if pc.engine == EngineSim {
+		e.simMu.Lock()
+		defer e.simMu.Unlock()
+	}
+
 	var report engine.Report
 	cfg := engine.Config{
 		Backend:       pc.engine,
@@ -447,8 +449,9 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 			err = wrapCancel(gerr, time.Since(start))
 			return PipelineResult{}, err
 		}
+		res.Groups = slices.Grow(res.Groups, len(groups)) // no groups stays nil
 		for _, g := range groups {
-			res.Groups = append(res.Groups, GroupStat{Key: g.Key, Count: g.Count, Sum: g.Sum})
+			res.Groups = append(res.Groups, GroupStat(g))
 			res.NOutput += int(g.Count)
 			res.KeySum += uint64(g.Key) * g.Count
 		}
@@ -484,13 +487,14 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 
 // plannedScratch estimates a native pipeline run's arena scratch for
 // admission, mirroring the cli planner's model: the streaming join's
-// output ring, the morsel pipe buffers (2·workers+4 batches of
-// concatenated rows), aggregate staging, the spill tier's page pool
+// output ring, the morsel pipe buffers (2·workers+4 batches), both in
+// rows of the width the join emits (engine's Node.JoinEmitWidth),
+// aggregate staging (one row per build row), the spill tier's page pool
 // when it can engage, and page-rounding slack. The admission floor
 // (256 KB) covers the small end; WithPlannedScratch overrides the
 // whole estimate.
-func (e *Env) plannedScratch(pc *pipelineConfig, build, probe *Relation) uint64 {
-	outWidth := uint64(build.rel.Schema.FixedWidth() + probe.rel.Schema.FixedWidth())
+func plannedScratch(pc *pipelineConfig, emitWidth, buildRows int) uint64 {
+	outWidth := uint64(emitWidth)
 	batch := pc.params.G
 	if batch < native.DefaultG {
 		batch = native.DefaultG
@@ -506,7 +510,7 @@ func (e *Env) plannedScratch(pc *pipelineConfig, build, probe *Relation) uint64 
 	pipeBufs := uint64(2*workers+4) * uint64(batch) * outWidth
 	var aggStaging uint64
 	if pc.hasAgg {
-		aggStaging = uint64(build.rel.NTuples) * engine.AggTupleWidth
+		aggStaging = uint64(buildRows) * engine.AggTupleWidth
 	}
 	var spillPool uint64
 	if pc.memBudget > 0 && !pc.noSpill {

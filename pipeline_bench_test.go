@@ -101,7 +101,7 @@ func BenchmarkPipelineMorsel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runPipelineBenchOnce(b, Group, 64)
+		runPipelineBenchOnce(b, Group, pipelineMorselFanout)
 	}
 }
 
@@ -127,26 +127,35 @@ type pipelineTrajectory struct {
 	// Speedups are baseline elapsed over scheme elapsed.
 	GroupSpeedup     float64 `json:"group_speedup"`
 	PipelinedSpeedup float64 `json:"pipelined_speedup"`
+	// The BenchmarkPipelineMorsel shape — Group with the join radix-
+	// partitioned at MorselFanout — in the same interleaved repetitions.
+	MorselFanout  int     `json:"morsel_fanout"`
+	MorselGroupMs float64 `json:"morsel_group_ms"`
 }
 
-// BenchmarkPipelineSpeedup measures all three schemes end to end,
-// reports the pipeline wall-clock speedups of Group and Pipelined over
-// Baseline, and emits BENCH_pipeline.json. Repetitions interleave the
-// schemes so host drift lands on all of them alike, and per-scheme
-// medians are compared (see BenchmarkNativeSpeedup for why medians).
+// pipelineMorselFanout is the morsel benchmarks' partition count.
+const pipelineMorselFanout = 64
+
+// BenchmarkPipelineSpeedup measures all three schemes end to end (and
+// Group once more over the morsel join), reports the pipeline wall-clock
+// speedups of Group and Pipelined over Baseline, and emits
+// BENCH_pipeline.json. Repetitions interleave the schemes so host drift
+// lands on all of them alike, and per-scheme medians are compared (see
+// BenchmarkNativeSpeedup for why medians).
 func BenchmarkPipelineSpeedup(b *testing.B) {
 	pipelineBenchRelations(b)
 	const reps = 9
-	var base, grp, pipe time.Duration
+	var base, grp, pipe, morsel time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var bs, gs, ps []time.Duration
+		var bs, gs, ps, ms []time.Duration
 		for rep := 0; rep < reps; rep++ {
 			bs = append(bs, runPipelineBenchOnce(b, Baseline, 1))
 			gs = append(gs, runPipelineBenchOnce(b, Group, 1))
 			ps = append(ps, runPipelineBenchOnce(b, Pipelined, 1))
+			ms = append(ms, runPipelineBenchOnce(b, Group, pipelineMorselFanout))
 		}
-		base, grp, pipe = medianDuration(bs), medianDuration(gs), medianDuration(ps)
+		base, grp, pipe, morsel = medianDuration(bs), medianDuration(gs), medianDuration(ps), medianDuration(ms)
 	}
 	b.StopTimer()
 
@@ -162,6 +171,8 @@ func BenchmarkPipelineSpeedup(b *testing.B) {
 		PipelinedMs:      float64(pipe.Microseconds()) / 1e3,
 		GroupSpeedup:     base.Seconds() / grp.Seconds(),
 		PipelinedSpeedup: base.Seconds() / pipe.Seconds(),
+		MorselFanout:     pipelineMorselFanout,
+		MorselGroupMs:    float64(morsel.Microseconds()) / 1e3,
 	}
 	b.ReportMetric(traj.GroupSpeedup, "group-speedup")
 	b.ReportMetric(traj.PipelinedSpeedup, "pipelined-speedup")

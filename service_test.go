@@ -362,3 +362,59 @@ func waitForQueue(t *testing.T, env *Env, n int) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestServicePlannedScratchBoundsRun pins plannedScratch against what a
+// run really allocates: admission carves a window of exactly the planned
+// figure, so a run whose scratch high-water mark exceeds it fails with
+// an out-of-memory error. The relations are sized so every planned
+// figure clears the 256 KB admission floor — the floor would otherwise
+// hide an underestimate — and the figures must order the way the
+// emitted row widths do: an aggregate's join emits key and value only,
+// a semi join the probe tuple, an inner join build||probe.
+func TestServicePlannedScratchBoundsRun(t *testing.T) {
+	env := NewEnv(WithSmallHierarchy(), WithCapacity(192<<20), WithService(ServiceConfig{MaxConcurrent: 1, Workers: 2}))
+	t.Cleanup(env.Close)
+	ctx := context.Background()
+	wide, err := env.GenerateWorkload(ctx, 400, 1600, 1500, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	many, err := env.GenerateWorkload(ctx, 12000, 24000, 16, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const floor = 256 << 10
+	for _, fanout := range []int{1, 4} {
+		admitted := map[string]uint64{}
+		for _, tc := range []struct {
+			name string
+			w    *Workload
+			opts []PipelineOption
+		}{
+			{"inner", wide, nil},
+			{"semi", wide, []PipelineOption{WithJoinType(LeftSemi)}},
+			{"agg", many, []PipelineOption{WithAggregation(4, 12000)}},
+			{"wide agg", wide, []PipelineOption{WithAggregation(1496, 400)}},
+		} {
+			opts := append([]PipelineOption{WithEngine(EngineNative), WithPipelineFanout(fanout), WithPipelineWorkers(2)}, tc.opts...)
+			res, err := env.RunPipelineContext(ctx, tc.w.Build, tc.w.Probe, opts...)
+			if err != nil {
+				t.Fatalf("fanout=%d %s: run inside its planned window: %v", fanout, tc.name, err)
+			}
+			if res.NOutput != tc.w.ExpectedMatches || res.KeySum != tc.w.KeySum {
+				t.Errorf("fanout=%d %s: NOutput/KeySum = %d/%d, want %d/%d",
+					fanout, tc.name, res.NOutput, res.KeySum, tc.w.ExpectedMatches, tc.w.KeySum)
+			}
+			admitted[tc.name] = res.AdmittedBytes
+		}
+		for _, name := range []string{"inner", "semi", "agg"} {
+			if admitted[name] <= floor {
+				t.Errorf("fanout=%d %s: planned %d bytes sits on the admission floor; the run proves nothing", fanout, name, admitted[name])
+			}
+		}
+		if !(admitted["wide agg"] == floor && admitted["semi"] < admitted["inner"]) {
+			t.Errorf("fanout=%d: planned scratch does not follow the emitted row width: wide agg %d (want the %d floor), semi %d, inner %d",
+				fanout, admitted["wide agg"], floor, admitted["semi"], admitted["inner"])
+		}
+	}
+}
