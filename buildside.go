@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"hashjoin/internal/core"
+	"hashjoin/internal/engine"
 	"hashjoin/internal/native"
 	"hashjoin/internal/sched"
 )
@@ -31,20 +31,6 @@ func (b *BuildSide) Rows() int { return b.bs.NRows() }
 
 // Bytes returns the heap footprint of the row table, in bytes.
 func (b *BuildSide) Bytes() int { return b.bs.Bytes() }
-
-// nativeSchemeOf maps a public scheme onto the native engine's, the
-// same collapse the engine applies: Simple and Combined have no native
-// analog and run as Baseline.
-func nativeSchemeOf(s Scheme) native.Scheme {
-	switch s {
-	case core.SchemeGroup:
-		return native.Group
-	case core.SchemePipelined:
-		return native.Pipelined
-	default:
-		return native.Baseline
-	}
-}
 
 // PrepareBuildSide builds the native hash table over build once, for
 // reuse across queries via WithBuildSide. The build is concurrent:
@@ -97,7 +83,7 @@ func (e *Env) PrepareBuildSide(ctx context.Context, build *Relation, opts ...Pip
 
 	entries := native.Flatten(rel, nil)
 	bs, err := native.BuildRows(rel.Arena().Data(), entries, rel.Schema.FixedWidth(), native.BuildConfig{
-		Scheme:  nativeSchemeOf(pc.scheme),
+		Scheme:  engine.NativeScheme(pc.scheme),
 		G:       pc.params.G,
 		D:       pc.params.D,
 		Workers: pc.workers,

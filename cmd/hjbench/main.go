@@ -37,7 +37,6 @@ import (
 	"hashjoin/internal/exp"
 	"hashjoin/internal/native"
 	"hashjoin/internal/plan"
-	"hashjoin/internal/spill"
 	"hashjoin/internal/workload"
 )
 
@@ -166,24 +165,6 @@ type spillOpts struct {
 	hybrid  bool
 }
 
-// arenaHeadroom over-approximates the spill tier's page-pool claim on
-// the arena (zero when the tier cannot engage), mirroring the cli
-// package's scratch estimate for the monolithic-join path.
-func (s spillOpts) arenaHeadroom(memBudget int) uint64 {
-	if memBudget <= 0 || s.off {
-		return 0
-	}
-	sw := s.workers
-	if sw < 1 {
-		sw = spill.DefaultWorkers
-	}
-	chunk := memBudget/spill.DefaultPageSize + 1
-	if chunk > 256 {
-		chunk = 256
-	}
-	return uint64(chunk+3*sw+4)*uint64(spill.DefaultPageSize) + (64 << 10)
-}
-
 // runPipeline benchmarks the shared operator pipeline per scheme on the
 // selected engine. Each run uses a fresh arena (same seed, identical
 // workload bytes); native repetitions interleave the schemes so host
@@ -305,13 +286,26 @@ func runNative(ctx context.Context, spec workload.Spec, schemeList string, fanou
 	}
 	schemes := make([]native.Scheme, len(parsed))
 	for i, s := range parsed {
-		schemes[i] = cli.NativeScheme(s)
+		schemes[i] = engine.NativeScheme(s)
 	}
 	if reps < 1 {
 		reps = 1
 	}
 
-	a := arena.New(workload.ArenaBytesFor(spec) + sp.arenaHeadroom(memBudget))
+	jcfg := native.Config{
+		Fanout: fanout, Workers: workers,
+		SpillDir: sp.dir, SpillWorkers: sp.workers, NoSpill: sp.off,
+		Hybrid: sp.hybrid,
+		Ctx:    ctx,
+	}
+	if memBudget > 0 {
+		jcfg.MemBudget = memBudget
+		if fanout == 1 {
+			jcfg.Fanout = 0 // let the budget derive the fan-out
+		}
+	}
+	// The arena holds the workload plus the spill tier's page pool.
+	a := arena.New(workload.ArenaBytesFor(spec) + native.SpillPoolBytes(jcfg))
 	pair := workload.Generate(a, spec)
 	fmt.Printf("native join benchmark: %d build x %d probe tuples, %d B each, fanout %d, prefetch asm %v\n",
 		pair.Build.NTuples, pair.Probe.NTuples, spec.TupleSize, fanout, native.HavePrefetch)
@@ -326,18 +320,6 @@ func runNative(ctx context.Context, spec workload.Spec, schemeList string, fanou
 	// outliers), which destabilizes a best-of comparison but not the
 	// median.
 	jn := native.NewJoiner()
-	jcfg := native.Config{
-		Fanout: fanout, Workers: workers,
-		SpillDir: sp.dir, SpillWorkers: sp.workers, NoSpill: sp.off,
-		Hybrid: sp.hybrid,
-		Ctx:    ctx,
-	}
-	if memBudget > 0 {
-		jcfg.MemBudget = memBudget
-		if fanout == 1 {
-			jcfg.Fanout = 0 // let the budget derive the fan-out
-		}
-	}
 	// Spill pool pages are per-Join scratch; reclaim them between reps so
 	// repeated budgeted runs don't accumulate arena usage.
 	joinMark := a.Used()
@@ -388,7 +370,7 @@ func runNative(ctx context.Context, spec workload.Spec, schemeList string, fanou
 		}
 		if sp.hybrid {
 			fmt.Printf("(hybrid: %d resident pair(s), %d spilled, %d demoted, %d B demoted)\n",
-				b.Hybrid.ResidentPairs, b.Hybrid.SpilledPairs, b.Hybrid.DemotedPairs, b.Hybrid.BytesDemoted)
+				b.ResidentPartitions, b.VictimPartitions, b.DemotedPartitions, b.BytesDemoted)
 		}
 	}
 	fmt.Printf("(speedup = first scheme's elapsed / scheme's elapsed; medians of %d interleaved reps; all results validated)\n", reps)

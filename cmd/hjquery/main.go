@@ -186,7 +186,7 @@ func main() {
 	case engine.Native:
 		rate := float64(p.Pair.Probe.NTuples) / res.Elapsed.Seconds() / 1e6
 		fmt.Printf("native: scheme %v, fanout %d, prefetch asm %v\n",
-			cli.NativeScheme(p.Scheme), res.JoinFanout, native.HavePrefetch)
+			engine.NativeScheme(p.Scheme), res.JoinFanout, native.HavePrefetch)
 		if *memBudget > 0 {
 			fmt.Printf("budget: %d B, recursion depth %d\n", *memBudget, res.JoinRecursionDepth)
 		}

@@ -14,10 +14,6 @@ package hashjoin
 // context.Canceled / context.DeadlineExceeded.
 
 import (
-	"context"
-	"errors"
-	"time"
-
 	"hashjoin/internal/arena"
 	"hashjoin/internal/native"
 	"hashjoin/internal/sched"
@@ -104,22 +100,3 @@ const (
 	// AdmissionDraining: the Env is shutting down and admits nothing new.
 	AdmissionDraining = sched.Draining
 )
-
-// wrapCancel normalizes a cancellation-class error crossing the public
-// boundary into a *CancelError, so callers see one cancellation type no
-// matter which layer noticed the context first. Errors that already are
-// a *CancelError (the native morsel path builds them with pair-level
-// progress) and errors of other classes pass through unchanged.
-func wrapCancel(err error, elapsed time.Duration) error {
-	if err == nil {
-		return nil
-	}
-	var ce *CancelError
-	if errors.As(err, &ce) {
-		return err
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return &CancelError{Cause: err, Elapsed: elapsed}
-	}
-	return err
-}

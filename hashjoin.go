@@ -35,6 +35,7 @@ import (
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/core"
+	"hashjoin/internal/engine"
 	"hashjoin/internal/exp"
 	jhash "hashjoin/internal/hash"
 	"hashjoin/internal/memsim"
@@ -523,11 +524,7 @@ func (e *Env) Partition(r *Relation, n int, opts ...JoinOption) (counts []int, s
 
 // GroupStat is one aggregation group: COUNT(*) and SUM(value) where the
 // value is the 4-byte integer following the key in each tuple.
-type GroupStat struct {
-	Key   uint32
-	Count uint64
-	Sum   uint64
-}
+type GroupStat = engine.Group
 
 // Aggregate performs a hash-based group-by over r's join keys — the
 // extension the paper's conclusion proposes for its techniques. Scheme

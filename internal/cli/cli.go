@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -112,20 +111,6 @@ func ParseSchemeList(csv string) ([]core.Scheme, error) {
 	return out, nil
 }
 
-// NativeScheme maps a simulator scheme onto the native engine's: Simple
-// runs as Baseline (its whole-page prefetch has no native analog) and
-// Combined as Group.
-func NativeScheme(s core.Scheme) native.Scheme {
-	switch s {
-	case core.SchemeGroup, core.SchemeCombined:
-		return native.Group
-	case core.SchemePipelined:
-		return native.Pipelined
-	default:
-		return native.Baseline
-	}
-}
-
 // NormalizeFanout rounds a requested partition fan-out the way the
 // native partitioner does: values above one round up to the next power
 // of two; zero and one are passed through (0 = derive, 1 = single pair).
@@ -198,24 +183,6 @@ func StatusName(code int) string {
 	default:
 		return "failure"
 	}
-}
-
-// wrapCancel normalizes a raw context error noticed deep in a pipeline
-// (scans return ctx.Err() unwrapped) into the typed *native.CancelError
-// that PipelineErrorDetail and ExitCodeFor key on; errors that already
-// carry the type, and non-cancellation errors, pass through.
-func wrapCancel(err error, elapsed time.Duration) error {
-	if err == nil {
-		return nil
-	}
-	var ce *native.CancelError
-	if errors.As(err, &ce) {
-		return err
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return &native.CancelError{Cause: err, Elapsed: elapsed}
-	}
-	return err
 }
 
 // Fatalf reports a usage error (bad flag value) for prog: exit code 2.
@@ -379,32 +346,10 @@ type PipelineResult struct {
 	Stats   memsim.Stats  // Sim: cycle breakdown of the whole pipeline
 	Elapsed time.Duration // Native: wall clock of the whole pipeline
 
-	// JoinFanout is the partition count the native join actually used
-	// (1: streaming); JoinRecursionDepth is how deep the budget governor
-	// had to re-partition oversized pairs (0: none).
-	JoinFanout         int
-	JoinRecursionDepth int
-
-	// SpilledPartitions counts partition pairs the native join completed
-	// out of core; the remaining fields total the spill tier's file I/O
-	// and the latency its write-behind/read-ahead overlap failed to hide.
-	SpilledPartitions int
-	SpillBytesWritten int64
-	SpillBytesRead    int64
-	SpillWriteStall   time.Duration
-	SpillReadStall    time.Duration
-	// SpillFailovers counts spill directories declared failed mid-join;
-	// SpillRebuilds counts partitions rebuilt from their in-memory
-	// source after a failed or corrupt spill file.
-	SpillFailovers int64
-	SpillRebuilds  int64
-
-	// Hybrid-policy accounting: partition pairs joined fully in memory
-	// and planned-resident pairs demoted to disk mid-join (with their
-	// summed build footprints). Zero without Hybrid.
-	ResidentPartitions int
-	DemotedPartitions  int
-	BytesDemoted       int64
+	// Report is the engine's run report, written in place by the run:
+	// the join's effective fan-out and recursion depth, and what the
+	// spill tier and the hybrid policy did.
+	engine.Report
 
 	// Plan is the planner's decision and inputs when it was consulted
 	// (Strategy != Auto, or Explain); nil otherwise.
@@ -449,9 +394,9 @@ func (p *Pipeline) Validate() error {
 
 // planDecision consults the cost-based planner when a strategy was
 // forced or an EXPLAIN was requested, returning nil otherwise (legacy
-// fanout-driven selection). A forced strategy overrides the planner's
-// pick but the decision records what it preferred; a pinned -fanout > 1
-// under Auto likewise pins the partitioned strategy.
+// fanout-driven selection). plan.Resolve applies the overrides: a forced
+// strategy, the simulator's single-table limit, and -fanout pinning the
+// partitioned strategy under Auto.
 func (p *Pipeline) planDecision() *plan.Decision {
 	if p.Strategy == plan.Auto && !p.Explain {
 		return nil
@@ -461,37 +406,21 @@ func (p *Pipeline) planDecision() *plan.Decision {
 	if mr == 0 && spec.NProbe > 0 {
 		mr = float64(p.Pair.ProbeMatched) / float64(spec.NProbe)
 	}
-	stats := plan.Stats{
-		BuildRows:      spec.NBuild,
-		ProbeRows:      spec.NProbe,
-		BuildWidth:     spec.TupleSize,
-		ProbeWidth:     spec.TupleSize,
-		BuildFootprint: native.BuildFootprint(spec.NBuild, spec.TupleSize),
-		MatchRate:      mr,
-	}
-	dec := plan.Choose(stats, p.JoinType, p.MemBudget)
-	switch {
-	case p.Strategy != plan.Auto && p.Strategy != dec.Strategy:
-		preferred := dec.Strategy
-		dec.Strategy = p.Strategy
-		if p.Strategy == plan.PartitionedHash {
-			if dec.Fanout <= 1 {
-				dec.Fanout = max(p.Fanout, 2)
-			}
-		} else {
-			dec.Fanout = 1
-		}
-		dec.Reason = fmt.Sprintf("forced by -strategy %v; planner preferred %v", p.Strategy, preferred)
-	case p.Engine == engine.Sim && dec.Strategy == plan.PartitionedHash:
-		// The simulator executes single-table joins only; an auto-planned
-		// partitioned pick degrades to streaming there.
-		dec.Strategy, dec.Fanout = plan.StreamHash, 1
-		dec.Reason = "sim backend runs single-table joins only (planner preferred partitioned)"
-	case p.Engine == engine.Native && p.Strategy == plan.Auto && p.Fanout > 1 && dec.Strategy != plan.PartitionedHash:
-		preferred := dec.Strategy
-		dec.Strategy, dec.Fanout = plan.PartitionedHash, p.Fanout
-		dec.Reason = fmt.Sprintf("-fanout %d pins the partitioned strategy; planner preferred %v", p.Fanout, preferred)
-	}
+	dec := plan.Resolve(plan.Request{
+		Stats: plan.Stats{
+			BuildRows:      spec.NBuild,
+			ProbeRows:      spec.NProbe,
+			BuildWidth:     spec.TupleSize,
+			ProbeWidth:     spec.TupleSize,
+			BuildFootprint: native.BuildFootprint(spec.NBuild, spec.TupleSize),
+			MatchRate:      mr,
+		},
+		JoinType:     p.JoinType,
+		Budget:       p.MemBudget,
+		Forced:       p.Strategy,
+		PinnedFanout: p.Fanout,
+		Sim:          p.Engine == engine.Sim,
+	})
 	return &dec
 }
 
@@ -519,85 +448,11 @@ func (p *Pipeline) logical(build, probe *storage.Relation) *engine.Node {
 		valueOff, p.Spec.NBuild)
 }
 
-// scratchBytes estimates the per-run arena scratch of the compiled
-// plan beyond the workload itself: the streaming join's output ring
-// (one probe batch's matches), the morsel pipe buffers (2·workers+4
-// batches), both in rows of the width the join emits
-// (Node.JoinEmitWidth), and the aggregate's staging block (one
-// AggTupleWidth row per possible group), with slack for page rounding.
-// Scoped allocation reclaims all of it between runs, so this bounds the
-// steady-state high-water mark, not a per-run leak.
-func (p *Pipeline) scratchBytes() uint64 {
-	tupleSize := p.Spec.TupleSize
-	if tupleSize < 8 {
-		tupleSize = 8
-	}
-	// The arena is sized before the relations exist, so the width comes
-	// from the plan over empty relations of the workload's schema. A
-	// consulted planner may still pick nested-loop, which emits whole
-	// rows: size for that.
-	strategy := p.Strategy
-	if strategy == plan.Auto && p.Explain {
-		strategy = plan.NestedLoop
-	}
-	shape := &storage.Relation{Schema: storage.KeyPayloadSchema(tupleSize)}
-	outWidth := uint64(p.logical(shape, shape).JoinEmitWidth(engine.Config{Backend: p.Engine, Strategy: strategy}))
-	batch := p.Params.G
-	if batch < native.DefaultG {
-		batch = native.DefaultG // covers both backends' default G
-	}
-	workers := p.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	mpb := p.Spec.MatchesPerBuild
-	if mpb < 1 {
-		mpb = 1
-	}
-	ring := uint64(batch*mpb) * outWidth
-	pipeBufs := uint64(2*workers+4) * uint64(batch) * outWidth
-	aggStaging := uint64(p.Spec.NBuild) * engine.AggTupleWidth
-	return ring + pipeBufs + aggStaging + p.spillPoolBytes() + (64 << 10)
-}
-
-// spillPoolBytes over-approximates the arena scratch the native join's
-// out-of-core tier may claim for its page buffer pool: chunk pages plus
-// write/read working buffers, all DefaultPageSize-sized. Zero when the
-// tier cannot engage (unbudgeted or disabled).
-func (p *Pipeline) spillPoolBytes() uint64 {
-	if p.Engine != engine.Native || p.MemBudget <= 0 || p.NoSpill {
-		return 0
-	}
-	sw := p.SpillWorkers
-	if sw < 1 {
-		sw = spill.DefaultWorkers
-	}
-	// The real chunk count divides the budget by page size plus per-tuple
-	// table overhead; dividing by page size alone over-counts, which is
-	// the safe direction. 256 mirrors the native tier's chunk-page cap.
-	chunk := p.MemBudget/spill.DefaultPageSize + 1
-	if chunk > 256 {
-		chunk = 256
-	}
-	return uint64(chunk+3*sw+4)*uint64(spill.DefaultPageSize) + (64 << 10)
-}
-
-// Run executes the pipeline on the configured backend and validates the
-// derived join totals against the workload's ground truth.
-func (p *Pipeline) Run() (PipelineResult, error) {
-	p.Materialize()
-	logical := p.logical(p.Pair.Build, p.Pair.Probe)
-
-	strategy, fanout := plan.Auto, p.Fanout
-	dec := p.planDecision()
-	if dec != nil {
-		strategy, fanout = dec.Strategy, dec.Fanout
-	}
-
-	var report engine.Report
-	cfg := engine.Config{
+// config is the engine configuration the pipeline runs — and is sized —
+// under, but for the arena, memory view and report Run supplies.
+func (p *Pipeline) config(strategy plan.Strategy, fanout int) engine.Config {
+	return engine.Config{
 		Backend:      p.Engine,
-		A:            p.A,
 		Scheme:       p.Scheme,
 		Params:       p.Params,
 		Strategy:     strategy,
@@ -608,58 +463,53 @@ func (p *Pipeline) Run() (PipelineResult, error) {
 		SpillWorkers: p.SpillWorkers,
 		NoSpill:      p.NoSpill,
 		Hybrid:       p.Hybrid,
-		Report:       &report,
 		Ctx:          p.Ctx,
 	}
-	var res PipelineResult
-	res.Plan = dec
-	start := time.Now()
-	switch p.Engine {
-	case engine.Sim:
+}
+
+// scratchBytes is the per-run arena scratch of the compiled plan beyond
+// the workload itself (engine's Node.ScratchBytes). The arena is sized
+// before the relations exist, so the plan is laid over empty relations
+// of the workload's schema, the workload's own matches-per-build sizes
+// the output ring, and its build count bounds the groups. A consulted
+// planner may still pick nested-loop, which emits whole rows: size for
+// that.
+func (p *Pipeline) scratchBytes() uint64 {
+	strategy := p.Strategy
+	if strategy == plan.Auto && p.Explain {
+		strategy = plan.NestedLoop
+	}
+	shape := &storage.Relation{Schema: storage.KeyPayloadSchema(max(p.Spec.TupleSize, 8))}
+	return p.logical(shape, shape).ScratchBytes(p.config(strategy, p.Fanout),
+		max(p.Spec.MatchesPerBuild, 1), p.Spec.NBuild)
+}
+
+// Run executes the pipeline on the configured backend and validates the
+// derived join totals against the workload's ground truth.
+func (p *Pipeline) Run() (res PipelineResult, err error) {
+	p.Materialize()
+	strategy, fanout := plan.Auto, p.Fanout
+	if res.Plan = p.planDecision(); res.Plan != nil {
+		strategy, fanout = res.Plan.Strategy, res.Plan.Fanout
+	}
+	cfg := p.config(strategy, fanout)
+	cfg.A, cfg.Report = p.A, &res.Report
+	if p.Engine == engine.Sim {
 		hier := p.Hier
 		if hier == (memsim.Config{}) {
 			hier = memsim.SmallConfig()
 		}
-		m := vmem.New(p.A, memsim.NewSim(hier))
-		cfg.Mem = m
-		root, err := engine.Compile(logical, cfg)
-		if err != nil {
-			return res, err
-		}
-		res.Groups, err = engine.Groups(root, p.A)
-		if err != nil {
-			return res, wrapCancel(err, time.Since(start))
-		}
-		res.Stats = m.S.Stats()
-	case engine.Native:
-		root, err := engine.Compile(logical, cfg)
-		if err != nil {
-			return res, err
-		}
-		res.Groups, err = engine.Groups(root, p.A)
-		if err != nil {
-			return res, wrapCancel(err, time.Since(start))
-		}
-		res.Elapsed = time.Since(start)
-	default:
-		return res, fmt.Errorf("unknown backend %v", p.Engine)
+		cfg.Mem = vmem.New(p.A, memsim.NewSim(hier))
 	}
-	res.JoinFanout = report.JoinFanout
-	res.JoinRecursionDepth = report.JoinRecursionDepth
-	res.SpilledPartitions = report.SpilledPartitions
-	res.SpillBytesWritten = report.SpillBytesWritten
-	res.SpillBytesRead = report.SpillBytesRead
-	res.SpillWriteStall = report.SpillWriteStall
-	res.SpillReadStall = report.SpillReadStall
-	res.SpillFailovers = report.SpillFailovers
-	res.SpillRebuilds = report.SpillRebuilds
-	res.ResidentPartitions = report.ResidentPartitions
-	res.DemotedPartitions = report.DemotedPartitions
-	res.BytesDemoted = report.BytesDemoted
-
-	for _, g := range res.Groups {
-		res.NOutput += int(g.Count)
-		res.KeySum += uint64(g.Key) * g.Count
+	out, err := engine.Execute(p.logical(p.Pair.Build, p.Pair.Probe), cfg)
+	if err != nil {
+		return res, err
+	}
+	res.NOutput, res.KeySum, res.Groups = out.NOutput, out.KeySum, out.Groups
+	if p.Engine == engine.Sim {
+		res.Stats = cfg.Mem.S.Stats()
+	} else {
+		res.Elapsed = out.Elapsed
 	}
 	wantN, wantSum := p.Pair.Expected(p.JoinType)
 	if res.NOutput != wantN || res.KeySum != wantSum {

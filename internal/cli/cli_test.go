@@ -134,24 +134,6 @@ func TestParseSchemeList(t *testing.T) {
 	}
 }
 
-func TestNativeScheme(t *testing.T) {
-	cases := []struct {
-		in   core.Scheme
-		want native.Scheme
-	}{
-		{core.SchemeBaseline, native.Baseline},
-		{core.SchemeSimple, native.Baseline}, // no native analog of page prefetch
-		{core.SchemeGroup, native.Group},
-		{core.SchemeCombined, native.Group},
-		{core.SchemePipelined, native.Pipelined},
-	}
-	for _, tc := range cases {
-		if got := NativeScheme(tc.in); got != tc.want {
-			t.Errorf("NativeScheme(%v) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestNormalizeFanout(t *testing.T) {
 	cases := []struct{ in, want int }{
 		{0, 0}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {9, 16}, {64, 64}, {65, 128},

@@ -30,7 +30,9 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"time"
 
@@ -231,7 +233,11 @@ type Config struct {
 	Ctx context.Context
 }
 
-// Report carries per-run execution detail out of a compiled pipeline.
+// Report carries per-run execution detail out of a compiled pipeline:
+// the join operator's shape, and the native join's own run report by
+// value. The front ends embed it in their results and point
+// Config.Report at the embedded value, so there is no copy to keep in
+// step.
 type Report struct {
 	// JoinFanout is the partition count the native join actually used
 	// (1 for the streaming strategy).
@@ -242,31 +248,10 @@ type Report struct {
 	// MorselsExecuted counts the partition-pair morsels the native join
 	// actually ran (0 for the streaming strategy and the Sim backend).
 	MorselsExecuted int
-	// SpilledPartitions counts the partition pairs the out-of-core tier
-	// joined from disk; 0 when everything fit in memory.
-	SpilledPartitions int
-	// SpillBytesWritten and SpillBytesRead total the spill tier's file
-	// I/O. Reads can exceed writes: the probe partition is re-read once
-	// per build chunk.
-	SpillBytesWritten int64
-	SpillBytesRead    int64
-	// SpillWriteStall is time the spill tier's encode path waited for a
-	// free buffer (write-behind fell behind); SpillReadStall is time the
-	// join waited for an in-flight page read (read-ahead fell behind).
-	SpillWriteStall time.Duration
-	SpillReadStall  time.Duration
-	// SpillFailovers counts spill directories declared failed mid-join;
-	// SpillRebuilds counts partitions rebuilt from their in-memory
-	// source after a failed or corrupt spill file.
-	SpillFailovers int64
-	SpillRebuilds  int64
-	// ResidentPartitions and the demotion counters mirror the hybrid
-	// policy's pair accounting (native.HybridStats): pairs joined fully
-	// in memory, planned-resident pairs demoted to disk by a mid-join
-	// budget shrink, and the demoted pairs' summed footprints.
-	ResidentPartitions int
-	DemotedPartitions  int
-	BytesDemoted       int64
+
+	// What the spill tier and the hybrid policy did; all zero for a
+	// join that stayed in memory.
+	native.Report
 }
 
 // batchSize returns the batch capacity (= G) for the config's backend.
@@ -280,9 +265,20 @@ func (c Config) batchSize() int {
 	return core.DefaultParams().G
 }
 
-// nativeScheme maps the config's scheme onto the native engine's.
-func (c Config) nativeScheme() native.Scheme {
-	switch c.Scheme {
+// workers returns the native morsel worker count the config runs with.
+func (c Config) workers() int {
+	if c.Workers < 1 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c.Workers
+}
+
+// NativeScheme maps a simulator scheme onto the native engine's — the
+// one such mapping, so what a front end prints is what the engine ran.
+// Simple (whole-page prefetch) and Combined (partition phase only) have
+// no native analog and run as Baseline.
+func NativeScheme(s core.Scheme) native.Scheme {
+	switch s {
 	case core.SchemeGroup:
 		return native.Group
 	case core.SchemePipelined:
@@ -481,6 +477,31 @@ func (n *Node) JoinEmitWidth(cfg Config) int {
 	return 0
 }
 
+// ScratchBytes estimates the arena scratch one run of the plan under
+// cfg allocates beyond its relations — the one estimate admission
+// windows (the service Env) and arena sizing (the CLI pipeline) are both
+// cut from. It sums the streaming join's output ring (one probe batch's
+// matches, matchesPerProbe each), the morsel pipe buffers, both in rows
+// of JoinEmitWidth; an aggregate root's staging block, one
+// AggTupleWidth row per group with aggRows bounding the groups (the
+// build side's row count, which the caller may know before the
+// relations exist); the native spill tier's page pool when it can
+// engage (native.SpillPoolBytes, from the tier's own arithmetic); and
+// 64 KiB of page-rounding slack. Scoped allocation reclaims all of it
+// between runs, so this bounds a high-water mark, not a leak.
+func (n *Node) ScratchBytes(cfg Config, matchesPerProbe, aggRows int) uint64 {
+	width := uint64(n.JoinEmitWidth(cfg))
+	batch := uint64(max(cfg.Params.G, native.DefaultG)) // covers both backends' default G
+	total := (uint64(matchesPerProbe)+uint64(pipeBufs(cfg.workers())))*batch*width + (64 << 10)
+	if n.kind == aggNode {
+		total += uint64(aggRows) * AggTupleWidth
+	}
+	if cfg.Backend == Native {
+		total += native.SpillPoolBytes(cfg.joinConfig(plan.Inner))
+	}
+	return total
+}
+
 // validatePlan checks cross-node invariants that only surface once the
 // whole tree is known. The load-bearing case: an aggregate's value
 // offset must land inside its child's output width, and semi/anti joins
@@ -651,6 +672,65 @@ func compileNode(n, parent *Node, cfg Config) Operator {
 type Result struct {
 	NRows  int    // rows produced by the root operator
 	KeySum uint64 // sum over rows of the u32 key at offset 0
+}
+
+// Output is a plan's drained result. NOutput and KeySum describe the
+// join's output whether or not an aggregate ran: the groups partition
+// the join output, so with one the totals are recovered from them
+// (NOutput = Σ count, KeySum = Σ key·count).
+type Output struct {
+	NOutput int
+	KeySum  uint64
+	Groups  []Group       // aggregate root only, sorted by key
+	Elapsed time.Duration // wall clock of compile + drain
+}
+
+// Execute is the run tail every front end shares: compile n under cfg,
+// drain an aggregate root through Groups and any other through Run, and
+// hand back the join's totals. A context error noticed by any layer
+// (scans return ctx.Err() bare) comes back as the *native.CancelError
+// the exit taxonomy keys on.
+func Execute(n *Node, cfg Config) (out Output, err error) {
+	start := time.Now()
+	root, err := Compile(n, cfg)
+	if err != nil {
+		return Output{}, err
+	}
+	a := cfg.A
+	if a == nil {
+		a = cfg.Mem.A // Compile's default for the Sim backend
+	}
+	if n.kind == aggNode {
+		out.Groups, err = Groups(root, a)
+		for _, g := range out.Groups {
+			out.NOutput += int(g.Count)
+			out.KeySum += uint64(g.Key) * g.Count
+		}
+	} else {
+		var r Result
+		r, err = Run(root, a)
+		out.NOutput, out.KeySum = r.NRows, r.KeySum
+	}
+	out.Elapsed = time.Since(start)
+	if err != nil {
+		return Output{}, wrapCancel(err, out.Elapsed)
+	}
+	return out, nil
+}
+
+// wrapCancel normalizes a raw context error into the typed
+// *native.CancelError; errors that already carry the type (the native
+// morsel join builds them with pair-level progress) and errors of other
+// classes pass through.
+func wrapCancel(err error, elapsed time.Duration) error {
+	var ce *native.CancelError
+	if errors.As(err, &ce) {
+		return err
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return &native.CancelError{Cause: err, Elapsed: elapsed}
+	}
+	return err
 }
 
 // Run opens, drains, and closes root, reading each row's leading u32

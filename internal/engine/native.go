@@ -12,7 +12,6 @@ package engine
 import (
 	"context"
 	"encoding/binary"
-	"runtime"
 	"slices"
 
 	"hashjoin/internal/arena"
@@ -169,6 +168,31 @@ type pipeBuf struct {
 	scratch arena.Addr
 }
 
+// pipeBufs is how many pipe buffers a morsel join over that many
+// workers circulates. openMorsel allocates by it and the scratch
+// estimator sizes from it.
+func pipeBufs(workers int) int { return 2*workers + 4 }
+
+// joinConfig maps the config onto the native joiner's for a join of
+// type jt. The morsel join runs under it and the scratch estimator
+// reads the spill tier's knobs through it, so a knob added to one
+// cannot miss the other.
+func (c Config) joinConfig(jt plan.JoinType) native.Config {
+	return native.Config{
+		Scheme:   NativeScheme(c.Scheme),
+		JoinType: jt,
+		G:        c.Params.G, D: c.Params.D,
+		Fanout: c.Fanout, Workers: c.workers(),
+		Pool: c.Pool, Tenant: c.Tenant, Weight: c.Weight,
+		Arena:     c.A,
+		MemBudget: c.MemBudget,
+		SpillDir:  c.SpillDir, SpillWorkers: c.SpillWorkers, NoSpill: c.NoSpill,
+		SpillPageSize: c.SpillPageSize,
+		Hybrid:        c.Hybrid, BudgetNow: c.BudgetNow,
+		Ctx: c.Ctx,
+	}
+}
+
 // emitSpan is one copy of writeMatch: output row bytes [dst, end) from
 // offset src of the build row (side 0) or the probe tuple (side 1).
 type emitSpan struct {
@@ -242,9 +266,7 @@ type nativeHashJoin struct {
 	outc      chan *pipeBuf
 	last      *pipeBuf
 	emits     []pipeEmitter
-	morselRes native.Result // written by the background join, read after outc closes
-	morselErr error         // ditto
-	reported  bool
+	morselErr error // written by the background join, read after outc closes
 }
 
 func newNativeHashJoin(cfg Config, build, probe Operator, buildRel, probeRel *storage.Relation,
@@ -280,7 +302,6 @@ func (h *nativeHashJoin) Open() error {
 	h.data = h.a.Data()
 	h.buildClosed, h.probeClosed = false, false
 	h.morselErr = nil
-	h.reported = false
 	h.morsel = h.cfg.Fanout > 1 && h.cfg.Build == nil
 
 	if h.cfg.Build != nil {
@@ -292,7 +313,7 @@ func (h *nativeHashJoin) Open() error {
 		// over the shared table.
 		h.buildChild.Close()
 		h.buildClosed = true
-		h.prober = h.cfg.Build.NewTypedProber(h.jt, h.cfg.nativeScheme(),
+		h.prober = h.cfg.Build.NewTypedProber(h.jt, NativeScheme(h.cfg.Scheme),
 			h.cfg.Params.G, h.cfg.Params.D)
 	} else {
 		rel, err := h.resolveBuild()
@@ -314,7 +335,7 @@ func (h *nativeHashJoin) Open() error {
 		}
 		h.buildEntries = native.Flatten(rel, h.buildEntries)
 		h.prober = native.NewTypedProber(h.data, h.buildEntries, h.buildWidth,
-			h.jt, h.cfg.nativeScheme(), h.cfg.Params.G, h.cfg.Params.D)
+			h.jt, NativeScheme(h.cfg.Scheme), h.cfg.Params.G, h.cfg.Params.D)
 	}
 	if h.cfg.Report != nil {
 		h.cfg.Report.JoinFanout = 1
@@ -491,11 +512,8 @@ func (h *nativeHashJoin) openMorsel(buildRel *storage.Relation) error {
 	}
 	h.probeClosed = true
 
-	workers := h.cfg.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	nbuf := 2*workers + 4
+	workers := h.cfg.workers()
+	nbuf := pipeBufs(workers)
 	h.free = make(chan *pipeBuf, nbuf)
 	h.outc = make(chan *pipeBuf, nbuf)
 	for i := 0; i < nbuf; i++ {
@@ -510,19 +528,7 @@ func (h *nativeHashJoin) openMorsel(buildRel *storage.Relation) error {
 	}
 	h.last = nil
 
-	jcfg := native.Config{
-		Scheme:   h.cfg.nativeScheme(),
-		JoinType: h.jt,
-		G:        h.cfg.Params.G, D: h.cfg.Params.D,
-		Fanout: h.cfg.Fanout, Workers: workers,
-		Pool: h.cfg.Pool, Tenant: h.cfg.Tenant, Weight: h.cfg.Weight,
-		Arena:     h.a,
-		MemBudget: h.cfg.MemBudget,
-		SpillDir:  h.cfg.SpillDir, SpillWorkers: h.cfg.SpillWorkers, NoSpill: h.cfg.NoSpill,
-		SpillPageSize: h.cfg.SpillPageSize,
-		Hybrid:        h.cfg.Hybrid, BudgetNow: h.cfg.BudgetNow,
-		Ctx: h.cfg.Ctx,
-	}
+	jcfg := h.cfg.joinConfig(h.jt)
 	go func() {
 		var res native.Result
 		var err error
@@ -538,9 +544,17 @@ func (h *nativeHashJoin) openMorsel(buildRel *storage.Relation) error {
 			for i := range h.emits {
 				h.emits[i].flush()
 			}
+			if rep := h.cfg.Report; rep != nil {
+				rep.JoinFanout, rep.JoinRecursionDepth, rep.MorselsExecuted =
+					res.NPartitions, res.RecursionDepth, res.PairsJoined
+				rep.Report = res.Report
+			}
 		}
-		h.morselRes, h.morselErr = res, err
-		close(h.outc) // publishes morselRes/morselErr to the foreground
+		h.morselErr = err
+		// Closing publishes morselErr and the report to the foreground,
+		// which reads neither before it has seen the channel closed
+		// (nextMorsel, or closeMorsel's drain).
+		close(h.outc)
 	}()
 	return nil
 }
@@ -553,37 +567,11 @@ func (h *nativeHashJoin) nextMorsel(b *Batch) (bool, error) {
 	}
 	buf, ok := <-h.outc
 	if !ok {
-		if h.morselErr != nil {
-			return false, h.morselErr
-		}
-		h.report()
-		return false, nil
+		return false, h.morselErr
 	}
 	b.Rows = append(b.Rows, buf.rows...)
 	h.last = buf
 	return true, nil
-}
-
-// report copies the finished morsel join's execution detail into the
-// config's Report, once.
-func (h *nativeHashJoin) report() {
-	if h.cfg.Report == nil || h.reported {
-		return
-	}
-	h.reported = true
-	h.cfg.Report.JoinFanout = h.morselRes.NPartitions
-	h.cfg.Report.JoinRecursionDepth = h.morselRes.RecursionDepth
-	h.cfg.Report.MorselsExecuted = h.morselRes.PairsJoined
-	h.cfg.Report.SpilledPartitions = h.morselRes.SpilledPartitions
-	h.cfg.Report.SpillBytesWritten = h.morselRes.SpillBytesWritten
-	h.cfg.Report.SpillBytesRead = h.morselRes.SpillBytesRead
-	h.cfg.Report.SpillWriteStall = h.morselRes.SpillWriteStall
-	h.cfg.Report.SpillReadStall = h.morselRes.SpillReadStall
-	h.cfg.Report.SpillFailovers = h.morselRes.SpillFailovers
-	h.cfg.Report.SpillRebuilds = h.morselRes.SpillRebuilds
-	h.cfg.Report.ResidentPartitions = h.morselRes.Hybrid.ResidentPairs
-	h.cfg.Report.DemotedPartitions = h.morselRes.Hybrid.DemotedPairs
-	h.cfg.Report.BytesDemoted = h.morselRes.Hybrid.BytesDemoted
 }
 
 // closeMorsel drains the output channel so the background join (which
@@ -599,9 +587,6 @@ func (h *nativeHashJoin) closeMorsel() {
 	}
 	for buf := range h.outc {
 		h.free <- buf
-	}
-	if h.morselErr == nil {
-		h.report()
 	}
 	h.outc = nil
 }
@@ -637,7 +622,7 @@ func newNativeHashAggregate(cfg Config, child Operator, childWidth, valueOff, gr
 func (ha *nativeHashAggregate) Open() error {
 	data := ha.a.Data()
 	table := native.NewAggTable(ha.groups)
-	scheme := ha.cfg.nativeScheme()
+	scheme := NativeScheme(ha.cfg.Scheme)
 	g := ha.batch
 
 	ha.childClosed = false

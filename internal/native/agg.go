@@ -11,9 +11,9 @@ func prefetchHeader(h *header) { prefetchT0(unsafe.Pointer(h)) }
 // Native hash aggregation — the extension the paper's conclusion
 // proposes ("our techniques can improve other hash-based algorithms such
 // as hash-based group-by and aggregation") running on real memory. The
-// table reuses the flat cache-line layout of the join table (32-byte
-// headers, two per line, shared overflow slab), but cells reference
-// accumulator records in a separate slab instead of build tuples. The
+// table keeps the paper's Figure 2 shape in a flat cache-line layout
+// (32-byte headers, two per line, shared overflow slab), its cells
+// referencing accumulator records in a separate slab. The
 // record slab doubles as the group list: records are appended in
 // first-seen order, so iteration is deterministic and needs no table
 // walk.
@@ -25,6 +25,29 @@ func prefetchHeader(h *header) { prefetchT0(unsafe.Pointer(h)) }
 // second. Unlike the simulator's aggregation, no busy flags are needed —
 // native upserts within a batch complete in order, so a group created by
 // one tuple is simply found by the next.
+
+// header is one 32-byte bucket (two per 64-byte line): the count, the
+// first cell inline, and the bucket's overflow array in the shared
+// slab, so one prefetch of the header address covers all three.
+type header struct {
+	count  uint32 // cells in the bucket (inline cell included)
+	code0  uint32 // inline cell: hash code
+	tuple0 uint64 // inline cell: record index
+	cells  uint32 // slab index of the overflow array; 0 = none
+	cap_   uint32 // capacity of the overflow array, in cells
+	_      uint64 // pad to 32 bytes: two headers per cache line
+}
+
+// cell is one overflow-slab entry. The slab is addressed by index, not
+// pointer, so it can grow with append without invalidating references.
+type cell struct {
+	code uint32
+	_    uint32
+	ref  uint64 // record index
+}
+
+// initialCellCap matches the simulator's hash.InitialCellCap.
+const initialCellCap = 4
 
 // AggInput is one tuple of an aggregation batch: the memoized hash code
 // of the group key, the key itself, and the 4-byte value folded into the

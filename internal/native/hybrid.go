@@ -37,23 +37,6 @@ import (
 // routed by the same 32-bit code equality the chain walk filters on,
 // and NOutput/KeySum are commutative sums.
 
-// HybridStats is the per-join pair accounting of the hybrid policy.
-type HybridStats struct {
-	// ResidentPairs counts partition pairs whose measured footprint fit
-	// the effective budget at claim time and joined fully in memory.
-	ResidentPairs int
-	// SpilledPairs counts partition pairs routed to the victim path —
-	// over the effective budget at claim time. (Parts of a victim may
-	// still join resident; Result.SpilledPartitions counts the pairs
-	// that actually reached the disk tier.)
-	SpilledPairs int
-	// DemotedPairs counts planned-resident pairs demoted to the victim
-	// path because BudgetNow had shrunk below their footprint by claim
-	// time; BytesDemoted sums their footprints.
-	DemotedPairs int
-	BytesDemoted int64
-}
-
 // hybridPlan ranks one join's partition pairs by measured build
 // footprint. order holds every pair index, planned-resident prefix
 // first (ascending footprint, ties by index, so the plan is

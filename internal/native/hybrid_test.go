@@ -122,8 +122,8 @@ func TestChunkPagesUsesConfiguredPageSize(t *testing.T) {
 		t.Fatalf("finish: %v", err)
 	}
 
-	// Zero pageSize (older struct literals, no knob) keeps the default.
-	sp0 := &spillState{buildWidth: 8, budget: 1 << 20}
+	// A zero SpillPageSize (no knob) resolves to the default.
+	sp0 := &spillState{buildWidth: 8, budget: 1 << 20, pageSize: Config{}.spillPage()}
 	if got, want := sp0.chunkPages(), perChunk(spill.DefaultPageSize, 8, 1<<20); got != want {
 		t.Fatalf("chunkPages with default pages = %d, want %d", got, want)
 	}
@@ -191,9 +191,9 @@ func TestJoinHybridZipfParity(t *testing.T) {
 		t.Fatalf("hybrid join got (%d, %d), want (%d, %d)",
 			hr.NOutput, hr.KeySum, ref.NOutput, ref.KeySum)
 	}
-	if hr.Hybrid.ResidentPairs == 0 || hr.Hybrid.SpilledPairs == 0 {
+	if hr.ResidentPartitions == 0 || hr.VictimPartitions == 0 {
 		t.Fatalf("hybrid pairs resident=%d spilled=%d; want both sides of the boundary",
-			hr.Hybrid.ResidentPairs, hr.Hybrid.SpilledPairs)
+			hr.ResidentPartitions, hr.VictimPartitions)
 	}
 	if hr.SpilledPartitions == 0 {
 		t.Fatal("hybrid run never reached the disk tier")
@@ -237,9 +237,9 @@ func TestJoinHybridDemotion(t *testing.T) {
 		t.Fatalf("demoted join got (%d, %d), want (%d, %d)",
 			r.NOutput, r.KeySum, pair.ExpectedMatches, pair.KeySum)
 	}
-	if r.Hybrid.DemotedPairs == 0 || r.Hybrid.BytesDemoted == 0 {
+	if r.DemotedPartitions == 0 || r.BytesDemoted == 0 {
 		t.Fatalf("no demotions recorded (demoted=%d bytes=%d) despite the shrunken budget",
-			r.Hybrid.DemotedPairs, r.Hybrid.BytesDemoted)
+			r.DemotedPartitions, r.BytesDemoted)
 	}
 	if r.SpilledPartitions == 0 {
 		t.Fatal("demoted pairs never reached the disk tier")

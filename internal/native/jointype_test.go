@@ -109,7 +109,7 @@ func TestJoinTypesHybridSeamParity(t *testing.T) {
 			r := checkTyped(t, pair, Config{
 				JoinType: jt, Scheme: Group, Fanout: 8, MemBudget: 64 << 10,
 				Workers: 4, SpillDir: t.TempDir(), Hybrid: true})
-			if r.SpilledPartitions == 0 || r.Hybrid.SpilledPairs == 0 {
+			if r.SpilledPartitions == 0 || r.VictimPartitions == 0 {
 				t.Fatalf("workload did not cross the hybrid seam: %+v", r)
 			}
 		})

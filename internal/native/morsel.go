@@ -143,10 +143,10 @@ func (jn *Joiner) joinPairs(data []byte, width int, cfg Config) (Result, error) 
 		if accs[w].depth > r.RecursionDepth {
 			r.RecursionDepth = accs[w].depth
 		}
-		r.Hybrid.ResidentPairs += accs[w].resident
-		r.Hybrid.SpilledPairs += accs[w].spilled
-		r.Hybrid.DemotedPairs += accs[w].demoted
-		r.Hybrid.BytesDemoted += accs[w].bytesDemoted
+		r.ResidentPartitions += accs[w].resident
+		r.VictimPartitions += accs[w].spilled
+		r.DemotedPartitions += accs[w].demoted
+		r.BytesDemoted += accs[w].bytesDemoted
 	}
 	for _, j := range js {
 		r.NOutput += j.nOutput

@@ -20,12 +20,11 @@
 //     sized so a build partition plus its hash table fits the configured
 //     memory budget (or, when CacheBudget is set, the cache, which is
 //     the paper's section 7.5 cache-partitioning comparator).
-//  2. Build: each build partition is inserted into a flat hash table
-//     laid out for cache-line locality: 32-byte bucket headers (two per
-//     64-byte line) embedding the first cell inline, with overflow cells
-//     in one shared slab addressed by index.
-//  3. Probe: the per-tuple dependence chain (header -> overflow cells ->
-//     matching build tuple) is restructured exactly as the paper's
+//  2. Build: each build partition's tuples are serialized once into
+//     self-contained rows chained from a flat directory of bucket heads
+//     (RowTable, rowtable.go).
+//  3. Probe: the per-tuple dependence chain (directory slot -> row
+//     chain, key and payload in-row) is restructured exactly as the paper's
 //     sections 4-5 do — strip-mined G-tuple groups or a D-distance
 //     software pipeline — issuing real PREFETCHT0 instructions on amd64
 //     (pure-Go no-op fallback elsewhere; see prefetch_amd64.s).
@@ -228,6 +227,43 @@ func (c Config) normalized() Config {
 	return c
 }
 
+// Report is the run report of one native join: what the memory tiers —
+// the out-of-core spill tier and the hybrid policy — did, beyond the
+// output itself. It is defined here, where it is produced, and embedded
+// by value in every result that carries it (Result, engine.Report and
+// through it the pipeline results of the front ends), so a counter
+// added here reaches every surface with no copy to extend.
+type Report struct {
+	// SpilledPartitions counts the partition pairs the out-of-core tier
+	// joined from disk; 0 means the join stayed in memory. The byte
+	// totals cover the spill tier's file I/O — reads can exceed writes
+	// because the probe partition is re-read once per build chunk.
+	// WriteStall is encode-side waiting the write-behind workers failed
+	// to hide, ReadStall the probe-side waiting read-ahead failed to hide.
+	SpilledPartitions int
+	SpillBytesWritten int64
+	SpillBytesRead    int64
+	SpillWriteStall   time.Duration
+	SpillReadStall    time.Duration
+
+	// SpillFailovers counts spill directories declared failed mid-join
+	// (writes moved to the next healthy directory); SpillRebuilds counts
+	// partitions whose on-disk data was rebuilt from the in-memory
+	// source after a failed or corrupt file. Both zero on a healthy run.
+	SpillFailovers int64
+	SpillRebuilds  int64
+
+	// Hybrid-policy pair accounting, all zero unless Config.Hybrid was
+	// set. ResidentPartitions counts pairs whose measured footprint fit
+	// the effective budget at claim time and joined fully in memory;
+	// DemotedPartitions counts planned-resident pairs sent down the
+	// victim path because BudgetNow had shrunk below their footprint by
+	// claim time, and BytesDemoted sums their footprints.
+	ResidentPartitions int
+	DemotedPartitions  int
+	BytesDemoted       int64
+}
+
 // Result reports a native join with its wall-clock phase breakdown.
 type Result struct {
 	NOutput int    // output tuples (matches) produced
@@ -246,31 +282,25 @@ type Result struct {
 	// needed to fit MemBudget; 0 means every first-level pair fit.
 	RecursionDepth int
 
-	// SpilledPartitions counts the partition pairs the out-of-core tier
-	// handled; 0 means the join stayed in memory. The byte counters and
-	// stall times below are the spill subsystem's I/O totals: WriteStall
-	// is encode-side waiting the write-behind workers failed to hide,
-	// ReadStall the probe-side waiting read-ahead failed to hide.
-	SpilledPartitions int
-	SpillBytesWritten int64
-	SpillBytesRead    int64
-	SpillWriteStall   time.Duration
-	SpillReadStall    time.Duration
+	Report
 
-	// SpillFailovers counts spill directories declared failed mid-join
-	// (writes moved to the next healthy directory); SpillRebuilds counts
-	// partitions whose on-disk data was rebuilt from the in-memory
-	// source after a failed or corrupt file. Both zero on a healthy run.
-	SpillFailovers int64
-	SpillRebuilds  int64
-
-	// Hybrid is the adaptive hybrid hash join's pair accounting; zero
-	// unless Config.Hybrid was set. See HybridStats.
-	Hybrid HybridStats
+	// VictimPartitions counts the pairs the hybrid policy routed to its
+	// victim path — over the effective budget at claim time. Parts of a
+	// victim may still join resident; SpilledPartitions counts the pairs
+	// that actually reached the disk tier.
+	VictimPartitions int
 
 	PartitionTime time.Duration // flatten + radix scatter, both relations
 	JoinTime      time.Duration // all build+probe pairs (wall clock)
 	Elapsed       time.Duration // end-to-end
+}
+
+// Breakdown formats the wall-clock phase decomposition.
+func (r Result) Breakdown() string {
+	return fmt.Sprintf("partition %.2fms / join %.2fms (%d partitions, %d workers)",
+		float64(r.PartitionTime.Microseconds())/1e3,
+		float64(r.JoinTime.Microseconds())/1e3,
+		r.NPartitions, r.Workers)
 }
 
 // BudgetError reports a partition pair that could not be brought under

@@ -140,63 +140,6 @@ func TestPartitionPreservesEntries(t *testing.T) {
 	}
 }
 
-func TestTableInsertLookup(t *testing.T) {
-	tbl := NewTable(64, 0)
-	type kv struct {
-		code uint32
-		ref  uint64
-	}
-	oracle := map[uint32][]uint64{}
-	var items []kv
-	// Deliberate collisions: few distinct codes, many refs.
-	for i := 0; i < 500; i++ {
-		c := uint32(i % 17 * 0x9E3779B9)
-		items = append(items, kv{c, uint64(arena.Base) + uint64(i)*8})
-	}
-	for _, it := range items {
-		tbl.Insert(it.code, it.ref)
-		oracle[it.code] = append(oracle[it.code], it.ref)
-	}
-	if got, want := tbl.TotalCells(), len(items); got != want {
-		t.Fatalf("TotalCells = %d, want %d", got, want)
-	}
-	for code, want := range oracle {
-		var got []uint64
-		tbl.Lookup(code, func(ref uint64) { got = append(got, ref) })
-		if len(got) < len(want) {
-			t.Fatalf("code %#x: %d refs, want >= %d", code, len(got), len(want))
-		}
-		// Hash codes are only a filter, so Lookup may yield extra refs
-		// from colliding codes; every expected ref must be present.
-		seen := map[uint64]bool{}
-		for _, r := range got {
-			seen[r] = true
-		}
-		for _, r := range want {
-			if !seen[r] {
-				t.Fatalf("code %#x: missing ref %#x", code, r)
-			}
-		}
-	}
-}
-
-func TestTableResetReuse(t *testing.T) {
-	tbl := NewTable(1024, 0)
-	for i := 0; i < 2000; i++ {
-		tbl.Insert(uint32(i)*2654435761, uint64(arena.Base)+uint64(i))
-	}
-	tbl.Reset(16, 2)
-	if got := tbl.TotalCells(); got != 0 {
-		t.Fatalf("reset table has %d cells", got)
-	}
-	tbl.Insert(0xFF00, uint64(arena.Base))
-	found := 0
-	tbl.Lookup(0xFF00, func(uint64) { found++ })
-	if found != 1 {
-		t.Fatalf("lookup after reset found %d", found)
-	}
-}
-
 func TestBudgetRecursionParity(t *testing.T) {
 	// A budget far below the workload's footprint at a forced small
 	// fan-out must trigger recursive re-partitioning, and the result must

@@ -60,7 +60,8 @@ const (
 // RowTable is the v2 native hash table: serialized rows chained through
 // next_row_ptr from a directory of bucket heads. Bucket numbers come
 // from the hash code's bits above the radix bits consumed by the
-// partitioner, as in the v1 table.
+// partitioner, so partitioning does not starve the table's index
+// distribution.
 type RowTable struct {
 	rows    []byte   // row slab; offset 0 is the nil sentinel
 	dir     []uint64 // bucket heads: row offsets, 0 = empty
@@ -73,8 +74,8 @@ type RowTable struct {
 
 // Reset re-sizes and clears the table for nRows build tuples of width
 // serialized bytes each, reusing the slab and directory across
-// partition pairs. Capacities far above the new need are released (the
-// v1 table's Reset kept a skewed pair's allocation forever).
+// partition pairs. Capacities far above the new need are released, so
+// one skewed pair does not pin its peak allocation for the whole join.
 func (t *RowTable) Reset(nRows, width int, shift uint) {
 	if nRows < 1 {
 		nRows = 1

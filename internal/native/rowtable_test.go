@@ -201,8 +201,8 @@ func TestRowTableResetShrink(t *testing.T) {
 }
 
 // FuzzRowTableProbe drives the row-table build and LookupRows with
-// fuzz-derived keys against a map oracle, mirroring FuzzTableInsertProbe
-// for the v1 table. Width-4 rows: the key is the whole tuple.
+// fuzz-derived keys against a map oracle. Width-4 rows: the key is the
+// whole tuple.
 func FuzzRowTableProbe(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{3, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0})

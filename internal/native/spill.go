@@ -41,7 +41,7 @@ type spillState struct {
 	buildWidth int
 	probeWidth int
 	budget     int
-	pageSize   int             // 0: spill.DefaultPageSize
+	pageSize   int
 	ctx        context.Context // nil: never cancelled
 
 	mu    sync.Mutex
@@ -61,10 +61,6 @@ func newSpillState(build, probe *storage.Relation, cfg Config) *spillState {
 	if bs.HasVar() || ps.HasVar() || bs.FixedWidth() < 4 || ps.FixedWidth() < 4 {
 		return nil
 	}
-	workers := cfg.SpillWorkers
-	if workers < 1 {
-		workers = spill.DefaultWorkers
-	}
 	// The spill tier's page pool comes from the query's scratch arena
 	// when one is set (multi-tenant: the carved window), else from the
 	// arena the relations live in (single-query: same thing).
@@ -75,22 +71,30 @@ func newSpillState(build, probe *storage.Relation, cfg Config) *spillState {
 	return &spillState{
 		a:          scratch,
 		dir:        cfg.SpillDir,
-		workers:    workers,
+		workers:    cfg.spillWorkers(),
 		buildWidth: bs.FixedWidth(),
 		probeWidth: ps.FixedWidth(),
 		budget:     cfg.MemBudget,
-		pageSize:   cfg.SpillPageSize,
+		pageSize:   cfg.spillPage(),
 		ctx:        cfg.Ctx,
 	}
 }
 
-// page returns the spill page size this state's Manager is (or will be)
-// configured with: the explicit knob, or the spill default. chunkPages
-// and manager both derive from it, so the chunk budget arithmetic and
-// the Manager's actual pages can never disagree.
-func (sp *spillState) page() int {
-	if sp.pageSize > 0 {
-		return sp.pageSize
+// spillWorkers and spillPage resolve the spill tier's two tunables to
+// the values its Manager runs with. The chunk arithmetic, the Manager's
+// pool and SpillPoolBytes all read them here, so the budget a chunk is
+// sized for, the pages actually allocated and the scratch planned for
+// them can never disagree.
+func (c Config) spillWorkers() int {
+	if c.SpillWorkers < 1 {
+		return spill.DefaultWorkers
+	}
+	return c.SpillWorkers
+}
+
+func (c Config) spillPage() int {
+	if c.SpillPageSize > 0 {
+		return c.SpillPageSize
 	}
 	return spill.DefaultPageSize
 }
@@ -100,17 +104,24 @@ func (sp *spillState) page() int {
 // clamped to [1, spillChunkPagesCap]. Even chunkPages == 1 always makes
 // progress — that is why the spill tier cannot fail on size.
 func (sp *spillState) chunkPages() int {
-	pageSize := sp.page()
-	perPage := pageSize +
-		spill.PageCapacity(pageSize, sp.buildWidth)*(entrySize+rowHdrSize+sp.buildWidth+16)
-	n := sp.budget / perPage
-	if n < 1 {
-		n = 1
+	perPage := sp.pageSize +
+		spill.PageCapacity(sp.pageSize, sp.buildWidth)*(entrySize+rowHdrSize+sp.buildWidth+16)
+	return min(max(sp.budget/perPage, 1), spillChunkPagesCap)
+}
+
+// SpillPoolBytes bounds the arena scratch the out-of-core tier claims
+// for its page pool under cfg — what admission and arena sizing plan
+// for before any relation exists. Zero when the tier cannot engage
+// (unbudgeted or disabled). chunkPages divides the budget by a page
+// plus its tuples' table overhead; dividing by the page alone bounds it
+// for every build width. 64 KiB of slack covers the pool's alignment.
+func SpillPoolBytes(cfg Config) uint64 {
+	if cfg.MemBudget <= 0 || cfg.NoSpill {
+		return 0
 	}
-	if n > spillChunkPagesCap {
-		n = spillChunkPagesCap
-	}
-	return n
+	page := cfg.spillPage()
+	chunk := min(cfg.MemBudget/page+1, spillChunkPagesCap)
+	return uint64(chunk+spill.MinPoolPages(cfg.spillWorkers()))*uint64(page) + (64 << 10)
 }
 
 // manager lazily creates the spill Manager; the failure is sticky so
@@ -120,9 +131,9 @@ func (sp *spillState) manager() (*spill.Manager, error) {
 	if sp.m == nil && sp.merr == nil {
 		sp.m, sp.merr = spill.NewManager(spill.Config{
 			Dir:       sp.dir,
-			PageSize:  sp.page(),
+			PageSize:  sp.pageSize,
 			Workers:   sp.workers,
-			PoolPages: sp.chunkPages() + 3*sp.workers + 4,
+			PoolPages: sp.chunkPages() + spill.MinPoolPages(sp.workers),
 			A:         sp.a,
 			Ctx:       sp.ctx,
 		})

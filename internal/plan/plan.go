@@ -252,6 +252,58 @@ func Choose(st Stats, jt JoinType, budget int) Decision {
 	return d
 }
 
+// Request is everything a front end knows when it asks for a strategy:
+// Choose's inputs plus the facts that can override its pick.
+type Request struct {
+	Stats    Stats
+	JoinType JoinType
+	Budget   int
+
+	// Forced is the strategy the caller demands; Auto accepts Choose's.
+	Forced Strategy
+	// PinnedFanout is a fan-out the caller fixed. It is the width of a
+	// forced partitioned join the planner would not have partitioned,
+	// and under Auto on the native backend a value above 1 pins the
+	// partitioned strategy. A caller whose fan-out yields to the planner
+	// under Auto passes it only alongside a forced strategy.
+	PinnedFanout int
+	// Sim: the backend is the simulator, which runs single-table joins
+	// only. Prebuilt: the build side is an already-built hash table,
+	// which only the streaming probe can use.
+	Sim      bool
+	Prebuilt bool
+}
+
+// Resolve is the one place a planner pick meets its overrides: it runs
+// Choose, applies at most one override — a forced strategy first, then
+// what the build side and the backend can execute, then a pinned
+// fan-out — and returns the decision that runs, its Reason naming the
+// override and what the planner preferred.
+func Resolve(r Request) Decision {
+	d := Choose(r.Stats, r.JoinType, r.Budget)
+	preferred := d.Strategy
+	switch {
+	case r.Forced != Auto && r.Forced != preferred:
+		d.Strategy = r.Forced
+		if r.Forced != PartitionedHash {
+			d.Fanout = 1
+		} else if d.Fanout <= 1 {
+			d.Fanout = max(r.PinnedFanout, 2)
+		}
+		d.Reason = fmt.Sprintf("forced strategy %v; planner preferred %v", r.Forced, preferred)
+	case r.Prebuilt && preferred != StreamHash:
+		d.Strategy, d.Fanout = StreamHash, 1
+		d.Reason = fmt.Sprintf("prebuilt build side pins the streaming strategy (planner preferred %v)", preferred)
+	case r.Sim && preferred == PartitionedHash:
+		d.Strategy, d.Fanout = StreamHash, 1
+		d.Reason = "sim backend runs single-table joins only (planner preferred partitioned)"
+	case !r.Sim && r.Forced == Auto && r.PinnedFanout > 1 && preferred != PartitionedHash:
+		d.Strategy, d.Fanout = PartitionedHash, r.PinnedFanout
+		d.Reason = fmt.Sprintf("-fanout %d pins the partitioned strategy; planner preferred %v", r.PinnedFanout, preferred)
+	}
+	return d
+}
+
 // fanoutFor returns the smallest power-of-two fan-out (>= 2, capped)
 // that brings an average partition of a need-byte build side under
 // per bytes, in divide form to avoid overflow.

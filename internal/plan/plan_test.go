@@ -134,3 +134,46 @@ func TestExplainCarriesInputs(t *testing.T) {
 		}
 	}
 }
+
+// TestResolve covers each override Resolve can apply to Choose's pick,
+// and the pick passing through untouched: the strategy and fan-out that
+// run, and a Reason that names the override (or is Choose's own).
+func TestResolve(t *testing.T) {
+	stream := Stats{BuildRows: 10000, ProbeRows: 100000, BuildWidth: 32, ProbeWidth: 32,
+		BuildFootprint: DefaultPartitionCrossoverBytes / 2}
+	big := stream
+	big.BuildFootprint = 4 * DefaultPartitionCrossoverBytes // Choose: partitioned, fanout 4
+
+	for _, tc := range []struct {
+		name     string
+		req      Request
+		strategy Strategy
+		fanout   int
+		reason   string // substring; "" = Choose's reason verbatim
+	}{
+		{"untouched auto", Request{Stats: stream}, StreamHash, 1, ""},
+		{"untouched auto, unpinned fanout", Request{Stats: big}, PartitionedHash, 4, ""},
+		{"forced agrees", Request{Stats: stream, Forced: StreamHash}, StreamHash, 1, ""},
+		{"forced differs", Request{Stats: stream, Forced: NestedLoop}, NestedLoop, 1, "forced strategy nested-loop; planner preferred stream"},
+		{"forced partitioned, default width", Request{Stats: stream, Forced: PartitionedHash, PinnedFanout: 1}, PartitionedHash, 2, "forced strategy partitioned"},
+		{"forced partitioned, pinned width", Request{Stats: stream, Forced: PartitionedHash, PinnedFanout: 16}, PartitionedHash, 16, "forced strategy partitioned"},
+		{"forced stream drops the planner's fanout", Request{Stats: big, Forced: StreamHash}, StreamHash, 1, "planner preferred partitioned"},
+		{"prebuilt pins stream", Request{Stats: big, Prebuilt: true}, StreamHash, 1, "prebuilt build side pins the streaming strategy (planner preferred partitioned)"},
+		{"prebuilt, planner agrees", Request{Stats: stream, Prebuilt: true}, StreamHash, 1, ""},
+		{"sim clamps partitioned", Request{Stats: big, Sim: true}, StreamHash, 1, "sim backend runs single-table joins only"},
+		{"sim ignores a pinned fanout", Request{Stats: stream, Sim: true, PinnedFanout: 8}, StreamHash, 1, ""},
+		{"fanout pins partitioned", Request{Stats: stream, PinnedFanout: 8}, PartitionedHash, 8, "-fanout 8 pins the partitioned strategy; planner preferred stream"},
+		{"fanout 1 pins nothing", Request{Stats: stream, PinnedFanout: 1}, StreamHash, 1, ""},
+		{"planner already partitions: its fanout stands", Request{Stats: big, PinnedFanout: 8}, PartitionedHash, 4, ""},
+	} {
+		d := Resolve(tc.req)
+		if d.Strategy != tc.strategy || d.Fanout != tc.fanout {
+			t.Errorf("%s: strategy/fanout = %v/%d, want %v/%d", tc.name, d.Strategy, d.Fanout, tc.strategy, tc.fanout)
+		}
+		if want := Choose(tc.req.Stats, tc.req.JoinType, tc.req.Budget).Reason; tc.reason == "" && d.Reason != want {
+			t.Errorf("%s: reason = %q, want Choose's %q", tc.name, d.Reason, want)
+		} else if !strings.Contains(d.Reason, tc.reason) {
+			t.Errorf("%s: reason = %q, want it to contain %q", tc.name, d.Reason, tc.reason)
+		}
+	}
+}

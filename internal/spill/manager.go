@@ -169,6 +169,14 @@ type writeReq struct {
 	buf pageBuf
 }
 
+// MinPoolPages is the smallest buffer pool a Manager with that many
+// write-behind workers runs on: the write path (one page being encoded
+// + the write queue + in-flight writes) and the read path (one
+// read-ahead per open reader) must all hold a buffer without starving
+// each other. A caller pinning pages of its own sizes its pool as its
+// pins plus this.
+func MinPoolPages(workers int) int { return 3*workers + 4 }
+
 // NewManager creates the spill area and starts the write-behind workers.
 // The buffer pool is allocated from cfg.A up front, so a join that
 // cannot afford its spill scratch fails here, before any file exists.
@@ -197,13 +205,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	if backoff <= 0 {
 		backoff = DefaultIOBackoff
 	}
-	// The pool must let the write path (one page being encoded + the
-	// write queue + in-flight writes) and the read path (one read-ahead
-	// per open reader) all hold a buffer without starving each other.
-	poolPages := cfg.PoolPages
-	if floor := 3*workers + 4; poolPages < floor {
-		poolPages = floor
-	}
+	poolPages := max(cfg.PoolPages, MinPoolPages(workers))
 
 	parents := ParseDirs(cfg.Dir)
 	m := &Manager{

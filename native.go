@@ -3,48 +3,22 @@ package hashjoin
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"hashjoin/internal/core"
+	"hashjoin/internal/engine"
 	"hashjoin/internal/native"
 )
 
 // NativeResult reports a native join: the same functional outputs as the
 // simulated Result (NOutput, KeySum) with a wall-clock phase breakdown
-// in place of simulated cycles.
-type NativeResult struct {
-	NOutput int    // output tuples produced
-	KeySum  uint64 // order-independent checksum of output build keys
-
-	NPartitions int // partition pairs joined
-	Workers     int // morsel workers that served the join phase
-
-	// RecursionDepth is the deepest recursive re-partitioning any pair
-	// needed to fit the memory budget; 0 means every first-level pair fit.
-	RecursionDepth int
-
-	PartitionTime time.Duration // flatten + radix partition, both relations
-	JoinTime      time.Duration // build + probe of all partition pairs
-	Elapsed       time.Duration // end-to-end wall clock
-
-	// SpilledPartitions counts partition pairs joined out of core (0:
-	// everything fit the budget in memory). The byte totals cover the
-	// spill tier's file I/O; the stalls are the latency its write-behind
-	// and read-ahead overlap failed to hide.
-	SpilledPartitions int
-	SpillBytesWritten int64
-	SpillBytesRead    int64
-	SpillWriteStall   time.Duration
-	SpillReadStall    time.Duration
-}
-
-// Breakdown formats the wall-clock phase decomposition.
-func (r NativeResult) Breakdown() string {
-	return fmt.Sprintf("partition %.2fms / join %.2fms (%d partitions, %d workers)",
-		float64(r.PartitionTime.Microseconds())/1e3,
-		float64(r.JoinTime.Microseconds())/1e3,
-		r.NPartitions, r.Workers)
-}
+// (PartitionTime, JoinTime, Elapsed; Breakdown formats it) in place of
+// simulated cycles, the partition and worker counts, RecursionDepth —
+// the deepest recursive re-partitioning any pair needed to fit the
+// memory budget — and the embedded run report: SpilledPartitions counts
+// partition pairs joined out of core (0: everything fit the budget in
+// memory), the byte totals cover the spill tier's file I/O, and the
+// stalls are the latency its write-behind and read-ahead overlap failed
+// to hide.
+type NativeResult = native.Result
 
 // NativeOption configures a native join.
 type NativeOption func(*native.Config)
@@ -52,9 +26,16 @@ type NativeOption func(*native.Config)
 // WithNativeScheme selects the probe/build loop restructuring: Baseline,
 // Group, or Pipelined. Simple is accepted and runs as Baseline — its
 // whole-page prefetch has no native analog beyond the hardware's own
-// next-line prefetcher. Combined is partition-phase-only and rejected.
+// next-line prefetcher. Combined is partition-phase-only and rejected:
+// the engine's mapper would quietly run it as Baseline, so the check
+// lives here, where the caller named it.
 func WithNativeScheme(s Scheme) NativeOption {
-	return func(c *native.Config) { c.Scheme = nativeScheme(s) }
+	return func(c *native.Config) {
+		if s < Baseline || s >= Combined {
+			panic(fmt.Sprintf("hashjoin: scheme %v has no native form (Combined applies to the simulated partition phase only)", s))
+		}
+		c.Scheme = engine.NativeScheme(s)
+	}
 }
 
 // WithNativeParams tunes the group size G and prefetch distance D. Zero
@@ -106,22 +87,6 @@ func WithNativeNoSpill() NativeOption {
 	return func(c *native.Config) { c.NoSpill = true }
 }
 
-// nativeScheme maps the public (simulator) Scheme to the native engine's.
-func nativeScheme(s Scheme) native.Scheme {
-	switch s {
-	case Baseline, Simple:
-		return native.Baseline
-	case Group:
-		return native.Group
-	case Pipelined:
-		return native.Pipelined
-	case Combined:
-		panic("hashjoin: SchemeCombined applies to the simulated partition phase only")
-	default:
-		panic(fmt.Sprintf("hashjoin: unknown scheme %v", core.Scheme(s)))
-	}
-}
-
 // NativeJoiner is a resident native executor: it keeps the partition
 // scratch, hash tables, and worker state of internal/native.Joiner
 // alive between joins, so repeated joins run on recycled memory instead
@@ -165,25 +130,7 @@ func (e *NativeJoiner) JoinContext(ctx context.Context, build, probe *Relation, 
 	for _, o := range opts {
 		o(&cfg)
 	}
-	r, err := e.jn.Join(build.rel, probe.rel, cfg)
-	if err != nil {
-		return NativeResult{}, err
-	}
-	return NativeResult{
-		NOutput:           r.NOutput,
-		KeySum:            r.KeySum,
-		NPartitions:       r.NPartitions,
-		Workers:           r.Workers,
-		RecursionDepth:    r.RecursionDepth,
-		PartitionTime:     r.PartitionTime,
-		JoinTime:          r.JoinTime,
-		Elapsed:           r.Elapsed,
-		SpilledPartitions: r.SpilledPartitions,
-		SpillBytesWritten: r.SpillBytesWritten,
-		SpillBytesRead:    r.SpillBytesRead,
-		SpillWriteStall:   r.SpillWriteStall,
-		SpillReadStall:    r.SpillReadStall,
-	}, nil
+	return e.jn.Join(build.rel, probe.rel, cfg)
 }
 
 // NativeJoin is the one-shot form of NativeJoiner.Join.

@@ -11,15 +11,12 @@ package hashjoin
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"slices"
 	"time"
 
 	"hashjoin/internal/engine"
 	"hashjoin/internal/native"
 	"hashjoin/internal/plan"
 	"hashjoin/internal/sched"
-	"hashjoin/internal/spill"
 )
 
 // Engine selects the execution backend for RunPipeline.
@@ -223,44 +220,23 @@ type PipelineResult struct {
 	Stats   Stats         // EngineSim: cycle breakdown of this run
 	Elapsed time.Duration // EngineNative: wall clock of this run
 
-	// JoinFanout is the partition count the native join actually used
-	// (1 for the streaming strategy); JoinRecursionDepth is how deep the
-	// budget degradation had to re-partition oversized pairs (0: none).
-	JoinFanout         int
-	JoinRecursionDepth int
+	// Report is the run report, embedded by value from where it is
+	// produced: JoinFanout (the partition count the native join actually
+	// used, 1 for the streaming strategy), JoinRecursionDepth (how deep
+	// the budget degradation had to re-partition oversized pairs, 0:
+	// none), MorselsExecuted (partition-pair morsels the shared pool ran
+	// for the run), the spill tier's SpilledPartitions, SpillBytesWritten,
+	// SpillBytesRead, SpillWriteStall, SpillReadStall, SpillFailovers and
+	// SpillRebuilds (all zero when everything fit in memory), and the
+	// hybrid policy's ResidentPartitions, DemotedPartitions and
+	// BytesDemoted (all zero without WithPipelineHybrid).
+	engine.Report
 
-	// SpilledPartitions counts the partition pairs the native join
-	// completed out of core (0: everything fit in memory). The byte
-	// totals cover the spill tier's file I/O — reads can exceed writes
-	// because the probe partition is re-read once per build chunk — and
-	// the stalls are the latency write-behind and read-ahead failed to
-	// hide.
-	SpilledPartitions int
-	SpillBytesWritten int64
-	SpillBytesRead    int64
-	SpillWriteStall   time.Duration
-	SpillReadStall    time.Duration
-	// SpillFailovers counts spill directories declared failed mid-join;
-	// SpillRebuilds counts partitions rebuilt from their in-memory
-	// source after a failed or corrupt spill file.
-	SpillFailovers int64
-	SpillRebuilds  int64
-
-	// Hybrid-policy accounting (WithPipelineHybrid): partition pairs
-	// joined fully in memory, planned-resident pairs demoted to disk by
-	// a mid-join advisory budget shrink, and the demoted pairs' summed
-	// build footprints. All zero without the hybrid policy.
-	ResidentPartitions int
-	DemotedPartitions  int
-	BytesDemoted       int64
-
-	// Service-mode accounting: how long admission queued the run, the
-	// scratch window it was granted (0 for exclusive/simulated runs),
-	// and how many partition-pair morsels the shared pool executed for
-	// it. All zero outside service mode.
-	QueueWait       time.Duration
-	AdmittedBytes   uint64
-	MorselsExecuted int
+	// Service-mode accounting: how long admission queued the run and the
+	// scratch window it was granted (0 for exclusive/simulated runs).
+	// Both zero outside service mode.
+	QueueWait     time.Duration
+	AdmittedBytes uint64
 
 	// Plan reports the strategy decision and its inputs when the planner
 	// was consulted (WithStrategy); nil otherwise.
@@ -325,101 +301,48 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 		logical = engine.HashAggregate(logical, pc.aggValueOff, pc.aggGroups)
 	}
 
-	// WithStrategy engages the planner: Choose picks from the relations'
+	// WithStrategy engages the planner (plan.Resolve) over the relations'
 	// true cardinalities, the build footprint, the match-rate hint, and
-	// the declared budget; a concrete strategy overrides the pick but
-	// the decision still records it. The legacy path (no WithStrategy)
-	// keeps the fanout-driven selection and reports no Plan.
+	// the declared budget; the decision is executed and reported. Under
+	// StrategyAuto the planner's fan-out overrides WithPipelineFanout, so
+	// the fan-out is pinned only beside a forced strategy. The legacy
+	// path (no WithStrategy) keeps the fanout-driven selection and
+	// reports no Plan.
 	strategy, fanout := plan.Auto, pc.fanout
 	if pc.strategySet {
 		bw := build.rel.Schema.FixedWidth()
-		stats := plan.Stats{
-			BuildRows:      build.rel.NTuples,
-			ProbeRows:      probe.rel.NTuples,
-			BuildWidth:     bw,
-			ProbeWidth:     probe.rel.Schema.FixedWidth(),
-			BuildFootprint: native.BuildFootprint(build.rel.NTuples, bw),
-			MatchRate:      pc.matchRate,
+		req := plan.Request{
+			Stats: plan.Stats{
+				BuildRows:      build.rel.NTuples,
+				ProbeRows:      probe.rel.NTuples,
+				BuildWidth:     bw,
+				ProbeWidth:     probe.rel.Schema.FixedWidth(),
+				BuildFootprint: native.BuildFootprint(build.rel.NTuples, bw),
+				MatchRate:      pc.matchRate,
+			},
+			JoinType: pc.joinType,
+			Budget:   pc.memBudget,
+			Forced:   pc.strategy,
+			Sim:      pc.engine == EngineSim,
+			Prebuilt: pc.build != nil,
 		}
-		dec := plan.Choose(stats, pc.joinType, pc.memBudget)
-		switch {
-		case pc.strategy != plan.Auto && pc.strategy != dec.Strategy:
-			planned := dec.Strategy
-			dec.Strategy = pc.strategy
-			if pc.strategy == plan.PartitionedHash {
-				if dec.Fanout <= 1 {
-					dec.Fanout = max(pc.fanout, 2)
-				}
-			} else {
-				dec.Fanout = 1
-			}
-			dec.Reason = fmt.Sprintf("forced by WithStrategy(%v); planner preferred %v", pc.strategy, planned)
-		case pc.build != nil && dec.Strategy != plan.StreamHash:
-			// A prebuilt hash table pins the streaming strategy; the
-			// planner's preference is recorded, not executed.
-			planned := dec.Strategy
-			dec.Strategy, dec.Fanout = plan.StreamHash, 1
-			dec.Reason = fmt.Sprintf("prebuilt build side pins the streaming strategy (planner preferred %v)", planned)
-		case pc.engine == EngineSim && dec.Strategy == plan.PartitionedHash:
-			// The simulator executes single-table joins only; an
-			// auto-planned partitioned pick degrades to streaming there.
-			dec.Strategy, dec.Fanout = plan.StreamHash, 1
-			dec.Reason = "sim backend runs single-table joins only (planner preferred partitioned)"
+		if pc.strategy != plan.Auto {
+			req.PinnedFanout = pc.fanout
 		}
+		dec := plan.Resolve(req)
 		strategy, fanout = dec.Strategy, dec.Fanout
 		res.Plan = &dec
 	}
 
-	// Service mode routes the run through admission. Native runs are
-	// granted a private scratch window and the shared worker pool;
-	// simulated runs are exclusive tenants (the cycle simulator is
-	// single-threaded and they scope scratch on the shared arena).
-	a := e.mem.A
-	var pool native.Pool
-	var budgetNow func() int
-	if e.svc != nil {
-		req := sched.Request{Tenant: pc.tenant, Weight: pc.weight, Exclusive: pc.engine == EngineSim}
-		if !req.Exclusive {
-			req.Planned = pc.planned
-			if req.Planned == 0 {
-				width := logical.JoinEmitWidth(engine.Config{Backend: pc.engine, Strategy: strategy})
-				req.Planned = plannedScratch(&pc, width, build.rel.NTuples)
-			}
-		}
-		g, aerr := e.svc.Admit(ctx, req)
-		if aerr != nil {
-			return PipelineResult{}, aerr
-		}
-		defer func() { g.Release(err) }()
-		a = g.Arena()
-		res.QueueWait = g.QueueWait()
-		res.AdmittedBytes = g.Planned()
-		if pc.engine == EngineNative {
-			pool = e.svc.Pool()
-			if pc.hybrid {
-				// The grant's advisory budget is the mid-join pressure
-				// signal: when neighbors queue, the controller shrinks it
-				// and the hybrid join demotes unstarted resident pairs.
-				budgetNow = g.BudgetNow
-			}
-		}
-	}
-	if pc.engine == EngineSim {
-		e.simMu.Lock()
-		defer e.simMu.Unlock()
-	}
-
-	var report engine.Report
 	cfg := engine.Config{
 		Backend:       pc.engine,
 		Mem:           e.mem,
-		A:             a,
+		A:             e.mem.A,
 		Scheme:        pc.scheme,
 		Params:        pc.params,
 		Strategy:      strategy,
 		Fanout:        fanout,
 		Workers:       pc.workers,
-		Pool:          pool,
 		Tenant:        pc.tenant,
 		Weight:        pc.weight,
 		MemBudget:     pc.memBudget,
@@ -428,101 +351,63 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 		SpillPageSize: pc.spillPageSize,
 		NoSpill:       pc.noSpill,
 		Hybrid:        pc.hybrid,
-		BudgetNow:     budgetNow,
 		Build:         cachedBuild,
-		Report:        &report,
+		Report:        &res.Report,
 		Ctx:           ctx,
 	}
 
+	// Service mode routes the run through admission. Native runs are
+	// granted a private scratch window and the shared worker pool;
+	// simulated runs are exclusive tenants (the cycle simulator is
+	// single-threaded and they scope scratch on the shared arena).
+	if e.svc != nil {
+		req := sched.Request{Tenant: pc.tenant, Weight: pc.weight, Exclusive: pc.engine == EngineSim}
+		if !req.Exclusive {
+			req.Planned = pc.planned
+			if req.Planned == 0 {
+				// The output ring holds one probe batch's matches; without
+				// the workload's ground truth assume a moderately skewed 8
+				// matches per probe tuple (heavier skew should declare
+				// WithPlannedScratch). The build side's row count bounds an
+				// aggregate's groups. The admission floor (256 KB) covers
+				// the small end.
+				req.Planned = logical.ScratchBytes(cfg, 8, build.rel.NTuples)
+			}
+		}
+		g, aerr := e.svc.Admit(ctx, req)
+		if aerr != nil {
+			return PipelineResult{}, aerr
+		}
+		defer func() { g.Release(err) }()
+		cfg.A = g.Arena()
+		res.QueueWait = g.QueueWait()
+		res.AdmittedBytes = g.Planned()
+		if pc.engine == EngineNative {
+			cfg.Pool = e.svc.Pool()
+			if pc.hybrid {
+				// The grant's advisory budget is the mid-join pressure
+				// signal: when neighbors queue, the controller shrinks it
+				// and the hybrid join demotes unstarted resident pairs.
+				cfg.BudgetNow = g.BudgetNow
+			}
+		}
+	}
 	var before Stats
 	if pc.engine == EngineSim {
+		e.simMu.Lock()
+		defer e.simMu.Unlock()
 		before = e.mem.S.Stats()
 	}
-	start := time.Now()
-	root, err := engine.Compile(logical, cfg)
+	out, err := engine.Execute(logical, cfg)
 	if err != nil {
 		return PipelineResult{}, err
 	}
-	if pc.hasAgg {
-		groups, gerr := engine.Groups(root, a)
-		if gerr != nil {
-			err = wrapCancel(gerr, time.Since(start))
-			return PipelineResult{}, err
-		}
-		res.Groups = slices.Grow(res.Groups, len(groups)) // no groups stays nil
-		for _, g := range groups {
-			res.Groups = append(res.Groups, GroupStat(g))
-			res.NOutput += int(g.Count)
-			res.KeySum += uint64(g.Key) * g.Count
-		}
-	} else {
-		r, rerr := engine.Run(root, a)
-		if rerr != nil {
-			err = wrapCancel(rerr, time.Since(start))
-			return PipelineResult{}, err
-		}
-		res.NOutput, res.KeySum = r.NRows, r.KeySum
-	}
+	res.NOutput, res.KeySum, res.Groups = out.NOutput, out.KeySum, out.Groups
 	switch pc.engine {
 	case EngineSim:
 		res.Stats = e.mem.S.Stats().Sub(before)
 	case EngineNative:
-		res.Elapsed = time.Since(start)
+		res.Elapsed = out.Elapsed
 	}
-	res.JoinFanout = report.JoinFanout
-	res.JoinRecursionDepth = report.JoinRecursionDepth
-	res.SpilledPartitions = report.SpilledPartitions
-	res.SpillBytesWritten = report.SpillBytesWritten
-	res.SpillBytesRead = report.SpillBytesRead
-	res.SpillWriteStall = report.SpillWriteStall
-	res.SpillReadStall = report.SpillReadStall
-	res.SpillFailovers = report.SpillFailovers
-	res.SpillRebuilds = report.SpillRebuilds
-	res.ResidentPartitions = report.ResidentPartitions
-	res.DemotedPartitions = report.DemotedPartitions
-	res.BytesDemoted = report.BytesDemoted
-	res.MorselsExecuted = report.MorselsExecuted
 	return res, nil
-}
-
-// plannedScratch estimates a native pipeline run's arena scratch for
-// admission, mirroring the cli planner's model: the streaming join's
-// output ring, the morsel pipe buffers (2·workers+4 batches), both in
-// rows of the width the join emits (engine's Node.JoinEmitWidth),
-// aggregate staging (one row per build row), the spill tier's page pool
-// when it can engage, and page-rounding slack. The admission floor
-// (256 KB) covers the small end; WithPlannedScratch overrides the
-// whole estimate.
-func plannedScratch(pc *pipelineConfig, emitWidth, buildRows int) uint64 {
-	outWidth := uint64(emitWidth)
-	batch := pc.params.G
-	if batch < native.DefaultG {
-		batch = native.DefaultG
-	}
-	workers := pc.workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// The output ring holds one probe batch's matches; without the
-	// workload's ground truth assume a moderately skewed 8 matches per
-	// probe tuple. Heavier skew should declare WithPlannedScratch.
-	ring := uint64(batch*8) * outWidth
-	pipeBufs := uint64(2*workers+4) * uint64(batch) * outWidth
-	var aggStaging uint64
-	if pc.hasAgg {
-		aggStaging = uint64(buildRows) * engine.AggTupleWidth
-	}
-	var spillPool uint64
-	if pc.memBudget > 0 && !pc.noSpill {
-		sw := pc.spillWorkers
-		if sw < 1 {
-			sw = spill.DefaultWorkers
-		}
-		chunk := pc.memBudget/spill.DefaultPageSize + 1
-		if chunk > 256 {
-			chunk = 256
-		}
-		spillPool = uint64(chunk+3*sw+4)*uint64(spill.DefaultPageSize) + (64 << 10)
-	}
-	return ring + pipeBufs + aggStaging + spillPool + (64 << 10)
 }

@@ -417,4 +417,41 @@ func TestServicePlannedScratchBoundsRun(t *testing.T) {
 				fanout, admitted["wide agg"], floor, admitted["semi"], admitted["inner"])
 		}
 	}
+
+	// The spill tier's page pool is planned in the pages it will run
+	// with. Eight duplicate-key runs no radix pass can split, each over
+	// the budget, all spill; with 63 KiB pages the pool is eleven pages
+	// of 63 KiB, which an estimate made in default 32 KiB pages (fifteen
+	// of them) does not cover.
+	const runs, perRun, tuple = 8, 1500, 100
+	var build, probe *Relation
+	err = env.Durable(ctx, func() error {
+		build, probe = env.NewRelation(tuple), env.NewRelation(tuple)
+		for k := uint32(1); k <= runs; k++ {
+			for i := 0; i < perRun; i++ {
+				build.Append(k, nil)
+			}
+			probe.Append(k, nil)
+			probe.Append(k, nil)
+		}
+		for i := uint32(0); i < 2000; i++ {
+			probe.Append(1000+i, nil)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, page := range []int{0, 63 << 10} {
+		res, err := env.RunPipelineContext(ctx, build, probe, WithEngine(EngineNative),
+			WithPipelineFanout(8), WithPipelineWorkers(2), WithPipelineSpillDir(t.TempDir()),
+			WithPipelineMemBudget(128<<10), WithPipelineSpillPageSize(page))
+		if err != nil {
+			t.Fatalf("spill page size %d: run inside its planned window: %v", page, err)
+		}
+		if res.SpilledPartitions != runs || res.NOutput != 2*runs*perRun || res.KeySum != 2*perRun*(runs*(runs+1)/2) {
+			t.Errorf("spill page size %d: spilled/NOutput/KeySum = %d/%d/%d, want %d/%d/%d", page,
+				res.SpilledPartitions, res.NOutput, res.KeySum, runs, 2*runs*perRun, 2*perRun*(runs*(runs+1)/2))
+		}
+	}
 }
