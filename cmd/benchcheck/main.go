@@ -43,6 +43,7 @@ var numKeys = map[string][]string{
 		"baseline_ms", "group_ms", "pipelined_ms",
 		"group_speedup", "pipelined_speedup",
 		"morsel_fanout", "morsel_group_ms",
+		"stream_workers", "stream_serial_ms", "stream_ms",
 	},
 	"BENCH_spill.json": {
 		"n_build", "n_probe", "tuple_size", "skew", "fanout",

@@ -17,7 +17,9 @@
 // native backend through the arena's backing bytes. Untimed result
 // inspection (Run, Groups, Collect) reads the arena directly and is
 // therefore backend-neutral too: for the same workload the two backends
-// produce identical logical results, row for row.
+// produce identical logical results — the same rows; the order a native
+// join's rows arrive in is unspecified, because its workers share the
+// input by morsels.
 //
 // Row contract: a join's rows carry the spans of its logical
 // build||probe row that its parent declared. An aggregate reads the key
@@ -144,21 +146,26 @@ type Config struct {
 	Strategy plan.Strategy
 
 	// Fanout, for the native backend, selects the join strategy: <= 1
-	// streams probe batches through one resident hash table; > 1 radix-
-	// partitions both inputs (rounded up to a power of two) and joins
-	// the pairs under morsel-driven parallelism, workers feeding output
-	// batches into the pipeline.
+	// streams probe groups through one resident hash table, the probe
+	// relation's page ranges being the morsels; > 1 radix-partitions
+	// both inputs (rounded up to a power of two) and the partition pairs
+	// are the morsels. Either way the workers share the morsels and feed
+	// output batches into the pipeline.
 	Fanout int
 
-	// Workers bounds the native morsel worker pool (0 = GOMAXPROCS).
-	// With a shared Pool installed it bounds this plan's concurrent
-	// slots within the pool instead.
+	// Workers bounds the native join's workers (0 = GOMAXPROCS) under
+	// both strategies: the streaming join builds its table over that
+	// many slots and probes it with the caller plus Workers-1 background
+	// probers, the partitioned join runs that many pair joiners. With a
+	// shared Pool installed it bounds this plan's concurrent slots
+	// within the pool instead.
 	Workers int
 
-	// Pool, when non-nil, executes the native morsel join on a shared
-	// worker pool (the multi-tenant scheduler) instead of per-plan
-	// goroutines. Tenant and Weight label the plan's morsel jobs for the
-	// pool's weighted round-robin interleaving.
+	// Pool, when non-nil, executes the native join's morsels — build
+	// ranges, probe page ranges, partition pairs — on a shared worker
+	// pool (the multi-tenant scheduler) instead of per-plan goroutines.
+	// Tenant and Weight label the plan's morsel jobs for the pool's
+	// weighted round-robin interleaving.
 	Pool   native.Pool
 	Tenant string
 	Weight int
@@ -227,9 +234,10 @@ type Config struct {
 	Report *Report
 
 	// Ctx cancels a compiled pipeline cooperatively: scans check it at
-	// batch boundaries, the native morsel join before each partition-pair
-	// claim, and the spill tier at page boundaries. nil means
-	// context.Background (never cancelled).
+	// batch boundaries, the native streaming join before each probe
+	// group, the partitioned join before each partition-pair claim, and
+	// the spill tier at page boundaries. nil means context.Background
+	// (never cancelled).
 	Ctx context.Context
 }
 
@@ -245,8 +253,12 @@ type Report struct {
 	// JoinRecursionDepth is the deepest recursive re-partitioning any
 	// pair needed to fit MemBudget; 0 when every pair fit directly.
 	JoinRecursionDepth int
-	// MorselsExecuted counts the partition-pair morsels the native join
-	// actually ran (0 for the streaming strategy and the Sim backend).
+	// MorselsExecuted counts the morsels the native join's workers
+	// shared: the partition pairs it actually ran, or, for the streaming
+	// strategy over a scanned probe relation, the page ranges that
+	// relation was cut into (one when the caller probed it alone). 0 when
+	// the probe side is pulled from a non-scan child, and on the Sim
+	// backend.
 	MorselsExecuted int
 
 	// What the spill tier and the hybrid policy did; all zero for a
@@ -480,9 +492,10 @@ func (n *Node) JoinEmitWidth(cfg Config) int {
 // ScratchBytes estimates the arena scratch one run of the plan under
 // cfg allocates beyond its relations — the one estimate admission
 // windows (the service Env) and arena sizing (the CLI pipeline) are both
-// cut from. It sums the streaming join's output ring (one probe batch's
-// matches, matchesPerProbe each), the morsel pipe buffers, both in rows
-// of JoinEmitWidth; an aggregate root's staging block, one
+// cut from. It sums what the streaming join's caller stages of its own
+// (one probe group's matches, matchesPerProbe each) and the pipe ring
+// either native strategy allocates (ringShape), both in rows of
+// JoinEmitWidth; an aggregate root's staging block, one
 // AggTupleWidth row per group with aggRows bounding the groups (the
 // build side's row count, which the caller may know before the
 // relations exist); the native spill tier's page pool when it can
@@ -492,7 +505,8 @@ func (n *Node) JoinEmitWidth(cfg Config) int {
 func (n *Node) ScratchBytes(cfg Config, matchesPerProbe, aggRows int) uint64 {
 	width := uint64(n.JoinEmitWidth(cfg))
 	batch := uint64(max(cfg.Params.G, native.DefaultG)) // covers both backends' default G
-	total := (uint64(matchesPerProbe)+uint64(pipeBufs(cfg.workers())))*batch*width + (64 << 10)
+	bufs, rows := ringShape(cfg.workers(), int(batch))
+	total := (uint64(matchesPerProbe)*batch+uint64(bufs*rows))*width + (64 << 10)
 	if n.kind == aggNode {
 		total += uint64(aggRows) * AggTupleWidth
 	}
@@ -579,7 +593,7 @@ func Compile(n *Node, cfg Config) (Operator, error) {
 		}
 	}
 	if (cfg.Strategy == plan.NestedLoop || cfg.Strategy == plan.StreamHash) && cfg.Fanout > 1 {
-		return nil, fmt.Errorf("engine: strategy %v is single-threaded over one table; fanout %d conflicts (use -strategy partitioned or auto)",
+		return nil, fmt.Errorf("engine: strategy %v runs over one table; fanout %d conflicts (use -strategy partitioned or auto)",
 			cfg.Strategy, cfg.Fanout)
 	}
 	if cfg.Build != nil {

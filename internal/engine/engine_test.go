@@ -295,29 +295,46 @@ func TestAggregateClosesChild(t *testing.T) {
 }
 
 // TestBatchRule asserts every operator honors the batch = G rule: no
-// batch larger than the configured group size, on either backend.
+// batch larger than the configured group size, on either backend, under
+// either native strategy — whose background workers hand rows over in
+// buffers of several groups that NextBatch must still serve a group at
+// a time. "join-morsels" is large enough for the streaming join to cut
+// its probe side into several morsels and share it between the workers.
 func TestBatchRule(t *testing.T) {
 	spec := workload.Spec{NBuild: 150, TupleSize: 16, MatchesPerBuild: 2, Seed: 12}
 	const g = 7
 	params := core.Params{G: g, D: 2}
 	pair, a, m := testEnv(t, spec)
+	big, bigA, _ := testEnv(t, workload.Spec{NBuild: 10_000, TupleSize: 16, MatchesPerBuild: 2, Seed: 12})
 
-	plans := map[string]*Node{
-		"scan":   Scan(pair.Probe),
-		"filter": Filter(Scan(pair.Probe), KeyBetween(0, ^uint32(0))),
-		"join":   HashJoin(Scan(pair.Build), Scan(pair.Probe)),
-		"agg":    HashAggregate(Scan(pair.Probe), 4, spec.NBuild),
+	type planCase struct {
+		plan *Node
+		a    *arena.Arena
 	}
-	for name, plan := range plans {
-		for _, cfg := range []Config{
-			simCfg(m, core.SchemeGroup, params),
-			nativeCfg(a, core.SchemeGroup, params, 1),
-		} {
-			op := mustCompile(t, plan, cfg)
+	plans := map[string]planCase{
+		"scan":         {Scan(pair.Probe), a},
+		"filter":       {Filter(Scan(pair.Probe), KeyBetween(0, ^uint32(0))), a},
+		"join":         {HashJoin(Scan(pair.Build), Scan(pair.Probe)), a},
+		"agg":          {HashAggregate(Scan(pair.Probe), 4, spec.NBuild), a},
+		"join-morsels": {HashJoin(Scan(big.Build), Scan(big.Probe)), bigA},
+	}
+	for name, pc := range plans {
+		stream2 := nativeCfg(pc.a, core.SchemeGroup, params, 1)
+		stream2.Workers = 2
+		part2 := nativeCfg(pc.a, core.SchemeGroup, params, 4)
+		part2.Workers = 2
+		cfgs := []Config{nativeCfg(pc.a, core.SchemeGroup, params, 1), stream2, part2}
+		if pc.a == a {
+			cfgs = append(cfgs, simCfg(m, core.SchemeGroup, params))
+		}
+		for _, cfg := range cfgs {
+			op := mustCompile(t, pc.plan, cfg)
+			scope := pc.a.Scope()
 			if err := op.Open(); err != nil {
 				t.Fatalf("%s (%v): Open: %v", name, cfg.Backend, err)
 			}
 			var b Batch
+			rows := 0
 			for {
 				ok, err := op.NextBatch(&b)
 				if err != nil {
@@ -326,11 +343,17 @@ func TestBatchRule(t *testing.T) {
 				if !ok {
 					break
 				}
+				rows += b.Len()
 				if b.Len() > g {
-					t.Fatalf("%s (%v): batch of %d rows exceeds G=%d", name, cfg.Backend, b.Len(), g)
+					t.Fatalf("%s (%v fanout=%d workers=%d): batch of %d rows exceeds G=%d",
+						name, cfg.Backend, cfg.Fanout, cfg.Workers, b.Len(), g)
 				}
 			}
 			op.Close()
+			scope.Release()
+			if name == "join-morsels" && rows != big.ExpectedMatches {
+				t.Fatalf("%s (fanout=%d workers=%d): %d rows, want %d", name, cfg.Fanout, cfg.Workers, rows, big.ExpectedMatches)
+			}
 		}
 	}
 }

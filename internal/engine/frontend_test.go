@@ -10,16 +10,21 @@ import (
 )
 
 // TestScratchBytesGolden pins the one scratch estimator to the numbers
-// of the two it replaced. Every want but the last was printed by the
-// parent commit's estimators — the root package's plannedScratch (rows
-// "service …", the inputs of TestServicePlannedScratchBoundsRun; the
-// bench/ workloads' configurations; 8 matches per probe) and
+// of the two it replaced, plus the one term that has moved since: a pipe
+// buffer now holds ten prefetch groups, not one, so every estimate is
+// its old value (parent) plus nine more groups of G rows of the join's
+// emit width in each of the 2·workers+4 buffers. Nothing else moved —
+// the expectation below is computed exactly that way. Every parent but
+// the last was printed by the PR 13 estimators — the root package's
+// plannedScratch (rows "service …", the inputs of
+// TestServicePlannedScratchBoundsRun; the bench/ workloads'
+// configurations; 8 matches per probe) and
 // cli.Pipeline.scratchBytes (rows "cli …", the inputs of
 // TestScratchBytesBoundsRun; the workload's 8 matches per build) — so a
 // change to any of them is a change to what the service admits and the
-// CLI allocates. The last row is the one intended difference: the old
-// estimators sized the spill pool in default 32 KiB pages whatever the
-// configured page size, and returned 718592 there too.
+// CLI allocates. The last row was PR 14's one intended difference: the
+// old estimators sized the spill pool in default 32 KiB pages whatever
+// the configured page size, and returned 718592 there too.
 func TestScratchBytesGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -29,40 +34,43 @@ func TestScratchBytesGolden(t *testing.T) {
 		cfg      Config
 		mpp      int
 		aggRows  int
-		want     uint64
+		parent   uint64 // the estimate before the ring grew
+		emit     uint64 // JoinEmitWidth
 	}{
-		{"service inner", 1500, plan.Inner, 0, Config{Backend: Native, Workers: 2}, 8, 400, 1217536},
-		{"service semi", 1500, plan.LeftSemi, 0, Config{Backend: Native, Workers: 2}, 8, 400, 641536},
-		{"service agg", 16, plan.Inner, 4, Config{Backend: Native, Workers: 2}, 8, 12000, 356608},
-		{"service wide agg", 1500, plan.Inner, 1496, Config{Backend: Native, Workers: 2}, 8, 400, 78208},
-		{"inmem_probe", 100, plan.Inner, 0, Config{Backend: Native, Workers: 4}, 8, 200000, 161536},
-		{"inmem_build", 100, plan.Inner, 0, Config{Backend: Native, Workers: 4}, 8, 400000, 161536},
-		{"part_agg", 100, plan.Inner, 4, Config{Backend: Native, Workers: 4}, 8, 100000, 2469376},
-		{"spill_skew", 100, plan.Inner, 0, Config{Backend: Native, Workers: 4, MemBudget: 128 << 10}, 8, 100000, 718592},
-		{"spill_skew, no spill", 100, plan.Inner, 0, Config{Backend: Native, Workers: 4, MemBudget: 128 << 10, NoSpill: true}, 8, 100000, 161536},
+		{"service inner", 1500, plan.Inner, 0, Config{Backend: Native, Workers: 2}, 8, 400, 1217536, 3000},
+		{"service semi", 1500, plan.LeftSemi, 0, Config{Backend: Native, Workers: 2}, 8, 400, 641536, 1500},
+		{"service agg", 16, plan.Inner, 4, Config{Backend: Native, Workers: 2}, 8, 12000, 356608, 8},
+		{"service wide agg", 1500, plan.Inner, 1496, Config{Backend: Native, Workers: 2}, 8, 400, 78208, 8},
+		{"inmem_probe", 100, plan.Inner, 0, Config{Backend: Native, Workers: 4}, 8, 200000, 161536, 200},
+		{"inmem_build", 100, plan.Inner, 0, Config{Backend: Native, Workers: 4}, 8, 400000, 161536, 200},
+		{"part_agg", 100, plan.Inner, 4, Config{Backend: Native, Workers: 4}, 8, 100000, 2469376, 8},
+		{"spill_skew", 100, plan.Inner, 0, Config{Backend: Native, Workers: 4, MemBudget: 128 << 10}, 8, 100000, 718592, 200},
+		{"spill_skew, no spill", 100, plan.Inner, 0, Config{Backend: Native, Workers: 4, MemBudget: 128 << 10, NoSpill: true}, 8, 100000, 161536, 200},
 		{"spill_skew, 5 spill workers, G=64", 100, plan.Inner, 0,
-			Config{Backend: Native, Workers: 4, MemBudget: 128 << 10, SpillWorkers: 5, Params: core.Params{G: 64}}, 8, 100000, 1173504},
-		{"spill_skew, chunk cap", 100, plan.Inner, 0, Config{Backend: Native, Workers: 4, MemBudget: 64 << 20}, 8, 100000, 8943360},
-		{"serve_mix default", 40, plan.Inner, 0, Config{Backend: Native, Workers: 2}, 8, 20000, 96256},
-		{"serve_mix typed", 40, plan.LeftSemi, 0, Config{Backend: Native, Workers: 2}, 8, 20000, 80896},
-		{"serve_mix agg", 40, plan.Inner, 4, Config{Backend: Native, Workers: 2}, 8, 20000, 548608},
-		{"cli inner", 1000, plan.Inner, 4, Config{Backend: Native, Workers: 2}, 8, 300, 75808},
-		{"cli semi", 1000, plan.LeftSemi, 4, Config{Backend: Native, Workers: 2}, 8, 300, 75808},
-		{"cli inner nested-loop", 1000, plan.Inner, 4, Config{Backend: Native, Workers: 2, Strategy: plan.NestedLoop}, 8, 300, 840736},
-		{"cli semi nested-loop", 1000, plan.LeftSemi, 4, Config{Backend: Native, Workers: 2, Strategy: plan.NestedLoop}, 8, 300, 456736},
-		{"cli sim, budget ignored", 1000, plan.Inner, 4, Config{Backend: Sim, Workers: 2, MemBudget: 4096}, 8, 300, 840736},
-		{"cli native, budget", 1000, plan.Inner, 4, Config{Backend: Native, Workers: 2, MemBudget: 4096}, 8, 300, 501792},
+			Config{Backend: Native, Workers: 4, MemBudget: 128 << 10, SpillWorkers: 5, Params: core.Params{G: 64}}, 8, 100000, 1173504, 200},
+		{"spill_skew, chunk cap", 100, plan.Inner, 0, Config{Backend: Native, Workers: 4, MemBudget: 64 << 20}, 8, 100000, 8943360, 200},
+		{"serve_mix default", 40, plan.Inner, 0, Config{Backend: Native, Workers: 2}, 8, 20000, 96256, 80},
+		{"serve_mix typed", 40, plan.LeftSemi, 0, Config{Backend: Native, Workers: 2}, 8, 20000, 80896, 40},
+		{"serve_mix agg", 40, plan.Inner, 4, Config{Backend: Native, Workers: 2}, 8, 20000, 548608, 8},
+		{"cli inner", 1000, plan.Inner, 4, Config{Backend: Native, Workers: 2}, 8, 300, 75808, 8},
+		{"cli semi", 1000, plan.LeftSemi, 4, Config{Backend: Native, Workers: 2}, 8, 300, 75808, 8},
+		{"cli inner nested-loop", 1000, plan.Inner, 4, Config{Backend: Native, Workers: 2, Strategy: plan.NestedLoop}, 8, 300, 840736, 2000},
+		{"cli semi nested-loop", 1000, plan.LeftSemi, 4, Config{Backend: Native, Workers: 2, Strategy: plan.NestedLoop}, 8, 300, 456736, 1000},
+		{"cli sim, budget ignored", 1000, plan.Inner, 4, Config{Backend: Sim, Workers: 2, MemBudget: 4096}, 8, 300, 840736, 2000},
+		{"cli native, budget", 1000, plan.Inner, 4, Config{Backend: Native, Workers: 2, MemBudget: 4096}, 8, 300, 501792, 8},
 
 		{"spill_skew, 63 KiB pages", 100, plan.Inner, 0,
-			Config{Backend: Native, Workers: 4, MemBudget: 128 << 10, SpillPageSize: 63 << 10}, 8, 100000, 1065728},
+			Config{Backend: Native, Workers: 4, MemBudget: 128 << 10, SpillPageSize: 63 << 10}, 8, 100000, 1065728, 200},
 	} {
 		shape := &storage.Relation{Schema: storage.KeyPayloadSchema(tc.tuple)}
 		logical := HashJoinTyped(Scan(shape), Scan(shape), tc.jt)
 		if tc.valueOff != 0 {
 			logical = HashAggregate(logical, tc.valueOff, tc.aggRows)
 		}
-		if got := logical.ScratchBytes(tc.cfg, tc.mpp, tc.aggRows); got != tc.want {
-			t.Errorf("%s: ScratchBytes = %d, want %d", tc.name, got, tc.want)
+		g := uint64(max(tc.cfg.Params.G, native.DefaultG))
+		want := tc.parent + uint64(2*tc.cfg.Workers+4)*9*g*tc.emit
+		if got := logical.ScratchBytes(tc.cfg, tc.mpp, tc.aggRows); got != want {
+			t.Errorf("%s: ScratchBytes = %d, want %d", tc.name, got, want)
 		}
 	}
 }

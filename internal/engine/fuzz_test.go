@@ -146,18 +146,21 @@ func aggregateRows(rows [][]byte, valueOff int) []Group {
 // seam — against a naive nested-loop reference computed from the raw
 // relation bytes, across both backends, both native strategies the
 // planner can pick for a single-table join (stream and nested-loop),
-// and the morsel path. The workload generator's own ground truth is
+// and the morsel path, on 1, 2 or 4 workers, over probe sides from a
+// handful of rows to several streaming morsels. The workload generator's own ground truth is
 // deliberately not used: the reference re-derives the answer from the
 // tuples, so a generator bug cannot mask an engine bug.
 func FuzzJoinTypeParity(f *testing.F) {
-	f.Add(uint8(0), uint8(40), uint8(50), uint8(0), uint8(0), uint8(0), int64(1))
-	f.Add(uint8(1), uint8(33), uint8(0), uint8(2), uint8(1), uint8(10), int64(2))  // left-outer, skewed build, value across the seam
-	f.Add(uint8(2), uint8(64), uint8(90), uint8(0), uint8(2), uint8(16), int64(3)) // right-outer, morsel, value in the probe half
-	f.Add(uint8(3), uint8(5), uint8(100), uint8(1), uint8(0), uint8(8), int64(4))  // semi, tiny build, last 4 bytes
-	f.Add(uint8(4), uint8(21), uint8(10), uint8(0), uint8(1), uint8(3), int64(5))  // anti, sparse matches, unaligned value
-	f.Add(uint8(0), uint8(90), uint8(70), uint8(1), uint8(2), uint8(24), int64(6)) // inner, morsel, last 4 bytes
+	f.Add(uint8(0), uint8(40), uint8(50), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), int64(1))
+	f.Add(uint8(1), uint8(33), uint8(0), uint8(2), uint8(1), uint8(10), uint8(1), uint8(0), int64(2))  // left-outer, skewed build, value across the seam
+	f.Add(uint8(2), uint8(64), uint8(90), uint8(0), uint8(2), uint8(16), uint8(2), uint8(0), int64(3)) // right-outer, morsel, 4 workers, value in the probe half
+	f.Add(uint8(3), uint8(5), uint8(100), uint8(1), uint8(0), uint8(8), uint8(0), uint8(0), int64(4))  // semi, tiny build, last 4 bytes
+	f.Add(uint8(4), uint8(21), uint8(10), uint8(0), uint8(1), uint8(3), uint8(1), uint8(0), int64(5))  // anti, sparse matches, unaligned value
+	f.Add(uint8(0), uint8(90), uint8(70), uint8(1), uint8(2), uint8(24), uint8(0), uint8(0), int64(6)) // inner, morsel, last 4 bytes
+	f.Add(uint8(2), uint8(70), uint8(60), uint8(1), uint8(0), uint8(5), uint8(1), uint8(6), int64(7))  // right-outer, streaming over several probe morsels, 2 workers
+	f.Add(uint8(4), uint8(99), uint8(40), uint8(2), uint8(0), uint8(9), uint8(2), uint8(6), int64(8))  // anti, the same, 4 workers
 
-	f.Fuzz(func(t *testing.T, jtRaw, nRaw, mrRaw, skewRaw, fanoutRaw, offRaw uint8, seed int64) {
+	f.Fuzz(func(t *testing.T, jtRaw, nRaw, mrRaw, skewRaw, fanoutRaw, offRaw, workersRaw, probeRaw uint8, seed int64) {
 		jt := plan.JoinTypes()[int(jtRaw)%len(plan.JoinTypes())]
 		nBuild := 1 + int(nRaw) // 1..256
 		spec := workload.Spec{
@@ -166,8 +169,10 @@ func FuzzJoinTypeParity(f *testing.F) {
 			PctMatched: 100,
 			MatchRate:  float64(int(mrRaw)%101) / 100,
 			Skew:       1 + int(skewRaw)%3,
-			NProbe:     1 + 2*nBuild,
-			Seed:       seed,
+			// Up to 64x: past a few thousand rows the streaming join cuts
+			// the probe side into several morsels and its workers share it.
+			NProbe: (1 + 2*nBuild) << (int(probeRaw) % 7),
+			Seed:   seed,
 		}
 		pair, a, m := testEnv(t, spec)
 		join := HashJoinTyped(Scan(pair.Build), Scan(pair.Probe), jt)
@@ -176,9 +181,11 @@ func FuzzJoinTypeParity(f *testing.F) {
 		logical := HashAggregate(join, valueOff, nBuild)
 
 		fanout := 1 << (int(fanoutRaw) % 3) // 1 (streaming), 2, 4 (morsel)
+		native := nativeCfg(a, core.SchemeGroup, core.DefaultParams(), fanout)
+		native.Workers = 1 << (int(workersRaw) % 3) // 1, 2, 4
 		cfgs := map[string]Config{
 			"sim":    simCfg(m, core.SchemeGroup, core.DefaultParams()),
-			"native": nativeCfg(a, core.SchemeGroup, core.DefaultParams(), fanout),
+			"native": native,
 		}
 		if fanout == 1 {
 			nl := nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 1)
@@ -188,8 +195,8 @@ func FuzzJoinTypeParity(f *testing.F) {
 		for name, cfg := range cfgs {
 			got := mustGroups(t, logical, cfg, a)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v %s fanout=%d n=%d mr=%.2f valueOff=%d: %d groups vs reference %d",
-					jt, name, fanout, nBuild, spec.MatchRate, valueOff, len(got), len(want))
+				t.Fatalf("%v %s fanout=%d workers=%d n=%dx%d mr=%.2f valueOff=%d: %d groups vs reference %d",
+					jt, name, fanout, native.Workers, nBuild, spec.NProbe, spec.MatchRate, valueOff, len(got), len(want))
 			}
 		}
 	})

@@ -1,18 +1,22 @@
 package engine
 
 // Native backend: the batch operators run on real memory with real
-// prefetches, reusing the native engine's radix partitioner, flat
-// cache-line hash table, and PREFETCHT0 probe loops. A join compiles to
-// one of two physical strategies: with Fanout <= 1 the probe side
-// streams through a resident table one batch (= one prefetch group) at
-// a time; with Fanout > 1 both sides are radix-partitioned and joined
-// under morsel-driven parallelism, the workers packing matches into
-// output batches that feed the downstream pipeline.
+// prefetches, reusing the native engine's radix partitioner, row-storage
+// hash table, and PREFETCHT0 probe loops. A join compiles to one of two
+// physical strategies: with Fanout <= 1 the probe side streams through
+// one resident table a prefetch group at a time, its pages cut into
+// morsels the workers share; with Fanout > 1 both sides are
+// radix-partitioned and the partition pairs are the morsels. Under
+// either the caller's goroutine hands out batches of at most G rows
+// while the other workers pack their matches into a ring of pipe
+// buffers that feeds it.
 
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"slices"
+	"sync/atomic"
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/hash"
@@ -159,19 +163,27 @@ func materializeNative(a *arena.Arena, op Operator, width int) (*storage.Relatio
 	}
 }
 
-// pipeBuf is one in-flight output batch of the morsel join: its rows
-// plus the arena scratch block their bytes live in. Buffers circulate
-// between a free list and the output channel; a buffer's rows stay
-// valid until it returns to the free list.
+// pipeBuf is one in-flight hand-off of a native join's background
+// workers: its rows plus the arena scratch block their bytes live in.
+// Buffers circulate between a free list and the output channel; a
+// buffer's rows stay valid until it returns to the free list.
 type pipeBuf struct {
 	rows    []Row
 	scratch arena.Addr
 }
 
-// pipeBufs is how many pipe buffers a morsel join over that many
-// workers circulates. openMorsel allocates by it and the scratch
-// estimator sizes from it.
-func pipeBufs(workers int) int { return 2*workers + 4 }
+// pipeBufGroups is how many prefetch groups one pipe buffer holds. A
+// channel hand-off and the park/wake behind it cost about what probing
+// a group does, so a buffer of one group buys no parallelism on two
+// cores (EXPERIMENTS.md, "Where inmem_probe's time goes"); the hand-off
+// unit is this many groups, the batch unit stays one.
+const pipeBufGroups = 10
+
+// ringShape is the pipe ring of a native join over that many workers at
+// group size g: how many buffers circulate and how many rows each
+// holds. allocRing allocates by it and the scratch estimator sizes from
+// it.
+func ringShape(workers, g int) (bufs, rows int) { return 2*workers + 4, pipeBufGroups * g }
 
 // joinConfig maps the config onto the native joiner's for a join of
 // type jt. The morsel join runs under it and the scratch estimator
@@ -226,10 +238,12 @@ func splitAtSeam(spans []span, seam int) []emitSpan {
 	return out
 }
 
-// nativeHashJoin joins natively in one of two modes (see the file
-// comment). Both deliver, in batches of at most G, rows that carry the
-// spans of the logical build||probe row the parent declared
-// (Node.emitSpans) — the whole row for a root.
+// nativeHashJoin joins natively under one of two strategies (see the
+// file comment). Both deliver, in batches of at most G, rows that carry
+// the spans of the logical build||probe row the parent declared
+// (Node.emitSpans) — the whole row for a root — and both hand rows from
+// background workers to the caller over one ring of pipe buffers. The
+// order rows arrive in is unspecified under either.
 type nativeHashJoin struct {
 	cfg        Config
 	a          *arena.Arena
@@ -248,25 +262,33 @@ type nativeHashJoin struct {
 	buildClosed bool
 	probeClosed bool
 
-	// Streaming mode (fanout <= 1).
-	prober       *native.Prober
-	buildEntries []native.Entry
-	probeEntries []native.Entry
-	out          []arena.Addr // output ring, grown on demand
-	outSlot      int
-	sink         func(build []byte, pref uint64) // persistent emit closure (allocation-free probing)
-	pending      []Row
-	next         int
-	in           Batch
-	done         bool
+	// Hand-out: NextBatch serves win in windows of at most G rows. win is
+	// either a finished ring buffer's rows (last: the buffer, recycled
+	// after its final window) or pending, what the caller's own last
+	// probe group matched.
+	win  []Row
+	next int
+	last *pipeBuf
 
-	// Morsel mode (fanout > 1, or a streaming build over MemBudget).
-	morsel    bool
-	free      chan *pipeBuf
-	outc      chan *pipeBuf
-	last      *pipeBuf
-	emits     []pipeEmitter
-	morselErr error // written by the background join, read after outc closes
+	// The caller's share of a streaming join: it is one of the workers,
+	// probing a group of its own whenever no finished buffer waits.
+	probing bool                                       // step has input left
+	step    func() (bool, error)                       // probe one group into pending
+	sweep   func(emit func(build []byte, pref uint64)) // right outer: once, after the last probe
+	in      Batch
+	entries []native.Entry
+	out     []arena.Addr // pending's row bytes, grown on demand
+	outSlot int
+	sink    func(build []byte, pref uint64) // persistent emit closure (allocation-free probing)
+	pending []Row
+
+	// The ring: what background workers — the partitioned join's, or the
+	// streaming join's other probers — feed the caller through.
+	free    chan *pipeBuf
+	outc    chan *pipeBuf // nil: no background join, or its end already seen
+	emits   []pipeEmitter
+	closing atomic.Bool
+	ringErr error // written by the background join, read after outc closes
 }
 
 func newNativeHashJoin(cfg Config, build, probe Operator, buildRel, probeRel *storage.Relation,
@@ -281,7 +303,6 @@ func newNativeHashJoin(cfg Config, build, probe Operator, buildRel, probeRel *st
 		buildWidth: buildWidth, probeWidth: probeWidth,
 		emit: splitAtSeam(spans, seam), outWidth: spansWidth(spans),
 		batch: cfg.batchSize(), jt: jt,
-		morsel: cfg.Fanout > 1,
 	}
 }
 
@@ -301,48 +322,53 @@ func (h *nativeHashJoin) resolveBuild() (*storage.Relation, error) {
 func (h *nativeHashJoin) Open() error {
 	h.data = h.a.Data()
 	h.buildClosed, h.probeClosed = false, false
-	h.morselErr = nil
-	h.morsel = h.cfg.Fanout > 1 && h.cfg.Build == nil
+	h.win, h.next, h.last = nil, 0, nil
+	h.probing, h.step, h.sweep = false, nil, nil
+	h.outc, h.ringErr = nil, nil
+	h.closing.Store(false)
 
 	if h.cfg.Build != nil {
 		// A pre-built immutable BuildSide replaces the whole build
 		// phase: the build child is never opened, nothing is flattened
 		// or inserted, and the table's memory is accounted to whoever
 		// owns the handle (the service's build cache), not this query's
-		// budget. The probe side streams through fresh probe scratch
-		// over the shared table.
+		// budget.
 		h.buildChild.Close()
 		h.buildClosed = true
-		h.prober = h.cfg.Build.NewTypedProber(h.jt, NativeScheme(h.cfg.Scheme),
-			h.cfg.Params.G, h.cfg.Params.D)
-	} else {
-		rel, err := h.resolveBuild()
-		if err != nil {
-			return err
-		}
-		// Budget governor: a streaming join keeps the whole build side
-		// resident in one table; when that footprint exceeds MemBudget,
-		// degrade to the partitioned morsel strategy, whose fan-out (and,
-		// if a pair is still oversized, recursive re-partitioning) bounds
-		// the per-pair resident set the way the paper's GRACE partition
-		// phase does.
-		if !h.morsel && h.cfg.MemBudget > 0 &&
-			native.BuildFootprint(rel.NTuples, h.buildWidth) > h.cfg.MemBudget {
-			h.morsel = true
-		}
-		if h.morsel {
-			return h.openMorsel(rel)
-		}
-		h.buildEntries = native.Flatten(rel, h.buildEntries)
-		h.prober = native.NewTypedProber(h.data, h.buildEntries, h.buildWidth,
-			h.jt, NativeScheme(h.cfg.Scheme), h.cfg.Params.G, h.cfg.Params.D)
+		return h.openStream(h.cfg.Build)
 	}
-	if h.cfg.Report != nil {
-		h.cfg.Report.JoinFanout = 1
-	}
-	if err := h.probeChild.Open(); err != nil {
+	rel, err := h.resolveBuild()
+	if err != nil {
 		return err
 	}
+	// Budget governor: a streaming join keeps the whole build side
+	// resident in one table; when that footprint exceeds MemBudget,
+	// degrade to the partitioned morsel strategy, whose fan-out (and,
+	// if a pair is still oversized, recursive re-partitioning) bounds
+	// the per-pair resident set the way the paper's GRACE partition
+	// phase does.
+	if h.cfg.Fanout > 1 || h.cfg.MemBudget > 0 &&
+		native.BuildFootprint(rel.NTuples, h.buildWidth) > h.cfg.MemBudget {
+		return h.openMorsel(rel)
+	}
+	bs, err := native.BuildRows(h.data, native.Flatten(rel, nil), h.buildWidth, native.BuildConfig{
+		Scheme: NativeScheme(h.cfg.Scheme), G: h.cfg.Params.G, D: h.cfg.Params.D,
+		Workers: h.cfg.workers(),
+		Pool:    h.cfg.Pool, Tenant: h.cfg.Tenant, Weight: h.cfg.Weight,
+	})
+	if err != nil {
+		return err
+	}
+	return h.openStream(bs)
+}
+
+// openStream starts the streaming strategy over bs, built here or handed
+// in. A probe child that is a plain scan is never opened: its relation
+// is cut into page-range morsels (native.ProbeStream) that the caller
+// and up to workers-1 background probers claim from one cursor, every
+// one probing bs with a prober of its own. Any other probe child can
+// only be pulled, a batch at a time, by the caller alone.
+func (h *nativeHashJoin) openStream(bs *native.BuildSide) error {
 	h.out = h.out[:0]
 	h.sink = func(build []byte, pref uint64) {
 		if h.outSlot >= len(h.out) {
@@ -352,54 +378,136 @@ func (h *nativeHashJoin) Open() error {
 		h.outSlot++
 		h.pending = append(h.pending, h.writeMatch(dst, build, pref))
 	}
-	h.pending = h.pending[:0]
-	h.next = 0
-	h.done = false
+	h.probing = true
+	if rep := h.cfg.Report; rep != nil {
+		rep.JoinFanout = 1
+	}
+	scheme, g, d := NativeScheme(h.cfg.Scheme), h.cfg.Params.G, h.cfg.Params.D
+
+	if h.probeRel == nil {
+		prober := bs.NewTypedProber(h.jt, scheme, g, d)
+		h.step = func() (bool, error) { return h.pullGroup(prober) }
+		h.sweep = prober.EmitUnmatchedBuild
+		return h.probeChild.Open()
+	}
+	h.probeChild.Close()
+	h.probeClosed = true
+	stream := bs.NewProbeStream(h.cfg.Ctx, h.probeRel, h.jt, scheme, g, d)
+	own := stream.NewWorker()
+	h.step = func() (bool, error) { return own.ProbeNext(h.sink) }
+	h.sweep = stream.EmitUnmatchedBuild
+	if rep := h.cfg.Report; rep != nil {
+		rep.MorselsExecuted = stream.Morsels()
+	}
+
+	n := min(h.cfg.workers(), stream.Morsels()) - 1
+	if n < 1 {
+		return nil
+	}
+	h.allocRing(n)
+	others := make([]*native.StreamWorker, n)
+	for i := range others {
+		others[i] = stream.NewWorker()
+	}
+	h.startRing(func() error {
+		// One Run per morsel, so a shared pool interleaves this stream
+		// with its neighbours morsel by morsel; which morsel a Run gets
+		// is the stream cursor's business (the caller claims from it
+		// too), and a Run that finds it exhausted returns at once.
+		return native.RunMorsels(h.cfg.Pool, &native.MorselJob{
+			Tenant: h.cfg.Tenant, Weight: h.cfg.Weight,
+			N: stream.Morsels(), Slots: n,
+			Run: func(slot, _ int) (err error) {
+				defer arena.RecoverOOM(&err)
+				if h.closing.Load() {
+					return errJoinClosed
+				}
+				return others[slot].ProbeMorsel(h.emits[slot].emit)
+			},
+		})
+	})
 	return nil
 }
 
+// errJoinClosed stops a background stream whose operator is closing; the
+// drain in Close discards it.
+var errJoinClosed = errors.New("engine: join closed")
+
+// NextBatch hands out the next window of at most G rows.
 func (h *nativeHashJoin) NextBatch(b *Batch) (bool, error) {
-	if h.morsel {
-		return h.nextMorsel(b)
-	}
-	b.Reset()
-	for h.next >= len(h.pending) {
-		if h.done {
-			return false, nil
-		}
-		if err := h.fillPending(); err != nil {
+	for h.next >= len(h.win) {
+		if more, err := h.refill(); !more {
 			return false, err
 		}
 	}
-	for len(b.Rows) < h.batch && h.next < len(h.pending) {
-		b.Rows = append(b.Rows, h.pending[h.next])
-		h.next++
-	}
-	return len(b.Rows) > 0, nil
+	n := min(h.batch, len(h.win)-h.next)
+	b.Rows = h.win[h.next : h.next+n : h.next+n]
+	h.next += n
+	return true, nil
 }
 
-// fillPending pulls one probe child batch, converts it to entries, and
-// runs one prefetched probe pass, materializing matches into the ring.
-func (h *nativeHashJoin) fillPending() error {
-	h.pending = h.pending[:0]
-	h.next = 0
-	ok, err := h.probeChild.NextBatch(&h.in)
-	if err != nil {
-		return err
+// refill makes win the rows to hand out next: a finished ring buffer
+// when one is waiting, else whatever the caller's own next probe group
+// matches (possibly nothing). With no probe input of its own left the
+// caller waits for the background join, and after that, on a right
+// outer join, sweeps the build rows nothing matched. It reports false
+// at the end of the output.
+func (h *nativeHashJoin) refill() (bool, error) {
+	if h.last != nil {
+		h.free <- h.last
+		h.last = nil
 	}
-	if !ok {
-		// End of the probe stream: a right-outer prober still holds the
-		// build rows no batch matched; drain them into pending (with
-		// probeRef 0, so writeMatch null-pads the probe half) before
-		// declaring done.
-		if h.jt == plan.RightOuter {
-			h.outSlot = 0
-			h.prober.EmitUnmatchedBuild(h.sink)
+	h.win, h.next = nil, 0
+	if h.outc != nil {
+		var buf *pipeBuf
+		open := true
+		if h.probing {
+			select {
+			case buf, open = <-h.outc:
+			default:
+			}
+		} else {
+			buf, open = <-h.outc
 		}
-		h.done = true
-		return nil
+		if buf != nil {
+			h.win, h.last = buf.rows, buf
+			return true, nil
+		}
+		if !open {
+			// The close published ringErr (and the partitioned join's
+			// report).
+			h.outc = nil
+			if h.ringErr != nil {
+				return false, h.ringErr
+			}
+		}
 	}
-	h.probeEntries = h.probeEntries[:0]
+	h.pending, h.outSlot = h.pending[:0], 0
+	switch {
+	case h.probing:
+		more, err := h.step()
+		if err != nil {
+			return false, err
+		}
+		h.probing = more
+	case h.sweep != nil:
+		h.sweep(h.sink)
+		h.sweep = nil
+	default:
+		return false, nil
+	}
+	h.win = h.pending
+	return true, nil
+}
+
+// pullGroup pulls one batch from the probe child, converts it to
+// entries, and runs one prefetched probe pass into pending.
+func (h *nativeHashJoin) pullGroup(prober *native.Prober) (bool, error) {
+	ok, err := h.probeChild.NextBatch(&h.in)
+	if !ok {
+		return false, err
+	}
+	h.entries = h.entries[:0]
 	for i := range h.in.Rows {
 		r := h.in.Rows[i]
 		key := binary.LittleEndian.Uint32(h.data[r.Addr-arena.Base:])
@@ -407,11 +515,10 @@ func (h *nativeHashJoin) fillPending() error {
 		if code == 0 {
 			code = hash.CodeU32(key)
 		}
-		h.probeEntries = append(h.probeEntries, native.Entry{Code: code, Key: key, Ref: r.Addr})
+		h.entries = append(h.entries, native.Entry{Code: code, Key: key, Ref: r.Addr})
 	}
-	h.outSlot = 0
-	h.prober.ProbeBatch(h.probeEntries, h.sink)
-	return nil
+	prober.ProbeBatch(h.entries, h.sink)
+	return true, nil
 }
 
 // writeMatch materializes one output row at dst per the join type's
@@ -439,9 +546,7 @@ func (h *nativeHashJoin) writeMatch(dst arena.Addr, build []byte, pref uint64) R
 }
 
 func (h *nativeHashJoin) Close() {
-	if h.morsel {
-		h.closeMorsel()
-	}
+	h.closeRing()
 	if !h.buildClosed {
 		h.buildChild.Close()
 		h.buildClosed = true
@@ -452,7 +557,7 @@ func (h *nativeHashJoin) Close() {
 	}
 }
 
-// --- Morsel mode ---
+// --- The ring ---
 
 // pipeEmitter packs one worker's matches into pipe buffers. Each worker
 // owns one emitter, so no locking is needed on the buffer itself; the
@@ -470,7 +575,7 @@ func (e *pipeEmitter) emit(build []byte, pref uint64) {
 	buf := e.cur
 	dst := buf.scratch + arena.Addr(len(buf.rows)*e.h.outWidth)
 	buf.rows = append(buf.rows, e.h.writeMatch(dst, build, pref))
-	if len(buf.rows) == e.h.batch {
+	if len(buf.rows) == cap(buf.rows) {
 		e.h.outc <- buf
 		e.cur = nil
 	}
@@ -490,14 +595,61 @@ func (e *pipeEmitter) flush() {
 	e.cur = nil
 }
 
+// allocRing allocates the ring (ringShape, sized for the configured
+// worker count whatever the join ends up using) and one emitter per
+// background worker.
+func (h *nativeHashJoin) allocRing(emitters int) {
+	nbuf, rows := ringShape(h.cfg.workers(), h.batch)
+	// Each channel can hold every buffer there is, so neither recycling
+	// one nor handing a filled one over ever blocks; workers block only
+	// on an empty free list.
+	h.free = make(chan *pipeBuf, nbuf)
+	h.outc = make(chan *pipeBuf, nbuf)
+	for i := 0; i < nbuf; i++ {
+		h.free <- &pipeBuf{
+			rows:    make([]Row, 0, rows),
+			scratch: h.a.Alloc(uint64(rows*h.outWidth), 8),
+		}
+	}
+	h.emits = make([]pipeEmitter, emitters)
+	for i := range h.emits {
+		h.emits[i] = pipeEmitter{h: h}
+	}
+}
+
+// startRing runs join in the background, its workers emitting through
+// h.emits. A failure inside it — a budget an irreducible pair cannot
+// meet, cancellation, or arena exhaustion recovered from a worker — is
+// stored and surfaced by NextBatch after the output channel closes,
+// never panicking across the goroutine boundary.
+func (h *nativeHashJoin) startRing(join func() error) {
+	outc := h.outc
+	go func() {
+		var err error
+		func() {
+			defer arena.RecoverOOM(&err)
+			err = join()
+		}()
+		if err == nil {
+			// All workers are done; partial buffers can be flushed from
+			// this single goroutine without racing anyone.
+			for i := range h.emits {
+				h.emits[i].flush()
+			}
+		}
+		h.ringErr = err
+		// Closing publishes ringErr (and whatever join wrote) to the
+		// caller, which reads neither before it has seen the channel
+		// closed (refill, or closeRing's drain).
+		close(outc)
+	}()
+}
+
 // openMorsel resolves the probe child to a relation (the build side was
 // already resolved by Open; the partitioned join is a pipeline breaker
 // on both sides), then starts the native morsel join in the background:
 // radix partitioning, one pair-joiner per worker, matches streaming
-// into pipe buffers. A failure inside the background join — a budget an
-// irreducible pair cannot meet, or arena exhaustion recovered from a
-// worker — is stored and surfaced by nextMorsel after the output
-// channel closes, never panicking across the goroutine boundary.
+// into pipe buffers.
 func (h *nativeHashJoin) openMorsel(buildRel *storage.Relation) error {
 	probeRel := h.probeRel
 	if probeRel != nil {
@@ -512,75 +664,30 @@ func (h *nativeHashJoin) openMorsel(buildRel *storage.Relation) error {
 	}
 	h.probeClosed = true
 
-	workers := h.cfg.workers()
-	nbuf := pipeBufs(workers)
-	h.free = make(chan *pipeBuf, nbuf)
-	h.outc = make(chan *pipeBuf, nbuf)
-	for i := 0; i < nbuf; i++ {
-		h.free <- &pipeBuf{
-			rows:    make([]Row, 0, h.batch),
-			scratch: h.a.Alloc(uint64(h.batch*h.outWidth), 8),
-		}
-	}
-	h.emits = make([]pipeEmitter, workers)
-	for i := range h.emits {
-		h.emits[i] = pipeEmitter{h: h}
-	}
-	h.last = nil
-
+	h.allocRing(h.cfg.workers())
 	jcfg := h.cfg.joinConfig(h.jt)
-	go func() {
-		var res native.Result
-		var err error
-		func() {
-			defer arena.RecoverOOM(&err)
-			res, err = native.NewJoiner().JoinStream(buildRel, probeRel, jcfg, func(w int) func([]byte, uint64) {
-				return h.emits[w].emit
-			})
-		}()
-		if err == nil {
-			// All workers are done; partial buffers can be flushed from
-			// this single goroutine without racing anyone.
-			for i := range h.emits {
-				h.emits[i].flush()
-			}
-			if rep := h.cfg.Report; rep != nil {
-				rep.JoinFanout, rep.JoinRecursionDepth, rep.MorselsExecuted =
-					res.NPartitions, res.RecursionDepth, res.PairsJoined
-				rep.Report = res.Report
-			}
+	h.startRing(func() error {
+		res, err := native.NewJoiner().JoinStream(buildRel, probeRel, jcfg, func(w int) func([]byte, uint64) {
+			return h.emits[w].emit
+		})
+		if rep := h.cfg.Report; rep != nil && err == nil {
+			rep.JoinFanout, rep.JoinRecursionDepth, rep.MorselsExecuted =
+				res.NPartitions, res.RecursionDepth, res.PairsJoined
+			rep.Report = res.Report
 		}
-		h.morselErr = err
-		// Closing publishes morselErr and the report to the foreground,
-		// which reads neither before it has seen the channel closed
-		// (nextMorsel, or closeMorsel's drain).
-		close(h.outc)
-	}()
+		return err
+	})
 	return nil
 }
 
-func (h *nativeHashJoin) nextMorsel(b *Batch) (bool, error) {
-	b.Reset()
-	if h.last != nil {
-		h.free <- h.last
-		h.last = nil
-	}
-	buf, ok := <-h.outc
-	if !ok {
-		return false, h.morselErr
-	}
-	b.Rows = append(b.Rows, buf.rows...)
-	h.last = buf
-	return true, nil
-}
-
-// closeMorsel drains the output channel so the background join (which
-// may be blocked on the free list) runs to completion before the
-// operator is torn down.
-func (h *nativeHashJoin) closeMorsel() {
+// closeRing drains the output channel so the background join (which may
+// be blocked on the free list) runs to completion — a streaming one
+// stops at its next morsel claim — before the operator is torn down.
+func (h *nativeHashJoin) closeRing() {
 	if h.outc == nil {
 		return
 	}
+	h.closing.Store(true)
 	if h.last != nil {
 		h.free <- h.last
 		h.last = nil

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"cmp"
 	"math"
 	"math/rand"
@@ -65,20 +64,16 @@ func TestJoinProjectionParity(t *testing.T) {
 func TestRootsGetFullRows(t *testing.T) {
 	spec := workload.Spec{NBuild: 120, TupleSize: 20, PctMatched: 70,
 		MatchRate: 0.55, NProbe: 300, Seed: 62}
-	sorted := func(rows [][]byte) [][]byte {
-		slices.SortFunc(rows, bytes.Compare)
-		return rows
-	}
 	for _, jt := range plan.JoinTypes() {
 		pair, a, m := testEnv(t, spec)
 		join := HashJoinTyped(Scan(pair.Build), Scan(pair.Probe), jt)
-		want := sorted(referenceRows(jt, relTuples(pair.Build), relTuples(pair.Probe)))
+		want := sortedRows(referenceRows(jt, relTuples(pair.Build), relTuples(pair.Probe)))
 		for name, cfg := range map[string]Config{
 			"sim":             simCfg(m, core.SchemeGroup, core.DefaultParams()),
 			"native fanout=1": nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 1),
 			"native fanout=4": nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 4),
 		} {
-			got := sorted(mustCollect(t, join, cfg, a))
+			got := sortedRows(mustCollect(t, join, cfg, a))
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%v %s: %d rows differ from the %d full-width reference rows",
 					jt, name, len(got), len(want))

@@ -1,0 +1,281 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"hashjoin/internal/arena"
+	"hashjoin/internal/core"
+	"hashjoin/internal/fault"
+	"hashjoin/internal/hash"
+	"hashjoin/internal/native"
+	"hashjoin/internal/plan"
+	"hashjoin/internal/storage"
+)
+
+// The morsel-parallel streaming join: every worker — the caller among
+// them — claims page-range morsels of the probe relation from one
+// cursor and probes the one shared table. What a run must keep whatever
+// the claim order is the output multiset; the order rows arrive in is
+// unspecified, so every comparison here sorts first.
+
+const streamTuple = 16
+
+// keyedRelation appends one streamTuple-byte tuple per key; the payload
+// carries the tuple's position and tag, so equal keys are still distinct
+// rows and a row emitted twice or dropped shows in the multiset.
+func keyedRelation(a *arena.Arena, keys []uint32, tag uint32) *storage.Relation {
+	rel := storage.NewRelation(a, storage.KeyPayloadSchema(streamTuple), 8<<10)
+	var tup [streamTuple]byte
+	for i, k := range keys {
+		binary.LittleEndian.PutUint32(tup[0:], k)
+		binary.LittleEndian.PutUint32(tup[4:], uint32(i))
+		binary.LittleEndian.PutUint32(tup[8:], tag)
+		binary.LittleEndian.PutUint32(tup[12:], ^k)
+		rel.Append(tup[:], hash.CodeU32(k))
+	}
+	return rel
+}
+
+// streamKeys draws n keys from [1, span].
+func streamKeys(rng *rand.Rand, n, span int) []uint32 {
+	keys := make([]uint32, n)
+	for i := range keys {
+		keys[i] = 1 + uint32(rng.Intn(span))
+	}
+	return keys
+}
+
+func sortedRows(rows [][]byte) [][]byte {
+	slices.SortFunc(rows, bytes.Compare)
+	return rows
+}
+
+func sameRows(a, b [][]byte) bool {
+	return slices.EqualFunc(a, b, bytes.Equal)
+}
+
+// manyMorsels is a probe size the stream cuts into several morsels
+// (native.ProbeStream aims for 8192 tuples each).
+const manyMorsels = 20_000
+
+// TestParallelStreamParity is the parity table of the streaming join:
+// join type x workers x {built here, Config.Build} x probe size x
+// native scheme, the full output multiset against the nested-loop
+// reference over the raw tuples. Build keys repeat (chains), half the
+// probe keys miss, and the small probes leave most build rows unmatched
+// — so right outer's sweep must emit each exactly once across workers,
+// semi and anti at most one row per probe row, and null pads intact.
+func TestParallelStreamParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := arena.New(32 << 20)
+	build := keyedRelation(a, streamKeys(rng, 300, 200), 0xB)
+	buildTuples := relTuples(build)
+	bs, err := native.BuildRows(a.Data(), native.Flatten(build, nil), streamTuple, native.BuildConfig{Workers: 2})
+	if err != nil {
+		t.Fatalf("BuildRows: %v", err)
+	}
+
+	for _, nProbe := range []int{0, 1, 500, manyMorsels} {
+		probe := keyedRelation(a, streamKeys(rng, nProbe, 400), 0xA)
+		probeTuples := relTuples(probe)
+		for _, jt := range plan.JoinTypes() {
+			var want [][]byte
+			if nProbe > 0 {
+				want = sortedRows(referenceRows(jt, buildTuples, probeTuples))
+			} else if jt == plan.RightOuter {
+				// referenceRows sizes rows from probe[0]; an empty probe
+				// leaves every build row unmatched, probe half zeroed.
+				for _, b := range buildTuples {
+					want = append(want, append(slices.Clone(b), make([]byte, streamTuple)...))
+				}
+				sortedRows(want)
+			}
+			logical := HashJoinTyped(Scan(build), Scan(probe), jt)
+			for _, workers := range []int{1, 2, 4} {
+				for _, cached := range []bool{false, true} {
+					for _, scheme := range []core.Scheme{core.SchemeBaseline, core.SchemeGroup, core.SchemePipelined} {
+						cfg := nativeCfg(a, scheme, core.Params{}, 1)
+						cfg.Workers = workers
+						if cached {
+							cfg.Build = bs
+						}
+						got := sortedRows(mustCollect(t, logical, cfg, a))
+						if !sameRows(got, want) {
+							t.Fatalf("%v probe=%d workers=%d cached=%v %v: %d rows, reference %d (or same count, different rows)",
+								jt, nProbe, workers, cached, scheme, len(got), len(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParallelStreamEmptyBuild: a table of no rows has none to sweep —
+// right outer over an empty build side is empty, left outer and anti
+// are the probe side.
+func TestParallelStreamEmptyBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	a := arena.New(8 << 20)
+	build := keyedRelation(a, nil, 0xB)
+	probe := keyedRelation(a, streamKeys(rng, 100, 50), 0xA)
+	for jt, want := range map[plan.JoinType]int{
+		plan.Inner: 0, plan.LeftOuter: 100, plan.RightOuter: 0, plan.LeftSemi: 0, plan.LeftAnti: 100,
+	} {
+		cfg := nativeCfg(a, core.SchemeGroup, core.Params{}, 1)
+		if got := len(mustCollect(t, HashJoinTyped(Scan(build), Scan(probe), jt), cfg, a)); got != want {
+			t.Errorf("%v over an empty build side: %d rows, want %d", jt, got, want)
+		}
+	}
+}
+
+// TestParallelStreamReport pins what a streaming run reports: fan-out 1,
+// and the probe relation's page-range morsels as MorselsExecuted.
+func TestParallelStreamReport(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	a := arena.New(16 << 20)
+	build := keyedRelation(a, streamKeys(rng, 100, 100), 0xB)
+	probe := keyedRelation(a, streamKeys(rng, manyMorsels, 100), 0xA)
+	var rep Report
+	cfg := nativeCfg(a, core.SchemeGroup, core.Params{}, 1)
+	cfg.Workers, cfg.Report = 2, &rep
+	mustRun(t, HashJoin(Scan(build), Scan(probe)), cfg, a)
+	if rep.JoinFanout != 1 || rep.MorselsExecuted < 2 {
+		t.Fatalf("report = fanout %d, %d morsels; want fanout 1 and the probe's several morsels", rep.JoinFanout, rep.MorselsExecuted)
+	}
+}
+
+// streamFixture is a join whose probe side cuts into several morsels and
+// whose every probe row matches, for the teardown tests below.
+func streamFixture(tb testing.TB, workers int) (*arena.Arena, *Node, Config) {
+	rng := rand.New(rand.NewSource(9))
+	a := arena.New(16 << 20)
+	build := keyedRelation(a, streamKeys(rng, 200, 100), 0xB)
+	probe := keyedRelation(a, streamKeys(rng, 2*manyMorsels, 100), 0xA)
+	cfg := nativeCfg(a, core.SchemeGroup, core.Params{}, 1)
+	cfg.Workers = workers
+	return a, HashJoin(Scan(build), Scan(probe)), cfg
+}
+
+// drainSome opens root under a scope, pulls n batches, runs then (if
+// any), and keeps pulling until the stream ends or fails; it closes the
+// operator, releases the scope and returns the first error. It is Run
+// with a hook in the middle.
+func drainSome(tb testing.TB, root Operator, a *arena.Arena, n int, then func()) (err error) {
+	tb.Helper()
+	scope := a.Scope()
+	defer scope.Release()
+	defer arena.RecoverOOM(&err)
+	defer root.Close()
+	if err := root.Open(); err != nil {
+		return err
+	}
+	var b Batch
+	for i := 0; ; i++ {
+		if i == n {
+			if then == nil {
+				return nil
+			}
+			then()
+		}
+		ok, err := root.NextBatch(&b)
+		if err != nil || !ok {
+			return err
+		}
+	}
+}
+
+// TestParallelStreamCancelMidProbe cancels a running stream: the next
+// probe group — the caller's or a background worker's, both check the
+// context once per group — stops it with the typed cancel error, no
+// goroutine stays behind and the arena is back at its watermark.
+func TestParallelStreamCancelMidProbe(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		a, logical, cfg := streamFixture(t, workers)
+		base, used := fault.Goroutines(), a.Used()
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg.Ctx = ctx
+		err := drainSome(t, mustCompile(t, logical, cfg), a, 5, cancel)
+		var ce *native.CancelError
+		if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: error %T (%v), want *native.CancelError over context.Canceled", workers, err, err)
+		}
+		if ce.PairsTotal < 2 || ce.PairsDone >= ce.PairsTotal {
+			t.Errorf("workers=%d: cancel after %d of %d morsels; want a stop part-way through several", workers, ce.PairsDone, ce.PairsTotal)
+		}
+		fault.CheckGoroutines(t, base)
+		if a.Used() != used {
+			t.Errorf("workers=%d: arena at %d after the run, %d before", workers, a.Used(), used)
+		}
+	}
+}
+
+// TestParallelStreamCloseBeforeDrain closes a stream after a few
+// batches: the background probers stop at their next morsel claim.
+func TestParallelStreamCloseBeforeDrain(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		a, logical, cfg := streamFixture(t, workers)
+		base, used := fault.Goroutines(), a.Used()
+		if err := drainSome(t, mustCompile(t, logical, cfg), a, 3, nil); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		fault.CheckGoroutines(t, base)
+		if a.Used() != used {
+			t.Errorf("workers=%d: arena at %d after the run, %d before", workers, a.Used(), used)
+		}
+	}
+}
+
+// TestParallelStreamWorkerFault fails the next morsel claim — an error,
+// then a panic — armed once the stream is open and again part-way
+// through it, when the claim is whichever worker's morsel runs out
+// first: the drain returns the one typed error, nothing leaks.
+func TestParallelStreamWorkerFault(t *testing.T) {
+	defer fault.Reset()
+	for _, kind := range []fault.Kind{fault.KindError, fault.KindPanic} {
+		for _, after := range []int{0, 5} {
+			a, logical, cfg := streamFixture(t, 3)
+			base, used := fault.Goroutines(), a.Used()
+			err := drainSome(t, mustCompile(t, logical, cfg), a, after, func() {
+				fault.Enable(fault.SiteMorselWorker, fault.Fault{Kind: kind, Count: 1})
+			})
+			fault.Reset()
+			if !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("kind=%v after=%d: error %v, want injected-fault class", kind, after, err)
+			}
+			fault.CheckGoroutines(t, base)
+			if a.Used() != used {
+				t.Errorf("kind=%v after=%d: arena at %d after the run, %d before", kind, after, a.Used(), used)
+			}
+		}
+	}
+}
+
+// TestParallelStreamSkewOverflowsRing joins a probe whose every group
+// matches far more rows than the whole ring holds: the caller stages its
+// own matches outside the ring (grown on demand), so it can never wait
+// on a free list only it refills.
+func TestParallelStreamSkewOverflowsRing(t *testing.T) {
+	const dup = 600
+	a := arena.New(64 << 20)
+	same := make([]uint32, 20_000)
+	for i := range same {
+		same[i] = 42
+	}
+	build := keyedRelation(a, same[:dup], 0xB)
+	probe := keyedRelation(a, same, 0xA)
+	for _, workers := range []int{1, 2} {
+		cfg := nativeCfg(a, core.SchemeGroup, core.Params{}, 1)
+		cfg.Workers = workers
+		r := mustRun(t, HashJoin(Scan(build), Scan(probe)), cfg, a)
+		if want := dup * 20_000; r.NRows != want || r.KeySum != 42*uint64(want) {
+			t.Fatalf("workers=%d: (%d, %d), want (%d, %d)", workers, r.NRows, r.KeySum, want, 42*uint64(want))
+		}
+	}
+}

@@ -41,8 +41,15 @@ type BuildConfig struct {
 	Weight int
 }
 
-// BuildRows builds a row table over entries concurrently, in two
-// barrier-separated phases over the same contiguous ranges:
+// minBuildMorsel is the fewest rows worth a build morsel of their own:
+// below it the two pool round trips cost more than the rows.
+const minBuildMorsel = 1024
+
+// BuildRows builds a row table over entries. A build of a single morsel
+// — one worker, or fewer than two morsels' worth of rows — is
+// RowTable.BuildSerial on the calling goroutine. Anything larger builds
+// concurrently, in two barrier-separated phases over the same contiguous
+// ranges:
 //
 //  1. Serialize: each morsel materializes its rows (disjoint slab
 //     bytes, no coordination).
@@ -66,30 +73,22 @@ func BuildRows(data []byte, entries []Entry, width int, cfg BuildConfig) (*Build
 		workers = runtime.GOMAXPROCS(0)
 	}
 	n := len(entries)
-	nMorsels := workers
-	if nMorsels > n {
-		nMorsels = n
-	}
-	if nMorsels < 1 {
-		nMorsels = 1
+	nMorsels := min(workers, (n+minBuildMorsel-1)/minBuildMorsel)
+
+	t := &RowTable{}
+	t.Reset(n, width, 0)
+	if nMorsels <= 1 {
+		// One owner: plain stores, no pool, no barrier — what a one-worker
+		// configuration or a tiny build pays is the serial build.
+		t.BuildSerial(data, entries, scfg.Scheme, scfg.G, scfg.D)
+		return &BuildSide{t: t}, nil
 	}
 	chunk := (n + nMorsels - 1) / nMorsels
 	rangeOf := func(i int) (int, int) {
 		lo := i * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		return lo, hi
+		return lo, min(lo+chunk, n)
 	}
 
-	t := &RowTable{}
-	t.Reset(n, width, 0)
-
-	var pool Pool = localPool{}
-	if cfg.Pool != nil {
-		pool = cfg.Pool
-	}
 	serialize := func(_, i int) error {
 		lo, hi := rangeOf(i)
 		t.SerializeRange(data, entries, lo, hi)
@@ -101,7 +100,7 @@ func BuildRows(data []byte, entries []Entry, width int, cfg BuildConfig) (*Build
 		return nil
 	}
 	for _, run := range []func(int, int) error{serialize, publish} {
-		err := pool.Do(&MorselJob{
+		err := RunMorsels(cfg.Pool, &MorselJob{
 			Tenant: cfg.Tenant,
 			Weight: cfg.Weight,
 			N:      nMorsels,

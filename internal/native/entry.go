@@ -3,6 +3,7 @@ package native
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/storage"
@@ -67,7 +68,7 @@ func (p *partitions) fill(data []byte, rel *storage.Relation, fanout int) {
 
 	p.offs = intsFor(p.offs, fanout+1)
 	if fanout == 1 {
-		p.entries = flatten(data, rel, p.entries[:0])
+		p.entries = Flatten(rel, p.entries)
 		p.offs[0], p.offs[1] = 0, len(p.entries)
 		return
 	}
@@ -75,7 +76,7 @@ func (p *partitions) fill(data []byte, rel *storage.Relation, fanout int) {
 	// Pass 1: histogram of partition sizes from the slot areas alone.
 	hist := intsFor(p.cursor, fanout)
 	clear(hist)
-	eachSlot(data, rel, func(_ uint64, code uint32, _ uint16) {
+	eachSlot(data, rel.Pages, rel.PageSize, func(_ uint64, code uint32, _ uint16) {
 		hist[code&mask]++
 	})
 
@@ -96,7 +97,7 @@ func (p *partitions) fill(data []byte, rel *storage.Relation, fanout int) {
 	}
 	p.cursor = hist
 	copy(p.cursor, p.offs[:fanout])
-	eachSlot(data, rel, func(tuple uint64, code uint32, _ uint16) {
+	eachSlot(data, rel.Pages, rel.PageSize, func(tuple uint64, code uint32, _ uint16) {
 		d := code & mask
 		p.entries[p.cursor[d]] = Entry{
 			Code: code,
@@ -107,17 +108,29 @@ func (p *partitions) fill(data []byte, rel *storage.Relation, fanout int) {
 	})
 }
 
-// Flatten appends one Entry per tuple of rel, in storage order, reusing
+// Flatten returns one Entry per tuple of rel, in storage order, reusing
 // dst's backing array. It is the entry-construction step of the native
 // engine exposed for the batch operator layer, which flattens a
-// materialized build side before constructing a Prober over it.
+// materialized build side before building a row table over it.
 func Flatten(rel *storage.Relation, dst []Entry) []Entry {
-	return flatten(rel.Arena().Data(), rel, dst[:0])
+	return FlattenPages(rel, 0, rel.NPages(), dst)
 }
 
-// flatten appends one Entry per tuple of rel, in storage order.
-func flatten(data []byte, rel *storage.Relation, dst []Entry) []Entry {
-	eachSlot(data, rel, func(tuple uint64, code uint32, _ uint16) {
+// FlattenPages is Flatten over pages [lo, hi) of rel — one probe morsel
+// of the streaming join. dst is grown once, to the range's tuple count,
+// before the first entry is written.
+func FlattenPages(rel *storage.Relation, lo, hi int, dst []Entry) []Entry {
+	data := rel.Arena().Data()
+	pages := rel.Pages[lo:hi]
+	n := rel.NTuples
+	if len(pages) < rel.NPages() {
+		n = 0
+		for _, page := range pages {
+			n += int(binary.LittleEndian.Uint16(data[page-arena.Base:]))
+		}
+	}
+	dst = slices.Grow(dst[:0], n)
+	eachSlot(data, pages, rel.PageSize, func(tuple uint64, code uint32, _ uint16) {
 		dst = append(dst, Entry{
 			Code: code,
 			Key:  binary.LittleEndian.Uint32(data[tuple-arena.Base:]),
@@ -127,12 +140,11 @@ func flatten(data []byte, rel *storage.Relation, dst []Entry) []Entry {
 	return dst
 }
 
-// eachSlot walks rel's slot areas directly in the arena's backing bytes,
-// yielding each tuple's address, memoized hash code, and length. This is
-// the native analog of the simulator's cursor, without timing.
-func eachSlot(data []byte, rel *storage.Relation, fn func(tuple uint64, code uint32, length uint16)) {
-	pageSize := rel.PageSize
-	for _, page := range rel.Pages {
+// eachSlot walks the slot areas of pages directly in the arena's backing
+// bytes, yielding each tuple's address, memoized hash code, and length.
+// This is the native analog of the simulator's cursor, without timing.
+func eachSlot(data []byte, pages []arena.Addr, pageSize int, fn func(tuple uint64, code uint32, length uint16)) {
+	for _, page := range pages {
 		base := page - arena.Base
 		n := int(binary.LittleEndian.Uint16(data[base:]))
 		slot := base + uint64(pageSize) - storage.SlotSize

@@ -17,14 +17,16 @@ var ErrCancelled = errors.New("native: join cancelled")
 var ErrOverBudget = errors.New("native: partition pair over memory budget")
 
 // CancelError reports a join stopped by its context, with the partial
-// progress at the stop: how many partition pairs had fully joined, out
-// of how many, and the rows those complete pairs produced. Partial
+// progress at the stop: how many morsels — partition pairs, or the
+// probe page ranges of a streaming join — had fully joined, out of how
+// many, and the rows the complete pairs produced (0 for a stream). The
+// message says "partition pairs" for either kind; callers match on it. Partial
 // output is never returned through the Result; the counts exist for
 // diagnostics only.
 type CancelError struct {
 	Cause      error         // the context error (Canceled or DeadlineExceeded)
-	PairsDone  int           // partition pairs fully joined before the stop
-	PairsTotal int           // partition pairs the join planned
+	PairsDone  int           // morsels fully joined before the stop
+	PairsTotal int           // morsels the join planned
 	RowsOut    int           // rows produced by the completed pairs
 	Elapsed    time.Duration // join start to stop
 }

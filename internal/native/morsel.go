@@ -1,6 +1,8 @@
 package native
 
 import (
+	"context"
+
 	"hashjoin/internal/arena"
 	"hashjoin/internal/fault"
 )
@@ -40,8 +42,8 @@ func (jn *Joiner) worker(w int, data []byte, width int, cfg Config) *pairJoiner 
 // claimCheck is the cooperative gate a worker passes before claiming a
 // partition pair: cancellation first, then the worker failpoint (so
 // fault tests can kill one claim deterministically).
-func claimCheck(cfg Config) error {
-	if err := cfg.Ctx.Err(); err != nil {
+func claimCheck(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	return fault.Hit(fault.SiteMorselWorker)
@@ -85,18 +87,14 @@ func (jn *Joiner) joinPairs(data []byte, width int, cfg Config) (Result, error) 
 	for w := 0; w < workers; w++ {
 		js[w] = jn.worker(w, data, width, cfg)
 	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = localPool{}
-	}
-	err := pool.Do(&MorselJob{
+	err := RunMorsels(cfg.Pool, &MorselJob{
 		Tenant: cfg.Tenant,
 		Weight: cfg.Weight,
 		N:      n,
 		Slots:  workers,
 		Run: func(slot, i int) (err error) {
 			defer arena.RecoverOOM(&err)
-			if err = claimCheck(cfg); err != nil {
+			if err = claimCheck(cfg.Ctx); err != nil {
 				return err
 			}
 			var d int

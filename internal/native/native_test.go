@@ -111,7 +111,7 @@ func TestPartitionPreservesEntries(t *testing.T) {
 	pair := workload.Generate(a, spec)
 	data := a.Data()
 
-	flat := flatten(data, pair.Build, nil)
+	flat := Flatten(pair.Build, nil)
 	if len(flat) != pair.Build.NTuples {
 		t.Fatalf("flatten produced %d entries, want %d", len(flat), pair.Build.NTuples)
 	}

@@ -46,6 +46,15 @@ type Pool interface {
 	Do(job *MorselJob) error
 }
 
+// RunMorsels executes job on pool, or on goroutines of its own when
+// pool is nil.
+func RunMorsels(pool Pool, job *MorselJob) error {
+	if pool == nil {
+		pool = localPool{}
+	}
+	return pool.Do(job)
+}
+
 // localPool is the default Pool: one goroutine per slot, dedicated to
 // this job — the original per-query fan-out. With one slot the job runs
 // inline on the caller's goroutine.

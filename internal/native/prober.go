@@ -57,6 +57,20 @@ func NewTypedProber(data []byte, build []Entry, width int, jt plan.JoinType, sch
 	return p
 }
 
+// Fork returns fresh probe scratch over the same table with the same
+// semantics, for another goroutine of the same probe stream: a
+// right-outer fork marks the build rows it matches in p's bitmap (the
+// bits are set atomically), so one EmitUnmatchedBuild on p, after every
+// fork has finished, sweeps for the whole stream.
+func (p *Prober) Fork() *Prober {
+	j := newPairJoiner()
+	j.t, j.data, j.width = p.j.t, p.j.data, p.j.width
+	j.g, j.d = p.j.g, p.j.d
+	j.joinType = p.j.joinType
+	j.buildMatched = p.j.buildMatched
+	return &Prober{j: j, scheme: p.scheme}
+}
+
 // JoinType returns the prober's match semantics.
 func (p *Prober) JoinType() plan.JoinType { return p.j.joinType }
 

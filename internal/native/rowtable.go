@@ -77,10 +77,7 @@ type RowTable struct {
 // partition pairs. Capacities far above the new need are released, so
 // one skewed pair does not pin its peak allocation for the whole join.
 func (t *RowTable) Reset(nRows, width int, shift uint) {
-	if nRows < 1 {
-		nRows = 1
-	}
-	nb := 1 << uint(bits.Len(uint(nRows-1)))
+	nb := 1 << uint(bits.Len(uint(max(nRows, 1)-1)))
 	if nb <= cap(t.dir) && cap(t.dir) <= max(rowShrinkFactor*nb, rowDirFloor) {
 		t.dir = t.dir[:nb]
 		clear(t.dir)

@@ -101,15 +101,21 @@ func WithAggregation(valueOff, expectedGroups int) PipelineOption {
 }
 
 // WithPipelineFanout selects the native join strategy: 1 (default)
-// streams probe batches through one resident hash table; larger values
-// radix-partition both inputs (rounded up to a power of two) and join
-// under morsel-driven parallelism. The simulator backend ignores it.
+// streams the probe side through one resident hash table, built and
+// probed by the pipeline's workers together (the probe relation's page
+// ranges are the morsels they share); larger values radix-partition
+// both inputs (rounded up to a power of two) and the workers share the
+// partition pairs. Either way the order of the output rows is
+// unspecified. The simulator backend ignores it.
 func WithPipelineFanout(n int) PipelineOption {
 	return func(c *pipelineConfig) { c.fanout = n }
 }
 
-// WithPipelineWorkers bounds the native morsel worker pool (default
-// GOMAXPROCS).
+// WithPipelineWorkers bounds the native join's workers (default
+// GOMAXPROCS) at every fan-out: at fanout 1 the calling goroutine is one
+// of them — it probes beside n-1 background probers, over a table built
+// on n slots — and at larger fan-outs n pair joiners run behind it. On a
+// service Env it bounds the run's slots in the shared pool instead.
 func WithPipelineWorkers(n int) PipelineOption {
 	return func(c *pipelineConfig) { c.workers = n }
 }
@@ -224,8 +230,9 @@ type PipelineResult struct {
 	// produced: JoinFanout (the partition count the native join actually
 	// used, 1 for the streaming strategy), JoinRecursionDepth (how deep
 	// the budget degradation had to re-partition oversized pairs, 0:
-	// none), MorselsExecuted (partition-pair morsels the shared pool ran
-	// for the run), the spill tier's SpilledPartitions, SpillBytesWritten,
+	// none), MorselsExecuted (the morsels the run's workers shared:
+	// partition pairs, or at fanout 1 the page ranges the probe relation
+	// was cut into), the spill tier's SpilledPartitions, SpillBytesWritten,
 	// SpillBytesRead, SpillWriteStall, SpillReadStall, SpillFailovers and
 	// SpillRebuilds (all zero when everything fit in memory), and the
 	// hybrid policy's ResidentPartitions, DemotedPartitions and

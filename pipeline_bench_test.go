@@ -15,6 +15,7 @@ package hashjoin
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"runtime"
 	"sync"
@@ -105,6 +106,42 @@ func BenchmarkPipelineMorsel(b *testing.B) {
 	}
 }
 
+// runPipelineStreamOnce runs the bare streaming join (fanout 1, no
+// aggregate: the shape whose probe the workers share) with that many
+// workers, validated like its siblings.
+func runPipelineStreamOnce(tb testing.TB, workers int) time.Duration {
+	res, err := pipelineBenchEnv.RunPipeline(pipelineBenchBuild, pipelineBenchProbe,
+		WithEngine(EngineNative), WithPipelineScheme(Group),
+		WithPipelineFanout(1), WithPipelineWorkers(workers))
+	if err != nil {
+		tb.Fatalf("stream workers=%d: %v", workers, err)
+	}
+	if res.NOutput != pipelineBenchPair.ExpectedMatches || res.KeySum != pipelineBenchPair.KeySum {
+		tb.Fatalf("stream workers=%d: wrong result (%d, %d), want (%d, %d)",
+			workers, res.NOutput, res.KeySum,
+			pipelineBenchPair.ExpectedMatches, pipelineBenchPair.KeySum)
+	}
+	return res.Elapsed
+}
+
+// pipelineStreamWorkers is the parallel half of the stream pair: every
+// core, and at least two so the pair differs on a one-core host.
+func pipelineStreamWorkers() int { return max(2, runtime.GOMAXPROCS(0)) }
+
+// BenchmarkPipelineStream is the morsel-parallel streaming join against
+// itself on one worker: same build, same probe, same ring.
+func BenchmarkPipelineStream(b *testing.B) {
+	pipelineBenchRelations(b)
+	for _, workers := range []int{1, pipelineStreamWorkers()} {
+		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runPipelineStreamOnce(b, workers)
+			}
+		})
+	}
+}
+
 // pipelineTrajectory is the BENCH_pipeline.json document.
 type pipelineTrajectory struct {
 	NBuild      int  `json:"n_build"`
@@ -131,13 +168,20 @@ type pipelineTrajectory struct {
 	// partitioned at MorselFanout — in the same interleaved repetitions.
 	MorselFanout  int     `json:"morsel_fanout"`
 	MorselGroupMs float64 `json:"morsel_group_ms"`
+	// The BenchmarkPipelineStream pair — the bare streaming join (no
+	// aggregate) on one worker and on StreamWorkers — in the same
+	// interleaved repetitions.
+	StreamWorkers  int     `json:"stream_workers"`
+	StreamSerialMs float64 `json:"stream_serial_ms"`
+	StreamMs       float64 `json:"stream_ms"`
 }
 
 // pipelineMorselFanout is the morsel benchmarks' partition count.
 const pipelineMorselFanout = 64
 
 // BenchmarkPipelineSpeedup measures all three schemes end to end (and
-// Group once more over the morsel join), reports the pipeline wall-clock
+// Group once more over the morsel join, and the bare streaming join on
+// one worker and on every core), reports the pipeline wall-clock
 // speedups of Group and Pipelined over Baseline, and emits
 // BENCH_pipeline.json. Repetitions interleave the schemes so host drift
 // lands on all of them alike, and per-scheme medians are compared (see
@@ -145,17 +189,20 @@ const pipelineMorselFanout = 64
 func BenchmarkPipelineSpeedup(b *testing.B) {
 	pipelineBenchRelations(b)
 	const reps = 9
-	var base, grp, pipe, morsel time.Duration
+	var base, grp, pipe, morsel, stream1, streamN time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var bs, gs, ps, ms []time.Duration
+		var bs, gs, ps, ms, s1, sn []time.Duration
 		for rep := 0; rep < reps; rep++ {
 			bs = append(bs, runPipelineBenchOnce(b, Baseline, 1))
 			gs = append(gs, runPipelineBenchOnce(b, Group, 1))
 			ps = append(ps, runPipelineBenchOnce(b, Pipelined, 1))
 			ms = append(ms, runPipelineBenchOnce(b, Group, pipelineMorselFanout))
+			s1 = append(s1, runPipelineStreamOnce(b, 1))
+			sn = append(sn, runPipelineStreamOnce(b, pipelineStreamWorkers()))
 		}
 		base, grp, pipe, morsel = medianDuration(bs), medianDuration(gs), medianDuration(ps), medianDuration(ms)
+		stream1, streamN = medianDuration(s1), medianDuration(sn)
 	}
 	b.StopTimer()
 
@@ -173,6 +220,9 @@ func BenchmarkPipelineSpeedup(b *testing.B) {
 		PipelinedSpeedup: base.Seconds() / pipe.Seconds(),
 		MorselFanout:     pipelineMorselFanout,
 		MorselGroupMs:    float64(morsel.Microseconds()) / 1e3,
+		StreamWorkers:    pipelineStreamWorkers(),
+		StreamSerialMs:   float64(stream1.Microseconds()) / 1e3,
+		StreamMs:         float64(streamN.Microseconds()) / 1e3,
 	}
 	b.ReportMetric(traj.GroupSpeedup, "group-speedup")
 	b.ReportMetric(traj.PipelinedSpeedup, "pipelined-speedup")
