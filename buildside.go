@@ -34,9 +34,12 @@ func (b *BuildSide) Bytes() int { return b.bs.Bytes() }
 
 // PrepareBuildSide builds the native hash table over build once, for
 // reuse across queries via WithBuildSide. The build is concurrent:
-// morsel workers serialize disjoint ranges of the relation into the
-// row slab, then publish them into the shared bucket directory with
-// lock-free CAS. WithPipelineWorkers bounds the workers (default
+// morsel workers serialize disjoint page ranges of the relation into
+// the row slab and publish each row into the shared bucket directory
+// with lock-free CAS, in one pass. The table is never handed back for
+// recycling the way a query's own is: a prepared side has concurrent
+// probers the engine cannot see, so it lives until its last reference
+// is dropped. WithPipelineWorkers bounds the workers (default
 // GOMAXPROCS); WithPipelineScheme and WithPipelineParams select the
 // directory-prefetching strategy for the insert loop; WithTenant and
 // WithTenantWeight label the work for a service Env, where the build
@@ -81,8 +84,7 @@ func (e *Env) PrepareBuildSide(ctx context.Context, build *Relation, opts ...Pip
 		pool = e.svc.Pool()
 	}
 
-	entries := native.Flatten(rel, nil)
-	bs, err := native.BuildRows(rel.Arena().Data(), entries, rel.Schema.FixedWidth(), native.BuildConfig{
+	bs, err := native.BuildRelation(rel, rel.Schema.FixedWidth(), native.BuildConfig{
 		Scheme:  engine.NativeScheme(pc.scheme),
 		G:       pc.params.G,
 		D:       pc.params.D,

@@ -8,6 +8,7 @@ package hashjoin
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -154,5 +155,69 @@ func TestBuildSideValidation(t *testing.T) {
 	// PrepareBuildSide itself rejects the sim engine.
 	if _, err := env.PrepareBuildSide(ctx, w.Build, WithEngine(EngineSim)); err == nil {
 		t.Error("PrepareBuildSide accepted the sim engine")
+	}
+}
+
+// TestBuildSideSurvivesRecycling: a query's own table is handed back for
+// the next build to overwrite; a prepared side never is. After one query
+// over the handle, fifty queries that build and recycle tables of its
+// exact shape leave it intact — it still answers as it did.
+func TestBuildSideSurvivesRecycling(t *testing.T) {
+	env := NewEnv(WithSmallHierarchy(), WithCapacity(64<<20))
+	ctx := context.Background()
+	w, err := env.GenerateWorkload(ctx, 4000, 6000, 40, 9)
+	if err != nil {
+		t.Fatalf("GenerateWorkload: %v", err)
+	}
+	b, err := env.PrepareBuildSide(ctx, w.Build, WithPipelineWorkers(2))
+	if err != nil {
+		t.Fatalf("PrepareBuildSide: %v", err)
+	}
+	for i := 0; i <= 51; i++ {
+		opts := []PipelineOption{WithEngine(EngineNative), WithPipelineWorkers(2), WithJoinType(RightOuter)}
+		if i == 0 || i == 51 {
+			opts = append(opts, WithBuildSide(b))
+		}
+		got, err := env.RunPipeline(w.Build, w.Probe, opts...)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if got.NOutput != w.ExpectedMatches || got.KeySum != w.KeySum {
+			t.Fatalf("query %d (cached=%v) = (%d, %d), want (%d, %d)",
+				i, len(opts) == 4, got.NOutput, got.KeySum, w.ExpectedMatches, w.KeySum)
+		}
+	}
+}
+
+// TestRecycledTableAllocation: a streaming query repeated builds into
+// the table its predecessor handed back, so it allocates neither the row
+// slab nor the directory again — where every query used
+// to allocate (and zero) a table of the build side's size, 3.5 MiB here.
+func TestRecycledTableAllocation(t *testing.T) {
+	env := NewEnv(WithSmallHierarchy(), WithCapacity(64<<20))
+	w, err := env.GenerateWorkload(context.Background(), 30_000, 3000, 100, 5)
+	if err != nil {
+		t.Fatalf("GenerateWorkload: %v", err)
+	}
+	query := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := env.RunPipeline(w.Build, w.Probe, WithEngine(EngineNative), WithPipelineWorkers(2))
+		runtime.ReadMemStats(&after)
+		if err != nil || got.NOutput != w.ExpectedMatches || got.KeySum != w.KeySum {
+			t.Fatalf("query = (%d, %d, %v), want (%d, %d)", got.NOutput, got.KeySum, err, w.ExpectedMatches, w.KeySum)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// The least of eight: under the race detector sync.Pool.Put drops one
+	// object in four on purpose, and a query that follows a drop allocates
+	// its table like the first.
+	first, least := query(), ^uint64(0)
+	for i := 0; i < 8; i++ {
+		least = min(least, query())
+	}
+	if least > 512<<10 {
+		t.Fatalf("a repeated query allocated %d bytes at least (the first: %d); want under 512 KiB, a fraction of the table's %d",
+			least, first, 30_000*116)
 	}
 }

@@ -272,10 +272,11 @@ func checkHybridPoints(doc map[string]any) []error {
 
 // checkTablePoints validates the concurrent-build worker sweep: at
 // least one point, strictly ascending worker counts, and positive
-// build time and speedup at every count. Speedup must be positive, not
-// above one: on a single-core host the concurrent build legitimately
-// ties or loses to serial, and benchcheck gates shape, not hardware.
+// build time and speedup at every count. On a single-core host the
+// concurrent build legitimately ties or loses to serial; with two or
+// more cores, two or more workers must not lose to it.
 func checkTablePoints(doc map[string]any) []error {
+	procs, _ := num(doc["gomaxprocs"])
 	points, ok := doc["build_points"].([]any)
 	if !ok || len(points) == 0 {
 		return []error{fmt.Errorf("key %q missing or empty", "build_points")}
@@ -300,6 +301,9 @@ func checkTablePoints(doc map[string]any) []error {
 			if v, ok := num(pt[k]); !ok || v <= 0 {
 				errs = append(errs, fmt.Errorf("build_points[%d]: %s missing or non-positive", i, k))
 			}
+		}
+		if sp, _ := num(pt["speedup"]); procs >= 2 && w >= 2 && sp < 1 {
+			errs = append(errs, fmt.Errorf("build_points[%d]: speedup %v below 1.0 at %v workers on %v cores", i, sp, w, procs))
 		}
 	}
 	return errs

@@ -15,6 +15,7 @@ package hashjoin
 
 import (
 	"hashjoin/internal/arena"
+	"hashjoin/internal/engine"
 	"hashjoin/internal/native"
 	"hashjoin/internal/sched"
 	"hashjoin/internal/spill"
@@ -55,6 +56,11 @@ var (
 	// Env. The concrete error is a *AdmissionError carrying the reason;
 	// a queue-timeout shed also matches context.DeadlineExceeded.
 	ErrAdmission = sched.ErrAdmission
+
+	// ErrUnsupportedPlan classifies a plan the engine refuses to compile
+	// because no backend runs its shape correctly (today: a filter over
+	// a join's output). A usage-class error: nothing ran.
+	ErrUnsupportedPlan = engine.ErrUnsupportedPlan
 )
 
 // Typed errors for errors.As.

@@ -161,6 +161,9 @@ func ExitCodeFor(err error) int {
 	if errors.Is(err, arena.ErrOutOfMemory) || errors.Is(err, native.ErrOverBudget) {
 		return ExitMemory
 	}
+	if errors.Is(err, engine.ErrUnsupportedPlan) {
+		return ExitUsage
+	}
 	return ExitFailure
 }
 

@@ -290,6 +290,9 @@ func TestExitCodeFor(t *testing.T) {
 		// Spill unavailability is a retryable failure, not a memory-class
 		// one: the query was fine, the host's disks were not.
 		{"spill unavailable", spill.Unavailable("/a,/b", nil), ExitFailure},
+		// A refused plan shape is the caller's to fix: status=usage on the
+		// hjserve wire, never failure or internal.
+		{"unsupported plan", fmt.Errorf("%w: a filter over a hash join", engine.ErrUnsupportedPlan), ExitUsage},
 	}
 	for _, tc := range cases {
 		if got := ExitCodeFor(tc.err); got != tc.want {

@@ -516,18 +516,30 @@ func (n *Node) ScratchBytes(cfg Config, matchesPerProbe, aggRows int) uint64 {
 	return total
 }
 
+// ErrUnsupportedPlan classifies a well-formed plan no backend can run
+// correctly; Compile wraps it with the shape it refused.
+var ErrUnsupportedPlan = errors.New("engine: unsupported plan")
+
 // validatePlan checks cross-node invariants that only surface once the
 // whole tree is known. The load-bearing case: an aggregate's value
 // offset must land inside its child's output width, and semi/anti joins
 // narrow that width to the probe tuple alone — so an -agg offset that
 // was fine for an inner join can dangle off the end of a semi join's
 // rows. Catching it here turns a deep copy-out-of-bounds panic into a
-// usage error the CLI can map to its exit taxonomy.
+// usage error the CLI can map to its exit taxonomy. A filter directly
+// over a join is refused outright: a filter gathers one output batch
+// across several of its child's, and a join (either backend) recycles
+// the scratch its rows live in at every NextBatch, so the filter would
+// hand on rows already overwritten — until Compile owns batch lifetime.
 func validatePlan(n *Node) error {
 	if n == nil {
 		return nil
 	}
 	switch n.kind {
+	case filterNode:
+		if n.input.kind == joinNode {
+			return fmt.Errorf("%w: a filter over a hash join (filter the join's inputs instead)", ErrUnsupportedPlan)
+		}
 	case aggNode:
 		if w := n.input.Width(); n.valueOff+4 > w {
 			return fmt.Errorf("engine: aggregate value offset %d needs child width >= %d, have %d (semi/anti joins emit the probe tuple only)",

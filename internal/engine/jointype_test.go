@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -76,10 +77,9 @@ func TestBuildHandleTypedJoin(t *testing.T) {
 	spec := workload.Spec{NBuild: 300, TupleSize: 16, PctMatched: 60,
 		MatchRate: 0.5, NProbe: 700, Seed: 41}
 	pair, a, _ := testEnv(t, spec)
-	entries := native.Flatten(pair.Build, nil)
-	bs, err := native.BuildRows(a.Data(), entries, pair.Spec.TupleSize, native.BuildConfig{})
+	bs, err := native.BuildRelation(pair.Build, pair.Spec.TupleSize, native.BuildConfig{})
 	if err != nil {
-		t.Fatalf("BuildRows: %v", err)
+		t.Fatalf("BuildRelation: %v", err)
 	}
 	for _, jt := range plan.JoinTypes() {
 		p := HashJoinTyped(Scan(pair.Build), Scan(pair.Probe), jt)
@@ -135,5 +135,34 @@ func TestCompileStrategyValidation(t *testing.T) {
 	inner := HashAggregate(HashJoin(Scan(pair.Build), Scan(pair.Probe)), 20, 8)
 	if _, err := Compile(inner, Config{Backend: Native, A: a}); err != nil {
 		t.Fatalf("inner-join aggregate at offset 20 should compile: %v", err)
+	}
+}
+
+// TestCompileRejectsFilterOverJoin: a filter over a join's output would
+// hand on rows its child has already recycled (it gathers a batch across
+// several of the join's, and the join reuses its scratch at every one),
+// so neither backend compiles the shape; the error is typed. A filter
+// under the join is the supported spelling.
+func TestCompileRejectsFilterOverJoin(t *testing.T) {
+	spec := workload.Spec{NBuild: 50, TupleSize: 16, MatchesPerBuild: 1, Seed: 52}
+	pair, a, m := testEnv(t, spec)
+	join := HashJoin(Scan(pair.Build), Scan(pair.Probe))
+	over := Filter(join, KeyBetween(0, 1<<31))
+	under := HashJoin(Filter(Scan(pair.Build), KeyBetween(0, 1<<31)), Scan(pair.Probe))
+	for name, cfg := range map[string]Config{
+		"sim":    {Backend: Sim, Mem: m},
+		"native": {Backend: Native, A: a},
+	} {
+		for _, p := range []*Node{over, HashAggregate(over, 4, 50)} {
+			if _, err := Compile(p, cfg); !errors.Is(err, ErrUnsupportedPlan) {
+				t.Errorf("%s: Compile(filter over join) = %v, want ErrUnsupportedPlan", name, err)
+			}
+		}
+		if _, err := Execute(over, cfg); !errors.Is(err, ErrUnsupportedPlan) {
+			t.Errorf("%s: Execute(filter over join) = %v, want ErrUnsupportedPlan", name, err)
+		}
+		if _, err := Compile(under, cfg); err != nil {
+			t.Errorf("%s: a filter under the join should compile: %v", name, err)
+		}
 	}
 }

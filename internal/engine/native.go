@@ -262,6 +262,11 @@ type nativeHashJoin struct {
 	buildClosed bool
 	probeClosed bool
 
+	// built is the table Open built for this query alone, handed back
+	// for recycling at Close. A Config.Build handle is never stored
+	// here: it is shared, and may outlive any query.
+	built *native.BuildSide
+
 	// Hand-out: NextBatch serves win in windows of at most G rows. win is
 	// either a finished ring buffer's rows (last: the buffer, recycled
 	// after its final window) or pending, what the caller's own last
@@ -329,7 +334,7 @@ func (h *nativeHashJoin) Open() error {
 
 	if h.cfg.Build != nil {
 		// A pre-built immutable BuildSide replaces the whole build
-		// phase: the build child is never opened, nothing is flattened
+		// phase: the build child is never opened, nothing is serialized
 		// or inserted, and the table's memory is accounted to whoever
 		// owns the handle (the service's build cache), not this query's
 		// budget.
@@ -351,7 +356,7 @@ func (h *nativeHashJoin) Open() error {
 		native.BuildFootprint(rel.NTuples, h.buildWidth) > h.cfg.MemBudget {
 		return h.openMorsel(rel)
 	}
-	bs, err := native.BuildRows(h.data, native.Flatten(rel, nil), h.buildWidth, native.BuildConfig{
+	bs, err := native.BuildRelation(rel, h.buildWidth, native.BuildConfig{
 		Scheme: NativeScheme(h.cfg.Scheme), G: h.cfg.Params.G, D: h.cfg.Params.D,
 		Workers: h.cfg.workers(),
 		Pool:    h.cfg.Pool, Tenant: h.cfg.Tenant, Weight: h.cfg.Weight,
@@ -359,6 +364,7 @@ func (h *nativeHashJoin) Open() error {
 	if err != nil {
 		return err
 	}
+	h.built = bs
 	return h.openStream(bs)
 }
 
@@ -547,6 +553,14 @@ func (h *nativeHashJoin) writeMatch(dst arena.Addr, build []byte, pref uint64) R
 
 func (h *nativeHashJoin) Close() {
 	h.closeRing()
+	// Every background prober has returned and the caller probes no
+	// further, so nothing reads the table built here any more; rows
+	// handed out were copied off it by writeMatch.
+	h.probing, h.step, h.sweep = false, nil, nil
+	if h.built != nil {
+		h.built.Release()
+		h.built = nil
+	}
 	if !h.buildClosed {
 		h.buildChild.Close()
 		h.buildClosed = true

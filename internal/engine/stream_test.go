@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"hash/maphash"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"hashjoin/internal/arena"
@@ -16,6 +18,7 @@ import (
 	"hashjoin/internal/native"
 	"hashjoin/internal/plan"
 	"hashjoin/internal/storage"
+	"hashjoin/internal/workload"
 )
 
 // The morsel-parallel streaming join: every worker — the caller among
@@ -76,9 +79,9 @@ func TestParallelStreamParity(t *testing.T) {
 	a := arena.New(32 << 20)
 	build := keyedRelation(a, streamKeys(rng, 300, 200), 0xB)
 	buildTuples := relTuples(build)
-	bs, err := native.BuildRows(a.Data(), native.Flatten(build, nil), streamTuple, native.BuildConfig{Workers: 2})
+	bs, err := native.BuildRelation(build, streamTuple, native.BuildConfig{Workers: 2})
 	if err != nil {
-		t.Fatalf("BuildRows: %v", err)
+		t.Fatalf("BuildRelation: %v", err)
 	}
 
 	for _, nProbe := range []int{0, 1, 500, manyMorsels} {
@@ -278,4 +281,88 @@ func TestParallelStreamSkewOverflowsRing(t *testing.T) {
 			t.Fatalf("workers=%d: (%d, %d), want (%d, %d)", workers, r.NRows, r.KeySum, want, 42*uint64(want))
 		}
 	}
+}
+
+// rowsDigest identifies a multiset of rows without sorting it: the row
+// count and the sum of the rows' hashes.
+type rowsDigest struct {
+	n   int
+	sum uint64
+}
+
+var digestSeed = maphash.MakeSeed()
+
+func digestRows(rows [][]byte) rowsDigest {
+	d := rowsDigest{n: len(rows)}
+	for _, r := range rows {
+		d.sum += maphash.Bytes(digestSeed, r)
+	}
+	return d
+}
+
+// TestRecycledTableNeverShowsThrough: a join hands the table it built
+// back at Close and the next build, anybody's, overwrites it in place.
+// Two pipelines of different build widths and sizes — close enough that
+// each fits the other's slab — run 200 times back to back and 200 times
+// side by side, over every join type (right outer's sweep reads the
+// table last) and with every ninth run closed before it is drained;
+// each drained result is the reference multiset, so no neighbour's rows
+// and no stale chain ever shows.
+func TestRecycledTableNeverShowsThrough(t *testing.T) {
+	type pipeline struct {
+		a            *arena.Arena
+		build, probe *storage.Relation
+		want         map[plan.JoinType]rowsDigest
+	}
+	mk := func(seed int64, tuple, nBuild, nProbe int) *pipeline {
+		pair, a, _ := testEnv(t, workload.Spec{NBuild: nBuild, TupleSize: tuple, PctMatched: 60,
+			MatchRate: 0.5, NProbe: nProbe, Skew: 2, Seed: seed})
+		p := &pipeline{a: a, build: pair.Build, probe: pair.Probe, want: map[plan.JoinType]rowsDigest{}}
+		for _, jt := range plan.JoinTypes() {
+			p.want[jt] = digestRows(referenceRows(jt, relTuples(p.build), relTuples(p.probe)))
+		}
+		return p
+	}
+	run := func(p *pipeline, i int) {
+		jt := plan.JoinTypes()[i%len(plan.JoinTypes())]
+		cfg := nativeCfg(p.a, core.SchemeGroup, core.Params{}, 1)
+		cfg.Workers = 2
+		root, err := Compile(HashJoinTyped(Scan(p.build), Scan(p.probe), jt), cfg)
+		if err != nil {
+			t.Errorf("Compile: %v", err)
+			return
+		}
+		if i%9 == 4 {
+			if err := drainSome(t, root, p.a, 3, nil); err != nil {
+				t.Errorf("run %d, %v, closed early: %v", i, jt, err)
+			}
+			return
+		}
+		got, err := Collect(root, p.a)
+		if err != nil || digestRows(got) != p.want[jt] {
+			t.Errorf("run %d, %v, %d-byte build rows: %d rows (%v), reference %d (or same count, different rows)",
+				i, jt, p.build.Schema.FixedWidth(), len(got), err, p.want[jt].n)
+		}
+	}
+	// Above 1 024 build rows the build is cut over both workers, and a
+	// probe side of two morsels keeps a background prober on the table
+	// until Close stops it.
+	pipes := []*pipeline{mk(1, 16, 1100, 9000), mk(2, 40, 1300, 8500)}
+	const rounds = 200
+	for i := 0; i < rounds && !t.Failed(); i++ {
+		for _, p := range pipes {
+			run(p, i)
+		}
+	}
+	var wg sync.WaitGroup
+	for k, p := range pipes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds && !t.Failed(); i++ {
+				run(p, i+3*k) // out of step: different join types side by side
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -163,7 +163,18 @@ func TestCheckNoFiles(t *testing.T) {
 }
 
 func TestCheckGoroutines(t *testing.T) {
+	// Goroutines of the previous test may still be exiting, and a baseline
+	// that counts one reads "baseline + 1 live" as "baseline" once it is
+	// gone: take the baseline when two readings apart agree.
 	base := Goroutines()
+	for {
+		time.Sleep(5 * time.Millisecond)
+		n := Goroutines()
+		if n == base {
+			break
+		}
+		base = n
+	}
 	done := make(chan struct{})
 	go func() { <-done }()
 	ft := &fakeTB{}

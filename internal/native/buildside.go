@@ -1,15 +1,19 @@
 package native
 
 import (
+	"encoding/binary"
 	"runtime"
+	"sync"
 
+	"hashjoin/internal/arena"
 	"hashjoin/internal/plan"
+	"hashjoin/internal/storage"
 )
 
 // BuildSide is a finished, immutable row table packaged for reuse: build
 // once, probe from any number of goroutines. NewProber hands out
 // independent probe scratch over the shared table, which nothing
-// mutates after BuildRows returns — that immutability is the whole
+// mutates after BuildRelation returns — that immutability is the whole
 // contract, and what lets the multi-tenant service keep one resident
 // build side per pair and serve N concurrent queries without
 // rebuilding.
@@ -42,76 +46,89 @@ type BuildConfig struct {
 }
 
 // minBuildMorsel is the fewest rows worth a build morsel of their own:
-// below it the two pool round trips cost more than the rows.
+// below it the pool round trip costs more than the rows.
 const minBuildMorsel = 1024
 
-// BuildRows builds a row table over entries. A build of a single morsel
-// — one worker, or fewer than two morsels' worth of rows — is
-// RowTable.BuildSerial on the calling goroutine. Anything larger builds
-// concurrently, in two barrier-separated phases over the same contiguous
-// ranges:
+// tablePool holds the tables Release handed back, for BuildRelation to
+// build into: a query-lifetime table costs its successor no allocation
+// and no zeroing of a slab it overwrites anyway. sync.Pool drops a
+// table idle for two GC cycles, so the pool pins nothing.
+var tablePool sync.Pool
+
+// BuildRelation builds a row table over rel's tuples in one pass over
+// its pages; row i is the i-th tuple in storage order. The pages are cut
+// into one contiguous range per build slot, and each morsel serializes
+// its range's tuples and publishes them with a CAS on the bucket head
+// (RowTable.buildPages) — a worker reads only rows it wrote, so nothing
+// separates the two. A build of a single morsel — one worker, one page,
+// or fewer than two morsels' worth of rows — runs on the calling
+// goroutine with plain stores and never reaches the pool: RowTable.
+// BuildSerial's table, byte for byte. Chain order within a bucket of a
+// concurrent build depends on CAS timing, so that result equals a
+// serial build as a multiset of rows per bucket — the join-output
+// contract.
 //
-//  1. Serialize: each morsel materializes its rows (disjoint slab
-//     bytes, no coordination).
-//  2. Publish: each morsel links its rows into the shared directory
-//     with a CAS on the bucket head.
-//
-// The barrier between the phases (Pool.Do returns only after every
-// in-flight morsel finishes) is what makes phase 2's plain reads of
-// phase 1's writes safe. Chain order within a bucket depends on CAS
-// timing, so the result equals a serial build as a multiset of rows per
-// bucket — the join-output contract — not byte-for-byte.
-//
-// data must be the arena backing slice the entries' Refs point into;
-// width the build schema's fixed tuple width (>= 4: the leading uint32
-// join key). On error (cancellation through a shared pool, pool
+// width is the build schema's fixed tuple width (>= 4: the leading
+// uint32 join key). On error (cancellation through a shared pool, pool
 // shutdown) the partial table is abandoned and nil is returned.
-func BuildRows(data []byte, entries []Entry, width int, cfg BuildConfig) (*BuildSide, error) {
+func BuildRelation(rel *storage.Relation, width int, cfg BuildConfig) (*BuildSide, error) {
 	scfg := Config{Scheme: cfg.Scheme, G: cfg.G, D: cfg.D}.normalized()
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := len(entries)
-	nMorsels := min(workers, (n+minBuildMorsel-1)/minBuildMorsel)
+	data, np := rel.Arena().Data(), rel.NPages()
+	nMorsels := min(workers, (rel.NTuples+minBuildMorsel-1)/minBuildMorsel, np)
 
-	t := &RowTable{}
-	t.Reset(n, width, 0)
+	t, _ := tablePool.Get().(*RowTable)
+	if t == nil {
+		t = &RowTable{}
+	}
+	t.Reset(rel.NTuples, width, 0)
 	if nMorsels <= 1 {
-		// One owner: plain stores, no pool, no barrier — what a one-worker
-		// configuration or a tiny build pays is the serial build.
-		t.BuildSerial(data, entries, scfg.Scheme, scfg.G, scfg.D)
+		t.buildPages(data, rel.Pages, rel.PageSize, 0, scfg.Scheme, scfg.G, scfg.D, false)
 		return &BuildSide{t: t}, nil
 	}
-	chunk := (n + nMorsels - 1) / nMorsels
-	rangeOf := func(i int) (int, int) {
-		lo := i * chunk
-		return lo, min(lo+chunk, n)
-	}
-
-	serialize := func(_, i int) error {
-		lo, hi := rangeOf(i)
-		t.SerializeRange(data, entries, lo, hi)
-		return nil
-	}
-	publish := func(_, i int) error {
-		lo, hi := rangeOf(i)
-		t.InsertRange(lo, hi, scfg.Scheme, scfg.G, scfg.D)
-		return nil
-	}
-	for _, run := range []func(int, int) error{serialize, publish} {
-		err := RunMorsels(cfg.Pool, &MorselJob{
-			Tenant: cfg.Tenant,
-			Weight: cfg.Weight,
-			N:      nMorsels,
-			Slots:  workers,
-			Run:    run,
-		})
-		if err != nil {
-			return nil, err
+	// The row number of each morsel's first tuple: a prefix sum of the
+	// page headers' tuple counts.
+	per := (np + nMorsels - 1) / nMorsels
+	first := make([]int, 0, nMorsels)
+	row := 0
+	for i, page := range rel.Pages {
+		if i%per == 0 {
+			first = append(first, row)
 		}
+		row += int(binary.LittleEndian.Uint16(data[page-arena.Base:]))
+	}
+	err := RunMorsels(cfg.Pool, &MorselJob{
+		Tenant: cfg.Tenant,
+		Weight: cfg.Weight,
+		N:      len(first),
+		Slots:  workers,
+		Run: func(_, i int) error {
+			lo := i * per
+			t.buildPages(data, rel.Pages[lo:min(lo+per, np)], rel.PageSize, first[i], scfg.Scheme, scfg.G, scfg.D, true)
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &BuildSide{t: t}, nil
+}
+
+// Release hands the table's memory back for the next BuildRelation to
+// build into; b must not be used afterwards. Only the builder of a
+// table that lived for one query may call it, once every prober over b
+// has returned (the engine: at Close, after its background probers have
+// quiesced and the right-outer sweep has run). A handle that was shared
+// — cached, passed as a prebuilt side — is never released: its probers
+// belong to queries its builder cannot see, and dropping the last
+// reference frees it. No emit callback may keep the build bytes it was
+// handed past its return; after Release they are another query's rows.
+func (b *BuildSide) Release() {
+	tablePool.Put(b.t)
+	b.t = nil
 }
 
 // NewProber returns fresh probe scratch over the shared table. The

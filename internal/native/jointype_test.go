@@ -7,6 +7,7 @@ import (
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/plan"
+	"hashjoin/internal/storage"
 	"hashjoin/internal/workload"
 )
 
@@ -143,9 +144,13 @@ func TestSharedBuildSideTypedProbers(t *testing.T) {
 		missSum += uint64(e.Key)
 	}
 
-	bs, err := BuildRows(a.Data(), build, 8, BuildConfig{})
+	rel := storage.NewRelation(a, storage.KeyPayloadSchema(8), 4096)
+	for _, e := range build {
+		rel.Append(a.Bytes(e.Ref, 8), e.Code)
+	}
+	bs, err := BuildRelation(rel, 8, BuildConfig{})
 	if err != nil {
-		t.Fatalf("BuildRows: %v", err)
+		t.Fatalf("BuildRelation: %v", err)
 	}
 
 	type want struct {

@@ -1,14 +1,15 @@
 package native
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/hash"
+	"hashjoin/internal/storage"
 	"hashjoin/internal/workload"
 )
 
@@ -39,6 +40,41 @@ func bucketRows(t *RowTable) [][]string {
 		out[b] = rows
 	}
 	return out
+}
+
+// keysRelation appends one width-byte tuple per key — the key, then the
+// tuple's position when there is room — on pages of pageSize bytes, so
+// tests choose the page count and what row i must hold.
+func keysRelation(a *arena.Arena, keys []uint32, width, pageSize int) *storage.Relation {
+	schema := storage.MustSchema(storage.Column{Name: "key", Type: storage.TypeUint32})
+	if width > 4 {
+		schema = storage.KeyPayloadSchema(width)
+	}
+	rel := storage.NewRelation(a, schema, pageSize)
+	tup := make([]byte, width)
+	for i, k := range keys {
+		binary.LittleEndian.PutUint32(tup, k)
+		if width >= 8 {
+			binary.LittleEndian.PutUint32(tup[4:], uint32(i))
+		}
+		rel.Append(tup, hash.CodeU32(k))
+	}
+	return rel
+}
+
+// requireSameBuckets fails unless got holds want's rows, bucket by
+// bucket, as a multiset.
+func requireSameBuckets(t testing.TB, got, want *RowTable) {
+	t.Helper()
+	g, w := bucketRows(got), bucketRows(want)
+	if len(g) != len(w) {
+		t.Fatalf("directory sizes differ: %d vs %d", len(g), len(w))
+	}
+	for b := range w {
+		if !slices.Equal(g[b], w[b]) {
+			t.Fatalf("bucket %d: %d rows that differ from the serial build's %d", b, len(g[b]), len(w[b]))
+		}
+	}
 }
 
 func TestRowTableLookupOracle(t *testing.T) {
@@ -79,29 +115,15 @@ func TestConcurrentBuildMatchesSerial(t *testing.T) {
 	serial := &RowTable{}
 	serial.Reset(len(build), 24, 0)
 	serial.BuildSerial(data, build, Group, DefaultG, DefaultD)
-	want := bucketRows(serial)
 
 	for _, scheme := range []Scheme{Baseline, Group, Pipelined} {
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%v/workers%d", scheme, workers), func(t *testing.T) {
-				bs, err := BuildRows(data, build, 24, BuildConfig{Scheme: scheme, Workers: workers})
+				bs, err := BuildRelation(pair.Build, 24, BuildConfig{Scheme: scheme, Workers: workers})
 				if err != nil {
-					t.Fatalf("BuildRows: %v", err)
+					t.Fatalf("BuildRelation: %v", err)
 				}
-				got := bucketRows(bs.t)
-				if len(got) != len(want) {
-					t.Fatalf("directory sizes differ: %d vs %d", len(got), len(want))
-				}
-				for b := range want {
-					if len(got[b]) != len(want[b]) {
-						t.Fatalf("bucket %d: %d rows, serial has %d", b, len(got[b]), len(want[b]))
-					}
-					for i := range want[b] {
-						if got[b][i] != want[b][i] {
-							t.Fatalf("bucket %d row %d differs from serial build", b, i)
-						}
-					}
-				}
+				requireSameBuckets(t, bs.t, serial)
 
 				p := bs.NewProber(scheme, 0, 0)
 				for lo := 0; lo < len(probe); lo += p.G() {
@@ -122,10 +144,10 @@ func TestConcurrentBuildMatchesSerial(t *testing.T) {
 // independently reproduces the ground truth.
 func TestBuildSideSharedProbers(t *testing.T) {
 	spec := workload.Spec{NBuild: 5000, TupleSize: 20, MatchesPerBuild: 1, PctMatched: 100, Seed: 29}
-	data, build, probe, pair := buildEntriesFor(t, spec)
-	bs, err := BuildRows(data, build, 20, BuildConfig{Scheme: Group, Workers: 4})
+	_, _, probe, pair := buildEntriesFor(t, spec)
+	bs, err := BuildRelation(pair.Build, 20, BuildConfig{Scheme: Group, Workers: 4})
 	if err != nil {
-		t.Fatalf("BuildRows: %v", err)
+		t.Fatalf("BuildRelation: %v", err)
 	}
 
 	const streams = 8
@@ -200,7 +222,8 @@ func TestRowTableResetShrink(t *testing.T) {
 	}
 }
 
-// FuzzRowTableProbe drives the row-table build and LookupRows with
+// FuzzRowTableProbe drives both row-table builds — BuildSerial over
+// entries and the one-pass page build — and LookupRows with
 // fuzz-derived keys against a map oracle. Width-4 rows: the key is the
 // whole tuple.
 func FuzzRowTableProbe(f *testing.F) {
@@ -212,53 +235,53 @@ func FuzzRowTableProbe(f *testing.F) {
 			return
 		}
 		shift := uint(in[0] & 15)
-		in = in[1:]
-		keys := make([]uint32, 0, len(in)/4)
-		for len(in) >= 4 {
-			keys = append(keys, binary.LittleEndian.Uint32(in))
-			in = in[4:]
-		}
-		if len(keys) > 4096 {
-			keys = keys[:4096]
-		}
+		keys := fuzzKeys(in[1:])
 		nInsert := len(keys) / 2
 		if nInsert == 0 {
 			return
 		}
 
 		a := arena.New(1 << 20)
-		es := make([]Entry, nInsert)
+		rel := keysRelation(a, keys[:nInsert], 4, 64)
 		oracle := map[uint32]int{}
-		for i := 0; i < nInsert; i++ {
-			k := keys[i]
-			addr, err := a.TryAlloc(4, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			binary.LittleEndian.PutUint32(a.Bytes(addr, 4), k)
-			es[i] = Entry{Code: hash.CodeU32(k), Key: k, Ref: addr}
+		for _, k := range keys[:nInsert] {
 			oracle[k]++
 		}
-		tbl := &RowTable{}
-		tbl.Reset(nInsert, 4, shift)
-		tbl.BuildSerial(a.Data(), es, Pipelined, DefaultG, DefaultD)
+		serial, paged := &RowTable{}, &RowTable{}
+		serial.Reset(nInsert, 4, shift)
+		serial.BuildSerial(a.Data(), Flatten(rel, nil), Pipelined, DefaultG, DefaultD)
+		paged.Reset(nInsert, 4, shift)
+		paged.buildPages(a.Data(), rel.Pages, rel.PageSize, 0, Pipelined, DefaultG, DefaultD, true)
 		for _, k := range keys {
-			got := 0
-			tbl.LookupRows(hash.CodeU32(k), func(row []byte) {
-				if binary.LittleEndian.Uint32(row) == k {
-					got++
+			for name, tbl := range map[string]*RowTable{"BuildSerial": serial, "buildPages": paged} {
+				got := 0
+				tbl.LookupRows(hash.CodeU32(k), func(row []byte) {
+					if binary.LittleEndian.Uint32(row) == k {
+						got++
+					}
+				})
+				if got != oracle[k] {
+					t.Fatalf("%s, key %#x: %d matches, oracle says %d", name, k, got, oracle[k])
 				}
-			})
-			if got != oracle[k] {
-				t.Fatalf("key %#x: %d matches, oracle says %d", k, got, oracle[k])
 			}
 		}
 	})
 }
 
+// fuzzKeys reads up to 4096 little-endian keys off in.
+func fuzzKeys(in []byte) []uint32 {
+	keys := make([]uint32, 0, len(in)/4)
+	for len(in) >= 4 && len(keys) < 4096 {
+		keys = append(keys, binary.LittleEndian.Uint32(in))
+		in = in[4:]
+	}
+	return keys
+}
+
 // FuzzConcurrentBuildParity feeds fuzz-derived keys, worker counts, and
-// schemes through BuildRows and requires the result to equal the serial
-// build bucket-for-bucket as a row multiset.
+// schemes through BuildRelation, over pages of a few tuples each, and
+// requires the result to equal the serial build bucket-for-bucket as a
+// row multiset.
 func FuzzConcurrentBuildParity(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0})
 	f.Add([]byte{4, 2, 0xAA, 0xBB, 0xCC, 0xDD, 0xAA, 0xBB, 0xCC, 0xDD})
@@ -268,53 +291,21 @@ func FuzzConcurrentBuildParity(f *testing.F) {
 		}
 		workers := 1 + int(in[0]&7)
 		scheme := []Scheme{Baseline, Group, Pipelined}[int(in[1])%3]
-		in = in[2:]
-		keys := make([]uint32, 0, len(in)/4)
-		for len(in) >= 4 {
-			keys = append(keys, binary.LittleEndian.Uint32(in))
-			in = in[4:]
-		}
-		if len(keys) > 4096 {
-			keys = keys[:4096]
-		}
+		keys := fuzzKeys(in[2:])
 		if len(keys) == 0 {
 			return
 		}
 
 		a := arena.New(1 << 20)
-		es := make([]Entry, len(keys))
-		for i, k := range keys {
-			addr, err := a.TryAlloc(4, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			binary.LittleEndian.PutUint32(a.Bytes(addr, 4), k)
-			es[i] = Entry{Code: hash.CodeU32(k), Key: k, Ref: addr}
-		}
-		data := a.Data()
-
+		rel := keysRelation(a, keys, 4, 64)
 		serial := &RowTable{}
-		serial.Reset(len(es), 4, 0)
-		serial.BuildSerial(data, es, scheme, DefaultG, DefaultD)
-		want := bucketRows(serial)
+		serial.Reset(len(keys), 4, 0)
+		serial.BuildSerial(a.Data(), Flatten(rel, nil), scheme, DefaultG, DefaultD)
 
-		bs, err := BuildRows(data, es, 4, BuildConfig{Scheme: scheme, Workers: workers})
+		bs, err := BuildRelation(rel, 4, BuildConfig{Scheme: scheme, Workers: workers})
 		if err != nil {
-			t.Fatalf("BuildRows: %v", err)
+			t.Fatalf("BuildRelation: %v", err)
 		}
-		got := bucketRows(bs.t)
-		if len(got) != len(want) {
-			t.Fatalf("directory sizes differ: %d vs %d", len(got), len(want))
-		}
-		for b := range want {
-			if len(got[b]) != len(want[b]) {
-				t.Fatalf("bucket %d: %d rows, serial has %d", b, len(got[b]), len(want[b]))
-			}
-			for i := range want[b] {
-				if !bytes.Equal([]byte(got[b][i]), []byte(want[b][i])) {
-					t.Fatalf("bucket %d row %d differs from serial build", b, i)
-				}
-			}
-		}
+		requireSameBuckets(t, bs.t, serial)
 	})
 }

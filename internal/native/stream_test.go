@@ -2,12 +2,15 @@ package native
 
 import (
 	"context"
+	"encoding/binary"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/plan"
+	"hashjoin/internal/storage"
 	"hashjoin/internal/workload"
 )
 
@@ -42,25 +45,41 @@ type countingPool struct{ jobs int }
 
 func (p *countingPool) Do(job *MorselJob) error { p.jobs++; return localPool{}.Do(job) }
 
-// TestBuildRowsSingleMorselIsSerial: one worker, or a build too small to
-// cut in two, never reaches the pool — it is BuildSerial on the caller,
-// byte for byte — while a build worth cutting takes both pool phases.
-func TestBuildRowsSingleMorselIsSerial(t *testing.T) {
-	spec := workload.Spec{NBuild: 6000, TupleSize: 24, MatchesPerBuild: 1, Seed: 4, Skew: 4}
-	data, build, _, _ := buildEntriesFor(t, spec)
+// TestBuildRelationSingleMorselIsSerial: one worker, one page, or a
+// build too small to cut in two, never reaches the pool — it is
+// BuildSerial on the caller, byte for byte — while a build worth cutting
+// is one pool job: serialize and publish share a pass.
+func TestBuildRelationSingleMorselIsSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	keys := make([]uint32, 6000)
+	for i := range keys {
+		keys[i] = 1 + uint32(rng.Intn(1500))
+	}
+	a := arena.New(4 << 20)
 	for _, tc := range []struct {
-		name    string
-		entries []Entry
-		workers int
-		jobs    int
+		name     string
+		rel      *storage.Relation
+		workers  int
+		jobs     int
+		recycled bool
 	}{
-		{"one worker", build, 1, 0},
-		{"tiny build", build[:minBuildMorsel], 4, 0},
-		{"empty build", nil, 4, 0},
-		{"four workers", build, 4, 2},
+		{"one worker", keysRelation(a, keys, 24, 4096), 1, 0, false},
+		{"tiny build", keysRelation(a, keys[:minBuildMorsel], 24, 4096), 4, 0, false},
+		{"one page", keysRelation(a, keys[:1500], 24, 60_000), 4, 0, false},
+		{"empty build", keysRelation(a, nil, 24, 4096), 4, 0, false},
+		{"into a recycled slab", keysRelation(a, keys[:5000], 24, 4096), 1, 0, true},
+		{"four workers", keysRelation(a, keys, 24, 4096), 4, 1, false},
 	} {
+		if tc.recycled {
+			// A released table of another shape, full of another build's rows.
+			old, err := BuildRelation(keysRelation(a, keys, 32, 4096), 32, BuildConfig{Workers: 1})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			old.Release()
+		}
 		pool := &countingPool{}
-		bs, err := BuildRows(data, tc.entries, 24, BuildConfig{Scheme: Group, Workers: tc.workers, Pool: pool})
+		bs, err := BuildRelation(tc.rel, 24, BuildConfig{Scheme: Group, Workers: tc.workers, Pool: pool})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -69,10 +88,68 @@ func TestBuildRowsSingleMorselIsSerial(t *testing.T) {
 		}
 		if tc.jobs == 0 {
 			serial := &RowTable{}
-			serial.Reset(len(tc.entries), 24, 0)
-			serial.BuildSerial(data, tc.entries, Group, DefaultG, DefaultD)
+			serial.Reset(tc.rel.NTuples, 24, 0)
+			serial.BuildSerial(a.Data(), Flatten(tc.rel, nil), Group, DefaultG, DefaultD)
 			if !slices.Equal(bs.t.rows, serial.rows) || !slices.Equal(bs.t.dir, serial.dir) {
 				t.Errorf("%s: table differs from BuildSerial's", tc.name)
+			}
+		}
+	}
+}
+
+// TestBuildRelationPageRanges is the parity proof of the one-pass build:
+// for every scheme and worker count, over relations whose pages number
+// none, one, fewer than the workers, and a count the workers do not
+// divide — each ending in a page of one tuple — row i is the i-th tuple
+// in storage order (what the right-outer bitmap indexes by), and the
+// table holds BuildSerial's rows, bucket by bucket, as a multiset.
+func TestBuildRelationPageRanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	keys := make([]uint32, 6000)
+	for i := range keys {
+		keys[i] = 1 + uint32(rng.Intn(2000)) // chains
+	}
+	const width = 8 // 16 bytes a tuple with its slot
+	perPage := func(pageSize int) int { return storage.CapacityFor(pageSize, width) }
+	for _, tc := range []struct {
+		name            string
+		n, pageSize, np int
+	}{
+		{"no pages", 0, 4096, 0},
+		{"one page", 3000, 60_000, 1},
+		{"three pages", 2*perPage(32<<10) + 1, 32 << 10, 3},
+		{"seven pages", 6*perPage(8<<10) + 1, 8 << 10, 7},
+		{"many small pages", 5000, 512, (5000 + perPage(512) - 1) / perPage(512)},
+	} {
+		a := arena.New(1 << 20)
+		rel := keysRelation(a, keys[:tc.n], width, tc.pageSize)
+		if rel.NPages() != tc.np {
+			t.Fatalf("%s: %d pages, the case wants %d", tc.name, rel.NPages(), tc.np)
+		}
+		entries := Flatten(rel, nil)
+		serial := &RowTable{}
+		serial.Reset(tc.n, width, 0)
+		serial.BuildSerial(a.Data(), entries, Group, DefaultG, DefaultD)
+
+		for _, scheme := range []Scheme{Baseline, Group, Pipelined} {
+			for _, workers := range []int{1, 2, 4} {
+				bs, err := BuildRelation(rel, width, BuildConfig{Scheme: scheme, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s %v workers=%d: %v", tc.name, scheme, workers, err)
+				}
+				if bs.NRows() != tc.n {
+					t.Fatalf("%s %v workers=%d: %d rows, want %d", tc.name, scheme, workers, bs.NRows(), tc.n)
+				}
+				for i, e := range entries {
+					off := bs.t.rowOff(i)
+					row := bs.t.rows[off+rowNullOff : off+uint64(bs.t.rowSize)]
+					if binary.LittleEndian.Uint32(row) != 0 || binary.LittleEndian.Uint32(row[4:]) != e.Code ||
+						binary.LittleEndian.Uint32(row[8:]) != e.Key || binary.LittleEndian.Uint32(row[12:]) != uint32(i) {
+						t.Fatalf("%s %v workers=%d: row %d is not the %d-th tuple in storage order", tc.name, scheme, workers, i, i)
+					}
+				}
+				requireSameBuckets(t, bs.t, serial)
+				bs.Release() // the next build overwrites this one's slab
 			}
 		}
 	}
@@ -83,10 +160,10 @@ func TestBuildRowsSingleMorselIsSerial(t *testing.T) {
 // right-outer bitmap is everyone's, and the sweep runs once.
 func TestProbeStreamWorkersShareMorsels(t *testing.T) {
 	spec := workload.Spec{NBuild: 3000, TupleSize: 16, PctMatched: 60, MatchRate: 0.5, NProbe: 40_000, Seed: 5}
-	data, build, _, pair := buildEntriesFor(t, spec)
-	bs, err := BuildRows(data, build, 16, BuildConfig{Workers: 2})
+	_, _, _, pair := buildEntriesFor(t, spec)
+	bs, err := BuildRelation(pair.Build, 16, BuildConfig{Workers: 2})
 	if err != nil {
-		t.Fatalf("BuildRows: %v", err)
+		t.Fatalf("BuildRelation: %v", err)
 	}
 	for _, jt := range plan.JoinTypes() {
 		wantN, _ := pair.Expected(jt)

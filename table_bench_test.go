@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"hashjoin/internal/native"
+	"hashjoin/internal/storage"
 )
 
 const (
@@ -42,28 +43,37 @@ func tableBenchSetup(tb testing.TB) {
 	})
 }
 
-// timeSerialBuild times one single-goroutine BuildSerial over the
-// workload's build relation, the baseline every concurrent point is
-// normalized against.
-func timeSerialBuild(entries []native.Entry, data []byte, width int) time.Duration {
-	t := &native.RowTable{}
-	t.Reset(len(entries), width, 0)
+// serialBuild is the single-goroutine baseline every concurrent point is
+// normalized against: the relation flattened into entries, then
+// BuildSerial over them, into a table and an entry array it keeps from
+// one build to the next — the same footing as BuildRelation, which
+// starts from the relation too and builds into a recycled table.
+type serialBuild struct {
+	t       native.RowTable
+	entries []native.Entry
+}
+
+func (s *serialBuild) time(rel *storage.Relation, width int) time.Duration {
 	start := time.Now()
-	t.BuildSerial(data, entries, native.Group, native.DefaultG, native.DefaultD)
+	s.entries = native.Flatten(rel, s.entries)
+	s.t.Reset(len(s.entries), width, 0)
+	s.t.BuildSerial(rel.Arena().Data(), s.entries, native.Group, native.DefaultG, native.DefaultD)
 	return time.Since(start)
 }
 
-// timeConcurrentBuild times one BuildRows (serialize + CAS publish)
-// at the given worker count.
-func timeConcurrentBuild(tb testing.TB, entries []native.Entry, data []byte, width, workers int) time.Duration {
+// timeConcurrentBuild times one BuildRelation (one pass: serialize and
+// CAS-publish page ranges) at the given worker count, and hands the
+// table back as the engine does at the end of a query.
+func timeConcurrentBuild(tb testing.TB, rel *storage.Relation, width, workers int) time.Duration {
 	start := time.Now()
-	bs, err := native.BuildRows(data, entries, width, native.BuildConfig{
+	bs, err := native.BuildRelation(rel, width, native.BuildConfig{
 		Scheme: native.Group, Workers: workers,
 	})
 	elapsed := time.Since(start)
-	if err != nil || bs.NRows() != len(entries) {
-		tb.Fatalf("BuildRows(workers=%d) = (%v, %v)", workers, bs, err)
+	if err != nil || bs.NRows() != rel.NTuples {
+		tb.Fatalf("BuildRelation(workers=%d) = (%v, %v)", workers, bs, err)
 	}
+	bs.Release()
 	return elapsed
 }
 
@@ -101,8 +111,8 @@ type tableTrajectory struct {
 	GOMAXPROCS  int     `json:"gomaxprocs"`
 	PrefetchASM bool    `json:"prefetch_asm"`
 	SerialMs    float64 `json:"serial_build_ms"`
-	// Concurrent two-phase build (serialize ranges, CAS publish) at
-	// rising worker counts.
+	// Concurrent one-pass build (serialize and CAS-publish page ranges)
+	// at rising worker counts.
 	BuildPoints []tableBuildPoint `json:"build_points"`
 	// One full streaming query that rebuilds the table, vs the same
 	// query probing a resident BuildSide.
@@ -118,9 +128,8 @@ type tableTrajectory struct {
 func BenchmarkTableBuild(b *testing.B) {
 	tableBenchSetup(b)
 	rel := tableBenchW.Build.rel
-	data := rel.Arena().Data()
 	width := rel.Schema.FixedWidth()
-	entries := native.Flatten(rel, nil)
+	var sb serialBuild
 	workerLevels := []int{1, 2, 4}
 
 	cached, err := tableBenchEnv.PrepareBuildSide(context.Background(), tableBenchW.Build)
@@ -129,8 +138,8 @@ func BenchmarkTableBuild(b *testing.B) {
 	}
 
 	// Untimed warmup of every measured path.
-	timeSerialBuild(entries, data, width)
-	timeConcurrentBuild(b, entries, data, width, workerLevels[len(workerLevels)-1])
+	sb.time(rel, width)
+	timeConcurrentBuild(b, rel, width, workerLevels[len(workerLevels)-1])
 	runTableQuery(b, nil)
 	runTableQuery(b, cached)
 
@@ -146,9 +155,9 @@ func BenchmarkTableBuild(b *testing.B) {
 			builds[j] = builds[j][:0]
 		}
 		for rep := 0; rep < reps; rep++ {
-			serial = append(serial, timeSerialBuild(entries, data, width))
+			serial = append(serial, sb.time(rel, width))
 			for j, wkr := range workerLevels {
-				builds[j] = append(builds[j], timeConcurrentBuild(b, entries, data, width, wkr))
+				builds[j] = append(builds[j], timeConcurrentBuild(b, rel, width, wkr))
 			}
 			rebuild = append(rebuild, runTableQuery(b, nil))
 			probeCached = append(probeCached, runTableQuery(b, cached))
