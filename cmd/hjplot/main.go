@@ -1,25 +1,13 @@
 // Command hjplot renders an experiment's first series as ASCII bar
 // charts, a quick visual check of the curve shapes the paper reports
-// (concave tuning curves, crossovers, flattening elapsed times). It
-// also plots measured trajectories: BENCH_table.json (the
-// concurrent-build worker sweep against the serial baseline, and the
-// rebuild-per-query join against the cached-BuildSide one) and
-// BENCH_hybrid.json (spill I/O volume and wall clock of the adaptive
-// hybrid policy against the spill-everything tier across Zipf skew
-// levels) and BENCH_join.json (the strategy-crossover calibration the
-// cost-based planner's pinned defaults come from). The trajectory kind
-// is detected from the document shape.
+// (concave tuning curves, crossovers, flattening elapsed times).
 //
 // Usage:
 //
 //	hjplot -fig fig12 [-scale tiny]
-//	hjplot -bench BENCH_table.json
-//	hjplot -bench BENCH_hybrid.json
-//	hjplot -bench BENCH_join.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -44,7 +32,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		fig   = fs.String("fig", "", "experiment id (see hjbench -list)")
-		bench = fs.String("bench", "", "plot a measured trajectory instead (path to BENCH_table.json)")
 		scale = fs.String("scale", "tiny", "scale: tiny, small, or full")
 		width = fs.Int("width", 60, "max bar width in characters (1..400)")
 	)
@@ -55,24 +42,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "hjplot: unexpected arguments: %v\n", fs.Args())
 		return cli.ExitUsage
 	}
-	if (*fig == "") == (*bench == "") {
-		fmt.Fprintf(stderr, "hjplot: exactly one of -fig (one of %s) or -bench is required\n", strings.Join(exp.IDs(), ", "))
+	if *fig == "" {
+		fmt.Fprintf(stderr, "hjplot: -fig is required (one of %s)\n", strings.Join(exp.IDs(), ", "))
 		return cli.ExitUsage
 	}
 	if *width < 1 || *width > 400 {
 		fmt.Fprintf(stderr, "hjplot: -width %d out of range [1, 400]\n", *width)
 		return cli.ExitUsage
-	}
-	if *bench != "" {
-		tables, err := benchCharts(*bench)
-		if err != nil {
-			fmt.Fprintf(stderr, "hjplot: %v\n", err)
-			return cli.ExitFailure
-		}
-		for _, t := range tables {
-			plot(stdout, t, *width)
-		}
-		return cli.ExitOK
 	}
 	sc, ok := exp.ByName(*scale)
 	if !ok {
@@ -88,161 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		plot(stdout, t, *width)
 	}
 	return cli.ExitOK
-}
-
-// benchCharts loads a measured trajectory and dispatches on its shape:
-// a document carrying zipf_keys is the hybrid skew sweep, one carrying
-// nested_loop_crossover_rows is the strategy-crossover calibration,
-// anything else is parsed as a table trajectory.
-func benchCharts(path string) ([]*exp.Table, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var kind struct {
-		ZipfKeys    int `json:"zipf_keys"`
-		NLCrossRows int `json:"nested_loop_crossover_rows"`
-	}
-	if err := json.Unmarshal(raw, &kind); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	if kind.ZipfKeys > 0 {
-		return hybridCharts(path, raw)
-	}
-	if kind.NLCrossRows > 0 {
-		return joinCharts(path, raw)
-	}
-	return benchTables(path, raw)
-}
-
-// joinCharts shapes a BENCH_join.json calibration into two charts: the
-// nested-loop-vs-stream sweep over build-side row counts and the
-// stream-vs-partitioned sweep over build footprints.
-func joinCharts(path string, raw []byte) ([]*exp.Table, error) {
-	var doc struct {
-		NProbe      int `json:"n_probe"`
-		TupleSize   int `json:"tuple_size"`
-		NLCrossRows int `json:"nested_loop_crossover_rows"`
-		NLPoints    []struct {
-			BuildRows    int     `json:"build_rows"`
-			NestedLoopMs float64 `json:"nested_loop_ms"`
-			StreamMs     float64 `json:"stream_ms"`
-		} `json:"nested_loop_points"`
-		PCrossBytes int `json:"partition_crossover_bytes"`
-		PPoints     []struct {
-			BuildBytes    float64 `json:"build_bytes"`
-			StreamMs      float64 `json:"stream_ms"`
-			PartitionedMs float64 `json:"partitioned_ms"`
-		} `json:"partition_points"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	if len(doc.NLPoints) == 0 || len(doc.PPoints) == 0 {
-		return nil, fmt.Errorf("%s: not a join calibration (empty nested_loop_points / partition_points)", path)
-	}
-	nl := &exp.Table{
-		ID:       "join-nl",
-		Title:    fmt.Sprintf("nested loop vs stream hash, %d probe rows x %dB (pinned crossover %d rows)", doc.NProbe, doc.TupleSize, doc.NLCrossRows),
-		RowLabel: "build rows",
-		Columns:  []string{"nested_loop_ms", "stream_ms"},
-	}
-	for _, p := range doc.NLPoints {
-		nl.AddRow(fmt.Sprintf("%d rows", p.BuildRows), p.NestedLoopMs, p.StreamMs)
-	}
-	part := &exp.Table{
-		ID:       "join-partition",
-		Title:    fmt.Sprintf("stream vs partitioned hash by build footprint (pinned crossover %d KiB)", doc.PCrossBytes/1024),
-		RowLabel: "build KiB",
-		Columns:  []string{"stream_ms", "partitioned_ms"},
-	}
-	for _, p := range doc.PPoints {
-		part.AddRow(fmt.Sprintf("%.0f KiB", p.BuildBytes/1024), p.StreamMs, p.PartitionedMs)
-	}
-	return []*exp.Table{nl, part}, nil
-}
-
-// hybridCharts shapes a BENCH_hybrid.json trajectory into two charts:
-// spill I/O volume and wall clock, each comparing the spill-everything
-// tier against the hybrid policy at every Zipf skew level.
-func hybridCharts(path string, raw []byte) ([]*exp.Table, error) {
-	var doc struct {
-		NBuild    int `json:"n_build"`
-		TupleSize int `json:"tuple_size"`
-		Points    []struct {
-			Zipf            float64 `json:"zipf"`
-			SpillIOBytes    float64 `json:"spill_io_bytes"`
-			HybridIOBytes   float64 `json:"hybrid_io_bytes"`
-			SpillElapsedMs  float64 `json:"spill_elapsed_ms"`
-			HybridElapsedMs float64 `json:"hybrid_elapsed_ms"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	if len(doc.Points) == 0 {
-		return nil, fmt.Errorf("%s: not a hybrid trajectory (empty points)", path)
-	}
-	vol := &exp.Table{
-		ID:       "hybrid-io",
-		Title:    fmt.Sprintf("spill I/O, spill-everything vs hybrid, %d tuples x %dB", doc.NBuild, doc.TupleSize),
-		RowLabel: "zipf s",
-		Columns:  []string{"spill_io_kb", "hybrid_io_kb"},
-	}
-	clock := &exp.Table{
-		ID:       "hybrid-ms",
-		Title:    "join wall clock, spill-everything vs hybrid",
-		RowLabel: "zipf s",
-		Columns:  []string{"spill_ms", "hybrid_ms"},
-	}
-	for _, p := range doc.Points {
-		label := fmt.Sprintf("zipf %.1f", p.Zipf)
-		vol.AddRow(label, p.SpillIOBytes/1024, p.HybridIOBytes/1024)
-		clock.AddRow(label, p.SpillElapsedMs, p.HybridElapsedMs)
-	}
-	return []*exp.Table{vol, clock}, nil
-}
-
-// benchTables shapes a BENCH_table.json trajectory into plot's table
-// form: one chart for the build-worker sweep (serial baseline first)
-// and one for rebuild-vs-cached probe time.
-func benchTables(path string, raw []byte) ([]*exp.Table, error) {
-	var doc struct {
-		NBuild      int     `json:"n_build"`
-		TupleSize   int     `json:"tuple_size"`
-		SerialMs    float64 `json:"serial_build_ms"`
-		BuildPoints []struct {
-			Workers int     `json:"workers"`
-			BuildMs float64 `json:"build_ms"`
-		} `json:"build_points"`
-		ProbeRebuildMs float64 `json:"probe_rebuild_ms"`
-		ProbeCachedMs  float64 `json:"probe_cached_ms"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	if len(doc.BuildPoints) == 0 || doc.SerialMs <= 0 || doc.ProbeCachedMs <= 0 {
-		return nil, fmt.Errorf("%s: not a table trajectory (missing build_points / serial_build_ms / probe_cached_ms)", path)
-	}
-	build := &exp.Table{
-		ID:       "table-build",
-		Title:    fmt.Sprintf("row-table build, %d tuples x %dB", doc.NBuild, doc.TupleSize),
-		RowLabel: "build path",
-		Columns:  []string{"build_ms"},
-	}
-	build.AddRow("serial", doc.SerialMs)
-	for _, p := range doc.BuildPoints {
-		build.AddRow(fmt.Sprintf("%d workers", p.Workers), p.BuildMs)
-	}
-	probe := &exp.Table{
-		ID:       "table-probe",
-		Title:    "streaming query: rebuild vs cached build side",
-		RowLabel: "build source",
-		Columns:  []string{"query_ms"},
-	}
-	probe.AddRow("rebuild", doc.ProbeRebuildMs)
-	probe.AddRow("cached", doc.ProbeCachedMs)
-	return []*exp.Table{build, probe}, nil
 }
 
 func plot(w io.Writer, t *exp.Table, width int) {

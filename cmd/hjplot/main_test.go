@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -19,8 +17,9 @@ func TestRunFlagValidation(t *testing.T) {
 		args    []string
 		wantMsg string
 	}{
-		{"no fig", nil, "exactly one of -fig"},
-		{"fig and bench", []string{"-fig", "fig12", "-bench", "BENCH_table.json"}, "exactly one of -fig"},
+		{"no fig", nil, "-fig is required"},
+		// The retired trajectory mode's flag is refused, not ignored.
+		{"fig and bench", []string{"-fig", "fig12", "-bench", "x.json"}, "flag provided but not defined: -bench"},
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
 		{"positional junk", []string{"-fig", "fig12", "extra"}, "unexpected arguments"},
 		{"unknown fig", []string{"-fig", "fig99"}, `unknown experiment "fig99"`},
@@ -57,100 +56,5 @@ func TestRunRendersChart(t *testing.T) {
 	out := stdout.String()
 	if !strings.Contains(out, "==") || !strings.Contains(out, "#") {
 		t.Fatalf("no chart in output:\n%s", out)
-	}
-}
-
-// TestRunRendersBenchTrajectory checks the -bench mode over a
-// well-formed table trajectory: both charts render, labeled with the
-// sweep's worker counts and the rebuild/cached pair.
-func TestRunRendersBenchTrajectory(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_table.json")
-	doc := `{
-		"n_build": 60000, "tuple_size": 40, "serial_build_ms": 4.7,
-		"build_points": [
-			{"workers": 1, "build_ms": 4.8},
-			{"workers": 2, "build_ms": 2.6},
-			{"workers": 4, "build_ms": 1.5}
-		],
-		"probe_rebuild_ms": 23.5, "probe_cached_ms": 16.6
-	}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-bench", path, "-width", "20"}, &stdout, &stderr)
-	if code != cli.ExitOK {
-		t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())
-	}
-	out := stdout.String()
-	for _, want := range []string{"table-build", "table-probe", "serial", "4 workers", "rebuild", "cached"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("chart lacks %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestRunRendersHybridTrajectory checks the -bench mode detects the
-// hybrid skew sweep by shape and renders both comparison charts with
-// Zipf-labeled rows.
-func TestRunRendersHybridTrajectory(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_hybrid.json")
-	doc := `{
-		"n_build": 16384, "tuple_size": 64, "zipf_keys": 1024,
-		"points": [
-			{"zipf": 0.5, "spill_io_bytes": 57344, "hybrid_io_bytes": 16384,
-			 "spill_elapsed_ms": 4.1, "hybrid_elapsed_ms": 3.2},
-			{"zipf": 1.0, "spill_io_bytes": 335872, "hybrid_io_bytes": 106496,
-			 "spill_elapsed_ms": 6.8, "hybrid_elapsed_ms": 4.9}
-		]
-	}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-bench", path, "-width", "20"}, &stdout, &stderr)
-	if code != cli.ExitOK {
-		t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())
-	}
-	out := stdout.String()
-	for _, want := range []string{"hybrid-io", "hybrid-ms", "zipf 0.5", "zipf 1.0", "spill_io_kb", "hybrid_io_kb"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("chart lacks %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestRunBenchErrors pins the failure paths: a missing file and a JSON
-// document of the wrong shape both exit with the runtime-failure code
-// and a diagnostic, never a partial chart.
-func TestRunBenchErrors(t *testing.T) {
-	wrongShape := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := os.WriteFile(wrongShape, []byte(`{"points": []}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	emptyHybrid := filepath.Join(t.TempDir(), "BENCH_hybrid.json")
-	if err := os.WriteFile(emptyHybrid, []byte(`{"zipf_keys": 1024, "points": []}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name, path, wantMsg string
-	}{
-		{"missing file", filepath.Join(t.TempDir(), "nope.json"), "no such file"},
-		{"wrong shape", wrongShape, "not a table trajectory"},
-		{"empty hybrid sweep", emptyHybrid, "not a hybrid trajectory"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			code := run([]string{"-bench", tc.path}, &stdout, &stderr)
-			if code != cli.ExitFailure {
-				t.Fatalf("exit code = %d, want %d (stderr: %s)", code, cli.ExitFailure, stderr.String())
-			}
-			if !strings.Contains(stderr.String(), tc.wantMsg) {
-				t.Fatalf("stderr %q does not mention %q", stderr.String(), tc.wantMsg)
-			}
-			if stdout.Len() != 0 {
-				t.Fatalf("partial chart rendered on an error: %q", stdout.String())
-			}
-		})
 	}
 }

@@ -2,12 +2,12 @@ package hashjoin
 
 // The package's error taxonomy, re-exported from the internal layers so
 // callers can classify failures at the Env boundary with errors.Is /
-// errors.As without importing internal packages. Every error an Env or
-// NativeJoiner method returns matches exactly one of the sentinel
-// classes below (or none, for plain configuration errors), and the
-// typed errors carry the diagnosis: what was exhausted, which pair was
-// over budget, how much work a cancelled join completed, or which spill
-// page was corrupt.
+// errors.As without importing internal packages. Every error an Env
+// method returns matches exactly one of the sentinel classes below (or
+// none, for plain configuration errors), and the typed errors carry
+// the diagnosis: what was exhausted, which pair was over budget, how
+// much work a cancelled join completed, or which spill page was
+// corrupt.
 //
 // Cancellation composes with the standard library: a join cancelled
 // through a context matches both ErrCancelled and the context's own
@@ -29,8 +29,8 @@ var (
 	ErrOutOfMemory = arena.ErrOutOfMemory
 
 	// ErrOverBudget classifies a partition pair that no partitioning
-	// could bring under the memory budget, under WithNativeNoSpill /
-	// WithPipelineNoSpill. The concrete error is a *BudgetError.
+	// could bring under the memory budget, under WithPipelineNoSpill.
+	// The concrete error is a *BudgetError.
 	ErrOverBudget = native.ErrOverBudget
 
 	// ErrCancelled classifies a join stopped by its context. The

@@ -1,11 +1,11 @@
 package hashjoin
 
 // Pins the error-chain contract at the Env boundary: every failure
-// class an Env or NativeJoiner method can return is classifiable with
-// errors.Is against the package sentinels and extractable with
-// errors.As into the typed errors — without importing internal
-// packages, and stably across wrapping layers. These assertions are the
-// public face of the failure model; loosening them is an API break.
+// class an Env method can return is classifiable with errors.Is against
+// the package sentinels and extractable with errors.As into the typed
+// errors — without importing internal packages, and stably across
+// wrapping layers. These assertions are the public face of the failure
+// model; loosening them is an API break.
 
 import (
 	"context"
@@ -49,13 +49,13 @@ func TestErrorChainOOM(t *testing.T) {
 }
 
 // TestErrorChainBudget: an irreducible over-budget pair under
-// WithNativeNoSpill matches ErrOverBudget and carries the numbers via
+// WithPipelineNoSpill matches ErrOverBudget and carries the numbers via
 // *BudgetError.
 func TestErrorChainBudget(t *testing.T) {
 	spec := workload.Spec{NBuild: 2000, TupleSize: 20, MatchesPerBuild: 1, PctMatched: 100, Seed: 19, Skew: 2000}
-	_, build, probe, _ := pipelineTestEnv(t, spec)
-	_, err := NativeJoin(build, probe,
-		WithNativeMemBudget(4<<10), WithNativeFanout(2), WithNativeNoSpill())
+	env, build, probe, _ := pipelineTestEnv(t, spec)
+	_, err := env.RunPipeline(build, probe, WithEngine(EngineNative),
+		WithPipelineMemBudget(4<<10), WithPipelineFanout(2), WithPipelineNoSpill())
 	if err == nil {
 		t.Fatal("infeasible no-spill join returned nil error")
 	}
@@ -122,20 +122,21 @@ func TestErrorChainCancelPipeline(t *testing.T) {
 	}
 }
 
-// TestErrorChainCancelNativeJoiner: NativeJoiner.JoinContext under a
-// deadline that expires mid-spill returns a *CancelError with progress
-// and leaves the Joiner usable.
-func TestErrorChainCancelNativeJoiner(t *testing.T) {
+// TestErrorChainCancelSpill: a native pipeline under a deadline that
+// expires mid-spill returns a *CancelError and leaves the Env usable.
+func TestErrorChainCancelSpill(t *testing.T) {
 	defer fault.Reset()
 	spec := workload.Spec{NBuild: 2000, TupleSize: 20, MatchesPerBuild: 1, PctMatched: 100, Seed: 29, Skew: 2000}
-	_, build, probe, pair := pipelineTestEnv(t, spec)
+	env, build, probe, pair := pipelineTestEnv(t, spec)
+	spilling := func() []PipelineOption {
+		return []PipelineOption{WithEngine(EngineNative),
+			WithPipelineMemBudget(4 << 10), WithPipelineFanout(2), WithPipelineSpillDir(t.TempDir())}
+	}
 
 	fault.Enable(fault.SiteSpillWrite, fault.Fault{Kind: fault.KindDelay, Delay: 2 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	jn := NewNativeJoiner()
-	_, err := jn.JoinContext(ctx, build, probe,
-		WithNativeMemBudget(4<<10), WithNativeFanout(2), WithNativeSpillDir(t.TempDir()))
+	_, err := env.RunPipelineContext(ctx, build, probe, spilling()...)
 	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error %v does not match both sentinels", err)
 	}
@@ -145,11 +146,7 @@ func TestErrorChainCancelNativeJoiner(t *testing.T) {
 	}
 
 	fault.Reset()
-	r, err := jn.Join(build, probe,
-		WithNativeMemBudget(4<<10), WithNativeFanout(2), WithNativeSpillDir(t.TempDir()))
-	if err != nil {
-		t.Fatalf("join after cancellation: %v", err)
-	}
+	r := mustRunPipeline(t, env, build, probe, spilling()...)
 	if r.NOutput != pair.ExpectedMatches || r.KeySum != pair.KeySum {
 		t.Fatalf("post-cancel join got (%d, %d), want (%d, %d)",
 			r.NOutput, r.KeySum, pair.ExpectedMatches, pair.KeySum)

@@ -2,7 +2,7 @@ package engine
 
 // Nested-loop join: the planner's strategy for tiny build sides, where
 // building a hash table costs more than it saves (see plan.Choose and
-// the calibrated crossover in BENCH_join.json). The build side is
+// the crossover BenchmarkJoinCrossover calibrates). The build side is
 // loaded once into a flat key column; each probe row then scans it
 // linearly — no hash codes, no directory, no prefetching, which is
 // exactly why it wins below the crossover: the whole build side is a

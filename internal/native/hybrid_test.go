@@ -2,6 +2,7 @@ package native
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -145,69 +146,100 @@ func hybridCfg(dir string) Config {
 	}
 }
 
-// TestJoinHybridZipfParity runs the Zipf boundary workload through the
-// hybrid tier and checks exact output parity against the unbudgeted
-// reference and the spill-everything tier, that pairs actually landed
-// on both sides of the boundary, and that the hybrid join's spill I/O
-// never exceeds the spill-everything tier's.
+// hybridZipfPoints are the skew levels of the hybrid-vs-GRACE sweep,
+// each with the budget that puts its hottest ranks over the resident
+// line: sized in units of the per-row table footprint so the top rank
+// needs roughly two budget-sized chunks — the regime where keeping one
+// chunk resident and skipping one probe pass per spilled pair saves the
+// largest I/O fraction. 16384 x 32768 rows of 64 B over 1024 Zipf keys,
+// fanout 64, 4 KiB spill pages (small pages keep page rounding out of
+// the comparison).
+//
+// For the record, not pinned: the August 2026 one-CPU reading measured
+// spill-everything -> hybrid I/O of 57 344 -> 16 384 B at Zipf 0.5,
+// 335 872 -> 106 496 B at 1.0 and 966 656 -> 372 736 B at 1.5.
+var hybridZipfPoints = []struct {
+	zipf   float64
+	budget int
+}{
+	{0.5, 26880},  // ~240 rows resident per pair; top rank 256
+	{1.0, 168000}, // ~1500 rows resident; top rank ~2200
+	{1.5, 448000}, // ~4000 rows resident; top rank ~6500
+}
+
+// TestJoinHybridZipfParity runs each skew point through the hybrid
+// tier and the spill-everything tier and checks exact output parity
+// against the unbudgeted reference, that pairs actually landed on both
+// sides of the resident/spilled boundary, and the policy gate: the
+// hybrid join's spill I/O never exceeds the spill-everything tier's.
 func TestJoinHybridZipfParity(t *testing.T) {
-	a := arena.New(workload.ArenaBytesFor(hybridSpec) + 4<<20)
-	pair := workload.Generate(a, hybridSpec)
-	dir := t.TempDir()
-	base := fault.Goroutines()
-	mark := a.Used()
+	for i, pt := range hybridZipfPoints {
+		t.Run(fmt.Sprintf("zipf%.1f", pt.zipf), func(t *testing.T) {
+			spec := workload.Spec{NBuild: 16384, NProbe: 32768, TupleSize: 64,
+				ZipfS: pt.zipf, ZipfKeys: 1024, Seed: int64(40 + i)}
+			a := arena.New(workload.ArenaBytesFor(spec) + 16<<20)
+			pair := workload.Generate(a, spec)
+			dir := t.TempDir()
+			base := fault.Goroutines()
+			mark := a.Used()
 
-	jn := NewJoiner()
-	ref, err := jn.Join(pair.Build, pair.Probe, Config{Scheme: Group, Fanout: 8})
-	if err != nil {
-		t.Fatalf("reference join: %v", err)
-	}
-	if ref.NOutput != pair.ExpectedMatches || ref.KeySum != pair.KeySum {
-		t.Fatalf("reference join got (%d, %d), want (%d, %d)",
-			ref.NOutput, ref.KeySum, pair.ExpectedMatches, pair.KeySum)
-	}
+			jn := NewJoiner()
+			ref, err := jn.Join(pair.Build, pair.Probe, Config{Scheme: Group, Fanout: 64})
+			if err != nil {
+				t.Fatalf("reference join: %v", err)
+			}
+			if ref.NOutput != pair.ExpectedMatches || ref.KeySum != pair.KeySum {
+				t.Fatalf("reference join got (%d, %d), want (%d, %d)",
+					ref.NOutput, ref.KeySum, pair.ExpectedMatches, pair.KeySum)
+			}
 
-	a.Truncate(mark)
-	cfg := hybridCfg(dir)
-	cfg.Hybrid = false
-	grace, err := jn.Join(pair.Build, pair.Probe, cfg)
-	if err != nil {
-		t.Fatalf("spill-everything join: %v", err)
-	}
-	if grace.NOutput != ref.NOutput || grace.KeySum != ref.KeySum {
-		t.Fatalf("spill-everything join got (%d, %d), want (%d, %d)",
-			grace.NOutput, grace.KeySum, ref.NOutput, ref.KeySum)
-	}
-	if grace.SpilledPartitions == 0 {
-		t.Fatal("spill-everything run spilled nothing; workload does not cross the boundary")
-	}
+			cfg := Config{Scheme: Group, Fanout: 64, Workers: 2,
+				MemBudget: pt.budget, SpillDir: dir, SpillPageSize: 4096}
+			a.Truncate(mark)
+			grace, err := jn.Join(pair.Build, pair.Probe, cfg)
+			if err != nil {
+				t.Fatalf("spill-everything join: %v", err)
+			}
+			if grace.NOutput != ref.NOutput || grace.KeySum != ref.KeySum {
+				t.Fatalf("spill-everything join got (%d, %d), want (%d, %d)",
+					grace.NOutput, grace.KeySum, ref.NOutput, ref.KeySum)
+			}
+			if grace.SpilledPartitions == 0 {
+				t.Fatal("spill-everything run spilled nothing; the budget no longer straddles the hot ranks")
+			}
 
-	a.Truncate(mark)
-	hr, err := jn.Join(pair.Build, pair.Probe, hybridCfg(dir))
-	if err != nil {
-		t.Fatalf("hybrid join: %v", err)
+			cfg.Hybrid = true
+			a.Truncate(mark)
+			hr, err := jn.Join(pair.Build, pair.Probe, cfg)
+			if err != nil {
+				t.Fatalf("hybrid join: %v", err)
+			}
+			if hr.NOutput != ref.NOutput || hr.KeySum != ref.KeySum {
+				t.Fatalf("hybrid join got (%d, %d), want (%d, %d)",
+					hr.NOutput, hr.KeySum, ref.NOutput, ref.KeySum)
+			}
+			if hr.ResidentPartitions == 0 || hr.VictimPartitions == 0 {
+				t.Fatalf("hybrid pairs resident=%d spilled=%d; want both sides of the boundary",
+					hr.ResidentPartitions, hr.VictimPartitions)
+			}
+			if hr.SpilledPartitions == 0 {
+				t.Fatal("hybrid run never reached the disk tier")
+			}
+			hio := hr.SpillBytesWritten + hr.SpillBytesRead
+			gio := grace.SpillBytesWritten + grace.SpillBytesRead
+			if hio == 0 || hio > gio {
+				t.Fatalf("hybrid spill I/O %d, spill-everything %d; want 0 < hybrid <= spill-everything", hio, gio)
+			}
+			// The mid-skew point is where the policy exists to pay.
+			if pt.zipf == 1.0 && 4*hio > 3*gio {
+				t.Fatalf("zipf 1.0: hybrid I/O %d is not >= 25%% below spill-everything %d", hio, gio)
+			}
+			t.Logf("spill I/O: spill-everything %d B, hybrid %d B (resident %d, spilled %d pairs)",
+				gio, hio, hr.ResidentPartitions, hr.VictimPartitions)
+			fault.CheckGoroutines(t, base)
+			fault.CheckNoFiles(t, dir)
+		})
 	}
-	if hr.NOutput != ref.NOutput || hr.KeySum != ref.KeySum {
-		t.Fatalf("hybrid join got (%d, %d), want (%d, %d)",
-			hr.NOutput, hr.KeySum, ref.NOutput, ref.KeySum)
-	}
-	if hr.ResidentPartitions == 0 || hr.VictimPartitions == 0 {
-		t.Fatalf("hybrid pairs resident=%d spilled=%d; want both sides of the boundary",
-			hr.ResidentPartitions, hr.VictimPartitions)
-	}
-	if hr.SpilledPartitions == 0 {
-		t.Fatal("hybrid run never reached the disk tier")
-	}
-	hio := hr.SpillBytesWritten + hr.SpillBytesRead
-	gio := grace.SpillBytesWritten + grace.SpillBytesRead
-	if hio > gio {
-		t.Fatalf("hybrid spill I/O %d exceeds spill-everything %d", hio, gio)
-	}
-	if hio == 0 || gio == 0 {
-		t.Fatalf("degenerate I/O volumes: hybrid %d, spill-everything %d", hio, gio)
-	}
-	fault.CheckGoroutines(t, base)
-	fault.CheckNoFiles(t, dir)
 }
 
 // TestJoinHybridDemotion shrinks the advisory budget after the first

@@ -6,11 +6,11 @@
 // or the memory budget.
 //
 // The crossover points between the strategies are not guessed: they are
-// measured on the host by the calibration benchmark
-// (BenchmarkJoinCrossover, which emits BENCH_join.json) and pinned here
-// as defaults. cmd/benchcheck asserts the committed document and these
-// constants agree, so a re-calibration that moves a crossover must move
-// the pinned default with it.
+// measured by the root package's calibration benchmark
+// (BenchmarkJoinCrossover, which logs each measured crossover beside
+// the pinned one) and pinned here as defaults. EXPERIMENTS.md records
+// the readings per host; re-pinning changes Choose's output and is a
+// planner change of its own.
 //
 // The package is a dependency leaf: it imports only the standard
 // library, so every layer — native kernels, the operator engine, the
@@ -152,9 +152,9 @@ type Stats struct {
 }
 
 // Measured crossover defaults, pinned from the calibration benchmark
-// (BenchmarkJoinCrossover → BENCH_join.json) on this repository's
-// reference hardware. cmd/benchcheck fails CI when the committed
-// BENCH_join.json and these constants disagree.
+// (BenchmarkJoinCrossover) on the August 2026 one-CPU reference host.
+// EXPERIMENTS.md ("Planner crossover calibration") tables what the
+// benchmark measures on the current host next to these pins.
 const (
 	// DefaultNestedLoopCrossover is the largest build-side row count at
 	// which the nested-loop scan still beats building and probing a

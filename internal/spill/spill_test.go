@@ -374,7 +374,8 @@ func TestNewManagerValidation(t *testing.T) {
 func TestStallAccounting(t *testing.T) {
 	// Sanity only: stalls are monotonic non-negative durations. Forcing a
 	// deterministic stall would need fault injection; the overlap claim
-	// itself is measured by BenchmarkSpillOverlap.
+	// itself is measured by bench/'s spill.write_stall_ms and
+	// spill.read_stall_ms on the spill_skew workload.
 	m := newTestManager(t, 512)
 	w, err := m.NewWriter()
 	if err != nil {
