@@ -196,14 +196,17 @@ func TestRunPipelineSpillsToDisk(t *testing.T) {
 // allocation budget (WithArenaBudget's mechanism) below what a run
 // needs: the pipeline must fail with a *arena.OOMError carrying the
 // usage breakdown, the scoped scratch must be rolled back, and lifting
-// the budget must make the same Env work again.
+// the budget must make the same Env work again. An aggregate over a
+// native join allocates one 8-byte row per join worker from the arena,
+// so the budget leaves room for the first worker's row alone: that
+// allocation succeeds and must be rolled back with the rest.
 func TestRunPipelineArenaExhaustionReturnsError(t *testing.T) {
 	spec := workload.Spec{NBuild: 2000, TupleSize: 24, MatchesPerBuild: 2, Seed: 44}
 	env, build, probe, pair := pipelineTestEnv(t, spec)
 	base := runtime.NumGoroutine()
 
 	mark := env.mem.A.Used()
-	env.mem.A.SetBudget(mark + 512) // room for almost nothing
+	env.mem.A.SetBudget(mark + 8) // one worker's row
 	_, err := env.RunPipeline(build, probe,
 		WithEngine(EngineNative), WithAggregation(4, spec.NBuild),
 		WithPipelineFanout(4), WithPipelineWorkers(2))
@@ -211,8 +214,8 @@ func TestRunPipelineArenaExhaustionReturnsError(t *testing.T) {
 	if !errors.As(err, &oom) {
 		t.Fatalf("err = %v, want *arena.OOMError", err)
 	}
-	if oom.Budget != mark+512 {
-		t.Errorf("OOMError.Budget = %d, want %d", oom.Budget, mark+512)
+	if oom.Budget != mark+8 {
+		t.Errorf("OOMError.Budget = %d, want %d", oom.Budget, mark+8)
 	}
 	if got := env.mem.A.Used(); got != mark {
 		t.Errorf("failed run left Used() = %d, want %d (scope not released)", got, mark)

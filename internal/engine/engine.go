@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"time"
 
 	"hashjoin/internal/arena"
@@ -156,7 +155,8 @@ type Config struct {
 	// Workers bounds the native join's workers (0 = GOMAXPROCS) under
 	// both strategies: the streaming join builds its table over that
 	// many slots and probes it with the caller plus Workers-1 background
-	// probers, the partitioned join runs that many pair joiners. With a
+	// probers (Workers probers, the caller waiting, under an aggregate),
+	// the partitioned join runs that many pair joiners. With a
 	// shared Pool installed it bounds this plan's concurrent slots
 	// within the pool instead.
 	Workers int
@@ -501,7 +501,10 @@ func (n *Node) JoinEmitWidth(cfg Config) int {
 // relations exist); the native spill tier's page pool when it can
 // engage (native.SpillPoolBytes, from the tier's own arithmetic); and
 // 64 KiB of page-rounding slack. Scoped allocation reclaims all of it
-// between runs, so this bounds a high-water mark, not a leak.
+// between runs, so this bounds a high-water mark, not a leak. (An
+// aggregate over a native hash join stages no caller rows and allocates
+// no ring — its join workers fold into tables on the Go heap — so for
+// it those terms are slack.)
 func (n *Node) ScratchBytes(cfg Config, matchesPerProbe, aggRows int) uint64 {
 	width := uint64(n.JoinEmitWidth(cfg))
 	batch := uint64(max(cfg.Params.G, native.DefaultG)) // covers both backends' default G
@@ -803,8 +806,9 @@ type Group struct {
 // Groups opens, drains, and closes an aggregation root, decoding its
 // 24-byte rows and returning the groups sorted by key — a deterministic
 // order shared by both backends, so equal workloads yield byte-identical
-// group lists regardless of engine or hash-table iteration order.
-// Like Run, it scopes the pipeline's arena scratch (the groups are
+// group lists regardless of engine or hash-table iteration order (a
+// native aggregate hands over its folded list, already in that order,
+// and none for no groups, as on the simulator). Like Run, it scopes the pipeline's arena scratch (the groups are
 // copied out before the scope is released) and recovers arena
 // exhaustion into the returned error.
 func Groups(root Operator, a *arena.Arena) (out []Group, err error) {
@@ -816,8 +820,8 @@ func Groups(root Operator, a *arena.Arena) (out []Group, err error) {
 		return nil, err
 	}
 	defer root.Close()
-	if s, ok := root.(interface{ stagedRows() int }); ok {
-		out = slices.Grow(out, s.stagedRows()) // no groups stays nil, as on the simulator
+	if s, ok := root.(interface{ sortedGroups() []Group }); ok {
+		return s.sortedGroups(), nil
 	}
 	var b Batch
 	for {

@@ -56,25 +56,81 @@ func TestCancelledContextBothBackends(t *testing.T) {
 	}
 }
 
+// faultShape is one plan a teardown test runs: a bare join or an
+// aggregate root over it, at a native fan-out, on a workload of nBuild
+// build rows, each matched twice.
+type faultShape struct {
+	name   string
+	agg    bool
+	fanout int
+	nBuild int
+}
+
+// faultShapes are the shapes every teardown test covers: the bare
+// partitioned join, an aggregate pushed into either strategy's workers,
+// and an aggregate over a pair big enough to partition on the workers —
+// there a fault fires inside a partition morsel, the first claim.
+var faultShapes = []faultShape{
+	{"join, fanout 4", false, 4, 1000},
+	{"aggregate, fanout 1", true, 1, 1000},
+	{"aggregate, fanout 4", true, 4, 1000},
+	{"aggregate, partitioned on the workers", true, 4, 50_000},
+}
+
+// drainFailing runs shape on two workers, once setup has armed a fault
+// or set a context, drains it with Groups or Run and returns the error,
+// having checked that no partial result came back, no goroutine stayed
+// behind and the arena is back at its watermark.
+func drainFailing(t *testing.T, shape faultShape, seed int64, setup func(*Config)) error {
+	t.Helper()
+	spec := workload.Spec{NBuild: shape.nBuild, TupleSize: 16, MatchesPerBuild: 2, Seed: seed}
+	pair, a, _ := testEnv(t, spec)
+	base, used := fault.Goroutines(), a.Used()
+	plan := HashJoin(Scan(pair.Build), Scan(pair.Probe))
+	if shape.agg {
+		plan = HashAggregate(plan, 4, spec.NBuild)
+	}
+	cfg := nativeCfg(a, core.SchemeGroup, core.DefaultParams(), shape.fanout)
+	cfg.Workers = 2
+	setup(&cfg)
+	op := mustCompile(t, plan, cfg)
+	var err error
+	if shape.agg {
+		var gs []Group
+		gs, err = Groups(op, a)
+		if gs != nil {
+			t.Errorf("%s: %d groups returned beside error %v", shape.name, len(gs), err)
+		}
+	} else {
+		var r Result
+		r, err = Run(op, a)
+		if r != (Result{}) {
+			t.Errorf("%s: result %+v returned beside error %v", shape.name, r, err)
+		}
+	}
+	fault.CheckGoroutines(t, base)
+	if a.Used() != used {
+		t.Errorf("%s: arena at %d after the run, %d before", shape.name, a.Used(), used)
+	}
+	return err
+}
+
 // TestCancelMorselJoinTyped checks the native morsel strategy surfaces
 // cancellation as the typed *native.CancelError through the engine's
 // drains, so the public API's error contract holds for compiled plans
-// too.
+// too — an aggregate root's included.
 func TestCancelMorselJoinTyped(t *testing.T) {
-	spec := workload.Spec{NBuild: 300, TupleSize: 16, MatchesPerBuild: 1, Seed: 9}
-	pair, a, _ := testEnv(t, spec)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-
-	cfg := nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 4)
-	cfg.Ctx = ctx
-	_, err := Run(mustCompile(t, HashJoin(Scan(pair.Build), Scan(pair.Probe)), cfg), a)
-	var ce *native.CancelError
-	if !errors.As(err, &ce) {
-		t.Fatalf("error %T (%v), want *native.CancelError", err, err)
-	}
-	if !errors.Is(err, native.ErrCancelled) {
-		t.Fatalf("error %v does not match ErrCancelled", err)
+	for _, shape := range faultShapes {
+		err := drainFailing(t, shape, 9, func(cfg *Config) { cfg.Ctx = ctx })
+		var ce *native.CancelError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: error %T (%v), want *native.CancelError", shape.name, err, err)
+		}
+		if !errors.Is(err, native.ErrCancelled) {
+			t.Fatalf("%s: error %v does not match ErrCancelled", shape.name, err)
+		}
 	}
 }
 
@@ -95,35 +151,30 @@ func TestNilContextUnbounded(t *testing.T) {
 // goroutines left behind.
 func TestWorkerFaultThroughEngine(t *testing.T) {
 	defer fault.Reset()
-	spec := workload.Spec{NBuild: 1000, TupleSize: 16, MatchesPerBuild: 1, Seed: 12}
-	pair, a, _ := testEnv(t, spec)
-	base := fault.Goroutines()
-
-	fault.Enable(fault.SiteMorselWorker, fault.Fault{Kind: fault.KindError, Count: 1})
-	cfg := nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 4)
-	cfg.Workers = 2
-	_, err := Run(mustCompile(t, HashJoin(Scan(pair.Build), Scan(pair.Probe)), cfg), a)
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("error %v, want injected-fault class", err)
+	for _, shape := range faultShapes {
+		err := drainFailing(t, shape, 12, func(*Config) {
+			fault.Enable(fault.SiteMorselWorker, fault.Fault{Kind: fault.KindError, Count: 1})
+		})
+		fault.Reset()
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("%s: error %v, want injected-fault class", shape.name, err)
+		}
 	}
-	fault.CheckGoroutines(t, base)
 }
 
 // TestWorkerPanicThroughEngine: same proof for an injected panic — the
-// morsel pipe's background drain must recover it into an error, not
-// crash the process or deadlock the operator.
+// morsel pipe's background drain, or the worker an aggregate waits on,
+// must recover it into an error, not crash the process or deadlock the
+// operator.
 func TestWorkerPanicThroughEngine(t *testing.T) {
 	defer fault.Reset()
-	spec := workload.Spec{NBuild: 1000, TupleSize: 16, MatchesPerBuild: 1, Seed: 13}
-	pair, a, _ := testEnv(t, spec)
-	base := fault.Goroutines()
-
-	fault.Enable(fault.SiteMorselWorker, fault.Fault{Kind: fault.KindPanic, Count: 1})
-	cfg := nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 4)
-	cfg.Workers = 2
-	_, err := Run(mustCompile(t, HashJoin(Scan(pair.Build), Scan(pair.Probe)), cfg), a)
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("error %v, want injected-fault class", err)
+	for _, shape := range faultShapes {
+		err := drainFailing(t, shape, 13, func(*Config) {
+			fault.Enable(fault.SiteMorselWorker, fault.Fault{Kind: fault.KindPanic, Count: 1})
+		})
+		fault.Reset()
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("%s: error %v, want injected-fault class", shape.name, err)
+		}
 	}
-	fault.CheckGoroutines(t, base)
 }

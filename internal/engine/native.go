@@ -9,7 +9,10 @@ package engine
 // radix-partitioned and the partition pairs are the morsels. Under
 // either the caller's goroutine hands out batches of at most G rows
 // while the other workers pack their matches into a ring of pipe
-// buffers that feeds it.
+// buffers that feeds it — unless the join's parent is a native
+// aggregate and the join runs on workers, in which case Open runs it to
+// completion, every worker folding its matches into a partial aggregate
+// of its own.
 
 import (
 	"context"
@@ -244,6 +247,13 @@ func splitAtSeam(spans []span, seam int) []emitSpan {
 // (Node.emitSpans) — the whole row for a root — and both hand rows from
 // background workers to the caller over one ring of pipe buffers. The
 // order rows arrive in is unspecified under either.
+//
+// With sinkFor set (by a native aggregate over the join) there is no
+// ring and nothing to hand out whenever the join runs on workers: Open
+// runs it to completion, worker w writing each match through sinkFor(w),
+// which the join calls on the caller's goroutine before worker w starts.
+// A streaming join over a pulled probe child runs on the caller alone
+// and ignores sinkFor; it is pulled (pulled reports it).
 type nativeHashJoin struct {
 	cfg        Config
 	a          *arena.Arena
@@ -258,6 +268,7 @@ type nativeHashJoin struct {
 	outWidth   int        // their total: the emitted row width
 	batch      int
 	jt         plan.JoinType
+	sinkFor    func(w int) func(build []byte, pref uint64)
 
 	buildClosed bool
 	probeClosed bool
@@ -368,13 +379,24 @@ func (h *nativeHashJoin) Open() error {
 	return h.openStream(bs)
 }
 
+// pulled reports whether Open left rows to hand out through NextBatch
+// rather than running the join into sinkFor.
+func (h *nativeHashJoin) pulled() bool { return h.step != nil || h.outc != nil }
+
 // openStream starts the streaming strategy over bs, built here or handed
 // in. A probe child that is a plain scan is never opened: its relation
 // is cut into page-range morsels (native.ProbeStream) that the caller
 // and up to workers-1 background probers claim from one cursor, every
 // one probing bs with a prober of its own. Any other probe child can
-// only be pulled, a batch at a time, by the caller alone.
+// only be pulled, a batch at a time, by the caller alone — under an
+// aggregate too, which then pulls the join like any other child. Over a
+// scanned probe an aggregate (sinkFor) has the caller wait for the
+// workers instead of joining them, and sweep after they return.
 func (h *nativeHashJoin) openStream(bs *native.BuildSide) error {
+	if rep := h.cfg.Report; rep != nil {
+		rep.JoinFanout = 1
+	}
+	scheme, g, d := NativeScheme(h.cfg.Scheme), h.cfg.Params.G, h.cfg.Params.D
 	h.out = h.out[:0]
 	h.sink = func(build []byte, pref uint64) {
 		if h.outSlot >= len(h.out) {
@@ -384,55 +406,74 @@ func (h *nativeHashJoin) openStream(bs *native.BuildSide) error {
 		h.outSlot++
 		h.pending = append(h.pending, h.writeMatch(dst, build, pref))
 	}
-	h.probing = true
-	if rep := h.cfg.Report; rep != nil {
-		rep.JoinFanout = 1
-	}
-	scheme, g, d := NativeScheme(h.cfg.Scheme), h.cfg.Params.G, h.cfg.Params.D
 
 	if h.probeRel == nil {
 		prober := bs.NewTypedProber(h.jt, scheme, g, d)
-		h.step = func() (bool, error) { return h.pullGroup(prober) }
+		if err := h.probeChild.Open(); err != nil {
+			return err
+		}
+		h.probing = true
+		h.step = func() (bool, error) { return h.pullGroup(prober, h.sink) }
 		h.sweep = prober.EmitUnmatchedBuild
-		return h.probeChild.Open()
+		return nil
 	}
 	h.probeChild.Close()
 	h.probeClosed = true
 	stream := bs.NewProbeStream(h.cfg.Ctx, h.probeRel, h.jt, scheme, g, d)
-	own := stream.NewWorker()
-	h.step = func() (bool, error) { return own.ProbeNext(h.sink) }
-	h.sweep = stream.EmitUnmatchedBuild
 	if rep := h.cfg.Report; rep != nil {
 		rep.MorselsExecuted = stream.Morsels()
 	}
+	if h.sinkFor != nil {
+		sinks := make([]func([]byte, uint64), max(1, min(h.cfg.workers(), stream.Morsels())))
+		for w := range sinks {
+			sinks[w] = h.sinkFor(w)
+		}
+		if err := h.runProbers(stream, sinks); err != nil {
+			return err
+		}
+		stream.EmitUnmatchedBuild(sinks[0])
+		return nil
+	}
 
+	own := stream.NewWorker()
+	h.probing = true
+	h.step = func() (bool, error) { return own.ProbeNext(h.sink) }
+	h.sweep = stream.EmitUnmatchedBuild
 	n := min(h.cfg.workers(), stream.Morsels()) - 1
 	if n < 1 {
 		return nil
 	}
 	h.allocRing(n)
-	others := make([]*native.StreamWorker, n)
-	for i := range others {
-		others[i] = stream.NewWorker()
+	sinks := make([]func([]byte, uint64), n)
+	for w := range sinks {
+		sinks[w] = h.emits[w].emit
 	}
-	h.startRing(func() error {
-		// One Run per morsel, so a shared pool interleaves this stream
-		// with its neighbours morsel by morsel; which morsel a Run gets
-		// is the stream cursor's business (the caller claims from it
-		// too), and a Run that finds it exhausted returns at once.
-		return native.RunMorsels(h.cfg.Pool, &native.MorselJob{
-			Tenant: h.cfg.Tenant, Weight: h.cfg.Weight,
-			N: stream.Morsels(), Slots: n,
-			Run: func(slot, _ int) (err error) {
-				defer arena.RecoverOOM(&err)
-				if h.closing.Load() {
-					return errJoinClosed
-				}
-				return others[slot].ProbeMorsel(h.emits[slot].emit)
-			},
-		})
-	})
+	h.startRing(func() error { return h.runProbers(stream, sinks) })
 	return nil
+}
+
+// runProbers probes stream's morsels on len(sinks) workers of their own,
+// worker w emitting into sinks[w], and returns once every one has. It
+// submits one Run per morsel, so a shared pool interleaves this stream
+// with its neighbours morsel by morsel; which morsel a Run gets is the
+// stream cursor's business (a caller probing beside the workers claims
+// from it too), and a Run that finds it exhausted returns at once.
+func (h *nativeHashJoin) runProbers(stream *native.ProbeStream, sinks []func([]byte, uint64)) error {
+	ws := make([]*native.StreamWorker, len(sinks))
+	for w := range ws {
+		ws[w] = stream.NewWorker()
+	}
+	return native.RunMorsels(h.cfg.Pool, &native.MorselJob{
+		Tenant: h.cfg.Tenant, Weight: h.cfg.Weight,
+		N: stream.Morsels(), Slots: len(sinks),
+		Run: func(slot, _ int) (err error) {
+			defer arena.RecoverOOM(&err)
+			if h.closing.Load() {
+				return errJoinClosed
+			}
+			return ws[slot].ProbeMorsel(sinks[slot])
+		},
+	})
 }
 
 // errJoinClosed stops a background stream whose operator is closing; the
@@ -507,8 +548,8 @@ func (h *nativeHashJoin) refill() (bool, error) {
 }
 
 // pullGroup pulls one batch from the probe child, converts it to
-// entries, and runs one prefetched probe pass into pending.
-func (h *nativeHashJoin) pullGroup(prober *native.Prober) (bool, error) {
+// entries, and runs one prefetched probe pass into sink.
+func (h *nativeHashJoin) pullGroup(prober *native.Prober, sink func([]byte, uint64)) (bool, error) {
 	ok, err := h.probeChild.NextBatch(&h.in)
 	if !ok {
 		return false, err
@@ -523,7 +564,7 @@ func (h *nativeHashJoin) pullGroup(prober *native.Prober) (bool, error) {
 		}
 		h.entries = append(h.entries, native.Entry{Code: code, Key: key, Ref: r.Addr})
 	}
-	prober.ProbeBatch(h.entries, h.sink)
+	prober.ProbeBatch(h.entries, sink)
 	return true, nil
 }
 
@@ -663,7 +704,8 @@ func (h *nativeHashJoin) startRing(join func() error) {
 // already resolved by Open; the partitioned join is a pipeline breaker
 // on both sides), then starts the native morsel join in the background:
 // radix partitioning, one pair-joiner per worker, matches streaming
-// into pipe buffers.
+// into pipe buffers. Under an aggregate (sinkFor) it runs the join
+// itself instead, the workers emitting into the aggregate's sinks.
 func (h *nativeHashJoin) openMorsel(buildRel *storage.Relation) error {
 	probeRel := h.probeRel
 	if probeRel != nil {
@@ -678,18 +720,21 @@ func (h *nativeHashJoin) openMorsel(buildRel *storage.Relation) error {
 	}
 	h.probeClosed = true
 
-	h.allocRing(h.cfg.workers())
-	jcfg := h.cfg.joinConfig(h.jt)
-	h.startRing(func() error {
-		res, err := native.NewJoiner().JoinStream(buildRel, probeRel, jcfg, func(w int) func([]byte, uint64) {
-			return h.emits[w].emit
-		})
+	join := func(sinkFor func(w int) func([]byte, uint64)) error {
+		res, err := native.NewJoiner().JoinStream(buildRel, probeRel, h.cfg.joinConfig(h.jt), sinkFor)
 		if rep := h.cfg.Report; rep != nil && err == nil {
 			rep.JoinFanout, rep.JoinRecursionDepth, rep.MorselsExecuted =
 				res.NPartitions, res.RecursionDepth, res.PairsJoined
 			rep.Report = res.Report
 		}
 		return err
+	}
+	if h.sinkFor != nil {
+		return join(h.sinkFor)
+	}
+	h.allocRing(h.cfg.workers())
+	h.startRing(func() error {
+		return join(func(w int) func([]byte, uint64) { return h.emits[w].emit })
 	})
 	return nil
 }
@@ -712,93 +757,181 @@ func (h *nativeHashJoin) closeRing() {
 	h.outc = nil
 }
 
-// nativeHashAggregate is the native group-by pipeline breaker: Open
-// drains the child into the flat native AggTable (header prefetches
-// batched per the scheme) and stages one 24-byte row per group.
+// nativeHashAggregate is the native group-by pipeline breaker. Open
+// folds its input into flat native AggTables (header prefetches batched
+// per the scheme), one per worker feeding it: a native hash join child
+// that runs on workers runs inside Open with one sink per join worker
+// (sinkFor); any other child — a join over a pulled probe included,
+// which runs on the caller alone — is pulled into one table. The tables
+// then fold into one list in key order, which Groups takes whole;
+// NextBatch stages one 24-byte row per group from it.
 type nativeHashAggregate struct {
 	cfg        Config
 	a          *arena.Arena
+	data       []byte
 	child      Operator
+	join       *nativeHashJoin // the child, when Open runs it into the partials
 	childWidth int
 	valueOff   int
-	groups     int
+	groups     int // expected groups
 
-	rows        []Row
+	parts       []*aggPartial // by worker
+	gs          []Group       // the folded groups, nil for none
+	rows        []Row         // gs staged, on the first NextBatch
 	next        int
 	batch       int
 	childClosed bool
-	inputs      []native.AggInput
+}
+
+// aggPartial is one worker's share of a native aggregate: its private
+// table and the inputs waiting for the table's next prefetch group.
+// Partials live for one query. Recycling them through a sync.Pool was
+// measured to cost peak RSS rather than save it: the pool keeps a
+// partial per P alive between queries, and the GC's heap goal doubles
+// whatever stays live (EXPERIMENTS.md, "Where part_agg's time goes").
+type aggPartial struct {
+	t  *native.AggTable
+	in []native.AggInput
 }
 
 func newNativeHashAggregate(cfg Config, child Operator, childWidth, valueOff, groups int) *nativeHashAggregate {
 	if valueOff < 4 || childWidth < valueOff+4 {
 		panic("engine: aggregation value offset outside the row")
 	}
-	return &nativeHashAggregate{
+	ha := &nativeHashAggregate{
 		cfg: cfg, a: cfg.A, child: child, childWidth: childWidth,
 		valueOff: valueOff, groups: groups, batch: cfg.batchSize(),
 	}
+	if j, ok := child.(*nativeHashJoin); ok {
+		ha.join, j.sinkFor = j, ha.sinkFor
+	}
+	return ha
 }
 
 func (ha *nativeHashAggregate) Open() error {
-	data := ha.a.Data()
-	table := native.NewAggTable(ha.groups)
-	scheme := NativeScheme(ha.cfg.Scheme)
-	g := ha.batch
-
+	ha.data = ha.a.Data()
+	ha.parts, ha.gs, ha.rows, ha.next = nil, nil, ha.rows[:0], 0
 	ha.childClosed = false
 	if err := ha.child.Open(); err != nil {
 		return err
 	}
-	var b Batch
-	for {
-		ok, err := ha.child.NextBatch(&b)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		ha.inputs = ha.inputs[:0]
-		for i := range b.Rows {
-			r := b.Rows[i]
-			base := r.Addr - arena.Base
-			key := binary.LittleEndian.Uint32(data[base:])
-			code := r.Code
-			if code == 0 {
-				code = hash.CodeU32(key)
+	if ha.join == nil || ha.join.pulled() {
+		p := ha.partial(0, ha.groups)
+		var b Batch
+		for {
+			ok, err := ha.child.NextBatch(&b)
+			if err != nil {
+				return err
 			}
-			ha.inputs = append(ha.inputs, native.AggInput{
-				Code:  code,
-				Key:   key,
-				Value: binary.LittleEndian.Uint32(data[base+uint64(ha.valueOff):]),
-			})
+			if !ok {
+				break
+			}
+			for _, r := range b.Rows {
+				ha.add(p, r)
+			}
 		}
-		table.UpsertBatch(ha.inputs, scheme, g)
 	}
 	ha.child.Close()
 	ha.childClosed = true
-
-	// Stage the group rows in one arena block.
-	n := table.NGroups()
-	ha.rows = slices.Grow(ha.rows[:0], n)
-	ha.next = 0
-	if n == 0 {
-		return nil
-	}
-	block := ha.a.Alloc(uint64(n)*AggTupleWidth, 8)
-	addr := block
-	table.Each(func(key uint32, count, sum uint64) {
-		ha.a.PutU32(addr, key)
-		ha.a.PutU64(addr+8, count)
-		ha.a.PutU64(addr+16, sum)
-		ha.rows = append(ha.rows, Row{Addr: addr, Len: AggTupleWidth, Code: hash.CodeU32(key)})
-		addr += AggTupleWidth
-	})
+	ha.gs = ha.fold()
 	return nil
 }
 
+// partial returns worker w's partial, making it, sized for groups, on
+// first use.
+func (ha *nativeHashAggregate) partial(w, groups int) *aggPartial {
+	for len(ha.parts) <= w {
+		ha.parts = append(ha.parts, &aggPartial{
+			t:  native.NewAggTable(groups),
+			in: make([]native.AggInput, 0, ha.batch),
+		})
+	}
+	return ha.parts[w]
+}
+
+// sinkFor is the join's sink for worker w: writeMatch writes each match
+// as the spans the aggregate declared into a row of the worker's own,
+// and the row goes into the worker's partial.
+func (ha *nativeHashAggregate) sinkFor(w int) func(build []byte, pref uint64) {
+	// The join's workers share the groups out; a partial that sees more
+	// than its share — every worker of a streaming join may see every
+	// group — grows.
+	p := ha.partial(w, (ha.groups+ha.cfg.workers()-1)/ha.cfg.workers())
+	row := ha.a.Alloc(uint64(ha.childWidth), 8)
+	return func(build []byte, pref uint64) { ha.add(p, ha.join.writeMatch(row, build, pref)) }
+}
+
+// add stages one input row's key and value in p, upserting them a
+// prefetch group at a time.
+func (ha *nativeHashAggregate) add(p *aggPartial, r Row) {
+	base := r.Addr - arena.Base
+	key := binary.LittleEndian.Uint32(ha.data[base:])
+	code := r.Code
+	if code == 0 {
+		code = hash.CodeU32(key)
+	}
+	p.in = append(p.in, native.AggInput{
+		Code:  code,
+		Key:   key,
+		Value: binary.LittleEndian.Uint32(ha.data[base+uint64(ha.valueOff):]),
+	})
+	if len(p.in) == ha.batch {
+		p.t.UpsertBatch(p.in, NativeScheme(ha.cfg.Scheme), ha.batch)
+		p.in = p.in[:0]
+	}
+}
+
+// fold merges the partials into one group list in key order, each key
+// once, and drops them. Partials of a partitioned join share at most
+// key 0 (left outer's null pad), a streaming join's any key; one sort
+// serves both, and it is the query's only one.
+func (ha *nativeHashAggregate) fold() []Group {
+	parts := ha.parts
+	ha.parts = nil // the tables are garbage before the sort allocates
+	n := 0
+	for _, p := range parts {
+		p.t.UpsertBatch(p.in, NativeScheme(ha.cfg.Scheme), ha.batch)
+		n += p.t.NGroups()
+	}
+	if n == 0 {
+		return nil
+	}
+	gs := make([]Group, 0, n)
+	for _, p := range parts {
+		p.t.Each(func(key uint32, count, sum uint64) {
+			gs = append(gs, Group{Key: key, Count: count, Sum: sum})
+		})
+	}
+	gs = sortGroups(gs)
+	out := gs[:0]
+	for _, g := range gs {
+		if k := len(out) - 1; k >= 0 && out[k].Key == g.Key {
+			out[k].Count += g.Count
+			out[k].Sum += g.Sum
+		} else {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// stage writes the groups as rows into one arena block.
+func (ha *nativeHashAggregate) stage() {
+	ha.rows = slices.Grow(ha.rows, len(ha.gs))
+	addr := ha.a.Alloc(uint64(len(ha.gs))*AggTupleWidth, 8)
+	for _, g := range ha.gs {
+		ha.a.PutU32(addr, g.Key)
+		ha.a.PutU64(addr+8, g.Count)
+		ha.a.PutU64(addr+16, g.Sum)
+		ha.rows = append(ha.rows, Row{Addr: addr, Len: AggTupleWidth, Code: hash.CodeU32(g.Key)})
+		addr += AggTupleWidth
+	}
+}
+
 func (ha *nativeHashAggregate) NextBatch(b *Batch) (bool, error) {
+	if len(ha.rows) < len(ha.gs) {
+		ha.stage()
+	}
 	b.Reset()
 	for len(b.Rows) < ha.batch && ha.next < len(ha.rows) {
 		b.Rows = append(b.Rows, ha.rows[ha.next])
@@ -807,12 +940,12 @@ func (ha *nativeHashAggregate) NextBatch(b *Batch) (bool, error) {
 	return len(b.Rows) > 0, nil
 }
 
-// stagedRows reports how many rows Open staged, so Groups sizes its
-// result once.
-func (ha *nativeHashAggregate) stagedRows() int { return len(ha.rows) }
+// sortedGroups hands Groups the folded list, which is its result as it
+// stands: nothing staged, decoded or sorted again.
+func (ha *nativeHashAggregate) sortedGroups() []Group { return ha.gs }
 
 // Close closes the child exactly once (it is normally closed at the end
-// of Open's drain).
+// of Open).
 func (ha *nativeHashAggregate) Close() {
 	if !ha.childClosed {
 		ha.child.Close()

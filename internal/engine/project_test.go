@@ -2,12 +2,15 @@ package engine
 
 import (
 	"cmp"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
+	"hashjoin/internal/arena"
 	"hashjoin/internal/core"
 	"hashjoin/internal/plan"
 	"hashjoin/internal/workload"
@@ -16,10 +19,12 @@ import (
 // TestJoinProjectionParity moves the aggregate's value around the
 // join's output row — build half, across the build/probe seam, probe
 // half, the row's last bytes — for every join type and both native
-// strategies. The native join emits only the key and that value; its
+// strategies on 1, 2 and 4 workers. The native join emits only the key
+// and that value, each worker into a partial aggregate of its own; its
 // groups must equal the simulator's and the nested-loop operator's
 // (both emit whole rows) and the naive reference's, null pads of outer
-// joins included.
+// joins included — a null pad's key 0 once, however many partials hold
+// it.
 func TestJoinProjectionParity(t *testing.T) {
 	spec := workload.Spec{NBuild: 150, TupleSize: 20, PctMatched: 70,
 		MatchRate: 0.55, NProbe: 400, Skew: 2, Seed: 61}
@@ -42,15 +47,86 @@ func TestJoinProjectionParity(t *testing.T) {
 
 			nl := nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 1)
 			nl.Strategy = plan.NestedLoop
-			for name, cfg := range map[string]Config{
-				"sim":             simCfg(m, core.SchemeGroup, core.DefaultParams()),
-				"nested-loop":     nl,
-				"native fanout=1": nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 1),
-				"native fanout=4": nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 4),
-			} {
+			cfgs := map[string]Config{
+				"sim":         simCfg(m, core.SchemeGroup, core.DefaultParams()),
+				"nested-loop": nl,
+			}
+			for _, fanout := range []int{1, 4} {
+				for _, workers := range []int{1, 2, 4} {
+					cfg := nativeCfg(a, core.SchemeGroup, core.DefaultParams(), fanout)
+					cfg.Workers = workers
+					cfgs[fmt.Sprintf("native fanout=%d workers=%d", fanout, workers)] = cfg
+				}
+			}
+			for name, cfg := range cfgs {
 				if got := mustGroups(t, logical, cfg, a); !reflect.DeepEqual(got, want) {
 					t.Errorf("%v valueOff=%d %s: groups differ from the reference (%d vs %d groups)",
 						jt, valueOff, name, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestBackToBackAggregates runs aggregates of very different group
+// counts back to back — over both native strategies on 2 and 4
+// workers (the partitioned one also reached by a budget at fan-out 1),
+// a probe side scanned in several morsels or pulled through a
+// filter, and an expected group count off by orders of magnitude either
+// way — each against the naive reference, drained by Groups and by
+// Collect: partials that see more groups than their share grow, a key
+// several partials hold folds into one group, the rows come out in key
+// order, and no aggregate sees another's groups.
+func TestBackToBackAggregates(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	a := arena.New(64 << 20)
+	type agg struct {
+		name string
+		plan *Node
+		want []Group
+	}
+	var aggs []agg
+	for _, size := range []struct{ nBuild, span int }{{2000, 3000}, {40, 20}} {
+		build := keyedRelation(a, streamKeys(rng, size.nBuild, size.span), 0xB)
+		probe := keyedRelation(a, streamKeys(rng, manyMorsels, 2*size.span), 0xA)
+		// Value offset 20 is the probe tuple's position (keyedRelation).
+		want := aggregateRows(referenceRows(plan.LeftOuter, relTuples(build), relTuples(probe)), 20)
+		for _, expected := range []int{1, 1 << 16} {
+			for name, p := range map[string]*Node{
+				"scanned": Scan(probe),
+				"pulled":  Filter(Scan(probe), KeyBetween(0, ^uint32(0))),
+			} {
+				join := HashJoinTyped(Scan(build), p, plan.LeftOuter)
+				aggs = append(aggs, agg{fmt.Sprintf("%d groups, %d expected, %s probe", len(want), expected, name),
+					HashAggregate(join, 20, expected), want})
+			}
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for _, ag := range aggs {
+			// Fan-out 0 stands for fan-out 1 under a budget no streaming
+			// table fits: Open turns the join partitioned, so even over a
+			// pulled probe the aggregate runs in its workers.
+			for _, fanout := range []int{0, 1, 8} {
+				for _, workers := range []int{2, 4} {
+					cfg := nativeCfg(a, core.SchemeGroup, core.Params{}, max(fanout, 1))
+					if fanout == 0 {
+						cfg.MemBudget, cfg.NoSpill = 32<<10, true
+					}
+					cfg.Workers = workers
+					if got := mustGroups(t, ag.plan, cfg, a); !reflect.DeepEqual(got, ag.want) {
+						t.Fatalf("round %d, %s, fanout=%d workers=%d: %d groups differ from the reference's %d",
+							round, ag.name, fanout, workers, len(got), len(ag.want))
+					}
+					var rows []Group
+					for _, r := range mustCollect(t, ag.plan, cfg, a) {
+						rows = append(rows, Group{Key: binary.LittleEndian.Uint32(r),
+							Count: binary.LittleEndian.Uint64(r[8:]), Sum: binary.LittleEndian.Uint64(r[16:])})
+					}
+					if !reflect.DeepEqual(rows, ag.want) {
+						t.Fatalf("round %d, %s, fanout=%d workers=%d: %d collected rows differ from the reference's %d groups",
+							round, ag.name, fanout, workers, len(rows), len(ag.want))
+					}
 				}
 			}
 		}

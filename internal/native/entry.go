@@ -26,15 +26,41 @@ type Entry struct {
 const entrySize = 16
 
 // partitions holds one relation's entries scattered into radix
-// partitions: partition p occupies entries[offs[p]:offs[p+1]]. The
-// slices are scratch owned by a Joiner and recycled across joins —
-// regrowing tens of megabytes of entries per join both churns the GC
-// and, on first touch, stalls in the kernel populating fresh pages.
+// partitions: partition p occupies entries[offs[p]:offs[p+1]]. A
+// Joiner's two are scratch recycled across joins — regrowing tens of
+// megabytes of entries per join both churns the GC and, on first touch,
+// stalls in the kernel populating fresh pages.
+//
+// One kernel fills them, the GRACE partition phase on real memory: the
+// input is cut into ranges, each range counts its tuples per partition
+// (count), one prefix sum over (partition × range) turns the counts
+// into scatter cursors (place), and each range scatters its own tuples
+// (scatter). Ranges land in input order inside each partition, so the
+// entries are the same whether one goroutine runs the ranges or many
+// do, and whatever the cut.
 type partitions struct {
-	bits    uint // radix bits taken from the low end of the hash code
+	bits    uint // hash-code bits consumed: the split's shift plus its radix bits
 	offs    []int
 	entries []Entry
-	cursor  []int // scatter cursors, pass-2 scratch
+	ranges  []partRange // the split's morsels
+
+	// The split in progress: the arena bytes and page size a range's
+	// pages live in, and the code bits it partitions on.
+	data     []byte
+	pageSize int
+	shift    uint
+	mask     uint32
+}
+
+// partRange is one morsel of a split. It holds either a run of a
+// relation's pages, still in slotted form (the partition phase), or
+// entries already flattened (recursive re-partitioning of one pair); the
+// kernel walks both, and one of the two is always empty. hist counts the
+// range's tuples per partition, then serves as its scatter cursors.
+type partRange struct {
+	pages []arena.Addr
+	ents  []Entry
+	hist  []int
 }
 
 func (p *partitions) fanout() int { return len(p.offs) - 1 }
@@ -50,62 +76,133 @@ func intsFor(s []int, n int) []int {
 	return s[:n]
 }
 
-// fill flattens rel into entries and scatters them into fanout (a power
-// of two) radix partitions on the low bits of the hash code: one
-// counting pass over the slot areas, a prefix sum, and one scatter pass
-// — the GRACE partition phase on real memory. fanout 1 degenerates to a
-// plain flatten. Previous contents of p are discarded; its buffers are
-// reused.
-func (p *partitions) fill(data []byte, rel *storage.Relation, fanout int) {
-	if fanout < 1 {
-		fanout = 1
-	}
+// begin starts a split into fanout (a power of two) partitions on the
+// hash-code bits above shift, over n ranges the caller then fills in.
+// Previous contents are discarded; buffers are reused.
+func (p *partitions) begin(shift uint, fanout, n int) {
 	if fanout&(fanout-1) != 0 {
 		panic("native: partition fanout must be a power of two")
 	}
-	p.bits = uint(bits.TrailingZeros(uint(fanout)))
-	mask := uint32(fanout - 1)
-
+	p.shift, p.mask = shift, uint32(fanout-1)
+	p.bits = shift + uint(bits.TrailingZeros(uint(fanout)))
 	p.offs = intsFor(p.offs, fanout+1)
-	if fanout == 1 {
-		p.entries = Flatten(rel, p.entries)
-		p.offs[0], p.offs[1] = 0, len(p.entries)
-		return
+	if cap(p.ranges) < n {
+		p.ranges = append(p.ranges[:cap(p.ranges)], make([]partRange, n-cap(p.ranges))...)
 	}
+	p.ranges = p.ranges[:n]
+	for i := range p.ranges {
+		r := &p.ranges[i]
+		r.pages, r.ents, r.hist = nil, nil, intsFor(r.hist, fanout)
+	}
+}
 
-	// Pass 1: histogram of partition sizes from the slot areas alone.
-	hist := intsFor(p.cursor, fanout)
-	clear(hist)
-	eachSlot(data, rel.Pages, rel.PageSize, func(_ uint64, code uint32, _ uint16) {
-		hist[code&mask]++
-	})
+// cut makes rel's pages the input of a split into fanout partitions, in
+// ranges of equal page count (the last may be shorter): at most n >= 1,
+// at least one.
+func (p *partitions) cut(rel *storage.Relation, fanout, n int) {
+	np := rel.NPages()
+	per := max(1, (np+n-1)/n)
+	p.begin(0, fanout, max(1, (np+per-1)/per))
+	p.data, p.pageSize = rel.Arena().Data(), rel.PageSize
+	for i := range p.ranges {
+		p.ranges[i].pages = rel.Pages[min(i*per, np):min((i+1)*per, np)]
+	}
+}
 
-	// Prefix sum -> partition base offsets.
+// count is the kernel's first pass over one range: its tuples per
+// partition, read from the slot areas alone (a page's header count when
+// there is one partition — the range's tuple count, so the prefix sum
+// yields each range's first row).
+func (p *partitions) count(r *partRange) {
+	h, shift, mask := r.hist, p.shift, p.mask
+	clear(h)
+	for i := range r.ents {
+		h[r.ents[i].Code>>shift&mask]++
+	}
+	data := p.data
+	for _, page := range r.pages {
+		base := page - arena.Base
+		n := int(binary.LittleEndian.Uint16(data[base:]))
+		if mask == 0 {
+			h[0] += n
+			continue
+		}
+		slot := base + uint64(p.pageSize) - storage.SlotSize
+		for ; n > 0; n-- {
+			h[binary.LittleEndian.Uint32(data[slot+storage.SlotOffHash:])>>shift&mask]++
+			slot -= storage.SlotSize
+		}
+	}
+}
+
+// place turns the ranges' counts into scatter cursors with one prefix
+// sum over (partition × range), ranges in order inside each partition,
+// and sizes the entries. It runs between the two passes, on one
+// goroutine.
+func (p *partitions) place() {
 	sum := 0
-	for i, h := range hist {
-		p.offs[i] = sum
-		sum += h
+	for d := range p.offs[:len(p.offs)-1] {
+		p.offs[d] = sum
+		for i := range p.ranges {
+			h := p.ranges[i].hist
+			h[d], sum = sum, sum+h[d]
+		}
 	}
-	p.offs[fanout] = sum
-
-	// Pass 2: scatter entries to their partitions. The histogram scratch
-	// becomes the cursor array: both hold one int per partition.
+	p.offs[len(p.offs)-1] = sum
 	if cap(p.entries) < sum {
 		p.entries = make([]Entry, sum)
 	} else {
 		p.entries = p.entries[:sum]
 	}
-	p.cursor = hist
-	copy(p.cursor, p.offs[:fanout])
-	eachSlot(data, rel.Pages, rel.PageSize, func(tuple uint64, code uint32, _ uint16) {
-		d := code & mask
-		p.entries[p.cursor[d]] = Entry{
-			Code: code,
-			Key:  binary.LittleEndian.Uint32(data[tuple-arena.Base:]),
-			Ref:  tuple,
+}
+
+// scatter is the kernel's second pass over one range: every tuple to
+// its partition's next slot, a page's tuples built into entries on the
+// way. Ranges write disjoint slots, so any number may run at once. The
+// page walk is eachSlot's, written out, as in RowTable.buildPages.
+func (p *partitions) scatter(r *partRange) {
+	cur, out, shift, mask := r.hist, p.entries, p.shift, p.mask
+	for i := range r.ents {
+		d := r.ents[i].Code >> shift & mask
+		out[cur[d]] = r.ents[i]
+		cur[d]++
+	}
+	data := p.data
+	for _, page := range r.pages {
+		base := page - arena.Base
+		n := int(binary.LittleEndian.Uint16(data[base:]))
+		slot := base + uint64(p.pageSize) - storage.SlotSize
+		for ; n > 0; n-- {
+			off := uint64(binary.LittleEndian.Uint16(data[slot+storage.SlotOffOffset:]))
+			code := binary.LittleEndian.Uint32(data[slot+storage.SlotOffHash:])
+			slot -= storage.SlotSize
+			d := code >> shift & mask
+			out[cur[d]] = Entry{Code: code, Key: binary.LittleEndian.Uint32(data[base+off:]), Ref: page + off}
+			cur[d]++
 		}
-		p.cursor[d]++
-	})
+	}
+}
+
+// run is a whole split on the calling goroutine.
+func (p *partitions) run() {
+	for i := range p.ranges {
+		p.count(&p.ranges[i])
+	}
+	p.place()
+	for i := range p.ranges {
+		p.scatter(&p.ranges[i])
+	}
+}
+
+// split re-partitions entries already flattened — one oversized pair —
+// into fanout partitions on the code bits above shift: the kernel over
+// one range. p's buffers come from the Go heap, not the arena: this is
+// the over-budget slow path, and its scratch must not count against the
+// very budget it is trying to meet.
+func (p *partitions) split(ents []Entry, shift uint, fanout int) {
+	p.begin(shift, fanout, 1)
+	p.ranges[0].ents = ents
+	p.run()
 }
 
 // Flatten returns one Entry per tuple of rel, in storage order, reusing

@@ -158,6 +158,35 @@ func TestJoinWorkerPanicContained(t *testing.T) {
 	}
 }
 
+// TestPartitionMorselFault: a partition morsel passes the worker gate.
+// Armed before a join big enough to partition on the workers, a fault —
+// an error, then a panic — fires in the first pool job, the counting
+// pass, and the join stops with the injected error before it scatters
+// or joins a pair, leaving no goroutine behind.
+func TestPartitionMorselFault(t *testing.T) {
+	defer fault.Reset()
+	spec := workload.Spec{NBuild: 50_000, TupleSize: 16, MatchesPerBuild: 2, Seed: 14}
+	a := arena.New(workload.ArenaBytesFor(spec))
+	pair := workload.Generate(a, spec)
+	if n := pair.Build.NTuples + pair.Probe.NTuples; n < 2*minPartMorsel {
+		t.Fatalf("%d tuples stay below the partition floor", n)
+	}
+	for _, kind := range []fault.Kind{fault.KindError, fault.KindPanic} {
+		base := fault.Goroutines()
+		fault.Enable(fault.SiteMorselWorker, fault.Fault{Kind: kind, Count: 1})
+		pool := &countingPool{}
+		_, err := Join(pair.Build, pair.Probe, Config{Fanout: 8, Workers: 2, Pool: pool})
+		fault.Reset()
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("kind %v: error %v, want injected-fault class", kind, err)
+		}
+		if pool.jobs != 1 {
+			t.Fatalf("kind %v: %d pool jobs ran; the fault belongs to the first, the counting pass", kind, pool.jobs)
+		}
+		fault.CheckGoroutines(t, base)
+	}
+}
+
 // TestJoinSpillFaultsTyped: a permanent injected error at each spill
 // site yields exactly one typed error through the whole stack, with
 // clean teardown.

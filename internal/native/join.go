@@ -3,7 +3,6 @@ package native
 import (
 	"encoding/binary"
 	"errors"
-	"math/bits"
 	"unsafe"
 
 	"hashjoin/internal/plan"
@@ -234,12 +233,12 @@ func (j *pairJoiner) joinPairBudget(build, probe []Entry, shift uint, cfg Config
 		}
 	}
 	sub := subFanoutFor(need, cfg.MemBudget, bitsLeft)
-	subBits := uint(bits.TrailingZeros(uint(sub)))
-	bsub := scatterEntries(build, shift, sub)
-	psub := scatterEntries(probe, shift, sub)
+	var bsub, psub partitions
+	bsub.split(build, shift, sub)
+	psub.split(probe, shift, sub)
 	maxDepth := depth
 	for i := 0; i < sub; i++ {
-		d, err := j.joinPairBudget(bsub[i], psub[i], shift+subBits, cfg, depth+1)
+		d, err := j.joinPairBudget(bsub.part(i), psub.part(i), bsub.bits, cfg, depth+1)
 		if d > maxDepth {
 			maxDepth = d
 		}
@@ -285,39 +284,6 @@ func overBudget(need, budget, parts int) bool {
 		q++
 	}
 	return q > budget
-}
-
-// scatterEntries radix-partitions entries on fanout's worth of hash-code
-// bits starting at shift: counting pass, prefix sum, scatter. The
-// sub-partition buffers live on the Go heap, not the arena — this is the
-// oversized-pair slow path, and its scratch must not count against the
-// very budget it is trying to meet.
-func scatterEntries(entries []Entry, shift uint, fanout int) [][]Entry {
-	mask := uint32(fanout - 1)
-	hist := make([]int, fanout)
-	for i := range entries {
-		hist[(entries[i].Code>>shift)&mask]++
-	}
-	offs := make([]int, fanout+1)
-	sum := 0
-	for i, h := range hist {
-		offs[i] = sum
-		sum += h
-	}
-	offs[fanout] = sum
-	out := make([]Entry, len(entries))
-	cursor := hist
-	copy(cursor, offs[:fanout])
-	for i := range entries {
-		d := (entries[i].Code >> shift) & mask
-		out[cursor[d]] = entries[i]
-		cursor[d]++
-	}
-	parts := make([][]Entry, fanout)
-	for i := 0; i < fanout; i++ {
-		parts[i] = out[offs[i]:offs[i+1]]
-	}
-	return parts
 }
 
 // joinPair builds a row table over build and probes it with probe.

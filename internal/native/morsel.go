@@ -5,6 +5,7 @@ import (
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/fault"
+	"hashjoin/internal/storage"
 )
 
 // Morsel-driven join phase: partition pairs are the morsels, and a
@@ -47,6 +48,62 @@ func claimCheck(ctx context.Context) error {
 		return err
 	}
 	return fault.Hit(fault.SiteMorselWorker)
+}
+
+// minPartMorsel is the fewest tuples worth a partition morsel of their
+// own: a relation pair with fewer than two morsels' worth partitions on
+// the calling goroutine, since a pool round trip would cost more than
+// the tuples (minBuildMorsel is the build's counterpart).
+const minPartMorsel = 64 << 10
+
+// partition is the partition phase: build and probe each split into
+// fanout partitions by the kernel in entry.go. A pair worth two morsels
+// runs it on the workers as two morsel jobs, each covering both
+// relations — every range counts, one prefix sum per relation places,
+// every range scatters — with each relation cut into at most one page
+// range per worker and per minPartMorsel tuples. The entries equal a
+// serial split's, byte for byte.
+func (jn *Joiner) partition(build, probe *storage.Relation, fanout int, cfg Config) error {
+	bp, pp := &jn.bp, &jn.pp
+	if cfg.Workers < 2 || build.NTuples+probe.NTuples < 2*minPartMorsel {
+		bp.cut(build, fanout, 1)
+		pp.cut(probe, fanout, 1)
+		bp.run()
+		pp.run()
+		return nil
+	}
+	ranges := func(rel *storage.Relation) int {
+		return max(1, min(cfg.Workers, (rel.NTuples+minPartMorsel-1)/minPartMorsel))
+	}
+	bp.cut(build, fanout, ranges(build))
+	pp.cut(probe, fanout, ranges(probe))
+	nb, n := len(bp.ranges), len(bp.ranges)+len(pp.ranges)
+	pass := func(kernel func(*partitions, *partRange)) error {
+		return RunMorsels(cfg.Pool, &MorselJob{
+			Tenant: cfg.Tenant,
+			Weight: cfg.Weight,
+			N:      n,
+			Slots:  min(cfg.Workers, n),
+			Run: func(_, i int) (err error) {
+				defer arena.RecoverOOM(&err)
+				if err = claimCheck(cfg.Ctx); err != nil {
+					return err
+				}
+				if i < nb {
+					kernel(bp, &bp.ranges[i])
+				} else {
+					kernel(pp, &pp.ranges[i-nb])
+				}
+				return nil
+			},
+		})
+	}
+	if err := pass((*partitions).count); err != nil {
+		return err
+	}
+	bp.place()
+	pp.place()
+	return pass((*partitions).scatter)
 }
 
 // joinPairs joins corresponding partition pairs of jn.bp and jn.pp

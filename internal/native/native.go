@@ -19,7 +19,9 @@
 //     on the low bits of the memoized hash code — the GRACE fan-out,
 //     sized so a build partition plus its hash table fits the configured
 //     memory budget (or, when CacheBudget is set, the cache, which is
-//     the paper's section 7.5 cache-partitioning comparator).
+//     the paper's section 7.5 cache-partitioning comparator). A pair of
+//     relations big enough is partitioned on the workers, page range by
+//     page range (Joiner.partition, morsel.go).
 //  2. Build: each build partition's tuples are serialized once into
 //     self-contained rows chained from a flat directory of bucket heads
 //     (RowTable, rowtable.go).
@@ -392,15 +394,18 @@ func (jn *Joiner) Join(build, probe *storage.Relation, cfg Config) (Result, erro
 	if fanout == 0 {
 		fanout = fanoutFor(build.NTuples, width, cfg.MemBudget)
 	}
-	jn.bp.fill(data, build, fanout)
-	jn.pp.fill(data, probe, fanout)
-	if cfg.Hybrid {
+	err := jn.partition(build, probe, fanout, cfg)
+	if err == nil && cfg.Hybrid {
 		jn.plan = planHybrid(&jn.bp, width, cfg.MemBudget)
 	}
 	defer func() { jn.plan = nil }()
 	partDone := time.Now()
-
-	r, err := jn.joinPairs(data, width, cfg)
+	var r Result
+	if err == nil {
+		r, err = jn.joinPairs(data, width, cfg)
+	} else {
+		err = asCancel(err, 0, fanout, 0)
+	}
 	spStats, spPairs, spErr := sp.finish()
 	if err == nil {
 		err = spErr

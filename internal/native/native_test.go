@@ -2,7 +2,9 @@ package native
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -105,48 +107,175 @@ func TestMorselWorkersDeterministic(t *testing.T) {
 	}
 }
 
-func TestPartitionPreservesEntries(t *testing.T) {
-	spec := workload.Spec{NBuild: 3000, TupleSize: 16, MatchesPerBuild: 1, Seed: 2}
-	a := arena.New(workload.ArenaBytesFor(spec))
-	pair := workload.Generate(a, spec)
-	data := a.Data()
+// serialSplit is the partition phase's reference: entries in storage
+// order, each appended to the partition its code bits above shift
+// select — what one pass over the input in order produces.
+func serialSplit(entries []Entry, shift uint, fanout int) [][]Entry {
+	parts := make([][]Entry, fanout)
+	for _, e := range entries {
+		d := e.Code >> shift & uint32(fanout-1)
+		parts[d] = append(parts[d], e)
+	}
+	return parts
+}
 
-	flat := Flatten(pair.Build, nil)
-	if len(flat) != pair.Build.NTuples {
-		t.Fatalf("flatten produced %d entries, want %d", len(flat), pair.Build.NTuples)
+// requireSplit fails unless p holds want's partitions, entry for entry
+// and in order.
+func requireSplit(t *testing.T, name string, p *partitions, want [][]Entry) {
+	t.Helper()
+	if p.fanout() != len(want) {
+		t.Fatalf("%s: %d partitions, want %d", name, p.fanout(), len(want))
 	}
-
-	p := new(partitions)
-	p.fill(data, pair.Build, 16)
-	if got := len(p.entries); got != len(flat) {
-		t.Fatalf("partitioning kept %d entries, want %d", got, len(flat))
-	}
-	// Every entry must land in the partition its code selects, and the
-	// multiset of keys must survive the scatter.
-	var flatSum, partSum uint64
-	for _, e := range flat {
-		flatSum += uint64(e.Key)
-	}
-	for i := 0; i < p.fanout(); i++ {
-		for _, e := range p.part(i) {
-			if int(e.Code&uint32(p.fanout()-1)) != i {
-				t.Fatalf("entry with code %#x in partition %d", e.Code, i)
-			}
-			partSum += uint64(e.Key)
+	for d := range want {
+		if got := p.part(d); !slices.Equal(got, want[d]) {
+			t.Fatalf("%s: partition %d holds %d entries that differ from the serial fill's %d", name, d, len(got), len(want[d]))
 		}
 	}
-	if flatSum != partSum {
-		t.Fatalf("key sum changed across partitioning: %d vs %d", flatSum, partSum)
+}
+
+// partitionRels returns relations of 8-byte tuples on 16 KiB pages, one
+// per page count, each ending in a page of one tuple.
+func partitionRels(t *testing.T, a *arena.Arena, pageCounts ...int) map[int]*storage.Relation {
+	const width, pageSize = 8, 16 << 10
+	rng := rand.New(rand.NewSource(2))
+	rels := make(map[int]*storage.Relation, len(pageCounts))
+	for _, np := range pageCounts {
+		var keys []uint32
+		if np > 0 {
+			keys = make([]uint32, (np-1)*storage.CapacityFor(pageSize, width)+1)
+		}
+		for i := range keys {
+			keys[i] = rng.Uint32()
+		}
+		rels[np] = keysRelation(a, keys, width, pageSize)
+		if rels[np].NPages() != np {
+			t.Fatalf("%d pages, the case wants %d", rels[np].NPages(), np)
+		}
+	}
+	return rels
+}
+
+// TestPartitionPreservesEntries: the partition phase leaves every
+// partition of both relations holding the serial fill's entries, in
+// order, for every worker count and fan-out — over relations of no
+// pages, one, fewer than the workers, a count the workers do not divide,
+// and 162, each paired both ways with the 162-page one, which alone
+// puts the pair above the floor. One Joiner runs every case, so
+// recycled buffers must not show through.
+func TestPartitionPreservesEntries(t *testing.T) {
+	a := arena.New(8 << 20)
+	pageCounts := []int{0, 1, 3, 7, 162}
+	rels := partitionRels(t, a, pageCounts...)
+	big := rels[162]
+	if big.NTuples < 2*minPartMorsel {
+		t.Fatalf("%d tuples stay below the partition floor", big.NTuples)
+	}
+	flat := make(map[*storage.Relation][]Entry)
+	for _, rel := range rels {
+		flat[rel] = Flatten(rel, nil)
+	}
+	// The cut alone, at range counts the floor never picks for the small
+	// relations: at most that many ranges, the pages in order across
+	// them, and the kernel over them the serial fill.
+	for np, rel := range rels {
+		for _, n := range []int{1, 2, 4} {
+			var p partitions
+			p.cut(rel, 64, n)
+			var pages []arena.Addr
+			for _, r := range p.ranges {
+				pages = append(pages, r.pages...)
+			}
+			if len(p.ranges) > n || !slices.Equal(pages, rel.Pages) {
+				t.Fatalf("%d pages cut %d ways: %d ranges, pages in order %v", np, n, len(p.ranges), slices.Equal(pages, rel.Pages))
+			}
+			p.run()
+			requireSplit(t, fmt.Sprintf("%d pages cut %d ways", np, n), &p, serialSplit(flat[rel], 0, 64))
+		}
+	}
+	jn := NewJoiner()
+	for _, workers := range []int{1, 2, 4} {
+		for _, fanout := range []int{1, 2, 64, 4096} {
+			for _, np := range pageCounts {
+				for _, pair := range [][2]*storage.Relation{{rels[np], big}, {big, rels[np]}} {
+					if err := jn.partition(pair[0], pair[1], fanout, Config{Workers: workers}.normalized()); err != nil {
+						t.Fatalf("workers=%d fanout=%d pages=%d: %v", workers, fanout, np, err)
+					}
+					for k, p := range []*partitions{&jn.bp, &jn.pp} {
+						name := fmt.Sprintf("workers=%d fanout=%d %d-page pair, side %d", workers, fanout, np, k)
+						requireSplit(t, name, p, serialSplit(flat[pair[k]], 0, fanout))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPartitionBelowFloorIsSerial: one worker, or a pair with fewer
+// than two morsels' worth of tuples, partitions on the calling goroutine
+// — the pool sees the join's own job alone — while a pair at the floor
+// adds exactly two jobs, counting and scattering, each covering both
+// relations. Every run's result is the one-worker run's.
+func TestPartitionBelowFloorIsSerial(t *testing.T) {
+	a := arena.New(8 << 20)
+	keys := make([]uint32, 2*minPartMorsel)
+	for i := range keys {
+		keys[i] = uint32(i % 50_000)
+	}
+	rel := func(n int) *storage.Relation { return keysRelation(a, keys[:n], 8, 16<<10) }
+	below, at, probe := rel(minPartMorsel), rel(minPartMorsel+1), rel(minPartMorsel-1)
+	for _, tc := range []struct {
+		name    string
+		build   *storage.Relation
+		workers int
+		jobs    int // the join's own job included
+	}{
+		{"one worker", at, 1, 1},
+		{"below the floor", below, 4, 1},
+		{"empty build", rel(0), 4, 1},
+		{"at the floor", at, 4, 3},
+		{"at the floor, two workers", at, 2, 3},
+	} {
+		want, err := Join(tc.build, probe, Config{Fanout: 16, Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		pool := &countingPool{}
+		got, err := Join(tc.build, probe, Config{Fanout: 16, Workers: tc.workers, Pool: pool})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if pool.jobs != tc.jobs {
+			t.Errorf("%s: %d pool jobs, want %d", tc.name, pool.jobs, tc.jobs)
+		}
+		if got.NOutput != want.NOutput || got.KeySum != want.KeySum {
+			t.Errorf("%s: (%d, %d), one worker (%d, %d)", tc.name, got.NOutput, got.KeySum, want.NOutput, want.KeySum)
+		}
 	}
 }
 
 func TestBudgetRecursionParity(t *testing.T) {
 	// A budget far below the workload's footprint at a forced small
 	// fan-out must trigger recursive re-partitioning, and the result must
-	// be byte-identical to the unbudgeted run.
-	spec := workload.Spec{NBuild: 30000, TupleSize: 24, MatchesPerBuild: 2, PctMatched: 90, Seed: 7}
+	// be byte-identical to the unbudgeted run. The pair is above the
+	// partition floor, so four workers partition it in parallel first.
+	spec := workload.Spec{NBuild: 50000, TupleSize: 24, MatchesPerBuild: 2, PctMatched: 90, Seed: 7}
 	a := arena.New(workload.ArenaBytesFor(spec))
 	pair := workload.Generate(a, spec)
+	if n := pair.Build.NTuples + pair.Probe.NTuples; n < 2*minPartMorsel {
+		t.Fatalf("%d tuples stay below the partition floor", n)
+	}
+
+	// Re-partitioning one pair is the partition kernel over one range of
+	// entries: at any shift it must keep each sub-partition in input
+	// order, as the serial fill does.
+	entries := Flatten(pair.Build, nil)
+	for _, shift := range []uint{0, 3, 24, 31} {
+		for _, sub := range []int{2, 8, 256} {
+			var p partitions
+			p.split(entries, shift, sub)
+			requireSplit(t, fmt.Sprintf("split at shift %d into %d", shift, sub), &p, serialSplit(entries, shift, sub))
+		}
+	}
 
 	want, err := Join(pair.Build, pair.Probe, Config{Scheme: Group, Fanout: 1})
 	if err != nil {
@@ -156,7 +285,7 @@ func TestBudgetRecursionParity(t *testing.T) {
 		t.Fatalf("unbudgeted join recursed to depth %d", want.RecursionDepth)
 	}
 
-	// footprint(30000) ≈ 1.7 MB; a 256 KB budget forces ~3 levels of
+	// footprint(50000) ≈ 3.6 MB; a 256 KB budget forces ~3 levels of
 	// splitting at sub-fanout 2..8 per level.
 	for _, workers := range []int{1, 4} {
 		got, err := Join(pair.Build, pair.Probe,
