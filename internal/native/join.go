@@ -34,10 +34,12 @@ type pairJoiner struct {
 	// spill, when set, is the join's shared out-of-core coordinator: an
 	// irreducible over-budget pair goes to disk instead of failing (see
 	// spill.go). The entry and page scratch below is recycled across
-	// spilled chunks.
+	// spilled chunks; spillCode holds a one-code pair's probe entries of
+	// that code (see probeOfCode).
 	spill       *spillState
 	spillBuild  []Entry
 	spillProbe  []Entry
+	spillCode   []Entry
 	spillPinned []spill.Page
 
 	// codeFreq is the hybrid victim path's code-frequency histogram
@@ -199,6 +201,11 @@ const maxRepartitionDepth = 8
 // exceeds memory — and each sub-pair joined recursively. It returns the
 // deepest recursion level used, or a *BudgetError when the depth bound
 // or the hash bits run out before the pair fits.
+//
+// A build side whose rows all share one hash code is irreducible at
+// once: no radix split can separate them, so with the spill tier
+// available the pair goes straight to it instead of splitting eight
+// levels deep first.
 func (j *pairJoiner) joinPairBudget(build, probe []Entry, shift uint, cfg Config, depth int) (int, error) {
 	if len(build) == 0 || len(probe) == 0 {
 		j.emitUnmatchedPair(build, probe)
@@ -210,7 +217,8 @@ func (j *pairJoiner) joinPairBudget(build, probe []Entry, shift uint, cfg Config
 		return depth, nil
 	}
 	bitsLeft := 32 - int(shift)
-	if depth >= maxRepartitionDepth || bitsLeft <= 0 {
+	oneCode := j.spill != nil && sameCode(build)
+	if oneCode || depth >= maxRepartitionDepth || bitsLeft <= 0 {
 		// Irreducible: duplicate hash codes no radix split can separate.
 		// The final tier of the ladder joins the pair out of core in
 		// budget-sized build chunks; only Config.NoSpill (or a schema
@@ -219,15 +227,24 @@ func (j *pairJoiner) joinPairBudget(build, probe []Entry, shift uint, cfg Config
 		case j.spill == nil:
 			return depth, &BudgetError{Budget: cfg.MemBudget, Need: need, Depth: depth}
 		case j.spill.available():
+			if oneCode {
+				// Only probe rows of the build's code can match; the
+				// rest are unmatched here and never reach the disk.
+				if probe = j.probeOfCode(probe, build[0].Code); len(probe) == 0 {
+					j.emitUnmatchedPair(build, probe)
+					return depth, nil
+				}
+			}
 			if cfg.Hybrid {
 				return depth, j.joinPairSpillHybrid(build, probe, shift, cfg)
 			}
 			return depth, j.joinPairSpill(build, probe, shift, cfg)
 		case bitsLeft > 0:
 			// Every spill directory is down but hash bits remain: degrade
-			// back *up* the ladder and keep re-partitioning in memory past
-			// the depth cap. The 32 hash bits bound this, so a pair that
-			// stays irreducible all the way down still sheds below.
+			// back *up* the ladder and keep re-partitioning in memory, past
+			// the depth cap if need be. The 32 hash bits bound this, so a
+			// pair that stays irreducible all the way down still sheds
+			// below.
 		default:
 			return depth, j.spill.unavailable()
 		}
@@ -256,6 +273,35 @@ func (j *pairJoiner) joinPairBudget(build, probe []Entry, shift uint, cfg Config
 		}
 	}
 	return maxDepth, nil
+}
+
+// sameCode reports whether every entry carries the first entry's hash
+// code. It stops at the first code that differs.
+func sameCode(es []Entry) bool {
+	for i := range es {
+		if es[i].Code != es[0].Code {
+			return false
+		}
+	}
+	return true
+}
+
+// probeOfCode copies the probe entries of code, in order, into the
+// pair's scratch and emits every other entry as unmatched: no row of a
+// build side that is all code can match them. The returned slice is
+// valid until the next call.
+func (j *pairJoiner) probeOfCode(probe []Entry, code uint32) []Entry {
+	out, lo := j.spillCode[:0], 0
+	for i := range probe {
+		if probe[i].Code == code {
+			j.emitAllProbeUnmatched(probe[lo:i])
+			lo = i + 1
+			out = append(out, probe[i])
+		}
+	}
+	j.emitAllProbeUnmatched(probe[lo:])
+	j.spillCode = out
+	return out
 }
 
 // subFanoutFor picks the smallest power-of-two sub-fan-out (at least 2)

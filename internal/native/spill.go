@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/plan"
@@ -14,8 +15,9 @@ import (
 )
 
 // Out-of-core tier of the degradation ladder. A pair that is still over
-// budget when recursive re-partitioning runs out of depth or hash bits —
-// irreducible duplicate-code skew — no longer fails: it is spilled to
+// budget when its build side is one hash code, or when recursive
+// re-partitioning runs out of depth or hash bits — irreducible
+// duplicate-code skew — no longer fails: it is spilled to
 // disk through internal/spill and joined in build-side chunks, each
 // chunk's hash table sized to the budget, with the probe partition
 // streamed past every chunk (the classic GRACE fallback, §2 of the
@@ -43,6 +45,11 @@ type spillState struct {
 	budget     int
 	pageSize   int
 	ctx        context.Context // nil: never cancelled
+
+	// scheme, g and d restructure the partition write's tuple copies as
+	// they restructure the build and probe loops (see spillPartition).
+	scheme Scheme
+	g, d   int
 
 	mu    sync.Mutex
 	m     *spill.Manager
@@ -77,6 +84,9 @@ func newSpillState(build, probe *storage.Relation, cfg Config) *spillState {
 		budget:     cfg.MemBudget,
 		pageSize:   cfg.spillPage(),
 		ctx:        cfg.Ctx,
+		scheme:     cfg.Scheme,
+		g:          cfg.G,
+		d:          cfg.D,
 	}
 }
 
@@ -304,22 +314,56 @@ type spillSide struct {
 // the way back in. On failure the partially written Writer (when one
 // was created) is returned alongside the error so the caller can
 // quarantine it.
+//
+// The partition phase read only slots, so the copy into the page is the
+// first touch of each tuple's bytes and misses. The scheme hides that
+// miss as the paper's partition phase does (§6): Group prefetches every
+// cache line of the next G tuples, then appends those G; Pipelined
+// prefetches tuple i+D while appending tuple i; Baseline appends
+// without a prefetch. A prefetch is only a hint, so the file is the
+// same under every scheme.
 func (sp *spillState) spillPartition(m *spill.Manager, data []byte, entries []Entry, width int) (*spill.Writer, error) {
 	w, err := m.NewWriter()
 	if err != nil {
 		return nil, err
 	}
-	for i := range entries {
-		e := &entries[i]
-		base := e.Ref - arena.Base
-		if err := w.Append(data[base:base+uint64(width)], e.Code); err != nil {
-			return w, err
+	step := 1
+	if sp.scheme == Group {
+		step = sp.g
+	}
+	n, w64 := len(entries), uint64(width)
+	for lo := 0; lo < n; lo += step {
+		hi := min(lo+step, n)
+		switch sp.scheme {
+		case Group:
+			for i := lo; i < hi; i++ {
+				prefetchTuple(data, entries[i].Ref, w64)
+			}
+		case Pipelined:
+			if nx := lo + sp.d; nx < n {
+				prefetchTuple(data, entries[nx].Ref, w64)
+			}
+		}
+		for i := lo; i < hi; i++ {
+			base := entries[i].Ref - arena.Base
+			if err := w.Append(data[base:base+w64], entries[i].Code); err != nil {
+				return w, err
+			}
 		}
 	}
 	if err := w.Finish(); err != nil {
 		return w, err
 	}
 	return w, nil
+}
+
+// prefetchTuple prefetches every cache line of the width bytes at arena
+// address ref.
+func prefetchTuple(data []byte, ref, width uint64) {
+	base := ref - arena.Base
+	for off := base &^ 63; off < base+width; off += 64 {
+		prefetchT0(unsafe.Pointer(&data[off]))
+	}
 }
 
 // writeSide spills one side to disk with directory failover: a write

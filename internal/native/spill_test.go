@@ -1,12 +1,19 @@
 package native
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hashjoin/internal/arena"
+	"hashjoin/internal/plan"
+	"hashjoin/internal/spill"
 	"hashjoin/internal/workload"
 )
 
@@ -16,15 +23,25 @@ import (
 // entry i on the other: same code, same key.
 func mkEntries(t *testing.T, a *arena.Arena, codes []uint32) []Entry {
 	t.Helper()
+	keys := make([]uint32, len(codes))
+	for i := range keys {
+		keys[i] = uint32(1000 + i)
+	}
+	return mkKeyed(t, a, keys, codes)
+}
+
+// mkKeyed is mkEntries with the keys given: entry i is an 8-byte tuple
+// with key keys[i] and hash code codes[i].
+func mkKeyed(t testing.TB, a *arena.Arena, keys, codes []uint32) []Entry {
+	t.Helper()
 	es := make([]Entry, len(codes))
 	for i, c := range codes {
 		addr, err := a.TryAlloc(8, 1)
 		if err != nil {
 			t.Fatalf("TryAlloc: %v", err)
 		}
-		key := uint32(1000 + i)
-		binary.LittleEndian.PutUint32(a.Bytes(addr, 4), key)
-		es[i] = Entry{Code: c, Key: key, Ref: addr}
+		binary.LittleEndian.PutUint32(a.Bytes(addr, 4), keys[i])
+		es[i] = Entry{Code: c, Key: keys[i], Ref: addr}
 	}
 	return es
 }
@@ -188,6 +205,251 @@ func TestJoinSpillRepeatedNoOrphans(t *testing.T) {
 		ents, rerr := os.ReadDir(dir)
 		if rerr != nil || len(ents) != 0 {
 			t.Fatalf("run %d left files behind: %v %v", i, ents, rerr)
+		}
+	}
+}
+
+// mkWide allocates n width-byte tuples back to back (so cache lines
+// straddle tuples) with distinct keys and codes, and returns their
+// entries in a fixed shuffled order: each tuple the write loop copies
+// sits on a line the previous copy did not touch.
+func mkWide(t testing.TB, a *arena.Arena, n, width int) []Entry {
+	t.Helper()
+	es := make([]Entry, n)
+	for i := range es {
+		addr, err := a.TryAlloc(uint64(width), 1)
+		if err != nil {
+			t.Fatalf("TryAlloc: %v", err)
+		}
+		b := a.Bytes(addr, uint64(width))
+		for k := range b {
+			b[k] = byte(i + k)
+		}
+		binary.LittleEndian.PutUint32(b, uint32(i))
+		es[i] = Entry{Code: uint32(i) * 2654435761, Key: uint32(i), Ref: addr}
+	}
+	rng := rand.New(rand.NewSource(1))
+	rng.Shuffle(n, func(i, j int) { es[i], es[j] = es[j], es[i] })
+	return es
+}
+
+// TestSpillWriteSchemesIdentical writes one side in shuffled order
+// under every scheme, at the default and at odd G/D, and checks the
+// partition files are byte for byte the same: the write loop's
+// prefetches are hints and move no byte. The pool outnumbers the pages,
+// so no page buffer is reused and a page's unused bytes are zero.
+func TestSpillWriteSchemesIdentical(t *testing.T) {
+	const n, width = 1500, 100
+	for _, gd := range [][2]int{{DefaultG, DefaultD}, {7, 3}} {
+		var want []byte
+		for _, scheme := range []Scheme{Baseline, Group, Pipelined} {
+			a := arena.New(4 << 20)
+			es := mkWide(t, a, n, width)
+			m, err := spill.NewManager(spill.Config{Dir: t.TempDir(), PageSize: 4096, PoolPages: 64, A: a})
+			if err != nil {
+				t.Fatalf("NewManager: %v", err)
+			}
+			sp := &spillState{scheme: scheme, g: gd[0], d: gd[1]}
+			w, err := sp.spillPartition(m, a.Data(), es, width)
+			if err != nil {
+				t.Fatalf("%v G=%d D=%d: spillPartition: %v", scheme, gd[0], gd[1], err)
+			}
+			if w.NPages() >= 64 {
+				t.Fatalf("%d pages reuse pool buffers; grow PoolPages", w.NPages())
+			}
+			got, err := os.ReadFile(w.Path())
+			if err != nil {
+				t.Fatalf("reading the partition: %v", err)
+			}
+			if err := m.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%v G=%d D=%d: partition file differs from baseline's (%d vs %d bytes)",
+					scheme, gd[0], gd[1], len(got), len(want))
+			}
+		}
+	}
+}
+
+// BenchmarkSpillPartitionWrite times spillPartition over 200k 100-byte
+// tuples in shuffled order under each scheme; ns/tuple is the copy plus
+// its share of page encoding.
+func BenchmarkSpillPartitionWrite(b *testing.B) {
+	const n, width = 200_000, 100
+	a := arena.New(n*width + 8<<20)
+	es := mkWide(b, a, n, width)
+	mark := a.Used()
+	dir := b.TempDir()
+	for _, bc := range []struct {
+		name   string
+		scheme Scheme
+	}{{"Baseline", Baseline}, {"Group", Group}, {"Pipelined", Pipelined}} {
+		b.Run(bc.name, func(b *testing.B) {
+			sp := &spillState{scheme: bc.scheme, g: DefaultG, d: DefaultD}
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				a.Truncate(mark)
+				m, err := spill.NewManager(spill.Config{Dir: dir, A: a})
+				if err != nil {
+					b.Fatalf("NewManager: %v", err)
+				}
+				b.StartTimer()
+				_, err = sp.spillPartition(m, a.Data(), es, width)
+				b.StopTimer()
+				if err != nil {
+					b.Fatalf("spillPartition: %v", err)
+				}
+				if err := m.Close(); err != nil {
+					b.Fatalf("Close: %v", err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/tuple")
+		})
+	}
+}
+
+// emission is one sink call: the build row's key (-1 for a null build
+// side) and the probe row's key (-1 for an unmatched build row). Keys,
+// not addresses: a spilled row is emitted from its pool page.
+type emission struct {
+	build, probe int64
+}
+
+// pairRun is what one joinPairBudget call produced.
+type pairRun struct {
+	emits   []emission
+	nOutput int
+	keySum  uint64
+	depth   int
+	spilled int
+}
+
+// runPairBudget joins build with probe through joinPairBudget under cfg,
+// with the spill tier armed when withSpill is set, recording every
+// emission in sorted order.
+func runPairBudget(t *testing.T, a *arena.Arena, build, probe []Entry, cfg Config, withSpill bool) pairRun {
+	t.Helper()
+	cfg = cfg.normalized()
+	j := newPairJoiner()
+	j.data, j.width, j.joinType = a.Data(), 8, cfg.JoinType
+	j.g, j.d = cfg.G, cfg.D
+	var r pairRun
+	j.sink = func(b []byte, ref uint64) {
+		e := emission{-1, -1}
+		if b != nil {
+			e.build = int64(binary.LittleEndian.Uint32(b))
+		}
+		if ref != 0 {
+			e.probe = int64(binary.LittleEndian.Uint32(j.data[ref-arena.Base:]))
+		}
+		r.emits = append(r.emits, e)
+	}
+	if withSpill {
+		j.spill = &spillState{a: a, dir: t.TempDir(), workers: 2, buildWidth: 8, probeWidth: 8,
+			budget: cfg.MemBudget, pageSize: 4096, scheme: cfg.Scheme, g: cfg.G, d: cfg.D}
+	}
+	depth, err := j.joinPairBudget(build, probe, 0, cfg, 0)
+	if err != nil {
+		t.Fatalf("joinPairBudget: %v", err)
+	}
+	if withSpill {
+		_, pairs, err := j.spill.finish()
+		if err != nil {
+			t.Fatalf("spill finish: %v", err)
+		}
+		r.spilled = pairs
+	}
+	slices.SortFunc(r.emits, func(x, y emission) int {
+		return cmp.Or(cmp.Compare(x.build, y.build), cmp.Compare(x.probe, y.probe))
+	})
+	r.nOutput, r.keySum, r.depth = j.nOutput, j.keySum, depth
+	return r
+}
+
+// TestIrreduciblePairSpillsAtOnce drives joinPairBudget over a pair
+// whose build side is one hash code, and over a partition holding two
+// such codes, under every join type, scheme and hybrid setting. Each hot
+// code has 24 build rows under an 8-row budget: 16 of one key and 8 of
+// another that collides on the code. The probe side holds matching
+// rows, a colliding key that matches nothing, and rows of 40 codes the
+// build side lacks, each with a key of its own. The one-code pair must reach the spill tier at depth
+// 0 and the two-code partition at depth 1, one split separating the
+// codes; the output must equal the unbudgeted join's, emission for
+// emission; and each probe row of a missing code must be emitted exactly
+// once by the types that emit unmatched probe rows, and never by the
+// others.
+func TestIrreduciblePairSpillsAtOnce(t *testing.T) {
+	shapes := []struct {
+		name  string
+		hot   []uint32
+		depth int
+	}{
+		{"one-code", []uint32{0x5a5a0003}, 0},
+		{"two-code", []uint32{0x5a5a0010, 0x5a5a0011}, 1},
+	}
+	for _, sh := range shapes {
+		for _, jt := range plan.JoinTypes() {
+			for _, scheme := range []Scheme{Baseline, Group, Pipelined} {
+				for _, hybrid := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/%v/%v/hybrid=%v", sh.name, jt, scheme, hybrid), func(t *testing.T) {
+						a := arena.New(1 << 20)
+						var bKeys, bCodes, pKeys, pCodes []uint32
+						for h, c := range sh.hot {
+							k := uint32(100 + 10*h)
+							for i := 0; i < 24; i++ {
+								bKeys, bCodes = append(bKeys, k+uint32(i%3/2)), append(bCodes, c)
+							}
+							pKeys = append(pKeys, k, k+2, k, k+1, k)
+							pCodes = append(pCodes, c, c, c, c, c)
+						}
+						for i := 0; i < 40; i++ {
+							pKeys, pCodes = append(pKeys, uint32(5000+i)), append(pCodes, uint32(i)*0x9e3779b1)
+						}
+						build := mkKeyed(t, a, bKeys, bCodes)
+						probe := mkKeyed(t, a, pKeys, pCodes)
+						rand.New(rand.NewSource(3)).Shuffle(len(probe), func(i, j int) {
+							probe[i], probe[j] = probe[j], probe[i]
+						})
+
+						want := runPairBudget(t, a, build, probe,
+							Config{JoinType: jt, Scheme: scheme, MemBudget: 1 << 30, NoSpill: true}, false)
+						got := runPairBudget(t, a, build, probe,
+							Config{JoinType: jt, Scheme: scheme, MemBudget: pairFootprint(8, 8), Hybrid: hybrid}, true)
+						if got.depth != sh.depth || got.spilled != len(sh.hot) {
+							t.Fatalf("depth %d with %d spilled pairs, want depth %d with %d",
+								got.depth, got.spilled, sh.depth, len(sh.hot))
+						}
+						if got.nOutput != want.nOutput || got.keySum != want.keySum || !slices.Equal(got.emits, want.emits) {
+							t.Fatalf("budgeted join = (%d, %d) %v,\nunbudgeted = (%d, %d) %v",
+								got.nOutput, got.keySum, got.emits, want.nOutput, want.keySum, want.emits)
+						}
+						wantOnce := 0
+						if jt == plan.LeftOuter || jt == plan.LeftAnti {
+							wantOnce = 1
+						}
+						for _, e := range probe {
+							if slices.Contains(sh.hot, e.Code) {
+								continue
+							}
+							n := 0
+							for _, em := range got.emits {
+								if em.probe == int64(e.Key) {
+									n++
+								}
+							}
+							if n != wantOnce {
+								t.Fatalf("probe row of missing code %#x emitted %d times, want %d", e.Code, n, wantOnce)
+							}
+						}
+					})
+				}
+			}
 		}
 	}
 }

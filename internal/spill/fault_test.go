@@ -200,6 +200,43 @@ func TestPermanentWriteErrorSticky(t *testing.T) {
 	fault.CheckNoFiles(t, parent)
 }
 
+// TestWriteErrorWithinOnePage pins where Append reports a write-behind
+// failure: the sticky error is checked at page boundaries, so once a
+// failed page write has landed Append returns it within one page of
+// tuples, Finish returns it too, and the page that was never written
+// goes back to the pool.
+func TestWriteErrorWithinOnePage(t *testing.T) {
+	defer fault.Reset()
+	const pageSize, width = 512, 24
+	m := newTestManager(t, pageSize)
+	w, err := m.NewWriter()
+	if err != nil {
+		t.Fatalf("NewWriter: %v", err)
+	}
+	fault.Enable(fault.SiteSpillWrite, fault.Fault{Kind: fault.KindError})
+	// Fill page 0 and start page 1: page 0 goes to a write-behind worker,
+	// whose write fails.
+	i := 0
+	for ; w.NPages() < 2; i++ {
+		if err := w.Append(tupleFor(i, width), uint32(i)); err != nil {
+			t.Fatalf("Append(%d) before any write landed: %v", i, err)
+		}
+	}
+	w.pending.Wait() // the failed write has landed
+	err = nil
+	for n := 0; n < PageCapacity(pageSize, width) && err == nil; n++ {
+		err = w.Append(tupleFor(i, width), uint32(i))
+		i++
+	}
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Append within one page of the failed write = %v, want injected", err)
+	}
+	if err := w.Finish(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Finish err = %v, want injected", err)
+	}
+	drainPool(t, m)
+}
+
 // TestPanicMidWriteContained is the crash-safety satellite: a panic
 // injected inside the write-behind worker becomes the writer's sticky
 // typed error, Finish and Close do not deadlock, and the per-join temp

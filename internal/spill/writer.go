@@ -44,8 +44,10 @@ func (w *Writer) Path() string { return w.f.Name() }
 // Append encodes one tuple with its memoized hash code. A page that
 // fills is handed to the write-behind queue and a fresh buffer taken
 // from the pool; the only wait on this path is pool pressure (charged
-// to WriteStall). Cancellation is checked at page boundaries, so a
-// cancelled join stops spilling within one page.
+// to WriteStall). Cancellation and the sticky write error are checked
+// at page boundaries, so a cancelled join stops spilling within one
+// page and a failed page write surfaces within one page of tuples after
+// it lands (Finish reports any error the last pages raise).
 func (w *Writer) Append(tuple []byte, code uint32) error {
 	if !w.hasCur {
 		if err := w.m.ctxErr(); err != nil {
@@ -54,7 +56,10 @@ func (w *Writer) Append(tuple []byte, code uint32) error {
 		w.newPage()
 	}
 	if !w.page.Append(tuple, code) {
-		if err := w.m.ctxErr(); err != nil {
+		if err := w.pageErr(); err != nil {
+			// The full page is never written: hand its buffer back.
+			w.m.release(w.cur)
+			w.hasCur = false
 			return err
 		}
 		w.flush()
@@ -65,6 +70,15 @@ func (w *Writer) Append(tuple []byte, code uint32) error {
 		}
 	}
 	w.ntuples++
+	return nil
+}
+
+// pageErr is the page-boundary check: cancellation, then the first
+// error a write-behind worker recorded for this partition.
+func (w *Writer) pageErr() error {
+	if err := w.m.ctxErr(); err != nil {
+		return err
+	}
 	return w.firstErr()
 }
 
