@@ -10,11 +10,14 @@ import (
 )
 
 // TestScratchBytesGolden pins the one scratch estimator to the numbers
-// of the two it replaced, plus the one term that has moved since: a pipe
-// buffer now holds ten prefetch groups, not one, so every estimate is
-// its old value (parent) plus nine more groups of G rows of the join's
-// emit width in each of the 2·workers+4 buffers. Nothing else moved —
-// the expectation below is computed exactly that way. Every parent but
+// of the two it replaced, plus the two terms that have moved since. A
+// pipe buffer now holds ten prefetch groups, not one, so every estimate
+// is its old value (parent) plus nine more groups of G rows of the
+// join's emit width in each of the 2·workers+4 buffers. And spilled
+// pairs now run on every worker, so a budgeted native estimate adds, for
+// each worker past the first, one more chunk of pinned pages and the
+// four pages its writes and reads hold. Nothing else moved — the
+// expectation below is computed exactly that way. Every parent but
 // the last was printed by the PR 13 estimators — the root package's
 // plannedScratch (rows "service …", the inputs of
 // TestServicePlannedScratchBoundsRun; the bench/ workloads'
@@ -69,6 +72,14 @@ func TestScratchBytesGolden(t *testing.T) {
 		}
 		g := uint64(max(tc.cfg.Params.G, native.DefaultG))
 		want := tc.parent + uint64(2*tc.cfg.Workers+4)*9*g*tc.emit
+		if c := tc.cfg; c.Backend == Native && c.MemBudget > 0 && !c.NoSpill {
+			page := c.SpillPageSize
+			if page == 0 {
+				page = 32 << 10
+			}
+			chunk := min(c.MemBudget/page+1, 256)
+			want += uint64((c.Workers - 1) * (chunk + 4) * page)
+		}
 		if got := logical.ScratchBytes(tc.cfg, tc.mpp, tc.aggRows); got != want {
 			t.Errorf("%s: ScratchBytes = %d, want %d", tc.name, got, want)
 		}

@@ -119,13 +119,7 @@ func (jn *Joiner) partition(build, probe *storage.Relation, fanout int, cfg Conf
 func (jn *Joiner) joinPairs(data []byte, width int, cfg Config) (Result, error) {
 	bp, pp := &jn.bp, &jn.pp
 	n := bp.fanout()
-	workers := cfg.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := cfg.morselSlots(n)
 
 	// Per-slot progress accounting, padded to distinct cache lines. The
 	// pool contract (one Run in flight per slot) makes slot-indexed

@@ -375,7 +375,16 @@ func (jn *Joiner) Join(build, probe *storage.Relation, cfg Config) (Result, erro
 	data := build.Arena().Data()
 	width := build.Schema.FixedWidth()
 
-	sp := newSpillState(build, probe, cfg)
+	start := time.Now()
+	if err := cfg.Ctx.Err(); err != nil {
+		return Result{}, asCancel(err, 0, 0, 0)
+	}
+	fanout := cfg.Fanout
+	if fanout == 0 {
+		fanout = fanoutFor(build.NTuples, width, cfg.MemBudget)
+	}
+
+	sp := newSpillState(build, probe, cfg, cfg.morselSlots(fanout))
 	jn.spillSt = sp
 	// The deferred finish covers the panic path (arena exhaustion
 	// unwinding through a sink): temp files are removed before the panic
@@ -386,14 +395,6 @@ func (jn *Joiner) Join(build, probe *storage.Relation, cfg Config) (Result, erro
 		sp.finish()
 	}()
 
-	start := time.Now()
-	if err := cfg.Ctx.Err(); err != nil {
-		return Result{}, asCancel(err, 0, 0, 0)
-	}
-	fanout := cfg.Fanout
-	if fanout == 0 {
-		fanout = fanoutFor(build.NTuples, width, cfg.MemBudget)
-	}
 	err := jn.partition(build, probe, fanout, cfg)
 	if err == nil && cfg.Hybrid {
 		jn.plan = planHybrid(&jn.bp, width, cfg.MemBudget)

@@ -31,15 +31,17 @@ const spillChunkPagesCap = 256
 
 // spillState is the per-Join spill coordinator, shared by all morsel
 // workers of one Joiner.Join call. The Manager (and its temp directory)
-// is created lazily on the first spill; mu serializes spilled pairs —
-// one spilled pair joins at a time, while other workers keep draining
-// in-memory pairs. That serialization is what makes the buffer pool
-// sizing safe and the spill path's arena allocations single-threaded
-// relative to each other.
+// is created lazily on the first spill; mu guards only that creation and
+// the spilled-pair count. Every morsel slot can join a spilled pair at
+// once, each with its own Writers, Readers and pinned chunk. What keeps
+// them from starving one another is the Manager's page pool, sized for
+// slots concurrent pairs (poolPages); the Manager's own state is safe
+// for concurrent use.
 type spillState struct {
 	a          *arena.Arena
 	dir        string
 	workers    int
+	slots      int // spilled pairs in flight at most: the join's morsel slots
 	buildWidth int
 	probeWidth int
 	budget     int
@@ -57,10 +59,11 @@ type spillState struct {
 	pairs int   // partition pairs that went through the spill tier
 }
 
-// newSpillState returns the spill coordinator for a join, or nil when
-// spilling is disabled or the schemas cannot round-trip through slotted
-// pages (variable width, or no leading 4-byte key to re-decode).
-func newSpillState(build, probe *storage.Relation, cfg Config) *spillState {
+// newSpillState returns the spill coordinator for a join whose morsel
+// phase runs slots slots, or nil when spilling is disabled or the
+// schemas cannot round-trip through slotted pages (variable width, or no
+// leading 4-byte key to re-decode).
+func newSpillState(build, probe *storage.Relation, cfg Config, slots int) *spillState {
 	if cfg.NoSpill {
 		return nil
 	}
@@ -79,6 +82,7 @@ func newSpillState(build, probe *storage.Relation, cfg Config) *spillState {
 		a:          scratch,
 		dir:        cfg.SpillDir,
 		workers:    cfg.spillWorkers(),
+		slots:      slots,
 		buildWidth: bs.FixedWidth(),
 		probeWidth: ps.FixedWidth(),
 		budget:     cfg.MemBudget,
@@ -119,34 +123,62 @@ func (sp *spillState) chunkPages() int {
 	return min(max(sp.budget/perPage, 1), spillChunkPagesCap)
 }
 
+// morselSlots is how many slots a join's morsel phase runs over fanout
+// partition pairs: one per worker, never more than the pairs. It is
+// also how many spilled pairs can be in flight at once, one per slot.
+func (c Config) morselSlots(fanout int) int {
+	return max(1, min(c.Workers, fanout))
+}
+
+// poolPages is the Manager's page pool: for every slot, one chunk of
+// pinned build pages plus the pages its writes and reads hold, and the
+// write-behind pipeline the slots share.
+func (sp *spillState) poolPages() int {
+	slots := max(sp.slots, 1)
+	return slots*sp.chunkPages() + spill.MinPoolPages(sp.workers, slots)
+}
+
 // SpillPoolBytes bounds the arena scratch the out-of-core tier claims
 // for its page pool under cfg — what admission and arena sizing plan
 // for before any relation exists. Zero when the tier cannot engage
 // (unbudgeted or disabled). chunkPages divides the budget by a page
 // plus its tuples' table overhead; dividing by the page alone bounds it
-// for every build width. 64 KiB of slack covers the pool's alignment.
+// for every build width. A fan-out derived from the budget is not known
+// yet, so the slots are bounded by the workers alone. 64 KiB of slack
+// covers the pool's alignment.
 func SpillPoolBytes(cfg Config) uint64 {
 	if cfg.MemBudget <= 0 || cfg.NoSpill {
 		return 0
 	}
 	page := cfg.spillPage()
 	chunk := min(cfg.MemBudget/page+1, spillChunkPagesCap)
-	return uint64(chunk+spill.MinPoolPages(cfg.spillWorkers()))*uint64(page) + (64 << 10)
+	n := cfg.normalized()
+	slots := n.Workers
+	if n.Fanout > 0 {
+		slots = n.morselSlots(n.Fanout)
+	}
+	return uint64(slots*chunk+spill.MinPoolPages(cfg.spillWorkers(), slots))*uint64(page) + (64 << 10)
 }
 
-// manager lazily creates the spill Manager; the failure is sticky so
-// every spilled pair after a failed creation reports the same error
-// instead of retrying the filesystem.
+// manager returns the spill Manager for one more spilled pair, creating
+// it on the first; the failure is sticky so every spilled pair after a
+// failed creation reports the same error instead of retrying the
+// filesystem.
 func (sp *spillState) manager() (*spill.Manager, error) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
 	if sp.m == nil && sp.merr == nil {
 		sp.m, sp.merr = spill.NewManager(spill.Config{
 			Dir:       sp.dir,
 			PageSize:  sp.pageSize,
 			Workers:   sp.workers,
-			PoolPages: sp.chunkPages() + spill.MinPoolPages(sp.workers),
+			PoolPages: sp.poolPages(),
 			A:         sp.a,
 			Ctx:       sp.ctx,
 		})
+	}
+	if sp.merr == nil {
+		sp.pairs++
 	}
 	return sp.m, sp.merr
 }
@@ -174,7 +206,8 @@ func (sp *spillState) unavailable() error {
 // finish closes the Manager — removing every spill file — and reports
 // the harvested I/O stats and spilled pair count. Safe on a nil
 // spillState and idempotent, so Joiner.Join can call it on both the
-// normal return and the panic-unwind path.
+// normal return and the panic-unwind path. Joiner.Join calls it after
+// the morsel phase, so no spilled pair is still running.
 func (sp *spillState) finish() (spill.Stats, int, error) {
 	if sp == nil || sp.m == nil {
 		return spill.Stats{}, 0, nil
@@ -190,16 +223,14 @@ func (sp *spillState) finish() (spill.Stats, int, error) {
 // build chunk that fits the budget, pin its pages, build a table over
 // the decoded entries, and stream the probe partition past it
 // (read-ahead). Output refs point into pinned pool pages, so the
-// emit/sink path is identical to the in-memory join's.
+// emit/sink path is identical to the in-memory join's. Each morsel slot
+// runs its own spilled pair concurrently with the others'.
 func (j *pairJoiner) joinPairSpill(build, probe []Entry, shift uint, cfg Config) error {
 	sp := j.spill
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
 	m, err := sp.manager()
 	if err != nil {
 		return err
 	}
-	sp.pairs++
 
 	bs := &spillSide{data: j.data, entries: build, width: sp.buildWidth}
 	if err := sp.writeSide(m, bs); err != nil {

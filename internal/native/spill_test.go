@@ -9,11 +9,15 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hashjoin/internal/arena"
+	"hashjoin/internal/hash"
 	"hashjoin/internal/plan"
 	"hashjoin/internal/spill"
+	"hashjoin/internal/storage"
 	"hashjoin/internal/workload"
 )
 
@@ -451,5 +455,180 @@ func TestIrreduciblePairSpillsAtOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSpilledPairsRunConcurrently joins two one-code pairs on two
+// workers through JoinStream. Each worker's sink, at its first match,
+// waits until the other worker has matched too. A one-code pair's
+// matches all come from inside the spill tier's chunk loop, so the join
+// gets past that wait only if both spilled pairs are in flight at once;
+// a tier that joins one spilled pair at a time times out instead.
+func TestSpilledPairsRunConcurrently(t *testing.T) {
+	a := arena.New(4 << 20)
+	build := storage.NewRelation(a, storage.KeyPayloadSchema(8), 4096)
+	probe := storage.NewRelation(a, storage.KeyPayloadSchema(8), 4096)
+	// Two keys whose codes differ in the lowest bit: fan-out 2 puts them
+	// in different partitions.
+	k0, k1 := uint32(1), uint32(2)
+	for (hash.CodeU32(k0)^hash.CodeU32(k1))&1 == 0 {
+		k1++
+	}
+	tup := make([]byte, 8)
+	for _, k := range []uint32{k0, k1} {
+		binary.LittleEndian.PutUint32(tup, k)
+		for i := 0; i < 64; i++ {
+			build.Append(tup, hash.CodeU32(k))
+		}
+		for i := 0; i < 4; i++ {
+			probe.Append(tup, hash.CodeU32(k))
+		}
+	}
+
+	var arrived atomic.Int32
+	both := make(chan struct{}) // closed by the second worker to match
+	var timedOut atomic.Bool
+	sinkFor := func(int) func([]byte, uint64) {
+		first := true
+		return func([]byte, uint64) {
+			if !first {
+				return
+			}
+			first = false
+			if arrived.Add(1) == 2 {
+				close(both)
+			}
+			select {
+			case <-both:
+			case <-time.After(10 * time.Second):
+				timedOut.Store(true)
+			}
+		}
+	}
+	r, err := NewJoiner().JoinStream(build, probe, Config{
+		Scheme: Group, Fanout: 2, Workers: 2, MemBudget: pairFootprint(8, 8), SpillDir: t.TempDir(),
+	}, sinkFor)
+	if err != nil {
+		t.Fatalf("JoinStream: %v", err)
+	}
+	if timedOut.Load() {
+		t.Fatal("the two spilled pairs never ran at once")
+	}
+	if r.SpilledPartitions != 2 || r.RecursionDepth != 0 || r.NOutput != 2*64*4 {
+		t.Fatalf("spilled %d pairs at depth %d with %d rows, want 2 at depth 0 with %d",
+			r.SpilledPartitions, r.RecursionDepth, r.NOutput, 2*64*4)
+	}
+}
+
+// rowPair is one emission as tuple bytes: the build row's key and
+// payload ("" for a null build side) and the probe tuple ("" for an
+// unmatched build row). Bytes, not addresses: a spilled row is emitted
+// from its pool page.
+type rowPair struct {
+	build, probe string
+}
+
+// TestSpillConcurrentParity joins a skewed pair whose hot keys spill
+// from several partitions on 1, 2 and 4 workers, under every join type,
+// scheme and hybrid setting, with 512-byte spill pages so each chunk
+// pins more than one page of a pool sized per worker. The output must
+// equal the unbudgeted join's, row for row, and the spill I/O must be
+// the same on every worker count: running spilled pairs at once changes
+// when they run, not what they write and read.
+func TestSpillConcurrentParity(t *testing.T) {
+	spec := workload.Spec{NBuild: 600, TupleSize: 20, Skew: 150,
+		MatchRate: 0.4, NProbe: 600, Seed: 13}
+	a := arena.New(workload.ArenaBytesFor(spec) + 8<<20)
+	pair := workload.Generate(a, spec)
+	data, width := a.Data(), pair.Probe.Schema.FixedWidth()
+	run := func(t *testing.T, cfg Config) ([]rowPair, Result) {
+		t.Helper()
+		rows := make([][]rowPair, max(cfg.Workers, 1))
+		r, err := NewJoiner().JoinStream(pair.Build, pair.Probe, cfg, func(w int) func([]byte, uint64) {
+			return func(b []byte, ref uint64) {
+				var p rowPair
+				p.build = string(b)
+				if ref != 0 {
+					p.probe = string(data[ref-arena.Base : ref-arena.Base+uint64(width)])
+				}
+				rows[w] = append(rows[w], p)
+			}
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", cfg.Workers, err)
+		}
+		all := slices.Concat(rows...)
+		slices.SortFunc(all, func(x, y rowPair) int {
+			return cmp.Or(cmp.Compare(x.build, y.build), cmp.Compare(x.probe, y.probe))
+		})
+		return all, r
+	}
+	for _, jt := range plan.JoinTypes() {
+		want, _ := run(t, Config{JoinType: jt, Workers: 1})
+		for _, scheme := range []Scheme{Baseline, Group, Pipelined} {
+			for _, hybrid := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%v/%v/hybrid=%v", jt, scheme, hybrid), func(t *testing.T) {
+					var first Result
+					for _, workers := range []int{1, 2, 4} {
+						got, r := run(t, Config{
+							JoinType: jt, Scheme: scheme, Fanout: 4, MemBudget: 4 << 10, Workers: workers,
+							SpillPageSize: 512, SpillDir: t.TempDir(), Hybrid: hybrid,
+						})
+						if !slices.Equal(got, want) {
+							t.Fatalf("workers=%d: %d rows differ from the unbudgeted join's %d", workers, len(got), len(want))
+						}
+						if r.SpilledPartitions == 0 {
+							t.Fatalf("workers=%d: nothing reached the spill tier", workers)
+						}
+						if workers == 1 {
+							first = r
+							continue
+						}
+						if r.SpilledPartitions != first.SpilledPartitions ||
+							r.SpillBytesWritten != first.SpillBytesWritten || r.SpillBytesRead != first.SpillBytesRead {
+							t.Fatalf("workers=%d: %d pairs, %d B written, %d B read; one worker: %d, %d, %d",
+								workers, r.SpilledPartitions, r.SpillBytesWritten, r.SpillBytesRead,
+								first.SpilledPartitions, first.SpillBytesWritten, first.SpillBytesRead)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSpillPoolBytesBoundsPool checks that the page pool a join's
+// Manager is sized for never exceeds what SpillPoolBytes planned for the
+// join's config, over worker counts, forced and derived fan-outs, page
+// sizes and budgets: admission plans before the fan-out is known, the
+// pool is sized after. The pool grows with the workers that can each
+// run a spilled pair, and the plan with it.
+func TestSpillPoolBytesBoundsPool(t *testing.T) {
+	for _, workers := range []int{0, 1, 2, 4, 16} {
+		for _, fanout := range []int{0, 1, 3, 8, 64} {
+			for _, page := range []int{0, 4096, 63 << 10} {
+				for _, budget := range []int{4 << 10, 128 << 10, 64 << 20} {
+					cfg := Config{Workers: workers, Fanout: fanout, SpillPageSize: page, MemBudget: budget}
+					planned := SpillPoolBytes(cfg)
+					n := cfg.normalized()
+					fanouts := []int{n.Fanout}
+					if fanout == 0 { // derived from the relations at run time
+						fanouts = []int{1, 2, 8, 1 << 10}
+					}
+					for _, f := range fanouts {
+						sp := &spillState{workers: n.spillWorkers(), slots: n.morselSlots(f),
+							pageSize: n.spillPage(), budget: budget, buildWidth: 4}
+						if pool := uint64(sp.poolPages() * sp.pageSize); pool > planned {
+							t.Errorf("%+v at fan-out %d: pool %d B over the planned %d B", cfg, f, pool, planned)
+						}
+					}
+				}
+			}
+		}
+	}
+	one := SpillPoolBytes(Config{Workers: 1, MemBudget: 128 << 10})
+	four := SpillPoolBytes(Config{Workers: 4, MemBudget: 128 << 10})
+	if four <= one {
+		t.Fatalf("SpillPoolBytes does not grow with the workers: %d at one, %d at four", one, four)
 	}
 }

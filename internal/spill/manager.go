@@ -170,12 +170,15 @@ type writeReq struct {
 }
 
 // MinPoolPages is the smallest buffer pool a Manager with that many
-// write-behind workers runs on: the write path (one page being encoded
-// + the write queue + in-flight writes) and the read path (one
-// read-ahead per open reader) must all hold a buffer without starving
-// each other. A caller pinning pages of its own sizes its pool as its
-// pins plus this.
-func MinPoolPages(workers int) int { return 3*workers + 4 }
+// write-behind workers runs on when streams callers spill and read at
+// once: the write path's shared pages (the write queue and the in-flight
+// writes, three per worker) plus four per stream (the page it encodes,
+// or the read-ahead of each of its two open readers and the page it
+// consumes, with one to spare) must all hold a buffer without starving
+// each other. A
+// caller pinning pages of its own sizes its pool as its pins, for every
+// stream, plus this.
+func MinPoolPages(workers, streams int) int { return 3*workers + 4*streams }
 
 // NewManager creates the spill area and starts the write-behind workers.
 // The buffer pool is allocated from cfg.A up front, so a join that
@@ -205,7 +208,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	if backoff <= 0 {
 		backoff = DefaultIOBackoff
 	}
-	poolPages := max(cfg.PoolPages, MinPoolPages(workers))
+	poolPages := max(cfg.PoolPages, MinPoolPages(workers, 1))
 
 	parents := ParseDirs(cfg.Dir)
 	m := &Manager{
@@ -325,8 +328,9 @@ func (m *Manager) Stats() Stats {
 // is idempotent; the first error encountered is returned — except
 // removal failures on directories already marked unhealthy, which are
 // expected on dead media and must not fail an otherwise-recovered join.
-// Writers must not be appended to after Close begins (the join's spill
-// path is serialized, so the panicking goroutine is the appending one).
+// Writers must not be appended to after Close begins (the native join
+// closes its Manager only once every morsel slot, and so every spilled
+// pair, has returned).
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {

@@ -2,8 +2,11 @@ package spill
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
+	"sync"
 	"testing"
+	"time"
 
 	"hashjoin/internal/arena"
 )
@@ -393,4 +396,115 @@ func TestStallAccounting(t *testing.T) {
 	if st.WriteStall < 0 || st.ReadStall < 0 {
 		t.Fatalf("negative stall: %+v", st)
 	}
+}
+
+// TestPoolSizedPerStream runs streams callers at once on one Manager
+// whose pool is exactly what MinPoolPages promises them plus each one's
+// pins: every stream writes a multi-page partition, then, twice, pins
+// pins pages of it and streams the whole partition past them — the
+// spilled-pair chunk loop. The streams meet once all of them hold their
+// first chunk, so every stream's pins are out of the pool at the same
+// time. No stream may wait forever on a buffer another one holds, and
+// every buffer comes back.
+func TestPoolSizedPerStream(t *testing.T) {
+	const (
+		pageSize = 512
+		width    = 24
+		n        = 400
+		workers  = 2
+		pins     = 3
+	)
+	for _, streams := range []int{1, 2, 4} {
+		m, err := NewManager(Config{
+			Dir:       t.TempDir(),
+			PageSize:  pageSize,
+			Workers:   workers,
+			PoolPages: streams*pins + MinPoolPages(workers, streams),
+			A:         arena.New(1 << 20),
+		})
+		if err != nil {
+			t.Fatalf("NewManager: %v", err)
+		}
+		errs := make(chan error, streams)
+		var pinned sync.WaitGroup
+		pinned.Add(streams)
+		for s := 0; s < streams; s++ {
+			go func() { errs <- chunkLoop(m, n, width, pins, &pinned) }()
+		}
+		timeout := time.After(30 * time.Second)
+		for s := 0; s < streams; s++ {
+			select {
+			case err := <-errs:
+				if err != nil {
+					t.Fatalf("%d streams: %v", streams, err)
+				}
+			case <-timeout:
+				t.Fatalf("%d streams on a %d-page pool did not finish: a stream starved", streams, cap(m.pool))
+			}
+		}
+		drainPool(t, m)
+		if err := m.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+}
+
+// chunkLoop writes n tuples to a fresh partition and reads it back as
+// the spilled-pair join does: pins pages held while a second reader
+// streams every page past them, two chunks' worth. It waits on ready
+// once it holds its first chunk.
+func chunkLoop(m *Manager, n, width, pins int, ready *sync.WaitGroup) error {
+	w, err := m.NewWriter()
+	if err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		if err := w.Append(tupleFor(i, width), uint32(i)); err != nil {
+			return err
+		}
+	}
+	if err := w.Finish(); err != nil {
+		return err
+	}
+	br := w.OpenReader()
+	defer br.Close()
+	for chunk := 0; chunk < 2; chunk++ {
+		var pinned []Page
+		for len(pinned) < pins {
+			pg, ok, err := br.Next()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			pinned = append(pinned, pg)
+		}
+		if chunk == 0 {
+			ready.Done()
+			ready.Wait()
+		}
+		pr := w.OpenReader()
+		got := 0
+		for {
+			pg, ok, err := pr.Next()
+			if err != nil {
+				pr.Close()
+				return err
+			}
+			if !ok {
+				break
+			}
+			got += pg.NTuples()
+			m.Release(pg)
+		}
+		pr.Close()
+		for _, pg := range pinned {
+			m.Release(pg)
+		}
+		if got != n {
+			return fmt.Errorf("chunk %d streamed %d tuples, want %d", chunk, got, n)
+		}
+	}
+	return nil
 }
