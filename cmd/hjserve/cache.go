@@ -1,15 +1,18 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"sync"
 
 	"hashjoin"
 )
 
 // buildCache keeps prepared build sides (hashjoin.PrepareBuildSide)
-// resident across queries, keyed by pair name: the first streaming
-// native query against a pair builds the hash table once, every later
-// one probes it through private scratch without rebuilding. Entries
+// resident across queries, keyed by pair name: the first native query
+// against a pair that streams (fanout<=1) or leaves the strategy to the
+// planner builds the hash table once, every later one probes it through
+// private scratch without rebuilding. Entries
 // are built single-flight — concurrent queries for the same pair share
 // one build — and the cache holds at most limit bytes of row tables,
 // evicting least-recently-used entries past that.
@@ -46,15 +49,17 @@ type cacheEntry struct {
 
 	bytes    int64
 	lastUse  int64
-	idleGens int  // consecutive trim generations without a hit
+	idleGens int  // consecutive idle trim generations without a hit
 	done     bool // guarded by buildCache.mu; set before ready closes
 	dropped  bool // invalidated while building: never account as resident
 }
 
-// cacheIdleGenerations is how many consecutive reclaim-driven trim
-// generations an entry may go unused before it is evicted. Reclaims
-// fire after every quiescent grant release — two or three per query —
-// so the threshold is several idle query cycles, not several seconds.
+// cacheIdleGenerations is how many consecutive idle trim generations —
+// reclaims with no cache lookup since the previous one — an entry may
+// sit unused before it is evicted. Reclaims fire after quiescent grant
+// releases, up to one per query under load, so only trims of a service
+// gone quiet count: under steady traffic the byte budget alone bounds
+// the cache.
 const cacheIdleGenerations = 8
 
 func newBuildCache(limit int64) *buildCache {
@@ -67,7 +72,9 @@ func (c *buildCache) enabled() bool { return c != nil && c.limit > 0 }
 // calling build on a miss. The boolean reports a hit (including
 // joining another caller's in-flight build). A build that errors is
 // forgotten, so the next query retries rather than replaying a stale
-// failure.
+// failure. A joined build that failed by cancellation ended with its
+// builder's context, not the caller's, so the caller looks up again and
+// builds under its own build func if no other build is in flight.
 func (c *buildCache) get(name string, rel *hashjoin.Relation, build func() (*hashjoin.BuildSide, error)) (*hashjoin.BuildSide, bool, error) {
 	c.mu.Lock()
 	c.seq++
@@ -76,6 +83,9 @@ func (c *buildCache) get(name string, rel *hashjoin.Relation, build func() (*has
 		c.hits++
 		c.mu.Unlock()
 		<-e.ready
+		if errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
+			return c.get(name, rel, build)
+		}
 		if e.err != nil {
 			return nil, true, e.err
 		}
@@ -122,22 +132,29 @@ func (c *buildCache) invalidate(name string) {
 	c.mu.Unlock()
 }
 
-// trim runs on the Env's quiescent-reclaim hook: each reclamation ages
-// every entry not hit since the previous trim, and an entry cold for
-// cacheIdleGenerations consecutive reclaim cycles is evicted — so the
-// cache decays in step with the service going idle instead of pinning
-// cold tables forever, while a table hit between reclaims never ages.
+// trim runs on the Env's quiescent-reclaim hook. A trim that follows
+// any lookup resets the age of the entries hit since the previous trim
+// and ages nothing: reclaims fire nearly once per query, so a table
+// taking a fifth of the traffic routinely sees several pass between
+// its hits. An idle trim (no lookup since the previous one) ages every
+// entry, and an entry idle for cacheIdleGenerations of them is evicted
+// — so the cache decays in step with the service going quiet instead
+// of pinning cold tables forever.
 func (c *buildCache) trim() {
 	if !c.enabled() {
 		return
 	}
 	c.mu.Lock()
+	idle := c.seq == c.trimSeq
 	for name, e := range c.entries {
 		if !e.done || e.err != nil {
 			continue
 		}
 		if e.lastUse > c.trimSeq {
 			e.idleGens = 0
+			continue
+		}
+		if !idle {
 			continue
 		}
 		if e.idleGens++; e.idleGens >= cacheIdleGenerations {

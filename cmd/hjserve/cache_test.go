@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
 
 	"hashjoin"
@@ -127,5 +129,85 @@ func TestBuildCacheInvalidate(t *testing.T) {
 	got, hit, err := c.get("a", fake, func() (*hashjoin.BuildSide, error) { return bs[1], nil })
 	if err != nil || hit || got != bs[1] {
 		t.Fatalf("stale-relation get = (%v, hit=%v, %v), want rebuild", got, hit, err)
+	}
+}
+
+// TestBuildCacheSurvivesSteadyLoad pins the trim rule: a trim that
+// follows any lookup ages nothing, so an entry hit only every
+// cacheIdleGenerations+2 trims stays resident while other lookups run
+// between them; trims on an idle cache still evict it.
+func TestBuildCacheSurvivesSteadyLoad(t *testing.T) {
+	bs := prepared(t, 2)
+	c := newBuildCache(int64(bs[0].Bytes()) * 4)
+	cachedGet(t, c, "a", bs[0])
+
+	for round := 0; round < 4; round++ {
+		for i := 0; i < cacheIdleGenerations+2; i++ {
+			cachedGet(t, c, "b", bs[1])
+			c.trim()
+		}
+		if !cachedGet(t, c, "a", bs[0]) {
+			t.Fatalf("round %d: entry evicted under steady load", round)
+		}
+	}
+	if _, _, evicts, _ := c.counters(); evicts != 0 {
+		t.Fatalf("evictions = %d under steady load, want 0", evicts)
+	}
+
+	// The first trim absorbs the last lookups; the idle ones then age.
+	for i := 0; i < cacheIdleGenerations+1; i++ {
+		c.trim()
+	}
+	if cachedGet(t, c, "a", bs[0]) {
+		t.Fatal("entry survived the idle decay")
+	}
+}
+
+// TestBuildCacheWaiterRetriesCancelledBuild: a caller that joined a
+// build whose own context was cancelled must not inherit that
+// cancellation — it builds under its own build func and succeeds.
+func TestBuildCacheWaiterRetriesCancelledBuild(t *testing.T) {
+	bs := prepared(t, 1)
+	c := newBuildCache(1 << 30)
+
+	started, release := make(chan struct{}), make(chan struct{})
+	firstErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.get("a", nil, func() (*hashjoin.BuildSide, error) {
+			close(started)
+			<-release
+			return nil, context.Canceled
+		})
+		firstErr <- err
+	}()
+	<-started
+
+	type result struct {
+		b   *hashjoin.BuildSide
+		err error
+	}
+	second := make(chan result, 1)
+	go func() {
+		b, _, err := c.get("a", nil, func() (*hashjoin.BuildSide, error) { return bs[0], nil })
+		second <- result{b, err}
+	}()
+	// Release the first build only once the second caller has joined it.
+	for {
+		if hits, _, _, _ := c.counters(); hits == 1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(release)
+
+	if err := <-firstErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("first get: %v, want context.Canceled", err)
+	}
+	r := <-second
+	if r.err != nil || r.b != bs[0] {
+		t.Fatalf("second get = (%v, %v), want its own build", r.b, r.err)
+	}
+	if hits, misses, _, resident := c.counters(); hits != 1 || misses != 2 || resident != int64(bs[0].Bytes()) {
+		t.Fatalf("hits/misses/resident = %d/%d/%d, want 1/2/%d", hits, misses, resident, bs[0].Bytes())
 	}
 }

@@ -12,6 +12,18 @@
 //	ping
 //	quit
 //
+// A query that names no fanout= leaves the strategy to the cost-based
+// planner (or to its strategy=). When it is also native (the default
+// engine), carries no budget=, asks for no strategy other than auto or
+// stream, and the build-side cache is on (-build-cache > 0), it probes
+// the pair's cached build side: the first such query builds the pair's
+// hash table once, later ones — every join type, with or without
+// agg=1 — stream their probes through it, and the reply carries
+// cache=hit or cache=miss. fanout=1 queries use the cache too. An
+// explicit fanout=N above 1, strategy=partitioned|nested-loop, budget=,
+// or engine=sim builds per query. Whenever the planner ran, the reply
+// names the executed strategy=; explain=1 adds its reasoning.
+//
 // Successful commands answer "ok k=v ...". Failures answer
 //
 //	err status=<word> code=<n> msg="..."
@@ -60,7 +72,7 @@ func main() {
 		queueWait  = flag.Duration("queue-timeout", 0, "shed queries queued longer than this (0 = no server-side bound)")
 		workers    = flag.Int("workers", 0, "shared morsel pool size (0 = all CPUs)")
 		queryCap   = flag.Duration("query-timeout", time.Minute, "cap on per-query timeout= requests (0 = uncapped)")
-		buildCache = flag.Int64("build-cache", 64<<20, "build-side cache byte budget for streaming native queries (0 disables)")
+		buildCache = flag.Int64("build-cache", 64<<20, "build-side cache byte budget for default and fanout=1 native queries (0 disables)")
 		spillDir   = flag.String("spill-dir", "", "comma-separated spill parent directories, tried in order as earlier ones fail (\"\" = OS temp)")
 		maxConns   = flag.Int("max-conns", 0, "protocol connection cap; excess connections get a typed shed line (0 = unlimited)")
 		idleTime   = flag.Duration("idle-timeout", 0, "close protocol connections idle longer than this (0 = never)")

@@ -489,3 +489,167 @@ func TestServeConcurrentClients(t *testing.T) {
 	}
 	fault.CheckGoroutines(t, base)
 }
+
+// TestServeDefaultUsesCache pins the planner-chosen default: a native
+// query naming neither fanout= nor strategy= probes the pair's cached
+// build side for every join type, with and without aggregation, and
+// answers exactly what the partitioned (fanout=4) query answers. A
+// budget= query and a cacheless server keep the per-query build, and
+// concurrent default queries of mixed types share one table.
+func TestServeDefaultUsesCache(t *testing.T) {
+	const (
+		nBuild, nProbe = 20000, 40000
+		load           = "pair name=d build=20000 probe=40000 tuple=40 seed=3"
+	)
+	s := startServer(t, serverOptions{
+		buildCache: 64 << 20,
+		service:    hashjoin.ServiceConfig{MaxConcurrent: 4},
+	})
+	c := dial(t, s)
+
+	// Ground truth per join type from the pair's inner (matches, keysum):
+	// build keys are unique and every build row has one probe match, so
+	// anti keeps nProbe-nBuild rows (its keysum comes from fanout=4).
+	status, m := kv(t, c.roundTrip(t, load))
+	if status != "ok" || mustInt(t, m, "matches") != nBuild {
+		t.Fatalf("pair: %v %v, want matches=%d", status, m, nBuild)
+	}
+	type want struct{ rows, keysum string }
+	inner := want{m["matches"], m["keysum"]}
+	truth := map[string]want{
+		"inner": inner, "semi": inner, "right-outer": inner,
+		"left-outer": {strconv.Itoa(nProbe), inner.keysum},
+	}
+	joinTypes := []string{"inner", "left-outer", "right-outer", "semi", "anti"}
+	for _, jt := range joinTypes {
+		for _, agg := range []int{0, 1} {
+			// Reloading the pair invalidates its cached table, so each
+			// combination starts cold.
+			if status, _ := kv(t, c.roundTrip(t, load)); status != "ok" {
+				t.Fatal("pair reload failed")
+			}
+			q := fmt.Sprintf("query pair=d join_type=%s agg=%d", jt, agg)
+			status, ref := kv(t, c.roundTrip(t, q+" fanout=4"))
+			if status != "ok" || ref["fanout"] != "4" {
+				t.Fatalf("%s fanout=4: %v %v", q, status, ref)
+			}
+			if _, ok := ref["cache"]; ok {
+				t.Fatalf("%s fanout=4 touched the cache: %v", q, ref)
+			}
+			if jt == "anti" {
+				if mustInt(t, ref, "rows") != nProbe-nBuild {
+					t.Fatalf("%s fanout=4: rows=%s, want %d", q, ref["rows"], nProbe-nBuild)
+				}
+				truth[jt] = want{ref["rows"], ref["keysum"]}
+			}
+			if w := truth[jt]; ref["rows"] != w.rows || ref["keysum"] != w.keysum {
+				t.Fatalf("%s fanout=4: rows=%s keysum=%s, want %s/%s", q, ref["rows"], ref["keysum"], w.rows, w.keysum)
+			}
+			for _, cache := range []string{"miss", "hit"} {
+				status, m := kv(t, c.roundTrip(t, q))
+				if status != "ok" || m["cache"] != cache || m["strategy"] != "stream" || m["fanout"] != "1" {
+					t.Fatalf("%s: %v %v, want ok cache=%s strategy=stream fanout=1", q, status, m, cache)
+				}
+				if m["rows"] != ref["rows"] || m["keysum"] != ref["keysum"] {
+					t.Fatalf("%s cache=%s: rows=%s keysum=%s, fanout=4 answered %s/%s",
+						q, cache, m["rows"], m["keysum"], ref["rows"], ref["keysum"])
+				}
+			}
+		}
+	}
+
+	// explain=1 shows why a default query streamed.
+	line := c.roundTrip(t, "query pair=d explain=1")
+	if !strings.Contains(line, "cache=hit") ||
+		!strings.Contains(line, `prebuilt build side pins the streaming strategy (planner preferred partitioned)`) {
+		t.Fatalf("default explain: %q, want cache=hit and the prebuilt override reason", line)
+	}
+
+	// Naming the streaming (or auto) strategy keeps the cache; forcing
+	// another strategy builds per query.
+	for cmd, cache := range map[string]string{
+		"query pair=d strategy=stream":      "hit",
+		"query pair=d strategy=auto":        "hit",
+		"query pair=d strategy=partitioned": "",
+	} {
+		status, m := kv(t, c.roundTrip(t, cmd))
+		if status != "ok" || m["cache"] != cache || m["rows"] != truth["inner"].rows || m["keysum"] != truth["inner"].keysum {
+			t.Fatalf("%q: %v %v, want exact rows with cache=%q", cmd, status, m, cache)
+		}
+	}
+
+	// A budgeted default query builds under its budget, not from the cache.
+	status, m = kv(t, c.roundTrip(t, "query pair=d budget=1048576"))
+	if status != "ok" || m["rows"] != truth["inner"].rows || m["keysum"] != truth["inner"].keysum {
+		t.Fatalf("budgeted default: %v %v", status, m)
+	}
+	if _, ok := m["cache"]; ok {
+		t.Fatalf("budgeted default query touched the cache: %v", m)
+	}
+
+	// Four connections, mixed join types, one pair reloaded cold: every
+	// answer is exact and the table is shared.
+	if status, _ := kv(t, c.roundTrip(t, load)); status != "ok" {
+		t.Fatal("pair reload failed")
+	}
+	_, before := kv(t, c.roundTrip(t, "stats"))
+	const conns, queries = 4, 5
+	var wg sync.WaitGroup
+	for i := 0; i < conns; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", s.ln.Addr().String())
+			if err != nil {
+				t.Errorf("conn %d dial: %v", i, err)
+				return
+			}
+			defer conn.Close()
+			r := bufio.NewReader(conn)
+			for q := 0; q < queries; q++ {
+				jt := joinTypes[(i+q)%len(joinTypes)]
+				fmt.Fprintf(conn, "query pair=d join_type=%s agg=%d tenant=t%d\n", jt, q%2, i)
+				line, err := r.ReadString('\n')
+				if err != nil {
+					t.Errorf("conn %d: %v", i, err)
+					return
+				}
+				fields := strings.Fields(line)
+				got := map[string]string{}
+				for _, f := range fields[1:] {
+					if k, v, ok := strings.Cut(f, "="); ok {
+						got[k] = v
+					}
+				}
+				if len(fields) == 0 || fields[0] != "ok" || got["cache"] == "" ||
+					got["rows"] != truth[jt].rows || got["keysum"] != truth[jt].keysum {
+					t.Errorf("conn %d %s: %q, want rows=%s keysum=%s with a cache= key",
+						i, jt, line, truth[jt].rows, truth[jt].keysum)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	_, after := kv(t, c.roundTrip(t, "stats"))
+	hits := mustInt(t, after, "build_cache_hits") - mustInt(t, before, "build_cache_hits")
+	misses := mustInt(t, after, "build_cache_misses") - mustInt(t, before, "build_cache_misses")
+	if hits+misses != conns*queries || misses < 1 || hits < conns*queries-conns {
+		t.Fatalf("concurrent wave: hits=%d misses=%d over %d queries", hits, misses, conns*queries)
+	}
+
+	// Without a cache the planner's own pick runs: partitioned at fan-out 4.
+	plain := startServer(t, serverOptions{})
+	pc := dial(t, plain)
+	if status, _ := kv(t, pc.roundTrip(t, load)); status != "ok" {
+		t.Fatal("pair on the cacheless server failed")
+	}
+	status, m = kv(t, pc.roundTrip(t, "query pair=d"))
+	if status != "ok" || m["fanout"] != "4" || m["strategy"] != "partitioned" ||
+		m["rows"] != truth["inner"].rows || m["keysum"] != truth["inner"].keysum {
+		t.Fatalf("cacheless default: %v %v, want fanout=4 strategy=partitioned", status, m)
+	}
+	if _, ok := m["cache"]; ok {
+		t.Fatalf("cacheless default query reports a cache: %v", m)
+	}
+}

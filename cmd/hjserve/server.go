@@ -517,6 +517,12 @@ func (s *server) cmdQuery(tenant string, args []string) string {
 	if err != nil {
 		return errLine(cli.ExitUsage, err)
 	}
+	_, fanoutSet := kv["fanout"]
+	_, strategySet := kv["strategy"]
+	strategy, err := hashjoin.ParseStrategy(kv["strategy"])
+	if err != nil {
+		return errLine(cli.ExitUsage, err)
+	}
 	workers, err := kvInt(kv, "workers", 0)
 	if err != nil {
 		return errLine(cli.ExitUsage, err)
@@ -555,17 +561,17 @@ func (s *server) cmdQuery(tenant string, args []string) string {
 	if jt != hashjoin.Inner {
 		opts = append(opts, hashjoin.WithJoinType(jt))
 	}
-	// A strategy= key (even "auto") or explain=1 engages the cost-based
-	// planner; without either, the legacy fanout-driven selection applies.
-	if v, ok := kv["strategy"]; ok || explain != 0 {
-		strategy, serr := hashjoin.ParseStrategy(v)
-		if serr != nil {
-			return errLine(cli.ExitUsage, serr)
-		}
+	// The cost-based planner chooses unless the query names fanout=
+	// without strategy= or explain=1, which keeps the legacy
+	// fanout-driven selection. The fan-out is pinned only when named or
+	// as the width of a forced partitioned join (default 4).
+	if !fanoutSet || strategySet || explain != 0 {
 		opts = append(opts, hashjoin.WithStrategy(strategy))
 	}
+	if fanoutSet || strategy == hashjoin.StrategyPartitioned {
+		opts = append(opts, hashjoin.WithPipelineFanout(fanout))
+	}
 	opts = append(opts,
-		hashjoin.WithPipelineFanout(fanout),
 		hashjoin.WithPipelineWorkers(workers),
 		hashjoin.WithTenantWeight(weight),
 	)
@@ -596,11 +602,18 @@ func (s *server) cmdQuery(tenant string, args []string) string {
 		defer cancel()
 	}
 
-	// Streaming native queries (fanout <= 1) probe through the build
-	// cache: the first query for a pair prepares the shared row table
-	// (single-flight), later ones skip the build phase entirely.
+	// Native queries that stream (fanout<=1), or that name no fanout= and
+	// no budget= and let the planner pick or ask for streaming, probe
+	// through the build cache: the first query for a pair prepares the
+	// shared row table (single-flight), later ones skip the build phase
+	// entirely, and the prebuilt side pins the planner to streaming. A
+	// budgeted query builds per query so its budget bounds the table.
 	cacheNote := ""
-	if nativeEngine && fanout <= 1 && s.cache.enabled() {
+	cacheable := fanout <= 1
+	if !fanoutSet {
+		cacheable = budget == 0 && (strategy == hashjoin.StrategyAuto || strategy == hashjoin.StrategyStream)
+	}
+	if nativeEngine && cacheable && s.cache.enabled() {
 		b, hit, berr := s.cache.get(kv["pair"], w.Build, func() (*hashjoin.BuildSide, error) {
 			return s.env.PrepareBuildSide(ctx, w.Build,
 				hashjoin.WithTenant(tenant),
@@ -638,8 +651,11 @@ func (s *server) cmdQuery(tenant string, args []string) string {
 			res.ResidentPartitions, res.SpilledPartitions, res.DemotedPartitions, res.BytesDemoted)
 	}
 	planNote := ""
-	if explain != 0 && res.Plan != nil {
-		planNote = fmt.Sprintf(" plan=%q", res.Plan.Explain())
+	if res.Plan != nil {
+		planNote = " strategy=" + res.Plan.Strategy.String()
+		if explain != 0 {
+			planNote += fmt.Sprintf(" plan=%q", res.Plan.Explain())
+		}
 	}
 	return fmt.Sprintf("ok rows=%d keysum=%d elapsed_us=%d queue_wait_us=%d admitted_bytes=%d morsels=%d fanout=%d%s%s%s%s",
 		res.NOutput, res.KeySum, res.Elapsed.Microseconds(), res.QueueWait.Microseconds(),
