@@ -11,7 +11,7 @@ import (
 )
 
 // BuildSide is a finished, immutable row table packaged for reuse: build
-// once, probe from any number of goroutines. NewProber hands out
+// once, probe from any number of goroutines. NewTypedProber hands out
 // independent probe scratch over the shared table, which nothing
 // mutates after BuildRelation returns — that immutability is the whole
 // contract, and what lets the multi-tenant service keep one resident
@@ -131,20 +131,20 @@ func (b *BuildSide) Release() {
 	b.t = nil
 }
 
-// NewProber returns fresh probe scratch over the shared table. The
-// scheme's probe restructuring and G/D need not match the ones the
-// table was built with. Each Prober is single-goroutine; create one per
-// concurrent probe stream.
-func (b *BuildSide) NewProber(scheme Scheme, g, d int) *Prober {
-	return b.NewTypedProber(plan.Inner, scheme, g, d)
-}
-
-// NewTypedProber is NewProber with join-type semantics (see the
-// streaming NewTypedProber). Each Prober owns its private match bitmaps
-// — the shared table itself is never written — so N concurrent typed
-// probe streams over one BuildSide stay independent: a right-outer
-// stream's build-row bits, for example, cannot leak into a sibling
-// semi-join stream's short-circuit decisions.
+// NewTypedProber returns fresh probe scratch over the shared table that
+// emits per jt's contract (see jointype.go — left-outer unmatched rows
+// arrive with build == nil, semi/anti emit the probe side only, right
+// outer accumulates a build-row match bitmap drained by
+// EmitUnmatchedBuild at end of stream). The table holds the whole build
+// side, so left outer/semi/anti resolve each probe row inline within its
+// batch and need no end-of-stream pass. The scheme's probe
+// restructuring and G/D need not match the ones the table was built
+// with. Each Prober is single-goroutine; create one per concurrent probe
+// stream. Each owns its private match bitmaps — the shared table itself
+// is never written — so N concurrent typed probe streams over one
+// BuildSide stay independent: a right-outer stream's build-row bits, for
+// example, cannot leak into a sibling semi-join stream's short-circuit
+// decisions.
 func (b *BuildSide) NewTypedProber(jt plan.JoinType, scheme Scheme, g, d int) *Prober {
 	cfg := Config{Scheme: scheme, G: g, D: d}.normalized()
 	j := newPairJoiner()

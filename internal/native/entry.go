@@ -14,9 +14,9 @@ import (
 // partitioning, reused by the join), the join key, and the address of
 // the tuple bytes in the arena. 16 bytes, four per cache line. The key
 // is carried inline because the flattening scan reads the tuple
-// sequentially anyway; the *build-side* key is still re-read from the
-// tuple bytes during the probe's final stage, preserving the paper's
-// dependent reference chain (header -> cell -> build tuple).
+// sequentially anyway; the probe's final stage compares it against the
+// build key serialized in the row table's row (rowtable.go), so the
+// dependent chain is directory slot -> rows.
 type Entry struct {
 	Code uint32
 	Key  uint32

@@ -26,11 +26,6 @@ type pairJoiner struct {
 	// batch pipeline; nil keeps the counting-only fast path.
 	sink func(build []byte, probeRef uint64)
 
-	// matched, when non-nil, is the per-batch match bitmask a Prober
-	// arms before each ProbeBatch: bit i set means probe tuple i of the
-	// batch had at least one validated match. nil on the morsel path.
-	matched []uint64
-
 	// spill, when set, is the join's shared out-of-core coordinator: an
 	// irreducible over-budget pair goes to disk instead of failing (see
 	// spill.go). The entry and page scratch below is recycled across
@@ -66,6 +61,13 @@ type pairJoiner struct {
 
 	nOutput int
 	keySum  uint64
+
+	// The counters above are written on every match. The pad keeps them
+	// off the cache line of whatever the allocator places next, such as
+	// the next morsel worker's pairJoiner, whose leading fields its probe
+	// loop reads on every tuple: without it, two workers' joiners in one
+	// size class that is not a multiple of 64 bytes share a line.
+	_ [64]byte
 }
 
 func newPairJoiner() *pairJoiner {
@@ -81,7 +83,7 @@ type probeState struct {
 	ref  uint64 // probe tuple address, for match emission
 	row  uint64 // chain head row offset after stage 1
 	slot uint32 // directory slot after stage 0
-	idx  int32  // batch-relative index, for the match bitmask
+	idx  int32  // batch-relative index, for the deferred probe bits
 }
 
 // statesFor returns n stage-state slots, reusing the scratch array.
@@ -115,9 +117,6 @@ func (j *pairJoiner) walkChain(st *probeState) {
 			found = true
 			j.nOutput++
 			j.keySum += uint64(st.key)
-			if j.matched != nil {
-				j.matched[st.idx>>6] |= 1 << uint(st.idx&63)
-			}
 			if j.joinType == plan.RightOuter {
 				j.markBuildRow(off)
 			}
@@ -134,10 +133,7 @@ func (j *pairJoiner) walkChain(st *probeState) {
 		return
 	}
 	if j.joinType == plan.LeftOuter && !j.deferProbe {
-		j.nOutput++ // null build key contributes 0 to keySum
-		if j.sink != nil {
-			j.sink(nil, st.ref)
-		}
+		j.emitProbeRow(st.ref, 0)
 	}
 }
 
@@ -161,29 +157,18 @@ func (j *pairJoiner) walkChainSemi(st *probeState) {
 		}
 		if binary.LittleEndian.Uint32(rows[off+rowCodeOff:]) == st.code &&
 			binary.LittleEndian.Uint32(rows[off+rowKeyOff:]) == st.key {
-			if j.matched != nil {
-				j.matched[st.idx>>6] |= 1 << uint(st.idx&63)
-			}
 			if j.deferProbe {
 				j.markProbeBit(st)
 			}
 			if semi {
-				j.nOutput++
-				j.keySum += uint64(st.key)
-				if j.sink != nil {
-					j.sink(nil, st.ref)
-				}
+				j.emitProbeRow(st.ref, st.key)
 			}
 			return
 		}
 		off = next
 	}
 	if !semi && !j.deferProbe {
-		j.nOutput++
-		j.keySum += uint64(st.key)
-		if j.sink != nil {
-			j.sink(nil, st.ref)
-		}
+		j.emitProbeRow(st.ref, st.key)
 	}
 }
 

@@ -156,19 +156,23 @@ func (j *pairJoiner) emitAllProbeUnmatched(probe []Entry) {
 	switch j.joinType {
 	case plan.LeftOuter:
 		for i := range probe {
-			j.nOutput++ // null build key contributes 0 to keySum
-			if j.sink != nil {
-				j.sink(nil, probe[i].Ref)
-			}
+			j.emitProbeRow(probe[i].Ref, 0)
 		}
 	case plan.LeftAnti:
 		for i := range probe {
-			j.nOutput++
-			j.keySum += uint64(probe[i].Key)
-			if j.sink != nil {
-				j.sink(nil, probe[i].Ref)
-			}
+			j.emitProbeRow(probe[i].Ref, probe[i].Key)
 		}
+	}
+}
+
+// emitProbeRow emits probe row ref with a null build side, adding sum to
+// the key sum: 0 for a left-outer unmatched row, whose build key is
+// null, and the probe key for a semi or anti row.
+func (j *pairJoiner) emitProbeRow(ref uint64, sum uint32) {
+	j.nOutput++
+	j.keySum += uint64(sum)
+	if j.sink != nil {
+		j.sink(nil, ref)
 	}
 }
 
@@ -196,18 +200,10 @@ func (j *pairJoiner) finishProbeBits(probe []Entry) {
 		if j.probeMatched[i>>6]&(1<<uint(i&63)) != 0 {
 			continue
 		}
-		switch j.joinType {
-		case plan.LeftOuter:
-			j.nOutput++
-			if j.sink != nil {
-				j.sink(nil, probe[i].Ref)
-			}
-		case plan.LeftAnti:
-			j.nOutput++
-			j.keySum += uint64(probe[i].Key)
-			if j.sink != nil {
-				j.sink(nil, probe[i].Ref)
-			}
+		sum := probe[i].Key // left anti
+		if j.joinType == plan.LeftOuter {
+			sum = 0
 		}
+		j.emitProbeRow(probe[i].Ref, sum)
 	}
 }

@@ -117,6 +117,21 @@ func TestJoinTypesHybridSeamParity(t *testing.T) {
 	}
 }
 
+// buildSideOf builds a BuildSide over the 8-byte tuples entries address,
+// appended in entry order to a fresh relation.
+func buildSideOf(t *testing.T, a *arena.Arena, entries []Entry, cfg BuildConfig) *BuildSide {
+	t.Helper()
+	rel := storage.NewRelation(a, storage.KeyPayloadSchema(8), 4096)
+	for _, e := range entries {
+		rel.Append(a.Bytes(e.Ref, 8), e.Code)
+	}
+	bs, err := BuildRelation(rel, 8, cfg)
+	if err != nil {
+		t.Fatalf("BuildRelation: %v", err)
+	}
+	return bs
+}
+
 // TestSharedBuildSideTypedProbers proves one immutable BuildSide serves
 // concurrent typed probe streams without cross-talk: each prober owns
 // its match bitmaps, so under -race this doubles as the data-race proof
@@ -144,14 +159,7 @@ func TestSharedBuildSideTypedProbers(t *testing.T) {
 		missSum += uint64(e.Key)
 	}
 
-	rel := storage.NewRelation(a, storage.KeyPayloadSchema(8), 4096)
-	for _, e := range build {
-		rel.Append(a.Bytes(e.Ref, 8), e.Code)
-	}
-	bs, err := BuildRelation(rel, 8, BuildConfig{})
-	if err != nil {
-		t.Fatalf("BuildRelation: %v", err)
-	}
+	bs := buildSideOf(t, a, build, BuildConfig{})
 
 	type want struct {
 		jt  plan.JoinType
@@ -203,7 +211,7 @@ func TestTypedProberRightOuterSweep(t *testing.T) {
 	build := mkEntries(t, a, codes)
 	probe := append([]Entry{}, build[:50]...)
 
-	p := NewTypedProber(a.Data(), build, 8, plan.RightOuter, Pipelined, 0, 0)
+	p := buildSideOf(t, a, build, BuildConfig{Scheme: Pipelined}).NewTypedProber(plan.RightOuter, Pipelined, 0, 0)
 	p.ProbeBatch(probe, func(b []byte, ref uint64) {
 		if b == nil || ref == 0 {
 			t.Fatalf("match emitted as unmatched: build=%v ref=%d", b, ref)

@@ -13,9 +13,8 @@ import "hashjoin/internal/plan"
 //
 // Per-batch probe state persists across ProbeBatch calls instead of
 // being recomputed: entries arrive with their keys and hash codes
-// already memoized from the partition phase, the stage-state scratch is
-// reused batch over batch, and the match bitmask is retained (readable
-// through Matched until the next batch overwrites it).
+// already memoized from the partition phase, and the stage-state scratch
+// is reused batch over batch.
 //
 // A Prober holds the whole build side in one table (no partitioning);
 // partitioned pipelines use Joiner.JoinStream instead. Probing mutates
@@ -28,33 +27,15 @@ type Prober struct {
 
 // NewProber serializes build into a row table with the scheme's build
 // loop (group-batched directory prefetches for Group, pipelined for
-// Pipelined). data must be the arena backing slice the entries' Refs
-// point into, and width the build schema's fixed tuple width. Zero G/D
-// select the native defaults.
+// Pipelined) and returns an inner-join Prober over it. data must be the
+// arena backing slice the entries' Refs point into, and width the build
+// schema's fixed tuple width. Zero G/D select the native defaults.
 func NewProber(data []byte, build []Entry, width int, scheme Scheme, g, d int) *Prober {
-	return NewTypedProber(data, build, width, plan.Inner, scheme, g, d)
-}
-
-// NewTypedProber is NewProber with join-type semantics: the probe loops
-// emit per jt's contract (see jointype.go — left-outer unmatched rows
-// arrive with build == nil, semi/anti emit the probe side only, right
-// outer accumulates a build-row match bitmap drained by
-// EmitUnmatchedBuild at end of stream). The streaming Prober holds the
-// whole build side in one table, so left outer/semi/anti resolve each
-// probe row inline within its batch and need no end-of-stream pass.
-func NewTypedProber(data []byte, build []Entry, width int, jt plan.JoinType, scheme Scheme, g, d int) *Prober {
 	cfg := Config{Scheme: scheme, G: g, D: d}.normalized()
-	p := &Prober{j: newPairJoiner(), scheme: scheme}
-	p.j.data = data
-	p.j.width = width
-	p.j.g, p.j.d = cfg.G, cfg.D
-	p.j.joinType = jt
-	p.j.t.Reset(len(build), width, 0)
-	p.j.t.BuildSerial(data, build, scheme, cfg.G, cfg.D)
-	if jt == plan.RightOuter {
-		p.j.armBuildMatched(len(build))
-	}
-	return p
+	t := &RowTable{}
+	t.Reset(len(build), width, 0)
+	t.BuildSerial(data, build, scheme, cfg.G, cfg.D)
+	return (&BuildSide{t: t}).NewTypedProber(plan.Inner, scheme, g, d)
 }
 
 // Fork returns fresh probe scratch over the same table with the same
@@ -64,15 +45,12 @@ func NewTypedProber(data []byte, build []Entry, width int, jt plan.JoinType, sch
 // fork has finished, sweeps for the whole stream.
 func (p *Prober) Fork() *Prober {
 	j := newPairJoiner()
-	j.t, j.data, j.width = p.j.t, p.j.data, p.j.width
+	j.t, j.width = p.j.t, p.j.width
 	j.g, j.d = p.j.g, p.j.d
 	j.joinType = p.j.joinType
 	j.buildMatched = p.j.buildMatched
 	return &Prober{j: j, scheme: p.scheme}
 }
-
-// JoinType returns the prober's match semantics.
-func (p *Prober) JoinType() plan.JoinType { return p.j.joinType }
 
 // EmitUnmatchedBuild finishes a right-outer probe stream: it emits every
 // build row no batch matched, with probeRef 0 (null probe side). Call it
@@ -101,23 +79,10 @@ func (p *Prober) ProbeBatch(batch []Entry, emit func(build []byte, probeRef uint
 	if len(batch) == 0 {
 		return
 	}
-	need := (len(batch) + 63) / 64
-	if cap(p.j.matched) < need {
-		p.j.matched = make([]uint64, need)
-	} else {
-		p.j.matched = p.j.matched[:need]
-		clear(p.j.matched)
-	}
 	p.j.sink = emit
 	p.j.probeFor(batch, p.scheme)
 	p.j.sink = nil
 }
-
-// Matched returns the previous batch's match bitmask: bit i set means
-// batch entry i produced at least one validated match. The slice is
-// overwritten by the next ProbeBatch call. Outer/semi/anti joins will
-// consume this to emit non-matching or at-most-once rows.
-func (p *Prober) Matched() []uint64 { return p.j.matched }
 
 // NOutput returns the validated matches emitted so far.
 func (p *Prober) NOutput() int { return p.j.nOutput }

@@ -9,6 +9,7 @@ import (
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/hash"
+	"hashjoin/internal/plan"
 	"hashjoin/internal/storage"
 	"hashjoin/internal/workload"
 )
@@ -125,7 +126,7 @@ func TestConcurrentBuildMatchesSerial(t *testing.T) {
 				}
 				requireSameBuckets(t, bs.t, serial)
 
-				p := bs.NewProber(scheme, 0, 0)
+				p := bs.NewTypedProber(plan.Inner, scheme, 0, 0)
 				for lo := 0; lo < len(probe); lo += p.G() {
 					hi := min(lo+p.G(), len(probe))
 					p.ProbeBatch(probe[lo:hi], func([]byte, uint64) {})
@@ -155,7 +156,7 @@ func TestBuildSideSharedProbers(t *testing.T) {
 	for i := 0; i < streams; i++ {
 		scheme := []Scheme{Baseline, Group, Pipelined}[i%3]
 		go func(scheme Scheme) {
-			p := bs.NewProber(scheme, 0, 0)
+			p := bs.NewTypedProber(plan.Inner, scheme, 0, 0)
 			for lo := 0; lo < len(probe); lo += p.G() {
 				hi := min(lo+p.G(), len(probe))
 				p.ProbeBatch(probe[lo:hi], func([]byte, uint64) {})
