@@ -25,9 +25,10 @@
 // build||probe row that its parent declared. An aggregate reads the key
 // and one 4-byte value, so the native hash join under it emits 8-byte
 // rows and the aggregate reads the value at its remapped offset; a root
-// drained by Run or Collect, and any other parent, sees the whole row.
-// The simulator's operators and the nested-loop join always emit whole
-// rows.
+// drained by Collect, and any other parent, sees the whole row. A native
+// hash join root drained by Run emits no rows when it runs on workers:
+// they count them (see Run). The simulator's operators and the
+// nested-loop join always emit whole rows.
 package engine
 
 import (
@@ -155,10 +156,10 @@ type Config struct {
 	// Workers bounds the native join's workers (0 = GOMAXPROCS) under
 	// both strategies: the streaming join builds its table over that
 	// many slots and probes it with the caller plus Workers-1 background
-	// probers (Workers probers, the caller waiting, under an aggregate),
-	// the partitioned join runs that many pair joiners. With a
-	// shared Pool installed it bounds this plan's concurrent slots
-	// within the pool instead.
+	// probers (Workers probers, the caller waiting, under an aggregate
+	// or when Run counts the join), the partitioned join runs that many
+	// pair joiners. With a shared Pool installed it bounds this plan's
+	// concurrent slots within the pool instead.
 	Workers int
 
 	// Pool, when non-nil, executes the native join's morsels — build
@@ -503,8 +504,9 @@ func (n *Node) JoinEmitWidth(cfg Config) int {
 // 64 KiB of page-rounding slack. Scoped allocation reclaims all of it
 // between runs, so this bounds a high-water mark, not a leak. (An
 // aggregate over a native hash join stages no caller rows and allocates
-// no ring — its join workers fold into tables on the Go heap — so for
-// it those terms are slack.)
+// no ring — its join workers fold into tables on the Go heap — and
+// neither does a native join root that Run counts on its workers, so
+// for them those terms are slack.)
 func (n *Node) ScratchBytes(cfg Config, matchesPerProbe, aggRows int) uint64 {
 	width := uint64(n.JoinEmitWidth(cfg))
 	batch := uint64(max(cfg.Params.G, native.DefaultG)) // covers both backends' default G
@@ -764,7 +766,11 @@ func wrapCancel(err error, elapsed time.Duration) error {
 
 // Run opens, drains, and closes root, reading each row's leading u32
 // key through the arena (untimed — result inspection, not measured
-// work). For a join root this yields the join's NOutput and KeySum.
+// work). For a join root this yields the join's NOutput and KeySum. A
+// native hash join root that runs on workers is not drained at all: its
+// workers count rows and sum keys as they match (joinCounter), so no
+// output row is written; any other root hands its rows out batch by
+// batch.
 //
 // Run owns the pipeline's arena scratch: it opens a scope before Open
 // and releases it after Close, so per-run allocations (join output
@@ -776,11 +782,19 @@ func Run(root Operator, a *arena.Arena) (res Result, err error) {
 	scope := a.Scope()
 	defer scope.Release()
 	defer arena.RecoverOOM(&err)
+	var counted *joinCounter
+	if h, ok := root.(*nativeHashJoin); ok {
+		counted = countJoin(h)
+		defer func() { h.sinkFor = nil }()
+	}
 	if err = root.Open(); err != nil {
 		root.Close()
 		return Result{}, err
 	}
 	defer root.Close()
+	if counted != nil && !counted.h.pulled() {
+		return counted.result(), nil
+	}
 	var b Batch
 	for {
 		ok, berr := root.NextBatch(&b)

@@ -58,27 +58,33 @@ func TestCancelledContextBothBackends(t *testing.T) {
 
 // faultShape is one plan a teardown test runs: a bare join or an
 // aggregate root over it, at a native fan-out, on a workload of nBuild
-// build rows, each matched twice.
+// build rows, each matched twice, drained by Groups (an aggregate), Run
+// or, with collect set, Collect.
 type faultShape struct {
-	name   string
-	agg    bool
-	fanout int
-	nBuild int
+	name    string
+	agg     bool
+	fanout  int
+	nBuild  int
+	collect bool
 }
 
-// faultShapes are the shapes every teardown test covers: the bare
-// partitioned join, an aggregate pushed into either strategy's workers,
-// and an aggregate over a pair big enough to partition on the workers —
-// there a fault fires inside a partition morsel, the first claim.
+// faultShapes are the shapes every teardown test covers: a bare join
+// that Run counts on either strategy's workers, an aggregate pushed into
+// them, each also over a pair big enough to partition on the workers —
+// there a fault fires inside a partition morsel, the first claim — and a
+// partitioned join whose rows Collect pulls through the ring.
 var faultShapes = []faultShape{
-	{"join, fanout 4", false, 4, 1000},
-	{"aggregate, fanout 1", true, 1, 1000},
-	{"aggregate, fanout 4", true, 4, 1000},
-	{"aggregate, partitioned on the workers", true, 4, 50_000},
+	{"join, fanout 4", false, 4, 1000, false},
+	{"join, fanout 1", false, 1, 1000, false},
+	{"join, partitioned on the workers", false, 4, 50_000, false},
+	{"join through the ring, fanout 4", false, 4, 1000, true},
+	{"aggregate, fanout 1", true, 1, 1000, false},
+	{"aggregate, fanout 4", true, 4, 1000, false},
+	{"aggregate, partitioned on the workers", true, 4, 50_000, false},
 }
 
 // drainFailing runs shape on two workers, once setup has armed a fault
-// or set a context, drains it with Groups or Run and returns the error,
+// or set a context, drains it and returns the error,
 // having checked that no partial result came back, no goroutine stayed
 // behind and the arena is back at its watermark.
 func drainFailing(t *testing.T, shape faultShape, seed int64, setup func(*Config)) error {
@@ -95,13 +101,20 @@ func drainFailing(t *testing.T, shape faultShape, seed int64, setup func(*Config
 	setup(&cfg)
 	op := mustCompile(t, plan, cfg)
 	var err error
-	if shape.agg {
+	switch {
+	case shape.agg:
 		var gs []Group
 		gs, err = Groups(op, a)
 		if gs != nil {
 			t.Errorf("%s: %d groups returned beside error %v", shape.name, len(gs), err)
 		}
-	} else {
+	case shape.collect:
+		var rows [][]byte
+		rows, err = Collect(op, a)
+		if rows != nil {
+			t.Errorf("%s: %d rows returned beside error %v", shape.name, len(rows), err)
+		}
+	default:
 		var r Result
 		r, err = Run(op, a)
 		if r != (Result{}) {

@@ -147,9 +147,12 @@ func aggregateRows(rows [][]byte, valueOff int) []Group {
 // relation bytes, across both backends, both native strategies the
 // planner can pick for a single-table join (stream and nested-loop),
 // and the morsel path, on 1, 2 or 4 workers, over probe sides from a
-// handful of rows to several streaming morsels. The workload generator's own ground truth is
-// deliberately not used: the reference re-derives the answer from the
-// tuples, so a generator bug cannot mask an engine bug.
+// handful of rows to several streaming morsels. Every config also drains
+// the bare join through Run — which a native join answers by counting on
+// its workers — against the reference's row count and key sum. The
+// workload generator's own ground truth is deliberately not used: the
+// reference re-derives the answer from the tuples, so a generator bug
+// cannot mask an engine bug.
 func FuzzJoinTypeParity(f *testing.F) {
 	f.Add(uint8(0), uint8(40), uint8(50), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(1), uint8(33), uint8(0), uint8(2), uint8(1), uint8(10), uint8(1), uint8(0), int64(2))  // left-outer, skewed build, value across the seam
@@ -177,7 +180,8 @@ func FuzzJoinTypeParity(f *testing.F) {
 		pair, a, m := testEnv(t, spec)
 		join := HashJoinTyped(Scan(pair.Build), Scan(pair.Probe), jt)
 		valueOff := 4 + int(offRaw)%(join.Width()-7) // 4 .. width-4
-		want := aggregateRows(referenceRows(jt, relTuples(pair.Build), relTuples(pair.Probe)), valueOff)
+		ref := referenceRows(jt, relTuples(pair.Build), relTuples(pair.Probe))
+		want, wantRun := aggregateRows(ref, valueOff), referenceResult(ref)
 		logical := HashAggregate(join, valueOff, nBuild)
 
 		fanout := 1 << (int(fanoutRaw) % 3) // 1 (streaming), 2, 4 (morsel)
@@ -197,6 +201,10 @@ func FuzzJoinTypeParity(f *testing.F) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v %s fanout=%d workers=%d n=%dx%d mr=%.2f valueOff=%d: %d groups vs reference %d",
 					jt, name, fanout, native.Workers, nBuild, spec.NProbe, spec.MatchRate, valueOff, len(got), len(want))
+			}
+			if got := mustRun(t, join, cfg, a); got != wantRun {
+				t.Fatalf("%v %s fanout=%d workers=%d n=%dx%d mr=%.2f: Run = %+v, reference %+v",
+					jt, name, fanout, native.Workers, nBuild, spec.NProbe, spec.MatchRate, got, wantRun)
 			}
 		}
 	})

@@ -9,10 +9,10 @@ package engine
 // radix-partitioned and the partition pairs are the morsels. Under
 // either the caller's goroutine hands out batches of at most G rows
 // while the other workers pack their matches into a ring of pipe
-// buffers that feeds it — unless the join's parent is a native
-// aggregate and the join runs on workers, in which case Open runs it to
-// completion, every worker folding its matches into a partial aggregate
-// of its own.
+// buffers that feeds it — unless the join runs on workers under a
+// native aggregate or as a root drained by Run, in which case Open runs
+// it to completion, every worker folding its matches into a partial
+// aggregate, or a row counter, of its own.
 
 import (
 	"context"
@@ -248,12 +248,13 @@ func splitAtSeam(spans []span, seam int) []emitSpan {
 // background workers to the caller over one ring of pipe buffers. The
 // order rows arrive in is unspecified under either.
 //
-// With sinkFor set (by a native aggregate over the join) there is no
-// ring and nothing to hand out whenever the join runs on workers: Open
-// runs it to completion, worker w writing each match through sinkFor(w),
-// which the join calls on the caller's goroutine before worker w starts.
-// A streaming join over a pulled probe child runs on the caller alone
-// and ignores sinkFor; it is pulled (pulled reports it).
+// With sinkFor set — by a native aggregate over the join, or by Run,
+// which counts a root join's rows (joinCounter) — there is no ring and
+// nothing to hand out whenever the join runs on workers: Open runs it
+// to completion, worker w handing each match to sinkFor(w), which the
+// join calls on the caller's goroutine before worker w starts. A
+// streaming join over a pulled probe child runs on the caller alone and
+// ignores sinkFor; it is pulled (pulled reports it).
 type nativeHashJoin struct {
 	cfg        Config
 	a          *arena.Arena
@@ -389,9 +390,10 @@ func (h *nativeHashJoin) pulled() bool { return h.step != nil || h.outc != nil }
 // and up to workers-1 background probers claim from one cursor, every
 // one probing bs with a prober of its own. Any other probe child can
 // only be pulled, a batch at a time, by the caller alone — under an
-// aggregate too, which then pulls the join like any other child. Over a
-// scanned probe an aggregate (sinkFor) has the caller wait for the
-// workers instead of joining them, and sweep after they return.
+// aggregate or Run too, which then pull the join like any other child.
+// Over a scanned probe sinkFor (an aggregate's, or Run's counter) has
+// the caller wait for the workers instead of joining them, and sweep
+// after they return.
 func (h *nativeHashJoin) openStream(bs *native.BuildSide) error {
 	if rep := h.cfg.Report; rep != nil {
 		rep.JoinFanout = 1
@@ -704,8 +706,8 @@ func (h *nativeHashJoin) startRing(join func() error) {
 // already resolved by Open; the partitioned join is a pipeline breaker
 // on both sides), then starts the native morsel join in the background:
 // radix partitioning, one pair-joiner per worker, matches streaming
-// into pipe buffers. Under an aggregate (sinkFor) it runs the join
-// itself instead, the workers emitting into the aggregate's sinks.
+// into pipe buffers. With sinkFor set (an aggregate, or Run's counter)
+// it runs the join itself instead, the workers emitting into its sinks.
 func (h *nativeHashJoin) openMorsel(buildRel *storage.Relation) error {
 	probeRel := h.probeRel
 	if probeRel != nil {
@@ -789,9 +791,14 @@ type nativeHashAggregate struct {
 // measured to cost peak RSS rather than save it: the pool keeps a
 // partial per P alive between queries, and the GC's heap goal doubles
 // whatever stays live (EXPERIMENTS.md, "Where part_agg's time goes").
+//
+// The pad makes a partial 64 bytes, the size class with one object per
+// cache line: every row rewrites the in slice's header, and 32-byte
+// partials allocated back to back put two workers' headers on one line.
 type aggPartial struct {
 	t  *native.AggTable
 	in []native.AggInput
+	_  [32]byte
 }
 
 func newNativeHashAggregate(cfg Config, child Operator, childWidth, valueOff, groups int) *nativeHashAggregate {
@@ -951,4 +958,62 @@ func (ha *nativeHashAggregate) Close() {
 		ha.child.Close()
 		ha.childClosed = true
 	}
+}
+
+// joinCounter counts a native hash join root inside its workers. Run
+// reads only a root's row count and the sum of each row's leading u32
+// key, so it installs the counter's sinkFor before Open and the join's
+// workers count their matches instead of writing rows: no ring, no
+// writeMatch, no row crosses a goroutine. A join that Open leaves
+// pulled (a streaming join over a non-scan probe) ignores the counter
+// and is drained row by row.
+type joinCounter struct {
+	h     *nativeHashJoin
+	parts []*joinCount // by worker
+}
+
+// joinCount is one worker's share of a counted join. The pad makes it
+// 64 bytes, one per cache line, like aggPartial: every match writes it.
+type joinCount struct {
+	rows, keySum uint64
+	_            [48]byte
+}
+
+// countJoin installs a fresh counter as h's sinkFor.
+func countJoin(h *nativeHashJoin) *joinCounter {
+	c := &joinCounter{h: h}
+	h.sinkFor = c.sinkFor
+	return c
+}
+
+// sinkFor is worker w's counting sink. The row it stands for leads with
+// the probe tuple's key on a semi or anti join and with the build row's
+// on every other — 0 for a left-outer null pad, which has no build row.
+func (c *joinCounter) sinkFor(w int) func(build []byte, pref uint64) {
+	for len(c.parts) <= w {
+		c.parts = append(c.parts, new(joinCount))
+	}
+	n := c.parts[w]
+	if c.h.jt.ProbeOnly() {
+		data := c.h.data
+		return func(_ []byte, pref uint64) {
+			n.rows++
+			n.keySum += uint64(binary.LittleEndian.Uint32(data[pref-arena.Base:]))
+		}
+	}
+	return func(build []byte, _ uint64) {
+		n.rows++
+		if build != nil {
+			n.keySum += uint64(binary.LittleEndian.Uint32(build))
+		}
+	}
+}
+
+// result sums the workers' counts.
+func (c *joinCounter) result() (r Result) {
+	for _, n := range c.parts {
+		r.NRows += int(n.rows)
+		r.KeySum += n.keySum
+	}
+	return r
 }

@@ -194,6 +194,31 @@ func drainSome(tb testing.TB, root Operator, a *arena.Arena, n int, then func())
 	}
 }
 
+// pullAll is Run without its counted path: it opens root under a scope
+// and sums every handed-out row's leading key batch by batch, so a native
+// join's ring and the caller's staging stay on the path.
+func pullAll(tb testing.TB, root Operator, a *arena.Arena) (r Result, err error) {
+	tb.Helper()
+	scope := a.Scope()
+	defer scope.Release()
+	defer arena.RecoverOOM(&err)
+	defer root.Close()
+	if err := root.Open(); err != nil {
+		return Result{}, err
+	}
+	var b Batch
+	for {
+		ok, err := root.NextBatch(&b)
+		if err != nil || !ok {
+			return r, err
+		}
+		r.NRows += len(b.Rows)
+		for _, row := range b.Rows {
+			r.KeySum += uint64(a.U32(row.Addr))
+		}
+	}
+}
+
 // TestParallelStreamCancelMidProbe cancels a running stream: the next
 // probe group — the caller's or a background worker's, both check the
 // context once per group — stops it with the typed cancel error, no
@@ -263,7 +288,8 @@ func TestParallelStreamWorkerFault(t *testing.T) {
 // TestParallelStreamSkewOverflowsRing joins a probe whose every group
 // matches far more rows than the whole ring holds: the caller stages its
 // own matches outside the ring (grown on demand), so it can never wait
-// on a free list only it refills.
+// on a free list only it refills. The rows are pulled batch by batch:
+// Run would count them on the workers and never reach the ring.
 func TestParallelStreamSkewOverflowsRing(t *testing.T) {
 	const dup = 600
 	a := arena.New(64 << 20)
@@ -276,7 +302,10 @@ func TestParallelStreamSkewOverflowsRing(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		cfg := nativeCfg(a, core.SchemeGroup, core.Params{}, 1)
 		cfg.Workers = workers
-		r := mustRun(t, HashJoin(Scan(build), Scan(probe)), cfg, a)
+		r, err := pullAll(t, mustCompile(t, HashJoin(Scan(build), Scan(probe)), cfg), a)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		if want := dup * 20_000; r.NRows != want || r.KeySum != 42*uint64(want) {
 			t.Fatalf("workers=%d: (%d, %d), want (%d, %d)", workers, r.NRows, r.KeySum, want, 42*uint64(want))
 		}
