@@ -35,7 +35,7 @@ func (b *BuildSide) Bytes() int { return b.bs.Bytes() }
 // PrepareBuildSide builds the native hash table over build once, for
 // reuse across queries via WithBuildSide. The build is concurrent:
 // morsel workers serialize disjoint page ranges of the relation into
-// the row slab and publish each row into the shared bucket directory
+// the row slab and publish each row into the shared slot directory
 // with lock-free CAS, in one pass. The table is never handed back for
 // recycling the way a query's own is: a prepared side has concurrent
 // probers the engine cannot see, so it lives until its last reference

@@ -58,15 +58,15 @@ var tablePool sync.Pool
 // BuildRelation builds a row table over rel's tuples in one pass over
 // its pages; row i is the i-th tuple in storage order. The pages are cut
 // into one contiguous range per build slot, and each morsel serializes
-// its range's tuples and publishes them with a CAS on the bucket head
-// (RowTable.buildPages) — a worker reads only rows it wrote, so nothing
-// separates the two. A build of a single morsel — one worker, one page,
-// or fewer than two morsels' worth of rows — runs on the calling
-// goroutine with plain stores and never reaches the pool: RowTable.
-// BuildSerial's table, byte for byte. Chain order within a bucket of a
-// concurrent build depends on CAS timing, so that result equals a
-// serial build as a multiset of rows per bucket — the join-output
-// contract.
+// its range's tuples and publishes them with a CAS on their code's
+// directory slot (RowTable.buildPages) — a worker reads another's row
+// only after the CAS that published it, so nothing separates the two. A
+// build of a single morsel — one worker, one page, or fewer than two
+// morsels' worth of rows — runs on the calling goroutine with plain
+// stores and never reaches the pool: RowTable.BuildSerial's table, byte
+// for byte. Which slot a code takes and chain order in a concurrent
+// build depend on CAS timing, so that result equals a serial build as a
+// multiset of rows per hash code — the join-output contract.
 //
 // width is the build schema's fixed tuple width (>= 4: the leading
 // uint32 join key). On error (cancellation through a shared pool, pool

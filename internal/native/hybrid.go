@@ -133,8 +133,8 @@ func (j *pairJoiner) splitHotCodes(build, probe []Entry, budget int) (hotBuild, 
 		j.codeFreq[build[i].Code]++
 	}
 	// A code is hot when its rows alone overflow the budget:
-	// count > budget/unit ⇔ pairFootprint(count, width) > budget.
-	threshold := budget / (entrySize + rowHdrSize + j.width + 16)
+	// count > budget/rowFootprint(width) ⇔ pairFootprint(count, width) > budget.
+	threshold := budget / rowFootprint(j.width)
 	hot := make(map[uint32]bool)
 	for code, count := range j.codeFreq {
 		if count > threshold {
@@ -175,7 +175,7 @@ func (j *pairJoiner) splitHotCodes(build, probe []Entry, budget int) (hotBuild, 
 // one full probe pass; when the remainder is empty nothing touches disk
 // at all. Strictly less I/O than joinPairSpill on every input.
 func (j *pairJoiner) joinPairSpillHybrid(build, probe []Entry, shift uint, cfg Config) error {
-	resident := cfg.MemBudget / (entrySize + rowHdrSize + j.width + 16)
+	resident := cfg.MemBudget / rowFootprint(j.width)
 	if resident > len(build) {
 		resident = len(build)
 	}

@@ -81,8 +81,8 @@ type probeState struct {
 	key  uint32
 	code uint32
 	ref  uint64 // probe tuple address, for match emission
-	row  uint64 // chain head row offset after stage 1
-	slot uint32 // directory slot after stage 0
+	row  uint64 // row offset of the tag-matching slot after stage 1, 0 on a miss
+	slot uint32 // home slot after stage 0; the tag-matching or empty slot after stage 1
 	idx  int32  // batch-relative index, for the deferred probe bits
 }
 
@@ -94,11 +94,13 @@ func (j *pairJoiner) statesFor(n int) []probeState {
 	return j.states[:n]
 }
 
-// walkChain is the probe's final stage: follow the bucket chain from
-// st.row, prefetching the next row one step ahead, filter on the stored
-// hash code, and validate by comparing the probe key against the key
-// serialized in the row — no storage.Relation access, the win of the
-// compact row layout.
+// walkChain is the probe's final stage: confirm that the row stage 1
+// found heads st.code's chain — a head of another code is a tag
+// collision, and the directory scan resumes past it — then follow the
+// chain, prefetching the next row one step ahead, and validate by
+// comparing the probe key against the key serialized in the row — no
+// storage.Relation access, the win of the compact row layout. Every row
+// of the chain carries st.code, so only the key is compared.
 func (j *pairJoiner) walkChain(st *probeState) {
 	if j.joinType == plan.LeftSemi || j.joinType == plan.LeftAnti {
 		j.walkChainSemi(st)
@@ -107,13 +109,16 @@ func (j *pairJoiner) walkChain(st *probeState) {
 	rows := j.t.rows
 	w := uint64(j.width)
 	found := false
-	for off := st.row; off != 0; {
+	off := st.row
+	if off != 0 && binary.LittleEndian.Uint32(rows[off+rowCodeOff:]) != st.code {
+		_, off = j.t.find(st.code, (st.slot+1)&j.t.mask) // a tag collision
+	}
+	for off != 0 {
 		next := binary.LittleEndian.Uint64(rows[off:])
 		if next != 0 {
 			prefetchT0(unsafe.Pointer(&rows[next]))
 		}
-		if binary.LittleEndian.Uint32(rows[off+rowCodeOff:]) == st.code &&
-			binary.LittleEndian.Uint32(rows[off+rowKeyOff:]) == st.key {
+		if binary.LittleEndian.Uint32(rows[off+rowKeyOff:]) == st.key {
 			found = true
 			j.nOutput++
 			j.keySum += uint64(st.key)
@@ -150,13 +155,16 @@ func (j *pairJoiner) walkChainSemi(st *probeState) {
 	}
 	semi := j.joinType == plan.LeftSemi
 	rows := j.t.rows
-	for off := st.row; off != 0; {
+	off := st.row
+	if off != 0 && binary.LittleEndian.Uint32(rows[off+rowCodeOff:]) != st.code {
+		_, off = j.t.find(st.code, (st.slot+1)&j.t.mask) // a tag collision
+	}
+	for off != 0 {
 		next := binary.LittleEndian.Uint64(rows[off:])
 		if next != 0 {
 			prefetchT0(unsafe.Pointer(&rows[next]))
 		}
-		if binary.LittleEndian.Uint32(rows[off+rowCodeOff:]) == st.code &&
-			binary.LittleEndian.Uint32(rows[off+rowKeyOff:]) == st.key {
+		if binary.LittleEndian.Uint32(rows[off+rowKeyOff:]) == st.key {
 			if j.deferProbe {
 				j.markProbeBit(st)
 			}
@@ -362,7 +370,7 @@ func (j *pairJoiner) probeFor(probe []Entry, scheme Scheme) {
 // --- Baseline ---
 
 // probeBaseline walks each probe tuple's full dependence chain — the
-// directory slot, then every row on the chain — before touching the
+// directory slots, then every row on the chain — before touching the
 // next tuple. Every step can miss, and the misses serialize.
 func (j *pairJoiner) probeBaseline(probe []Entry) {
 	t := j.t
@@ -370,7 +378,7 @@ func (j *pairJoiner) probeBaseline(probe []Entry) {
 	for i := range probe {
 		e := &probe[i]
 		st.key, st.code, st.ref, st.idx = e.Key, e.Code, e.Ref, int32(i)
-		st.row = t.dir[t.bucket(e.Code)]
+		st.slot, st.row = t.scan(t.tag(e.Code), t.home(e.Code))
 		j.walkChain(&st)
 	}
 }
@@ -388,7 +396,7 @@ func (j *pairJoiner) probeGroup(probe []Entry) {
 	g := j.g
 	states := j.statesFor(g)
 	// Outer/semi/anti probes must observe unmatched tuples too, so an
-	// empty chain head cannot skip the walk for those types.
+	// empty slot (a miss) cannot skip the walk for those types.
 	all := j.needsProbeBits()
 
 	for lo := 0; lo < len(probe); lo += g {
@@ -398,19 +406,19 @@ func (j *pairJoiner) probeGroup(probe []Entry) {
 		}
 		n := hi - lo
 
-		// Stage 0: compute directory slots; prefetch them.
+		// Stage 0: compute home slots; prefetch them.
 		for i := 0; i < n; i++ {
 			e := &probe[lo+i]
 			st := &states[i]
 			st.key, st.code, st.ref, st.idx = e.Key, e.Code, e.Ref, int32(lo+i)
-			st.slot = t.bucket(e.Code)
+			st.slot = t.home(e.Code)
 			prefetchT0(unsafe.Pointer(&t.dir[st.slot]))
 		}
 
-		// Stage 1: load chain heads; prefetch the first row of each.
+		// Stage 1: scan for each code's tag; prefetch the row it heads.
 		for i := 0; i < n; i++ {
 			st := &states[i]
-			st.row = t.dir[st.slot]
+			st.slot, st.row = t.scan(t.tag(st.code), st.slot)
 			if st.row != 0 {
 				prefetchT0(unsafe.Pointer(&t.rows[st.row]))
 			}
@@ -453,19 +461,19 @@ func (j *pairJoiner) probePipelined(probe []Entry) {
 	all := j.needsProbeBits() // see probeGroup
 
 	for it := 0; it-2*d < total; it++ {
-		// Stage 0 for tuple it: directory slot, prefetch it.
+		// Stage 0 for tuple it: home slot, prefetch it.
 		if it < total {
 			e := &probe[it]
 			st := &states[it&mask]
 			st.key, st.code, st.ref, st.idx = e.Key, e.Code, e.Ref, int32(it)
-			st.slot = t.bucket(e.Code)
+			st.slot = t.home(e.Code)
 			prefetchT0(unsafe.Pointer(&t.dir[st.slot]))
 		}
 
-		// Stage 1 for tuple it-D: chain head, prefetch its row.
+		// Stage 1 for tuple it-D: scan for its tag, prefetch the row.
 		if k := it - d; k >= 0 && k < total {
 			st := &states[k&mask]
-			st.row = t.dir[st.slot]
+			st.slot, st.row = t.scan(t.tag(st.code), st.slot)
 			if st.row != 0 {
 				prefetchT0(unsafe.Pointer(&t.rows[st.row]))
 			}

@@ -23,8 +23,8 @@
 //     relations big enough is partitioned on the workers, page range by
 //     page range (Joiner.partition, morsel.go).
 //  2. Build: each build partition's tuples are serialized once into
-//     self-contained rows chained from a flat directory of bucket heads
-//     (RowTable, rowtable.go).
+//     self-contained rows, chained per hash code from an open-addressed
+//     directory of tagged slots (RowTable, rowtable.go).
 //  3. Probe: the per-tuple dependence chain (directory slot -> row
 //     chain, key and payload in-row) is restructured exactly as the paper's
 //     sections 4-5 do — strip-mined G-tuple groups or a D-distance
@@ -455,16 +455,18 @@ func (jn *Joiner) JoinStream(build, probe *storage.Relation, cfg Config, sinkFor
 	return jn.Join(build, probe, cfg)
 }
 
+// rowFootprint is the resident bytes one build row costs during its
+// pair's join: its partition entry, its serialized row (header + key +
+// payload), and at most 16 bytes of directory — the directory holds
+// nextpow2(2n) 4-byte slots for n rows, between 8 and 16 bytes a row.
+// Every budget decision divides or multiplies by this one unit.
+func rowFootprint(width int) int { return entrySize + rowHdrSize + width + 16 }
+
 // pairFootprint estimates the resident bytes a build partition of n
-// tuples of width serialized bytes needs during its join: the entry
-// array, the row (header + key + payload), and an amortized two
-// directory slots per tuple (the directory is the next power of two
-// above the row count). fanoutFor and the recursive re-partitioner
-// share this estimate so the initial fan-out and the degradation path
-// agree on what "fits" means.
-func pairFootprint(nBuild, width int) int {
-	return nBuild * (entrySize + rowHdrSize + width + 16)
-}
+// tuples of width serialized bytes needs during its join. fanoutFor and
+// the recursive re-partitioner share this estimate so the initial
+// fan-out and the degradation path agree on what "fits" means.
+func pairFootprint(nBuild, width int) int { return nBuild * rowFootprint(width) }
 
 // BuildFootprint estimates the resident bytes a build side of nBuild
 // tuples of width serialized bytes needs while being joined: entries

@@ -13,25 +13,46 @@ import (
 // Hash table v2: compact row storage. Instead of a table of (code, ref)
 // cells that sends every probe hit back through storage.Relation for
 // the key, each build tuple is serialized once into a self-contained
-// row and the table becomes a flat directory of chain heads:
+// row:
 //
 //	row :=  next_row_ptr | null_map | hash_code | key+payload
 //	        8 bytes        4 bytes    4 bytes     width bytes
 //
-// Probes walk the chain comparing hash codes and keys in-row — one
-// dependent load per chain step instead of two — and matches hand the
-// caller the serialized row bytes directly. The null_map slot is all
-// zeros today (inner join) and reserves the layout for outer/semi/anti
-// joins, where a bitmap of NULL key columns must travel with the row.
+// and the table indexes the rows with an open-addressed directory of
+// 4-byte slots, twice as many as rows (rounded up to a power of two):
+//
+//	slot := tag | row+1     (0 = empty)
+//	        tag:   the hash code's bits above the home slot's bits
+//	        row+1: the low bits.Len(nRows) bits
+//
+// Each non-empty slot owns exactly one hash code; the rows of that code
+// chain from it through next_row_ptr, so a run of duplicate keys takes
+// one slot. A code's slot is the first one, stepping linearly from its
+// home slot, that is empty or carries its tag and heads a row of its
+// code — the home slot and the tag together are the code's bits above
+// the partitioner's radix bits, so a tag match on a slot of another
+// code (a row of a displaced neighbour) is rare, and is confirmed
+// against the row's stored code. This is the hash code beside the
+// pointer of the paper's Figure 2 cell, moved into the directory: a
+// probe scans its slots inside the prefetched directory line and loads
+// only its own code's rows; a miss loads no row at all. The directory
+// costs 4 B × nextpow2(2n), between 8 and 16 bytes a row: the directory
+// share of rowFootprint, which every budget decision is sized by.
+//
+// Probes walk the chain comparing keys in-row — one dependent load per
+// chain step — and matches hand the caller the serialized row bytes
+// directly. The null_map slot is all zeros today (inner join) and
+// reserves the layout for outer/semi/anti joins, where a bitmap of NULL
+// key columns must travel with the row.
 //
 // The layout also unlocks a concurrent build: each worker serializes
 // the rows of its own page range (each row's bytes are written exactly
 // once, by one worker) and publishes them into the shared directory
-// with a compare-and-swap on the chain head, in the same pass (see
-// buildPages). Chain order then depends on CAS timing, so a
-// concurrently built table equals a serially built one as a multiset
-// of rows per bucket — which is exactly the join-output contract
-// (matches are unordered across workers already).
+// with a compare-and-swap on the code's slot, in the same pass (see
+// buildPages). Which slot a code takes, and chain order, then depend on
+// CAS timing, so a concurrently built table equals a serially built one
+// as a multiset of rows per hash code — which is exactly the join-output
+// contract (matches are unordered across workers already).
 //
 // Rows live in one Go-heap slab addressed by byte offset, with offset 0
 // reserved as the nil chain terminator. Keeping the slab off the bump
@@ -60,22 +81,25 @@ const (
 	// bouncing between similar sizes keeps its allocation.
 	rowShrinkFactor = 4
 	rowSlabFloor    = 1 << 12 // bytes
-	rowDirFloor     = 1 << 9  // directory slots
+	rowDirFloor     = 1 << 10 // directory slots
 )
 
 // RowTable is the v2 native hash table: serialized rows chained through
-// next_row_ptr from a directory of bucket heads. Bucket numbers come
-// from the hash code's bits above the radix bits consumed by the
-// partitioner, so partitioning does not starve the table's index
-// distribution.
+// next_row_ptr from an open-addressed directory of tagged slots, one
+// slot per hash code. Home slots come from the hash code's bits above
+// the radix bits consumed by the partitioner, so partitioning does not
+// starve the table's index distribution.
 type RowTable struct {
-	rows    []byte   // row slab; offset 0 is the nil sentinel
-	dir     []uint64 // bucket heads: row offsets, 0 = empty
-	width   int      // serialized key+payload bytes per row
-	rowSize int      // rowHdrSize + width
-	nRows   int
-	shift   uint   // radix bits consumed by the partitioner
-	mask    uint32 // len(dir)-1
+	rows     []byte   // row slab; offset 0 is the nil sentinel
+	dir      []uint32 // slots: tag | row+1, 0 = empty
+	width    int      // serialized key+payload bytes per row
+	rowSize  int      // rowHdrSize + width
+	nRows    int
+	shift    uint   // radix bits consumed by the partitioner
+	tagShift uint   // shift + log2(len(dir)): code bits from here up are the tag
+	rowBits  uint   // bits.Len(nRows): a slot's row+1 field
+	rowMask  uint32 // 1<<rowBits - 1
+	mask     uint32 // len(dir)-1
 }
 
 // Reset re-sizes and clears the table for nRows build tuples of width
@@ -83,12 +107,14 @@ type RowTable struct {
 // partition pairs. Capacities far above the new need are released, so
 // one skewed pair does not pin its peak allocation for the whole join.
 func (t *RowTable) Reset(nRows, width int, shift uint) {
-	nb := 1 << uint(bits.Len(uint(max(nRows, 1)-1)))
+	// nextpow2(2·nRows) slots: at most half full, so every scan ends at
+	// an empty slot within a few steps.
+	nb := 2 << uint(bits.Len(uint(max(nRows, 1)-1)))
 	if nb <= cap(t.dir) && cap(t.dir) <= max(rowShrinkFactor*nb, rowDirFloor) {
 		t.dir = t.dir[:nb]
 		clear(t.dir)
 	} else {
-		t.dir = make([]uint64, nb)
+		t.dir = make([]uint32, nb)
 	}
 	t.width = width
 	t.rowSize = rowHdrSize + width
@@ -101,6 +127,9 @@ func (t *RowTable) Reset(nRows, width int, shift uint) {
 	}
 	t.shift = shift
 	t.mask = uint32(nb - 1)
+	t.tagShift = shift + uint(bits.TrailingZeros(uint(nb)))
+	t.rowBits = uint(bits.Len(uint(nRows)))
+	t.rowMask = 1<<t.rowBits - 1
 }
 
 // NRows returns the row count the table was Reset for.
@@ -110,13 +139,57 @@ func (t *RowTable) NRows() int { return t.nRows }
 func (t *RowTable) Width() int { return t.width }
 
 // Bytes returns the table's resident footprint: row slab plus directory.
-func (t *RowTable) Bytes() int { return len(t.rows) + 8*len(t.dir) }
+func (t *RowTable) Bytes() int { return len(t.rows) + 4*len(t.dir) }
 
-// bucket maps a hash code to its directory slot.
-func (t *RowTable) bucket(code uint32) uint32 { return (code >> t.shift) & t.mask }
+// home maps a hash code to the directory slot its scan starts at.
+func (t *RowTable) home(code uint32) uint32 { return (code >> t.shift) & t.mask }
+
+// tag returns the slot bits that name code: its bits above the home
+// slot's, placed above the row field. The two widths never overlap,
+// since log2(len(dir)) >= bits.Len(nRows).
+func (t *RowTable) tag(code uint32) uint32 { return code >> t.tagShift << t.rowBits }
 
 // rowOff returns the slab offset of row i.
 func (t *RowTable) rowOff(i int) uint64 { return uint64(rowSlabPad + i*t.rowSize) }
+
+// slotRow returns the slab offset of the row a non-empty slot heads.
+func (t *RowTable) slotRow(v uint32) uint64 { return t.rowOff(int(v&t.rowMask) - 1) }
+
+// codeAt returns the hash code stored in the row at slab offset off.
+func (t *RowTable) codeAt(off uint64) uint32 {
+	return binary.LittleEndian.Uint32(t.rows[off+rowCodeOff:])
+}
+
+// scan steps linearly from slot s to the first slot that is empty or
+// carries tag tg, and returns it with the row it heads (0 when empty).
+// It reads only the directory: the probe's stage 1.
+func (t *RowTable) scan(tg, s uint32) (uint32, uint64) {
+	for {
+		v := t.dir[s]
+		if v == 0 {
+			return s, 0
+		}
+		if v&^t.rowMask == tg {
+			return s, t.slotRow(v)
+		}
+		s = (s + 1) & t.mask
+	}
+}
+
+// find is scan confirmed against the rows: it returns code's slot at or
+// after s, and its chain head, or the empty slot that ends the run and
+// 0. A tag match heading a row of another code is a collision, and the
+// scan resumes past it.
+func (t *RowTable) find(code, s uint32) (uint32, uint64) {
+	tg := t.tag(code)
+	for {
+		var off uint64
+		if s, off = t.scan(tg, s); off == 0 || t.codeAt(off) == code {
+			return s, off
+		}
+		s = (s + 1) & t.mask
+	}
+}
 
 // putRow serializes row i: a zero null_map, the hash code, and the
 // tuple's key+payload bytes. next_row_ptr is left untouched; insertion
@@ -141,12 +214,12 @@ func (t *RowTable) putRow(i int, code uint32, tuple []byte) {
 // publishes each row as written, without a prefetch.
 //
 // Page ranges of distinct morsels hold disjoint rows, so with shared
-// set (CAS publish) any number of buildPages calls may run at once; no
-// call reads a row another wrote, so there is no barrier between
-// serializing and publishing. With one owner the publish is plain
-// stores in row order: byte for byte BuildSerial's table. The page walk
-// is eachSlot's, written out: a closure call per tuple measured 4-15 %
-// on a 60k-row build.
+// set (CAS publish) any number of buildPages calls may run at once; a
+// call reads another's row only after the CAS that published it, so
+// there is no barrier between serializing and publishing. With one
+// owner the publish is plain stores in row order: byte for byte
+// BuildSerial's table. The page walk is eachSlot's, written out: a
+// closure call per tuple measured 4-15 % on a 60k-row build.
 func (t *RowTable) buildPages(data []byte, pages []arena.Addr, pageSize, row int, scheme Scheme, g, d int, shared bool) {
 	batch, step := 1, 1 // publish step rows once batch are pending
 	switch scheme {
@@ -171,7 +244,7 @@ func (t *RowTable) buildPages(data []byte, pages []arena.Addr, pageSize, row int
 
 			t.putRow(row, code, data[tuple:tuple+w])
 			if batch > 1 {
-				prefetchT0(unsafe.Pointer(&t.dir[t.bucket(code)]))
+				prefetchT0(unsafe.Pointer(&t.dir[t.home(code)]))
 			}
 			if row++; row-pub == batch {
 				publish(pub, pub+step)
@@ -183,19 +256,31 @@ func (t *RowTable) buildPages(data []byte, pages []arena.Addr, pageSize, row int
 }
 
 // casPublishRange publishes serialized rows [lo, hi) into the shared
-// directory: store the bucket's current head into the row's
-// next_row_ptr, then CAS the head to the row. The next write is plain —
-// the row is invisible to other workers until the CAS lands, and probes
-// start only after the build has returned.
+// directory. Each row scans from its home slot to the first slot that
+// is empty or owned by its code, stores that slot's head (0 if empty)
+// into its next_row_ptr, and CASes the slot to itself. A lost CAS
+// re-reads the same slot: a slot, once owned, keeps its code, and an
+// empty one may have been taken by another code. The next_row_ptr write
+// is plain — the row is invisible to other workers until the CAS
+// lands, and probes start only after the build has returned.
 func (t *RowTable) casPublishRange(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		off := t.rowOff(i)
-		code := binary.LittleEndian.Uint32(t.rows[off+rowCodeOff:])
-		slot := &t.dir[t.bucket(code)]
-		for {
-			head := atomic.LoadUint64(slot)
+		code := t.codeAt(off)
+		tg := t.tag(code)
+		mine := tg | uint32(i+1)
+		for s := t.home(code); ; {
+			cur := atomic.LoadUint32(&t.dir[s])
+			var head uint64
+			if cur != 0 {
+				if cur&^t.rowMask != tg || t.codeAt(t.slotRow(cur)) != code {
+					s = (s + 1) & t.mask
+					continue
+				}
+				head = t.slotRow(cur)
+			}
 			binary.LittleEndian.PutUint64(t.rows[off:], head)
-			if atomic.CompareAndSwapUint64(slot, head, off) {
+			if atomic.CompareAndSwapUint32(&t.dir[s], cur, mine) {
 				break
 			}
 		}
@@ -203,16 +288,20 @@ func (t *RowTable) casPublishRange(lo, hi int) {
 }
 
 // insertSerialRange is casPublishRange's single-owner fast path: plain loads
-// and stores, same chain discipline (new rows prepend, so chains hold
-// later-inserted rows first).
+// and stores, same slot and chain discipline (new rows prepend, so chains
+// hold later-inserted rows first).
 func (t *RowTable) insertSerialRange(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		off := t.rowOff(i)
-		code := binary.LittleEndian.Uint32(t.rows[off+rowCodeOff:])
-		b := t.bucket(code)
-		binary.LittleEndian.PutUint64(t.rows[off:], t.dir[b])
-		t.dir[b] = off
+		t.insertSerial(i, t.codeAt(t.rowOff(i)))
 	}
+}
+
+// insertSerial links row i, whose hash code is code, into the directory
+// with plain loads and stores.
+func (t *RowTable) insertSerial(i int, code uint32) {
+	s, head := t.find(code, t.home(code))
+	binary.LittleEndian.PutUint64(t.rows[t.rowOff(i):], head)
+	t.dir[s] = t.tag(code) | uint32(i+1)
 }
 
 // BuildSerial serializes and inserts all entries on the calling
@@ -220,6 +309,9 @@ func (t *RowTable) insertSerialRange(lo, hi int) {
 // outright. The scheme applies the paper's build-loop restructuring to
 // the directory-slot accesses: Group prefetches a G-batch of slots
 // before its inserts, Pipelined keeps a slot prefetch D inserts ahead.
+// Inserts take each row's code from its entry, not from the row the
+// first pass wrote long before: the slot scan branches on the code, and
+// waiting there for a slab miss serializes the inserts.
 func (t *RowTable) BuildSerial(data []byte, entries []Entry, scheme Scheme, g, d int) {
 	n := len(entries)
 	w := uint64(t.width)
@@ -235,33 +327,36 @@ func (t *RowTable) BuildSerial(data []byte, entries []Entry, scheme Scheme, g, d
 				hi = n
 			}
 			for i := lo; i < hi; i++ {
-				prefetchT0(unsafe.Pointer(&t.dir[t.bucket(entries[i].Code)]))
+				prefetchT0(unsafe.Pointer(&t.dir[t.home(entries[i].Code)]))
 			}
-			t.insertSerialRange(lo, hi)
+			for i := lo; i < hi; i++ {
+				t.insertSerial(i, entries[i].Code)
+			}
 		}
 	case Pipelined:
 		for i := 0; i < n; i++ {
 			if nx := i + d; nx < n {
-				prefetchT0(unsafe.Pointer(&t.dir[t.bucket(entries[nx].Code)]))
+				prefetchT0(unsafe.Pointer(&t.dir[t.home(entries[nx].Code)]))
 			}
-			t.insertSerialRange(i, i+1)
+			t.insertSerial(i, entries[i].Code)
 		}
 	default:
-		t.insertSerialRange(0, n)
+		for i := range entries {
+			t.insertSerial(i, entries[i].Code)
+		}
 	}
 }
 
-// LookupRows calls fn for every row in code's bucket whose stored hash
-// code equals code, passing the row's serialized key+payload bytes.
-// Exported for tests and the fuzz oracle; the measured probe loops in
-// join.go inline this walk with prefetching.
+// LookupRows calls fn for every row of hash code code, passing the
+// row's serialized key+payload bytes. Exported for tests and the fuzz
+// oracle; the measured probe loops in join.go inline this walk with
+// prefetching.
 func (t *RowTable) LookupRows(code uint32, fn func(row []byte)) {
 	w := uint64(t.width)
-	for off := t.dir[t.bucket(code)]; off != 0; {
+	_, off := t.find(code, t.home(code))
+	for off != 0 {
 		next := binary.LittleEndian.Uint64(t.rows[off:])
-		if binary.LittleEndian.Uint32(t.rows[off+rowCodeOff:]) == code {
-			fn(t.rows[off+rowKeyOff : off+rowKeyOff+w])
-		}
+		fn(t.rows[off+rowKeyOff : off+rowKeyOff+w])
 		off = next
 	}
 }

@@ -119,7 +119,7 @@ func (c Config) spillPage() int {
 // progress — that is why the spill tier cannot fail on size.
 func (sp *spillState) chunkPages() int {
 	perPage := sp.pageSize +
-		spill.PageCapacity(sp.pageSize, sp.buildWidth)*(entrySize+rowHdrSize+sp.buildWidth+16)
+		spill.PageCapacity(sp.pageSize, sp.buildWidth)*rowFootprint(sp.buildWidth)
 	return min(max(sp.budget/perPage, 1), spillChunkPagesCap)
 }
 

@@ -102,7 +102,7 @@ func TestBuildRelationSingleMorselIsSerial(t *testing.T) {
 // none, one, fewer than the workers, and a count the workers do not
 // divide — each ending in a page of one tuple — row i is the i-th tuple
 // in storage order (what the right-outer bitmap indexes by), and the
-// table holds BuildSerial's rows, bucket by bucket, as a multiset.
+// table holds BuildSerial's rows, code by code, as a multiset.
 func TestBuildRelationPageRanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	keys := make([]uint32, 6000)
@@ -148,7 +148,7 @@ func TestBuildRelationPageRanges(t *testing.T) {
 						t.Fatalf("%s %v workers=%d: row %d is not the %d-th tuple in storage order", tc.name, scheme, workers, i, i)
 					}
 				}
-				requireSameBuckets(t, bs.t, serial)
+				requireSameCodes(t, bs.t, serial)
 				bs.Release() // the next build overwrites this one's slab
 			}
 		}
