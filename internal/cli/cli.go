@@ -474,7 +474,7 @@ func (p *Pipeline) config(strategy plan.Strategy, fanout int) engine.Config {
 // the workload itself (engine's Node.ScratchBytes). The arena is sized
 // before the relations exist, so the plan is laid over empty relations
 // of the workload's schema, the workload's own matches-per-build sizes
-// the output ring, and its build count bounds the groups. A consulted
+// a join's staged output, and its build count bounds the groups. A consulted
 // planner may still pick nested-loop, which emits whole rows: size for
 // that.
 func (p *Pipeline) scratchBytes() uint64 {

@@ -12,9 +12,9 @@ import (
 )
 
 // Run over a native hash join root reads only the row count and each
-// row's leading key, so a join that runs on workers counts its rows
-// there (joinCounter) instead of writing them; a join over a pulled
-// probe is drained row by row. Either way the totals are the reference's.
+// row's leading key, so the join counts its rows where it matches them
+// (joinCounter) instead of writing them — on its workers, or on the
+// caller for a pulled probe. Either way the totals are the reference's.
 
 // referenceResult is what Run returns for rows: their count and the sum
 // of each row's leading u32.
@@ -29,8 +29,8 @@ func referenceResult(rows [][]byte) Result {
 // TestRunCountsJoinOnWorkers pins that a counted join writes no row:
 // with no arena headroom left after the inputs, Run still drains every
 // join type on both native strategies and 1, 2 or 4 workers to the
-// reference totals, while Collect — whose rows live in arena scratch,
-// its ring's or the caller's — runs out of memory on the same plan.
+// reference totals, while Collect — whose rows the join writes into
+// arena scratch — runs out of memory on the same plan.
 func TestRunCountsJoinOnWorkers(t *testing.T) {
 	spec := workload.Spec{NBuild: 300, TupleSize: 20, PctMatched: 70,
 		MatchRate: 0.55, NProbe: 20_000, Skew: 2, Seed: 71}
@@ -60,9 +60,10 @@ func TestRunCountsJoinOnWorkers(t *testing.T) {
 }
 
 // TestRunPulledJoinFallback drains a join whose probe child is a filter:
-// the streaming join is then pulled by the caller alone and Run reads its
-// rows batch by batch (a partitioned one materializes the probe and is
-// counted). Both agree with the reference on every join type.
+// the streaming join pulls it on the caller, the partitioned one
+// materializes it. Either way Open has counted the whole join when it
+// returns, before any NextBatch, and both agree with the reference on
+// every join type.
 func TestRunPulledJoinFallback(t *testing.T) {
 	spec := workload.Spec{NBuild: 200, TupleSize: 16, PctMatched: 70,
 		MatchRate: 0.55, NProbe: 600, Skew: 2, Seed: 72}
@@ -92,9 +93,9 @@ func TestRunPulledJoinFallback(t *testing.T) {
 			if err := h.Open(); err != nil {
 				t.Fatalf("%v fanout=%d: Open: %v", jt, fanout, err)
 			}
-			if pulled := h.pulled(); pulled != (fanout == 1) || pulled && len(c.parts) != 0 {
-				t.Errorf("%v fanout=%d: pulled=%v with %d counters; want pulled only when streaming, and then no counter",
-					jt, fanout, pulled, len(c.parts))
+			if got := c.result(); len(c.parts) == 0 || got != want {
+				t.Errorf("%v fanout=%d: after Open, %d counters read %+v; want the join counted, %+v",
+					jt, fanout, len(c.parts), got, want)
 			}
 			h.Close()
 			scope.Release()

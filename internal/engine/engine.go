@@ -26,9 +26,9 @@
 // and one 4-byte value, so the native hash join under it emits 8-byte
 // rows and the aggregate reads the value at its remapped offset; a root
 // drained by Collect, and any other parent, sees the whole row. A native
-// hash join root drained by Run emits no rows when it runs on workers:
-// they count them (see Run). The simulator's operators and the
-// nested-loop join always emit whole rows.
+// hash join root drained by Run emits no rows: its workers count them
+// (see Run). The simulator's operators and the nested-loop join always
+// emit whole rows.
 package engine
 
 import (
@@ -77,12 +77,12 @@ func (b *Batch) Len() int { return len(b.Rows) }
 //
 // Open and NextBatch return an error for conditions that are not
 // programming bugs: a memory budget a partition pair cannot be split
-// under, or a failure reported by a background morsel worker. Deep
+// under, or a failure reported by a morsel worker. Deep
 // allocation layers still panic with *arena.OOMError on exhaustion; the
 // drain helpers (Run, Groups, Collect) recover that panic into an error,
 // so callers of the helpers see every out-of-memory condition as an
 // ordinary error. After a non-nil error the operator must still be
-// Closed; Close remains safe and releases any background work.
+// Closed; Close remains safe and closes its children.
 type Operator interface {
 	Open() error
 	NextBatch(b *Batch) (bool, error)
@@ -122,7 +122,7 @@ type Config struct {
 
 	// A is the arena holding the plan's relations; required for the
 	// Native backend (Sim defaults it to Mem.A). Operator scratch —
-	// join output rings, aggregate records — is allocated from it.
+	// join output rows, aggregate records — is allocated from it.
 	A *arena.Arena
 
 	// Scheme selects the prefetching strategy for joins and aggregates.
@@ -155,9 +155,8 @@ type Config struct {
 
 	// Workers bounds the native join's workers (0 = GOMAXPROCS) under
 	// both strategies: the streaming join builds its table over that
-	// many slots and probes it with the caller plus Workers-1 background
-	// probers (Workers probers, the caller waiting, under an aggregate
-	// or when Run counts the join), the partitioned join runs that many
+	// many slots and probes a scanned probe relation with that many
+	// probers, the caller waiting; the partitioned join runs that many
 	// pair joiners. With a shared Pool installed it bounds this plan's
 	// concurrent slots within the pool instead.
 	Workers int
@@ -257,9 +256,8 @@ type Report struct {
 	// MorselsExecuted counts the morsels the native join's workers
 	// shared: the partition pairs it actually ran, or, for the streaming
 	// strategy over a scanned probe relation, the page ranges that
-	// relation was cut into (one when the caller probed it alone). 0 when
-	// the probe side is pulled from a non-scan child, and on the Sim
-	// backend.
+	// relation was cut into. 0 when the probe side is pulled from a
+	// non-scan child, and on the Sim backend.
 	MorselsExecuted int
 
 	// What the spill tier and the hybrid policy did; all zero for a
@@ -475,11 +473,10 @@ func (n *Node) emitSpans(parent *Node, cfg Config) []span {
 }
 
 // JoinEmitWidth returns the byte width of the rows the plan's join
-// writes into its per-run scratch (output ring, morsel pipe buffers)
-// when compiled under cfg's Backend and Strategy, or 0 for a plan
-// without a join. Scratch estimators size from it, so they follow the
-// join type's narrowing and the parent's declared spans without
-// mirroring either.
+// writes when compiled under cfg's Backend and Strategy, or 0 for a
+// plan without a join. The scratch estimator sizes from it, so it
+// follows the join type's narrowing and the parent's declared spans
+// without mirroring either.
 func (n *Node) JoinEmitWidth(cfg Config) int {
 	var parent *Node
 	for ; n != nil; parent, n = n, n.input {
@@ -493,27 +490,34 @@ func (n *Node) JoinEmitWidth(cfg Config) int {
 // ScratchBytes estimates the arena scratch one run of the plan under
 // cfg allocates beyond its relations — the one estimate admission
 // windows (the service Env) and arena sizing (the CLI pipeline) are both
-// cut from. It sums what the streaming join's caller stages of its own
-// (one probe group's matches, matchesPerProbe each) and the pipe ring
-// either native strategy allocates (ringShape), both in rows of
-// JoinEmitWidth; an aggregate root's staging block, one
-// AggTupleWidth row per group with aggRows bounding the groups (the
-// build side's row count, which the caller may know before the
-// relations exist); the native spill tier's page pool when it can
-// engage (native.SpillPoolBytes, from the tier's own arithmetic); and
-// 64 KiB of page-rounding slack. Scoped allocation reclaims all of it
-// between runs, so this bounds a high-water mark, not a leak. (An
-// aggregate over a native hash join stages no caller rows and allocates
-// no ring — its join workers fold into tables on the Go heap — and
-// neither does a native join root that Run counts on its workers, so
-// for them those terms are slack.)
-func (n *Node) ScratchBytes(cfg Config, matchesPerProbe, aggRows int) uint64 {
+// cut from. buildRows is the build side's row count, which the caller
+// may know before the relations exist. The estimate sums the rows a
+// join stages for one probe group (matchesPerProbe each, in rows of
+// JoinEmitWidth: the simulator's and the nested-loop join's output; a
+// native join under an aggregate or Run stages none, so for it the term
+// is slack); the relation a non-scan build child is materialized into
+// (buildRows tuples of the build width, in materializePage pages); an
+// aggregate root's staging block, one AggTupleWidth row per group with
+// buildRows bounding the groups; the native spill tier's page pool when
+// it can engage (native.SpillPoolBytes, from the tier's own
+// arithmetic); and 64 KiB of page-rounding slack. Scoped allocation
+// reclaims all of it between runs, so this bounds a high-water mark,
+// not a leak.
+func (n *Node) ScratchBytes(cfg Config, matchesPerProbe, buildRows int) uint64 {
 	width := uint64(n.JoinEmitWidth(cfg))
 	batch := uint64(max(cfg.Params.G, native.DefaultG)) // covers both backends' default G
-	bufs, rows := ringShape(cfg.workers(), int(batch))
-	total := (uint64(matchesPerProbe)*batch+uint64(bufs*rows))*width + (64 << 10)
+	total := uint64(matchesPerProbe)*batch*width + (64 << 10)
+	for j := n; j != nil; j = j.input {
+		if j.kind == joinNode {
+			if j.build.scanRel() == nil {
+				perPage := storage.CapacityFor(materializePage, j.build.Width())
+				total += uint64((buildRows+perPage-1)/perPage) * materializePage
+			}
+			break
+		}
+	}
 	if n.kind == aggNode {
-		total += uint64(aggRows) * AggTupleWidth
+		total += uint64(buildRows) * AggTupleWidth
 	}
 	if cfg.Backend == Native {
 		total += native.SpillPoolBytes(cfg.joinConfig(plan.Inner))
@@ -533,7 +537,7 @@ var ErrUnsupportedPlan = errors.New("engine: unsupported plan")
 // rows. Catching it here turns a deep copy-out-of-bounds panic into a
 // usage error the CLI can map to its exit taxonomy. A filter directly
 // over a join is refused outright: a filter gathers one output batch
-// across several of its child's, and a join (either backend) recycles
+// across several of its child's, and the simulator's hash join recycles
 // the scratch its rows live in at every NextBatch, so the filter would
 // hand on rows already overwritten — until Compile owns batch lifetime.
 func validatePlan(n *Node) error {
@@ -767,17 +771,16 @@ func wrapCancel(err error, elapsed time.Duration) error {
 // Run opens, drains, and closes root, reading each row's leading u32
 // key through the arena (untimed — result inspection, not measured
 // work). For a join root this yields the join's NOutput and KeySum. A
-// native hash join root that runs on workers is not drained at all: its
-// workers count rows and sum keys as they match (joinCounter), so no
-// output row is written; any other root hands its rows out batch by
-// batch.
+// native hash join root is not drained at all: its workers count rows
+// and sum keys as they match (joinCounter), so no output row is
+// written; any other root hands its rows out batch by batch.
 //
 // Run owns the pipeline's arena scratch: it opens a scope before Open
 // and releases it after Close, so per-run allocations (join output
-// rings, morsel pipe buffers, staged aggregation rows, materialized
-// intermediates) are reclaimed and a resident arena's Used() is stable
-// across unlimited runs. An *arena.OOMError panic from any depth of the
-// pipeline is recovered into the returned error.
+// rows, staged aggregation rows, materialized intermediates) are
+// reclaimed and a resident arena's Used() is stable across unlimited
+// runs. An *arena.OOMError panic from any depth of the pipeline is
+// recovered into the returned error.
 func Run(root Operator, a *arena.Arena) (res Result, err error) {
 	scope := a.Scope()
 	defer scope.Release()
@@ -792,7 +795,7 @@ func Run(root Operator, a *arena.Arena) (res Result, err error) {
 		return Result{}, err
 	}
 	defer root.Close()
-	if counted != nil && !counted.h.pulled() {
+	if counted != nil {
 		return counted.result(), nil
 	}
 	var b Batch
@@ -898,7 +901,8 @@ func sortGroups(gs []Group) []Group {
 
 // Collect opens, drains, and closes root, returning an untimed copy of
 // every row's bytes. For tests and result sinks. Scratch scoping and
-// OOM recovery as in Run.
+// OOM recovery as in Run; a native hash join root writes its whole
+// output into that scope before the first row is copied.
 func Collect(root Operator, a *arena.Arena) (out [][]byte, err error) {
 	scope := a.Scope()
 	defer scope.Release()

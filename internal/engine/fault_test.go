@@ -72,12 +72,12 @@ type faultShape struct {
 // that Run counts on either strategy's workers, an aggregate pushed into
 // them, each also over a pair big enough to partition on the workers —
 // there a fault fires inside a partition morsel, the first claim — and a
-// partitioned join whose rows Collect pulls through the ring.
+// partitioned join whose rows Collect pulls from the join's own sink.
 var faultShapes = []faultShape{
 	{"join, fanout 4", false, 4, 1000, false},
 	{"join, fanout 1", false, 1, 1000, false},
 	{"join, partitioned on the workers", false, 4, 50_000, false},
-	{"join through the ring, fanout 4", false, 4, 1000, true},
+	{"join drained by Collect, fanout 4", false, 4, 1000, true},
 	{"aggregate, fanout 1", true, 1, 1000, false},
 	{"aggregate, fanout 4", true, 4, 1000, false},
 	{"aggregate, partitioned on the workers", true, 4, 50_000, false},
@@ -176,9 +176,8 @@ func TestWorkerFaultThroughEngine(t *testing.T) {
 }
 
 // TestWorkerPanicThroughEngine: same proof for an injected panic — the
-// morsel pipe's background drain, or the worker an aggregate waits on,
-// must recover it into an error, not crash the process or deadlock the
-// operator.
+// worker the join waits on must recover it into an error, not crash the
+// process or deadlock the operator.
 func TestWorkerPanicThroughEngine(t *testing.T) {
 	defer fault.Reset()
 	for _, shape := range faultShapes {

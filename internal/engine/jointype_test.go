@@ -2,9 +2,11 @@ package engine
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"hashjoin/internal/arena"
 	"hashjoin/internal/core"
 	"hashjoin/internal/native"
 	"hashjoin/internal/plan"
@@ -163,6 +165,46 @@ func TestCompileRejectsFilterOverJoin(t *testing.T) {
 		}
 		if _, err := Compile(under, cfg); err != nil {
 			t.Errorf("%s: a filter under the join should compile: %v", name, err)
+		}
+	}
+}
+
+// TestNestedNativeJoins runs a native join over a native join, once as
+// its build child and once as its probe child: the inner join runs to
+// completion into its own row sink and the outer one pulls its rows —
+// materializing them, or, when streaming over the probe side, probing
+// them batch by batch on the caller. Every join type (the same at both
+// levels), both strategies, through Collect and Run, against the
+// nested-loop reference applied twice.
+func TestNestedNativeJoins(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a := arena.New(64 << 20)
+	x := keyedRelation(a, streamKeys(rng, 300, 200), 0xA)
+	y := keyedRelation(a, streamKeys(rng, 3000, 400), 0xB)
+	z := keyedRelation(a, streamKeys(rng, 2000, 300), 0xC)
+	xs, ys, zs := relTuples(x), relTuples(y), relTuples(z)
+	for _, jt := range plan.JoinTypes() {
+		inner := referenceRows(jt, xs, ys)
+		for _, tc := range []struct {
+			name    string
+			logical *Node
+			want    [][]byte
+		}{
+			{"build child", HashJoinTyped(HashJoinTyped(Scan(x), Scan(y), jt), Scan(z), jt), referenceRows(jt, inner, zs)},
+			{"probe child", HashJoinTyped(Scan(z), HashJoinTyped(Scan(x), Scan(y), jt), jt), referenceRows(jt, zs, inner)},
+		} {
+			want := sortedRows(tc.want)
+			for _, fanout := range []int{1, 4} {
+				cfg := nativeCfg(a, core.SchemeGroup, core.Params{}, fanout)
+				cfg.Workers = 2
+				if got := sortedRows(mustCollect(t, tc.logical, cfg, a)); !sameRows(got, want) {
+					t.Errorf("%v %s fanout=%d: Collect: %d rows, reference %d (or same count, different rows)",
+						jt, tc.name, fanout, len(got), len(want))
+				}
+				if got := mustRun(t, tc.logical, cfg, a); got != referenceResult(want) {
+					t.Errorf("%v %s fanout=%d: Run = %+v, want %+v", jt, tc.name, fanout, got, referenceResult(want))
+				}
+			}
 		}
 	}
 }

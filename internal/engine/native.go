@@ -7,19 +7,16 @@ package engine
 // one resident table a prefetch group at a time, its pages cut into
 // morsels the workers share; with Fanout > 1 both sides are
 // radix-partitioned and the partition pairs are the morsels. Under
-// either the caller's goroutine hands out batches of at most G rows
-// while the other workers pack their matches into a ring of pipe
-// buffers that feeds it — unless the join runs on workers under a
-// native aggregate or as a root drained by Run, in which case Open runs
-// it to completion, every worker folding its matches into a partial
-// aggregate, or a row counter, of its own.
+// either, Open runs the whole join, every worker handing its matches to
+// a sink of its own that the join's parent installed: a native
+// aggregate's partial, Run's row counter, or — for a parent that pulls
+// rows — the join's own row sink, whose rows NextBatch then hands out
+// in batches of at most G.
 
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"slices"
-	"sync/atomic"
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/hash"
@@ -136,10 +133,14 @@ func (f *nativeFilter) NextBatch(b *Batch) (bool, error) {
 
 func (f *nativeFilter) Close() { f.child.Close() }
 
+// materializePage is the page size of the relations an operator of
+// either backend materializes a non-scan input into.
+const materializePage = 8 << 10
+
 // materializeNative drains op into a fresh relation of fixed width
 // (plain byte copies, no timing) and closes op.
 func materializeNative(a *arena.Arena, op Operator, width int) (*storage.Relation, error) {
-	rel := storage.NewRelation(a, storage.KeyPayloadSchema(width), 8<<10)
+	rel := storage.NewRelation(a, storage.KeyPayloadSchema(width), materializePage)
 	if err := op.Open(); err != nil {
 		op.Close()
 		return nil, err
@@ -165,28 +166,6 @@ func materializeNative(a *arena.Arena, op Operator, width int) (*storage.Relatio
 		}
 	}
 }
-
-// pipeBuf is one in-flight hand-off of a native join's background
-// workers: its rows plus the arena scratch block their bytes live in.
-// Buffers circulate between a free list and the output channel; a
-// buffer's rows stay valid until it returns to the free list.
-type pipeBuf struct {
-	rows    []Row
-	scratch arena.Addr
-}
-
-// pipeBufGroups is how many prefetch groups one pipe buffer holds. A
-// channel hand-off and the park/wake behind it cost about what probing
-// a group does, so a buffer of one group buys no parallelism on two
-// cores (EXPERIMENTS.md, "Where inmem_probe's time goes"); the hand-off
-// unit is this many groups, the batch unit stays one.
-const pipeBufGroups = 10
-
-// ringShape is the pipe ring of a native join over that many workers at
-// group size g: how many buffers circulate and how many rows each
-// holds. allocRing allocates by it and the scratch estimator sizes from
-// it.
-func ringShape(workers, g int) (bufs, rows int) { return 2*workers + 4, pipeBufGroups * g }
 
 // joinConfig maps the config onto the native joiner's for a join of
 // type jt. The morsel join runs under it and the scratch estimator
@@ -242,19 +221,21 @@ func splitAtSeam(spans []span, seam int) []emitSpan {
 }
 
 // nativeHashJoin joins natively under one of two strategies (see the
-// file comment). Both deliver, in batches of at most G, rows that carry
-// the spans of the logical build||probe row the parent declared
-// (Node.emitSpans) — the whole row for a root — and both hand rows from
-// background workers to the caller over one ring of pipe buffers. The
-// order rows arrive in is unspecified under either.
+// file comment). Open runs the whole join and returns once every worker
+// has: worker w hands each match to sinkFor(w), which the join calls on
+// the caller's goroutine before worker w starts. A scanned probe runs
+// on the workers — the streaming join's probers, or the partitioned
+// join's pair joiners — and any other probe is pulled a batch at a time
+// on the caller into sink 0; a right-outer sweep into sink 0 follows.
 //
-// With sinkFor set — by a native aggregate over the join, or by Run,
-// which counts a root join's rows (joinCounter) — there is no ring and
-// nothing to hand out whenever the join runs on workers: Open runs it
-// to completion, worker w handing each match to sinkFor(w), which the
-// join calls on the caller's goroutine before worker w starts. A
-// streaming join over a pulled probe child runs on the caller alone and
-// ignores sinkFor; it is pulled (pulled reports it).
+// A native aggregate over the join installs its partials as sinkFor,
+// and Run its row counter. With none installed — Collect, a join under
+// another join, a test's raw NextBatch — Open installs the join's own
+// row sink (joinRows), and NextBatch hands its rows out in windows of at
+// most G. They carry the spans of the logical build||probe row the
+// parent declared (Node.emitSpans), the whole row for a root, and live
+// in the run's arena scope: such a parent holds the join's whole output
+// there. The order rows arrive in is unspecified.
 type nativeHashJoin struct {
 	cfg        Config
 	a          *arena.Arena
@@ -274,38 +255,11 @@ type nativeHashJoin struct {
 	buildClosed bool
 	probeClosed bool
 
-	// built is the table Open built for this query alone, handed back
-	// for recycling at Close. A Config.Build handle is never stored
-	// here: it is shared, and may outlive any query.
-	built *native.BuildSide
-
-	// Hand-out: NextBatch serves win in windows of at most G rows. win is
-	// either a finished ring buffer's rows (last: the buffer, recycled
-	// after its final window) or pending, what the caller's own last
-	// probe group matched.
-	win  []Row
+	rows []Row // the join's own sink's rows, handed out by NextBatch
 	next int
-	last *pipeBuf
 
-	// The caller's share of a streaming join: it is one of the workers,
-	// probing a group of its own whenever no finished buffer waits.
-	probing bool                                       // step has input left
-	step    func() (bool, error)                       // probe one group into pending
-	sweep   func(emit func(build []byte, pref uint64)) // right outer: once, after the last probe
-	in      Batch
+	in      Batch // a pulled probe child's current batch
 	entries []native.Entry
-	out     []arena.Addr // pending's row bytes, grown on demand
-	outSlot int
-	sink    func(build []byte, pref uint64) // persistent emit closure (allocation-free probing)
-	pending []Row
-
-	// The ring: what background workers — the partitioned join's, or the
-	// streaming join's other probers — feed the caller through.
-	free    chan *pipeBuf
-	outc    chan *pipeBuf // nil: no background join, or its end already seen
-	emits   []pipeEmitter
-	closing atomic.Bool
-	ringErr error // written by the background join, read after outc closes
 }
 
 func newNativeHashJoin(cfg Config, build, probe Operator, buildRel, probeRel *storage.Relation,
@@ -339,20 +293,30 @@ func (h *nativeHashJoin) resolveBuild() (*storage.Relation, error) {
 func (h *nativeHashJoin) Open() error {
 	h.data = h.a.Data()
 	h.buildClosed, h.probeClosed = false, false
-	h.win, h.next, h.last = nil, 0, nil
-	h.probing, h.step, h.sweep = false, nil, nil
-	h.outc, h.ringErr = nil, nil
-	h.closing.Store(false)
+	h.rows, h.next = nil, 0
+	if h.sinkFor != nil {
+		return h.run(h.sinkFor)
+	}
+	own := joinRows{h: h}
+	if err := h.run(own.sinkFor); err != nil {
+		return err
+	}
+	h.rows = own.all()
+	return nil
+}
 
+// run runs the whole join into sinkFor's sinks.
+func (h *nativeHashJoin) run(sinkFor func(w int) func([]byte, uint64)) error {
 	if h.cfg.Build != nil {
 		// A pre-built immutable BuildSide replaces the whole build
 		// phase: the build child is never opened, nothing is serialized
 		// or inserted, and the table's memory is accounted to whoever
 		// owns the handle (the service's build cache), not this query's
-		// budget.
+		// budget. It is shared, may outlive any query, and is never
+		// released here.
 		h.buildChild.Close()
 		h.buildClosed = true
-		return h.openStream(h.cfg.Build)
+		return h.runStream(h.cfg.Build, sinkFor)
 	}
 	rel, err := h.resolveBuild()
 	if err != nil {
@@ -366,7 +330,7 @@ func (h *nativeHashJoin) Open() error {
 	// phase does.
 	if h.cfg.Fanout > 1 || h.cfg.MemBudget > 0 &&
 		native.BuildFootprint(rel.NTuples, h.buildWidth) > h.cfg.MemBudget {
-		return h.openMorsel(rel)
+		return h.runMorsel(rel, sinkFor)
 	}
 	bs, err := native.BuildRelation(rel, h.buildWidth, native.BuildConfig{
 		Scheme: NativeScheme(h.cfg.Scheme), G: h.cfg.Params.G, D: h.cfg.Params.D,
@@ -376,47 +340,41 @@ func (h *nativeHashJoin) Open() error {
 	if err != nil {
 		return err
 	}
-	h.built = bs
-	return h.openStream(bs)
+	// runStream returns after every prober and the sweep, and the sinks
+	// copy what they keep of a build row (writeMatch), so nothing reads
+	// this query's table once it returns: hand it back for recycling.
+	defer bs.Release()
+	return h.runStream(bs, sinkFor)
 }
 
-// pulled reports whether Open left rows to hand out through NextBatch
-// rather than running the join into sinkFor.
-func (h *nativeHashJoin) pulled() bool { return h.step != nil || h.outc != nil }
-
-// openStream starts the streaming strategy over bs, built here or handed
+// runStream runs the streaming strategy over bs, built here or handed
 // in. A probe child that is a plain scan is never opened: its relation
-// is cut into page-range morsels (native.ProbeStream) that the caller
-// and up to workers-1 background probers claim from one cursor, every
-// one probing bs with a prober of its own. Any other probe child can
-// only be pulled, a batch at a time, by the caller alone — under an
-// aggregate or Run too, which then pull the join like any other child.
-// Over a scanned probe sinkFor (an aggregate's, or Run's counter) has
-// the caller wait for the workers instead of joining them, and sweep
-// after they return.
-func (h *nativeHashJoin) openStream(bs *native.BuildSide) error {
+// is cut into page-range morsels (native.ProbeStream) that up to
+// workers probers claim from one cursor, every one probing bs with a
+// prober of its own into a sink of its own. Any other probe child is
+// pulled on the caller, a batch at a time, into sink 0. The right-outer
+// sweep runs into sink 0 after the last probe.
+func (h *nativeHashJoin) runStream(bs *native.BuildSide, sinkFor func(w int) func([]byte, uint64)) error {
 	if rep := h.cfg.Report; rep != nil {
 		rep.JoinFanout = 1
 	}
 	scheme, g, d := NativeScheme(h.cfg.Scheme), h.cfg.Params.G, h.cfg.Params.D
-	h.out = h.out[:0]
-	h.sink = func(build []byte, pref uint64) {
-		if h.outSlot >= len(h.out) {
-			h.out = append(h.out, h.a.Alloc(uint64(h.outWidth), 8))
-		}
-		dst := h.out[h.outSlot]
-		h.outSlot++
-		h.pending = append(h.pending, h.writeMatch(dst, build, pref))
-	}
-
 	if h.probeRel == nil {
 		prober := bs.NewTypedProber(h.jt, scheme, g, d)
 		if err := h.probeChild.Open(); err != nil {
 			return err
 		}
-		h.probing = true
-		h.step = func() (bool, error) { return h.pullGroup(prober, h.sink) }
-		h.sweep = prober.EmitUnmatchedBuild
+		sink := sinkFor(0)
+		for {
+			more, err := h.pullGroup(prober, sink)
+			if err != nil {
+				return err
+			}
+			if !more {
+				break
+			}
+		}
+		prober.EmitUnmatchedBuild(sink)
 		return nil
 	}
 	h.probeChild.Close()
@@ -425,32 +383,14 @@ func (h *nativeHashJoin) openStream(bs *native.BuildSide) error {
 	if rep := h.cfg.Report; rep != nil {
 		rep.MorselsExecuted = stream.Morsels()
 	}
-	if h.sinkFor != nil {
-		sinks := make([]func([]byte, uint64), max(1, min(h.cfg.workers(), stream.Morsels())))
-		for w := range sinks {
-			sinks[w] = h.sinkFor(w)
-		}
-		if err := h.runProbers(stream, sinks); err != nil {
-			return err
-		}
-		stream.EmitUnmatchedBuild(sinks[0])
-		return nil
-	}
-
-	own := stream.NewWorker()
-	h.probing = true
-	h.step = func() (bool, error) { return own.ProbeNext(h.sink) }
-	h.sweep = stream.EmitUnmatchedBuild
-	n := min(h.cfg.workers(), stream.Morsels()) - 1
-	if n < 1 {
-		return nil
-	}
-	h.allocRing(n)
-	sinks := make([]func([]byte, uint64), n)
+	sinks := make([]func([]byte, uint64), max(1, min(h.cfg.workers(), stream.Morsels())))
 	for w := range sinks {
-		sinks[w] = h.emits[w].emit
+		sinks[w] = sinkFor(w)
 	}
-	h.startRing(func() error { return h.runProbers(stream, sinks) })
+	if err := h.runProbers(stream, sinks); err != nil {
+		return err
+	}
+	stream.EmitUnmatchedBuild(sinks[0])
 	return nil
 }
 
@@ -458,8 +398,7 @@ func (h *nativeHashJoin) openStream(bs *native.BuildSide) error {
 // worker w emitting into sinks[w], and returns once every one has. It
 // submits one Run per morsel, so a shared pool interleaves this stream
 // with its neighbours morsel by morsel; which morsel a Run gets is the
-// stream cursor's business (a caller probing beside the workers claims
-// from it too), and a Run that finds it exhausted returns at once.
+// stream cursor's business.
 func (h *nativeHashJoin) runProbers(stream *native.ProbeStream, sinks []func([]byte, uint64)) error {
 	ws := make([]*native.StreamWorker, len(sinks))
 	for w := range ws {
@@ -470,82 +409,20 @@ func (h *nativeHashJoin) runProbers(stream *native.ProbeStream, sinks []func([]b
 		N: stream.Morsels(), Slots: len(sinks),
 		Run: func(slot, _ int) (err error) {
 			defer arena.RecoverOOM(&err)
-			if h.closing.Load() {
-				return errJoinClosed
-			}
 			return ws[slot].ProbeMorsel(sinks[slot])
 		},
 	})
 }
 
-// errJoinClosed stops a background stream whose operator is closing; the
-// drain in Close discards it.
-var errJoinClosed = errors.New("engine: join closed")
-
-// NextBatch hands out the next window of at most G rows.
+// NextBatch hands out the next window of at most G of the join's own
+// sink's rows.
 func (h *nativeHashJoin) NextBatch(b *Batch) (bool, error) {
-	for h.next >= len(h.win) {
-		if more, err := h.refill(); !more {
-			return false, err
-		}
-	}
-	n := min(h.batch, len(h.win)-h.next)
-	b.Rows = h.win[h.next : h.next+n : h.next+n]
-	h.next += n
-	return true, nil
-}
-
-// refill makes win the rows to hand out next: a finished ring buffer
-// when one is waiting, else whatever the caller's own next probe group
-// matches (possibly nothing). With no probe input of its own left the
-// caller waits for the background join, and after that, on a right
-// outer join, sweeps the build rows nothing matched. It reports false
-// at the end of the output.
-func (h *nativeHashJoin) refill() (bool, error) {
-	if h.last != nil {
-		h.free <- h.last
-		h.last = nil
-	}
-	h.win, h.next = nil, 0
-	if h.outc != nil {
-		var buf *pipeBuf
-		open := true
-		if h.probing {
-			select {
-			case buf, open = <-h.outc:
-			default:
-			}
-		} else {
-			buf, open = <-h.outc
-		}
-		if buf != nil {
-			h.win, h.last = buf.rows, buf
-			return true, nil
-		}
-		if !open {
-			// The close published ringErr (and the partitioned join's
-			// report).
-			h.outc = nil
-			if h.ringErr != nil {
-				return false, h.ringErr
-			}
-		}
-	}
-	h.pending, h.outSlot = h.pending[:0], 0
-	switch {
-	case h.probing:
-		more, err := h.step()
-		if err != nil {
-			return false, err
-		}
-		h.probing = more
-	case h.sweep != nil:
-		h.sweep(h.sink)
-		h.sweep = nil
-	default:
+	n := min(h.batch, len(h.rows)-h.next)
+	if n <= 0 {
 		return false, nil
 	}
-	h.win = h.pending
+	b.Rows = h.rows[h.next : h.next+n : h.next+n]
+	h.next += n
 	return true, nil
 }
 
@@ -595,15 +472,7 @@ func (h *nativeHashJoin) writeMatch(dst arena.Addr, build []byte, pref uint64) R
 }
 
 func (h *nativeHashJoin) Close() {
-	h.closeRing()
-	// Every background prober has returned and the caller probes no
-	// further, so nothing reads the table built here any more; rows
-	// handed out were copied off it by writeMatch.
-	h.probing, h.step, h.sweep = false, nil, nil
-	if h.built != nil {
-		h.built.Release()
-		h.built = nil
-	}
+	h.rows = nil
 	if !h.buildClosed {
 		h.buildChild.Close()
 		h.buildClosed = true
@@ -614,101 +483,11 @@ func (h *nativeHashJoin) Close() {
 	}
 }
 
-// --- The ring ---
-
-// pipeEmitter packs one worker's matches into pipe buffers. Each worker
-// owns one emitter, so no locking is needed on the buffer itself; the
-// free list and output channel provide the cross-goroutine handoff.
-type pipeEmitter struct {
-	h   *nativeHashJoin
-	cur *pipeBuf
-}
-
-func (e *pipeEmitter) emit(build []byte, pref uint64) {
-	if e.cur == nil {
-		e.cur = <-e.h.free
-		e.cur.rows = e.cur.rows[:0]
-	}
-	buf := e.cur
-	dst := buf.scratch + arena.Addr(len(buf.rows)*e.h.outWidth)
-	buf.rows = append(buf.rows, e.h.writeMatch(dst, build, pref))
-	if len(buf.rows) == cap(buf.rows) {
-		e.h.outc <- buf
-		e.cur = nil
-	}
-}
-
-// flush sends a partially filled buffer downstream (or recycles an
-// empty one). Called after all workers have finished.
-func (e *pipeEmitter) flush() {
-	if e.cur == nil {
-		return
-	}
-	if len(e.cur.rows) > 0 {
-		e.h.outc <- e.cur
-	} else {
-		e.h.free <- e.cur
-	}
-	e.cur = nil
-}
-
-// allocRing allocates the ring (ringShape, sized for the configured
-// worker count whatever the join ends up using) and one emitter per
-// background worker.
-func (h *nativeHashJoin) allocRing(emitters int) {
-	nbuf, rows := ringShape(h.cfg.workers(), h.batch)
-	// Each channel can hold every buffer there is, so neither recycling
-	// one nor handing a filled one over ever blocks; workers block only
-	// on an empty free list.
-	h.free = make(chan *pipeBuf, nbuf)
-	h.outc = make(chan *pipeBuf, nbuf)
-	for i := 0; i < nbuf; i++ {
-		h.free <- &pipeBuf{
-			rows:    make([]Row, 0, rows),
-			scratch: h.a.Alloc(uint64(rows*h.outWidth), 8),
-		}
-	}
-	h.emits = make([]pipeEmitter, emitters)
-	for i := range h.emits {
-		h.emits[i] = pipeEmitter{h: h}
-	}
-}
-
-// startRing runs join in the background, its workers emitting through
-// h.emits. A failure inside it — a budget an irreducible pair cannot
-// meet, cancellation, or arena exhaustion recovered from a worker — is
-// stored and surfaced by NextBatch after the output channel closes,
-// never panicking across the goroutine boundary.
-func (h *nativeHashJoin) startRing(join func() error) {
-	outc := h.outc
-	go func() {
-		var err error
-		func() {
-			defer arena.RecoverOOM(&err)
-			err = join()
-		}()
-		if err == nil {
-			// All workers are done; partial buffers can be flushed from
-			// this single goroutine without racing anyone.
-			for i := range h.emits {
-				h.emits[i].flush()
-			}
-		}
-		h.ringErr = err
-		// Closing publishes ringErr (and whatever join wrote) to the
-		// caller, which reads neither before it has seen the channel
-		// closed (refill, or closeRing's drain).
-		close(outc)
-	}()
-}
-
-// openMorsel resolves the probe child to a relation (the build side was
-// already resolved by Open; the partitioned join is a pipeline breaker
-// on both sides), then starts the native morsel join in the background:
-// radix partitioning, one pair-joiner per worker, matches streaming
-// into pipe buffers. With sinkFor set (an aggregate, or Run's counter)
-// it runs the join itself instead, the workers emitting into its sinks.
-func (h *nativeHashJoin) openMorsel(buildRel *storage.Relation) error {
+// runMorsel resolves the probe child to a relation (the build side was
+// already resolved by run; the partitioned join is a pipeline breaker
+// on both sides), then runs the native morsel join — radix
+// partitioning, one pair joiner per worker — into sinkFor's sinks.
+func (h *nativeHashJoin) runMorsel(buildRel *storage.Relation, sinkFor func(w int) func([]byte, uint64)) error {
 	probeRel := h.probeRel
 	if probeRel != nil {
 		h.probeChild.Close()
@@ -721,50 +500,69 @@ func (h *nativeHashJoin) openMorsel(buildRel *storage.Relation) error {
 		}
 	}
 	h.probeClosed = true
-
-	join := func(sinkFor func(w int) func([]byte, uint64)) error {
-		res, err := native.NewJoiner().JoinStream(buildRel, probeRel, h.cfg.joinConfig(h.jt), sinkFor)
-		if rep := h.cfg.Report; rep != nil && err == nil {
-			rep.JoinFanout, rep.JoinRecursionDepth, rep.MorselsExecuted =
-				res.NPartitions, res.RecursionDepth, res.PairsJoined
-			rep.Report = res.Report
-		}
-		return err
+	res, err := native.NewJoiner().JoinStream(buildRel, probeRel, h.cfg.joinConfig(h.jt), sinkFor)
+	if rep := h.cfg.Report; rep != nil && err == nil {
+		rep.JoinFanout, rep.JoinRecursionDepth, rep.MorselsExecuted =
+			res.NPartitions, res.RecursionDepth, res.PairsJoined
+		rep.Report = res.Report
 	}
-	if h.sinkFor != nil {
-		return join(h.sinkFor)
-	}
-	h.allocRing(h.cfg.workers())
-	h.startRing(func() error {
-		return join(func(w int) func([]byte, uint64) { return h.emits[w].emit })
-	})
-	return nil
+	return err
 }
 
-// closeRing drains the output channel so the background join (which may
-// be blocked on the free list) runs to completion — a streaming one
-// stops at its next morsel claim — before the operator is torn down.
-func (h *nativeHashJoin) closeRing() {
-	if h.outc == nil {
-		return
+// joinRows is a join's own sink, for a parent that pulls its rows:
+// worker w writes each match into arena rows it allocates a chunk at a
+// time (arena.Alloc is lock-free) and keeps their descriptors in a list
+// of its own.
+type joinRows struct {
+	h     *nativeHashJoin
+	parts []*joinRowsPart // by worker
+}
+
+// joinRowsPart is one worker's share of joinRows: its rows and the
+// unwritten rest of its current chunk. The pad makes it 64 bytes, one
+// per cache line, like aggPartial: every match writes it.
+type joinRowsPart struct {
+	rows      []Row
+	free, end arena.Addr
+	_         [24]byte
+}
+
+// rowChunk is about how many bytes of rows a worker of joinRows
+// allocates at a time.
+const rowChunk = 16 << 10
+
+// sinkFor is worker w's row-writing sink.
+func (s *joinRows) sinkFor(w int) func(build []byte, pref uint64) {
+	for len(s.parts) <= w {
+		s.parts = append(s.parts, new(joinRowsPart))
 	}
-	h.closing.Store(true)
-	if h.last != nil {
-		h.free <- h.last
-		h.last = nil
+	p, h := s.parts[w], s.h
+	width := arena.Addr(h.outWidth)
+	chunk := max(1, rowChunk/h.outWidth) * h.outWidth // whole rows
+	return func(build []byte, pref uint64) {
+		if p.free+width > p.end {
+			p.free = h.a.Alloc(uint64(chunk), 8)
+			p.end = p.free + arena.Addr(chunk)
+		}
+		p.rows = append(p.rows, h.writeMatch(p.free, build, pref))
+		p.free += width
 	}
-	for buf := range h.outc {
-		h.free <- buf
+}
+
+// all returns every worker's rows in one list.
+func (s *joinRows) all() []Row {
+	var rows []Row
+	for _, p := range s.parts {
+		rows = append(rows, p.rows...)
 	}
-	h.outc = nil
+	return rows
 }
 
 // nativeHashAggregate is the native group-by pipeline breaker. Open
 // folds its input into flat native AggTables (header prefetches batched
 // per the scheme), one per worker feeding it: a native hash join child
-// that runs on workers runs inside Open with one sink per join worker
-// (sinkFor); any other child — a join over a pulled probe included,
-// which runs on the caller alone — is pulled into one table. The tables
+// runs inside Open with one sink per join worker (sinkFor); any other
+// child is pulled into one table. The tables
 // then fold into one list in key order, which Groups takes whole;
 // NextBatch stages one 24-byte row per group from it.
 type nativeHashAggregate struct {
@@ -822,7 +620,7 @@ func (ha *nativeHashAggregate) Open() error {
 	if err := ha.child.Open(); err != nil {
 		return err
 	}
-	if ha.join == nil || ha.join.pulled() {
+	if ha.join == nil {
 		p := ha.partial(0, ha.groups)
 		var b Batch
 		for {
@@ -963,10 +761,8 @@ func (ha *nativeHashAggregate) Close() {
 // joinCounter counts a native hash join root inside its workers. Run
 // reads only a root's row count and the sum of each row's leading u32
 // key, so it installs the counter's sinkFor before Open and the join's
-// workers count their matches instead of writing rows: no ring, no
-// writeMatch, no row crosses a goroutine. A join that Open leaves
-// pulled (a streaming join over a non-scan probe) ignores the counter
-// and is drained row by row.
+// workers count their matches instead of writing rows: no writeMatch,
+// no row crosses a goroutine.
 type joinCounter struct {
 	h     *nativeHashJoin
 	parts []*joinCount // by worker

@@ -73,7 +73,7 @@ func (nl *nestedLoopJoin) Open() error {
 	if rel == nil {
 		var err error
 		if nl.m != nil {
-			rel, err = materializeSim(nl.m, nl.buildChild, nl.buildWidth, 8<<10)
+			rel, err = materializeSim(nl.m, nl.buildChild, nl.buildWidth)
 		} else {
 			rel, err = materializeNative(nl.a, nl.buildChild, nl.buildWidth)
 		}

@@ -136,8 +136,8 @@ func (f *simFilter) Close() { f.child.Close() }
 // materializeSim drains op into a fresh relation of fixed width with
 // timed copies — the pipeline-breaking step of build sides and
 // aggregations — and closes op.
-func materializeSim(m *vmem.Mem, op Operator, width, pageSize int) (*storage.Relation, error) {
-	rel := storage.NewRelation(m.A, storage.KeyPayloadSchema(width), pageSize)
+func materializeSim(m *vmem.Mem, op Operator, width int) (*storage.Relation, error) {
+	rel := storage.NewRelation(m.A, storage.KeyPayloadSchema(width), materializePage)
 	if err := op.Open(); err != nil {
 		op.Close()
 		return nil, err
@@ -222,7 +222,7 @@ func (h *simHashJoin) Open() error {
 	rel := h.buildRel
 	if rel == nil {
 		var err error
-		rel, err = materializeSim(h.m, h.buildChild, h.buildWidth, 8<<10)
+		rel, err = materializeSim(h.m, h.buildChild, h.buildWidth)
 		h.buildClosed = true
 		if err != nil {
 			return err
@@ -480,7 +480,7 @@ func (ha *simHashAggregate) Open() error {
 	rel := ha.childRel
 	if rel == nil {
 		var err error
-		rel, err = materializeSim(ha.m, ha.child, ha.childWidth, 8<<10)
+		rel, err = materializeSim(ha.m, ha.child, ha.childWidth)
 		ha.childClosed = true
 		if err != nil {
 			return err

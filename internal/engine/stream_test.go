@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hashjoin/internal/arena"
@@ -21,11 +22,11 @@ import (
 	"hashjoin/internal/workload"
 )
 
-// The morsel-parallel streaming join: every worker — the caller among
-// them — claims page-range morsels of the probe relation from one
-// cursor and probes the one shared table. What a run must keep whatever
-// the claim order is the output multiset; the order rows arrive in is
-// unspecified, so every comparison here sorts first.
+// The morsel-parallel streaming join: every worker claims page-range
+// morsels of the probe relation from one cursor and probes the one
+// shared table. What a run must keep whatever the claim order is the
+// output multiset; the order rows arrive in is unspecified, so every
+// comparison here sorts first.
 
 const streamTuple = 16
 
@@ -167,9 +168,9 @@ func streamFixture(tb testing.TB, workers int) (*arena.Arena, *Node, Config) {
 }
 
 // drainSome opens root under a scope, pulls n batches, runs then (if
-// any), and keeps pulling until the stream ends or fails; it closes the
-// operator, releases the scope and returns the first error. It is Run
-// with a hook in the middle.
+// any; with n < 0 it never does), and keeps pulling until the stream
+// ends or fails; it closes the operator, releases the scope and returns
+// the first error. It is Collect with a hook in the middle.
 func drainSome(tb testing.TB, root Operator, a *arena.Arena, n int, then func()) (err error) {
 	tb.Helper()
 	scope := a.Scope()
@@ -194,42 +195,37 @@ func drainSome(tb testing.TB, root Operator, a *arena.Arena, n int, then func())
 	}
 }
 
-// pullAll is Run without its counted path: it opens root under a scope
-// and sums every handed-out row's leading key batch by batch, so a native
-// join's ring and the caller's staging stay on the path.
-func pullAll(tb testing.TB, root Operator, a *arena.Arena) (r Result, err error) {
-	tb.Helper()
-	scope := a.Scope()
-	defer scope.Release()
-	defer arena.RecoverOOM(&err)
-	defer root.Close()
-	if err := root.Open(); err != nil {
-		return Result{}, err
-	}
-	var b Batch
-	for {
-		ok, err := root.NextBatch(&b)
-		if err != nil || !ok {
-			return r, err
-		}
-		r.NRows += len(b.Rows)
-		for _, row := range b.Rows {
-			r.KeySum += uint64(a.U32(row.Addr))
+// fireAt wraps the join root's own row sink so that the k-th match, on
+// whichever worker makes it, calls then from inside the join.
+func fireAt(root Operator, k int64, then func()) {
+	h := root.(*nativeHashJoin)
+	own := &joinRows{h: h}
+	var n atomic.Int64
+	h.sinkFor = func(w int) func([]byte, uint64) {
+		sink := own.sinkFor(w)
+		return func(build []byte, pref uint64) {
+			sink(build, pref)
+			if n.Add(1) == k {
+				then()
+			}
 		}
 	}
 }
 
-// TestParallelStreamCancelMidProbe cancels a running stream: the next
-// probe group — the caller's or a background worker's, both check the
-// context once per group — stops it with the typed cancel error, no
-// goroutine stays behind and the arena is back at its watermark.
+// TestParallelStreamCancelMidProbe cancels a running stream from inside
+// it, at its 5·G-th match: the next probe group of any worker — each
+// checks the context once per group — stops it with the typed cancel
+// error, no goroutine stays behind and the arena is back at its
+// watermark.
 func TestParallelStreamCancelMidProbe(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		a, logical, cfg := streamFixture(t, workers)
 		base, used := fault.Goroutines(), a.Used()
 		ctx, cancel := context.WithCancel(context.Background())
 		cfg.Ctx = ctx
-		err := drainSome(t, mustCompile(t, logical, cfg), a, 5, cancel)
+		root := mustCompile(t, logical, cfg)
+		fireAt(root, 5*native.DefaultG, cancel)
+		err := drainSome(t, root, a, -1, nil)
 		var ce *native.CancelError
 		if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: error %T (%v), want *native.CancelError over context.Canceled", workers, err, err)
@@ -244,8 +240,9 @@ func TestParallelStreamCancelMidProbe(t *testing.T) {
 	}
 }
 
-// TestParallelStreamCloseBeforeDrain closes a stream after a few
-// batches: the background probers stop at their next morsel claim.
+// TestParallelStreamCloseBeforeDrain closes a join after a few of its
+// batches: nothing stays behind, and Close returns the rows' scratch
+// with the scope.
 func TestParallelStreamCloseBeforeDrain(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		a, logical, cfg := streamFixture(t, workers)
@@ -261,18 +258,21 @@ func TestParallelStreamCloseBeforeDrain(t *testing.T) {
 }
 
 // TestParallelStreamWorkerFault fails the next morsel claim — an error,
-// then a panic — armed once the stream is open and again part-way
-// through it, when the claim is whichever worker's morsel runs out
-// first: the drain returns the one typed error, nothing leaks.
+// then a panic — armed from inside the join at its first match and
+// again part-way through, at its 5·G-th, when the claim is whichever
+// worker's morsel runs out first: the drain returns the one typed
+// error, nothing leaks.
 func TestParallelStreamWorkerFault(t *testing.T) {
 	defer fault.Reset()
 	for _, kind := range []fault.Kind{fault.KindError, fault.KindPanic} {
-		for _, after := range []int{0, 5} {
+		for _, after := range []int{1, 5 * native.DefaultG} {
 			a, logical, cfg := streamFixture(t, 3)
 			base, used := fault.Goroutines(), a.Used()
-			err := drainSome(t, mustCompile(t, logical, cfg), a, after, func() {
+			root := mustCompile(t, logical, cfg)
+			fireAt(root, int64(after), func() {
 				fault.Enable(fault.SiteMorselWorker, fault.Fault{Kind: kind, Count: 1})
 			})
+			err := drainSome(t, root, a, -1, nil)
 			fault.Reset()
 			if !errors.Is(err, fault.ErrInjected) {
 				t.Fatalf("kind=%v after=%d: error %v, want injected-fault class", kind, after, err)
@@ -286,10 +286,9 @@ func TestParallelStreamWorkerFault(t *testing.T) {
 }
 
 // TestParallelStreamSkewOverflowsRing joins a probe whose every group
-// matches far more rows than the whole ring holds: the caller stages its
-// own matches outside the ring (grown on demand), so it can never wait
-// on a free list only it refills. The rows are pulled batch by batch:
-// Run would count them on the workers and never reach the ring.
+// matches far more rows than a prefetch group's worth of output: every
+// worker's sink takes each of the 12 million matches as it comes, and
+// Run counts them all.
 func TestParallelStreamSkewOverflowsRing(t *testing.T) {
 	const dup = 600
 	a := arena.New(64 << 20)
@@ -302,7 +301,7 @@ func TestParallelStreamSkewOverflowsRing(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		cfg := nativeCfg(a, core.SchemeGroup, core.Params{}, 1)
 		cfg.Workers = workers
-		r, err := pullAll(t, mustCompile(t, HashJoin(Scan(build), Scan(probe)), cfg), a)
+		r, err := Run(mustCompile(t, HashJoin(Scan(build), Scan(probe)), cfg), a)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -374,8 +373,7 @@ func TestRecycledTableNeverShowsThrough(t *testing.T) {
 		}
 	}
 	// Above 1 024 build rows the build is cut over both workers, and a
-	// probe side of two morsels keeps a background prober on the table
-	// until Close stops it.
+	// probe side of two morsels puts both workers' probers on the table.
 	pipes := []*pipeline{mk(1, 16, 1100, 9000), mk(2, 40, 1300, 8500)}
 	const rounds = 200
 	for i := 0; i < rounds && !t.Failed(); i++ {

@@ -120,8 +120,8 @@ func BuildRelation(rel *storage.Relation, width int, cfg BuildConfig) (*BuildSid
 // Release hands the table's memory back for the next BuildRelation to
 // build into; b must not be used afterwards. Only the builder of a
 // table that lived for one query may call it, once every prober over b
-// has returned (the engine: at Close, after its background probers have
-// quiesced and the right-outer sweep has run). A handle that was shared
+// has returned (the engine: once its join has run, every prober and the
+// right-outer sweep with it). A handle that was shared
 // — cached, passed as a prebuilt side — is never released: its probers
 // belong to queries its builder cannot see, and dropping the last
 // reference frees it. No emit callback may keep the build bytes it was

@@ -359,13 +359,15 @@ type Joiner struct {
 func NewJoiner() *Joiner { return &Joiner{} }
 
 // Join runs a native hash join of build and probe. The relations must
-// share one arena (they do when built through the public hashjoin API).
+// share one arena's bytes: one arena, or windows carved from it — a
+// service query materializes a filtered build side into its own window
+// beside the shared probe relation.
 // A pair that exceeds cfg.MemBudget is re-partitioned recursively (see
 // joinPairBudget); a pair that recursion cannot split — irreducible
 // duplicate-code skew — is joined out of core through internal/spill,
 // so Join fails with a *BudgetError only under cfg.NoSpill.
 func (jn *Joiner) Join(build, probe *storage.Relation, cfg Config) (Result, error) {
-	if build.Arena() != probe.Arena() {
+	if bd, pd := build.Arena().Data(), probe.Arena().Data(); len(bd) != len(pd) || len(bd) > 0 && &bd[0] != &pd[0] {
 		panic("native: build and probe relations use different arenas")
 	}
 	if build.Schema.HasVar() || build.Schema.FixedWidth() < 4 {

@@ -88,18 +88,6 @@ func (w *StreamWorker) claim() (bool, error) {
 	return true, nil
 }
 
-// ProbeNext probes the next G entries of the worker's morsel — one
-// prefetch group, one batch — claiming a morsel first when it holds
-// none. It reports false once the cursor has run out.
-func (w *StreamWorker) ProbeNext(emit func(build []byte, probeRef uint64)) (bool, error) {
-	for w.pos >= len(w.entries) {
-		if ok, err := w.claim(); !ok {
-			return false, err
-		}
-	}
-	return true, w.probeGroup(emit)
-}
-
 // ProbeMorsel claims one morsel and probes all of it, a group at a
 // time. It is the unit a pool schedules: a call that finds the cursor
 // exhausted returns at once.

@@ -179,13 +179,11 @@ func TestProbeStreamWorkersShareMorsels(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for {
-						more, err := sw.ProbeNext(func([]byte, uint64) { counts[w]++ })
-						if err != nil {
+					// As many calls as there are morsels: calls past the
+					// last morsel return at once.
+					for range s.Morsels() {
+						if err := sw.ProbeMorsel(func([]byte, uint64) { counts[w]++ }); err != nil {
 							t.Error(err)
-						}
-						if !more {
-							return
 						}
 					}
 				}()

@@ -112,10 +112,10 @@ func WithPipelineFanout(n int) PipelineOption {
 }
 
 // WithPipelineWorkers bounds the native join's workers (default
-// GOMAXPROCS) at every fan-out: at fanout 1 the calling goroutine is one
-// of them — it probes beside n-1 background probers, over a table built
-// on n slots — and at larger fan-outs n pair joiners run behind it. On a
-// service Env it bounds the run's slots in the shared pool instead.
+// GOMAXPROCS) at every fan-out: at fanout 1 n probers share the probe
+// relation's morsels over a table built on n slots, and at larger
+// fan-outs n pair joiners run. On a service Env it bounds the run's
+// slots in the shared pool instead.
 func WithPipelineWorkers(n int) PipelineOption {
 	return func(c *pipelineConfig) { c.workers = n }
 }
@@ -256,7 +256,7 @@ type PipelineResult struct {
 // prefetch group size G, so operator handoff happens exactly at
 // prefetch-group boundaries (the paper's section 5.4 observation).
 //
-// Per-run scratch (join output rings, morsel pipe buffers, staged
+// Per-run scratch (partition buffers, a filtered build side, staged
 // aggregation rows) is scoped to the run and reclaimed before
 // RunPipeline returns, so a resident Env sustains unlimited runs with
 // stable arena usage. Memory exhaustion — the Env's capacity or a
@@ -372,10 +372,10 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 		if !req.Exclusive {
 			req.Planned = pc.planned
 			if req.Planned == 0 {
-				// The output ring holds one probe batch's matches; without
-				// the workload's ground truth assume a moderately skewed 8
-				// matches per probe tuple (heavier skew should declare
-				// WithPlannedScratch). The build side's row count bounds an
+				// Without the workload's ground truth assume a moderately
+				// skewed 8 matches per probe tuple (heavier skew should
+				// declare WithPlannedScratch). The build side's row count
+				// sizes a filtered build's relation and bounds an
 				// aggregate's groups. The admission floor (256 KB) covers
 				// the small end.
 				req.Planned = logical.ScratchBytes(cfg, 8, build.rel.NTuples)

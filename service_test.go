@@ -455,3 +455,28 @@ func TestServicePlannedScratchBoundsRun(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceBuildFilterFitsWindow runs a filtered build in service
+// mode: the filter's output is materialized into a relation inside the
+// query's admission window, so the planned scratch must cover that
+// relation's pages, on both native strategies.
+func TestServiceBuildFilterFitsWindow(t *testing.T) {
+	env := NewEnv(WithSmallHierarchy(), WithCapacity(128<<20), WithService(ServiceConfig{MaxConcurrent: 2, Workers: 2}))
+	t.Cleanup(env.Close)
+	ctx := context.Background()
+	w, err := env.GenerateWorkload(ctx, 20000, 40000, 100, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fanout := range []int{1, 4} {
+		res, err := env.RunPipelineContext(ctx, w.Build, w.Probe, WithEngine(EngineNative),
+			WithPipelineFanout(fanout), WithBuildFilter(0, ^uint32(0)))
+		if err != nil {
+			t.Fatalf("fanout=%d: filtered build inside its planned window: %v", fanout, err)
+		}
+		if res.NOutput != w.ExpectedMatches || res.KeySum != w.KeySum {
+			t.Errorf("fanout=%d: NOutput/KeySum = %d/%d, want %d/%d",
+				fanout, res.NOutput, res.KeySum, w.ExpectedMatches, w.KeySum)
+		}
+	}
+}
