@@ -69,12 +69,12 @@ func chaosTenants(t *testing.T, env *Env, spillSpec2 string) []*chaosTenant {
 		ct.ref = ref
 		return ct
 	}
-	spillOpts := func(fanout int, extra ...PipelineOption) []PipelineOption {
-		return append([]PipelineOption{
+	spillOpts := func(fanout int) []PipelineOption {
+		return []PipelineOption{
 			WithEngine(EngineNative), WithPipelineFanout(fanout),
 			WithPipelineMemBudget(4 << 10), WithPipelineSpillDir(spillSpec2),
 			WithPipelineSpillWorkers(2),
-		}, extra...)
+		}
 	}
 	skew := func(seed int64) workload.Spec {
 		return workload.Spec{
@@ -91,7 +91,7 @@ func chaosTenants(t *testing.T, env *Env, spillSpec2 string) []*chaosTenant {
 			WithEngine(EngineSim)),
 		mk("spill-a", skew(44), spillOpts(2)...),
 		mk("spill-b", skew(45), spillOpts(4)...),
-		mk("spill-h", skew(46), spillOpts(2, WithPipelineHybrid())...),
+		mk("spill-c", skew(46), spillOpts(2)...),
 	}
 }
 

@@ -58,11 +58,10 @@ func main() {
 		schemes   = flag.String("schemes", "baseline,group,pipelined", "native/pipeline: comma-separated schemes to compare")
 		fanout    = flag.Int("fanout", 1, "native/pipeline: partition fan-out (1 = single pair, the paper's join-phase setup)")
 		workers   = flag.Int("workers", 0, "native: morsel workers (0 = all CPUs)")
-		memBudget = flag.Int("mem-budget", 0, "native/pipeline: resident build-side budget in bytes (0 = unbudgeted); oversized pairs re-partition recursively, irreducible pairs spill to disk")
+		memBudget = flag.Int("mem-budget", 0, "native/pipeline: resident build-side budget in bytes (0 = unbudgeted); an oversized pair spills its irreducible hot keys to disk and re-partitions the rest")
 		spillDir  = flag.String("spill-dir", "", "native/pipeline: parent directory for the out-of-core spill area (default: OS temp dir)")
 		spillWork = flag.Int("spill-workers", 0, "native/pipeline: write-behind workers for the spill tier (0 = default)")
 		noSpill   = flag.Bool("no-spill", false, "native/pipeline: disable the spill tier; an irreducible over-budget pair fails instead")
-		hybrid    = flag.Bool("hybrid", false, "native/pipeline: adaptive hybrid hash join — keep the partition pairs that fit -mem-budget resident and spill only the overflow, splitting skewed victims by key-code frequency")
 		joinType  = flag.String("join-type", "inner", "pipeline: join semantics: inner, left-outer, right-outer, semi, or anti")
 		strat     = flag.String("strategy", "auto", "pipeline: join strategy: auto (cost-based planner), nested-loop, stream, or partitioned")
 		matchRate = flag.Float64("match-rate", 0, "pipeline: fraction of probe tuples with a build match in (0, 1]; overrides -matches and feeds the planner")
@@ -90,9 +89,6 @@ func main() {
 		defer cancel()
 		ctx = c
 	}
-	if *hybrid && *memBudget <= 0 {
-		cli.Fatalf(prog, "-hybrid requires a positive -mem-budget")
-	}
 	jt, err := plan.ParseJoinType(*joinType)
 	if err != nil {
 		cli.Fatalf(prog, "%v", err)
@@ -107,7 +103,7 @@ func main() {
 	if !*pipeMode && (jt != plan.Inner || strategy != plan.Auto || *matchRate != 0) {
 		cli.Fatalf(prog, "-join-type, -strategy, and -match-rate need -pipeline (the monolithic join benchmarks the inner join only)")
 	}
-	sp := spillOpts{dir: *spillDir, workers: *spillWork, off: *noSpill, hybrid: *hybrid}
+	sp := spillOpts{dir: *spillDir, workers: *spillWork, off: *noSpill}
 	spec := workload.Spec{
 		NBuild:          *nBuild,
 		TupleSize:       *tuple,
@@ -162,7 +158,6 @@ type spillOpts struct {
 	dir     string
 	workers int
 	off     bool
-	hybrid  bool
 }
 
 // runPipeline benchmarks the shared operator pipeline per scheme on the
@@ -194,7 +189,6 @@ func runPipeline(ctx context.Context, backend engine.Backend, spec workload.Spec
 			Params: core.DefaultParams(), Fanout: fanout, Workers: workers,
 			MemBudget: memBudget,
 			SpillDir:  sp.dir, SpillWorkers: sp.workers, NoSpill: sp.off,
-			Hybrid:   sp.hybrid,
 			JoinType: jt, Strategy: strategy,
 			Ctx: ctx,
 		}
@@ -260,10 +254,8 @@ func runPipeline(ctx context.Context, backend engine.Backend, spec workload.Spec
 				r.SpilledPartitions, r.SpillBytesWritten, r.SpillBytesRead,
 				r.SpillWriteStall, r.SpillReadStall)
 		}
-		if sp.hybrid {
-			fmt.Printf("(hybrid: %d resident pair(s), %d demoted, %d B demoted)\n",
-				r.ResidentPartitions, r.DemotedPartitions, r.BytesDemoted)
-		}
+		fmt.Printf("(hybrid: %d resident pair(s), %d demoted, %d B demoted)\n",
+			r.ResidentPartitions, r.DemotedPartitions, r.BytesDemoted)
 	}
 	fmt.Printf("(speedup = first scheme's elapsed / scheme's elapsed; medians of %d interleaved reps; all results validated)\n", reps)
 }
@@ -295,8 +287,7 @@ func runNative(ctx context.Context, spec workload.Spec, schemeList string, fanou
 	jcfg := native.Config{
 		Fanout: fanout, Workers: workers,
 		SpillDir: sp.dir, SpillWorkers: sp.workers, NoSpill: sp.off,
-		Hybrid: sp.hybrid,
-		Ctx:    ctx,
+		Ctx: ctx,
 	}
 	if memBudget > 0 {
 		jcfg.MemBudget = memBudget
@@ -368,10 +359,8 @@ func runNative(ctx context.Context, spec workload.Spec, schemeList string, fanou
 				b.SpilledPartitions, b.SpillBytesWritten, b.SpillBytesRead,
 				b.SpillWriteStall, b.SpillReadStall)
 		}
-		if sp.hybrid {
-			fmt.Printf("(hybrid: %d resident pair(s), %d spilled, %d demoted, %d B demoted)\n",
-				b.ResidentPartitions, b.VictimPartitions, b.DemotedPartitions, b.BytesDemoted)
-		}
+		fmt.Printf("(hybrid: %d resident pair(s), %d spilled, %d demoted, %d B demoted)\n",
+			b.ResidentPartitions, b.VictimPartitions, b.DemotedPartitions, b.BytesDemoted)
 	}
 	fmt.Printf("(speedup = first scheme's elapsed / scheme's elapsed; medians of %d interleaved reps; all results validated)\n", reps)
 }

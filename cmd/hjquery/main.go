@@ -45,11 +45,10 @@ func main() {
 		hierArg   = flag.String("hier", "small", "memory hierarchy: small or es40 (sim engine)")
 		workers   = flag.Int("workers", 0, "native engine: morsel workers (0 = all CPUs)")
 		fanout    = flag.Int("fanout", 1, "native engine: partition fan-out (1 = stream through one table)")
-		memBudget = flag.Int("mem-budget", 0, "native engine: resident build-side budget in bytes (0 = unbudgeted); a streaming join over budget degrades to partitioned, oversized pairs re-partition recursively, and irreducible pairs spill to disk")
+		memBudget = flag.Int("mem-budget", 0, "native engine: resident build-side budget in bytes (0 = unbudgeted); a streaming join over budget degrades to partitioned; an oversized pair spills its irreducible hot keys to disk and re-partitions the rest")
 		spillDir  = flag.String("spill-dir", "", "native engine: parent directory for the out-of-core spill area (default: OS temp dir)")
 		spillWork = flag.Int("spill-workers", 0, "native engine: write-behind workers for the spill tier (0 = default)")
 		noSpill   = flag.Bool("no-spill", false, "native engine: disable the spill tier; an irreducible over-budget pair fails instead")
-		hybrid    = flag.Bool("hybrid", false, "native engine: adaptive hybrid hash join — keep the partition pairs that fit -mem-budget resident and spill only the overflow")
 		joinType  = flag.String("join-type", "inner", "join semantics: inner, left-outer, right-outer, semi, or anti")
 		strat     = flag.String("strategy", "auto", "join strategy: auto (cost-based planner), nested-loop, stream, or partitioned")
 		explain   = flag.Bool("explain", false, "print the planner's strategy decision and its inputs")
@@ -109,7 +108,6 @@ func main() {
 		SpillDir:     *spillDir,
 		SpillWorkers: *spillWork,
 		NoSpill:      *noSpill,
-		Hybrid:       *hybrid,
 		JoinType:     jt,
 		Strategy:     strategy,
 		Explain:      *explain,
@@ -120,9 +118,6 @@ func main() {
 	}
 	if *spillWork < 0 {
 		cli.Fatalf(prog, "negative -spill-workers %d", *spillWork)
-	}
-	if *hybrid && *memBudget <= 0 {
-		cli.Fatalf(prog, "-hybrid requires a positive -mem-budget")
 	}
 	if *timeout < 0 {
 		cli.Fatalf(prog, "negative -timeout %v", *timeout)
@@ -189,6 +184,8 @@ func main() {
 			engine.NativeScheme(p.Scheme), res.JoinFanout, native.HavePrefetch)
 		if *memBudget > 0 {
 			fmt.Printf("budget: %d B, recursion depth %d\n", *memBudget, res.JoinRecursionDepth)
+			fmt.Printf("hybrid: %d resident pair(s), %d demoted, %d B demoted\n",
+				res.ResidentPartitions, res.DemotedPartitions, res.BytesDemoted)
 		}
 		if res.SpilledPartitions > 0 {
 			fmt.Printf("spill: %d partition pair(s), %d B written, %d B read, stalls write %v read %v\n",
@@ -198,10 +195,6 @@ func main() {
 				fmt.Printf("spill recovery: %d dir failover(s), %d partition rebuild(s)\n",
 					res.SpillFailovers, res.SpillRebuilds)
 			}
-		}
-		if *hybrid {
-			fmt.Printf("hybrid: %d resident pair(s), %d demoted, %d B demoted\n",
-				res.ResidentPartitions, res.DemotedPartitions, res.BytesDemoted)
 		}
 		fmt.Printf("total: %.2f ms  (%.1f Mprobe tuples/s)\n",
 			res.Elapsed.Seconds()*1e3, rate)

@@ -37,7 +37,8 @@
 //
 // An HTTP side door serves GET /healthz ("ok", "degraded" with
 // per-spill-dir detail when a spill directory is unhealthy, 503 while
-// draining) and GET /stats (JSON counters). SIGINT/SIGTERM drains
+// draining) and GET /stats (JSON: the stats line's counters, plus the
+// per-directory spill health). SIGINT/SIGTERM drains
 // gracefully: queued queries are shed, in-flight queries finish, then
 // the process exits 0.
 //

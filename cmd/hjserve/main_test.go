@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -231,6 +232,52 @@ func TestServeBuildCache(t *testing.T) {
 	resp.Body.Close()
 	if js["build_cache_hits"].(float64) != 3 || js["build_cache_misses"].(float64) != 2 {
 		t.Fatalf("http cache counters = %v/%v, want 3/2", js["build_cache_hits"], js["build_cache_misses"])
+	}
+}
+
+// TestServeStatsDoorsAgree: the stats line and the /stats JSON render
+// the same scalar counters, key for key, after a query has moved them.
+func TestServeStatsDoorsAgree(t *testing.T) {
+	s := startServer(t, serverOptions{})
+	c := dial(t, s)
+	if status, m := kv(t, c.roundTrip(t, "pair name=t1 build=500 probe=1000 tuple=40 seed=3")); status != "ok" {
+		t.Fatalf("pair: %v", m)
+	}
+	if status, m := kv(t, c.roundTrip(t, "query pair=t1 fanout=4")); status != "ok" {
+		t.Fatalf("query: %v", m)
+	}
+	status, line := kv(t, c.roundTrip(t, "stats"))
+	if status != "ok" {
+		t.Fatalf("stats: %v", line)
+	}
+	resp, err := http.Get("http://" + s.hln.Addr().String() + "/stats")
+	if err != nil {
+		t.Fatalf("http stats: %v", err)
+	}
+	var js map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&js)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	var lineKeys, jsonKeys []string
+	for k := range line {
+		lineKeys = append(lineKeys, k)
+	}
+	for k, v := range js {
+		if _, ok := v.(float64); ok {
+			jsonKeys = append(jsonKeys, k)
+		}
+	}
+	slices.Sort(lineKeys)
+	slices.Sort(jsonKeys)
+	if !slices.Equal(lineKeys, jsonKeys) {
+		t.Fatalf("stats line keys %v,\n/stats scalar keys %v", lineKeys, jsonKeys)
+	}
+	for _, k := range []string{"queries_ok", "admitted", "completed", "morsels_executed"} {
+		if mustInt(t, line, k) == 0 || js[k].(float64) != float64(mustInt(t, line, k)) {
+			t.Fatalf("%s: line %s, JSON %v; want the same non-zero count", k, line[k], js[k])
+		}
 	}
 }
 

@@ -238,11 +238,12 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	sc := s.env.ServiceStats()
-	hits, misses, evicts, resident := s.cache.counters()
 	health := spill.Health(s.opts.spillDir)
+	out := map[string]any{}
+	for _, st := range s.stats(health) {
+		out[st.key] = st.val
+	}
 	dirHealth := make([]map[string]any, 0, len(health))
-	unhealthyDirs := 0
 	for _, h := range health {
 		dir := h.Dir
 		if dir == "" {
@@ -250,44 +251,62 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		}
 		e := map[string]any{"dir": dir, "healthy": h.Healthy}
 		if !h.Healthy {
-			unhealthyDirs++
 			e["cause"] = h.Cause
 			e["since"] = h.Since.UTC().Format(time.RFC3339)
 		}
 		dirHealth = append(dirHealth, e)
 	}
+	out["spill_dirs"] = dirHealth
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"build_cache_hits":           hits,
-		"build_cache_misses":         misses,
-		"build_cache_evictions":      evicts,
-		"build_cache_resident_bytes": resident,
+	json.NewEncoder(w).Encode(out)
+}
 
-		"spill_failovers":      s.spillFailovers.Load(),
-		"spill_rebuilds":       s.spillRebuilds.Load(),
-		"spill_dirs":           dirHealth,
-		"spill_dirs_unhealthy": unhealthyDirs,
+// stat is one scalar server counter: a key=value field of the stats
+// line and a member of the /stats JSON object.
+type stat struct {
+	key string
+	val any
+}
 
-		"panics":    s.panics.Load(),
-		"conn_shed": s.connShed.Load(),
-
-		"queries_ok":       s.queriesOK.Load(),
-		"queries_err":      s.queriesErr.Load(),
-		"admitted":         sc.Admitted,
-		"completed":        sc.Completed,
-		"failed":           sc.Failed,
-		"waited":           sc.Waited,
-		"shed_too_large":   sc.ShedTooLarge,
-		"shed_queue_full":  sc.ShedQueueFull,
-		"shed_timeout":     sc.ShedTimeout,
-		"shed_draining":    sc.ShedDraining,
-		"queue_wait_ns":    sc.QueueWaitTotal.Nanoseconds(),
-		"morsels_executed": sc.MorselsExecuted,
-		"reclaims":         sc.Reclaims,
-		"in_flight":        sc.InFlight,
-		"queued":           sc.Queued,
-		"reserved_bytes":   sc.ReservedBytes,
-	})
+// stats is the one list of scalar counters both stats doors render, in
+// the stats line's order.
+func (s *server) stats(health []spill.DirHealth) []stat {
+	sc := s.env.ServiceStats()
+	hits, misses, evicts, resident := s.cache.counters()
+	unhealthyDirs := 0
+	for _, h := range health {
+		if !h.Healthy {
+			unhealthyDirs++
+		}
+	}
+	return []stat{
+		{"queries_ok", s.queriesOK.Load()},
+		{"queries_err", s.queriesErr.Load()},
+		{"admitted", sc.Admitted},
+		{"completed", sc.Completed},
+		{"failed", sc.Failed},
+		{"waited", sc.Waited},
+		{"shed", sc.Shed()},
+		{"shed_too_large", sc.ShedTooLarge},
+		{"shed_queue_full", sc.ShedQueueFull},
+		{"shed_timeout", sc.ShedTimeout},
+		{"shed_draining", sc.ShedDraining},
+		{"queue_wait_ns", sc.QueueWaitTotal.Nanoseconds()},
+		{"in_flight", sc.InFlight},
+		{"queued", sc.Queued},
+		{"reserved_bytes", sc.ReservedBytes},
+		{"morsels_executed", sc.MorselsExecuted},
+		{"reclaims", sc.Reclaims},
+		{"build_cache_hits", hits},
+		{"build_cache_misses", misses},
+		{"build_cache_evictions", evicts},
+		{"build_cache_resident_bytes", resident},
+		{"panics", s.panics.Load()},
+		{"conn_shed", s.connShed.Load()},
+		{"spill_failovers", s.spillFailovers.Load()},
+		{"spill_rebuilds", s.spillRebuilds.Load()},
+		{"spill_dirs_unhealthy", unhealthyDirs},
+	}
 }
 
 // maxLineLen bounds one protocol command line. A longer line is a
@@ -486,7 +505,7 @@ func (s *server) cmdPair(args []string) string {
 
 // cmdQuery runs one admitted pipeline over a named pair.
 func (s *server) cmdQuery(tenant string, args []string) string {
-	kv, err := kvArgs(args, []string{"pair", "engine", "fanout", "workers", "weight", "planned", "agg", "timeout", "tenant", "budget", "hybrid", "join_type", "strategy", "explain"})
+	kv, err := kvArgs(args, []string{"pair", "engine", "fanout", "workers", "weight", "planned", "agg", "timeout", "tenant", "budget", "join_type", "strategy", "explain"})
 	if err != nil {
 		return errLine(cli.ExitUsage, err)
 	}
@@ -543,13 +562,6 @@ func (s *server) cmdQuery(tenant string, args []string) string {
 	if err != nil {
 		return errLine(cli.ExitUsage, err)
 	}
-	hybrid, err := kvInt(kv, "hybrid", 0)
-	if err != nil {
-		return errLine(cli.ExitUsage, err)
-	}
-	if hybrid != 0 && budget <= 0 {
-		return errLine(cli.ExitUsage, errors.New("hybrid=1 needs budget=<bytes>"))
-	}
 	jt, err := hashjoin.ParseJoinType(kv["join_type"])
 	if err != nil {
 		return errLine(cli.ExitUsage, err)
@@ -580,9 +592,6 @@ func (s *server) cmdQuery(tenant string, args []string) string {
 	}
 	if budget > 0 {
 		opts = append(opts, hashjoin.WithPipelineMemBudget(budget))
-	}
-	if hybrid != 0 {
-		opts = append(opts, hashjoin.WithPipelineHybrid())
 	}
 	if agg != 0 {
 		opts = append(opts, hashjoin.WithAggregation(4, w.Build.Len()))
@@ -646,7 +655,7 @@ func (s *server) cmdQuery(tenant string, args []string) string {
 			res.SpillFailovers, res.SpillRebuilds)
 	}
 	hybridNote := ""
-	if hybrid != 0 {
+	if budget > 0 {
 		hybridNote = fmt.Sprintf(" resident=%d spilled=%d demoted=%d demoted_bytes=%d",
 			res.ResidentPartitions, res.SpilledPartitions, res.DemotedPartitions, res.BytesDemoted)
 	}
@@ -663,20 +672,12 @@ func (s *server) cmdQuery(tenant string, args []string) string {
 }
 
 func (s *server) cmdStats() string {
-	sc := s.env.ServiceStats()
-	hits, misses, evicts, resident := s.cache.counters()
-	unhealthyDirs := 0
-	for _, h := range spill.Health(s.opts.spillDir) {
-		if !h.Healthy {
-			unhealthyDirs++
-		}
+	var b strings.Builder
+	b.WriteString("ok")
+	for _, st := range s.stats(spill.Health(s.opts.spillDir)) {
+		fmt.Fprintf(&b, " %s=%v", st.key, st.val)
 	}
-	return fmt.Sprintf("ok queries_ok=%d queries_err=%d admitted=%d completed=%d failed=%d shed=%d in_flight=%d queued=%d reserved_bytes=%d morsels=%d reclaims=%d build_cache_hits=%d build_cache_misses=%d build_cache_evictions=%d build_cache_resident_bytes=%d panics=%d conn_shed=%d spill_failovers=%d spill_rebuilds=%d spill_dirs_unhealthy=%d",
-		s.queriesOK.Load(), s.queriesErr.Load(), sc.Admitted, sc.Completed, sc.Failed,
-		sc.Shed(), sc.InFlight, sc.Queued, sc.ReservedBytes, sc.MorselsExecuted, sc.Reclaims,
-		hits, misses, evicts, resident,
-		s.panics.Load(), s.connShed.Load(),
-		s.spillFailovers.Load(), s.spillRebuilds.Load(), unhealthyDirs)
+	return b.String()
 }
 
 // errLine renders a failure response carrying the exit-code taxonomy:

@@ -323,7 +323,6 @@ type Pipeline struct {
 	SpillDir     string // Native: comma-separated parent dirs for the out-of-core spill area, tried in order ("" = OS temp)
 	SpillWorkers int    // Native: write-behind workers for the spill tier (0 = default)
 	NoSpill      bool   // Native: fail with *native.BudgetError instead of spilling
-	Hybrid       bool   // Native: adaptive hybrid hash join (resident prefix + spilled overflow)
 
 	// Ctx, when non-nil, bounds the run: scans check it at batch
 	// boundaries, the native morsel join before each pair claim, and the
@@ -465,7 +464,6 @@ func (p *Pipeline) config(strategy plan.Strategy, fanout int) engine.Config {
 		SpillDir:     p.SpillDir,
 		SpillWorkers: p.SpillWorkers,
 		NoSpill:      p.NoSpill,
-		Hybrid:       p.Hybrid,
 		Ctx:          p.Ctx,
 	}
 }

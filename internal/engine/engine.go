@@ -173,11 +173,12 @@ type Config struct {
 	// MemBudget, when > 0, bounds the resident footprint of a native
 	// join's build side in bytes. A streaming join (Fanout <= 1) whose
 	// build would exceed it falls back to the partitioned morsel
-	// strategy, and a partition pair that still exceeds it is
-	// re-partitioned recursively (bounded depth). A pair recursion
-	// cannot split — irreducible duplicate-key skew — is joined out of
-	// core through internal/spill rather than failing. 0 means
-	// unbudgeted.
+	// strategy, whose pairs run under the adaptive hybrid policy
+	// (native hybrid.go): the pairs that fit run first, each hash code
+	// too big to fit on its own — irreducible duplicate-key skew — is
+	// joined out of core through internal/spill rather than failing, and
+	// the rest of an oversized pair is re-partitioned recursively
+	// (bounded depth). 0 means unbudgeted.
 	MemBudget int
 
 	// SpillDir is the parent directory spec for the native join's
@@ -191,24 +192,16 @@ type Config struct {
 	// 0 selects the spill package default. Negative is a Compile error.
 	SpillWorkers int
 
-	// NoSpill disables the out-of-core tier: a partition pair still over
-	// MemBudget at maximum recursion depth fails with *native.BudgetError
-	// instead of spilling to disk.
+	// NoSpill disables the out-of-core tier: an over-budget pair is
+	// re-partitioned instead, and one still over MemBudget at maximum
+	// recursion depth fails with *native.BudgetError.
 	NoSpill bool
 
-	// Hybrid enables the native join's adaptive hybrid policy: partition
-	// pairs are ranked by measured build footprint after the partition
-	// phase, the planned-resident prefix joins in memory first, and
-	// over-budget victims split on code frequency with only the
-	// irreducible overflow going to disk. Requires MemBudget > 0 and a
-	// spillable configuration to change anything.
-	Hybrid bool
-
-	// BudgetNow, when non-nil and Hybrid is set, is the mid-join memory
-	// pressure signal: sampled at each partition-pair claim, a positive
-	// value below MemBudget lowers the budget for pairs not yet started,
-	// demoting planned-resident pairs to the out-of-core tier without
-	// restarting the query. The service layer wires a sched.Grant's
+	// BudgetNow, when non-nil, is the mid-join memory pressure signal:
+	// sampled at each partition-pair claim, a positive value below
+	// MemBudget lowers the budget for pairs not yet started, demoting
+	// planned-resident pairs to the out-of-core tier without restarting
+	// the query. The service layer wires a budgeted run's sched.Grant
 	// advisory budget here.
 	BudgetNow func() int
 

@@ -182,8 +182,8 @@ func (c Config) joinConfig(jt plan.JoinType) native.Config {
 		MemBudget: c.MemBudget,
 		SpillDir:  c.SpillDir, SpillWorkers: c.SpillWorkers, NoSpill: c.NoSpill,
 		SpillPageSize: c.SpillPageSize,
-		Hybrid:        c.Hybrid, BudgetNow: c.BudgetNow,
-		Ctx: c.Ctx,
+		BudgetNow:     c.BudgetNow,
+		Ctx:           c.Ctx,
 	}
 }
 

@@ -1,20 +1,18 @@
 package native
 
 import (
-	"cmp"
 	"slices"
 
 	"hashjoin/internal/plan"
 )
 
-// Adaptive hybrid hash join (Config.Hybrid). The classic ladder treats
-// every over-budget partition pair as all-or-nothing: it either fits in
-// memory or the whole pair recursively re-partitions and, when the skew
-// is irreducible, spills in full. On skewed inputs that wastes the
-// budget twice — partitions that would have fit still pay the recursion
-// walk, and a spilled pair writes even the prefix of its build side the
-// budget could have held. The hybrid policy instead measures each
-// pair's build footprint after the partition phase and adapts:
+// Adaptive hybrid hash join: the one ladder every partition pair of a
+// budgeted join descends. Recursive splitting and spilling a pair in
+// full treat an over-budget pair as all-or-nothing, which wastes the
+// budget twice on skewed inputs — partitions that would have fit still
+// pay the recursion walk, and a spilled pair writes even the prefix of
+// its build side the budget could have held. The hybrid policy measures
+// each pair's build footprint after the partition phase and adapts:
 //
 //   - Pairs that fit MemBudget stay resident and are claimed first, so
 //     a mid-join budget shrink (Config.BudgetNow) can still demote the
@@ -23,56 +21,49 @@ import (
 //     histogram — the frequency-sketch hook; NOCAP-style selection by
 //     observed frequency rather than hash bits. Codes whose rows alone
 //     exceed the budget are irreducible by construction and go straight
-//     to the out-of-core tier, skipping up to maxRepartitionDepth
-//     futile radix splits; the cold remainder joins resident when it
-//     fits and re-partitions recursively otherwise.
-//   - The out-of-core tier itself turns hybrid: the first budget-sized
+//     to the out-of-core tier, one sub-pair per code, skipping up to
+//     maxRepartitionDepth futile radix splits; the cold remainder joins
+//     resident when it fits and re-partitions recursively otherwise.
+//   - The out-of-core tier itself is hybrid: the first budget-sized
 //     chunk of a spilled build side is joined entirely in memory
 //     against the still-resident probe entries, so per spilled pair one
 //     build chunk and one full probe pass never touch disk (see
 //     joinPairSpillHybrid).
 //
-// Output parity with the other tiers is exact: every build row lands in
-// exactly one resident chunk or spilled sub-pair, probe entries are
+// Output parity with an unbudgeted join is exact: every build row lands
+// in exactly one resident chunk or spilled sub-pair, probe entries are
 // routed by the same 32-bit code equality the chain walk filters on,
 // and NOutput/KeySum are commutative sums.
 
-// hybridPlan ranks one join's partition pairs by measured build
-// footprint. order holds every pair index, planned-resident prefix
-// first (ascending footprint, ties by index, so the plan is
-// deterministic); foot is indexed by pair, not by rank.
+// hybridPlan is one join's pair claim order. order holds every pair
+// index, the pairs that fit the budget first and the victims after,
+// each in index order; foot is indexed by pair, not by rank. An
+// unbudgeted join's pairs all fit, so it claims them in index order.
 type hybridPlan struct {
-	order    []int
-	foot     []int
-	resident int // planned-resident pairs: order[:resident]
+	order []int
+	foot  []int
 }
 
-// planHybrid measures each pair's build footprint and sorts pair
-// indices so that pairs fitting budget come first, smallest first. In
-// this engine pairs join one at a time per worker against the shared
-// budget, so "the largest prefix that fits" is exactly the set of pairs
-// whose individual footprint fits; the overflow suffix is the victim
-// set.
-func planHybrid(bp *partitions, width, budget int) *hybridPlan {
+// reset measures each pair's build footprint and orders the pairs by a
+// stable partition on "fits budget". In this engine pairs join one at a
+// time per worker against the shared budget, so "the largest prefix
+// that fits" is exactly the set of pairs whose own footprint fits. The
+// slices are reused across joins.
+func (p *hybridPlan) reset(bp *partitions, width, budget int) {
 	n := bp.fanout()
-	p := &hybridPlan{
-		order: make([]int, n),
-		foot:  make([]int, n),
-	}
-	for i := 0; i < n; i++ {
-		p.order[i] = i
+	p.foot = slices.Grow(p.foot[:0], n)[:n]
+	p.order = slices.Grow(p.order[:0], n)
+	for i := range p.foot {
 		p.foot[i] = pairFootprint(len(bp.part(i)), width)
-	}
-	slices.SortFunc(p.order, func(a, b int) int {
-		return cmp.Or(cmp.Compare(p.foot[a], p.foot[b]), cmp.Compare(a, b))
-	})
-	for _, i := range p.order {
-		if p.foot[i] > budget {
-			break
+		if p.foot[i] <= budget {
+			p.order = append(p.order, i)
 		}
-		p.resident++
 	}
-	return p
+	for i, f := range p.foot {
+		if f > budget {
+			p.order = append(p.order, i)
+		}
+	}
 }
 
 // effectiveBudget is the budget a pair claim runs under: MemBudget,
@@ -88,42 +79,24 @@ func effectiveBudget(cfg Config) int {
 	return b
 }
 
-// joinPairHybrid joins one partition pair under the hybrid policy. A
-// pair that fits the budget joins resident, exactly like the classic
-// tier. An oversized victim consults the code-frequency histogram: hot
-// codes go to the hybrid out-of-core leaf, the cold remainder descends
-// the usual recursive ladder (whose irreducible leaves also use the
-// hybrid out-of-core join — see joinPairBudget). Without a spill
-// coordinator the classic ladder runs unchanged, so NoSpill semantics
-// (*BudgetError) are preserved.
+// joinPairHybrid joins one partition pair: the entry every pair of a
+// partitioned join takes. A pair that fits the budget joins resident.
+// An oversized victim is split by hash code: each code whose rows alone
+// overflow the budget spills as its own sub-pair through the hybrid
+// out-of-core leaf, and the cold remainder — where no code overflows —
+// descends the recursive ladder (joinPairBudget). Without a spill tier,
+// or with every spill directory down, the whole pair descends that
+// ladder, which keeps NoSpill's *BudgetError and the tier's
+// *SpillUnavailableError.
 func (j *pairJoiner) joinPairHybrid(build, probe []Entry, shift uint, cfg Config) (int, error) {
-	// An unavailable spill tier (every directory unhealthy) routes through
-	// joinPairBudget too: it degrades to in-memory re-partitioning while
-	// hash bits remain and sheds with *SpillUnavailableError after.
 	if j.spill == nil || !j.spill.available() ||
 		!overBudget(pairFootprint(len(build), j.width), cfg.MemBudget, 1) {
 		return j.joinPairBudget(build, probe, shift, cfg, 0)
 	}
-	hotBuild, coldBuild, hotProbe, coldProbe := j.splitHotCodes(build, probe, cfg.MemBudget)
-	if len(hotBuild) == 0 {
-		return j.joinPairBudget(build, probe, shift, cfg, 0)
+	if sameCode(build) {
+		// One code, and it is hot: no histogram, no routed copies.
+		return 0, j.joinHotCode(build, j.probeOfCode(probe, build[0].Code), shift, cfg)
 	}
-	if err := j.joinPairSpillHybrid(hotBuild, hotProbe, shift, cfg); err != nil {
-		return 0, err
-	}
-	return j.joinPairBudget(coldBuild, coldProbe, shift, cfg, 0)
-}
-
-// splitHotCodes partitions a victim pair by observed code frequency:
-// build codes whose rows alone exceed budget are hot — irreducible by
-// construction, since radix splitting cannot separate equal codes — and
-// both sides' entries are routed by exact code membership. The chain
-// walk validates on full 32-bit code equality, so a probe entry can
-// only match build rows of its own code and the routing loses no
-// matches. The histogram is exact (the victim path is already the slow
-// path); an approximate sketch could replace it behind this same
-// seam.
-func (j *pairJoiner) splitHotCodes(build, probe []Entry, budget int) (hotBuild, coldBuild, hotProbe, coldProbe []Entry) {
 	if j.codeFreq == nil {
 		j.codeFreq = make(map[uint32]int)
 	} else {
@@ -134,46 +107,79 @@ func (j *pairJoiner) splitHotCodes(build, probe []Entry, budget int) (hotBuild, 
 	}
 	// A code is hot when its rows alone overflow the budget:
 	// count > budget/rowFootprint(width) ⇔ pairFootprint(count, width) > budget.
-	threshold := budget / rowFootprint(j.width)
-	hot := make(map[uint32]bool)
-	for code, count := range j.codeFreq {
-		if count > threshold {
-			hot[code] = true
+	threshold := cfg.MemBudget / rowFootprint(j.width)
+	var hot []uint32
+	for code, n := range j.codeFreq {
+		if n > threshold {
+			hot = append(hot, code)
+		} else {
+			delete(j.codeFreq, code)
 		}
 	}
 	if len(hot) == 0 {
-		return nil, build, nil, probe
+		return j.joinPairBudget(build, probe, shift, cfg, 0)
 	}
-	hotBuild = make([]Entry, 0, len(build))
-	coldBuild = make([]Entry, 0, len(build))
-	for i := range build {
-		if hot[build[i].Code] {
-			hotBuild = append(hotBuild, build[i])
-		} else {
-			coldBuild = append(coldBuild, build[i])
+	// Sub-pair g holds hot[g]'s entries; sub-pair len(hot) the cold rest.
+	// The code order is sorted so the spill order is deterministic.
+	slices.Sort(hot)
+	builds := make([][]Entry, len(hot)+1)
+	nHot := 0
+	for g, code := range hot {
+		builds[g] = make([]Entry, 0, j.codeFreq[code])
+		nHot += j.codeFreq[code]
+		j.codeFreq[code] = g
+	}
+	builds[len(hot)] = make([]Entry, 0, len(build)-nHot)
+	probes := make([][]Entry, len(hot)+1)
+	j.routeByCode(builds, build, true)
+	// With no cold build rows, a cold probe entry is unmatched here.
+	j.routeByCode(probes, probe, nHot < len(build))
+	for g := range hot {
+		if err := j.joinHotCode(builds[g], probes[g], shift, cfg); err != nil {
+			return 0, err
 		}
 	}
-	hotProbe = make([]Entry, 0, len(probe))
-	coldProbe = make([]Entry, 0, len(probe))
-	for i := range probe {
-		if hot[probe[i].Code] {
-			hotProbe = append(hotProbe, probe[i])
-		} else {
-			coldProbe = append(coldProbe, probe[i])
-		}
-	}
-	return hotBuild, coldBuild, hotProbe, coldProbe
+	return j.joinPairBudget(builds[len(hot)], probes[len(hot)], shift, cfg, 0)
 }
 
-// joinPairSpillHybrid is the hybrid out-of-core leaf: where the classic
-// joinPairSpill writes both sides in full and re-reads the probe per
-// build chunk, this tier first joins one budget-sized build chunk
-// entirely in memory against the probe entries — which are still
-// resident at this point — and only then spills the remaining build
-// rows plus the probe partition through the classic chunk loop. Per
-// spilled pair that saves writing and re-reading one build chunk and
-// one full probe pass; when the remainder is empty nothing touches disk
-// at all. Strictly less I/O than joinPairSpill on every input.
+// routeByCode appends each entry, in order, to the sub-pair codeFreq
+// maps its code to. An entry of a code that is not hot goes to the last
+// sub-pair when keepCold is set, and is emitted as an unmatched probe
+// row otherwise.
+func (j *pairJoiner) routeByCode(dst [][]Entry, es []Entry, keepCold bool) {
+	cold := len(dst) - 1
+	for i := range es {
+		g, ok := j.codeFreq[es[i].Code]
+		switch {
+		case ok:
+			dst[g] = append(dst[g], es[i])
+		case keepCold:
+			dst[cold] = append(dst[cold], es[i])
+		default:
+			j.emitAllProbeUnmatched(es[i : i+1])
+		}
+	}
+}
+
+// joinHotCode joins the sub-pair of one hot code out of core. A code no
+// probe entry carries never reaches the disk: its build rows are
+// unmatched (emitted only by a right-outer join).
+func (j *pairJoiner) joinHotCode(build, probe []Entry, shift uint, cfg Config) error {
+	if len(probe) == 0 {
+		j.emitUnmatchedPair(build, probe)
+		return nil
+	}
+	return j.joinPairSpillHybrid(build, probe, shift, cfg)
+}
+
+// joinPairSpillHybrid is the out-of-core leaf: where joinPairSpill
+// writes both sides in full and re-reads the probe per build chunk,
+// this leaf first joins one budget-sized build chunk entirely in memory
+// against the probe entries — which are still resident at this point —
+// and only then spills the remaining build rows plus the probe
+// partition through joinPairSpill's chunk loop. Per spilled pair that
+// saves writing and re-reading one build chunk and one full probe pass;
+// when the remainder is empty nothing touches disk at all.
 func (j *pairJoiner) joinPairSpillHybrid(build, probe []Entry, shift uint, cfg Config) error {
 	resident := cfg.MemBudget / rowFootprint(j.width)
 	if resident > len(build) {

@@ -37,8 +37,8 @@ type pairJoiner struct {
 	spillCode   []Entry
 	spillPinned []spill.Page
 
-	// codeFreq is the hybrid victim path's code-frequency histogram
-	// scratch, reused across victims (see splitHotCodes).
+	// codeFreq is the victim path's code-frequency histogram scratch,
+	// reused across victims (see joinPairHybrid).
 	codeFreq map[uint32]int
 
 	// joinType selects the match semantics (see jointype.go). Inner is
@@ -195,10 +195,9 @@ const maxRepartitionDepth = 8
 // deepest recursion level used, or a *BudgetError when the depth bound
 // or the hash bits run out before the pair fits.
 //
-// A build side whose rows all share one hash code is irreducible at
-// once: no radix split can separate them, so with the spill tier
-// available the pair goes straight to it instead of splitting eight
-// levels deep first.
+// An oversized pair gets here from joinPairHybrid only as a cold
+// remainder, in which no hash code alone exceeds the budget, or with
+// the spill tier off or down.
 func (j *pairJoiner) joinPairBudget(build, probe []Entry, shift uint, cfg Config, depth int) (int, error) {
 	if len(build) == 0 || len(probe) == 0 {
 		j.emitUnmatchedPair(build, probe)
@@ -210,28 +209,16 @@ func (j *pairJoiner) joinPairBudget(build, probe []Entry, shift uint, cfg Config
 		return depth, nil
 	}
 	bitsLeft := 32 - int(shift)
-	oneCode := j.spill != nil && sameCode(build)
-	if oneCode || depth >= maxRepartitionDepth || bitsLeft <= 0 {
-		// Irreducible: duplicate hash codes no radix split can separate.
-		// The final tier of the ladder joins the pair out of core in
-		// budget-sized build chunks; only Config.NoSpill (or a schema
-		// that cannot round-trip through slotted pages) still fails.
+	if depth >= maxRepartitionDepth || bitsLeft <= 0 {
+		// Out of depth or hash bits: the final tier of the ladder joins
+		// the pair out of core in budget-sized build chunks; only
+		// Config.NoSpill (or a schema that cannot round-trip through
+		// slotted pages) still fails.
 		switch {
 		case j.spill == nil:
 			return depth, &BudgetError{Budget: cfg.MemBudget, Need: need, Depth: depth}
 		case j.spill.available():
-			if oneCode {
-				// Only probe rows of the build's code can match; the
-				// rest are unmatched here and never reach the disk.
-				if probe = j.probeOfCode(probe, build[0].Code); len(probe) == 0 {
-					j.emitUnmatchedPair(build, probe)
-					return depth, nil
-				}
-			}
-			if cfg.Hybrid {
-				return depth, j.joinPairSpillHybrid(build, probe, shift, cfg)
-			}
-			return depth, j.joinPairSpill(build, probe, shift, cfg)
+			return depth, j.joinPairSpillHybrid(build, probe, shift, cfg)
 		case bitsLeft > 0:
 			// Every spill directory is down but hash bits remain: degrade
 			// back *up* the ladder and keep re-partitioning in memory, past

@@ -70,7 +70,8 @@ func TestJoinTypesSelectivityEdges(t *testing.T) {
 // TestJoinTypesSpillParity forces the out-of-core tier with irreducible
 // duplicate-code skew (4 distinct keys, 750-row chains, 4 KB budget)
 // and checks every join type against ground truth — the deferred
-// probe-bitmap path and the per-chunk right-outer sweeps.
+// probe-bitmap path and the per-chunk right-outer sweeps — with and
+// without the halving pressure signal (see pressures).
 func TestJoinTypesSpillParity(t *testing.T) {
 	spec := workload.Spec{NBuild: 3000, TupleSize: 20, Skew: 750,
 		MatchRate: 0.4, NProbe: 3000, Seed: 13}
@@ -80,11 +81,11 @@ func TestJoinTypesSpillParity(t *testing.T) {
 		t.Fatalf("degenerate workload: %+v", pair)
 	}
 	for _, jt := range plan.JoinTypes() {
-		for _, hybrid := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/hybrid=%v", jt, hybrid), func(t *testing.T) {
-				r := checkTyped(t, pair, Config{
+		for _, pressure := range pressures {
+			t.Run(fmt.Sprintf("%v/hybrid=%v", jt, pressure), func(t *testing.T) {
+				r := checkTyped(t, pair, pressed(Config{
 					JoinType: jt, Scheme: Group, Fanout: 4, MemBudget: 4 << 10,
-					Workers: 2, SpillDir: t.TempDir(), Hybrid: hybrid})
+					Workers: 2, SpillDir: t.TempDir()}, pressure))
 				if r.SpilledPartitions == 0 {
 					t.Fatalf("workload did not reach the spill tier: %+v", r)
 				}
@@ -109,7 +110,7 @@ func TestJoinTypesHybridSeamParity(t *testing.T) {
 		t.Run(jt.String(), func(t *testing.T) {
 			r := checkTyped(t, pair, Config{
 				JoinType: jt, Scheme: Group, Fanout: 8, MemBudget: 64 << 10,
-				Workers: 4, SpillDir: t.TempDir(), Hybrid: true})
+				Workers: 4, SpillDir: t.TempDir()})
 			if r.SpilledPartitions == 0 || r.VictimPartitions == 0 {
 				t.Fatalf("workload did not cross the hybrid seam: %+v", r)
 			}

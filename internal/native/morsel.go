@@ -148,32 +148,27 @@ func (jn *Joiner) joinPairs(data []byte, width int, cfg Config) (Result, error) 
 			if err = claimCheck(cfg.Ctx); err != nil {
 				return err
 			}
-			var d int
-			if plan := jn.plan; plan != nil {
-				// Hybrid: morsel i is the i-th pair of the plan order —
-				// planned-resident pairs first — joined under the budget in
-				// force at claim time. A pair the static budget would have
-				// kept resident but the shrunken one cannot is a demotion:
-				// it takes the victim path instead of restarting the query.
-				pi := plan.order[i]
-				ccfg := cfg
-				ccfg.MemBudget = effectiveBudget(cfg)
-				foot := plan.foot[pi]
-				if foot <= ccfg.MemBudget {
-					if foot > 0 {
-						accs[slot].resident++
-					}
-				} else {
-					accs[slot].spilled++
-					if foot <= cfg.MemBudget {
-						accs[slot].demoted++
-						accs[slot].bytesDemoted += int64(foot)
-					}
+			// Morsel i is the i-th pair of the plan order — pairs that fit
+			// first — joined under the budget in force at claim time. A
+			// pair the static budget would have kept resident but the
+			// shrunken one cannot is a demotion: it takes the victim path
+			// instead of restarting the query.
+			pi := jn.plan.order[i]
+			ccfg := cfg
+			ccfg.MemBudget = effectiveBudget(cfg)
+			foot := jn.plan.foot[pi]
+			if foot <= ccfg.MemBudget {
+				if foot > 0 {
+					accs[slot].resident++
 				}
-				d, err = js[slot].joinPairHybrid(bp.part(pi), pp.part(pi), bp.bits, ccfg)
 			} else {
-				d, err = js[slot].joinPairBudget(bp.part(i), pp.part(i), bp.bits, cfg, 0)
+				accs[slot].spilled++
+				if foot <= cfg.MemBudget {
+					accs[slot].demoted++
+					accs[slot].bytesDemoted += int64(foot)
+				}
 			}
+			d, err := js[slot].joinPairHybrid(bp.part(pi), pp.part(pi), bp.bits, ccfg)
 			if err != nil {
 				return err
 			}

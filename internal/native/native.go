@@ -155,10 +155,9 @@ type Config struct {
 	Arena *arena.Arena
 
 	// SpillDir is the parent directory for the out-of-core tier's temp
-	// files; "" means the OS temp directory. A pair that recursive
-	// re-partitioning cannot bring under MemBudget (irreducible
-	// duplicate-code skew) is spilled there and joined in budget-sized
-	// build chunks instead of failing.
+	// files; "" means the OS temp directory. A hash code whose rows alone
+	// exceed MemBudget (irreducible duplicate-code skew) is spilled there
+	// and joined in budget-sized build chunks instead of failing.
 	SpillDir string
 	// SpillWorkers is the write-behind worker count for spilled
 	// partitions; <1 selects spill.DefaultWorkers.
@@ -168,26 +167,17 @@ type Config struct {
 	// from the same value, so shrinking pages never over-pins the
 	// budget.
 	SpillPageSize int
-	// NoSpill disables the disk tier: an irreducible over-budget pair
-	// then fails with *BudgetError, the pre-spill behavior.
+	// NoSpill disables the disk tier: an over-budget pair is then
+	// re-partitioned in memory, and an irreducible one fails with
+	// *BudgetError.
 	NoSpill bool
 
-	// Hybrid selects the adaptive hybrid hash join for over-budget
-	// pairs: partition pairs are ranked by measured build footprint
-	// after the partition phase, pairs that fit MemBudget join resident
-	// (claimed first), and oversized victims are split on an exact
-	// code-frequency histogram — hash codes too hot to ever fit go
-	// straight to the out-of-core tier, which itself keeps one
-	// budget-sized build chunk resident — instead of spilling the whole
-	// pair. See hybrid.go.
-	Hybrid bool
-
-	// BudgetNow, when non-nil in Hybrid mode, is sampled before each
-	// pair claim and may shrink the effective budget below MemBudget —
-	// the multi-tenant pressure signal. A planned-resident pair whose
-	// footprint no longer fits is demoted to the out-of-core path
-	// without restarting the join; pairs already being joined are never
-	// interrupted. Ignored without Hybrid.
+	// BudgetNow, when non-nil, is sampled before each pair claim and may
+	// shrink the effective budget below MemBudget — the multi-tenant
+	// pressure signal. A planned-resident pair whose footprint no longer
+	// fits is demoted to the out-of-core path without restarting the
+	// join; pairs already being joined are never interrupted. See
+	// hybrid.go for how over-budget pairs are joined.
 	BudgetNow func() int
 
 	// Ctx cancels the join cooperatively: morsel workers check it before
@@ -255,9 +245,10 @@ type Report struct {
 	SpillFailovers int64
 	SpillRebuilds  int64
 
-	// Hybrid-policy pair accounting, all zero unless Config.Hybrid was
-	// set. ResidentPartitions counts pairs whose measured footprint fit
-	// the effective budget at claim time and joined fully in memory;
+	// Hybrid-policy pair accounting of a partitioned join (all zero for
+	// a streaming one). ResidentPartitions counts non-empty pairs whose
+	// measured footprint fit the effective budget at claim time and
+	// joined fully in memory;
 	// DemotedPartitions counts planned-resident pairs sent down the
 	// victim path because BudgetNow had shrunk below their footprint by
 	// claim time, and BytesDemoted sums their footprints.
@@ -341,10 +332,9 @@ type Joiner struct {
 	bp, pp  partitions
 	workers []*pairJoiner
 
-	// plan, in Hybrid mode, orders the morsel queue resident-first and
-	// carries the measured per-pair footprints the demotion check
-	// consults; nil between calls and in non-hybrid joins.
-	plan *hybridPlan
+	// plan orders the morsel queue resident-first and carries the
+	// measured per-pair footprints the demotion check consults.
+	plan hybridPlan
 
 	// sinkFor, when set, provides each morsel worker with a match sink
 	// (see JoinStream). Sinks are per-worker, so they need no locking.
@@ -362,10 +352,11 @@ func NewJoiner() *Joiner { return &Joiner{} }
 // share one arena's bytes: one arena, or windows carved from it — a
 // service query materializes a filtered build side into its own window
 // beside the shared probe relation.
-// A pair that exceeds cfg.MemBudget is re-partitioned recursively (see
-// joinPairBudget); a pair that recursion cannot split — irreducible
-// duplicate-code skew — is joined out of core through internal/spill,
-// so Join fails with a *BudgetError only under cfg.NoSpill.
+// A pair that exceeds cfg.MemBudget is a victim of the adaptive hybrid
+// policy (see hybrid.go): its irreducible duplicate-code skew is joined
+// out of core through internal/spill and the rest re-partitioned
+// recursively, so Join fails with a *BudgetError only under
+// cfg.NoSpill.
 func (jn *Joiner) Join(build, probe *storage.Relation, cfg Config) (Result, error) {
 	if bd, pd := build.Arena().Data(), probe.Arena().Data(); len(bd) != len(pd) || len(bd) > 0 && &bd[0] != &pd[0] {
 		panic("native: build and probe relations use different arenas")
@@ -398,10 +389,9 @@ func (jn *Joiner) Join(build, probe *storage.Relation, cfg Config) (Result, erro
 	}()
 
 	err := jn.partition(build, probe, fanout, cfg)
-	if err == nil && cfg.Hybrid {
-		jn.plan = planHybrid(&jn.bp, width, cfg.MemBudget)
+	if err == nil {
+		jn.plan.reset(&jn.bp, width, cfg.MemBudget)
 	}
-	defer func() { jn.plan = nil }()
 	partDone := time.Now()
 	var r Result
 	if err == nil {

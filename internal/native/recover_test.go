@@ -154,21 +154,20 @@ func TestSpillDirFailoverExhaustionTyped(t *testing.T) {
 	fault.CheckNoFiles(t, dirB)
 }
 
-// TestSpillFailoverUnderHybrid: the hybrid planner's resident-prefix
-// path shares the same recovery machinery — parity under a write-time
-// directory failure with Hybrid enabled.
+// TestSpillFailoverUnderHybrid: a join whose pairs straddle the
+// resident line — resident pairs, and Zipf victims split into spilled
+// hot codes and a cold remainder — shares the same recovery machinery:
+// parity under a write-time directory failure.
 func TestSpillFailoverUnderHybrid(t *testing.T) {
 	defer fault.Reset()
 	t.Cleanup(spill.ResetHealth)
-	a := arena.New(workload.ArenaBytesFor(spillSpec) + 1<<20)
-	pair := workload.Generate(a, spillSpec)
+	a := arena.New(workload.ArenaBytesFor(hybridSpec) + 4<<20)
+	pair := workload.Generate(a, hybridSpec)
 	dirA, dirB := t.TempDir(), t.TempDir()
 	base := fault.Goroutines()
 
 	fault.Enable(fault.SiteSpillWrite, fault.Fault{Kind: fault.KindError, Err: syscall.EIO, Count: 1})
-	cfg := spillCfg(dirA + "," + dirB)
-	cfg.Hybrid = true
-	r, err := Join(pair.Build, pair.Probe, cfg)
+	r, err := Join(pair.Build, pair.Probe, hybridCfg(dirA+","+dirB))
 	if err != nil {
 		t.Fatalf("hybrid failover join failed: %v", err)
 	}
@@ -179,6 +178,10 @@ func TestSpillFailoverUnderHybrid(t *testing.T) {
 	if r.SpillFailovers == 0 || r.SpillRebuilds == 0 {
 		t.Fatalf("hybrid failover counters = (%d, %d), want both > 0",
 			r.SpillFailovers, r.SpillRebuilds)
+	}
+	if r.ResidentPartitions == 0 || r.VictimPartitions == 0 {
+		t.Fatalf("hybrid pairs resident=%d victims=%d; want both sides of the boundary",
+			r.ResidentPartitions, r.VictimPartitions)
 	}
 	assertClean(t, base, dirA)
 	fault.CheckNoFiles(t, dirB)

@@ -218,8 +218,9 @@ func (sp *spillState) finish() (spill.Stats, int, error) {
 	return st, sp.pairs, err
 }
 
-// joinPairSpill joins one irreducible over-budget pair out of core:
-// write both sides to disk partitions (write-behind), then for each
+// joinPairSpill joins the spilled remainder of one irreducible
+// over-budget pair out of core, for joinPairSpillHybrid: write both
+// sides to disk partitions (write-behind), then for each
 // build chunk that fits the budget, pin its pages, build a table over
 // the decoded entries, and stream the probe partition past it
 // (read-ahead). Output refs point into pinned pool pages, so the
@@ -259,17 +260,13 @@ func (j *pairJoiner) joinPairSpill(build, probe []Entry, shift uint, cfg Config)
 	}()
 
 	// Left outer/semi/anti cannot decide "unmatched" against one build
-	// chunk, so the chunk loop runs with the deferred probe bitmap armed.
+	// chunk, so the chunk loop runs with the deferred probe bitmap that
+	// joinPairSpillHybrid armed before its resident pass.
 	// spillPartition writes probe entries in slice order and the reader
 	// streams pages back in that order, so a probe row's stream position
-	// equals its index in the probe slice — the same indexing the hybrid
+	// equals its index in the probe slice — the same indexing the
 	// resident prefix uses, which is what lets bits set before the
-	// resident/spilled seam resolve here. The hybrid caller arms the
-	// bitmap itself before its resident pass; deferProbe is then already
-	// set and the arming (which would clear its bits) is skipped.
-	if j.needsProbeBits() && !j.deferProbe {
-		j.armProbeBits(len(probe))
-	}
+	// resident/spilled seam resolve here.
 	defer func() { j.deferProbe = false; j.probeBase = 0 }()
 
 	for {

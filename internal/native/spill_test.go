@@ -325,7 +325,7 @@ type emission struct {
 	build, probe int64
 }
 
-// pairRun is what one joinPairBudget call produced.
+// pairRun is what one joinPairHybrid call produced.
 type pairRun struct {
 	emits   []emission
 	nOutput int
@@ -334,10 +334,11 @@ type pairRun struct {
 	spilled int
 }
 
-// runPairBudget joins build with probe through joinPairBudget under cfg,
-// with the spill tier armed when withSpill is set, recording every
-// emission in sorted order.
-func runPairBudget(t *testing.T, a *arena.Arena, build, probe []Entry, cfg Config, withSpill bool) pairRun {
+// runPair joins build with probe through joinPairHybrid, the pair entry
+// of a partitioned join, under cfg's budget at claim time (as joinPairs
+// samples it), with the spill tier armed when withSpill is set,
+// recording every emission in sorted order.
+func runPair(t *testing.T, a *arena.Arena, build, probe []Entry, cfg Config, withSpill bool) pairRun {
 	t.Helper()
 	cfg = cfg.normalized()
 	j := newPairJoiner()
@@ -358,9 +359,11 @@ func runPairBudget(t *testing.T, a *arena.Arena, build, probe []Entry, cfg Confi
 		j.spill = &spillState{a: a, dir: t.TempDir(), workers: 2, buildWidth: 8, probeWidth: 8,
 			budget: cfg.MemBudget, pageSize: 4096, scheme: cfg.Scheme, g: cfg.G, d: cfg.D}
 	}
-	depth, err := j.joinPairBudget(build, probe, 0, cfg, 0)
+	claim := cfg
+	claim.MemBudget = effectiveBudget(cfg)
+	depth, err := j.joinPairHybrid(build, probe, 0, claim)
 	if err != nil {
-		t.Fatalf("joinPairBudget: %v", err)
+		t.Fatalf("joinPairHybrid: %v", err)
 	}
 	if withSpill {
 		_, pairs, err := j.spill.finish()
@@ -376,32 +379,45 @@ func runPairBudget(t *testing.T, a *arena.Arena, build, probe []Entry, cfg Confi
 	return r
 }
 
-// TestIrreduciblePairSpillsAtOnce drives joinPairBudget over a pair
+// pressures are the two budget signals the spill parity tests run
+// under, labelled hybrid=false and hybrid=true: none, and a pressure
+// signal (Config.BudgetNow) that halves MemBudget at every pair claim,
+// the input the hybrid policy demotes pairs on.
+var pressures = []bool{false, true}
+
+// pressed returns cfg under the halving pressure signal when on is set.
+func pressed(cfg Config, on bool) Config {
+	if on {
+		half := cfg.MemBudget / 2
+		cfg.BudgetNow = func() int { return half }
+	}
+	return cfg
+}
+
+// TestIrreduciblePairSpillsAtOnce drives the pair entry over a pair
 // whose build side is one hash code, and over a partition holding two
-// such codes, under every join type, scheme and hybrid setting. Each hot
+// such codes, under every join type, scheme and pressure. Each hot
 // code has 24 build rows under an 8-row budget: 16 of one key and 8 of
 // another that collides on the code. The probe side holds matching
 // rows, a colliding key that matches nothing, and rows of 40 codes the
-// build side lacks, each with a key of its own. The one-code pair must reach the spill tier at depth
-// 0 and the two-code partition at depth 1, one split separating the
-// codes; the output must equal the unbudgeted join's, emission for
-// emission; and each probe row of a missing code must be emitted exactly
-// once by the types that emit unmatched probe rows, and never by the
-// others.
+// build side lacks, each with a key of its own. Both pairs must reach
+// the spill tier at depth 0, one spilled sub-pair per hot code; the
+// output must equal the unbudgeted join's, emission for emission; and
+// each probe row of a missing code must be emitted exactly once by the
+// types that emit unmatched probe rows, and never by the others.
 func TestIrreduciblePairSpillsAtOnce(t *testing.T) {
 	shapes := []struct {
-		name  string
-		hot   []uint32
-		depth int
+		name string
+		hot  []uint32
 	}{
-		{"one-code", []uint32{0x5a5a0003}, 0},
-		{"two-code", []uint32{0x5a5a0010, 0x5a5a0011}, 1},
+		{"one-code", []uint32{0x5a5a0003}},
+		{"two-code", []uint32{0x5a5a0010, 0x5a5a0011}},
 	}
 	for _, sh := range shapes {
 		for _, jt := range plan.JoinTypes() {
 			for _, scheme := range []Scheme{Baseline, Group, Pipelined} {
-				for _, hybrid := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%s/%v/%v/hybrid=%v", sh.name, jt, scheme, hybrid), func(t *testing.T) {
+				for _, pressure := range pressures {
+					t.Run(fmt.Sprintf("%s/%v/%v/hybrid=%v", sh.name, jt, scheme, pressure), func(t *testing.T) {
 						a := arena.New(1 << 20)
 						var bKeys, bCodes, pKeys, pCodes []uint32
 						for h, c := range sh.hot {
@@ -421,13 +437,13 @@ func TestIrreduciblePairSpillsAtOnce(t *testing.T) {
 							probe[i], probe[j] = probe[j], probe[i]
 						})
 
-						want := runPairBudget(t, a, build, probe,
+						want := runPair(t, a, build, probe,
 							Config{JoinType: jt, Scheme: scheme, MemBudget: 1 << 30, NoSpill: true}, false)
-						got := runPairBudget(t, a, build, probe,
-							Config{JoinType: jt, Scheme: scheme, MemBudget: pairFootprint(8, 8), Hybrid: hybrid}, true)
-						if got.depth != sh.depth || got.spilled != len(sh.hot) {
-							t.Fatalf("depth %d with %d spilled pairs, want depth %d with %d",
-								got.depth, got.spilled, sh.depth, len(sh.hot))
+						got := runPair(t, a, build, probe, pressed(
+							Config{JoinType: jt, Scheme: scheme, MemBudget: pairFootprint(8, 8)}, pressure), true)
+						if got.depth != 0 || got.spilled != len(sh.hot) {
+							t.Fatalf("depth %d with %d spilled pairs, want depth 0 with %d",
+								got.depth, got.spilled, len(sh.hot))
 						}
 						if got.nOutput != want.nOutput || got.keySum != want.keySum || !slices.Equal(got.emits, want.emits) {
 							t.Fatalf("budgeted join = (%d, %d) %v,\nunbudgeted = (%d, %d) %v",
@@ -530,7 +546,7 @@ type rowPair struct {
 
 // TestSpillConcurrentParity joins a skewed pair whose hot keys spill
 // from several partitions on 1, 2 and 4 workers, under every join type,
-// scheme and hybrid setting, with 512-byte spill pages so each chunk
+// scheme and pressure, with 512-byte spill pages so each chunk
 // pins more than one page of a pool sized per worker. The output must
 // equal the unbudgeted join's, row for row, and the spill I/O must be
 // the same on every worker count: running spilled pairs at once changes
@@ -566,14 +582,14 @@ func TestSpillConcurrentParity(t *testing.T) {
 	for _, jt := range plan.JoinTypes() {
 		want, _ := run(t, Config{JoinType: jt, Workers: 1})
 		for _, scheme := range []Scheme{Baseline, Group, Pipelined} {
-			for _, hybrid := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%v/%v/hybrid=%v", jt, scheme, hybrid), func(t *testing.T) {
+			for _, pressure := range pressures {
+				t.Run(fmt.Sprintf("%v/%v/hybrid=%v", jt, scheme, pressure), func(t *testing.T) {
 					var first Result
 					for _, workers := range []int{1, 2, 4} {
-						got, r := run(t, Config{
+						got, r := run(t, pressed(Config{
 							JoinType: jt, Scheme: scheme, Fanout: 4, MemBudget: 4 << 10, Workers: workers,
-							SpillPageSize: 512, SpillDir: t.TempDir(), Hybrid: hybrid,
-						})
+							SpillPageSize: 512, SpillDir: t.TempDir(),
+						}, pressure))
 						if !slices.Equal(got, want) {
 							t.Fatalf("workers=%d: %d rows differ from the unbudgeted join's %d", workers, len(got), len(want))
 						}

@@ -447,9 +447,9 @@ const minAdvisory = 64 << 10
 
 // pressureLocked is the mid-join memory-pressure signal: when a queued
 // head waiter cannot carve a window, the controller halves the advisory
-// budget of every in-flight carved grant. Hybrid joins sample the
-// advisory at each partition-pair claim (native Config.BudgetNow) and
-// demote planned-resident pairs to disk, shrinking their scratch
+// budget of every in-flight carved grant. Budgeted native joins sample
+// the advisory at each partition-pair claim (native Config.BudgetNow)
+// and demote planned-resident pairs to disk, shrinking their scratch
 // high-water mark so the next quiescent reclamation frees room sooner.
 // The carved windows themselves are immutable — a bump allocator cannot
 // give memory back mid-flight — which is why the signal is advisory.
@@ -617,9 +617,9 @@ func (g *Grant) Planned() uint64 {
 
 // BudgetNow returns the grant's current advisory scratch budget in
 // bytes: Planned at admission, lowered when the controller applies
-// queue pressure or the holder calls Shrink. Hybrid joins sample it at
-// each partition-pair claim (native Config.BudgetNow) and demote pairs
-// the shrunken budget no longer covers. 0 (exclusive grants) means no
+// queue pressure or the holder calls Shrink. Budgeted native joins
+// sample it at each partition-pair claim (native Config.BudgetNow) and
+// demote pairs the shrunken budget no longer covers. 0 (exclusive grants) means no
 // signal. Safe to call concurrently with pressure.
 func (g *Grant) BudgetNow() int { return int(g.advisory.Load()) }
 

@@ -46,7 +46,6 @@ type pipelineConfig struct {
 	spillWorkers  int
 	spillPageSize int
 	noSpill       bool
-	hybrid        bool
 
 	filterLo, filterHi uint32
 	hasFilter          bool
@@ -64,7 +63,6 @@ type pipelineConfig struct {
 	joinType    plan.JoinType
 	strategy    plan.Strategy
 	strategySet bool // WithStrategy given: consult the planner
-	matchRate   float64
 }
 
 // WithEngine selects the execution backend (default EngineSim).
@@ -122,11 +120,14 @@ func WithPipelineWorkers(n int) PipelineOption {
 
 // WithPipelineMemBudget bounds the resident footprint of the native
 // join's build side in bytes. A streaming join whose build would exceed
-// the budget degrades to the partitioned morsel strategy, an oversized
-// partition pair is re-partitioned recursively — the GRACE answer to a
-// partition that does not fit memory — and a pair no partitioning can
-// shrink (heavy key skew) is joined out of core through disk-backed
-// spill partitions. 0 (the default) means unbudgeted.
+// the budget degrades to the partitioned morsel strategy, whose pairs
+// run under the adaptive hybrid policy: the pairs that fit run first,
+// each hash code too big to fit on its own (heavy key skew) is joined
+// out of core through disk-backed spill partitions, and the rest of an
+// oversized pair is re-partitioned recursively — the GRACE answer to a
+// partition that does not fit memory. On a service Env the grant's
+// advisory budget can lower the budget mid-join, demoting pairs that
+// have not started. 0 (the default) means unbudgeted.
 func WithPipelineMemBudget(bytes int) PipelineOption {
 	return func(c *pipelineConfig) { c.memBudget = bytes }
 }
@@ -161,19 +162,12 @@ func WithPipelineSpillPageSize(bytes int) PipelineOption {
 	return func(c *pipelineConfig) { c.spillPageSize = bytes }
 }
 
-// WithPipelineHybrid enables the native join's adaptive hybrid policy:
-// after the partition phase, pairs are ranked by measured build
-// footprint, the largest prefix that fits the memory budget stays
-// resident (joined in memory, claimed first), and only the overflow
-// goes through the out-of-core tier — with oversized victims split on
-// observed key-code frequency so the resident budget is never wasted on
-// rows that cannot fit. On a service Env the run also samples the
-// grant's advisory budget at each partition-pair claim and demotes
-// not-yet-started resident pairs to disk when memory pressure shrinks
-// the window, instead of restarting the query. Requires
-// WithPipelineMemBudget to change anything.
+// WithPipelineHybrid does nothing: every native partitioned join runs
+// the adaptive hybrid policy (see WithPipelineMemBudget).
+//
+// Deprecated: the hybrid policy is always on; drop the option.
 func WithPipelineHybrid() PipelineOption {
-	return func(c *pipelineConfig) { c.hybrid = true }
+	return func(*pipelineConfig) {}
 }
 
 // WithBuildSide supplies a pre-built hash table (PrepareBuildSide) as
@@ -236,7 +230,7 @@ type PipelineResult struct {
 	// SpillBytesRead, SpillWriteStall, SpillReadStall, SpillFailovers and
 	// SpillRebuilds (all zero when everything fit in memory), and the
 	// hybrid policy's ResidentPartitions, DemotedPartitions and
-	// BytesDemoted (all zero without WithPipelineHybrid).
+	// BytesDemoted (all zero for a streaming join).
 	engine.Report
 
 	// Service-mode accounting: how long admission queued the run and the
@@ -309,12 +303,12 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 	}
 
 	// WithStrategy engages the planner (plan.Resolve) over the relations'
-	// true cardinalities, the build footprint, the match-rate hint, and
-	// the declared budget; the decision is executed and reported. Under
-	// StrategyAuto the planner's fan-out overrides WithPipelineFanout, so
-	// the fan-out is pinned only beside a forced strategy. The legacy
-	// path (no WithStrategy) keeps the fanout-driven selection and
-	// reports no Plan.
+	// true cardinalities, the build footprint and the declared budget,
+	// with the match rate unknown; the decision is executed and
+	// reported. Under StrategyAuto the planner's fan-out overrides
+	// WithPipelineFanout, so the fan-out is pinned only beside a forced
+	// strategy. The legacy path (no WithStrategy) keeps the
+	// fanout-driven selection and reports no Plan.
 	strategy, fanout := plan.Auto, pc.fanout
 	if pc.strategySet {
 		bw := build.rel.Schema.FixedWidth()
@@ -325,7 +319,6 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 				BuildWidth:     bw,
 				ProbeWidth:     probe.rel.Schema.FixedWidth(),
 				BuildFootprint: native.BuildFootprint(build.rel.NTuples, bw),
-				MatchRate:      pc.matchRate,
 			},
 			JoinType: pc.joinType,
 			Budget:   pc.memBudget,
@@ -357,7 +350,6 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 		SpillWorkers:  pc.spillWorkers,
 		SpillPageSize: pc.spillPageSize,
 		NoSpill:       pc.noSpill,
-		Hybrid:        pc.hybrid,
 		Build:         cachedBuild,
 		Report:        &res.Report,
 		Ctx:           ctx,
@@ -391,10 +383,11 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 		res.AdmittedBytes = g.Planned()
 		if pc.engine == EngineNative {
 			cfg.Pool = e.svc.Pool()
-			if pc.hybrid {
+			if pc.memBudget > 0 {
 				// The grant's advisory budget is the mid-join pressure
-				// signal: when neighbors queue, the controller shrinks it
-				// and the hybrid join demotes unstarted resident pairs.
+				// signal on the join's budget: when neighbors queue, the
+				// controller shrinks it and the join demotes unstarted
+				// resident pairs. An unbudgeted join has no budget to lower.
 				cfg.BudgetNow = g.BudgetNow
 			}
 		}

@@ -66,22 +66,14 @@ func WithJoinType(jt JoinType) PipelineOption {
 }
 
 // WithStrategy engages the cost-based planner: the run consults
-// plan.Choose with the relations' cardinalities, the build footprint,
-// the match-rate hint, and the memory budget, executes the decision,
-// and reports it in PipelineResult.Plan. StrategyAuto executes what the
-// planner picked (including its derived fan-out, overriding
-// WithPipelineFanout); a concrete strategy overrides the planner's pick
-// but still records what it preferred. Without this option the legacy
-// fanout-driven selection applies unchanged and Plan stays nil.
+// plan.Choose with the relations' cardinalities, the build footprint
+// and the memory budget (the match rate is unknown to it), executes the
+// decision, and reports it in PipelineResult.Plan. StrategyAuto
+// executes what the planner picked (including its derived fan-out,
+// overriding WithPipelineFanout); a concrete strategy overrides the
+// planner's pick but still records what it preferred. Without this
+// option the legacy fanout-driven selection applies unchanged and Plan
+// stays nil.
 func WithStrategy(s Strategy) PipelineOption {
 	return func(c *pipelineConfig) { c.strategy, c.strategySet = s, true }
-}
-
-// WithMatchRateHint supplies the planner's selectivity estimate: the
-// fraction of probe rows expected to have at least one build match, in
-// (0, 1]. Semi and anti joins short-circuit on first match, so a high
-// match rate shortens their expected nested-loop scan and extends the
-// regime where StrategyNestedLoop wins. 0 (the default) means unknown.
-func WithMatchRateHint(mr float64) PipelineOption {
-	return func(c *pipelineConfig) { c.matchRate = mr }
 }

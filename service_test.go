@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"hashjoin/internal/fault"
+	"hashjoin/internal/sched"
 )
 
 // serviceEnv builds a service Env holding nTenants generated workloads
@@ -479,4 +480,88 @@ func TestServiceBuildFilterFitsWindow(t *testing.T) {
 				fanout, res.NOutput, res.KeySum, w.ExpectedMatches, w.KeySum)
 		}
 	}
+}
+
+// TestServiceBudgetedJoinDemotes: a budgeted service-mode join runs the
+// hybrid policy with no option asking for it. Its pairs fit the budget
+// and the grant's advisory budget at admission, so the first claim joins
+// resident; then a queued neighbour that cannot carve a window halves the
+// advisory mid-join, and the pairs claimed after that are demoted to the
+// victim path — with the same result. A 20 ms delay before each pair
+// claim, on one worker, holds the join open while the test applies the
+// pressure.
+func TestServiceBudgetedJoinDemotes(t *testing.T) {
+	defer fault.Reset()
+	env := NewEnv(WithSmallHierarchy(), WithCapacity(64<<20), WithArenaBudget(8<<20),
+		WithService(ServiceConfig{MaxConcurrent: 4, Workers: 1}))
+	defer env.Close()
+	ctx := context.Background()
+	w, err := env.GenerateWorkload(ctx, 8000, 4000, 100, 5)
+	if err != nil {
+		t.Fatalf("GenerateWorkload: %v", err)
+	}
+	// One pair's footprint is about 2000 rows of 148 B, ~290 KiB; the
+	// window holds the 12 000 partition entries (~190 KiB) with room to
+	// spare, and half of it is below a pair.
+	const planned = 400 << 10
+	held, err := env.svc.Admit(ctx, sched.Request{Tenant: "held", Planned: 1 << 20})
+	if err != nil {
+		t.Fatalf("Admit held: %v", err)
+	}
+	defer held.Release(nil) // a no-op once released below
+	fault.Enable(fault.SiteMorselWorker, fault.Fault{Kind: fault.KindDelay, Delay: 20 * time.Millisecond})
+	type outcome struct {
+		res PipelineResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := env.RunPipelineContext(ctx, w.Build, w.Probe, WithEngine(EngineNative),
+			WithPipelineFanout(4), WithPipelineWorkers(1), WithPipelineMemBudget(1<<20),
+			WithPlannedScratch(planned))
+		done <- outcome{res, err}
+	}()
+	// The second claim has started its delay: the first pair sampled the
+	// full advisory budget and is joining.
+	deadline := time.Now().Add(5 * time.Second)
+	for fault.Hits(fault.SiteMorselWorker) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the join never claimed its second pair")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// A waiter larger than what is left queues; releasing the held grant
+	// seats nobody (the join's window still pins the arena), so the
+	// controller halves the join's advisory budget. The waiter is seated
+	// once the join releases its window, and lets go at once.
+	seated := make(chan struct{})
+	go func() {
+		defer close(seated)
+		g, err := env.svc.Admit(ctx, sched.Request{Tenant: "waiter", Planned: 6 << 20})
+		if err != nil {
+			t.Errorf("Admit waiter: %v", err)
+			return
+		}
+		g.Release(nil)
+	}()
+	waitForQueue(t, env, 1)
+	held.Release(nil)
+	if env.ServiceStats().Pressure == 0 {
+		t.Fatal("releasing the held grant applied no pressure")
+	}
+
+	out := <-done
+	<-seated
+	if out.err != nil {
+		t.Fatalf("budgeted join: %v", out.err)
+	}
+	res := out.res
+	if res.NOutput != w.ExpectedMatches || res.KeySum != w.KeySum {
+		t.Fatalf("NOutput/KeySum = %d/%d, want %d/%d", res.NOutput, res.KeySum, w.ExpectedMatches, w.KeySum)
+	}
+	if res.ResidentPartitions == 0 || res.DemotedPartitions == 0 || res.BytesDemoted == 0 {
+		t.Fatalf("resident=%d demoted=%d (%d B): want pairs on both sides of the shrink",
+			res.ResidentPartitions, res.DemotedPartitions, res.BytesDemoted)
+	}
+	t.Logf("resident=%d demoted=%d (%d B)", res.ResidentPartitions, res.DemotedPartitions, res.BytesDemoted)
 }
