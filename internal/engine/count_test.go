@@ -13,8 +13,8 @@ import (
 
 // Run over a native hash join root reads only the row count and each
 // row's leading key, so the join counts its rows where it matches them
-// (joinCounter) instead of writing them — on its workers, or on the
-// caller for a pulled probe. Either way the totals are the reference's.
+// (joinCounter) on its workers instead of writing them, and the totals
+// are the reference's.
 
 // referenceResult is what Run returns for rows: their count and the sum
 // of each row's leading u32.
@@ -59,12 +59,11 @@ func TestRunCountsJoinOnWorkers(t *testing.T) {
 	}
 }
 
-// TestRunPulledJoinFallback drains a join whose probe child is a filter:
-// the streaming join pulls it on the caller, the partitioned one
-// materializes it. Either way Open has counted the whole join when it
-// returns, before any NextBatch, and both agree with the reference on
-// every join type.
-func TestRunPulledJoinFallback(t *testing.T) {
+// TestRunMaterializedProbeJoin drains a join whose probe child is a
+// filter, which both strategies materialize and probe on their workers:
+// Open has counted the whole join when it returns, before any
+// NextBatch, and both agree with the reference on every join type.
+func TestRunMaterializedProbeJoin(t *testing.T) {
 	spec := workload.Spec{NBuild: 200, TupleSize: 16, PctMatched: 70,
 		MatchRate: 0.55, NProbe: 600, Skew: 2, Seed: 72}
 	pair, a, _ := testEnv(t, spec)

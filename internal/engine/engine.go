@@ -248,9 +248,8 @@ type Report struct {
 	JoinRecursionDepth int
 	// MorselsExecuted counts the morsels the native join's workers
 	// shared: the partition pairs it actually ran, or, for the streaming
-	// strategy over a scanned probe relation, the page ranges that
-	// relation was cut into. 0 when the probe side is pulled from a
-	// non-scan child, and on the Sim backend.
+	// strategy, the page ranges its probe relation was cut into. 0 on
+	// the Sim backend.
 	MorselsExecuted int
 
 	// What the spill tier and the hybrid policy did; all zero for a
@@ -489,7 +488,10 @@ func (n *Node) JoinEmitWidth(cfg Config) int {
 // JoinEmitWidth: the simulator's and the nested-loop join's output; a
 // native join under an aggregate or Run stages none, so for it the term
 // is slack); the relation a non-scan build child is materialized into
-// (buildRows tuples of the build width, in materializePage pages); an
+// (buildRows tuples of the build width, in materializePage pages) — a
+// native join materializes a non-scan probe child too, but no front end
+// builds one (RunPipeline, the CLI and hjserve all scan the probe
+// relation), so the estimate carries no probe term; an
 // aggregate root's staging block, one AggTupleWidth row per group with
 // buildRows bounding the groups; the native spill tier's page pool when
 // it can engage (native.SpillPoolBytes, from the tier's own

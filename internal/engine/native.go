@@ -223,10 +223,11 @@ func splitAtSeam(spans []span, seam int) []emitSpan {
 // nativeHashJoin joins natively under one of two strategies (see the
 // file comment). Open runs the whole join and returns once every worker
 // has: worker w hands each match to sinkFor(w), which the join calls on
-// the caller's goroutine before worker w starts. A scanned probe runs
-// on the workers — the streaming join's probers, or the partitioned
-// join's pair joiners — and any other probe is pulled a batch at a time
-// on the caller into sink 0; a right-outer sweep into sink 0 follows.
+// the caller's goroutine before worker w starts. Both inputs are
+// relations by then — a child that is not a plain scan is materialized
+// first — and the probe runs on the workers: the streaming join's
+// probers, or the partitioned join's pair joiners. A right-outer sweep
+// into sink 0 follows.
 //
 // A native aggregate over the join installs its partials as sinkFor,
 // and Run its row counter. With none installed — Collect, a join under
@@ -257,9 +258,6 @@ type nativeHashJoin struct {
 
 	rows []Row // the join's own sink's rows, handed out by NextBatch
 	next int
-
-	in      Batch // a pulled probe child's current batch
-	entries []native.Entry
 }
 
 func newNativeHashJoin(cfg Config, build, probe Operator, buildRel, probeRel *storage.Relation,
@@ -280,14 +278,25 @@ func newNativeHashJoin(cfg Config, build, probe Operator, buildRel, probeRel *st
 // resolveBuild returns the build side as a relation, materializing a
 // non-scan child; either way the build child ends closed.
 func (h *nativeHashJoin) resolveBuild() (*storage.Relation, error) {
-	if h.buildRel != nil {
-		h.buildChild.Close()
-		h.buildClosed = true
-		return h.buildRel, nil
-	}
-	rel, err := materializeNative(h.a, h.buildChild, h.buildWidth)
 	h.buildClosed = true
-	return rel, err
+	return resolveInput(h.a, h.buildChild, h.buildRel, h.buildWidth)
+}
+
+// resolveProbe is resolveBuild for the probe side, which both
+// strategies probe on their workers.
+func (h *nativeHashJoin) resolveProbe() (*storage.Relation, error) {
+	h.probeClosed = true
+	return resolveInput(h.a, h.probeChild, h.probeRel, h.probeWidth)
+}
+
+// resolveInput returns rel, the relation a plain-scan child reads, or
+// materializes child when rel is nil; either way child ends closed.
+func resolveInput(a *arena.Arena, child Operator, rel *storage.Relation, width int) (*storage.Relation, error) {
+	if rel != nil {
+		child.Close()
+		return rel, nil
+	}
+	return materializeNative(a, child, width)
 }
 
 func (h *nativeHashJoin) Open() error {
@@ -316,9 +325,17 @@ func (h *nativeHashJoin) run(sinkFor func(w int) func([]byte, uint64)) error {
 		// released here.
 		h.buildChild.Close()
 		h.buildClosed = true
-		return h.runStream(h.cfg.Build, sinkFor)
+		probe, err := h.resolveProbe()
+		if err != nil {
+			return err
+		}
+		return h.runStream(h.cfg.Build, probe, sinkFor)
 	}
 	rel, err := h.resolveBuild()
+	if err != nil {
+		return err
+	}
+	probe, err := h.resolveProbe()
 	if err != nil {
 		return err
 	}
@@ -330,7 +347,7 @@ func (h *nativeHashJoin) run(sinkFor func(w int) func([]byte, uint64)) error {
 	// phase does.
 	if h.cfg.Fanout > 1 || h.cfg.MemBudget > 0 &&
 		native.BuildFootprint(rel.NTuples, h.buildWidth) > h.cfg.MemBudget {
-		return h.runMorsel(rel, sinkFor)
+		return h.runMorsel(rel, probe, sinkFor)
 	}
 	bs, err := native.BuildRelation(rel, h.buildWidth, native.BuildConfig{
 		Scheme: NativeScheme(h.cfg.Scheme), G: h.cfg.Params.G, D: h.cfg.Params.D,
@@ -344,42 +361,20 @@ func (h *nativeHashJoin) run(sinkFor func(w int) func([]byte, uint64)) error {
 	// copy what they keep of a build row (writeMatch), so nothing reads
 	// this query's table once it returns: hand it back for recycling.
 	defer bs.Release()
-	return h.runStream(bs, sinkFor)
+	return h.runStream(bs, probe, sinkFor)
 }
 
 // runStream runs the streaming strategy over bs, built here or handed
-// in. A probe child that is a plain scan is never opened: its relation
-// is cut into page-range morsels (native.ProbeStream) that up to
-// workers probers claim from one cursor, every one probing bs with a
-// prober of its own into a sink of its own. Any other probe child is
-// pulled on the caller, a batch at a time, into sink 0. The right-outer
-// sweep runs into sink 0 after the last probe.
-func (h *nativeHashJoin) runStream(bs *native.BuildSide, sinkFor func(w int) func([]byte, uint64)) error {
+// in: the probe relation is cut into page-range morsels
+// (native.ProbeStream) that up to workers probers claim from one
+// cursor, every one probing bs with a prober of its own into a sink of
+// its own. The right-outer sweep runs into sink 0 after the last probe.
+func (h *nativeHashJoin) runStream(bs *native.BuildSide, probe *storage.Relation, sinkFor func(w int) func([]byte, uint64)) error {
 	if rep := h.cfg.Report; rep != nil {
 		rep.JoinFanout = 1
 	}
 	scheme, g, d := NativeScheme(h.cfg.Scheme), h.cfg.Params.G, h.cfg.Params.D
-	if h.probeRel == nil {
-		prober := bs.NewTypedProber(h.jt, scheme, g, d)
-		if err := h.probeChild.Open(); err != nil {
-			return err
-		}
-		sink := sinkFor(0)
-		for {
-			more, err := h.pullGroup(prober, sink)
-			if err != nil {
-				return err
-			}
-			if !more {
-				break
-			}
-		}
-		prober.EmitUnmatchedBuild(sink)
-		return nil
-	}
-	h.probeChild.Close()
-	h.probeClosed = true
-	stream := bs.NewProbeStream(h.cfg.Ctx, h.probeRel, h.jt, scheme, g, d)
+	stream := bs.NewProbeStream(h.cfg.Ctx, probe, h.jt, scheme, g, d)
 	if rep := h.cfg.Report; rep != nil {
 		rep.MorselsExecuted = stream.Morsels()
 	}
@@ -426,27 +421,6 @@ func (h *nativeHashJoin) NextBatch(b *Batch) (bool, error) {
 	return true, nil
 }
 
-// pullGroup pulls one batch from the probe child, converts it to
-// entries, and runs one prefetched probe pass into sink.
-func (h *nativeHashJoin) pullGroup(prober *native.Prober, sink func([]byte, uint64)) (bool, error) {
-	ok, err := h.probeChild.NextBatch(&h.in)
-	if !ok {
-		return false, err
-	}
-	h.entries = h.entries[:0]
-	for i := range h.in.Rows {
-		r := h.in.Rows[i]
-		key := binary.LittleEndian.Uint32(h.data[r.Addr-arena.Base:])
-		code := r.Code
-		if code == 0 {
-			code = hash.CodeU32(key)
-		}
-		h.entries = append(h.entries, native.Entry{Code: code, Key: key, Ref: r.Addr})
-	}
-	prober.ProbeBatch(h.entries, sink)
-	return true, nil
-}
-
 // writeMatch materializes one output row at dst per the join type's
 // sink contract: build bytes come straight from the row table's
 // serialized row (the build relation is never touched on the probe
@@ -483,23 +457,9 @@ func (h *nativeHashJoin) Close() {
 	}
 }
 
-// runMorsel resolves the probe child to a relation (the build side was
-// already resolved by run; the partitioned join is a pipeline breaker
-// on both sides), then runs the native morsel join — radix
-// partitioning, one pair joiner per worker — into sinkFor's sinks.
-func (h *nativeHashJoin) runMorsel(buildRel *storage.Relation, sinkFor func(w int) func([]byte, uint64)) error {
-	probeRel := h.probeRel
-	if probeRel != nil {
-		h.probeChild.Close()
-	} else {
-		var err error
-		probeRel, err = materializeNative(h.a, h.probeChild, h.probeWidth)
-		if err != nil {
-			h.probeClosed = true
-			return err
-		}
-	}
-	h.probeClosed = true
+// runMorsel runs the native morsel join — radix partitioning, one pair
+// joiner per worker — into sinkFor's sinks.
+func (h *nativeHashJoin) runMorsel(buildRel, probeRel *storage.Relation, sinkFor func(w int) func([]byte, uint64)) error {
 	res, err := native.NewJoiner().JoinStream(buildRel, probeRel, h.cfg.joinConfig(h.jt), sinkFor)
 	if rep := h.cfg.Report; rep != nil && err == nil {
 		rep.JoinFanout, rep.JoinRecursionDepth, rep.MorselsExecuted =

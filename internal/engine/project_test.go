@@ -71,7 +71,7 @@ func TestJoinProjectionParity(t *testing.T) {
 // TestBackToBackAggregates runs aggregates of very different group
 // counts back to back — over both native strategies on 2 and 4
 // workers (the partitioned one also reached by a budget at fan-out 1),
-// a probe side scanned in several morsels or pulled through a
+// a probe side scanned in several morsels or materialized from a
 // filter, and an expected group count off by orders of magnitude either
 // way — each against the naive reference, drained by Groups and by
 // Collect: partials that see more groups than their share grow, a key
@@ -93,8 +93,8 @@ func TestBackToBackAggregates(t *testing.T) {
 		want := aggregateRows(referenceRows(plan.LeftOuter, relTuples(build), relTuples(probe)), 20)
 		for _, expected := range []int{1, 1 << 16} {
 			for name, p := range map[string]*Node{
-				"scanned": Scan(probe),
-				"pulled":  Filter(Scan(probe), KeyBetween(0, ^uint32(0))),
+				"scanned":  Scan(probe),
+				"filtered": Filter(Scan(probe), KeyBetween(0, ^uint32(0))),
 			} {
 				join := HashJoinTyped(Scan(build), p, plan.LeftOuter)
 				aggs = append(aggs, agg{fmt.Sprintf("%d groups, %d expected, %s probe", len(want), expected, name),
@@ -105,8 +105,7 @@ func TestBackToBackAggregates(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, ag := range aggs {
 			// Fan-out 0 stands for fan-out 1 under a budget no streaming
-			// table fits: Open turns the join partitioned, so even over a
-			// pulled probe the aggregate runs in its workers.
+			// table fits: Open turns the join partitioned.
 			for _, fanout := range []int{0, 1, 8} {
 				for _, workers := range []int{2, 4} {
 					cfg := nativeCfg(a, core.SchemeGroup, core.Params{}, max(fanout, 1))

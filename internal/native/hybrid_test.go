@@ -160,15 +160,16 @@ func hybridCfg(dir string) Config {
 // pair written and re-read in full — which the hybrid policy replaced.
 // It is pinned, not re-measured: that ladder no longer exists. The
 // values were read in August 2026 and again, unchanged, on the last
-// commit that had it.
+// commit that had it — at these budgets in rows, which a smaller row
+// header leaves in place while it shrinks the bytes.
 var hybridZipfPoints = []struct {
 	zipf   float64
 	budget int
 	grace  int64
 }{
-	{0.5, 26880, 57344},   // ~240 rows resident per pair; top rank 256
-	{1.0, 168000, 335872}, // ~1500 rows resident; top rank ~2200
-	{1.5, 448000, 966656}, // ~4000 rows resident; top rank ~6500
+	{0.5, 240 * rowFootprint(64), 57344},   // 240 rows resident per pair; top rank 256
+	{1.0, 1500 * rowFootprint(64), 335872}, // 1500 rows resident; top rank ~2200
+	{1.5, 4000 * rowFootprint(64), 966656}, // 4000 rows resident; top rank ~6500
 }
 
 // TestJoinHybridZipfParity runs each skew point through the hybrid

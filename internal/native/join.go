@@ -81,8 +81,8 @@ type probeState struct {
 	key  uint32
 	code uint32
 	ref  uint64 // probe tuple address, for match emission
-	row  uint64 // row offset of the tag-matching slot after stage 1, 0 on a miss
 	slot uint32 // home slot after stage 0; the tag-matching or empty slot after stage 1
+	row  uint32 // row+1 the tag-matching slot heads after stage 1, 0 on a miss
 	idx  int32  // batch-relative index, for the deferred probe bits
 }
 
@@ -106,30 +106,32 @@ func (j *pairJoiner) walkChain(st *probeState) {
 		j.walkChainSemi(st)
 		return
 	}
-	rows := j.t.rows
+	t := j.t
+	rows := t.rows
 	w := uint64(j.width)
 	found := false
-	off := st.row
-	if off != 0 && binary.LittleEndian.Uint32(rows[off+rowCodeOff:]) != st.code {
-		_, off = j.t.find(st.code, (st.slot+1)&j.t.mask) // a tag collision
+	ref := st.row
+	if ref != 0 && t.codeOf(ref) != st.code {
+		_, ref = t.find(st.code, (st.slot+1)&t.mask) // a tag collision
 	}
-	for off != 0 {
-		next := binary.LittleEndian.Uint64(rows[off:])
+	for ref != 0 {
+		off := t.rowOff(ref - 1)
+		next := binary.LittleEndian.Uint32(rows[off:])
 		if next != 0 {
-			prefetchT0(unsafe.Pointer(&rows[next]))
+			prefetchT0(unsafe.Pointer(&rows[t.rowOff(next-1)]))
 		}
 		if binary.LittleEndian.Uint32(rows[off+rowKeyOff:]) == st.key {
 			found = true
 			j.nOutput++
 			j.keySum += uint64(st.key)
 			if j.joinType == plan.RightOuter {
-				j.markBuildRow(off)
+				j.markBuildRow(ref - 1)
 			}
 			if j.sink != nil {
-				j.sink(rows[off+rowHdrSize:off+rowHdrSize+w], st.ref)
+				j.sink(rows[off+rowKeyOff:off+rowKeyOff+w], st.ref)
 			}
 		}
-		off = next
+		ref = next
 	}
 	if found {
 		if j.deferProbe {
@@ -154,15 +156,17 @@ func (j *pairJoiner) walkChainSemi(st *probeState) {
 		return // resolved by an earlier build chunk
 	}
 	semi := j.joinType == plan.LeftSemi
-	rows := j.t.rows
-	off := st.row
-	if off != 0 && binary.LittleEndian.Uint32(rows[off+rowCodeOff:]) != st.code {
-		_, off = j.t.find(st.code, (st.slot+1)&j.t.mask) // a tag collision
+	t := j.t
+	rows := t.rows
+	ref := st.row
+	if ref != 0 && t.codeOf(ref) != st.code {
+		_, ref = t.find(st.code, (st.slot+1)&t.mask) // a tag collision
 	}
-	for off != 0 {
-		next := binary.LittleEndian.Uint64(rows[off:])
+	for ref != 0 {
+		off := t.rowOff(ref - 1)
+		next := binary.LittleEndian.Uint32(rows[off:])
 		if next != 0 {
-			prefetchT0(unsafe.Pointer(&rows[next]))
+			prefetchT0(unsafe.Pointer(&rows[t.rowOff(next-1)]))
 		}
 		if binary.LittleEndian.Uint32(rows[off+rowKeyOff:]) == st.key {
 			if j.deferProbe {
@@ -173,7 +177,7 @@ func (j *pairJoiner) walkChainSemi(st *probeState) {
 			}
 			return
 		}
-		off = next
+		ref = next
 	}
 	if !semi && !j.deferProbe {
 		j.emitProbeRow(st.ref, st.key)
@@ -320,7 +324,7 @@ func (j *pairJoiner) joinPair(build, probe []Entry, shift uint, scheme Scheme) {
 		j.emitUnmatchedPair(build, probe)
 		return
 	}
-	j.buildSerial(build, shift, scheme)
+	j.buildSerial(build, shift, scheme, true)
 	j.probeFor(probe, scheme)
 	if j.joinType == plan.RightOuter {
 		j.sweepUnmatchedBuild()
@@ -330,9 +334,10 @@ func (j *pairJoiner) joinPair(build, probe []Entry, shift uint, scheme Scheme) {
 // buildSerial resets the worker's table and serializes + inserts build
 // with the scheme's loop restructuring. Split out of joinPair because
 // the spill tier builds over chunks of one partition and probes each
-// chunk with the whole probe stream.
-func (j *pairJoiner) buildSerial(build []Entry, shift uint, scheme Scheme) {
-	j.t.Reset(len(build), j.width, shift)
+// chunk with the whole probe stream; shrink is false for every chunk
+// after a pair's first table (see RowTable.reset).
+func (j *pairJoiner) buildSerial(build []Entry, shift uint, scheme Scheme, shrink bool) {
+	j.t.reset(len(build), j.width, shift, shrink)
 	j.t.BuildSerial(j.data, build, scheme, j.g, j.d)
 	if j.joinType == plan.RightOuter {
 		j.armBuildMatched(len(build))
@@ -407,7 +412,7 @@ func (j *pairJoiner) probeGroup(probe []Entry) {
 			st := &states[i]
 			st.slot, st.row = t.scan(t.tag(st.code), st.slot)
 			if st.row != 0 {
-				prefetchT0(unsafe.Pointer(&t.rows[st.row]))
+				prefetchT0(unsafe.Pointer(&t.rows[t.rowOff(st.row-1)]))
 			}
 		}
 
@@ -462,7 +467,7 @@ func (j *pairJoiner) probePipelined(probe []Entry) {
 			st := &states[k&mask]
 			st.slot, st.row = t.scan(t.tag(st.code), st.slot)
 			if st.row != 0 {
-				prefetchT0(unsafe.Pointer(&t.rows[st.row]))
+				prefetchT0(unsafe.Pointer(&t.rows[t.rowOff(st.row-1)]))
 			}
 		}
 

@@ -27,12 +27,11 @@ import (
 // buildMatched bitmap indexed by row-table row index; the shared table
 // itself stays immutable, so one BuildSide still serves N concurrent
 // probe streams, each with its own bitmap. Bits are set with an atomic
-// OR — the row layout's reserved null_map word stays untouched because
-// an in-row bit would both mutate the shared table and force atomic
-// RMWs on arbitrarily aligned rows. Every build row lands in exactly
-// one table (a partition pair, a spill chunk, or the hybrid resident
-// prefix), so sweeping each table right after its last probe pass
-// covers the build side exactly once.
+// OR, outside the rows: an in-row bit would both mutate the shared
+// table and force atomic RMWs on arbitrarily aligned rows. Every build
+// row lands in exactly one table (a partition pair, a spill chunk, or
+// the hybrid resident prefix), so sweeping each table right after its
+// last probe pass covers the build side exactly once.
 //
 // Probe-side bits (left outer / semi / anti). In-memory tables see the
 // whole build side at once, so the chain walk decides matched/unmatched
@@ -95,14 +94,13 @@ func (j *pairJoiner) armBuildMatched(n int) {
 	}
 }
 
-// markBuildRow atomically sets the match bit of the table row at slab
-// offset off. Atomic so the bitmap stays correct even if one bitmap is
-// ever shared by concurrent probe loops; per-Prober bitmaps make the
-// common case contention-free.
-func (j *pairJoiner) markBuildRow(off uint64) {
-	i := int((off - rowSlabPad) / uint64(j.t.rowSize))
+// markBuildRow atomically sets the match bit of table row i. Atomic so
+// the bitmap stays correct even if one bitmap is ever shared by
+// concurrent probe loops; per-Prober bitmaps make the common case
+// contention-free.
+func (j *pairJoiner) markBuildRow(i uint32) {
 	w := &j.buildMatched[i>>6]
-	mask := uint64(1) << uint(i&63)
+	mask := uint64(1) << (i & 63)
 	for {
 		old := atomic.LoadUint64(w)
 		if old&mask != 0 || atomic.CompareAndSwapUint64(w, old, old|mask) {
@@ -121,15 +119,15 @@ func (j *pairJoiner) sweepUnmatchedBuild() {
 	}
 	rows := j.t.rows
 	w := uint64(j.width)
-	for i := 0; i < j.t.nRows; i++ {
-		if atomic.LoadUint64(&j.buildMatched[i>>6])&(1<<uint(i&63)) != 0 {
+	for i := uint32(0); i < uint32(j.t.nRows); i++ {
+		if atomic.LoadUint64(&j.buildMatched[i>>6])&(1<<(i&63)) != 0 {
 			continue
 		}
-		off := j.t.rowOff(i)
+		off := j.t.rowOff(i) + rowKeyOff
 		j.nOutput++
-		j.keySum += uint64(binary.LittleEndian.Uint32(rows[off+rowKeyOff:]))
+		j.keySum += uint64(binary.LittleEndian.Uint32(rows[off:]))
 		if j.sink != nil {
-			j.sink(rows[off+rowHdrSize:off+rowHdrSize+w], 0)
+			j.sink(rows[off:off+w], 0)
 		}
 	}
 }

@@ -18,10 +18,10 @@
 //     entries (hash code, join key, tuple address) and radix-partitioned
 //     on the low bits of the memoized hash code — the GRACE fan-out,
 //     sized so a build partition plus its hash table fits the configured
-//     memory budget (or, when CacheBudget is set, the cache, which is
-//     the paper's section 7.5 cache-partitioning comparator). A pair of
-//     relations big enough is partitioned on the workers, page range by
-//     page range (Joiner.partition, morsel.go).
+//     memory budget (Config.MemBudget; set it or Config.Fanout low for
+//     cache-sized partitions, the paper's section 7.5 comparator). A
+//     pair of relations big enough is partitioned on the workers, page
+//     range by page range (Joiner.partition, morsel.go).
 //  2. Build: each build partition's tuples are serialized once into
 //     self-contained rows, chained per hash code from an open-addressed
 //     directory of tagged slots (RowTable, rowtable.go).

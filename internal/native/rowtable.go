@@ -15,8 +15,8 @@ import (
 // the key, each build tuple is serialized once into a self-contained
 // row:
 //
-//	row :=  next_row_ptr | null_map | hash_code | key+payload
-//	        8 bytes        4 bytes    4 bytes     width bytes
+//	row :=  link | hash_code | key+payload
+//	        4 B    4 B         width bytes
 //
 // and the table indexes the rows with an open-addressed directory of
 // 4-byte slots, twice as many as rows (rounded up to a power of two):
@@ -25,8 +25,15 @@ import (
 //	        tag:   the hash code's bits above the home slot's bits
 //	        row+1: the low bits.Len(nRows) bits
 //
+// The table names a row one way everywhere: row+1, a uint32 with 0
+// meaning none — in a slot, in a row's link to the next row of its
+// chain, in the probe's stage-1 result and, less one, as the index of
+// the right-outer match bitmap. Only rowOff turns a row into bytes.
+// A link names a row, not a byte, so 4 bytes cover every table the
+// 4-byte slots can index, at any width.
+//
 // Each non-empty slot owns exactly one hash code; the rows of that code
-// chain from it through next_row_ptr, so a run of duplicate keys takes
+// chain from it through their links, so a run of duplicate keys takes
 // one slot. A code's slot is the first one, stepping linearly from its
 // home slot, that is empty or carries its tag and heads a row of its
 // code — the home slot and the tag together are the code's bits above
@@ -41,9 +48,7 @@ import (
 //
 // Probes walk the chain comparing keys in-row — one dependent load per
 // chain step — and matches hand the caller the serialized row bytes
-// directly. The null_map slot is all zeros today (inner join) and
-// reserves the layout for outer/semi/anti joins, where a bitmap of NULL
-// key columns must travel with the row.
+// directly.
 //
 // The layout also unlocks a concurrent build: each worker serializes
 // the rows of its own page range (each row's bytes are written exactly
@@ -54,27 +59,24 @@ import (
 // as a multiset of rows per hash code — which is exactly the join-output
 // contract (matches are unordered across workers already).
 //
-// Rows live in one Go-heap slab addressed by byte offset, with offset 0
-// reserved as the nil chain terminator. Keeping the slab off the bump
-// arena is deliberate: a finished table can outlive the query that
-// built it (see BuildSide), while arena windows are reclaimed the
-// moment their query releases. A table that does not outlive its query
-// is recycled instead: whoever built it through BuildRelation, and can
-// prove no prober is left, hands it back with BuildSide.Release, and
-// the next build's Reset reuses the slab as it is — every row byte is
-// overwritten, only the directory is cleared. Nobody else may recycle:
-// a handle that was shared has probers its builder cannot see.
+// Rows live in one Go-heap slab, row i at byte i × rowSize. Keeping
+// the slab off the bump arena is deliberate: a finished table can
+// outlive the query that built it (see BuildSide), while arena windows
+// are reclaimed the moment their query releases. A table that does not
+// outlive its query is recycled instead: whoever built it through
+// BuildRelation, and can prove no prober is left, hands it back with
+// BuildSide.Release, and the next build's Reset reuses the slab as it
+// is — every row byte is overwritten, only the directory is cleared.
+// Nobody else may recycle: a handle that was shared has probers its
+// builder cannot see.
 
 const (
-	// rowHdrSize is the fixed per-row header: next_row_ptr (8) +
-	// null_map (4) + hash_code (4). The serialized key+payload follows.
-	rowHdrSize = 16
-	rowNullOff = 8
-	rowCodeOff = 12
-	rowKeyOff  = 16
-
-	// rowSlabPad keeps row offset 0 unused so it can mean "end of chain".
-	rowSlabPad = 8
+	// rowHdrSize is the fixed per-row header: link (4, the next row of
+	// the chain as row+1, 0 at its end) + hash_code (4). The serialized
+	// key+payload follows.
+	rowHdrSize = 8
+	rowCodeOff = 4
+	rowKeyOff  = 8
 
 	// Reset shrinks a slab or directory only when its capacity exceeds
 	// rowShrinkFactor times the new need and the floor below; a table
@@ -85,12 +87,12 @@ const (
 )
 
 // RowTable is the v2 native hash table: serialized rows chained through
-// next_row_ptr from an open-addressed directory of tagged slots, one
+// their links from an open-addressed directory of tagged slots, one
 // slot per hash code. Home slots come from the hash code's bits above
 // the radix bits consumed by the partitioner, so partitioning does not
 // starve the table's index distribution.
 type RowTable struct {
-	rows     []byte   // row slab; offset 0 is the nil sentinel
+	rows     []byte   // row slab: row i at rowOff(i)
 	dir      []uint32 // slots: tag | row+1, 0 = empty
 	width    int      // serialized key+payload bytes per row
 	rowSize  int      // rowHdrSize + width
@@ -106,11 +108,17 @@ type RowTable struct {
 // serialized bytes each, reusing the slab and directory across
 // partition pairs. Capacities far above the new need are released, so
 // one skewed pair does not pin its peak allocation for the whole join.
-func (t *RowTable) Reset(nRows, width int, shift uint) {
+func (t *RowTable) Reset(nRows, width int, shift uint) { t.reset(nRows, width, shift, true) }
+
+// reset is Reset; with shrink false it keeps every capacity the need
+// fits. The spill leaf builds its later chunks so: its first table is
+// budget-sized, so shrinking is decided once per pair, and a short last
+// chunk does not free the slab the next spilled pair allocates again.
+func (t *RowTable) reset(nRows, width int, shift uint, shrink bool) {
 	// nextpow2(2·nRows) slots: at most half full, so every scan ends at
 	// an empty slot within a few steps.
 	nb := 2 << uint(bits.Len(uint(max(nRows, 1)-1)))
-	if nb <= cap(t.dir) && cap(t.dir) <= max(rowShrinkFactor*nb, rowDirFloor) {
+	if nb <= cap(t.dir) && (!shrink || cap(t.dir) <= max(rowShrinkFactor*nb, rowDirFloor)) {
 		t.dir = t.dir[:nb]
 		clear(t.dir)
 	} else {
@@ -119,8 +127,8 @@ func (t *RowTable) Reset(nRows, width int, shift uint) {
 	t.width = width
 	t.rowSize = rowHdrSize + width
 	t.nRows = nRows
-	need := rowSlabPad + nRows*t.rowSize
-	if need <= cap(t.rows) && cap(t.rows) <= max(rowShrinkFactor*need, rowSlabFloor) {
+	need := nRows * t.rowSize
+	if need <= cap(t.rows) && (!shrink || cap(t.rows) <= max(rowShrinkFactor*need, rowSlabFloor)) {
 		t.rows = t.rows[:need]
 	} else {
 		t.rows = make([]byte, need)
@@ -149,55 +157,58 @@ func (t *RowTable) home(code uint32) uint32 { return (code >> t.shift) & t.mask 
 // since log2(len(dir)) >= bits.Len(nRows).
 func (t *RowTable) tag(code uint32) uint32 { return code >> t.tagShift << t.rowBits }
 
-// rowOff returns the slab offset of row i.
-func (t *RowTable) rowOff(i int) uint64 { return uint64(rowSlabPad + i*t.rowSize) }
+// rowOff returns the slab offset of row i: the one place a row becomes
+// bytes. Slots and links name row i as i+1.
+func (t *RowTable) rowOff(i uint32) uint64 { return uint64(i) * uint64(t.rowSize) }
 
-// slotRow returns the slab offset of the row a non-empty slot heads.
-func (t *RowTable) slotRow(v uint32) uint64 { return t.rowOff(int(v&t.rowMask) - 1) }
+// link returns the row after row+1 ref on its chain, as row+1, 0 at
+// the chain's end.
+func (t *RowTable) link(ref uint32) uint32 {
+	return binary.LittleEndian.Uint32(t.rows[t.rowOff(ref-1):])
+}
 
-// codeAt returns the hash code stored in the row at slab offset off.
-func (t *RowTable) codeAt(off uint64) uint32 {
-	return binary.LittleEndian.Uint32(t.rows[off+rowCodeOff:])
+// codeOf returns the hash code stored in row+1 ref.
+func (t *RowTable) codeOf(ref uint32) uint32 {
+	return binary.LittleEndian.Uint32(t.rows[t.rowOff(ref-1)+rowCodeOff:])
 }
 
 // scan steps linearly from slot s to the first slot that is empty or
-// carries tag tg, and returns it with the row it heads (0 when empty).
-// It reads only the directory: the probe's stage 1.
-func (t *RowTable) scan(tg, s uint32) (uint32, uint64) {
+// carries tag tg, and returns it with the row+1 it heads (0 when
+// empty). It reads only the directory: the probe's stage 1.
+func (t *RowTable) scan(tg, s uint32) (uint32, uint32) {
 	for {
 		v := t.dir[s]
 		if v == 0 {
 			return s, 0
 		}
 		if v&^t.rowMask == tg {
-			return s, t.slotRow(v)
+			return s, v & t.rowMask
 		}
 		s = (s + 1) & t.mask
 	}
 }
 
 // find is scan confirmed against the rows: it returns code's slot at or
-// after s, and its chain head, or the empty slot that ends the run and
-// 0. A tag match heading a row of another code is a collision, and the
-// scan resumes past it.
-func (t *RowTable) find(code, s uint32) (uint32, uint64) {
+// after s, and its chain head as row+1, or the empty slot that ends the
+// run and 0. A tag match heading a row of another code is a collision,
+// and the scan resumes past it.
+func (t *RowTable) find(code, s uint32) (uint32, uint32) {
 	tg := t.tag(code)
 	for {
-		var off uint64
-		if s, off = t.scan(tg, s); off == 0 || t.codeAt(off) == code {
-			return s, off
+		var ref uint32
+		if s, ref = t.scan(tg, s); ref == 0 || t.codeOf(ref) == code {
+			return s, ref
 		}
 		s = (s + 1) & t.mask
 	}
 }
 
-// putRow serializes row i: a zero null_map, the hash code, and the
-// tuple's key+payload bytes. next_row_ptr is left untouched; insertion
-// writes it before publishing.
+// putRow serializes row i: the hash code and the tuple's key+payload
+// bytes. The link is left untouched; insertion writes it before
+// publishing.
 func (t *RowTable) putRow(i int, code uint32, tuple []byte) {
-	off := t.rowOff(i)
+	off := t.rowOff(uint32(i))
 	row := t.rows[off : off+uint64(t.rowSize)]
-	binary.LittleEndian.PutUint32(row[rowNullOff:], 0)
 	binary.LittleEndian.PutUint32(row[rowCodeOff:], code)
 	copy(row[rowKeyOff:], tuple)
 }
@@ -205,13 +216,13 @@ func (t *RowTable) putRow(i int, code uint32, tuple []byte) {
 // buildPages is the one-pass build over a page range of a relation whose
 // first tuple is row number row: each tuple's slot is read once — tuple
 // offset and the hash code memoized there (paper section 7.1) — its
-// bytes are serialized behind a zero null_map and that code, and the
-// row is linked into the directory a little later, while its header is
-// still in L1. The scheme sets how much later, which is the paper's
-// build-loop prefetch distance applied to the directory slot: Group
-// prefetches the slots of G rows as it writes them and then publishes
-// the G; Pipelined publishes row i-D after writing row i; Baseline
-// publishes each row as written, without a prefetch.
+// bytes are serialized behind that code, and the row is linked into
+// the directory a little later, while its header is still in L1. The
+// scheme sets how much later, which is the paper's build-loop prefetch
+// distance applied to the directory slot: Group prefetches the slots of
+// G rows as it writes them and then publishes the G; Pipelined
+// publishes row i-D after writing row i; Baseline publishes each row as
+// written, without a prefetch.
 //
 // Page ranges of distinct morsels hold disjoint rows, so with shared
 // set (CAS publish) any number of buildPages calls may run at once; a
@@ -258,28 +269,24 @@ func (t *RowTable) buildPages(data []byte, pages []arena.Addr, pageSize, row int
 // casPublishRange publishes serialized rows [lo, hi) into the shared
 // directory. Each row scans from its home slot to the first slot that
 // is empty or owned by its code, stores that slot's head (0 if empty)
-// into its next_row_ptr, and CASes the slot to itself. A lost CAS
-// re-reads the same slot: a slot, once owned, keeps its code, and an
-// empty one may have been taken by another code. The next_row_ptr write
-// is plain — the row is invisible to other workers until the CAS
-// lands, and probes start only after the build has returned.
+// into its link, and CASes the slot to itself. A lost CAS re-reads the
+// same slot: a slot, once owned, keeps its code, and an empty one may
+// have been taken by another code. The link write is plain — the row
+// is invisible to other workers until the CAS lands, and probes start
+// only after the build has returned.
 func (t *RowTable) casPublishRange(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		off := t.rowOff(i)
-		code := t.codeAt(off)
+		off := t.rowOff(uint32(i))
+		code := binary.LittleEndian.Uint32(t.rows[off+rowCodeOff:])
 		tg := t.tag(code)
 		mine := tg | uint32(i+1)
 		for s := t.home(code); ; {
 			cur := atomic.LoadUint32(&t.dir[s])
-			var head uint64
-			if cur != 0 {
-				if cur&^t.rowMask != tg || t.codeAt(t.slotRow(cur)) != code {
-					s = (s + 1) & t.mask
-					continue
-				}
-				head = t.slotRow(cur)
+			if cur != 0 && (cur&^t.rowMask != tg || t.codeOf(cur&t.rowMask) != code) {
+				s = (s + 1) & t.mask
+				continue
 			}
-			binary.LittleEndian.PutUint64(t.rows[off:], head)
+			binary.LittleEndian.PutUint32(t.rows[off:], cur&t.rowMask)
 			if atomic.CompareAndSwapUint32(&t.dir[s], cur, mine) {
 				break
 			}
@@ -292,7 +299,7 @@ func (t *RowTable) casPublishRange(lo, hi int) {
 // hold later-inserted rows first).
 func (t *RowTable) insertSerialRange(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		t.insertSerial(i, t.codeAt(t.rowOff(i)))
+		t.insertSerial(i, t.codeOf(uint32(i+1)))
 	}
 }
 
@@ -300,7 +307,7 @@ func (t *RowTable) insertSerialRange(lo, hi int) {
 // with plain loads and stores.
 func (t *RowTable) insertSerial(i int, code uint32) {
 	s, head := t.find(code, t.home(code))
-	binary.LittleEndian.PutUint64(t.rows[t.rowOff(i):], head)
+	binary.LittleEndian.PutUint32(t.rows[t.rowOff(uint32(i)):], head)
 	t.dir[s] = t.tag(code) | uint32(i+1)
 }
 
@@ -353,10 +360,9 @@ func (t *RowTable) BuildSerial(data []byte, entries []Entry, scheme Scheme, g, d
 // prefetching.
 func (t *RowTable) LookupRows(code uint32, fn func(row []byte)) {
 	w := uint64(t.width)
-	_, off := t.find(code, t.home(code))
-	for off != 0 {
-		next := binary.LittleEndian.Uint64(t.rows[off:])
-		fn(t.rows[off+rowKeyOff : off+rowKeyOff+w])
-		off = next
+	_, ref := t.find(code, t.home(code))
+	for ; ref != 0; ref = t.link(ref) {
+		off := t.rowOff(ref-1) + rowKeyOff
+		fn(t.rows[off : off+w])
 	}
 }

@@ -25,10 +25,10 @@ func buildEntriesFor(t testing.TB, spec workload.Spec) (data []byte, build, prob
 }
 
 // codeRows collects the table's contents as a per-code multiset: for
-// each hash code, the sorted serialized rows (null_map + code + key +
-// payload; next_row_ptr excluded). Which slot a code takes, chain order
-// and slab placement may all differ between serial and concurrent
-// builds; the rows each code's probe sees may not. It also checks the
+// each hash code, the sorted serialized rows (code + key + payload; the
+// link excluded). Which slot a code takes, chain order and slab
+// placement may all differ between serial and concurrent builds; the
+// rows each code's probe sees may not. It also checks the
 // slot invariant: every row chained from a slot carries one code, and
 // no code owns two slots.
 func codeRows(t testing.TB, tbl *RowTable) map[uint32][]string {
@@ -38,7 +38,7 @@ func codeRows(t testing.TB, tbl *RowTable) map[uint32][]string {
 		if v == 0 {
 			continue
 		}
-		code := tbl.codeAt(tbl.slotRow(v))
+		code := tbl.codeOf(v & tbl.rowMask)
 		if v&^tbl.rowMask != tbl.tag(code) {
 			t.Fatalf("slot %d: tag %#x, its code %#x wants %#x", s, v&^tbl.rowMask, code, tbl.tag(code))
 		}
@@ -46,12 +46,12 @@ func codeRows(t testing.TB, tbl *RowTable) map[uint32][]string {
 			t.Fatalf("code %#x owns two slots", code)
 		}
 		var rows []string
-		for off := tbl.slotRow(v); off != 0; {
-			if c := tbl.codeAt(off); c != code {
+		for ref := v & tbl.rowMask; ref != 0; ref = tbl.link(ref) {
+			if c := tbl.codeOf(ref); c != code {
 				t.Fatalf("slot %d of code %#x chains a row of code %#x", s, code, c)
 			}
-			rows = append(rows, string(tbl.rows[off+rowNullOff:off+uint64(tbl.rowSize)]))
-			off = binary.LittleEndian.Uint64(tbl.rows[off:])
+			off := tbl.rowOff(ref - 1)
+			rows = append(rows, string(tbl.rows[off+rowCodeOff:off+uint64(tbl.rowSize)]))
 		}
 		sort.Strings(rows)
 		out[code] = rows
@@ -217,7 +217,7 @@ func TestRowTableResetShrink(t *testing.T) {
 
 	tbl.Reset(16, 8, 0)
 	small := tbl.Bytes()
-	needRows := rowSlabPad + 16*(rowHdrSize+8)
+	needRows := 16 * (rowHdrSize + 8)
 	maxRows := max(rowShrinkFactor*needRows, rowSlabFloor)
 	maxDir := 4 * max(rowShrinkFactor*32, rowDirFloor)
 	if small > maxRows+maxDir {
@@ -244,6 +244,53 @@ func TestRowTableResetShrink(t *testing.T) {
 	})
 	if found != 1 {
 		t.Fatalf("lookup after shrink found %d rows, want 1", found)
+	}
+}
+
+// TestRowFootprintBoundsTable pins the unit every budget decision is
+// sized by to the table it stands for: a table Reset for n rows of a
+// width, plus the rows' partition entries, never holds more than
+// pairFootprint(n, width), and row i lies where rowOff puts it, as
+// link | hash_code | tuple. A layout change that forgets the budget
+// arithmetic fails here.
+func TestRowFootprintBoundsTable(t *testing.T) {
+	for _, width := range []int{4, 8, 40, 64, 100} {
+		for _, n := range []int{1, 2, 1000, 1025, 65536} {
+			a := arena.New(uint64(n*width + 1<<16))
+			es := make([]Entry, n)
+			for i := range es {
+				addr, err := a.TryAlloc(uint64(width), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tup := a.Bytes(addr, uint64(width))
+				for b := range tup {
+					tup[b] = byte(i + b)
+				}
+				key := uint32(i / 3) // runs of three duplicate keys: chains longer than one row
+				binary.LittleEndian.PutUint32(tup, key)
+				es[i] = Entry{Code: hash.CodeU32(key), Key: key, Ref: addr}
+			}
+			tbl := &RowTable{}
+			tbl.Reset(n, width, 0)
+			if got, bound := tbl.Bytes()+n*entrySize, pairFootprint(n, width); got > bound {
+				t.Fatalf("width %d, n %d: table %d B + entries %d B exceeds pairFootprint %d B",
+					width, n, tbl.Bytes(), n*entrySize, bound)
+			}
+			tbl.BuildSerial(a.Data(), es, Group, DefaultG, DefaultD)
+			for i, e := range es {
+				off := tbl.rowOff(uint32(i))
+				row := tbl.rows[off : off+uint64(rowHdrSize+width)]
+				link := binary.LittleEndian.Uint32(row)
+				if link > uint32(n) || link != 0 && tbl.codeOf(link) != e.Code {
+					t.Fatalf("width %d, n %d: row %d links to row+1 %d, not a row of its code", width, n, i, link)
+				}
+				tup := a.Bytes(e.Ref, uint64(width))
+				if binary.LittleEndian.Uint32(row[4:]) != e.Code || !slices.Equal(row[8:], tup) {
+					t.Fatalf("width %d, n %d: row %d does not read link | code | tuple", width, n, i)
+				}
+			}
+		}
 	}
 }
 
@@ -474,7 +521,7 @@ func scanShape(tbl *RowTable, probe []Entry) (collisions, wraps int) {
 		tg := tbl.tag(p.Code)
 		for s := tbl.home(p.Code); tbl.dir[s] != 0; s = (s + 1) & tbl.mask {
 			if v := tbl.dir[s]; v&^tbl.rowMask == tg {
-				if tbl.codeAt(tbl.slotRow(v)) == p.Code {
+				if tbl.codeOf(v&tbl.rowMask) == p.Code {
 					break
 				}
 				collisions++

@@ -286,7 +286,7 @@ func (j *pairJoiner) joinPairSpill(build, probe []Entry, shift uint, cfg Config)
 		if len(j.spillBuild) == 0 {
 			break
 		}
-		j.buildSerial(j.spillBuild, shift, cfg.Scheme)
+		j.buildSerial(j.spillBuild, shift, cfg.Scheme, false)
 
 		pr = sp.openSide(m, ps)
 		pos := 0

@@ -474,6 +474,47 @@ func TestIrreduciblePairSpillsAtOnce(t *testing.T) {
 	}
 }
 
+// TestSpillLeafKeepsTableAcrossPairs joins two one-code victims in turn
+// on one pair joiner. Each builds a budget-sized resident prefix and
+// spills a five-row remainder, whose chunk table needs far under a
+// quarter of the prefix's: that short last chunk must not free the slab
+// and directory the next victim's prefix needs again.
+func TestSpillLeafKeepsTableAcrossPairs(t *testing.T) {
+	const resident, rest = 1000, 5
+	a := arena.New(1 << 20)
+	cfg := Config{Scheme: Group, MemBudget: resident * rowFootprint(8)}.normalized()
+	j := newPairJoiner()
+	j.data, j.width, j.g, j.d = a.Data(), 8, cfg.G, cfg.D
+	j.spill = &spillState{a: a, dir: t.TempDir(), workers: 2, buildWidth: 8, probeWidth: 8,
+		budget: cfg.MemBudget, pageSize: 4096, scheme: cfg.Scheme, g: cfg.G, d: cfg.D}
+	var slab *byte
+	var dir *uint32
+	for v, code := range []uint32{0x5a5a0003, 0x6b6b0004} {
+		key := uint32(100 + v)
+		var bKeys, bCodes []uint32
+		for i := 0; i < resident+rest; i++ {
+			bKeys, bCodes = append(bKeys, key), append(bCodes, code)
+		}
+		build := mkKeyed(t, a, bKeys, bCodes)
+		probe := mkKeyed(t, a, []uint32{key, key}, []uint32{code, code})
+		before := j.nOutput
+		if _, err := j.joinPairHybrid(build, probe, 0, cfg); err != nil {
+			t.Fatalf("victim %d: %v", v, err)
+		}
+		if got := j.nOutput - before; got != 2*(resident+rest) {
+			t.Fatalf("victim %d: %d matches, want %d", v, got, 2*(resident+rest))
+		}
+		if v == 0 {
+			slab, dir = &j.t.rows[0], &j.t.dir[0]
+		} else if &j.t.rows[0] != slab || &j.t.dir[0] != dir {
+			t.Fatal("the second victim allocated a new slab or directory: the first one's short last chunk released them")
+		}
+	}
+	if _, pairs, err := j.spill.finish(); err != nil || pairs != 2 {
+		t.Fatalf("spill finish: %d spilled pairs, %v; want 2", pairs, err)
+	}
+}
+
 // TestSpilledPairsRunConcurrently joins two one-code pairs on two
 // workers through JoinStream. Each worker's sink, at its first match,
 // waits until the other worker has matched too. A one-code pair's

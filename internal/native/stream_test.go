@@ -141,10 +141,10 @@ func TestBuildRelationPageRanges(t *testing.T) {
 					t.Fatalf("%s %v workers=%d: %d rows, want %d", tc.name, scheme, workers, bs.NRows(), tc.n)
 				}
 				for i, e := range entries {
-					off := bs.t.rowOff(i)
-					row := bs.t.rows[off+rowNullOff : off+uint64(bs.t.rowSize)]
-					if binary.LittleEndian.Uint32(row) != 0 || binary.LittleEndian.Uint32(row[4:]) != e.Code ||
-						binary.LittleEndian.Uint32(row[8:]) != e.Key || binary.LittleEndian.Uint32(row[12:]) != uint32(i) {
+					off := bs.t.rowOff(uint32(i))
+					row := bs.t.rows[off+rowCodeOff : off+uint64(bs.t.rowSize)]
+					if binary.LittleEndian.Uint32(row) != e.Code ||
+						binary.LittleEndian.Uint32(row[4:]) != e.Key || binary.LittleEndian.Uint32(row[8:]) != uint32(i) {
 						t.Fatalf("%s %v workers=%d: row %d is not the %d-th tuple in storage order", tc.name, scheme, workers, i, i)
 					}
 				}

@@ -33,7 +33,7 @@ const (
 	// Inner emits one build||probe row per key match.
 	Inner JoinType = iota
 	// LeftOuter additionally emits every unmatched probe row once, its
-	// build columns null-padded (all-zero bytes, null_map semantics).
+	// build columns null-padded (all-zero bytes).
 	LeftOuter
 	// RightOuter additionally emits every unmatched build row once, its
 	// probe columns null-padded.
