@@ -17,6 +17,7 @@ import (
 	"context"
 	"encoding/binary"
 	"slices"
+	"sync"
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/hash"
@@ -457,16 +458,27 @@ func (h *nativeHashJoin) Close() {
 	}
 }
 
+// joinerPool recycles the partitioned strategy's Joiners — partition
+// entries, pair tables — across queries, as native's tablePool does row
+// tables. sync.Pool drops a Joiner idle for two GC cycles.
+var joinerPool = sync.Pool{New: func() any { return native.NewJoiner() }}
+
 // runMorsel runs the native morsel join — radix partitioning, one pair
-// joiner per worker — into sinkFor's sinks.
+// joiner per worker — into sinkFor's sinks, on a pooled Joiner. A Joiner
+// an error or a panic left mid-join is not handed back.
 func (h *nativeHashJoin) runMorsel(buildRel, probeRel *storage.Relation, sinkFor func(w int) func([]byte, uint64)) error {
-	res, err := native.NewJoiner().JoinStream(buildRel, probeRel, h.cfg.joinConfig(h.jt), sinkFor)
-	if rep := h.cfg.Report; rep != nil && err == nil {
+	jn := joinerPool.Get().(*native.Joiner)
+	res, err := jn.JoinStream(buildRel, probeRel, h.cfg.joinConfig(h.jt), sinkFor)
+	if err != nil {
+		return err
+	}
+	joinerPool.Put(jn)
+	if rep := h.cfg.Report; rep != nil {
 		rep.JoinFanout, rep.JoinRecursionDepth, rep.MorselsExecuted =
 			res.NPartitions, res.RecursionDepth, res.PairsJoined
 		rep.Report = res.Report
 	}
-	return err
+	return nil
 }
 
 // joinRows is a join's own sink, for a parent that pulls its rows:

@@ -285,11 +285,11 @@ func TestParallelStreamWorkerFault(t *testing.T) {
 	}
 }
 
-// TestParallelStreamSkewOverflowsRing joins a probe whose every group
-// matches far more rows than a prefetch group's worth of output: every
-// worker's sink takes each of the 12 million matches as it comes, and
-// Run counts them all.
-func TestParallelStreamSkewOverflowsRing(t *testing.T) {
+// TestParallelStreamSkewedMatches joins a probe whose every tuple
+// matches 600 build rows, one chain of a single key: every worker's
+// sink takes each of the 12 million matches as its chain walk finds
+// them, and Run counts them all.
+func TestParallelStreamSkewedMatches(t *testing.T) {
 	const dup = 600
 	a := arena.New(64 << 20)
 	same := make([]uint32, 20_000)
@@ -337,23 +337,46 @@ func digestRows(rows [][]byte) rowsDigest {
 // each drained result is the reference multiset, so no neighbour's rows
 // and no stale chain ever shows.
 func TestRecycledTableNeverShowsThrough(t *testing.T) {
-	type pipeline struct {
-		a            *arena.Arena
-		build, probe *storage.Relation
-		want         map[plan.JoinType]rowsDigest
+	// Above 1 024 build rows the build is cut over both workers, and a
+	// probe side of two morsels puts both workers' probers on the table.
+	recycleRounds(t, 200, recyclePipeline(t, 1, 16, 1100, 9000, 1), recyclePipeline(t, 2, 40, 1300, 8500, 1))
+}
+
+// TestRecycledJoinerNeverShowsThrough is the same proof for the
+// partitioned strategy, whose Joiners — partition entries, pair tables,
+// per-worker joiners — are pooled across queries: two pipelines of
+// different widths and fan-outs, back to back and side by side, every
+// join type, each result the reference multiset.
+func TestRecycledJoinerNeverShowsThrough(t *testing.T) {
+	recycleRounds(t, 30, recyclePipeline(t, 3, 16, 1500, 4000, 4), recyclePipeline(t, 4, 40, 1200, 3500, 16))
+}
+
+// recycled is one pipeline of the recycling proofs, with its reference
+// result per join type.
+type recycled struct {
+	a            *arena.Arena
+	build, probe *storage.Relation
+	fanout       int
+	want         map[plan.JoinType]rowsDigest
+}
+
+func recyclePipeline(t *testing.T, seed int64, tuple, nBuild, nProbe, fanout int) *recycled {
+	pair, a, _ := testEnv(t, workload.Spec{NBuild: nBuild, TupleSize: tuple, PctMatched: 60,
+		MatchRate: 0.5, NProbe: nProbe, Skew: 2, Seed: seed})
+	p := &recycled{a: a, build: pair.Build, probe: pair.Probe, fanout: fanout, want: map[plan.JoinType]rowsDigest{}}
+	for _, jt := range plan.JoinTypes() {
+		p.want[jt] = digestRows(referenceRows(jt, relTuples(p.build), relTuples(p.probe)))
 	}
-	mk := func(seed int64, tuple, nBuild, nProbe int) *pipeline {
-		pair, a, _ := testEnv(t, workload.Spec{NBuild: nBuild, TupleSize: tuple, PctMatched: 60,
-			MatchRate: 0.5, NProbe: nProbe, Skew: 2, Seed: seed})
-		p := &pipeline{a: a, build: pair.Build, probe: pair.Probe, want: map[plan.JoinType]rowsDigest{}}
-		for _, jt := range plan.JoinTypes() {
-			p.want[jt] = digestRows(referenceRows(jt, relTuples(p.build), relTuples(p.probe)))
-		}
-		return p
-	}
-	run := func(p *pipeline, i int) {
+	return p
+}
+
+// recycleRounds runs pipes rounds times back to back, then rounds times
+// side by side, one join type a run in turn (out of step across the
+// pipelines side by side), every ninth run closed before it is drained.
+func recycleRounds(t *testing.T, rounds int, pipes ...*recycled) {
+	run := func(p *recycled, i int) {
 		jt := plan.JoinTypes()[i%len(plan.JoinTypes())]
-		cfg := nativeCfg(p.a, core.SchemeGroup, core.Params{}, 1)
+		cfg := nativeCfg(p.a, core.SchemeGroup, core.Params{}, p.fanout)
 		cfg.Workers = 2
 		root, err := Compile(HashJoinTyped(Scan(p.build), Scan(p.probe), jt), cfg)
 		if err != nil {
@@ -368,14 +391,10 @@ func TestRecycledTableNeverShowsThrough(t *testing.T) {
 		}
 		got, err := Collect(root, p.a)
 		if err != nil || digestRows(got) != p.want[jt] {
-			t.Errorf("run %d, %v, %d-byte build rows: %d rows (%v), reference %d (or same count, different rows)",
-				i, jt, p.build.Schema.FixedWidth(), len(got), err, p.want[jt].n)
+			t.Errorf("run %d, %v, %d-byte build rows, fan-out %d: %d rows (%v), reference %d (or same count, different rows)",
+				i, jt, p.build.Schema.FixedWidth(), p.fanout, len(got), err, p.want[jt].n)
 		}
 	}
-	// Above 1 024 build rows the build is cut over both workers, and a
-	// probe side of two morsels puts both workers' probers on the table.
-	pipes := []*pipeline{mk(1, 16, 1100, 9000), mk(2, 40, 1300, 8500)}
-	const rounds = 200
 	for i := 0; i < rounds && !t.Failed(); i++ {
 		for _, p := range pipes {
 			run(p, i)

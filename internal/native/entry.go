@@ -13,10 +13,10 @@ import (
 // memoized in the slot (paper section 7.1 — computed once during
 // partitioning, reused by the join), the join key, and the address of
 // the tuple bytes in the arena. 16 bytes, four per cache line. The key
-// is carried inline because the flattening scan reads the tuple
-// sequentially anyway; the probe's final stage compares it against the
-// build key serialized in the row table's row (rowtable.go), so the
-// dependent chain is directory slot -> rows.
+// is carried inline because the partition scatter reads the tuple
+// anyway; the probe's final stage compares it against the build key
+// serialized in the row table's row (rowtable.go), so the dependent
+// chain is directory slot -> rows.
 type Entry struct {
 	Code uint32
 	Key  uint32
@@ -159,7 +159,7 @@ func (p *partitions) place() {
 // scatter is the kernel's second pass over one range: every tuple to
 // its partition's next slot, a page's tuples built into entries on the
 // way. Ranges write disjoint slots, so any number may run at once. The
-// page walk is eachSlot's, written out, as in RowTable.buildPages.
+// page walk is appendEntries'.
 func (p *partitions) scatter(r *partRange) {
 	cur, out, shift, mask := r.hist, p.entries, p.shift, p.mask
 	for i := range r.ents {
@@ -206,51 +206,26 @@ func (p *partitions) split(ents []Entry, shift uint, fanout int) {
 }
 
 // Flatten returns one Entry per tuple of rel, in storage order, reusing
-// dst's backing array. It is the entry-construction step of the native
-// engine exposed for the batch operator layer, which flattens a
-// materialized build side before building a row table over it.
+// dst's backing array: the entry-construction step of the partition
+// phase on its own, for measuring it and for tests. dst is grown once,
+// to the relation's tuple count, before the first entry is written.
 func Flatten(rel *storage.Relation, dst []Entry) []Entry {
-	return FlattenPages(rel, 0, rel.NPages(), dst)
+	return appendEntries(slices.Grow(dst[:0], rel.NTuples), rel.Arena().Data(), rel.Pages, rel.PageSize)
 }
 
-// FlattenPages is Flatten over pages [lo, hi) of rel — one probe morsel
-// of the streaming join. dst is grown once, to the range's tuple count,
-// before the first entry is written.
-func FlattenPages(rel *storage.Relation, lo, hi int, dst []Entry) []Entry {
-	data := rel.Arena().Data()
-	pages := rel.Pages[lo:hi]
-	n := rel.NTuples
-	if len(pages) < rel.NPages() {
-		n = 0
-		for _, page := range pages {
-			n += int(binary.LittleEndian.Uint16(data[page-arena.Base:]))
-		}
-	}
-	dst = slices.Grow(dst[:0], n)
-	eachSlot(data, pages, rel.PageSize, func(tuple uint64, code uint32, _ uint16) {
-		dst = append(dst, Entry{
-			Code: code,
-			Key:  binary.LittleEndian.Uint32(data[tuple-arena.Base:]),
-			Ref:  tuple,
-		})
-	})
-	return dst
-}
-
-// eachSlot walks the slot areas of pages directly in the arena's backing
-// bytes, yielding each tuple's address, memoized hash code, and length.
-// This is the native analog of the simulator's cursor, without timing.
-func eachSlot(data []byte, pages []arena.Addr, pageSize int, fn func(tuple uint64, code uint32, length uint16)) {
+// appendEntries appends one Entry per tuple of pages, in storage order,
+// reading each slot's offset and memoized code and the tuple's key.
+func appendEntries(dst []Entry, data []byte, pages []arena.Addr, pageSize int) []Entry {
 	for _, page := range pages {
 		base := page - arena.Base
 		n := int(binary.LittleEndian.Uint16(data[base:]))
 		slot := base + uint64(pageSize) - storage.SlotSize
-		for i := 0; i < n; i++ {
-			off := binary.LittleEndian.Uint16(data[slot+storage.SlotOffOffset:])
-			length := binary.LittleEndian.Uint16(data[slot+storage.SlotOffLength:])
+		for ; n > 0; n-- {
+			off := uint64(binary.LittleEndian.Uint16(data[slot+storage.SlotOffOffset:]))
 			code := binary.LittleEndian.Uint32(data[slot+storage.SlotOffHash:])
-			fn(page+uint64(off), code, length)
 			slot -= storage.SlotSize
+			dst = append(dst, Entry{Code: code, Key: binary.LittleEndian.Uint32(data[base+off:]), Ref: page + off})
 		}
 	}
+	return dst
 }

@@ -197,7 +197,7 @@ func (j *pairJoiner) joinPairSpillHybrid(build, probe []Entry, shift uint, cfg C
 	}
 	if resident > 0 {
 		j.buildSerial(build[:resident], shift, cfg.Scheme, true)
-		j.probeFor(probe, cfg.Scheme)
+		j.probeFor(&probeInput{ents: probe}, cfg.Scheme)
 		// The resident build chunk's rows live only in this table; sweep
 		// its unmatched rows before the spill tier rebuilds over rest.
 		if j.joinType == plan.RightOuter {

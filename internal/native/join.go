@@ -1,12 +1,16 @@
 package native
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"unsafe"
 
+	"hashjoin/internal/arena"
 	"hashjoin/internal/plan"
 	"hashjoin/internal/spill"
+	"hashjoin/internal/storage"
 )
 
 // pairJoiner joins one build/probe partition pair natively. One lives in
@@ -325,7 +329,7 @@ func (j *pairJoiner) joinPair(build, probe []Entry, shift uint, scheme Scheme) {
 		return
 	}
 	j.buildSerial(build, shift, scheme, true)
-	j.probeFor(probe, scheme)
+	j.probeFor(&probeInput{ents: probe}, scheme)
 	if j.joinType == plan.RightOuter {
 		j.sweepUnmatchedBuild()
 	}
@@ -344,18 +348,102 @@ func (j *pairJoiner) buildSerial(build []Entry, shift uint, scheme Scheme, shrin
 	}
 }
 
-// probeFor probes the current table with the scheme's restructuring.
-func (j *pairJoiner) probeFor(probe []Entry, scheme Scheme) {
-	if len(probe) == 0 {
-		return
-	}
+// probeFor probes the current table with in, with the scheme's
+// restructuring.
+func (j *pairJoiner) probeFor(in *probeInput, scheme Scheme) {
 	switch scheme {
 	case Group:
-		j.probeGroup(probe)
+		j.probeGroup(in)
 	case Pipelined:
-		j.probePipelined(probe)
+		j.probePipelined(in)
 	default:
-		j.probeBaseline(probe)
+		j.probeBaseline(in)
+	}
+}
+
+// probeInput is a probe loop's input: entries (the partitioned,
+// recursive and spill paths, ProbeBatch), or, with data set, slotted
+// pages read in place (the streaming probe). stage0 draws tuples from
+// either, so each scheme has one loop.
+type probeInput struct {
+	ents []Entry // consumed from the front
+
+	// The arena's bytes, the pages not yet begun, and the page in
+	// progress: its address, next slot's offset into data, and tuples
+	// not yet drawn. ctx is checked as each page begins; err keeps what
+	// stopped the input.
+	data     []byte
+	pages    []arena.Addr
+	pageSize uint64
+	page     arena.Addr
+	slot     uint64
+	left     int
+	ctx      context.Context
+	err      error
+}
+
+// stage0 is stage 0 for at most len(states) next tuples, numbered from
+// idx: each tuple's address and the hash code memoized with it (paper
+// section 7.1), its home slot and, with prefetch, a prefetch of the
+// slot's directory line and, on a page, of the tuple's key line, which
+// stage 2 reads (loadKey). A page slot is read once. It returns the
+// states filled, 0 once the input is spent or stopped.
+func (in *probeInput) stage0(t *RowTable, states []probeState, idx int, prefetch bool) int {
+	if in.data == nil {
+		n := min(len(states), len(in.ents))
+		for i := range states[:n] {
+			e, st := &in.ents[i], &states[i]
+			st.key, st.code, st.ref, st.idx = e.Key, e.Code, e.Ref, int32(idx+i)
+			st.slot = t.home(e.Code)
+			if prefetch {
+				prefetchT0(unsafe.Pointer(&t.dir[st.slot]))
+			}
+		}
+		in.ents = in.ents[n:]
+		return n
+	}
+	n := 0
+	for n < len(states) && (in.left > 0 || in.turn()) {
+		k := min(len(states)-n, in.left)
+		data, page, slot := in.data, in.page, in.slot
+		for i := n; i < n+k; i++ {
+			off := uint64(binary.LittleEndian.Uint16(data[slot+storage.SlotOffOffset:]))
+			code := binary.LittleEndian.Uint32(data[slot+storage.SlotOffHash:])
+			slot -= storage.SlotSize
+			st := &states[i]
+			st.code, st.ref, st.idx = code, page+off, int32(idx+i)
+			st.slot = t.home(code)
+			if prefetch {
+				prefetchT0(unsafe.Pointer(&t.dir[st.slot]))
+				prefetchT0(unsafe.Pointer(&data[page-arena.Base+off]))
+			}
+		}
+		in.slot, in.left, n = slot, in.left-k, n+k
+	}
+	return n
+}
+
+// turn begins the next page that holds a tuple, reporting false when
+// none is left or ctx has stopped the input.
+func (in *probeInput) turn() bool {
+	for in.left == 0 && len(in.pages) > 0 {
+		if in.err = in.ctx.Err(); in.err != nil {
+			in.pages = nil
+			return false
+		}
+		in.page, in.pages = in.pages[0], in.pages[1:]
+		base := in.page - arena.Base
+		in.left = int(binary.LittleEndian.Uint16(in.data[base:]))
+		in.slot = base + in.pageSize - storage.SlotSize
+	}
+	return in.left > 0
+}
+
+// loadKey reads the probe key of st from its tuple when the input is
+// pages; an entry's key came with it in stage 0.
+func (in *probeInput) loadKey(st *probeState) {
+	if in.data != nil {
+		st.key = binary.LittleEndian.Uint32(in.data[st.ref-arena.Base:])
 	}
 }
 
@@ -363,15 +451,23 @@ func (j *pairJoiner) probeFor(probe []Entry, scheme Scheme) {
 
 // probeBaseline walks each probe tuple's full dependence chain — the
 // directory slots, then every row on the chain — before touching the
-// next tuple. Every step can miss, and the misses serialize.
-func (j *pairJoiner) probeBaseline(probe []Entry) {
+// next tuple. Every step can miss, and the misses serialize. Tuples are
+// drawn G at a time, without a prefetch.
+func (j *pairJoiner) probeBaseline(in *probeInput) {
 	t := j.t
-	var st probeState
-	for i := range probe {
-		e := &probe[i]
-		st.key, st.code, st.ref, st.idx = e.Key, e.Code, e.Ref, int32(i)
-		st.slot, st.row = t.scan(t.tag(e.Code), t.home(e.Code))
-		j.walkChain(&st)
+	states := j.statesFor(j.g)
+	for lo := 0; ; {
+		n := in.stage0(t, states, lo, false)
+		if n == 0 {
+			return
+		}
+		for i := range states[:n] {
+			st := &states[i]
+			st.slot, st.row = t.scan(t.tag(st.code), st.slot)
+			in.loadKey(st)
+			j.walkChain(st)
+		}
+		lo += n
 	}
 }
 
@@ -382,29 +478,20 @@ func (j *pairJoiner) probeBaseline(probe []Entry) {
 // prefetches the next stage's references, so one tuple's cache misses
 // overlap with the computation and misses of the other G-1. The row
 // layout needs one stage fewer than v1: chain rows are self-contained,
-// so there is no final "visit the build tuple" stage.
-func (j *pairJoiner) probeGroup(probe []Entry) {
+// so there is no final "visit the build tuple" stage. A group may span
+// pages of a page input.
+func (j *pairJoiner) probeGroup(in *probeInput) {
 	t := j.t
-	g := j.g
-	states := j.statesFor(g)
+	states := j.statesFor(j.g)
 	// Outer/semi/anti probes must observe unmatched tuples too, so an
 	// empty slot (a miss) cannot skip the walk for those types.
 	all := j.needsProbeBits()
 
-	for lo := 0; lo < len(probe); lo += g {
-		hi := lo + g
-		if hi > len(probe) {
-			hi = len(probe)
-		}
-		n := hi - lo
-
-		// Stage 0: compute home slots; prefetch them.
-		for i := 0; i < n; i++ {
-			e := &probe[lo+i]
-			st := &states[i]
-			st.key, st.code, st.ref, st.idx = e.Key, e.Code, e.Ref, int32(lo+i)
-			st.slot = t.home(e.Code)
-			prefetchT0(unsafe.Pointer(&t.dir[st.slot]))
+	for lo := 0; ; {
+		// Stage 0: draw the group, compute home slots; prefetch them.
+		n := in.stage0(t, states, lo, true)
+		if n == 0 {
+			return
 		}
 
 		// Stage 1: scan for each code's tag; prefetch the row it heads.
@@ -418,10 +505,13 @@ func (j *pairJoiner) probeGroup(probe []Entry) {
 
 		// Stage 2: walk chains, compare keys in-row, emit.
 		for i := 0; i < n; i++ {
-			if states[i].row != 0 || all {
-				j.walkChain(&states[i])
+			st := &states[i]
+			if st.row != 0 || all {
+				in.loadKey(st)
+				j.walkChain(st)
 			}
 		}
+		lo += n
 	}
 }
 
@@ -442,24 +532,20 @@ func nextPow2(v int) int {
 // iterations apart and the prefetch pipeline never drains between
 // groups. State lives in a circular array sized to a power of two of at
 // least 2D+1 entries (section 5.3; the row layout has three stages, not
-// four).
-func (j *pairJoiner) probePipelined(probe []Entry) {
+// four). The tuple count is known once stage 0 finds the input spent.
+func (j *pairJoiner) probePipelined(in *probeInput) {
 	t := j.t
 	d := j.d
 	size := nextPow2(2*d + 1)
 	mask := size - 1
 	states := j.statesFor(size)
-	total := len(probe)
+	total := math.MaxInt
 	all := j.needsProbeBits() // see probeGroup
 
 	for it := 0; it-2*d < total; it++ {
-		// Stage 0 for tuple it: home slot, prefetch it.
-		if it < total {
-			e := &probe[it]
-			st := &states[it&mask]
-			st.key, st.code, st.ref, st.idx = e.Key, e.Code, e.Ref, int32(it)
-			st.slot = t.home(e.Code)
-			prefetchT0(unsafe.Pointer(&t.dir[st.slot]))
+		// Stage 0 for tuple it: draw it, home slot, prefetch it.
+		if it < total && in.stage0(t, states[it&mask:it&mask+1], it, true) == 0 {
+			total = it
 		}
 
 		// Stage 1 for tuple it-D: scan for its tag, prefetch the row.
@@ -475,6 +561,7 @@ func (j *pairJoiner) probePipelined(probe []Entry) {
 		if k := it - 2*d; k >= 0 && k < total {
 			st := &states[k&mask]
 			if st.row != 0 || all {
+				in.loadKey(st)
 				j.walkChain(st)
 			}
 		}

@@ -29,7 +29,9 @@
 //     chain, key and payload in-row) is restructured exactly as the paper's
 //     sections 4-5 do — strip-mined G-tuple groups or a D-distance
 //     software pipeline — issuing real PREFETCHT0 instructions on amd64
-//     (pure-Go no-op fallback elsewhere; see prefetch_amd64.s).
+//     (pure-Go no-op fallback elsewhere; see prefetch_amd64.s). The
+//     streaming join (stream.go) has no partition phase: its probe
+//     draws tuples straight from the probe relation's pages.
 //
 // Partition pairs are joined under morsel-driven parallelism: a worker
 // pool claims pairs from a shared atomic queue, so a skewed partition
@@ -95,9 +97,6 @@ func ParseScheme(name string) (Scheme, bool) {
 	}
 	return 0, false
 }
-
-// Schemes returns the accepted ParseScheme names.
-func Schemes() []string { return []string{"baseline", "group", "pipelined"} }
 
 // Config tunes a native join. The zero value selects Group with the
 // native default parameters, a memory-budget fan-out, and one worker per
@@ -438,12 +437,16 @@ func Join(build, probe *storage.Relation, cfg Config) (Result, error) {
 // of the call) and the probe tuple's address. Each worker calls only
 // its own sink, so sinks need no synchronization among themselves;
 // JoinStream returns only after all workers (and therefore all sink
-// calls) have finished. This is how the batch engine runs a partitioned
-// native join inside an operator pipeline: the sinks pack matches into
-// output batches for the parent operator.
+// calls) have finished, and keeps neither the sinks nor the join's
+// bytes, so a Joiner kept for reuse pins nothing the sinks reach.
 func (jn *Joiner) JoinStream(build, probe *storage.Relation, cfg Config, sinkFor func(worker int) func(build []byte, probeRef uint64)) (Result, error) {
 	jn.sinkFor = sinkFor
-	defer func() { jn.sinkFor = nil }()
+	defer func() {
+		jn.sinkFor = nil
+		for _, j := range jn.workers {
+			j.sink, j.data, j.spill = nil, nil, nil
+		}
+	}()
 	return jn.Join(build, probe, cfg)
 }
 

@@ -2,24 +2,15 @@ package native
 
 import "hashjoin/internal/plan"
 
-// Prober is the streaming face of the native join: the row table is
-// built once over the build side's entries, then the caller probes it
-// one batch at a time, receiving matches through a callback at each
-// batch boundary. It is the native analog of the simulator's
-// core.Prober — the section 5.4 shape that makes the prefetched join
-// pipeline-friendly: with batches sized to the group size G, batch
-// boundaries coincide with prefetch-group boundaries, so latency hiding
-// inside a batch is exactly what it would be in the monolithic loop.
-//
-// Per-batch probe state persists across ProbeBatch calls instead of
-// being recomputed: entries arrive with their keys and hash codes
-// already memoized from the partition phase, and the stage-state scratch
-// is reused batch over batch.
-//
-// A Prober holds the whole build side in one table (no partitioning);
-// partitioned pipelines use Joiner.JoinStream instead. Probing mutates
-// only the Prober's own scratch, never the table, so any number of
-// Probers created from one BuildSide may run concurrently.
+// Prober is the streaming face of the native join: probe scratch over
+// one row table holding the whole build side (partitioned pipelines use
+// Joiner.JoinStream instead). A ProbeStream's workers each hand theirs
+// page-range morsels of the probe relation, read in place with the hash
+// codes memoized in the slots; ProbeBatch takes a batch of entries
+// instead, and with batches of G, batch boundaries are prefetch-group
+// boundaries — the section 5.4 shape of the simulator's core.Prober.
+// Probing mutates only the Prober's own scratch, never the table, so
+// any number of Probers created from one BuildSide may run concurrently.
 type Prober struct {
 	j      *pairJoiner
 	scheme Scheme
@@ -76,11 +67,13 @@ func (p *Prober) G() int { return p.j.g }
 // the build relation is never touched. Matches are delivered in probe
 // order within a batch when the table was built serially.
 func (p *Prober) ProbeBatch(batch []Entry, emit func(build []byte, probeRef uint64)) {
-	if len(batch) == 0 {
-		return
-	}
+	p.probe(&probeInput{ents: batch}, emit)
+}
+
+// probe probes in with the Prober's scheme into emit.
+func (p *Prober) probe(in *probeInput, emit func(build []byte, probeRef uint64)) {
 	p.j.sink = emit
-	p.j.probeFor(batch, p.scheme)
+	p.j.probeFor(in, p.scheme)
 	p.j.sink = nil
 }
 

@@ -218,27 +218,18 @@ func (t *RowTable) putRow(i int, code uint32, tuple []byte) {
 // offset and the hash code memoized there (paper section 7.1) — its
 // bytes are serialized behind that code, and the row is linked into
 // the directory a little later, while its header is still in L1. The
-// scheme sets how much later, which is the paper's build-loop prefetch
-// distance applied to the directory slot: Group prefetches the slots of
-// G rows as it writes them and then publishes the G; Pipelined
-// publishes row i-D after writing row i; Baseline publishes each row as
-// written, without a prefetch.
+// scheme sets how much later (publishSchedule).
 //
 // Page ranges of distinct morsels hold disjoint rows, so with shared
 // set (CAS publish) any number of buildPages calls may run at once; a
 // call reads another's row only after the CAS that published it, so
 // there is no barrier between serializing and publishing. With one
 // owner the publish is plain stores in row order: byte for byte
-// BuildSerial's table. The page walk is eachSlot's, written out: a
-// closure call per tuple measured 4-15 % on a 60k-row build.
+// BuildSerial's table. The page walk is written out, as in
+// appendEntries: a closure call per tuple measured 4-15 % on a 60k-row
+// build.
 func (t *RowTable) buildPages(data []byte, pages []arena.Addr, pageSize, row int, scheme Scheme, g, d int, shared bool) {
-	batch, step := 1, 1 // publish step rows once batch are pending
-	switch scheme {
-	case Group:
-		batch, step = g, g
-	case Pipelined:
-		batch = d + 1
-	}
+	batch, step := publishSchedule(scheme, g, d)
 	publish := t.insertSerialRange
 	if shared {
 		publish = t.casPublishRange
@@ -311,46 +302,47 @@ func (t *RowTable) insertSerial(i int, code uint32) {
 	t.dir[s] = t.tag(code) | uint32(i+1)
 }
 
+// publishSchedule is the paper's build-loop restructuring applied to
+// the directory slot: once batch rows are written but not yet linked,
+// the oldest step are. Group prefetches the slots of G rows as it writes
+// them, then links the G; Pipelined links row i-D after writing row i;
+// Baseline links each row as written, without a prefetch.
+func publishSchedule(scheme Scheme, g, d int) (batch, step int) {
+	switch scheme {
+	case Group:
+		return g, g
+	case Pipelined:
+		return d + 1, 1
+	}
+	return 1, 1
+}
+
 // BuildSerial serializes and inserts all entries on the calling
 // goroutine — the morsel-worker path, where each worker owns its table
-// outright. The scheme applies the paper's build-loop restructuring to
-// the directory-slot accesses: Group prefetches a G-batch of slots
-// before its inserts, Pipelined keeps a slot prefetch D inserts ahead.
+// outright — linking rows on buildPages' schedule (publishSchedule).
 // Inserts take each row's code from its entry, not from the row the
 // first pass wrote long before: the slot scan branches on the code, and
 // waiting there for a slab miss serializes the inserts.
 func (t *RowTable) BuildSerial(data []byte, entries []Entry, scheme Scheme, g, d int) {
-	n := len(entries)
 	w := uint64(t.width)
 	for i := range entries {
 		base := entries[i].Ref - arena.Base
 		t.putRow(i, entries[i].Code, data[base:base+w])
 	}
-	switch scheme {
-	case Group:
-		for lo := 0; lo < n; lo += g {
-			hi := lo + g
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				prefetchT0(unsafe.Pointer(&t.dir[t.home(entries[i].Code)]))
-			}
-			for i := lo; i < hi; i++ {
-				t.insertSerial(i, entries[i].Code)
+	batch, step := publishSchedule(scheme, g, d)
+	pub := 0
+	for i := range entries {
+		if batch > 1 {
+			prefetchT0(unsafe.Pointer(&t.dir[t.home(entries[i].Code)]))
+		}
+		if i+1-pub == batch {
+			for hi := pub + step; pub < hi; pub++ {
+				t.insertSerial(pub, entries[pub].Code)
 			}
 		}
-	case Pipelined:
-		for i := 0; i < n; i++ {
-			if nx := i + d; nx < n {
-				prefetchT0(unsafe.Pointer(&t.dir[t.home(entries[nx].Code)]))
-			}
-			t.insertSerial(i, entries[i].Code)
-		}
-	default:
-		for i := range entries {
-			t.insertSerial(i, entries[i].Code)
-		}
+	}
+	for ; pub < len(entries); pub++ {
+		t.insertSerial(pub, entries[pub].Code)
 	}
 }
 

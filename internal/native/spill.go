@@ -2,7 +2,6 @@ package native
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -300,7 +299,7 @@ func (j *pairJoiner) joinPairSpill(build, probe []Entry, shift uint, cfg Config)
 			}
 			j.spillProbe = appendPageEntries(j.spillProbe[:0], j.data, pg)
 			j.probeBase = pos
-			j.probeFor(j.spillProbe, cfg.Scheme)
+			j.probeFor(&probeInput{ents: j.spillProbe}, cfg.Scheme)
 			pos += len(j.spillProbe)
 			m.Release(pg)
 		}
@@ -504,19 +503,5 @@ func (sr *sideReader) recover(cause error) error {
 // discipline.
 func appendPageEntries(dst []Entry, data []byte, pg spill.Page) []Entry {
 	v := pg.View()
-	base := v.Addr - arena.Base
-	n := int(binary.LittleEndian.Uint16(data[base:]))
-	slot := base + uint64(v.Size) - uint64(storage.SlotSize)
-	for i := 0; i < n; i++ {
-		off := binary.LittleEndian.Uint16(data[slot+storage.SlotOffOffset:])
-		code := binary.LittleEndian.Uint32(data[slot+storage.SlotOffHash:])
-		ref := v.Addr + arena.Addr(off)
-		dst = append(dst, Entry{
-			Code: code,
-			Key:  binary.LittleEndian.Uint32(data[ref-arena.Base:]),
-			Ref:  ref,
-		})
-		slot -= uint64(storage.SlotSize)
-	}
-	return dst
+	return appendEntries(dst, data, []arena.Addr{v.Addr}, v.Size)
 }

@@ -9,17 +9,20 @@ import (
 )
 
 // streamMorselTuples is the probe tuples a page-range morsel of the
-// streaming join aims for: its flattened entries (16 bytes each) stay
-// in a worker's L2 while it probes them, and a relation worth
-// parallelising still cuts into many more morsels than workers.
+// streaming join aims for. The probe reads a morsel's pages once, in
+// order, straight from the arena — 8192 tuples of 100 bytes span about
+// 110 8 KiB pages — so the size need only amortize a claim and its
+// cancellation check, while a relation worth parallelising still cuts
+// into many more morsels than workers.
 const streamMorselTuples = 8192
 
 // ProbeStream is the morsel-parallel face of the streaming join: the
 // probe relation's pages are cut into page-range morsels that any
-// number of workers claim from one cursor, each flattening its morsel
-// and probing the one shared, immutable BuildSide with a Prober of its
-// own. Which rows a worker emits depends on claim order, so the
-// stream's output is a multiset; within a morsel it is in probe order.
+// number of workers claim from one cursor, each probing its morsel's
+// pages in place against the one shared, immutable BuildSide with a
+// Prober of its own. Which rows a worker emits depends on claim order,
+// so the stream's output is a multiset; within a morsel it is in probe
+// order.
 type ProbeStream struct {
 	ctx      context.Context
 	rel      *storage.Relation
@@ -31,8 +34,8 @@ type ProbeStream struct {
 }
 
 // NewProbeStream cuts probe into morsels for a join of type jt against
-// b. ctx is checked at every morsel claim and before every G-entry probe
-// batch, as the scan it replaces checked it.
+// b. ctx is checked at every morsel claim and as the probe begins each
+// page of a morsel.
 func (b *BuildSide) NewProbeStream(ctx context.Context, probe *storage.Relation, jt plan.JoinType, scheme Scheme, g, d int) *ProbeStream {
 	if ctx == nil {
 		ctx = context.Background()
@@ -61,59 +64,33 @@ func (s *ProbeStream) EmitUnmatchedBuild(emit func(build []byte, probeRef uint64
 	s.root.EmitUnmatchedBuild(emit)
 }
 
-// StreamWorker is one goroutine's share of a ProbeStream: its prober,
-// and the flattened entries of the morsel it holds.
+// StreamWorker is one goroutine's share of a ProbeStream: its prober.
 type StreamWorker struct {
-	s       *ProbeStream
-	p       *Prober
-	entries []Entry
-	pos     int
+	s *ProbeStream
+	p *Prober
 }
 
-// claim takes the next morsel off the shared cursor and flattens it,
-// reporting false when none is left. It passes the morsel-worker gate
-// first: cancellation, then the worker failpoint.
-func (w *StreamWorker) claim() (bool, error) {
+// ProbeMorsel claims one morsel and probes its pages in place. It is
+// the unit a pool schedules: a call that finds the cursor exhausted
+// returns at once. The claim passes the morsel-worker gate first:
+// cancellation, then the worker failpoint.
+func (w *StreamWorker) ProbeMorsel(emit func(build []byte, probeRef uint64)) error {
 	s := w.s
 	if err := claimCheck(s.ctx); err != nil {
-		return false, s.cancelled(err)
+		return s.cancelled(err)
 	}
 	m := int(s.cursor.Add(1)) - 1
 	if m >= s.morsels {
-		return false, nil
+		return nil
 	}
 	lo := m * s.perPages
-	w.entries = FlattenPages(s.rel, lo, min(lo+s.perPages, s.rel.NPages()), w.entries)
-	w.pos = 0
-	return true, nil
-}
-
-// ProbeMorsel claims one morsel and probes all of it, a group at a
-// time. It is the unit a pool schedules: a call that finds the cursor
-// exhausted returns at once.
-func (w *StreamWorker) ProbeMorsel(emit func(build []byte, probeRef uint64)) error {
-	if ok, err := w.claim(); !ok {
-		return err
+	in := probeInput{data: s.rel.Arena().Data(), pages: s.rel.Pages[lo:min(lo+s.perPages, s.rel.NPages())],
+		pageSize: uint64(s.rel.PageSize), ctx: s.ctx}
+	w.p.probe(&in, emit)
+	if in.err != nil {
+		return s.cancelled(in.err)
 	}
-	for w.pos < len(w.entries) {
-		if err := w.probeGroup(emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (w *StreamWorker) probeGroup(emit func(build []byte, probeRef uint64)) error {
-	s := w.s
-	if err := s.ctx.Err(); err != nil {
-		return s.cancelled(err)
-	}
-	hi := min(w.pos+w.p.G(), len(w.entries))
-	w.p.ProbeBatch(w.entries[w.pos:hi], emit)
-	w.pos = hi
-	if hi == len(w.entries) {
-		s.done.Add(1)
-	}
+	s.done.Add(1)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package native
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -14,30 +15,67 @@ import (
 	"hashjoin/internal/workload"
 )
 
-// TestFlattenPagesCoversRelation: page ranges flattened one after
-// another are the whole relation's entries in storage order, and a dst
-// with room is reused, not regrown.
-func TestFlattenPagesCoversRelation(t *testing.T) {
+// TestPageInputCoversRelation: the streaming probe's page input, drawn
+// a few tuples at a time over page ranges that include empty pages,
+// yields each tuple's code, address and key once, in the storage order
+// Flatten lists them in; and Flatten reuses a dst with room.
+func TestPageInputCoversRelation(t *testing.T) {
 	spec := workload.Spec{NBuild: 5000, TupleSize: 24, MatchesPerBuild: 1, Seed: 3}
-	a := arena.New(workload.ArenaBytesFor(spec))
-	rel := workload.Generate(a, spec).Build
+	a := arena.New(workload.ArenaBytesFor(spec) + 1<<16)
+	rel := withEmptyPages(a, workload.Generate(a, spec).Build, 0, 7, 20)
 	whole := Flatten(rel, nil)
 	if len(whole) != rel.NTuples {
 		t.Fatalf("Flatten: %d entries for %d tuples", len(whole), rel.NTuples)
 	}
 
-	var joined, scratch []Entry
+	tbl := &RowTable{}
+	tbl.Reset(rel.NTuples, 24, 0)
+	var drawn []Entry
+	states := make([]probeState, 5)
 	for lo := 0; lo < rel.NPages(); lo += 7 {
-		scratch = FlattenPages(rel, lo, min(lo+7, rel.NPages()), scratch)
-		joined = append(joined, scratch...)
+		in := probeInput{data: a.Data(), pages: rel.Pages[lo:min(lo+7, rel.NPages())],
+			pageSize: uint64(rel.PageSize), ctx: context.Background()}
+		for {
+			n := in.stage0(tbl, states, len(drawn), true)
+			if n == 0 {
+				break
+			}
+			for i := range states[:n] {
+				st := &states[i]
+				in.loadKey(st)
+				if int(st.idx) != len(drawn) || st.slot != tbl.home(st.code) {
+					t.Fatalf("tuple %d: idx %d, slot %d; want slot %d", len(drawn), st.idx, st.slot, tbl.home(st.code))
+				}
+				drawn = append(drawn, Entry{Code: st.code, Key: st.key, Ref: st.ref})
+			}
+		}
 	}
-	if !slices.Equal(joined, whole) {
-		t.Fatalf("page ranges flatten to %d entries that differ from the relation's %d", len(joined), len(whole))
+	if !slices.Equal(drawn, whole) {
+		t.Fatalf("page ranges draw %d tuples that differ from the relation's %d", len(drawn), len(whole))
 	}
-	again := FlattenPages(rel, 0, 7, whole)
+	again := Flatten(rel, whole)
 	if &again[0] != &whole[0] {
-		t.Fatalf("FlattenPages regrew a dst that had room")
+		t.Fatalf("Flatten regrew a dst that had room")
 	}
+}
+
+// withEmptyPages inserts an empty page into rel before each of the
+// given page indexes (ascending, counted in rel's own pages) and
+// returns it.
+func withEmptyPages(a *arena.Arena, rel *storage.Relation, at ...int) *storage.Relation {
+	var pages []arena.Addr
+	for i, page := range rel.Pages {
+		if len(at) > 0 && at[0] == i {
+			pages = append(pages, storage.AllocPage(a, rel.PageSize, 0).Addr)
+			at = at[1:]
+		}
+		pages = append(pages, page)
+	}
+	for range at {
+		pages = append(pages, storage.AllocPage(a, rel.PageSize, 0).Addr)
+	}
+	rel.Pages = pages
+	return rel
 }
 
 // countingPool counts the jobs a build hands to its pool.
@@ -156,47 +194,108 @@ func TestBuildRelationPageRanges(t *testing.T) {
 }
 
 // TestProbeStreamWorkersShareMorsels runs one stream on 1, 2 and 4
-// goroutines for every join type: each probe row is one worker's, the
-// right-outer bitmap is everyone's, and the sweep runs once.
+// goroutines for every scheme and join type: each probe row is one
+// worker's, the right-outer bitmap is everyone's, and the sweep runs
+// once. The stream reads its pages in place; its output must equal, as
+// a multiset of (build row, probe ref), the entry path's — the probe
+// relation flattened and fed to ProbeBatch. The probe sides hold a short
+// last page, and one holds empty pages (the first of the relation and of
+// a morsel among them); G = 1 and G = 7 do not divide a morsel, so one
+// ends mid-group.
 func TestProbeStreamWorkersShareMorsels(t *testing.T) {
 	spec := workload.Spec{NBuild: 3000, TupleSize: 16, PctMatched: 60, MatchRate: 0.5, NProbe: 40_000, Seed: 5}
 	_, _, _, pair := buildEntriesFor(t, spec)
-	bs, err := BuildRelation(pair.Build, 16, BuildConfig{Workers: 2})
-	if err != nil {
-		t.Fatalf("BuildRelation: %v", err)
+
+	rng := rand.New(rand.NewSource(8))
+	keys := make([]uint32, 20_000)
+	for i := range keys {
+		keys[i] = 1 + uint32(rng.Intn(2000))
 	}
-	for _, jt := range plan.JoinTypes() {
-		wantN, _ := pair.Expected(jt)
-		for _, workers := range []int{1, 2, 4} {
-			s := bs.NewProbeStream(context.Background(), pair.Probe, jt, Group, 0, 0)
-			if s.Morsels() < 4 {
-				t.Fatalf("probe side cut into %d morsels; the test wants several", s.Morsels())
-			}
-			counts := make([]int, workers)
-			var wg sync.WaitGroup
-			for w := range counts {
-				sw := s.NewWorker()
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					// As many calls as there are morsels: calls past the
-					// last morsel return at once.
-					for range s.Morsels() {
-						if err := sw.ProbeMorsel(func([]byte, uint64) { counts[w]++ }); err != nil {
-							t.Error(err)
+	a := arena.New(4 << 20)
+	chained := keysRelation(a, keys[:1500], 8, 512) // duplicate keys: chains
+	// 31 tuples a 512-byte page, so 20 000 end in a page of five. The
+	// stream cuts the 650 pages into morsels of 273 (8192 over 30 tuples
+	// a page), so the empty page inserted before page 271 begins the
+	// second morsel.
+	holed := withEmptyPages(a, keysRelation(a, keys, 8, 512), 0, 150, 271, len(keys))
+
+	for _, tc := range []struct {
+		name         string
+		build, probe *storage.Relation
+		width        int
+		expected     func(plan.JoinType) (int, uint64)
+	}{
+		{"workload", pair.Build, pair.Probe, 16, pair.Expected},
+		{"empty pages", chained, holed, 8, nil},
+	} {
+		bs, err := BuildRelation(tc.build, tc.width, BuildConfig{Workers: 2})
+		if err != nil {
+			t.Fatalf("%s: BuildRelation: %v", tc.name, err)
+		}
+		entries := Flatten(tc.probe, nil)
+		for _, scheme := range []Scheme{Baseline, Group, Pipelined} {
+			for i, gd := range []struct{ g, d int }{{1, 1}, {7, 3}, {0, 0}} {
+				workers := []int{1, 2, 4}[i]
+				for _, jt := range plan.JoinTypes() {
+					what := fmt.Sprintf("%s %v G=%d D=%d %v on %d workers", tc.name, scheme, gd.g, gd.d, jt, workers)
+					ref := bs.NewTypedProber(jt, scheme, gd.g, gd.d)
+					var want matchSet
+					ref.ProbeBatch(entries, want.add)
+					ref.EmitUnmatchedBuild(want.add)
+
+					s := bs.NewProbeStream(context.Background(), tc.probe, jt, scheme, gd.g, gd.d)
+					if s.Morsels() < 3 {
+						t.Fatalf("%s: probe side cut into %d morsels; the test wants several", what, s.Morsels())
+					}
+					if tc.probe == holed && holed.Page(s.perPages).NSlots() != 0 {
+						t.Fatalf("%s: the second morsel does not begin with an empty page", what)
+					}
+					got := make([]matchSet, workers)
+					var wg sync.WaitGroup
+					for w := range got {
+						sw := s.NewWorker()
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							// As many calls as there are morsels: calls past
+							// the last morsel return at once.
+							for range s.Morsels() {
+								if err := sw.ProbeMorsel(got[w].add); err != nil {
+									t.Error(err)
+								}
+							}
+						}()
+					}
+					wg.Wait()
+					for _, g := range got[1:] {
+						got[0] = append(got[0], g...)
+					}
+					s.EmitUnmatchedBuild(got[0].add)
+					if tc.expected != nil {
+						if wantN, _ := tc.expected(jt); len(got[0]) != wantN {
+							t.Errorf("%s: %d rows, want %d", what, len(got[0]), wantN)
 						}
 					}
-				}()
-			}
-			wg.Wait()
-			n := 0
-			for _, c := range counts {
-				n += c
-			}
-			s.EmitUnmatchedBuild(func([]byte, uint64) { n++ })
-			if n != wantN {
-				t.Errorf("%v on %d workers: %d rows, want %d", jt, workers, n, wantN)
+					if !got[0].equal(want) {
+						t.Errorf("%s: %d rows that differ from the entry path's %d", what, len(got[0]), len(want))
+					}
+				}
 			}
 		}
+		bs.Release()
 	}
+}
+
+// matchSet collects emitted rows as (build row bytes, probe ref)
+// strings, for comparing two probes' output as multisets.
+type matchSet []string
+
+func (m *matchSet) add(build []byte, probeRef uint64) {
+	*m = append(*m, string(binary.LittleEndian.AppendUint64(slices.Clone(build), probeRef)))
+}
+
+func (m matchSet) equal(o matchSet) bool {
+	slices.Sort(m)
+	slices.Sort(o)
+	return slices.Equal(m, o)
 }
