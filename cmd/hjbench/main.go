@@ -63,8 +63,8 @@ func main() {
 		spillWork = flag.Int("spill-workers", 0, "native/pipeline: write-behind workers for the spill tier (0 = default)")
 		noSpill   = flag.Bool("no-spill", false, "native/pipeline: disable the spill tier; an irreducible over-budget pair fails instead")
 		joinType  = flag.String("join-type", "inner", "pipeline: join semantics: inner, left-outer, right-outer, semi, or anti")
-		strat     = flag.String("strategy", "auto", "pipeline: join strategy: auto (cost-based planner), nested-loop, stream, or partitioned")
-		matchRate = flag.Float64("match-rate", 0, "pipeline: fraction of probe tuples with a build match in (0, 1]; overrides -matches and feeds the planner")
+		strat     = flag.String("strategy", "auto", "pipeline: join strategy: auto (cost-based planner), stream, or partitioned")
+		matchRate = flag.Float64("match-rate", 0, "pipeline: fraction of probe tuples with a build match in (0, 1]; overrides -matches")
 		zipfS     = flag.Float64("zipf", 0, "native/pipeline: Zipf skew parameter s for build keys (0 = uniform keys); probe keys stay uniform over the same universe")
 		zipfKeys  = flag.Int("zipf-keys", 0, "native/pipeline: distinct-key universe for -zipf (0 = default 256)")
 		reps      = flag.Int("reps", 3, "native/pipeline: repetitions per scheme (medians reported)")

@@ -50,9 +50,9 @@ func main() {
 		spillWork = flag.Int("spill-workers", 0, "native engine: write-behind workers for the spill tier (0 = default)")
 		noSpill   = flag.Bool("no-spill", false, "native engine: disable the spill tier; an irreducible over-budget pair fails instead")
 		joinType  = flag.String("join-type", "inner", "join semantics: inner, left-outer, right-outer, semi, or anti")
-		strat     = flag.String("strategy", "auto", "join strategy: auto (cost-based planner), nested-loop, stream, or partitioned")
+		strat     = flag.String("strategy", "auto", "join strategy: auto (cost-based planner), stream, or partitioned")
 		explain   = flag.Bool("explain", false, "print the planner's strategy decision and its inputs")
-		matchRate = flag.Float64("match-rate", 0, "fraction of probe tuples with a build match in (0, 1]; overrides -matches/-pct workload shaping and feeds the planner")
+		matchRate = flag.Float64("match-rate", 0, "fraction of probe tuples with a build match in (0, 1]; overrides -matches/-pct workload shaping")
 		aggOff    = flag.Int("agg", 0, "aggregate value byte offset within the join output row (0 = default 4)")
 		zipfS     = flag.Float64("zipf", 0, "Zipf skew parameter s for build keys (0 = uniform keys); probe keys stay uniform over the same universe")
 		zipfKeys  = flag.Int("zipf-keys", 0, "distinct-key universe for -zipf (0 = default 256)")

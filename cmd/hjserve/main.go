@@ -20,9 +20,11 @@
 // hash table once, later ones — every join type, with or without
 // agg=1 — stream their probes through it, and the reply carries
 // cache=hit or cache=miss. fanout=1 queries use the cache too. An
-// explicit fanout=N above 1, strategy=partitioned|nested-loop, budget=,
-// or engine=sim builds per query. Whenever the planner ran, the reply
-// names the executed strategy=; explain=1 adds its reasoning.
+// explicit fanout=N above 1, strategy=partitioned, budget=, or
+// engine=sim builds per query. strategy= takes auto, stream or
+// partitioned; a forced partitioned join runs at fanout= (default 4).
+// Whenever the planner ran, the reply names the executed strategy=;
+// explain=1 adds its reasoning.
 //
 // Successful commands answer "ok k=v ...". Failures answer
 //

@@ -429,10 +429,16 @@ func TestServeJoinTypesAndExplain(t *testing.T) {
 	}
 
 	// A forced strategy executes and is reported as forced.
-	line := c.roundTrip(t, "query pair=j1 strategy=nested-loop join_type=anti explain=1")
-	if !strings.HasPrefix(line, "ok ") || !strings.Contains(line, "strategy=nested-loop") ||
+	line := c.roundTrip(t, "query pair=j1 strategy=partitioned join_type=anti explain=1")
+	if !strings.HasPrefix(line, "ok ") || !strings.Contains(line, "strategy=partitioned") ||
 		!strings.Contains(line, "forced") {
-		t.Fatalf("forced nested-loop: %q", line)
+		t.Fatalf("forced partitioned: %q", line)
+	}
+
+	// The nested-loop strategy is retired: naming it is a usage error.
+	if status, m := kv(t, c.roundTrip(t, "query pair=j1 strategy=nested-loop")); status != "err" ||
+		m["status"] != "usage" || mustInt(t, m, "code") != 2 {
+		t.Fatalf("strategy=nested-loop -> %v %v, want err status=usage code=2", status, m)
 	}
 
 	// Bad values answer with the usage taxonomy, not a hung query.

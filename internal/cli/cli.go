@@ -365,7 +365,7 @@ type PipelineResult struct {
 // tuple: an -agg offset that is fine for an inner join can dangle off
 // the end of a semi join's rows.
 func (p *Pipeline) Validate() error {
-	if (p.Strategy == plan.NestedLoop || p.Strategy == plan.StreamHash) && p.Fanout > 1 {
+	if p.Strategy == plan.StreamHash && p.Fanout > 1 {
 		return fmt.Errorf("-strategy %v is single-table; -pipeline-fanout %d conflicts (use -strategy partitioned or auto)",
 			p.Strategy, p.Fanout)
 	}
@@ -404,10 +404,6 @@ func (p *Pipeline) planDecision() *plan.Decision {
 		return nil
 	}
 	spec := p.Pair.Spec
-	mr := spec.MatchRate
-	if mr == 0 && spec.NProbe > 0 {
-		mr = float64(p.Pair.ProbeMatched) / float64(spec.NProbe)
-	}
 	dec := plan.Resolve(plan.Request{
 		Stats: plan.Stats{
 			BuildRows:      spec.NBuild,
@@ -415,7 +411,6 @@ func (p *Pipeline) planDecision() *plan.Decision {
 			BuildWidth:     spec.TupleSize,
 			ProbeWidth:     spec.TupleSize,
 			BuildFootprint: native.BuildFootprint(spec.NBuild, spec.TupleSize),
-			MatchRate:      mr,
 		},
 		JoinType:     p.JoinType,
 		Budget:       p.MemBudget,
@@ -472,16 +467,10 @@ func (p *Pipeline) config(strategy plan.Strategy, fanout int) engine.Config {
 // the workload itself (engine's Node.ScratchBytes). The arena is sized
 // before the relations exist, so the plan is laid over empty relations
 // of the workload's schema, the workload's own matches-per-build sizes
-// a join's staged output, and its build count bounds the groups. A consulted
-// planner may still pick nested-loop, which emits whole rows: size for
-// that.
+// a join's staged output, and its build count bounds the groups.
 func (p *Pipeline) scratchBytes() uint64 {
-	strategy := p.Strategy
-	if strategy == plan.Auto && p.Explain {
-		strategy = plan.NestedLoop
-	}
 	shape := &storage.Relation{Schema: storage.KeyPayloadSchema(max(p.Spec.TupleSize, 8))}
-	return p.logical(shape, shape).ScratchBytes(p.config(strategy, p.Fanout),
+	return p.logical(shape, shape).ScratchBytes(p.config(p.Strategy, p.Fanout),
 		max(p.Spec.MatchesPerBuild, 1), p.Spec.NBuild)
 }
 

@@ -191,6 +191,30 @@ func TestPipelineBothEngines(t *testing.T) {
 	}
 }
 
+// TestExplainKeepsPinnedFanout runs one pipeline with and without
+// Explain: an EXPLAIN flag must not change the executed plan, so a
+// pinned fan-out is the width of the join either way, even where the
+// planner would partition on its own at a different width.
+func TestExplainKeepsPinnedFanout(t *testing.T) {
+	spec := workload.Spec{NBuild: 20000, TupleSize: 100, MatchesPerBuild: 1, Seed: 24}
+	fanout := map[bool]int{}
+	for _, explain := range []bool{false, true} {
+		p := Pipeline{Engine: engine.Native, Spec: spec, Scheme: core.SchemeGroup,
+			Fanout: 32, Workers: 2, Explain: explain}
+		res, err := p.Run()
+		if err != nil {
+			t.Fatalf("explain=%v: %v", explain, err)
+		}
+		fanout[explain] = res.JoinFanout
+		if explain && (res.Plan == nil || res.Plan.Fanout != 32 || !strings.Contains(res.Plan.Reason, "pinned fanout 32")) {
+			t.Errorf("explain=true: plan %+v, want fanout 32 and a reason naming the pin", res.Plan)
+		}
+	}
+	if fanout[false] != 32 || fanout[true] != 32 {
+		t.Fatalf("JoinFanout without/with Explain = %d/%d, want 32/32", fanout[false], fanout[true])
+	}
+}
+
 // TestPipelineMismatchError forces a result mismatch by corrupting the
 // ground truth, checking Run's validation path.
 func TestPipelineMismatchError(t *testing.T) {
@@ -405,28 +429,29 @@ func TestPipelineSpillRun(t *testing.T) {
 // allocates: with the arena's budget set to the workload plus exactly
 // the estimate, a run whose scratch high-water mark exceeds it fails
 // with an out-of-memory error. Tuples are wide enough that the join's
-// rows dominate the estimate's fixed slack, so the figure must follow
-// the emitted row width: key and value under the hash strategies, the
-// whole row under nested-loop.
+// rows would dominate the estimate's fixed slack if it sized them whole,
+// so the figure must follow the emitted row width: key and value under
+// the native hash join, whichever strategy an EXPLAIN run's planner
+// picks.
 func TestScratchBytesBoundsRun(t *testing.T) {
 	spec := workload.Spec{NBuild: 300, TupleSize: 1000, MatchesPerBuild: 8, Skew: 4, Seed: 23}
 	estimate := map[string]uint64{}
 	for _, tc := range []struct {
-		name     string
-		jt       plan.JoinType
-		strategy plan.Strategy
-		fanout   int
+		name    string
+		jt      plan.JoinType
+		fanout  int
+		explain bool
 	}{
-		{"inner fanout=1", plan.Inner, plan.Auto, 1},
-		{"inner fanout=4", plan.Inner, plan.Auto, 4},
-		{"semi fanout=1", plan.LeftSemi, plan.Auto, 1},
-		{"semi fanout=4", plan.LeftSemi, plan.Auto, 4},
-		{"inner nested-loop", plan.Inner, plan.NestedLoop, 1},
-		{"semi nested-loop", plan.LeftSemi, plan.NestedLoop, 1},
+		{"inner fanout=1", plan.Inner, 1, false},
+		{"inner fanout=4", plan.Inner, 4, false},
+		{"semi fanout=1", plan.LeftSemi, 1, false},
+		{"semi fanout=4", plan.LeftSemi, 4, false},
+		{"inner explain", plan.Inner, 1, true},
+		{"semi explain", plan.LeftSemi, 1, true},
 	} {
 		p := Pipeline{
 			Engine: engine.Native, Spec: spec, Scheme: core.SchemeGroup,
-			JoinType: tc.jt, Strategy: tc.strategy, Fanout: tc.fanout, Workers: 2,
+			JoinType: tc.jt, Fanout: tc.fanout, Workers: 2, Explain: tc.explain,
 		}
 		p.Materialize()
 		estimate[tc.name] = p.scratchBytes()
@@ -435,7 +460,7 @@ func TestScratchBytesBoundsRun(t *testing.T) {
 			t.Errorf("%s: run inside its %d-byte scratch estimate: %v", tc.name, estimate[tc.name], err)
 		}
 	}
-	if !(estimate["inner fanout=4"] < estimate["semi nested-loop"] && estimate["semi nested-loop"] < estimate["inner nested-loop"]) {
-		t.Errorf("estimates do not follow the emitted row width: %v", estimate)
+	if estimate["inner explain"] != estimate["inner fanout=1"] || estimate["semi explain"] != estimate["semi fanout=1"] {
+		t.Errorf("an EXPLAIN run is not sized like the run it explains: %v", estimate)
 	}
 }

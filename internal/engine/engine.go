@@ -27,8 +27,7 @@
 // rows and the aggregate reads the value at its remapped offset; a root
 // drained by Collect, and any other parent, sees the whole row. A native
 // hash join root drained by Run emits no rows: its workers count them
-// (see Run). The simulator's operators and the nested-loop join always
-// emit whole rows.
+// (see Run). The simulator's operators always emit whole rows.
 package engine
 
 import (
@@ -139,8 +138,7 @@ type Config struct {
 	Params core.Params
 
 	// Strategy selects the join's physical execution strategy (see
-	// plan.Choose): NestedLoop runs the tiny-build flat scan on either
-	// backend; StreamHash forces the single-table streaming probe;
+	// plan.Choose): StreamHash forces the single-table streaming probe;
 	// PartitionedHash forces the radix+morsel join (native only). The
 	// zero value Auto keeps the legacy Fanout-driven selection below.
 	Strategy plan.Strategy
@@ -453,10 +451,10 @@ func (n *Node) reads() []span {
 // emitSpans returns the spans of n's logical row that its operator's
 // rows carry, packed in order, when compiled under parent (nil: n is
 // the root, drained by Run or Collect). The native hash join emits what
-// its parent declared; every other operator — the simulator's, the
-// nested-loop join — emits the whole row.
+// its parent declared; every other operator — the simulator's included —
+// emits the whole row.
 func (n *Node) emitSpans(parent *Node, cfg Config) []span {
-	if parent != nil && n.kind == joinNode && cfg.Backend == Native && cfg.Strategy != plan.NestedLoop {
+	if parent != nil && n.kind == joinNode && cfg.Backend == Native {
 		if need := parent.reads(); need != nil {
 			return need
 		}
@@ -465,7 +463,7 @@ func (n *Node) emitSpans(parent *Node, cfg Config) []span {
 }
 
 // JoinEmitWidth returns the byte width of the rows the plan's join
-// writes when compiled under cfg's Backend and Strategy, or 0 for a
+// writes when compiled under cfg's Backend, or 0 for a
 // plan without a join. The scratch estimator sizes from it, so it
 // follows the join type's narrowing and the parent's declared spans
 // without mirroring either.
@@ -485,10 +483,10 @@ func (n *Node) JoinEmitWidth(cfg Config) int {
 // cut from. buildRows is the build side's row count, which the caller
 // may know before the relations exist. The estimate sums the rows a
 // join stages for one probe group (matchesPerProbe each, in rows of
-// JoinEmitWidth: the simulator's and the nested-loop join's output; a
-// native join under an aggregate or Run stages none, so for it the term
-// is slack); the relation a non-scan build child is materialized into
-// (buildRows tuples of the build width, in materializePage pages) — a
+// JoinEmitWidth: the simulator's output; a native join under an
+// aggregate or Run stages none, so for it the term is slack); the
+// relation a non-scan build child is materialized into (buildRows
+// tuples of the build width, in materializePage pages) — a
 // native join materializes a non-scan probe child too, but no front end
 // builds one (RunPipeline, the CLI and hjserve all scan the probe
 // relation), so the estimate carries no probe term; an
@@ -594,7 +592,7 @@ func Compile(n *Node, cfg Config) (Operator, error) {
 		return nil, fmt.Errorf("engine: negative SpillPageSize %d", cfg.SpillPageSize)
 	}
 	switch cfg.Strategy {
-	case plan.Auto, plan.StreamHash, plan.NestedLoop, plan.PartitionedHash:
+	case plan.Auto, plan.StreamHash, plan.PartitionedHash:
 	default:
 		return nil, fmt.Errorf("engine: unknown strategy %v", cfg.Strategy)
 	}
@@ -608,7 +606,7 @@ func Compile(n *Node, cfg Config) (Operator, error) {
 			cfg.Fanout = 8
 		}
 	}
-	if (cfg.Strategy == plan.NestedLoop || cfg.Strategy == plan.StreamHash) && cfg.Fanout > 1 {
+	if cfg.Strategy == plan.StreamHash && cfg.Fanout > 1 {
 		return nil, fmt.Errorf("engine: strategy %v runs over one table; fanout %d conflicts (use -strategy partitioned or auto)",
 			cfg.Strategy, cfg.Fanout)
 	}
@@ -669,10 +667,6 @@ func compileNode(n, parent *Node, cfg Config) Operator {
 	case joinNode:
 		build := compileNode(n.build, n, cfg)
 		probe := compileNode(n.input, n, cfg)
-		if cfg.Strategy == plan.NestedLoop {
-			return newNestedLoopJoin(cfg, build, probe,
-				n.build.scanRel(), n.joinType, n.build.Width(), n.input.Width())
-		}
 		if cfg.Backend == Sim {
 			return newSimHashJoin(cfg.Mem, build, probe,
 				n.build.scanRel(), n.build.Width(), n.input.Width(), cfg.Params, n.joinType)

@@ -62,8 +62,6 @@ func TestScratchBytesGolden(t *testing.T) {
 		{"serve_mix agg", 40, plan.Inner, 4, Config{Backend: Native, Workers: 2}, 8, 20000, 548608, 8, false},
 		{"cli inner", 1000, plan.Inner, 4, Config{Backend: Native, Workers: 2}, 8, 300, 75808, 8, false},
 		{"cli semi", 1000, plan.LeftSemi, 4, Config{Backend: Native, Workers: 2}, 8, 300, 75808, 8, false},
-		{"cli inner nested-loop", 1000, plan.Inner, 4, Config{Backend: Native, Workers: 2, Strategy: plan.NestedLoop}, 8, 300, 840736, 2000, false},
-		{"cli semi nested-loop", 1000, plan.LeftSemi, 4, Config{Backend: Native, Workers: 2, Strategy: plan.NestedLoop}, 8, 300, 456736, 1000, false},
 		{"cli sim, budget ignored", 1000, plan.Inner, 4, Config{Backend: Sim, Workers: 2, MemBudget: 4096}, 8, 300, 840736, 2000, false},
 		{"cli native, budget", 1000, plan.Inner, 4, Config{Backend: Native, Workers: 2, MemBudget: 4096}, 8, 300, 501792, 8, false},
 

@@ -144,9 +144,8 @@ func aggregateRows(rows [][]byte, valueOff int) []Group {
 // offset — anywhere in the output row, so the span the native join
 // emits for it lands in the build half, the probe half, or across the
 // seam — against a naive nested-loop reference computed from the raw
-// relation bytes, across both backends, both native strategies the
-// planner can pick for a single-table join (stream and nested-loop),
-// and the morsel path, on 1, 2 or 4 workers, over probe sides from a
+// relation bytes, across both backends, the native streaming join and
+// the morsel path, on 1, 2 or 4 workers, over probe sides from a
 // handful of rows to several streaming morsels. Every config also drains
 // the bare join through Run — which a native join answers by counting on
 // its workers — against the reference's row count and key sum. The
@@ -190,11 +189,6 @@ func FuzzJoinTypeParity(f *testing.F) {
 		cfgs := map[string]Config{
 			"sim":    simCfg(m, core.SchemeGroup, core.DefaultParams()),
 			"native": native,
-		}
-		if fanout == 1 {
-			nl := nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 1)
-			nl.Strategy = plan.NestedLoop
-			cfgs["nested-loop"] = nl
 		}
 		for name, cfg := range cfgs {
 			got := mustGroups(t, logical, cfg, a)

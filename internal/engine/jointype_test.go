@@ -3,13 +3,16 @@ package engine
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/core"
+	"hashjoin/internal/memsim"
 	"hashjoin/internal/native"
 	"hashjoin/internal/plan"
+	"hashjoin/internal/vmem"
 	"hashjoin/internal/workload"
 )
 
@@ -44,28 +47,61 @@ func TestEngineJoinTypesParity(t *testing.T) {
 	}
 }
 
-// TestNestedLoopStrategyParity forces the nested-loop strategy on a
-// tiny build side — the planner's regime for it — on both backends,
-// for every join type.
-func TestNestedLoopStrategyParity(t *testing.T) {
-	spec := workload.Spec{NBuild: 30, TupleSize: 16, PctMatched: 80,
-		MatchRate: 0.5, NProbe: 200, Seed: 31}
-	for _, jt := range plan.JoinTypes() {
-		pair, a, m := testEnv(t, spec)
-		p := HashJoinTyped(Scan(pair.Build), Scan(pair.Probe), jt)
-		wantN, wantSum := pair.Expected(jt)
-
-		scfg := simCfg(m, core.SchemeGroup, core.DefaultParams())
-		scfg.Strategy = plan.NestedLoop
-		ncfg := nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 1)
-		ncfg.Strategy = plan.NestedLoop
-		for name, r := range map[string]Result{
-			"sim":    mustRun(t, p, scfg, a),
-			"native": mustRun(t, p, ncfg, a),
-		} {
-			if r.NRows != wantN || r.KeySum != wantSum {
-				t.Errorf("%v %s nested-loop: (NRows, KeySum) = (%d, %d), want (%d, %d)",
-					jt, name, r.NRows, r.KeySum, wantN, wantSum)
+// TestTinyBuildPlannedParity runs the build sides the planner once sent
+// to a nested-loop scan — none, one, 16 and 32 rows — under plan.Auto
+// on both backends, for every join type: the planner now picks the
+// streaming hash join for them, and its full output multiset must equal
+// the reference over the raw tuples. Build keys repeat and some probe
+// keys miss, so every join type has matched, unmatched and chained rows.
+func TestTinyBuildPlannedParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, nBuild := range []int{0, 1, 16, 32} {
+		a := arena.New(8 << 20)
+		m := vmem.New(a, memsim.NewSim(memsim.SmallConfig()))
+		build := keyedRelation(a, streamKeys(rng, nBuild, 24), 0xB)
+		probe := keyedRelation(a, streamKeys(rng, 600, 40), 0xA)
+		buildTuples, probeTuples := relTuples(build), relTuples(probe)
+		for _, jt := range plan.JoinTypes() {
+			var want [][]byte
+			switch {
+			case nBuild > 0:
+				want = referenceRows(jt, buildTuples, probeTuples)
+			case jt == plan.LeftAnti:
+				want = probeTuples
+			case jt == plan.LeftOuter:
+				// referenceRows sizes rows from build[0]; an empty build
+				// side null-pads every probe row.
+				for _, p := range probeTuples {
+					want = append(want, append(make([]byte, streamTuple), p...))
+				}
+			}
+			want = sortedRows(slices.Clone(want))
+			logical := HashJoinTyped(Scan(build), Scan(probe), jt)
+			for _, backend := range []Backend{Sim, Native} {
+				dec := plan.Resolve(plan.Request{
+					Stats: plan.Stats{
+						BuildRows: nBuild, ProbeRows: probe.NTuples,
+						BuildWidth: streamTuple, ProbeWidth: streamTuple,
+						BuildFootprint: native.BuildFootprint(nBuild, streamTuple),
+					},
+					JoinType: jt,
+					Sim:      backend == Sim,
+				})
+				if dec.Strategy != plan.StreamHash || dec.Fanout != 1 {
+					t.Fatalf("%d build rows, %v on %v: planned %v fanout %d, want stream",
+						nBuild, jt, backend, dec.Strategy, dec.Fanout)
+				}
+				cfg := simCfg(m, core.SchemeGroup, core.DefaultParams())
+				if backend == Native {
+					cfg = nativeCfg(a, core.SchemeGroup, core.DefaultParams(), dec.Fanout)
+					cfg.Workers = 2
+				}
+				cfg.Strategy = dec.Strategy
+				got := sortedRows(mustCollect(t, logical, cfg, a))
+				if !sameRows(got, want) {
+					t.Errorf("%d build rows, %v on %v: %d rows, reference %d (or same count, different rows)",
+						nBuild, jt, backend, len(got), len(want))
+				}
 			}
 		}
 	}
@@ -113,9 +149,6 @@ func TestCompileStrategyValidation(t *testing.T) {
 		{"partitioned-on-sim", join,
 			Config{Backend: Sim, Mem: m, Strategy: plan.PartitionedHash},
 			"Native backend"},
-		{"nested-loop-fanout", join,
-			Config{Backend: Native, A: a, Strategy: plan.NestedLoop, Fanout: 4},
-			"fanout 4 conflicts"},
 		{"stream-fanout", join,
 			Config{Backend: Native, A: a, Strategy: plan.StreamHash, Fanout: 2},
 			"fanout 2 conflicts"},

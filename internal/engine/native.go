@@ -367,9 +367,9 @@ func (h *nativeHashJoin) run(sinkFor func(w int) func([]byte, uint64)) error {
 
 // runStream runs the streaming strategy over bs, built here or handed
 // in: the probe relation is cut into page-range morsels
-// (native.ProbeStream) that up to workers probers claim from one
-// cursor, every one probing bs with a prober of its own into a sink of
-// its own. The right-outer sweep runs into sink 0 after the last probe.
+// (native.ProbeStream) that up to workers probers share, every one
+// probing bs with a prober of its own into a sink of its own. The
+// right-outer sweep runs into sink 0 after the last probe.
 func (h *nativeHashJoin) runStream(bs *native.BuildSide, probe *storage.Relation, sinkFor func(w int) func([]byte, uint64)) error {
 	if rep := h.cfg.Report; rep != nil {
 		rep.JoinFanout = 1
@@ -393,8 +393,8 @@ func (h *nativeHashJoin) runStream(bs *native.BuildSide, probe *storage.Relation
 // runProbers probes stream's morsels on len(sinks) workers of their own,
 // worker w emitting into sinks[w], and returns once every one has. It
 // submits one Run per morsel, so a shared pool interleaves this stream
-// with its neighbours morsel by morsel; which morsel a Run gets is the
-// stream cursor's business.
+// with its neighbours morsel by morsel; the pool's morsel index names
+// the morsel a Run probes.
 func (h *nativeHashJoin) runProbers(stream *native.ProbeStream, sinks []func([]byte, uint64)) error {
 	ws := make([]*native.StreamWorker, len(sinks))
 	for w := range ws {
@@ -403,9 +403,9 @@ func (h *nativeHashJoin) runProbers(stream *native.ProbeStream, sinks []func([]b
 	return native.RunMorsels(h.cfg.Pool, &native.MorselJob{
 		Tenant: h.cfg.Tenant, Weight: h.cfg.Weight,
 		N: stream.Morsels(), Slots: len(sinks),
-		Run: func(slot, _ int) (err error) {
+		Run: func(slot, m int) (err error) {
 			defer arena.RecoverOOM(&err)
-			return ws[slot].ProbeMorsel(sinks[slot])
+			return ws[slot].ProbeMorsel(m, sinks[slot])
 		},
 	})
 }

@@ -21,9 +21,8 @@ import (
 // half, the row's last bytes — for every join type and both native
 // strategies on 1, 2 and 4 workers. The native join emits only the key
 // and that value, each worker into a partial aggregate of its own; its
-// groups must equal the simulator's and the nested-loop operator's
-// (both emit whole rows) and the naive reference's, null pads of outer
-// joins included — a null pad's key 0 once, however many partials hold
+// groups must equal the simulator's (which emits whole rows) and the
+// naive reference's, null pads of outer joins included — a null pad's key 0 once, however many partials hold
 // it.
 func TestJoinProjectionParity(t *testing.T) {
 	spec := workload.Spec{NBuild: 150, TupleSize: 20, PctMatched: 70,
@@ -45,11 +44,8 @@ func TestJoinProjectionParity(t *testing.T) {
 			want := aggregateRows(rows, valueOff)
 			logical := HashAggregate(join, valueOff, spec.NBuild)
 
-			nl := nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 1)
-			nl.Strategy = plan.NestedLoop
 			cfgs := map[string]Config{
-				"sim":         simCfg(m, core.SchemeGroup, core.DefaultParams()),
-				"nested-loop": nl,
+				"sim": simCfg(m, core.SchemeGroup, core.DefaultParams()),
 			}
 			for _, fanout := range []int{1, 4} {
 				for _, workers := range []int{1, 2, 4} {
@@ -163,7 +159,6 @@ func TestJoinEmitWidth(t *testing.T) {
 	inner := HashJoin(Scan(pair.Build), Scan(pair.Probe))
 	semi := HashJoinTyped(Scan(pair.Build), Scan(pair.Probe), plan.LeftSemi)
 	native := Config{Backend: Native, A: a}
-	nl := Config{Backend: Native, A: a, Strategy: plan.NestedLoop}
 	for _, tc := range []struct {
 		name string
 		plan *Node
@@ -175,7 +170,6 @@ func TestJoinEmitWidth(t *testing.T) {
 		{"filter over inner", Filter(inner, KeyBetween(0, 1)), native, 40},
 		{"agg over inner", HashAggregate(inner, 30, 8), native, 8},
 		{"agg over semi", HashAggregate(semi, 8, 8), native, 8},
-		{"agg over inner, nested-loop", HashAggregate(inner, 30, 8), nl, 40},
 		{"agg over inner, sim", HashAggregate(inner, 30, 8), Config{Backend: Sim, Mem: m}, 40},
 		{"agg over filter over inner", HashAggregate(Filter(inner, KeyBetween(0, 1)), 30, 8), native, 40},
 		{"no join", HashAggregate(Scan(pair.Probe), 4, 8), native, 0},

@@ -70,8 +70,8 @@ const manyMorsels = 20_000
 
 // TestParallelStreamParity is the parity table of the streaming join:
 // join type x workers x {built here, Config.Build} x probe size x
-// native scheme, the full output multiset against the nested-loop
-// reference over the raw tuples. Build keys repeat (chains), half the
+// native scheme, the full output multiset against the naive reference
+// over the raw tuples. Build keys repeat (chains), half the
 // probe keys miss, and the small probes leave most build rows unmatched
 // — so right outer's sweep must emit each exactly once across workers,
 // semi and anti at most one row per probe row, and null pads intact.

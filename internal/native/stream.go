@@ -17,18 +17,17 @@ import (
 const streamMorselTuples = 8192
 
 // ProbeStream is the morsel-parallel face of the streaming join: the
-// probe relation's pages are cut into page-range morsels that any
-// number of workers claim from one cursor, each probing its morsel's
-// pages in place against the one shared, immutable BuildSide with a
-// Prober of its own. Which rows a worker emits depends on claim order,
-// so the stream's output is a multiset; within a morsel it is in probe
-// order.
+// probe relation's pages are cut into page-range morsels, numbered
+// [0, Morsels()), that any number of workers share, each probing its
+// morsels' pages in place against the one shared, immutable BuildSide
+// with a Prober of its own. Which rows a worker emits depends on which
+// morsels it is handed, so the stream's output is a multiset; within a
+// morsel it is in probe order.
 type ProbeStream struct {
 	ctx      context.Context
 	rel      *storage.Relation
 	perPages int // pages per morsel
 	morsels  int
-	cursor   atomic.Int64 // next unclaimed morsel
 	done     atomic.Int64 // morsels fully probed, for the cancel report
 	root     *Prober      // every worker's prober is a fork of it: one right-outer bitmap
 }
@@ -70,18 +69,14 @@ type StreamWorker struct {
 	p *Prober
 }
 
-// ProbeMorsel claims one morsel and probes its pages in place. It is
-// the unit a pool schedules: a call that finds the cursor exhausted
-// returns at once. The claim passes the morsel-worker gate first:
-// cancellation, then the worker failpoint.
-func (w *StreamWorker) ProbeMorsel(emit func(build []byte, probeRef uint64)) error {
+// ProbeMorsel probes morsel m's pages in place. It is the unit a pool
+// schedules (a MorselJob's Run, whose contract runs each m in
+// [0, Morsels()) at most once). The morsel passes the morsel-worker gate
+// first: cancellation, then the worker failpoint.
+func (w *StreamWorker) ProbeMorsel(m int, emit func(build []byte, probeRef uint64)) error {
 	s := w.s
 	if err := claimCheck(s.ctx); err != nil {
 		return s.cancelled(err)
-	}
-	m := int(s.cursor.Add(1)) - 1
-	if m >= s.morsels {
-		return nil
 	}
 	lo := m * s.perPages
 	in := probeInput{data: s.rel.Arena().Data(), pages: s.rel.Pages[lo:min(lo+s.perPages, s.rel.NPages())],

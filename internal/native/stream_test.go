@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"hashjoin/internal/arena"
@@ -194,8 +193,8 @@ func TestBuildRelationPageRanges(t *testing.T) {
 }
 
 // TestProbeStreamWorkersShareMorsels runs one stream on 1, 2 and 4
-// goroutines for every scheme and join type: each probe row is one
-// worker's, the right-outer bitmap is everyone's, and the sweep runs
+// RunMorsels slots for every scheme and join type: each probe row is
+// one worker's, the right-outer bitmap is everyone's, and the sweep runs
 // once. The stream reads its pages in place; its output must equal, as
 // a multiset of (build row, probe ref), the entry path's — the probe
 // relation flattened and fed to ProbeBatch. The probe sides hold a short
@@ -251,22 +250,17 @@ func TestProbeStreamWorkersShareMorsels(t *testing.T) {
 						t.Fatalf("%s: the second morsel does not begin with an empty page", what)
 					}
 					got := make([]matchSet, workers)
-					var wg sync.WaitGroup
-					for w := range got {
-						sw := s.NewWorker()
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							// As many calls as there are morsels: calls past
-							// the last morsel return at once.
-							for range s.Morsels() {
-								if err := sw.ProbeMorsel(got[w].add); err != nil {
-									t.Error(err)
-								}
-							}
-						}()
+					sws := make([]*StreamWorker, workers)
+					for w := range sws {
+						sws[w] = s.NewWorker()
 					}
-					wg.Wait()
+					// As the engine drives a stream: one Run per morsel,
+					// the pool's index naming the morsel.
+					if err := RunMorsels(nil, &MorselJob{N: s.Morsels(), Slots: workers,
+						Run: func(slot, m int) error { return sws[slot].ProbeMorsel(m, got[slot].add) },
+					}); err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
 					for _, g := range got[1:] {
 						got[0] = append(got[0], g...)
 					}

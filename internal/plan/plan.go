@@ -1,16 +1,15 @@
 // Package plan is the cost-based join strategy planner: given workload
 // statistics, a join type, and the admitted memory window, Choose picks
-// the cheapest execution strategy — a nested-loop scan for tiny build
-// sides, a single streaming hash probe for cache-resident ones, or the
+// the cheapest execution strategy — a single streaming hash probe for
+// cache-resident build sides, of any size down to none, or the
 // radix-partitioned morsel join when the build side overflows the cache
 // or the memory budget.
 //
-// The crossover points between the strategies are not guessed: they are
-// measured by the root package's calibration benchmark
-// (BenchmarkJoinCrossover, which logs each measured crossover beside
-// the pinned one) and pinned here as defaults. EXPERIMENTS.md records
-// the readings per host; re-pinning changes Choose's output and is a
-// planner change of its own.
+// The crossover between the two is not guessed: it is measured by the
+// root package's calibration benchmark (BenchmarkJoinCrossover, which
+// logs the measured crossover beside the pinned one) and pinned here as
+// a default. EXPERIMENTS.md records the readings per host; re-pinning
+// changes Choose's output and is a planner change of its own.
 //
 // The package is a dependency leaf: it imports only the standard
 // library, so every layer — native kernels, the operator engine, the
@@ -94,10 +93,6 @@ type Strategy uint8
 const (
 	// Auto defers the decision to Choose.
 	Auto Strategy = iota
-	// NestedLoop materializes the build side as a flat array and scans
-	// it per probe row — no hash table, no build phase beyond a copy.
-	// Cheapest when the build side is a handful of rows.
-	NestedLoop
 	// StreamHash builds one hash table and streams probe batches
 	// through it (the paper's group/pipelined prefetched probe).
 	StreamHash
@@ -107,7 +102,7 @@ const (
 	PartitionedHash
 )
 
-var strategyNames = [...]string{"auto", "nested-loop", "stream", "partitioned"}
+var strategyNames = [...]string{"auto", "stream", "partitioned"}
 
 func (s Strategy) String() string {
 	if int(s) < len(strategyNames) {
@@ -124,8 +119,6 @@ func ParseStrategy(s string) (Strategy, error) {
 	switch strings.ToLower(s) {
 	case "auto", "":
 		return Auto, nil
-	case "nested-loop", "nl":
-		return NestedLoop, nil
 	case "stream", "streaming", "hash":
 		return StreamHash, nil
 	case "partitioned", "radix", "morsel":
@@ -135,10 +128,8 @@ func ParseStrategy(s string) (Strategy, error) {
 }
 
 // Stats are the planner's inputs: the cardinalities and widths of both
-// sides, the build side's resident hash-join footprint in bytes
-// (computed by the caller, e.g. native.BuildFootprint), and the
-// estimated match rate — the fraction of probe rows with at least one
-// build match. MatchRate <= 0 means unknown and is treated as 1.
+// sides and the build side's resident hash-join footprint in bytes
+// (computed by the caller, e.g. native.BuildFootprint).
 type Stats struct {
 	BuildRows  int
 	ProbeRows  int
@@ -147,28 +138,18 @@ type Stats struct {
 	// BuildFootprint is the bytes a hash join needs resident for the
 	// build side: rows, row headers, table directory.
 	BuildFootprint int
-	// MatchRate estimates join selectivity on the probe side.
-	MatchRate float64
 }
 
-// Measured crossover defaults, pinned from the calibration benchmark
-// (BenchmarkJoinCrossover) on the August 2026 one-CPU reference host.
+// DefaultPartitionCrossoverBytes is the build-side footprint above which
+// radix-partitioning the pair beats one streaming probe: the measured
+// point where the build side falls out of the cache and partitioned
+// probes win despite the extra scatter pass. 448 KiB is the footprint
+// of the smallest swept pair the partitioned join won on the August
+// 2026 one-CPU reference host (it won every larger one too), pinned
+// from the calibration benchmark (BenchmarkJoinCrossover).
 // EXPERIMENTS.md ("Planner crossover calibration") tables what the
-// benchmark measures on the current host next to these pins.
-const (
-	// DefaultNestedLoopCrossover is the largest build-side row count at
-	// which the nested-loop scan still beats building and probing a
-	// hash table (measured over the calibration sweep's probe sizes).
-	DefaultNestedLoopCrossover = 16
-
-	// DefaultPartitionCrossoverBytes is the build-side footprint above
-	// which radix-partitioning the pair beats one streaming probe: the
-	// measured point where the build side falls out of the cache and
-	// partitioned probes win despite the extra scatter pass. 448 KiB is
-	// the footprint of the smallest swept pair the partitioned join won
-	// on the reference host (it won every larger one too).
-	DefaultPartitionCrossoverBytes = 448 << 10
-)
+// benchmark measures on the current host next to this pin.
+const DefaultPartitionCrossoverBytes = 448 << 10
 
 // maxPlannedFanout caps the fan-out Choose derives, matching the
 // native partitioner's practical radix width.
@@ -180,8 +161,8 @@ const maxPlannedFanout = 256
 type Decision struct {
 	Strategy Strategy
 	JoinType JoinType
-	// Fanout is the partition fan-out to run with: 1 for NestedLoop and
-	// StreamHash, a power of two >= 2 for PartitionedHash.
+	// Fanout is the partition fan-out to run with: 1 for StreamHash,
+	// >= 2 for PartitionedHash.
 	Fanout int
 	// Budget is the admitted memory window the decision was made under
 	// (0 = unbudgeted).
@@ -195,43 +176,16 @@ type Decision struct {
 // Explain formats the decision and its inputs as one line, the common
 // form all EXPLAIN surfaces print.
 func (d Decision) Explain() string {
-	return fmt.Sprintf("strategy=%v join_type=%v fanout=%d build_rows=%d probe_rows=%d build_bytes=%d match_rate=%.2f budget=%d reason=%q",
+	return fmt.Sprintf("strategy=%v join_type=%v fanout=%d build_rows=%d probe_rows=%d build_bytes=%d budget=%d reason=%q",
 		d.Strategy, d.JoinType, d.Fanout, d.Stats.BuildRows, d.Stats.ProbeRows,
-		d.Stats.BuildFootprint, d.effectiveMatchRate(), d.Budget, d.Reason)
+		d.Stats.BuildFootprint, d.Budget, d.Reason)
 }
 
-func (d Decision) effectiveMatchRate() float64 {
-	if d.Stats.MatchRate <= 0 || d.Stats.MatchRate > 1 {
-		return 1
-	}
-	return d.Stats.MatchRate
-}
-
-// Choose picks the execution strategy for one join: nested loop when
-// the expected per-probe scan is under the measured crossover,
-// partitioned hash when the build side overflows the budget or the
-// partition crossover, and the streaming hash probe otherwise.
+// Choose picks the execution strategy for one join: partitioned hash
+// when the build side overflows the budget or the partition crossover,
+// and the streaming hash probe otherwise.
 func Choose(st Stats, jt JoinType, budget int) Decision {
 	d := Decision{JoinType: jt, Budget: budget, Stats: st, Fanout: 1}
-	mr := st.MatchRate
-	if mr <= 0 || mr > 1 {
-		mr = 1
-	}
-
-	// Expected rows a nested-loop probe scans per probe row: a hit walks
-	// half the build side on average before semi/anti short-circuit;
-	// misses and non-short-circuiting types scan it all.
-	scan := float64(st.BuildRows)
-	if jt.ProbeOnly() {
-		scan = mr*scan/2 + (1-mr)*scan
-	}
-	if scan <= DefaultNestedLoopCrossover {
-		d.Strategy = NestedLoop
-		d.Reason = fmt.Sprintf("expected nested-loop scan %.1f rows <= crossover %d",
-			scan, DefaultNestedLoopCrossover)
-		return d
-	}
-
 	if budget > 0 && st.BuildFootprint > budget {
 		d.Strategy = PartitionedHash
 		d.Fanout = fanoutFor(st.BuildFootprint, budget)
@@ -247,8 +201,7 @@ func Choose(st Stats, jt JoinType, budget int) Decision {
 	}
 
 	d.Strategy = StreamHash
-	d.Reason = fmt.Sprintf("build fits resident (%d B) and scan %.1f rows > nested-loop crossover %d",
-		st.BuildFootprint, scan, DefaultNestedLoopCrossover)
+	d.Reason = fmt.Sprintf("build fits resident (%d B)", st.BuildFootprint)
 	return d
 }
 
@@ -261,11 +214,11 @@ type Request struct {
 
 	// Forced is the strategy the caller demands; Auto accepts Choose's.
 	Forced Strategy
-	// PinnedFanout is a fan-out the caller fixed. It is the width of a
-	// forced partitioned join the planner would not have partitioned,
-	// and under Auto on the native backend a value above 1 pins the
-	// partitioned strategy. A caller whose fan-out yields to the planner
-	// under Auto passes it only alongside a forced strategy.
+	// PinnedFanout is a fan-out the caller fixed. A value above 1 is the
+	// width of every partitioned decision, forced or chosen, and under
+	// Auto on the native backend it pins the partitioned strategy. A
+	// caller whose fan-out yields to the planner under Auto passes it
+	// only alongside a forced strategy.
 	PinnedFanout int
 	// Sim: the backend is the simulator, which runs single-table joins
 	// only. Prebuilt: the build side is an already-built hash table,
@@ -275,20 +228,20 @@ type Request struct {
 }
 
 // Resolve is the one place a planner pick meets its overrides: it runs
-// Choose, applies at most one override — a forced strategy first, then
-// what the build side and the backend can execute, then a pinned
-// fan-out — and returns the decision that runs, its Reason naming the
-// override and what the planner preferred.
+// Choose, applies at most one strategy override — a forced strategy
+// first, then what the build side and the backend can execute, then a
+// pinned fan-out — and returns the decision that runs, its Reason naming
+// the override and what the planner preferred. A pinned fan-out is the
+// width of whatever partitioned decision results; where it replaces the
+// planner's own width, the Reason names both.
 func Resolve(r Request) Decision {
 	d := Choose(r.Stats, r.JoinType, r.Budget)
-	preferred := d.Strategy
+	preferred, width := d.Strategy, d.Fanout
 	switch {
 	case r.Forced != Auto && r.Forced != preferred:
-		d.Strategy = r.Forced
-		if r.Forced != PartitionedHash {
-			d.Fanout = 1
-		} else if d.Fanout <= 1 {
-			d.Fanout = max(r.PinnedFanout, 2)
+		d.Strategy, d.Fanout = r.Forced, 1
+		if r.Forced == PartitionedHash {
+			d.Fanout = 2
 		}
 		d.Reason = fmt.Sprintf("forced strategy %v; planner preferred %v", r.Forced, preferred)
 	case r.Prebuilt && preferred != StreamHash:
@@ -300,6 +253,12 @@ func Resolve(r Request) Decision {
 	case !r.Sim && r.Forced == Auto && r.PinnedFanout > 1 && preferred != PartitionedHash:
 		d.Strategy, d.Fanout = PartitionedHash, r.PinnedFanout
 		d.Reason = fmt.Sprintf("-fanout %d pins the partitioned strategy; planner preferred %v", r.PinnedFanout, preferred)
+	}
+	if d.Strategy == PartitionedHash && r.PinnedFanout > 1 && r.PinnedFanout != d.Fanout {
+		if preferred == PartitionedHash {
+			d.Reason += fmt.Sprintf("; pinned fanout %d replaces the planner's fanout %d", r.PinnedFanout, width)
+		}
+		d.Fanout = r.PinnedFanout
 	}
 	return d
 }

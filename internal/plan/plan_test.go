@@ -27,14 +27,19 @@ func TestParseJoinTypeRoundTrip(t *testing.T) {
 }
 
 func TestParseStrategyRoundTrip(t *testing.T) {
-	for _, s := range []Strategy{Auto, NestedLoop, StreamHash, PartitionedHash} {
+	for _, s := range []Strategy{Auto, StreamHash, PartitionedHash} {
 		got, err := ParseStrategy(s.String())
 		if err != nil || got != s {
 			t.Fatalf("ParseStrategy(%q) = %v, %v", s.String(), got, err)
 		}
 	}
-	if _, err := ParseStrategy("index"); err == nil {
-		t.Fatal("ParseStrategy accepted index")
+	// The nested-loop strategy is retired: its spellings are unknown
+	// names like any other, answered with the accepted list.
+	for _, name := range []string{"index", "nested-loop", "nl"} {
+		_, err := ParseStrategy(name)
+		if err == nil || !strings.Contains(err.Error(), "accepted: "+StrategyNames()) {
+			t.Fatalf("ParseStrategy(%q) error = %v, want the unknown-strategy error listing %q", name, err, StrategyNames())
+		}
 	}
 }
 
@@ -46,43 +51,6 @@ func TestProbeOnly(t *testing.T) {
 		if jt.ProbeOnly() != want {
 			t.Fatalf("%v.ProbeOnly() = %v, want %v", jt, jt.ProbeOnly(), want)
 		}
-	}
-}
-
-// TestChooseNestedLoopBelowCrossover pins the planner to the measured
-// crossover: a build side at the crossover row count goes nested-loop,
-// one row past it goes hash.
-func TestChooseNestedLoopBelowCrossover(t *testing.T) {
-	st := Stats{BuildRows: DefaultNestedLoopCrossover, ProbeRows: 1 << 16,
-		BuildWidth: 32, ProbeWidth: 32, BuildFootprint: 1 << 10}
-	d := Choose(st, Inner, 0)
-	if d.Strategy != NestedLoop || d.Fanout != 1 {
-		t.Fatalf("at crossover: %+v", d)
-	}
-	st.BuildRows = DefaultNestedLoopCrossover + 1
-	d = Choose(st, Inner, 0)
-	if d.Strategy != StreamHash {
-		t.Fatalf("past crossover: %+v", d)
-	}
-}
-
-// TestChooseSemiSelectivityExtendsNestedLoop proves selectivity feeds
-// the decision: a semi join that short-circuits on a guaranteed match
-// scans half the build side on average, so a build side slightly past
-// the inner-join crossover still goes nested-loop.
-func TestChooseSemiSelectivityExtendsNestedLoop(t *testing.T) {
-	st := Stats{BuildRows: 2 * DefaultNestedLoopCrossover, ProbeRows: 1 << 16,
-		BuildWidth: 32, ProbeWidth: 32, BuildFootprint: 1 << 10, MatchRate: 1}
-	if d := Choose(st, Inner, 0); d.Strategy != StreamHash {
-		t.Fatalf("inner at 2x crossover: %+v", d)
-	}
-	if d := Choose(st, LeftSemi, 0); d.Strategy != NestedLoop {
-		t.Fatalf("semi at 2x crossover with match rate 1: %+v", d)
-	}
-	// With no matches the semi scan never short-circuits.
-	st.MatchRate = 0.0001
-	if d := Choose(st, LeftSemi, 0); d.Strategy != StreamHash {
-		t.Fatalf("semi at 2x crossover with match rate ~0: %+v", d)
 	}
 }
 
@@ -127,7 +95,7 @@ func TestChooseStreamInBetween(t *testing.T) {
 func TestExplainCarriesInputs(t *testing.T) {
 	d := Choose(Stats{BuildRows: 4, ProbeRows: 100, BuildFootprint: 256}, LeftSemi, 4096)
 	s := d.Explain()
-	for _, want := range []string{"strategy=nested-loop", "join_type=semi",
+	for _, want := range []string{"strategy=stream", "join_type=semi",
 		"build_rows=4", "probe_rows=100", "budget=4096", "reason="} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("Explain() = %q missing %q", s, want)
@@ -154,7 +122,6 @@ func TestResolve(t *testing.T) {
 		{"untouched auto", Request{Stats: stream}, StreamHash, 1, ""},
 		{"untouched auto, unpinned fanout", Request{Stats: big}, PartitionedHash, 4, ""},
 		{"forced agrees", Request{Stats: stream, Forced: StreamHash}, StreamHash, 1, ""},
-		{"forced differs", Request{Stats: stream, Forced: NestedLoop}, NestedLoop, 1, "forced strategy nested-loop; planner preferred stream"},
 		{"forced partitioned, default width", Request{Stats: stream, Forced: PartitionedHash, PinnedFanout: 1}, PartitionedHash, 2, "forced strategy partitioned"},
 		{"forced partitioned, pinned width", Request{Stats: stream, Forced: PartitionedHash, PinnedFanout: 16}, PartitionedHash, 16, "forced strategy partitioned"},
 		{"forced stream drops the planner's fanout", Request{Stats: big, Forced: StreamHash}, StreamHash, 1, "planner preferred partitioned"},
@@ -164,7 +131,9 @@ func TestResolve(t *testing.T) {
 		{"sim ignores a pinned fanout", Request{Stats: stream, Sim: true, PinnedFanout: 8}, StreamHash, 1, ""},
 		{"fanout pins partitioned", Request{Stats: stream, PinnedFanout: 8}, PartitionedHash, 8, "-fanout 8 pins the partitioned strategy; planner preferred stream"},
 		{"fanout 1 pins nothing", Request{Stats: stream, PinnedFanout: 1}, StreamHash, 1, ""},
-		{"planner already partitions: its fanout stands", Request{Stats: big, PinnedFanout: 8}, PartitionedHash, 4, ""},
+		{"planner already partitions: a pinned fanout replaces its width", Request{Stats: big, PinnedFanout: 8}, PartitionedHash, 8, "pinned fanout 8 replaces the planner's fanout 4"},
+		{"forced partitioned agrees: a pinned fanout replaces its width", Request{Stats: big, Forced: PartitionedHash, PinnedFanout: 16}, PartitionedHash, 16, "pinned fanout 16 replaces the planner's fanout 4"},
+		{"planner already partitions: an equal pin changes nothing", Request{Stats: big, PinnedFanout: 4}, PartitionedHash, 4, ""},
 	} {
 		d := Resolve(tc.req)
 		if d.Strategy != tc.strategy || d.Fanout != tc.fanout {

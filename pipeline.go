@@ -303,12 +303,12 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 	}
 
 	// WithStrategy engages the planner (plan.Resolve) over the relations'
-	// true cardinalities, the build footprint and the declared budget,
-	// with the match rate unknown; the decision is executed and
-	// reported. Under StrategyAuto the planner's fan-out overrides
-	// WithPipelineFanout, so the fan-out is pinned only beside a forced
-	// strategy. The legacy path (no WithStrategy) keeps the
-	// fanout-driven selection and reports no Plan.
+	// true cardinalities, the build footprint and the declared budget;
+	// the decision is executed and reported. Under StrategyAuto the
+	// planner's fan-out overrides WithPipelineFanout, so the fan-out is
+	// pinned only beside a forced strategy. The legacy path (no
+	// WithStrategy) keeps the fanout-driven selection and reports no
+	// Plan.
 	strategy, fanout := plan.Auto, pc.fanout
 	if pc.strategySet {
 		bw := build.rel.Schema.FixedWidth()

@@ -38,9 +38,6 @@ type Strategy = plan.Strategy
 const (
 	// StrategyAuto lets the cost-based planner decide (see WithStrategy).
 	StrategyAuto = plan.Auto
-	// StrategyNestedLoop scans a flat copy of the build side per probe
-	// row; the planner's choice for tiny build sides.
-	StrategyNestedLoop = plan.NestedLoop
 	// StrategyStream builds one resident hash table and streams probe
 	// batches through it.
 	StrategyStream = plan.StreamHash
@@ -49,8 +46,8 @@ const (
 	StrategyPartitioned = plan.PartitionedHash
 )
 
-// ParseStrategy parses a strategy name ("auto", "nested-loop",
-// "stream", "partitioned", plus aliases).
+// ParseStrategy parses a strategy name ("auto", "stream",
+// "partitioned", plus aliases).
 func ParseStrategy(s string) (Strategy, error) { return plan.ParseStrategy(s) }
 
 // PlanDecision is the planner's EXPLAIN payload: the chosen strategy
@@ -67,13 +64,13 @@ func WithJoinType(jt JoinType) PipelineOption {
 
 // WithStrategy engages the cost-based planner: the run consults
 // plan.Choose with the relations' cardinalities, the build footprint
-// and the memory budget (the match rate is unknown to it), executes the
-// decision, and reports it in PipelineResult.Plan. StrategyAuto
-// executes what the planner picked (including its derived fan-out,
-// overriding WithPipelineFanout); a concrete strategy overrides the
-// planner's pick but still records what it preferred. Without this
-// option the legacy fanout-driven selection applies unchanged and Plan
-// stays nil.
+// and the memory budget, executes the decision, and reports it in
+// PipelineResult.Plan. StrategyAuto executes what the planner picked
+// (including its derived fan-out, overriding WithPipelineFanout); a
+// concrete strategy overrides the planner's pick but still records what
+// it preferred, and beside it a WithPipelineFanout above 1 is the width
+// of a partitioned join. Without this option the legacy fanout-driven
+// selection applies unchanged and Plan stays nil.
 func WithStrategy(s Strategy) PipelineOption {
 	return func(c *pipelineConfig) { c.strategy, c.strategySet = s, true }
 }
