@@ -308,11 +308,11 @@ type Pipeline struct {
 	// The probe relation is the join's left input.
 	JoinType plan.JoinType
 	// Strategy forces a physical join strategy; Auto (the zero value)
-	// keeps the legacy fanout-driven selection unless Explain engages
-	// the planner.
+	// keeps the fanout-driven selection, Explain or not.
 	Strategy plan.Strategy
-	// Explain consults the cost-based planner even under Auto and
-	// reports the decision in PipelineResult.Plan.
+	// Explain reports the strategy the run executes, and the cost-based
+	// planner's preference, in PipelineResult.Plan. It never changes
+	// the run.
 	Explain bool
 	// AggValueOff is the 4-byte value column the group-by sums, as an
 	// offset into the join's output row (0 = the default 4, the build —
@@ -394,23 +394,28 @@ func (p *Pipeline) Validate() error {
 	return nil
 }
 
-// planDecision consults the cost-based planner when a strategy was
-// forced or an EXPLAIN was requested, returning nil otherwise (legacy
-// fanout-driven selection). plan.Resolve applies the overrides: a forced
-// strategy, the simulator's single-table limit, and -fanout pinning the
-// partitioned strategy under Auto.
+// planDecision returns the plan a forced strategy runs, or the one an
+// EXPLAIN reports, and nil otherwise. plan.Resolve applies the
+// overrides: a forced strategy, the simulator's single-table limit, and
+// -fanout pinning the partitioned strategy under Auto. Under Auto the
+// run keeps the fan-out rule whether or not EXPLAIN asks (Run), so with
+// no fan-out pinned the decision is the stream that rule runs, the
+// planner's preference in its reason — unless the build overflows
+// MemBudget and the budget governor partitions it: at the planner's
+// width under -fanout 0, by recursive splits of one pair under -fanout 1.
 func (p *Pipeline) planDecision() *plan.Decision {
 	if p.Strategy == plan.Auto && !p.Explain {
 		return nil
 	}
 	spec := p.Pair.Spec
+	footprint := native.BuildFootprint(spec.NBuild, spec.TupleSize)
 	dec := plan.Resolve(plan.Request{
 		Stats: plan.Stats{
 			BuildRows:      spec.NBuild,
 			ProbeRows:      spec.NProbe,
 			BuildWidth:     spec.TupleSize,
 			ProbeWidth:     spec.TupleSize,
-			BuildFootprint: native.BuildFootprint(spec.NBuild, spec.TupleSize),
+			BuildFootprint: footprint,
 		},
 		JoinType:     p.JoinType,
 		Budget:       p.MemBudget,
@@ -418,6 +423,16 @@ func (p *Pipeline) planDecision() *plan.Decision {
 		PinnedFanout: p.Fanout,
 		Sim:          p.Engine == engine.Sim,
 	})
+	if p.Strategy == plan.Auto && p.Fanout <= 1 && dec.Strategy == plan.PartitionedHash {
+		if p.MemBudget == 0 || footprint <= p.MemBudget {
+			dec.Strategy, dec.Fanout = plan.StreamHash, 1
+			dec.Reason = fmt.Sprintf("-fanout %d streams through one table (planner preferred partitioned: %s)",
+				p.Fanout, dec.Reason)
+		} else if p.Fanout == 1 {
+			dec.Fanout = 1
+			dec.Reason += "; at -fanout 1 the governor splits the one pair recursively"
+		}
+	}
 	return &dec
 }
 
@@ -466,12 +481,15 @@ func (p *Pipeline) config(strategy plan.Strategy, fanout int) engine.Config {
 // scratchBytes is the per-run arena scratch of the compiled plan beyond
 // the workload itself (engine's Node.ScratchBytes). The arena is sized
 // before the relations exist, so the plan is laid over empty relations
-// of the workload's schema, the workload's own matches-per-build sizes
-// a join's staged output, and its build count bounds the groups.
+// of the workload's schema; the workload's matches per build row, or its
+// skew where that is larger — a probe row meets up to Skew build rows —
+// sizes a join's staged output, its build count bounds the groups, and
+// the spec's own output bound (workload.Spec.JoinRows) sizes the join
+// output the simulator's aggregate materializes.
 func (p *Pipeline) scratchBytes() uint64 {
 	shape := &storage.Relation{Schema: storage.KeyPayloadSchema(max(p.Spec.TupleSize, 8))}
 	return p.logical(shape, shape).ScratchBytes(p.config(p.Strategy, p.Fanout),
-		max(p.Spec.MatchesPerBuild, 1), p.Spec.NBuild)
+		max(p.Spec.MatchesPerBuild, p.Spec.Skew, 1), p.Spec.NBuild, p.Spec.JoinRows(p.JoinType))
 }
 
 // Run executes the pipeline on the configured backend and validates the
@@ -479,7 +497,7 @@ func (p *Pipeline) scratchBytes() uint64 {
 func (p *Pipeline) Run() (res PipelineResult, err error) {
 	p.Materialize()
 	strategy, fanout := plan.Auto, p.Fanout
-	if res.Plan = p.planDecision(); res.Plan != nil {
+	if res.Plan = p.planDecision(); p.Strategy != plan.Auto {
 		strategy, fanout = res.Plan.Strategy, res.Plan.Fanout
 	}
 	cfg := p.config(strategy, fanout)

@@ -215,6 +215,47 @@ func TestExplainKeepsPinnedFanout(t *testing.T) {
 	}
 }
 
+// TestExplainKeepsFanoutRule runs one pipeline with and without Explain
+// where no fan-out is pinned and the planner would partition a 20 000-row
+// build on its own: EXPLAIN must not switch the run to the planner. The
+// join runs at the same fan-out either way, and the decision EXPLAIN
+// reports is the one that ran — the stream, unbudgeted; the budget
+// governor's partitioning, budgeted — with the planner's preference
+// named in its reason.
+func TestExplainKeepsFanoutRule(t *testing.T) {
+	spec := workload.Spec{NBuild: 20000, TupleSize: 100, MatchesPerBuild: 1, Seed: 25}
+	for _, tc := range []struct {
+		name           string
+		fanout, budget int
+		strategy       plan.Strategy
+		joinFanout     int
+		reasonContains string
+	}{
+		{"fanout 1", 1, 0, plan.StreamHash, 1, "planner preferred partitioned"},
+		{"fanout 1, budgeted", 1, 300_000, plan.PartitionedHash, 1, "splits the one pair recursively"},
+		{"fanout 0, budgeted", 0, 300_000, plan.PartitionedHash, 16, "exceeds budget"},
+	} {
+		fanout := map[bool]int{}
+		for _, explain := range []bool{false, true} {
+			p := Pipeline{Engine: engine.Native, Spec: spec, Scheme: core.SchemeGroup,
+				Fanout: tc.fanout, MemBudget: tc.budget, Workers: 2, Explain: explain}
+			res, err := p.Run()
+			if err != nil {
+				t.Fatalf("%s explain=%v: %v", tc.name, explain, err)
+			}
+			fanout[explain] = res.JoinFanout
+			if explain && (res.Plan == nil || res.Plan.Strategy != tc.strategy || res.Plan.Fanout != res.JoinFanout ||
+				!strings.Contains(res.Plan.Reason, tc.reasonContains)) {
+				t.Errorf("%s: EXPLAIN reports %+v for a run at fan-out %d; want %v at that fan-out, reason naming %q",
+					tc.name, res.Plan, res.JoinFanout, tc.strategy, tc.reasonContains)
+			}
+		}
+		if fanout[false] != tc.joinFanout || fanout[true] != tc.joinFanout {
+			t.Errorf("%s: JoinFanout without/with Explain = %d/%d, want %d both", tc.name, fanout[false], fanout[true], tc.joinFanout)
+		}
+	}
+}
+
 // TestPipelineMismatchError forces a result mismatch by corrupting the
 // ground truth, checking Run's validation path.
 func TestPipelineMismatchError(t *testing.T) {
@@ -438,19 +479,22 @@ func TestScratchBytesBoundsRun(t *testing.T) {
 	estimate := map[string]uint64{}
 	for _, tc := range []struct {
 		name    string
+		engine  engine.Backend
 		jt      plan.JoinType
 		fanout  int
 		explain bool
 	}{
-		{"inner fanout=1", plan.Inner, 1, false},
-		{"inner fanout=4", plan.Inner, 4, false},
-		{"semi fanout=1", plan.LeftSemi, 1, false},
-		{"semi fanout=4", plan.LeftSemi, 4, false},
-		{"inner explain", plan.Inner, 1, true},
-		{"semi explain", plan.LeftSemi, 1, true},
+		{"inner fanout=1", engine.Native, plan.Inner, 1, false},
+		{"inner fanout=4", engine.Native, plan.Inner, 4, false},
+		{"semi fanout=1", engine.Native, plan.LeftSemi, 1, false},
+		{"semi fanout=4", engine.Native, plan.LeftSemi, 4, false},
+		{"inner explain", engine.Native, plan.Inner, 1, true},
+		{"semi explain", engine.Native, plan.LeftSemi, 1, true},
+		{"inner sim", engine.Sim, plan.Inner, 1, false},
+		{"semi sim", engine.Sim, plan.LeftSemi, 1, false},
 	} {
 		p := Pipeline{
-			Engine: engine.Native, Spec: spec, Scheme: core.SchemeGroup,
+			Engine: tc.engine, Spec: spec, Scheme: core.SchemeGroup,
 			JoinType: tc.jt, Fanout: tc.fanout, Workers: 2, Explain: tc.explain,
 		}
 		p.Materialize()

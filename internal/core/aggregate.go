@@ -82,6 +82,13 @@ func Aggregate(m *vmem.Mem, input *storage.Relation, expectedGroups int, scheme 
 	return AggregateAt(m, input, expectedGroups, 4, scheme, params)
 }
 
+// AggScratchBytes bounds the arena bytes AggregateAt allocates when it
+// folds groups groups into a table sized for expectedGroups: the chained
+// table and one record a group.
+func AggScratchBytes(expectedGroups, groups int) uint64 {
+	return tableBytes(hash.SizeFor(expectedGroups, 1), groups) + uint64(groups)*aggRecSize
+}
+
 // AggregateAt is Aggregate with an explicit byte offset of the 4-byte
 // summed value within each tuple (Aggregate assumes it directly follows
 // the key).

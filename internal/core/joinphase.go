@@ -231,6 +231,17 @@ func (j *joiner) insertTimed(b int, code uint32, tuple arena.Addr) {
 	a.PutU32(h+hash.HOffCount, count+1)
 }
 
+// tableBytes bounds the arena bytes a chained table of buckets headers
+// takes once it holds entries entries: the header block, and for each
+// entry past its bucket's first at most four cells of the doubling
+// overflow arrays growCells allocates (InitialCellCap, then twice the
+// last, so a bucket's arrays sum to less than twice its final capacity
+// and never exceed four cells an overflow entry). 64 covers the header
+// block's alignment.
+func tableBytes(buckets, entries int) uint64 {
+	return uint64(buckets*hash.HeaderSize+entries*4*hash.CellSize) + 64
+}
+
 // growCells allocates or doubles a bucket's overflow array, copying the
 // existing cells (timed) and updating the header.
 func (j *joiner) growCells(h arena.Addr, cells arena.Addr, over, capacity uint32) arena.Addr {

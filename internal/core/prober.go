@@ -59,6 +59,12 @@ func NewProber(m *vmem.Mem, build *storage.Relation, params Params) *Prober {
 	return p
 }
 
+// ProbeScratchBytes bounds the arena bytes NewProber allocates for a
+// build relation of buildRows tuples: its chained table.
+func ProbeScratchBytes(buildRows int) uint64 {
+	return tableBytes(hash.SizeFor(buildRows, 1), buildRows)
+}
+
 // BatchSize returns the group size G: callers feed at most this many
 // tuples per ProbeBatch call for full latency hiding.
 func (p *Prober) BatchSize() int { return p.params.G }

@@ -28,6 +28,15 @@
 // drained by Collect, and any other parent, sees the whole row. A native
 // hash join root drained by Run emits no rows: its workers count them
 // (see Run). The simulator's operators always emit whole rows.
+//
+// The native streaming join's table keeps the same prefix: each row
+// holds the leading build-tuple bytes its run's sinks read — the key
+// alone under Run's counter and for semi/anti, the key and value under
+// an aggregate of a build-half value, the whole tuple for a parent that
+// pulls rows. Sizing (BuildFootprint, the planner, ScratchBytes) still
+// charges the whole tuple: it is decided before the sinks are, and a
+// prebuilt side and the partitioned join's pair tables keep whole
+// tuples.
 package engine
 
 import (
@@ -480,42 +489,66 @@ func (n *Node) JoinEmitWidth(cfg Config) int {
 // ScratchBytes estimates the arena scratch one run of the plan under
 // cfg allocates beyond its relations — the one estimate admission
 // windows (the service Env) and arena sizing (the CLI pipeline) are both
-// cut from. buildRows is the build side's row count, which the caller
-// may know before the relations exist. The estimate sums the rows a
-// join stages for one probe group (matchesPerProbe each, in rows of
-// JoinEmitWidth: the simulator's output; a native join under an
-// aggregate or Run stages none, so for it the term is slack); the
-// relation a non-scan build child is materialized into (buildRows
-// tuples of the build width, in materializePage pages) — a
-// native join materializes a non-scan probe child too, but no front end
-// builds one (RunPipeline, the CLI and hjserve all scan the probe
-// relation), so the estimate carries no probe term; an
-// aggregate root's staging block, one AggTupleWidth row per group with
-// buildRows bounding the groups; the native spill tier's page pool when
-// it can engage (native.SpillPoolBytes, from the tier's own
-// arithmetic); and 64 KiB of page-rounding slack. Scoped allocation
-// reclaims all of it between runs, so this bounds a high-water mark,
-// not a leak.
-func (n *Node) ScratchBytes(cfg Config, matchesPerProbe, buildRows int) uint64 {
+// cut from. buildRows is the build side's row count and joinRows the
+// join's output row count (or a bound on it), which the caller may know
+// before the relations exist. The estimate sums the rows a join stages
+// for one probe group (matchesPerProbe each, in rows of JoinEmitWidth:
+// the simulator's output; a native join under an aggregate or Run
+// stages none, so for it the term is slack); the relation a non-scan
+// build child is materialized into (buildRows tuples of the build
+// width, in materializePage pages) — a native join materializes a
+// non-scan probe child too, but no front end builds one (RunPipeline,
+// the CLI and hjserve all scan the probe relation), so the estimate
+// carries no probe term; an aggregate root's staging block, one
+// AggTupleWidth row per group with buildRows bounding the groups; the
+// native spill tier's page pool when it can engage
+// (native.SpillPoolBytes, from the tier's own arithmetic); the
+// simulator's own structures (below); and 64 KiB of page-rounding
+// slack. Scoped allocation reclaims all of it between runs, so this
+// bounds a high-water mark, not a leak.
+//
+// The simulator allocates in the arena what the native join keeps on
+// the heap: the join's chained table, built every run
+// (core.ProbeScratchBytes); a right-outer sweep, which stages every
+// unmatched build row at once; and, under an aggregate, the join's whole
+// output, which the aggregate materializes (materializeSim) before it
+// folds it into a chained table of its own (core.AggScratchBytes) —
+// joinRows rows of the join's width, and at most as many groups. Only
+// these terms read joinRows.
+func (n *Node) ScratchBytes(cfg Config, matchesPerProbe, buildRows, joinRows int) uint64 {
 	width := uint64(n.JoinEmitWidth(cfg))
 	batch := uint64(max(cfg.Params.G, native.DefaultG)) // covers both backends' default G
 	total := uint64(matchesPerProbe)*batch*width + (64 << 10)
-	for j := n; j != nil; j = j.input {
-		if j.kind == joinNode {
-			if j.build.scanRel() == nil {
-				perPage := storage.CapacityFor(materializePage, j.build.Width())
-				total += uint64((buildRows+perPage-1)/perPage) * materializePage
-			}
-			break
-		}
+	join := n
+	for join != nil && join.kind != joinNode {
+		join = join.input
+	}
+	if join != nil && join.build.scanRel() == nil {
+		total += materializedBytes(buildRows, join.build.Width())
 	}
 	if n.kind == aggNode {
 		total += uint64(buildRows) * AggTupleWidth
 	}
-	if cfg.Backend == Native {
+	switch {
+	case cfg.Backend == Native:
 		total += native.SpillPoolBytes(cfg.joinConfig(plan.Inner))
+	case join != nil:
+		total += core.ProbeScratchBytes(buildRows)
+		if join.joinType == plan.RightOuter {
+			total += uint64(buildRows) * width
+		}
+		if n.kind == aggNode {
+			total += materializedBytes(joinRows, join.Width()) + core.AggScratchBytes(n.groups, joinRows)
+		}
 	}
 	return total
+}
+
+// materializedBytes is the size of a relation of rows tuples of width
+// bytes in materializePage pages.
+func materializedBytes(rows, width int) uint64 {
+	perPage := storage.CapacityFor(materializePage, width)
+	return uint64((rows+perPage-1)/perPage) * materializePage
 }
 
 // ErrUnsupportedPlan classifies a well-formed plan no backend can run
@@ -777,7 +810,7 @@ func Run(root Operator, a *arena.Arena) (res Result, err error) {
 	var counted *joinCounter
 	if h, ok := root.(*nativeHashJoin); ok {
 		counted = countJoin(h)
-		defer func() { h.sinkFor = nil }()
+		defer func() { h.sinkFor, h.keyOnly = nil, false }()
 	}
 	if err = root.Open(); err != nil {
 		root.Close()

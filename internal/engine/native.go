@@ -253,6 +253,7 @@ type nativeHashJoin struct {
 	batch      int
 	jt         plan.JoinType
 	sinkFor    func(w int) func(build []byte, pref uint64)
+	keyOnly    bool // sinkFor reads no build byte past the key: Run's counter
 
 	buildClosed bool
 	probeClosed bool
@@ -350,7 +351,7 @@ func (h *nativeHashJoin) run(sinkFor func(w int) func([]byte, uint64)) error {
 		native.BuildFootprint(rel.NTuples, h.buildWidth) > h.cfg.MemBudget {
 		return h.runMorsel(rel, probe, sinkFor)
 	}
-	bs, err := native.BuildRelation(rel, h.buildWidth, native.BuildConfig{
+	bs, err := native.BuildRelation(rel, h.rowWidth(), native.BuildConfig{
 		Scheme: NativeScheme(h.cfg.Scheme), G: h.cfg.Params.G, D: h.cfg.Params.D,
 		Workers: h.cfg.workers(),
 		Pool:    h.cfg.Pool, Tenant: h.cfg.Tenant, Weight: h.cfg.Weight,
@@ -363,6 +364,26 @@ func (h *nativeHashJoin) run(sinkFor func(w int) func([]byte, uint64)) error {
 	// this query's table once it returns: hand it back for recycling.
 	defer bs.Release()
 	return h.runStream(bs, probe, sinkFor)
+}
+
+// rowWidth returns how many leading bytes of each build tuple this run's
+// sinks read, which is all a row of the table built here keeps: the key
+// alone under Run's counter, else the tuple up to the last build byte
+// writeMatch copies — the key alone for semi and anti, whose rows carry
+// no build byte, and the whole tuple under a parent that declared no
+// spans. The budget check above still charges the whole tuple (see the
+// package comment's row contract).
+func (h *nativeHashJoin) rowWidth() int {
+	w := 4 // the key, which the probe compares in the row
+	if h.keyOnly {
+		return w
+	}
+	for _, s := range h.emit {
+		if s.side == 0 {
+			w = max(w, int(s.src+s.end-s.dst))
+		}
+	}
+	return w
 }
 
 // runStream runs the streaming strategy over bs, built here or handed
@@ -747,10 +768,12 @@ type joinCount struct {
 	_            [48]byte
 }
 
-// countJoin installs a fresh counter as h's sinkFor.
+// countJoin installs a fresh counter as h's sinkFor, the table's rows
+// narrowed to the key (rowWidth). Its caller uninstalls both when the
+// run is over, so a later Open of the same root gets whole rows.
 func countJoin(h *nativeHashJoin) *joinCounter {
 	c := &joinCounter{h: h}
-	h.sinkFor = c.sinkFor
+	h.sinkFor, h.keyOnly = c.sinkFor, true
 	return c
 }
 

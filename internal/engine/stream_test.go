@@ -7,6 +7,7 @@ import (
 	"errors"
 	"hash/maphash"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -75,6 +76,11 @@ const manyMorsels = 20_000
 // probe keys miss, and the small probes leave most build rows unmatched
 // — so right outer's sweep must emit each exactly once across workers,
 // semi and anti at most one row per probe row, and null pads intact.
+// Every config is drained by Collect (whole rows) and by Run (a table
+// built here keeps key-only rows), and a table built here also under
+// aggregates of a build-half value (key and value rows) and of a
+// probe-half value (key-only rows), so the sweep and the null pads run
+// over narrowed rows too.
 func TestParallelStreamParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := arena.New(32 << 20)
@@ -101,6 +107,10 @@ func TestParallelStreamParity(t *testing.T) {
 				sortedRows(want)
 			}
 			logical := HashJoinTyped(Scan(build), Scan(probe), jt)
+			aggOffs := []int{4, streamTuple + 4} // the build half's first payload word, the probe half's
+			if jt.ProbeOnly() {
+				aggOffs = []int{4}
+			}
 			for _, workers := range []int{1, 2, 4} {
 				for _, cached := range []bool{false, true} {
 					for _, scheme := range []core.Scheme{core.SchemeBaseline, core.SchemeGroup, core.SchemePipelined} {
@@ -113,6 +123,20 @@ func TestParallelStreamParity(t *testing.T) {
 						if !sameRows(got, want) {
 							t.Fatalf("%v probe=%d workers=%d cached=%v %v: %d rows, reference %d (or same count, different rows)",
 								jt, nProbe, workers, cached, scheme, len(got), len(want))
+						}
+						if got := mustRun(t, logical, cfg, a); got != referenceResult(want) {
+							t.Fatalf("%v probe=%d workers=%d cached=%v %v: Run = %+v, want %+v",
+								jt, nProbe, workers, cached, scheme, got, referenceResult(want))
+						}
+						for _, off := range aggOffs {
+							if cached {
+								break
+							}
+							got := mustGroups(t, HashAggregate(logical, off, len(buildTuples)), cfg, a)
+							if !reflect.DeepEqual(got, aggregateRows(want, off)) {
+								t.Fatalf("%v probe=%d workers=%d %v: aggregate of offset %d: groups differ from the reference",
+									jt, nProbe, workers, scheme, off)
+							}
 						}
 					}
 				}

@@ -68,9 +68,14 @@ var tablePool sync.Pool
 // build depend on CAS timing, so that result equals a serial build as a
 // multiset of rows per hash code — the join-output contract.
 //
-// width is the build schema's fixed tuple width (>= 4: the leading
-// uint32 join key). On error (cancellation through a shared pool, pool
-// shutdown) the partial table is abandoned and nil is returned.
+// width is how many leading bytes of each tuple a row keeps: at least 4
+// (the uint32 join key, which the probe compares in the row) and at most
+// the schema's fixed width. A caller whose probers' consumers read only
+// a prefix — the engine's counted or aggregated streaming join — passes
+// that prefix; a side that serves any consumer (a prepared, cached
+// BuildSide) passes the whole width, which Width then reports. On error
+// (cancellation through a shared pool, pool shutdown) the partial table
+// is abandoned and nil is returned.
 func BuildRelation(rel *storage.Relation, width int, cfg BuildConfig) (*BuildSide, error) {
 	scfg := Config{Scheme: cfg.Scheme, G: cfg.G, D: cfg.D}.normalized()
 	workers := cfg.Workers
@@ -161,7 +166,7 @@ func (b *BuildSide) NewTypedProber(jt plan.JoinType, scheme Scheme, g, d int) *P
 // NRows returns the build tuple count.
 func (b *BuildSide) NRows() int { return b.t.NRows() }
 
-// Width returns the serialized key+payload bytes per row.
+// Width returns the serialized bytes of each tuple a row keeps.
 func (b *BuildSide) Width() int { return b.t.Width() }
 
 // Bytes returns the table's resident heap footprint, for cache

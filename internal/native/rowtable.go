@@ -18,6 +18,14 @@ import (
 //	row :=  link | hash_code | key+payload
 //	        4 B    4 B         width bytes
 //
+// A row holds the tuple's first width bytes: the prefix the table's
+// consumer reads, which is the whole tuple unless the builder narrows
+// it (BuildRelation) — down to the 4-byte key, which the probe compares
+// in the row. Matches hand out the row's width bytes, so a consumer
+// reads a prefix of what it was handed whatever the width. The budget
+// and every other sizing decision still charge the whole tuple
+// (rowFootprint): they are made before the consumer is known.
+//
 // and the table indexes the rows with an open-addressed directory of
 // 4-byte slots, twice as many as rows (rounded up to a power of two):
 //

@@ -169,6 +169,41 @@ func (p *Pair) Expected(jt plan.JoinType) (n int, keySum uint64) {
 	return p.ExpectedMatches, p.KeySum
 }
 
+// JoinRows bounds the output rows of a jt join of the pair Generate
+// makes from s, without making it: a probe row that hits meets at most
+// Skew build rows, those of its key. Under ZipfS the count is random,
+// and the inner term is twice its expectation — a uniform probe row
+// meets NBuild/ZipfKeys build rows on average — as ArenaBytesFor
+// assumes, not a bound.
+func (s Spec) JoinRows(jt plan.JoinType) int {
+	s = s.normalize()
+	var hits, misses, inner int
+	if s.ZipfS > 0 {
+		hits, misses, inner = s.NProbe, s.NProbe, 2*s.NProbe*s.NBuild/s.ZipfKeys
+	} else {
+		nMatched := s.NBuild * s.PctMatched / 100
+		hits = min(nMatched*s.MatchesPerBuild, s.NProbe)
+		if s.MatchRate > 0 {
+			hits = 0
+			if nMatched > 0 {
+				hits = int(math.Round(s.MatchRate * float64(s.NProbe)))
+			}
+		}
+		misses, inner = s.NProbe-hits, hits*s.Skew
+	}
+	switch jt {
+	case plan.LeftOuter:
+		return inner + misses
+	case plan.RightOuter:
+		return inner + s.NBuild
+	case plan.LeftSemi:
+		return hits
+	case plan.LeftAnti:
+		return misses
+	}
+	return inner
+}
+
 // buildKey derives the i-th build key: a bijection of i over 31 bits,
 // shifted to even so probe-only keys (odd) never collide with it.
 func buildKey(i uint32) uint32 { return (i * 2654435761) << 1 }

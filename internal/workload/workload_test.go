@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hashjoin/internal/arena"
+	"hashjoin/internal/plan"
 )
 
 func gen(t *testing.T, spec Spec) *Pair {
@@ -128,6 +129,32 @@ func TestMissKeysNeverMatch(t *testing.T) {
 		}
 		if missKey(i)&1 != 1 {
 			t.Fatalf("miss key %d even", i)
+		}
+	}
+}
+
+// TestJoinRowsBoundsOutput checks the pre-generation output bound
+// against the generated pair's exact counts for every join type: never
+// below them, and equal for the uniform generator's inner and semi
+// joins when the skew divides the build side.
+func TestJoinRowsBoundsOutput(t *testing.T) {
+	for _, spec := range []Spec{
+		{NBuild: 300, TupleSize: 16, MatchesPerBuild: 8, Skew: 4, Seed: 1},
+		{NBuild: 400, TupleSize: 16, MatchesPerBuild: 2, PctMatched: 60, Seed: 2},
+		{NBuild: 400, NProbe: 900, TupleSize: 16, MatchRate: 0.55, PctMatched: 70, Skew: 2, Seed: 3},
+		{NBuild: 400, NProbe: 100, TupleSize: 16, MatchesPerBuild: 3, Seed: 4},
+		{NBuild: 2000, TupleSize: 16, ZipfS: 1.0, ZipfKeys: 64, Seed: 5},
+	} {
+		p := gen(t, spec)
+		for _, jt := range plan.JoinTypes() {
+			got, _ := p.Expected(jt)
+			bound := spec.JoinRows(jt)
+			if got > bound {
+				t.Errorf("%+v %v: %d output rows, above the bound %d", spec, jt, got, bound)
+			}
+			if spec.ZipfS == 0 && (jt == plan.Inner || jt == plan.LeftSemi) && got != bound {
+				t.Errorf("%+v %v: %d output rows, bound %d; want them equal", spec, jt, got, bound)
+			}
 		}
 	}
 }

@@ -369,8 +369,8 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 				// declare WithPlannedScratch). The build side's row count
 				// sizes a filtered build's relation and bounds an
 				// aggregate's groups. The admission floor (256 KB) covers
-				// the small end.
-				req.Planned = logical.ScratchBytes(cfg, 8, build.rel.NTuples)
+				// the small end. A native plan reads no join row count.
+				req.Planned = logical.ScratchBytes(cfg, 8, build.rel.NTuples, 0)
 			}
 		}
 		g, aerr := e.svc.Admit(ctx, req)
