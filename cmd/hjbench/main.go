@@ -63,7 +63,7 @@ func main() {
 		spillWork = flag.Int("spill-workers", 0, "native/pipeline: write-behind workers for the spill tier (0 = default)")
 		noSpill   = flag.Bool("no-spill", false, "native/pipeline: disable the spill tier; an irreducible over-budget pair fails instead")
 		joinType  = flag.String("join-type", "inner", "pipeline: join semantics: inner, left-outer, right-outer, semi, or anti")
-		strat     = flag.String("strategy", "auto", "pipeline: join strategy: auto (the -fanout rule), stream, or partitioned")
+		strat     = flag.String("strategy", "auto", "pipeline: join strategy: auto (partitioned at a -fanout above 1, stream at 1, the planner's pick at 0), stream, or partitioned (at a -fanout above 1, else the planner's width, else 2)")
 		matchRate = flag.Float64("match-rate", 0, "pipeline: fraction of probe tuples with a build match in (0, 1]; overrides -matches")
 		zipfS     = flag.Float64("zipf", 0, "native/pipeline: Zipf skew parameter s for build keys (0 = uniform keys); probe keys stay uniform over the same universe")
 		zipfKeys  = flag.Int("zipf-keys", 0, "native/pipeline: distinct-key universe for -zipf (0 = default 256)")

@@ -44,13 +44,13 @@ func main() {
 		schemeArg = flag.String("scheme", "plan", "baseline, simple, group, pipelined, or plan (use planner)")
 		hierArg   = flag.String("hier", "small", "memory hierarchy: small or es40 (sim engine)")
 		workers   = flag.Int("workers", 0, "native engine: morsel workers (0 = all CPUs)")
-		fanout    = flag.Int("fanout", 1, "native engine: partition fan-out (1 = stream through one table)")
+		fanout    = flag.Int("fanout", 1, "native engine: partition fan-out (1 = stream through one table, 0 = name none and let the planner choose)")
 		memBudget = flag.Int("mem-budget", 0, "native engine: resident build-side budget in bytes (0 = unbudgeted); a streaming join over budget degrades to partitioned; an oversized pair spills its irreducible hot keys to disk and re-partitions the rest")
 		spillDir  = flag.String("spill-dir", "", "native engine: parent directory for the out-of-core spill area (default: OS temp dir)")
 		spillWork = flag.Int("spill-workers", 0, "native engine: write-behind workers for the spill tier (0 = default)")
 		noSpill   = flag.Bool("no-spill", false, "native engine: disable the spill tier; an irreducible over-budget pair fails instead")
 		joinType  = flag.String("join-type", "inner", "join semantics: inner, left-outer, right-outer, semi, or anti")
-		strat     = flag.String("strategy", "auto", "join strategy: auto (the -fanout rule), stream, or partitioned")
+		strat     = flag.String("strategy", "auto", "join strategy: auto (partitioned at a -fanout above 1, stream at 1, the planner's pick at 0), stream, or partitioned (at a -fanout above 1, else the planner's width, else 2)")
 		explain   = flag.Bool("explain", false, "print the strategy the run executes, the planner's preference and its inputs")
 		matchRate = flag.Float64("match-rate", 0, "fraction of probe tuples with a build match in (0, 1]; overrides -matches/-pct workload shaping")
 		aggOff    = flag.Int("agg", 0, "aggregate value byte offset within the join output row (0 = default 4)")

@@ -12,19 +12,19 @@
 //	ping
 //	quit
 //
-// A query that names no fanout= leaves the strategy to the cost-based
-// planner (or to its strategy=). When it is also native (the default
-// engine), carries no budget=, asks for no strategy other than auto or
-// stream, and the build-side cache is on (-build-cache > 0), it probes
-// the pair's cached build side: the first such query builds the pair's
-// hash table once, later ones — every join type, with or without
-// agg=1 — stream their probes through it, and the reply carries
-// cache=hit or cache=miss. fanout=1 queries use the cache too. An
-// explicit fanout=N above 1, strategy=partitioned, budget=, or
-// engine=sim builds per query. strategy= takes auto, stream or
-// partitioned; a forced partitioned join runs at fanout= (default 4).
-// Whenever the planner ran, the reply names the executed strategy=;
-// explain=1 adds its reasoning.
+// A query resolves its strategy and fan-out by the rule every front end
+// shares (plan.Resolve): fanout=N above 1 partitions at N, fanout=1
+// streams, and a query naming no fanout= leaves the choice to the
+// cost-based planner, or to its strategy= (auto, stream or partitioned;
+// strategy=partitioned names fanout 4 unless fanout= is given). A
+// native query with no budget= that names no partitioned run probes the
+// pair's cached build side when the build-side cache is on
+// (-build-cache > 0), which pins it to the streaming strategy: the
+// first such query builds the pair's hash table once, later ones —
+// every join type, with or without agg=1 — stream their probes through
+// it, and the reply carries cache=hit or cache=miss. Every reply names
+// the executed strategy=; explain=1 adds the decision's reasoning and
+// never changes the run.
 //
 // Successful commands answer "ok k=v ...". Failures answer
 //
@@ -75,7 +75,7 @@ func main() {
 		queueWait  = flag.Duration("queue-timeout", 0, "shed queries queued longer than this (0 = no server-side bound)")
 		workers    = flag.Int("workers", 0, "shared morsel pool size (0 = all CPUs)")
 		queryCap   = flag.Duration("query-timeout", time.Minute, "cap on per-query timeout= requests (0 = uncapped)")
-		buildCache = flag.Int64("build-cache", 64<<20, "build-side cache byte budget for default and fanout=1 native queries (0 disables)")
+		buildCache = flag.Int64("build-cache", 64<<20, "build-side cache byte budget for native queries without budget= that name no partitioned run (no fanout= above 1, no strategy=partitioned); 0 disables")
 		spillDir   = flag.String("spill-dir", "", "comma-separated spill parent directories, tried in order as earlier ones fail (\"\" = OS temp)")
 		maxConns   = flag.Int("max-conns", 0, "protocol connection cap; excess connections get a typed shed line (0 = unlimited)")
 		idleTime   = flag.Duration("idle-timeout", 0, "close protocol connections idle longer than this (0 = never)")

@@ -706,3 +706,76 @@ func TestServeDefaultUsesCache(t *testing.T) {
 		t.Fatalf("cacheless default query reports a cache: %v", m)
 	}
 }
+
+// TestServeExplainKeepsNamedFanout: explain=1 and strategy=auto report
+// and resolve a query; neither drops the fan-out it names. A named
+// fanout=1 streams a build the planner would partition, and a named
+// fanout=8 partitions one it would stream, whichever of the two keys
+// rides along.
+func TestServeExplainKeepsNamedFanout(t *testing.T) {
+	s := startServer(t, serverOptions{})
+	c := dial(t, s)
+	for _, load := range []string{
+		"pair name=d build=20000 probe=40000 tuple=40 seed=3",
+		"pair name=s build=2000 probe=4000 tuple=40 seed=3",
+	} {
+		if status, m := kv(t, c.roundTrip(t, load)); status != "ok" {
+			t.Fatalf("%s: %v %v", load, status, m)
+		}
+	}
+	for _, tc := range []struct {
+		query, strategy, fanout string
+	}{
+		{"query pair=d fanout=1", "stream", "1"},
+		{"query pair=s fanout=8", "partitioned", "8"},
+	} {
+		for _, extra := range []string{"", " explain=1", " strategy=auto", " strategy=auto explain=1"} {
+			q := tc.query + extra
+			status, m := kv(t, c.roundTrip(t, q))
+			if status != "ok" || m["fanout"] != tc.fanout || m["strategy"] != tc.strategy {
+				t.Errorf("%q: %v %v, want fanout=%s strategy=%s", q, status, m, tc.fanout, tc.strategy)
+			}
+		}
+	}
+}
+
+// TestServeCacheFollowsTheRule: the pair's cached build side serves the
+// queries the strategy rule streams over a prebuilt side, and no other.
+// A budgeted query builds under its budget whatever fan-out it names,
+// and a forced partitioned query partitions even where the planner
+// agrees with it, at fanout=4 by default or at the planner's width
+// beside fanout=1.
+func TestServeCacheFollowsTheRule(t *testing.T) {
+	s := startServer(t, serverOptions{buildCache: 64 << 20})
+	c := dial(t, s)
+	if status, m := kv(t, c.roundTrip(t, "pair name=d build=20000 probe=40000 tuple=40 seed=3")); status != "ok" {
+		t.Fatalf("pair: %v %v", status, m)
+	}
+	for _, tc := range []struct {
+		query, cache, strategy, fanout string
+	}{
+		{"query pair=d", "miss", "stream", "1"},
+		{"query pair=d fanout=1", "hit", "stream", "1"},
+		{"query pair=d strategy=stream", "hit", "stream", "1"},
+		{"query pair=d strategy=auto explain=1", "hit", "stream", "1"},
+		{"query pair=d fanout=8", "", "partitioned", "8"},
+		{"query pair=d strategy=partitioned", "", "partitioned", "4"},
+		{"query pair=d strategy=partitioned fanout=1", "", "partitioned", "4"},
+		{"query pair=d budget=65536", "", "partitioned", "32"},
+		{"query pair=d fanout=1 budget=65536", "", "partitioned", "1"},
+		{"query pair=d strategy=stream budget=65536", "", "partitioned", "1"},
+	} {
+		status, m := kv(t, c.roundTrip(t, tc.query))
+		if status != "ok" || m["cache"] != tc.cache || m["strategy"] != tc.strategy || m["fanout"] != tc.fanout {
+			t.Errorf("%q: %v %v, want cache=%q strategy=%s fanout=%s", tc.query, status, m, tc.cache, tc.strategy, tc.fanout)
+		}
+	}
+	// A budget the partitioned width fits keeps every pair resident.
+	if _, m := kv(t, c.roundTrip(t, "query pair=d budget=65536")); m["resident"] != "32" {
+		t.Errorf("budgeted default: resident=%s, want 32", m["resident"])
+	}
+	// A forced stream beside a partitioned fan-out is a usage error.
+	if status, m := kv(t, c.roundTrip(t, "query pair=d strategy=stream fanout=8")); status != "err" || m["code"] != "2" {
+		t.Errorf("strategy=stream fanout=8: %v %v, want err code=2", status, m)
+	}
+}

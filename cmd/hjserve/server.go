@@ -532,13 +532,18 @@ func (s *server) cmdQuery(tenant string, args []string) string {
 	default:
 		return errLine(cli.ExitUsage, fmt.Errorf("bad engine=%q (want native or sim)", kv["engine"]))
 	}
-	fanout, err := kvInt(kv, "fanout", 4)
+	strategy, err := hashjoin.ParseStrategy(kv["strategy"])
 	if err != nil {
 		return errLine(cli.ExitUsage, err)
 	}
-	_, fanoutSet := kv["fanout"]
-	_, strategySet := kv["strategy"]
-	strategy, err := hashjoin.ParseStrategy(kv["strategy"])
+	// The fan-out the query names: fanout= if given, else the
+	// documented default 4 for strategy=partitioned, else none (0), which
+	// leaves the choice to the planner.
+	named := 0
+	if strategy == hashjoin.StrategyPartitioned {
+		named = 4
+	}
+	fanout, err := kvInt(kv, "fanout", named)
 	if err != nil {
 		return errLine(cli.ExitUsage, err)
 	}
@@ -573,17 +578,9 @@ func (s *server) cmdQuery(tenant string, args []string) string {
 	if jt != hashjoin.Inner {
 		opts = append(opts, hashjoin.WithJoinType(jt))
 	}
-	// The cost-based planner chooses unless the query names fanout=
-	// without strategy= or explain=1, which keeps the legacy
-	// fanout-driven selection. The fan-out is pinned only when named or
-	// as the width of a forced partitioned join (default 4).
-	if !fanoutSet || strategySet || explain != 0 {
-		opts = append(opts, hashjoin.WithStrategy(strategy))
-	}
-	if fanoutSet || strategy == hashjoin.StrategyPartitioned {
-		opts = append(opts, hashjoin.WithPipelineFanout(fanout))
-	}
 	opts = append(opts,
+		hashjoin.WithStrategy(strategy),
+		hashjoin.WithPipelineFanout(fanout),
 		hashjoin.WithPipelineWorkers(workers),
 		hashjoin.WithTenantWeight(weight),
 	)
@@ -611,18 +608,15 @@ func (s *server) cmdQuery(tenant string, args []string) string {
 		defer cancel()
 	}
 
-	// Native queries that stream (fanout<=1), or that name no fanout= and
-	// no budget= and let the planner pick or ask for streaming, probe
-	// through the build cache: the first query for a pair prepares the
-	// shared row table (single-flight), later ones skip the build phase
-	// entirely, and the prebuilt side pins the planner to streaming. A
-	// budgeted query builds per query so its budget bounds the table.
+	// The pair's cached build side is offered to every native query
+	// that sets no budget= (a budget bounds a table built per query) and
+	// names no partitioned run (strategy=partitioned, or a fan-out above
+	// 1), the requests plan.Resolve would refuse it for. The rule streams
+	// every such query over it. The first query for a pair prepares the
+	// shared row table (single-flight); later ones skip the build phase.
 	cacheNote := ""
-	cacheable := fanout <= 1
-	if !fanoutSet {
-		cacheable = budget == 0 && (strategy == hashjoin.StrategyAuto || strategy == hashjoin.StrategyStream)
-	}
-	if nativeEngine && cacheable && s.cache.enabled() {
+	if nativeEngine && s.cache.enabled() && budget == 0 &&
+		strategy != hashjoin.StrategyPartitioned && fanout <= 1 {
 		b, hit, berr := s.cache.get(kv["pair"], w.Build, func() (*hashjoin.BuildSide, error) {
 			return s.env.PrepareBuildSide(ctx, w.Build,
 				hashjoin.WithTenant(tenant),
@@ -659,12 +653,9 @@ func (s *server) cmdQuery(tenant string, args []string) string {
 		hybridNote = fmt.Sprintf(" resident=%d spilled=%d demoted=%d demoted_bytes=%d",
 			res.ResidentPartitions, res.SpilledPartitions, res.DemotedPartitions, res.BytesDemoted)
 	}
-	planNote := ""
-	if res.Plan != nil {
-		planNote = " strategy=" + res.Plan.Strategy.String()
-		if explain != 0 {
-			planNote += fmt.Sprintf(" plan=%q", res.Plan.Explain())
-		}
+	planNote := " strategy=" + res.Plan.Strategy.String()
+	if explain != 0 {
+		planNote += fmt.Sprintf(" plan=%q", res.Plan.Explain())
 	}
 	return fmt.Sprintf("ok rows=%d keysum=%d elapsed_us=%d queue_wait_us=%d admitted_bytes=%d morsels=%d fanout=%d%s%s%s%s",
 		res.NOutput, res.KeySum, res.Elapsed.Microseconds(), res.QueueWait.Microseconds(),

@@ -161,7 +161,7 @@ func ExitCodeFor(err error) int {
 	if errors.Is(err, arena.ErrOutOfMemory) || errors.Is(err, native.ErrOverBudget) {
 		return ExitMemory
 	}
-	if errors.Is(err, engine.ErrUnsupportedPlan) {
+	if errors.Is(err, engine.ErrUnsupportedPlan) || errors.Is(err, plan.ErrConflict) {
 		return ExitUsage
 	}
 	return ExitFailure
@@ -300,7 +300,7 @@ type Pipeline struct {
 	Scheme    core.Scheme
 	Params    core.Params
 	Hier      memsim.Config // Sim backend; zero value selects SmallConfig
-	Fanout    int           // Native backend join strategy
+	Fanout    int           // the -fanout the caller named (0: none); see plan.Resolve
 	Workers   int
 	MemBudget int // Native: bound on the join's resident build footprint; 0 = unbudgeted
 
@@ -308,9 +308,9 @@ type Pipeline struct {
 	// The probe relation is the join's left input.
 	JoinType plan.JoinType
 	// Strategy forces a physical join strategy; Auto (the zero value)
-	// keeps the fanout-driven selection, Explain or not.
+	// leaves it to plan.Resolve's rule over Fanout.
 	Strategy plan.Strategy
-	// Explain reports the strategy the run executes, and the cost-based
+	// Explain reports the decision the run executes, and the cost-based
 	// planner's preference, in PipelineResult.Plan. It never changes
 	// the run.
 	Explain bool
@@ -353,8 +353,8 @@ type PipelineResult struct {
 	// spill tier and the hybrid policy did.
 	engine.Report
 
-	// Plan is the planner's decision and inputs when it was consulted
-	// (Strategy != Auto, or Explain); nil otherwise.
+	// Plan is the decision the run executed and its inputs, reported
+	// when Strategy != Auto or Explain; nil otherwise.
 	Plan *plan.Decision
 }
 
@@ -365,13 +365,6 @@ type PipelineResult struct {
 // tuple: an -agg offset that is fine for an inner join can dangle off
 // the end of a semi join's rows.
 func (p *Pipeline) Validate() error {
-	if p.Strategy == plan.StreamHash && p.Fanout > 1 {
-		return fmt.Errorf("-strategy %v is single-table; -pipeline-fanout %d conflicts (use -strategy partitioned or auto)",
-			p.Strategy, p.Fanout)
-	}
-	if p.Strategy == plan.PartitionedHash && p.Engine == engine.Sim {
-		return fmt.Errorf("-strategy partitioned requires -engine native (the simulator executes single-table joins only)")
-	}
 	tuple := p.Spec.TupleSize
 	if tuple < 8 {
 		tuple = 8 // the generator's minimum width
@@ -392,48 +385,6 @@ func (p *Pipeline) Validate() error {
 			off, off+4, p.JoinType, tuple, outWidth)
 	}
 	return nil
-}
-
-// planDecision returns the plan a forced strategy runs, or the one an
-// EXPLAIN reports, and nil otherwise. plan.Resolve applies the
-// overrides: a forced strategy, the simulator's single-table limit, and
-// -fanout pinning the partitioned strategy under Auto. Under Auto the
-// run keeps the fan-out rule whether or not EXPLAIN asks (Run), so with
-// no fan-out pinned the decision is the stream that rule runs, the
-// planner's preference in its reason — unless the build overflows
-// MemBudget and the budget governor partitions it: at the planner's
-// width under -fanout 0, by recursive splits of one pair under -fanout 1.
-func (p *Pipeline) planDecision() *plan.Decision {
-	if p.Strategy == plan.Auto && !p.Explain {
-		return nil
-	}
-	spec := p.Pair.Spec
-	footprint := native.BuildFootprint(spec.NBuild, spec.TupleSize)
-	dec := plan.Resolve(plan.Request{
-		Stats: plan.Stats{
-			BuildRows:      spec.NBuild,
-			ProbeRows:      spec.NProbe,
-			BuildWidth:     spec.TupleSize,
-			ProbeWidth:     spec.TupleSize,
-			BuildFootprint: footprint,
-		},
-		JoinType:     p.JoinType,
-		Budget:       p.MemBudget,
-		Forced:       p.Strategy,
-		PinnedFanout: p.Fanout,
-		Sim:          p.Engine == engine.Sim,
-	})
-	if p.Strategy == plan.Auto && p.Fanout <= 1 && dec.Strategy == plan.PartitionedHash {
-		if p.MemBudget == 0 || footprint <= p.MemBudget {
-			dec.Strategy, dec.Fanout = plan.StreamHash, 1
-			dec.Reason = fmt.Sprintf("-fanout %d streams through one table (planner preferred partitioned: %s)",
-				p.Fanout, dec.Reason)
-		} else if p.Fanout == 1 {
-			dec.Fanout = 1
-			dec.Reason += "; at -fanout 1 the governor splits the one pair recursively"
-		}
-	}
-	return &dec
 }
 
 // Materialize generates the workload into a fresh arena if it has not
@@ -462,12 +413,11 @@ func (p *Pipeline) logical(build, probe *storage.Relation) *engine.Node {
 
 // config is the engine configuration the pipeline runs — and is sized —
 // under, but for the arena, memory view and report Run supplies.
-func (p *Pipeline) config(strategy plan.Strategy, fanout int) engine.Config {
+func (p *Pipeline) config(fanout int) engine.Config {
 	return engine.Config{
 		Backend:      p.Engine,
 		Scheme:       p.Scheme,
 		Params:       p.Params,
-		Strategy:     strategy,
 		Fanout:       fanout,
 		Workers:      p.Workers,
 		MemBudget:    p.MemBudget,
@@ -488,19 +438,37 @@ func (p *Pipeline) config(strategy plan.Strategy, fanout int) engine.Config {
 // output the simulator's aggregate materializes.
 func (p *Pipeline) scratchBytes() uint64 {
 	shape := &storage.Relation{Schema: storage.KeyPayloadSchema(max(p.Spec.TupleSize, 8))}
-	return p.logical(shape, shape).ScratchBytes(p.config(p.Strategy, p.Fanout),
+	return p.logical(shape, shape).ScratchBytes(p.config(p.Fanout),
 		max(p.Spec.MatchesPerBuild, p.Spec.Skew, 1), p.Spec.NBuild, p.Spec.JoinRows(p.JoinType))
 }
 
-// Run executes the pipeline on the configured backend and validates the
-// derived join totals against the workload's ground truth.
+// Run executes the pipeline on the configured backend — at the strategy
+// and fan-out plan.Resolve decides over the generated workload — and
+// validates the derived join totals against the workload's ground truth.
 func (p *Pipeline) Run() (res PipelineResult, err error) {
 	p.Materialize()
-	strategy, fanout := plan.Auto, p.Fanout
-	if res.Plan = p.planDecision(); p.Strategy != plan.Auto {
-		strategy, fanout = res.Plan.Strategy, res.Plan.Fanout
+	spec := p.Pair.Spec
+	dec, err := plan.Resolve(plan.Request{
+		Stats: plan.Stats{
+			BuildRows:      spec.NBuild,
+			ProbeRows:      spec.NProbe,
+			BuildWidth:     spec.TupleSize,
+			ProbeWidth:     spec.TupleSize,
+			BuildFootprint: native.BuildFootprint(spec.NBuild, spec.TupleSize),
+		},
+		JoinType: p.JoinType,
+		Budget:   p.MemBudget,
+		Forced:   p.Strategy,
+		Fanout:   p.Fanout,
+		Sim:      p.Engine == engine.Sim,
+	})
+	if err != nil {
+		return res, err
 	}
-	cfg := p.config(strategy, fanout)
+	if p.Explain || p.Strategy != plan.Auto {
+		res.Plan = &dec
+	}
+	cfg := p.config(dec.Fanout)
 	cfg.A, cfg.Report = p.A, &res.Report
 	if p.Engine == engine.Sim {
 		hier := p.Hier

@@ -146,18 +146,13 @@ type Config struct {
 	// native.DefaultG natively).
 	Params core.Params
 
-	// Strategy selects the join's physical execution strategy (see
-	// plan.Choose): StreamHash forces the single-table streaming probe;
-	// PartitionedHash forces the radix+morsel join (native only). The
-	// zero value Auto keeps the legacy Fanout-driven selection below.
-	Strategy plan.Strategy
-
-	// Fanout, for the native backend, selects the join strategy: <= 1
-	// streams probe groups through one resident hash table, the probe
-	// relation's page ranges being the morsels; > 1 radix-partitions
-	// both inputs (rounded up to a power of two) and the partition pairs
-	// are the morsels. Either way the workers share the morsels and feed
-	// output batches into the pipeline.
+	// Fanout, for the native backend, is the join strategy, run as
+	// given: <= 1 streams probe groups through one resident hash table,
+	// the probe relation's page ranges being the morsels; > 1
+	// radix-partitions both inputs (rounded up to a power of two) and
+	// the partition pairs are the morsels. Either way the workers share
+	// the morsels and feed output batches into the pipeline. The front
+	// ends set it from plan.Resolve's decision.
 	Fanout int
 
 	// Workers bounds the native join's workers (0 = GOMAXPROCS) under
@@ -179,13 +174,15 @@ type Config struct {
 
 	// MemBudget, when > 0, bounds the resident footprint of a native
 	// join's build side in bytes. A streaming join (Fanout <= 1) whose
-	// build would exceed it falls back to the partitioned morsel
-	// strategy, whose pairs run under the adaptive hybrid policy
-	// (native hybrid.go): the pairs that fit run first, each hash code
-	// too big to fit on its own — irreducible duplicate-key skew — is
-	// joined out of core through internal/spill rather than failing, and
-	// the rest of an oversized pair is re-partitioned recursively
-	// (bounded depth). 0 means unbudgeted.
+	// build would exceed it (native.BuildFootprint, the predicate by
+	// which plan.Resolve reports this budget governor's case) runs
+	// partitioned instead: at Fanout 1 one pair split recursively, at 0
+	// the width native.Config derives. The pairs run under the adaptive
+	// hybrid policy (native hybrid.go): the pairs that fit run first,
+	// each hash code too big to fit on its own — irreducible
+	// duplicate-key skew — is joined out of core through internal/spill
+	// rather than failing, and the rest of an oversized pair is
+	// re-partitioned recursively (bounded depth). 0 means unbudgeted.
 	MemBudget int
 
 	// SpillDir is the parent directory spec for the native join's
@@ -624,31 +621,9 @@ func Compile(n *Node, cfg Config) (Operator, error) {
 	if cfg.SpillPageSize < 0 {
 		return nil, fmt.Errorf("engine: negative SpillPageSize %d", cfg.SpillPageSize)
 	}
-	switch cfg.Strategy {
-	case plan.Auto, plan.StreamHash, plan.PartitionedHash:
-	default:
-		return nil, fmt.Errorf("engine: unknown strategy %v", cfg.Strategy)
-	}
-	if cfg.Strategy == plan.PartitionedHash {
-		if cfg.Backend == Sim {
-			return nil, fmt.Errorf("engine: strategy %v requires the Native backend (the simulator executes single-table joins only)", cfg.Strategy)
-		}
-		if cfg.Fanout <= 1 {
-			// plan.Choose always pins a fanout; this is the bare-API
-			// fallback so a forced partitioned join still partitions.
-			cfg.Fanout = 8
-		}
-	}
-	if cfg.Strategy == plan.StreamHash && cfg.Fanout > 1 {
-		return nil, fmt.Errorf("engine: strategy %v runs over one table; fanout %d conflicts (use -strategy partitioned or auto)",
-			cfg.Strategy, cfg.Fanout)
-	}
 	if cfg.Build != nil {
 		if cfg.Backend != Native {
 			return nil, fmt.Errorf("engine: Config.Build requires the Native backend")
-		}
-		if cfg.Strategy != plan.Auto && cfg.Strategy != plan.StreamHash {
-			return nil, fmt.Errorf("engine: Config.Build is a prebuilt hash table; strategy %v cannot use it", cfg.Strategy)
 		}
 		if w := buildWidthOf(n); w >= 0 && w != cfg.Build.Width() {
 			return nil, fmt.Errorf("engine: Config.Build width %d does not match the plan's build width %d",
@@ -703,9 +678,6 @@ func compileNode(n, parent *Node, cfg Config) Operator {
 		if cfg.Backend == Sim {
 			return newSimHashJoin(cfg.Mem, build, probe,
 				n.build.scanRel(), n.build.Width(), n.input.Width(), cfg.Params, n.joinType)
-		}
-		if cfg.Strategy == plan.StreamHash {
-			cfg.Fanout = 1 // pin the single-table streaming path
 		}
 		return newNativeHashJoin(cfg, build, probe,
 			n.build.scanRel(), n.input.scanRel(), n.build.Width(), n.input.Width(), n.joinType,

@@ -78,7 +78,7 @@ func TestTinyBuildPlannedParity(t *testing.T) {
 			want = sortedRows(slices.Clone(want))
 			logical := HashJoinTyped(Scan(build), Scan(probe), jt)
 			for _, backend := range []Backend{Sim, Native} {
-				dec := plan.Resolve(plan.Request{
+				dec, err := plan.Resolve(plan.Request{
 					Stats: plan.Stats{
 						BuildRows: nBuild, ProbeRows: probe.NTuples,
 						BuildWidth: streamTuple, ProbeWidth: streamTuple,
@@ -87,16 +87,15 @@ func TestTinyBuildPlannedParity(t *testing.T) {
 					JoinType: jt,
 					Sim:      backend == Sim,
 				})
-				if dec.Strategy != plan.StreamHash || dec.Fanout != 1 {
-					t.Fatalf("%d build rows, %v on %v: planned %v fanout %d, want stream",
-						nBuild, jt, backend, dec.Strategy, dec.Fanout)
+				if err != nil || dec.Strategy != plan.StreamHash || dec.Fanout != 1 {
+					t.Fatalf("%d build rows, %v on %v: planned %v fanout %d (%v), want stream",
+						nBuild, jt, backend, dec.Strategy, dec.Fanout, err)
 				}
 				cfg := simCfg(m, core.SchemeGroup, core.DefaultParams())
 				if backend == Native {
 					cfg = nativeCfg(a, core.SchemeGroup, core.DefaultParams(), dec.Fanout)
 					cfg.Workers = 2
 				}
-				cfg.Strategy = dec.Strategy
 				got := sortedRows(mustCollect(t, logical, cfg, a))
 				if !sameRows(got, want) {
 					t.Errorf("%d build rows, %v on %v: %d rows, reference %d (or same count, different rows)",
@@ -133,12 +132,12 @@ func TestBuildHandleTypedJoin(t *testing.T) {
 }
 
 // TestCompileStrategyValidation pins the misconfiguration taxonomy: the
-// flag combinations the CLI forwards must fail closed at Compile, not
-// produce silently-wrong results deep in a run.
+// plan shapes the CLI forwards must fail closed at Compile, not produce
+// silently-wrong results deep in a run. (Conflicting strategy requests
+// are plan.Resolve's errors, before any plan compiles: TestResolve.)
 func TestCompileStrategyValidation(t *testing.T) {
 	spec := workload.Spec{NBuild: 50, TupleSize: 16, MatchesPerBuild: 1, Seed: 51}
-	pair, a, m := testEnv(t, spec)
-	join := HashJoin(Scan(pair.Build), Scan(pair.Probe))
+	pair, a, _ := testEnv(t, spec)
 
 	cases := []struct {
 		name string
@@ -146,12 +145,6 @@ func TestCompileStrategyValidation(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"partitioned-on-sim", join,
-			Config{Backend: Sim, Mem: m, Strategy: plan.PartitionedHash},
-			"Native backend"},
-		{"stream-fanout", join,
-			Config{Backend: Native, A: a, Strategy: plan.StreamHash, Fanout: 2},
-			"fanout 2 conflicts"},
 		{"agg-off-semi-row", HashAggregate(
 			HashJoinTyped(Scan(pair.Build), Scan(pair.Probe), plan.LeftSemi), 20, 8),
 			Config{Backend: Native, A: a},

@@ -3,7 +3,9 @@
 // the cheapest execution strategy — a single streaming hash probe for
 // cache-resident build sides, of any size down to none, or the
 // radix-partitioned morsel join when the build side overflows the cache
-// or the memory budget.
+// or the memory budget. Resolve applies the one rule by which every
+// front end turns a request — a forced strategy, a named fan-out — into
+// the strategy and fan-out that run.
 //
 // The crossover between the two is not guessed: it is measured by the
 // root package's calibration benchmark (BenchmarkJoinCrossover, which
@@ -18,6 +20,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -86,12 +89,11 @@ func ParseJoinType(s string) (JoinType, error) {
 }
 
 // Strategy is the execution strategy Choose selects over. The zero
-// value Auto means "let the planner decide", so existing call sites
-// that never set a strategy keep their legacy behavior.
+// value Auto forces none: Resolve's rule decides.
 type Strategy uint8
 
 const (
-	// Auto defers the decision to Choose.
+	// Auto defers the decision to Resolve's rule.
 	Auto Strategy = iota
 	// StreamHash builds one hash table and streams probe batches
 	// through it (the paper's group/pipelined prefetched probe).
@@ -162,7 +164,8 @@ type Decision struct {
 	Strategy Strategy
 	JoinType JoinType
 	// Fanout is the partition fan-out to run with: 1 for StreamHash,
-	// >= 2 for PartitionedHash.
+	// >= 2 for PartitionedHash but for the budget governor's one-pair
+	// split (see Resolve), which is 1.
 	Fanout int
 	// Budget is the admitted memory window the decision was made under
 	// (0 = unbudgeted).
@@ -212,14 +215,11 @@ type Request struct {
 	JoinType JoinType
 	Budget   int
 
-	// Forced is the strategy the caller demands; Auto accepts Choose's.
+	// Forced is the strategy the caller demands; Auto leaves the choice
+	// to the rule (see Resolve).
 	Forced Strategy
-	// PinnedFanout is a fan-out the caller fixed. A value above 1 is the
-	// width of every partitioned decision, forced or chosen, and under
-	// Auto on the native backend it pins the partitioned strategy. A
-	// caller whose fan-out yields to the planner under Auto passes it
-	// only alongside a forced strategy.
-	PinnedFanout int
+	// Fanout is the fan-out the caller named; 0 names none.
+	Fanout int
 	// Sim: the backend is the simulator, which runs single-table joins
 	// only. Prebuilt: the build side is an already-built hash table,
 	// which only the streaming probe can use.
@@ -227,40 +227,88 @@ type Request struct {
 	Prebuilt bool
 }
 
-// Resolve is the one place a planner pick meets its overrides: it runs
-// Choose, applies at most one strategy override — a forced strategy
-// first, then what the build side and the backend can execute, then a
-// pinned fan-out — and returns the decision that runs, its Reason naming
-// the override and what the planner preferred. A pinned fan-out is the
-// width of whatever partitioned decision results; where it replaces the
-// planner's own width, the Reason names both.
-func Resolve(r Request) Decision {
+// ErrConflict classifies a request whose parts contradict each other,
+// such as a forced streaming strategy beside a fan-out above 1.
+var ErrConflict = errors.New("conflicting strategy request")
+
+// Resolve is the only code that turns a request into the strategy and
+// fan-out that run; every front end calls it once per query, executes
+// the decision it returns and reports that decision as its EXPLAIN. The
+// rule, by what the caller gives:
+//
+//	forced stream        stream; a named fan-out above 1 is an error
+//	forced partitioned   partitioned at the named fan-out if above 1,
+//	                     else at the planner's width if it preferred
+//	                     partitioned, else at 2; an error on the
+//	                     simulator or with a prebuilt side
+//	auto, fan-out N > 1  partitioned at N; the simulator streams, and
+//	                     a prebuilt side is an error
+//	auto, fan-out 1      stream
+//	auto, none named     Choose's pick; a prebuilt side or the
+//	                     simulator pins stream
+//
+// A native stream over a built-here table whose footprint exceeds the
+// budget is the engine's budget governor's case: it splits the one pair
+// recursively, so the decision reads partitioned at fan-out 1. The
+// Reason names each override and what the planner preferred.
+func Resolve(r Request) (Decision, error) {
 	d := Choose(r.Stats, r.JoinType, r.Budget)
 	preferred, width := d.Strategy, d.Fanout
-	switch {
-	case r.Forced != Auto && r.Forced != preferred:
-		d.Strategy, d.Fanout = r.Forced, 1
-		if r.Forced == PartitionedHash {
-			d.Fanout = 2
+	switch r.Forced {
+	case StreamHash:
+		if r.Fanout > 1 {
+			return d, fmt.Errorf("%w: strategy stream runs over one table; fanout %d conflicts (use strategy partitioned or auto)",
+				ErrConflict, r.Fanout)
 		}
+		d.Strategy, d.Fanout = StreamHash, 1
+	case PartitionedHash:
+		switch {
+		case r.Sim:
+			return d, fmt.Errorf("%w: strategy partitioned requires the native engine (the simulator executes single-table joins only)", ErrConflict)
+		case r.Prebuilt:
+			return d, fmt.Errorf("%w: strategy partitioned cannot use a prebuilt build side, which only the streaming probe reads", ErrConflict)
+		}
+		if preferred != PartitionedHash {
+			d.Strategy, d.Fanout = PartitionedHash, 2
+		}
+	default:
+		switch {
+		case r.Fanout > 1 && r.Prebuilt:
+			return d, fmt.Errorf("%w: a prebuilt build side is probed by the streaming strategy; fanout %d conflicts",
+				ErrConflict, r.Fanout)
+		case r.Fanout > 1 && !r.Sim:
+			if preferred != PartitionedHash {
+				d.Strategy = PartitionedHash
+				d.Reason = fmt.Sprintf("fanout %d pins the partitioned strategy; planner preferred %v", r.Fanout, preferred)
+			}
+		case r.Fanout == 1 || r.Prebuilt || r.Sim:
+			if preferred == PartitionedHash {
+				switch {
+				case r.Fanout == 1:
+					d.Reason = fmt.Sprintf("fanout 1 streams through one table (planner preferred partitioned: %s)", d.Reason)
+				case r.Prebuilt:
+					d.Reason = "prebuilt build side pins the streaming strategy (planner preferred partitioned)"
+				default:
+					d.Reason = "sim backend runs single-table joins only (planner preferred partitioned)"
+				}
+			}
+			d.Strategy, d.Fanout = StreamHash, 1
+		}
+	}
+	if r.Forced != Auto && r.Forced != preferred {
 		d.Reason = fmt.Sprintf("forced strategy %v; planner preferred %v", r.Forced, preferred)
-	case r.Prebuilt && preferred != StreamHash:
-		d.Strategy, d.Fanout = StreamHash, 1
-		d.Reason = fmt.Sprintf("prebuilt build side pins the streaming strategy (planner preferred %v)", preferred)
-	case r.Sim && preferred == PartitionedHash:
-		d.Strategy, d.Fanout = StreamHash, 1
-		d.Reason = "sim backend runs single-table joins only (planner preferred partitioned)"
-	case !r.Sim && r.Forced == Auto && r.PinnedFanout > 1 && preferred != PartitionedHash:
-		d.Strategy, d.Fanout = PartitionedHash, r.PinnedFanout
-		d.Reason = fmt.Sprintf("-fanout %d pins the partitioned strategy; planner preferred %v", r.PinnedFanout, preferred)
 	}
-	if d.Strategy == PartitionedHash && r.PinnedFanout > 1 && r.PinnedFanout != d.Fanout {
+	if d.Strategy == PartitionedHash && r.Fanout > 1 && r.Fanout != d.Fanout {
 		if preferred == PartitionedHash {
-			d.Reason += fmt.Sprintf("; pinned fanout %d replaces the planner's fanout %d", r.PinnedFanout, width)
+			d.Reason += fmt.Sprintf("; pinned fanout %d replaces the planner's fanout %d", r.Fanout, width)
 		}
-		d.Fanout = r.PinnedFanout
+		d.Fanout = r.Fanout
 	}
-	return d
+	if d.Strategy == StreamHash && !r.Sim && !r.Prebuilt && r.Budget > 0 && r.Stats.BuildFootprint > r.Budget {
+		d.Strategy = PartitionedHash
+		d.Reason += "; at fanout 1 the governor splits the one pair recursively"
+	}
+	return d, nil
 }
 
 // fanoutFor returns the smallest power-of-two fan-out (>= 2, capped)

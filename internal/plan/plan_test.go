@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"errors"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -103,14 +105,16 @@ func TestExplainCarriesInputs(t *testing.T) {
 	}
 }
 
-// TestResolve covers each override Resolve can apply to Choose's pick,
-// and the pick passing through untouched: the strategy and fan-out that
-// run, and a Reason that names the override (or is Choose's own).
+// TestResolve covers every row of Resolve's rule: the pick passing
+// through untouched, each override (the strategy and fan-out that run,
+// and a Reason that names the override or is Choose's own), the budget
+// governor's case, and each conflicting request, which is an error.
 func TestResolve(t *testing.T) {
 	stream := Stats{BuildRows: 10000, ProbeRows: 100000, BuildWidth: 32, ProbeWidth: 32,
 		BuildFootprint: DefaultPartitionCrossoverBytes / 2}
 	big := stream
 	big.BuildFootprint = 4 * DefaultPartitionCrossoverBytes // Choose: partitioned, fanout 4
+	under := stream.BuildFootprint / 4                      // a budget the stream build overflows: Choose partitions at 4
 
 	for _, tc := range []struct {
 		name     string
@@ -120,22 +124,37 @@ func TestResolve(t *testing.T) {
 		reason   string // substring; "" = Choose's reason verbatim
 	}{
 		{"untouched auto", Request{Stats: stream}, StreamHash, 1, ""},
-		{"untouched auto, unpinned fanout", Request{Stats: big}, PartitionedHash, 4, ""},
+		{"untouched auto, no fanout named", Request{Stats: big}, PartitionedHash, 4, ""},
+		{"untouched auto, over budget", Request{Stats: stream, Budget: under}, PartitionedHash, 4, ""},
 		{"forced agrees", Request{Stats: stream, Forced: StreamHash}, StreamHash, 1, ""},
-		{"forced partitioned, default width", Request{Stats: stream, Forced: PartitionedHash, PinnedFanout: 1}, PartitionedHash, 2, "forced strategy partitioned"},
-		{"forced partitioned, pinned width", Request{Stats: stream, Forced: PartitionedHash, PinnedFanout: 16}, PartitionedHash, 16, "forced strategy partitioned"},
+		{"forced stream, fanout 1", Request{Stats: stream, Forced: StreamHash, Fanout: 1}, StreamHash, 1, ""},
+		{"forced partitioned, default width", Request{Stats: stream, Forced: PartitionedHash, Fanout: 1}, PartitionedHash, 2, "forced strategy partitioned"},
+		{"forced partitioned, named width", Request{Stats: stream, Forced: PartitionedHash, Fanout: 16}, PartitionedHash, 16, "forced strategy partitioned"},
+		{"forced partitioned agrees: the planner's width", Request{Stats: big, Forced: PartitionedHash, Fanout: 1}, PartitionedHash, 4, ""},
+		{"forced partitioned agrees: a named fanout replaces its width", Request{Stats: big, Forced: PartitionedHash, Fanout: 16}, PartitionedHash, 16, "pinned fanout 16 replaces the planner's fanout 4"},
 		{"forced stream drops the planner's fanout", Request{Stats: big, Forced: StreamHash}, StreamHash, 1, "planner preferred partitioned"},
+		{"forced stream over budget: the governor splits", Request{Stats: stream, Budget: under, Forced: StreamHash}, PartitionedHash, 1, "forced strategy stream; planner preferred partitioned; at fanout 1 the governor splits the one pair recursively"},
+		{"forced stream, prebuilt", Request{Stats: big, Forced: StreamHash, Prebuilt: true}, StreamHash, 1, "forced strategy stream"},
 		{"prebuilt pins stream", Request{Stats: big, Prebuilt: true}, StreamHash, 1, "prebuilt build side pins the streaming strategy (planner preferred partitioned)"},
+		{"prebuilt over budget still streams", Request{Stats: stream, Budget: under, Prebuilt: true}, StreamHash, 1, "prebuilt build side pins"},
 		{"prebuilt, planner agrees", Request{Stats: stream, Prebuilt: true}, StreamHash, 1, ""},
+		{"prebuilt, fanout 1", Request{Stats: big, Prebuilt: true, Fanout: 1}, StreamHash, 1, "fanout 1 streams through one table"},
 		{"sim clamps partitioned", Request{Stats: big, Sim: true}, StreamHash, 1, "sim backend runs single-table joins only"},
-		{"sim ignores a pinned fanout", Request{Stats: stream, Sim: true, PinnedFanout: 8}, StreamHash, 1, ""},
-		{"fanout pins partitioned", Request{Stats: stream, PinnedFanout: 8}, PartitionedHash, 8, "-fanout 8 pins the partitioned strategy; planner preferred stream"},
-		{"fanout 1 pins nothing", Request{Stats: stream, PinnedFanout: 1}, StreamHash, 1, ""},
-		{"planner already partitions: a pinned fanout replaces its width", Request{Stats: big, PinnedFanout: 8}, PartitionedHash, 8, "pinned fanout 8 replaces the planner's fanout 4"},
-		{"forced partitioned agrees: a pinned fanout replaces its width", Request{Stats: big, Forced: PartitionedHash, PinnedFanout: 16}, PartitionedHash, 16, "pinned fanout 16 replaces the planner's fanout 4"},
-		{"planner already partitions: an equal pin changes nothing", Request{Stats: big, PinnedFanout: 4}, PartitionedHash, 4, ""},
+		{"sim ignores a named fanout", Request{Stats: stream, Sim: true, Fanout: 8}, StreamHash, 1, ""},
+		{"sim over budget streams", Request{Stats: stream, Budget: under, Sim: true, Fanout: 1}, StreamHash, 1, "fanout 1 streams"},
+		{"fanout pins partitioned", Request{Stats: stream, Fanout: 8}, PartitionedHash, 8, "fanout 8 pins the partitioned strategy; planner preferred stream"},
+		{"fanout 1 streams", Request{Stats: stream, Fanout: 1}, StreamHash, 1, ""},
+		{"fanout 1 streams where the planner partitions", Request{Stats: big, Fanout: 1}, StreamHash, 1, "fanout 1 streams through one table (planner preferred partitioned: build footprint"},
+		{"fanout 1 over budget: the governor splits", Request{Stats: stream, Budget: under, Fanout: 1}, PartitionedHash, 1, "exceeds budget " + strconv.Itoa(under) + " B); at fanout 1 the governor splits the one pair recursively"},
+		{"planner already partitions: a named fanout replaces its width", Request{Stats: big, Fanout: 8}, PartitionedHash, 8, "pinned fanout 8 replaces the planner's fanout 4"},
+		{"planner already partitions: an equal fanout changes nothing", Request{Stats: big, Fanout: 4}, PartitionedHash, 4, ""},
+		{"fanout N over budget partitions at N", Request{Stats: stream, Budget: under, Fanout: 32}, PartitionedHash, 32, "pinned fanout 32 replaces the planner's fanout 4"},
 	} {
-		d := Resolve(tc.req)
+		d, err := Resolve(tc.req)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
 		if d.Strategy != tc.strategy || d.Fanout != tc.fanout {
 			t.Errorf("%s: strategy/fanout = %v/%d, want %v/%d", tc.name, d.Strategy, d.Fanout, tc.strategy, tc.fanout)
 		}
@@ -143,6 +162,26 @@ func TestResolve(t *testing.T) {
 			t.Errorf("%s: reason = %q, want Choose's %q", tc.name, d.Reason, want)
 		} else if !strings.Contains(d.Reason, tc.reason) {
 			t.Errorf("%s: reason = %q, want it to contain %q", tc.name, d.Reason, tc.reason)
+		}
+	}
+
+	// A request that contradicts itself is refused, whatever the planner
+	// prefers, before anything runs.
+	for _, tc := range []struct {
+		name string
+		req  Request
+		want string
+	}{
+		{"forced stream, fanout 8", Request{Stats: stream, Forced: StreamHash, Fanout: 8}, "fanout 8 conflicts"},
+		{"forced partitioned, sim", Request{Stats: stream, Forced: PartitionedHash, Sim: true}, "native engine"},
+		{"forced partitioned agrees, sim", Request{Stats: big, Forced: PartitionedHash, Sim: true, Fanout: 4}, "native engine"},
+		{"forced partitioned, prebuilt", Request{Stats: stream, Forced: PartitionedHash, Prebuilt: true}, "prebuilt build side"},
+		{"forced partitioned agrees, prebuilt", Request{Stats: big, Forced: PartitionedHash, Prebuilt: true}, "prebuilt build side"},
+		{"forced partitioned agrees, prebuilt, named width", Request{Stats: big, Forced: PartitionedHash, Prebuilt: true, Fanout: 8}, "prebuilt build side"},
+		{"fanout 8, prebuilt", Request{Stats: stream, Prebuilt: true, Fanout: 8}, "fanout 8 conflicts"},
+	} {
+		if d, err := Resolve(tc.req); !errors.Is(err, ErrConflict) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Resolve = %v/%d, %v; want an ErrConflict naming %q", tc.name, d.Strategy, d.Fanout, err, tc.want)
 		}
 	}
 }

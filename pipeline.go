@@ -60,9 +60,9 @@ type pipelineConfig struct {
 
 	build *BuildSide
 
-	joinType    plan.JoinType
-	strategy    plan.Strategy
-	strategySet bool // WithStrategy given: consult the planner
+	joinType  plan.JoinType
+	strategy  plan.Strategy
+	fanoutSet bool // WithPipelineFanout given
 }
 
 // WithEngine selects the execution backend (default EngineSim).
@@ -98,15 +98,18 @@ func WithAggregation(valueOff, expectedGroups int) PipelineOption {
 	return func(c *pipelineConfig) { c.aggValueOff, c.aggGroups, c.hasAgg = valueOff, expectedGroups, true }
 }
 
-// WithPipelineFanout selects the native join strategy: 1 (default)
-// streams the probe side through one resident hash table, built and
-// probed by the pipeline's workers together (the probe relation's page
-// ranges are the morsels they share); larger values radix-partition
-// both inputs (rounded up to a power of two) and the workers share the
-// partition pairs. Either way the order of the output rows is
-// unspecified. The simulator backend ignores it.
+// WithPipelineFanout names the native join's fan-out: 1 (the default,
+// unless WithStrategy is given) streams the probe side through one
+// resident hash table, built and probed by the pipeline's workers
+// together (the probe relation's page ranges are the morsels they
+// share); larger values radix-partition both inputs (rounded up to a
+// power of two) and the workers share the partition pairs; 0 names
+// none and leaves the choice to the planner. A named fan-out holds
+// beside any WithStrategy, by the rule WithStrategy states. Either way
+// the order of the output rows is unspecified. The simulator backend
+// runs every join over one table.
 func WithPipelineFanout(n int) PipelineOption {
-	return func(c *pipelineConfig) { c.fanout = n }
+	return func(c *pipelineConfig) { c.fanout, c.fanoutSet = n, true }
 }
 
 // WithPipelineWorkers bounds the native join's workers (default
@@ -175,9 +178,11 @@ func WithPipelineHybrid() PipelineOption {
 // probe stream runs over the shared, immutable table through private
 // probe scratch, so any number of concurrent runs may pass the same
 // handle. Native engine, streaming strategy only — RunPipeline returns
-// an error if the engine is simulated, the fanout exceeds 1, or a
-// build filter is present (the table was built unfiltered) — and the
-// build relation must be the one the handle was prepared over.
+// an error if the engine is simulated, a build filter is present (the
+// table was built unfiltered), or the options name a partitioned run
+// (a fan-out above 1 or StrategyPartitioned) — and the build relation
+// must be the one the handle was prepared over. Any budget is the
+// handle owner's: the run probes the table whatever its footprint.
 func WithBuildSide(b *BuildSide) PipelineOption {
 	return func(c *pipelineConfig) { c.build = b }
 }
@@ -239,8 +244,8 @@ type PipelineResult struct {
 	QueueWait     time.Duration
 	AdmittedBytes uint64
 
-	// Plan reports the strategy decision and its inputs when the planner
-	// was consulted (WithStrategy); nil otherwise.
+	// Plan reports the strategy decision the run executed and its
+	// inputs (see WithStrategy for the rule).
 	Plan *PlanDecision
 }
 
@@ -287,8 +292,6 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 			return PipelineResult{}, fmt.Errorf("hashjoin: WithBuildSide requires the native engine")
 		case pc.hasFilter:
 			return PipelineResult{}, fmt.Errorf("hashjoin: WithBuildSide cannot combine with WithBuildFilter (the table was built unfiltered)")
-		case pc.fanout > 1:
-			return PipelineResult{}, fmt.Errorf("hashjoin: WithBuildSide requires the streaming strategy (fanout 1), got fanout %d", pc.fanout)
 		}
 		cachedBuild = pc.build.bs
 	}
@@ -302,37 +305,26 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 		logical = engine.HashAggregate(logical, pc.aggValueOff, pc.aggGroups)
 	}
 
-	// WithStrategy engages the planner (plan.Resolve) over the relations'
-	// true cardinalities, the build footprint and the declared budget;
-	// the decision is executed and reported. Under StrategyAuto the
-	// planner's fan-out overrides WithPipelineFanout, so the fan-out is
-	// pinned only beside a forced strategy. The legacy path (no
-	// WithStrategy) keeps the fanout-driven selection and reports no
-	// Plan.
-	strategy, fanout := plan.Auto, pc.fanout
-	if pc.strategySet {
-		bw := build.rel.Schema.FixedWidth()
-		req := plan.Request{
-			Stats: plan.Stats{
-				BuildRows:      build.rel.NTuples,
-				ProbeRows:      probe.rel.NTuples,
-				BuildWidth:     bw,
-				ProbeWidth:     probe.rel.Schema.FixedWidth(),
-				BuildFootprint: native.BuildFootprint(build.rel.NTuples, bw),
-			},
-			JoinType: pc.joinType,
-			Budget:   pc.memBudget,
-			Forced:   pc.strategy,
-			Sim:      pc.engine == EngineSim,
-			Prebuilt: pc.build != nil,
-		}
-		if pc.strategy != plan.Auto {
-			req.PinnedFanout = pc.fanout
-		}
-		dec := plan.Resolve(req)
-		strategy, fanout = dec.Strategy, dec.Fanout
-		res.Plan = &dec
+	bw := build.rel.Schema.FixedWidth()
+	dec, err := plan.Resolve(plan.Request{
+		Stats: plan.Stats{
+			BuildRows:      build.rel.NTuples,
+			ProbeRows:      probe.rel.NTuples,
+			BuildWidth:     bw,
+			ProbeWidth:     probe.rel.Schema.FixedWidth(),
+			BuildFootprint: native.BuildFootprint(build.rel.NTuples, bw),
+		},
+		JoinType: pc.joinType,
+		Budget:   pc.memBudget,
+		Forced:   pc.strategy,
+		Fanout:   pc.fanout,
+		Sim:      pc.engine == EngineSim,
+		Prebuilt: pc.build != nil,
+	})
+	if err != nil {
+		return PipelineResult{}, fmt.Errorf("hashjoin: %w", err)
 	}
+	res.Plan = &dec
 
 	cfg := engine.Config{
 		Backend:       pc.engine,
@@ -340,8 +332,7 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 		A:             e.mem.A,
 		Scheme:        pc.scheme,
 		Params:        pc.params,
-		Strategy:      strategy,
-		Fanout:        fanout,
+		Fanout:        dec.Fanout,
 		Workers:       pc.workers,
 		Tenant:        pc.tenant,
 		Weight:        pc.weight,

@@ -50,9 +50,10 @@ const (
 // "partitioned", plus aliases).
 func ParseStrategy(s string) (Strategy, error) { return plan.ParseStrategy(s) }
 
-// PlanDecision is the planner's EXPLAIN payload: the chosen strategy
-// and every input the choice was made from. Decision.Explain() formats
-// it as the one-line form all EXPLAIN surfaces print.
+// PlanDecision is the EXPLAIN payload: the strategy and fan-out a run
+// executed and every input the choice was made from.
+// Decision.Explain() formats it as the one-line form all EXPLAIN
+// surfaces print.
 type PlanDecision = plan.Decision
 
 // WithJoinType selects the join's matching semantics (default Inner).
@@ -62,15 +63,21 @@ func WithJoinType(jt JoinType) PipelineOption {
 	return func(c *pipelineConfig) { c.joinType = jt }
 }
 
-// WithStrategy engages the cost-based planner: the run consults
-// plan.Choose with the relations' cardinalities, the build footprint
-// and the memory budget, executes the decision, and reports it in
-// PipelineResult.Plan. StrategyAuto executes what the planner picked
-// (including its derived fan-out, overriding WithPipelineFanout); a
-// concrete strategy overrides the planner's pick but still records what
-// it preferred, and beside it a WithPipelineFanout above 1 is the width
-// of a partitioned join. Without this option the legacy fanout-driven
-// selection applies unchanged and Plan stays nil.
+// WithStrategy forces the join's strategy, or with StrategyAuto leaves
+// it to the one rule every front end resolves by (plan.Resolve; its
+// table is in DESIGN.md, "One strategy rule"): a fan-out named with WithPipelineFanout
+// holds beside it, and without one the cost-based planner picks from
+// the relations' cardinalities, the build footprint and the budget. A
+// conflicting pair — StrategyStream beside a fan-out above 1,
+// StrategyPartitioned on EngineSim or beside WithBuildSide — makes
+// RunPipeline return an error. Given alone, WithStrategy names no
+// fan-out; the default fan-out 1 holds only when neither option is
+// given.
 func WithStrategy(s Strategy) PipelineOption {
-	return func(c *pipelineConfig) { c.strategy, c.strategySet = s, true }
+	return func(c *pipelineConfig) {
+		c.strategy = s
+		if !c.fanoutSet {
+			c.fanout = 0
+		}
+	}
 }
