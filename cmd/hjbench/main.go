@@ -173,7 +173,6 @@ func runPipeline(ctx context.Context, backend engine.Backend, spec workload.Spec
 	if backend == engine.Sim || reps < 1 {
 		reps = 1
 	}
-	fanout = cli.NormalizeFanout(fanout)
 
 	fmt.Printf("pipeline benchmark (%v engine): scan -> %v join -> aggregate, %d build tuples, %d B each, fanout %d",
 		backend, jt, spec.NBuild, spec.TupleSize, fanout)
@@ -202,7 +201,7 @@ func runPipeline(ctx context.Context, backend engine.Backend, spec workload.Spec
 		if err != nil {
 			cli.DiePipeline(prog, fmt.Errorf("scheme %v: %w", scheme, err))
 		}
-		if res.Plan != nil && !explained {
+		if strategy != plan.Auto && !explained {
 			explained = true
 			fmt.Printf("strategy: %s\n", res.Plan.Explain())
 		}
@@ -292,14 +291,18 @@ func runNative(ctx context.Context, spec workload.Spec, schemeList string, fanou
 	if memBudget > 0 {
 		jcfg.MemBudget = memBudget
 		if fanout == 1 {
-			jcfg.Fanout = 0 // let the budget derive the fan-out
+			jcfg.Fanout = 0 // the planner's width, once the relations exist
 		}
 	}
 	// The arena holds the workload plus the spill tier's page pool.
 	a := arena.New(workload.ArenaBytesFor(spec) + native.SpillPoolBytes(jcfg))
 	pair := workload.Generate(a, spec)
+	if jcfg.Fanout == 0 {
+		w := pair.Build.Schema.FixedWidth()
+		jcfg.Fanout = plan.Choose(engine.JoinStats(pair.Build.NTuples, w, pair.Probe.NTuples, w), plan.Inner, memBudget).Fanout
+	}
 	fmt.Printf("native join benchmark: %d build x %d probe tuples, %d B each, fanout %d, prefetch asm %v\n",
-		pair.Build.NTuples, pair.Probe.NTuples, spec.TupleSize, fanout, native.HavePrefetch)
+		pair.Build.NTuples, pair.Probe.NTuples, spec.TupleSize, jcfg.Fanout, native.HavePrefetch)
 
 	// One resident Joiner serves every measurement, so all schemes run
 	// on the same recycled memory; an untimed warmup join pays the

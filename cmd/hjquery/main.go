@@ -102,7 +102,7 @@ func main() {
 			Seed:            *seed,
 		},
 		Hier:         hier,
-		Fanout:       cli.NormalizeFanout(*fanout),
+		Fanout:       *fanout,
 		Workers:      *workers,
 		MemBudget:    *memBudget,
 		SpillDir:     *spillDir,
@@ -110,7 +110,6 @@ func main() {
 		NoSpill:      *noSpill,
 		JoinType:     jt,
 		Strategy:     strategy,
-		Explain:      *explain,
 		AggValueOff:  *aggOff,
 	}
 	if err := p.Validate(); err != nil {
@@ -165,7 +164,7 @@ func main() {
 	if err != nil {
 		cli.DiePipeline(prog, err)
 	}
-	if res.Plan != nil {
+	if *explain || strategy != plan.Auto {
 		fmt.Printf("strategy: %s\n", res.Plan.Explain())
 	}
 

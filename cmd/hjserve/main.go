@@ -12,11 +12,12 @@
 //	ping
 //	quit
 //
-// A query resolves its strategy and fan-out by the rule every front end
-// shares (plan.Resolve): fanout=N above 1 partitions at N, fanout=1
-// streams, and a query naming no fanout= leaves the choice to the
-// cost-based planner, or to its strategy= (auto, stream or partitioned;
-// strategy=partitioned names fanout 4 unless fanout= is given). A
+// A query's join resolves its strategy and fan-out by the one rule
+// (plan.Resolve): fanout=N above 1 partitions at N rounded up to a
+// power of two, fanout=1 streams, and a query naming no fanout= leaves
+// the choice to the cost-based planner, or to its strategy= (auto,
+// stream or partitioned; strategy=partitioned names fanout 4 unless
+// fanout= is given). A
 // native query with no budget= that names no partitioned run probes the
 // pair's cached build side when the build-side cache is on
 // (-build-cache > 0), which pins it to the streaming strategy: the

@@ -3,7 +3,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"hashjoin"
@@ -25,20 +27,37 @@ func ranStrategy(r engine.Report) string {
 	return "stream"
 }
 
+// wireFanouts returns the fan-out an hjserve reply says its join ran
+// and the one its plan="…" names (0 without explain=1).
+func wireFanouts(line string) (ran, reported int) {
+	head, plan, _ := strings.Cut(line, ` plan="`)
+	for _, f := range []struct {
+		s string
+		n *int
+	}{{head, &ran}, {plan, &reported}} {
+		if m := fanoutKey.FindStringSubmatch(f.s); m != nil {
+			*f.n, _ = strconv.Atoi(m[1])
+		}
+	}
+	return ran, reported
+}
+
+var fanoutKey = regexp.MustCompile(`\bfanout=(\d+)`)
+
 // TestOneStrategyRule runs each row of the strategy rule (plan.Resolve)
 // through the three front ends — Env.RunPipeline, cli.Pipeline.Run and
 // an hjserve query — unbudgeted and under a budget the build overflows,
 // with EXPLAIN off and on. Every surface must run the strategy and
-// fan-out the row names, report that decision, and refuse a conflicting
-// request as a usage error; EXPLAIN changes neither the strategy nor
-// the fan-out. The wire reply carries no recursion depth, so the
-// strategy an hjserve query ran is the one it reports, tied to the
-// library's run of the same case by an equal morsel count. The library
-// reports its decision on every run and has no EXPLAIN switch; its
-// EXPLAIN-on run adds WithStrategy to an auto row, beside which a named
-// fan-out must hold. The server runs without a build cache, so no
-// surface has a prebuilt side (TestServeCacheFollowsTheRule covers that
-// row).
+// fan-out the row names (a named 3 runs as 4), report that decision,
+// and refuse a conflicting request as a usage error; EXPLAIN changes
+// neither the strategy nor the fan-out. The wire reply carries no
+// recursion depth, so the strategy an hjserve query ran is the one it
+// reports, tied to the library's run of the same case by an equal
+// morsel count. The library and the CLI report their decision on every
+// run and have no EXPLAIN switch; the library's EXPLAIN-on run adds
+// WithStrategy to an auto row, beside which a named fan-out must hold.
+// The server runs without a build cache, so no surface has a prebuilt
+// side (TestServeCacheFollowsTheRule covers that row).
 func TestOneStrategyRule(t *testing.T) {
 	const (
 		tuple, seed = 40, 3
@@ -75,6 +94,7 @@ func TestOneStrategyRule(t *testing.T) {
 		{"small", auto, 1, want{"stream", 1}, want{"partitioned", 1}},
 		{"small", auto, 8, want{"partitioned", 8}, want{"partitioned", 8}},
 		{"small", part, 1, want{"partitioned", 2}, want{"partitioned", 4}},
+		{"small", auto, 3, want{"partitioned", 4}, want{"partitioned", 4}},
 	}
 
 	ctx := context.Background()
@@ -105,11 +125,13 @@ func TestOneStrategyRule(t *testing.T) {
 
 	// outcome is what one surface did with one case: the strategy its
 	// report shows it ran, the fan-out and morsels it ran, the strategy
-	// its decision reported ("" when it reported none), and its error.
+	// and fan-out its decision reported ("" and 0 when it reported
+	// none), and its error.
 	type outcome struct {
 		ran             string
 		fanout, morsels int
 		reported        string
+		reportedFanout  int
 		err             error
 		usage           bool
 	}
@@ -140,20 +162,20 @@ func TestOneStrategyRule(t *testing.T) {
 				o := outcome{ran: ranStrategy(res.Report), fanout: res.JoinFanout, morsels: res.MorselsExecuted,
 					err: err, usage: cli.ExitCodeFor(err) == cli.ExitUsage}
 				if res.Plan != nil {
-					o.reported = res.Plan.Strategy.String()
+					o.reported, o.reportedFanout = res.Plan.Strategy.String(), res.Plan.Fanout
 				}
 				got["library"] = o
 
 				p := *cliPairs[row.pair]
-				p.Strategy, p.Fanout, p.MemBudget, p.Explain = row.strategy, row.fanout, b, explain
+				p.Strategy, p.Fanout, p.MemBudget = row.strategy, row.fanout, b
 				p.Workers, p.SpillDir = 2, spillDir
 				cres, err := p.Run()
 				o = outcome{ran: ranStrategy(cres.Report), fanout: cres.JoinFanout, morsels: cres.MorselsExecuted,
 					err: err, usage: cli.ExitCodeFor(err) == cli.ExitUsage}
 				if cres.Plan != nil {
-					o.reported = cres.Plan.Strategy.String()
-				} else if explain && err == nil {
-					t.Errorf("%s via cli: EXPLAIN reported no plan", name)
+					o.reported, o.reportedFanout = cres.Plan.Strategy.String(), cres.Plan.Fanout
+				} else if err == nil {
+					t.Errorf("%s via cli: the run reported no plan", name)
 				}
 				got["cli"] = o
 
@@ -167,9 +189,10 @@ func TestOneStrategyRule(t *testing.T) {
 				if explain {
 					q += " explain=1"
 				}
-				status, m := kv(t, c.roundTrip(t, q))
+				line := c.roundTrip(t, q)
+				status, m := kv(t, line)
 				o = outcome{ran: m["strategy"], reported: m["strategy"]}
-				o.fanout, _ = strconv.Atoi(m["fanout"])
+				o.fanout, o.reportedFanout = wireFanouts(line)
 				o.morsels, _ = strconv.Atoi(m["morsels"])
 				if status != "ok" {
 					o.err = fmt.Errorf("%s %v", status, m)
@@ -185,9 +208,10 @@ func TestOneStrategyRule(t *testing.T) {
 					case w.strategy == "":
 					case o.err != nil:
 						t.Errorf("%s via %s: %v", name, surface, o.err)
-					case o.ran != w.strategy || o.fanout != w.fanout || o.reported != "" && o.reported != o.ran:
-						t.Errorf("%s via %s: ran %s at fanout %d, reported %q; want %s at fanout %d",
-							name, surface, o.ran, o.fanout, o.reported, w.strategy, w.fanout)
+					case o.ran != w.strategy || o.fanout != w.fanout || o.reported != "" && o.reported != o.ran ||
+						o.reportedFanout != 0 && o.reportedFanout != o.fanout:
+						t.Errorf("%s via %s: ran %s at fanout %d, reported %q at fanout %d; want %s at fanout %d",
+							name, surface, o.ran, o.fanout, o.reported, o.reportedFanout, w.strategy, w.fanout)
 					case o.morsels != got["library"].morsels:
 						t.Errorf("%s via %s: %d morsels, the library ran %d", name, surface, o.morsels, got["library"].morsels)
 					}

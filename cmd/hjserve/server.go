@@ -611,7 +611,7 @@ func (s *server) cmdQuery(tenant string, args []string) string {
 	// The pair's cached build side is offered to every native query
 	// that sets no budget= (a budget bounds a table built per query) and
 	// names no partitioned run (strategy=partitioned, or a fan-out above
-	// 1), the requests plan.Resolve would refuse it for. The rule streams
+	// 1), the requests plan.Check refuses it for. The rule streams
 	// every such query over it. The first query for a pair prepares the
 	// shared row table (single-flight); later ones skip the build phase.
 	cacheNote := ""

@@ -1,8 +1,7 @@
 // Package cli is the shared front end of the hjquery and hjbench
 // commands: one place that parses engine, scheme, and hierarchy flag
-// values, rounds partition fan-outs, and runs the common
-// Scan -> HashJoin -> HashAggregate pipeline on either backend of the
-// operator engine. Both commands share one exit-code taxonomy (see
+// values and runs the common Scan -> HashJoin -> HashAggregate pipeline
+// on either backend of the operator engine. Both commands share one exit-code taxonomy (see
 // ExitCodeFor): 2 for flag mistakes through Fatalf, and 1/3/4 for
 // runtime failures by class through Dief and DiePipeline.
 package cli
@@ -109,20 +108,6 @@ func ParseSchemeList(csv string) ([]core.Scheme, error) {
 		out = append(out, s)
 	}
 	return out, nil
-}
-
-// NormalizeFanout rounds a requested partition fan-out the way the
-// native partitioner does: values above one round up to the next power
-// of two; zero and one are passed through (0 = derive, 1 = single pair).
-func NormalizeFanout(n int) int {
-	if n <= 1 {
-		return n
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // Exit codes shared by hjbench and hjquery, so scripts can tell a
@@ -308,12 +293,9 @@ type Pipeline struct {
 	// The probe relation is the join's left input.
 	JoinType plan.JoinType
 	// Strategy forces a physical join strategy; Auto (the zero value)
-	// leaves it to plan.Resolve's rule over Fanout.
+	// leaves it to plan.Resolve's rule over Fanout, which the join
+	// applies over the relations it reads.
 	Strategy plan.Strategy
-	// Explain reports the decision the run executes, and the cost-based
-	// planner's preference, in PipelineResult.Plan. It never changes
-	// the run.
-	Explain bool
 	// AggValueOff is the 4-byte value column the group-by sums, as an
 	// offset into the join's output row (0 = the default 4, the build —
 	// or for semi/anti the probe — payload's first word). Validate
@@ -349,13 +331,10 @@ type PipelineResult struct {
 	Elapsed time.Duration // Native: wall clock of the whole pipeline
 
 	// Report is the engine's run report, written in place by the run:
-	// the join's effective fan-out and recursion depth, and what the
-	// spill tier and the hybrid policy did.
+	// the strategy decision the join executed (Plan), its effective
+	// fan-out and recursion depth, and what the spill tier and the hybrid
+	// policy did.
 	engine.Report
-
-	// Plan is the decision the run executed and its inputs, reported
-	// when Strategy != Auto or Explain; nil otherwise.
-	Plan *plan.Decision
 }
 
 // Validate rejects flag combinations that would otherwise execute as a
@@ -413,12 +392,13 @@ func (p *Pipeline) logical(build, probe *storage.Relation) *engine.Node {
 
 // config is the engine configuration the pipeline runs — and is sized —
 // under, but for the arena, memory view and report Run supplies.
-func (p *Pipeline) config(fanout int) engine.Config {
+func (p *Pipeline) config() engine.Config {
 	return engine.Config{
 		Backend:      p.Engine,
 		Scheme:       p.Scheme,
 		Params:       p.Params,
-		Fanout:       fanout,
+		Strategy:     p.Strategy,
+		Fanout:       p.Fanout,
 		Workers:      p.Workers,
 		MemBudget:    p.MemBudget,
 		SpillDir:     p.SpillDir,
@@ -438,37 +418,17 @@ func (p *Pipeline) config(fanout int) engine.Config {
 // output the simulator's aggregate materializes.
 func (p *Pipeline) scratchBytes() uint64 {
 	shape := &storage.Relation{Schema: storage.KeyPayloadSchema(max(p.Spec.TupleSize, 8))}
-	return p.logical(shape, shape).ScratchBytes(p.config(p.Fanout),
+	return p.logical(shape, shape).ScratchBytes(p.config(),
 		max(p.Spec.MatchesPerBuild, p.Spec.Skew, 1), p.Spec.NBuild, p.Spec.JoinRows(p.JoinType))
 }
 
 // Run executes the pipeline on the configured backend — at the strategy
-// and fan-out plan.Resolve decides over the generated workload — and
-// validates the derived join totals against the workload's ground truth.
+// and fan-out the join resolves over the generated workload (see
+// plan.Resolve) — and validates the derived join totals against the
+// workload's ground truth.
 func (p *Pipeline) Run() (res PipelineResult, err error) {
 	p.Materialize()
-	spec := p.Pair.Spec
-	dec, err := plan.Resolve(plan.Request{
-		Stats: plan.Stats{
-			BuildRows:      spec.NBuild,
-			ProbeRows:      spec.NProbe,
-			BuildWidth:     spec.TupleSize,
-			ProbeWidth:     spec.TupleSize,
-			BuildFootprint: native.BuildFootprint(spec.NBuild, spec.TupleSize),
-		},
-		JoinType: p.JoinType,
-		Budget:   p.MemBudget,
-		Forced:   p.Strategy,
-		Fanout:   p.Fanout,
-		Sim:      p.Engine == engine.Sim,
-	})
-	if err != nil {
-		return res, err
-	}
-	if p.Explain || p.Strategy != plan.Auto {
-		res.Plan = &dec
-	}
-	cfg := p.config(dec.Fanout)
+	cfg := p.config()
 	cfg.A, cfg.Report = p.A, &res.Report
 	if p.Engine == engine.Sim {
 		hier := p.Hier

@@ -134,17 +134,6 @@ func TestParseSchemeList(t *testing.T) {
 	}
 }
 
-func TestNormalizeFanout(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{0, 0}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {9, 16}, {64, 64}, {65, 128},
-	}
-	for _, tc := range cases {
-		if got := NormalizeFanout(tc.in); got != tc.want {
-			t.Errorf("NormalizeFanout(%d) = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
 // TestFatalfExitCodes pins the exit-code convention: 2 for usage
 // errors, 1 for runtime failures.
 func TestFatalfExitCodes(t *testing.T) {
@@ -191,37 +180,28 @@ func TestPipelineBothEngines(t *testing.T) {
 	}
 }
 
-// TestExplainKeepsPinnedFanout runs one pipeline with and without
-// Explain: an EXPLAIN flag must not change the executed plan, so a
-// pinned fan-out is the width of the join either way, even where the
-// planner would partition on its own at a different width.
+// TestExplainKeepsPinnedFanout runs one pipeline with a pinned fan-out
+// where the planner would partition on its own at a different width:
+// the pin is the width of the join, and the decision the run reports —
+// what hjquery's -explain prints — names it and the pin.
 func TestExplainKeepsPinnedFanout(t *testing.T) {
 	spec := workload.Spec{NBuild: 20000, TupleSize: 100, MatchesPerBuild: 1, Seed: 24}
-	fanout := map[bool]int{}
-	for _, explain := range []bool{false, true} {
-		p := Pipeline{Engine: engine.Native, Spec: spec, Scheme: core.SchemeGroup,
-			Fanout: 32, Workers: 2, Explain: explain}
-		res, err := p.Run()
-		if err != nil {
-			t.Fatalf("explain=%v: %v", explain, err)
-		}
-		fanout[explain] = res.JoinFanout
-		if explain && (res.Plan == nil || res.Plan.Fanout != 32 || !strings.Contains(res.Plan.Reason, "pinned fanout 32")) {
-			t.Errorf("explain=true: plan %+v, want fanout 32 and a reason naming the pin", res.Plan)
-		}
+	p := Pipeline{Engine: engine.Native, Spec: spec, Scheme: core.SchemeGroup, Fanout: 32, Workers: 2}
+	res, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fanout[false] != 32 || fanout[true] != 32 {
-		t.Fatalf("JoinFanout without/with Explain = %d/%d, want 32/32", fanout[false], fanout[true])
+	if res.JoinFanout != 32 || res.Plan == nil || res.Plan.Fanout != 32 || !strings.Contains(res.Plan.Reason, "pinned fanout 32") {
+		t.Fatalf("JoinFanout %d, plan %+v; want 32 both and a reason naming the pin", res.JoinFanout, res.Plan)
 	}
 }
 
-// TestExplainKeepsFanoutRule runs one pipeline with and without Explain
-// where no fan-out is pinned and the planner would partition a 20 000-row
-// build on its own: EXPLAIN must not switch the run to the planner. The
-// join runs at the same fan-out either way, and the decision EXPLAIN
-// reports is the one that ran — the stream, unbudgeted; the budget
-// governor's partitioning, budgeted — with the planner's preference
-// named in its reason.
+// TestExplainKeepsFanoutRule runs pipelines where the planner would
+// partition a 20 000-row build on its own: the decision the run reports
+// is the one that ran — the stream at a named fan-out 1, unbudgeted;
+// the budget governor's partitioning at fan-out 1, budgeted; the
+// planner's width with no fan-out named — with the planner's
+// preference named in its reason.
 func TestExplainKeepsFanoutRule(t *testing.T) {
 	spec := workload.Spec{NBuild: 20000, TupleSize: 100, MatchesPerBuild: 1, Seed: 25}
 	for _, tc := range []struct {
@@ -235,23 +215,16 @@ func TestExplainKeepsFanoutRule(t *testing.T) {
 		{"fanout 1, budgeted", 1, 300_000, plan.PartitionedHash, 1, "splits the one pair recursively"},
 		{"fanout 0, budgeted", 0, 300_000, plan.PartitionedHash, 16, "exceeds budget"},
 	} {
-		fanout := map[bool]int{}
-		for _, explain := range []bool{false, true} {
-			p := Pipeline{Engine: engine.Native, Spec: spec, Scheme: core.SchemeGroup,
-				Fanout: tc.fanout, MemBudget: tc.budget, Workers: 2, Explain: explain}
-			res, err := p.Run()
-			if err != nil {
-				t.Fatalf("%s explain=%v: %v", tc.name, explain, err)
-			}
-			fanout[explain] = res.JoinFanout
-			if explain && (res.Plan == nil || res.Plan.Strategy != tc.strategy || res.Plan.Fanout != res.JoinFanout ||
-				!strings.Contains(res.Plan.Reason, tc.reasonContains)) {
-				t.Errorf("%s: EXPLAIN reports %+v for a run at fan-out %d; want %v at that fan-out, reason naming %q",
-					tc.name, res.Plan, res.JoinFanout, tc.strategy, tc.reasonContains)
-			}
+		p := Pipeline{Engine: engine.Native, Spec: spec, Scheme: core.SchemeGroup,
+			Fanout: tc.fanout, MemBudget: tc.budget, Workers: 2}
+		res, err := p.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if fanout[false] != tc.joinFanout || fanout[true] != tc.joinFanout {
-			t.Errorf("%s: JoinFanout without/with Explain = %d/%d, want %d both", tc.name, fanout[false], fanout[true], tc.joinFanout)
+		if res.JoinFanout != tc.joinFanout || res.Plan == nil || res.Plan.Strategy != tc.strategy ||
+			res.Plan.Fanout != res.JoinFanout || !strings.Contains(res.Plan.Reason, tc.reasonContains) {
+			t.Errorf("%s: reports %+v for a run at fan-out %d; want %v at fan-out %d, reason naming %q",
+				tc.name, res.Plan, res.JoinFanout, tc.strategy, tc.joinFanout, tc.reasonContains)
 		}
 	}
 }
@@ -472,30 +445,29 @@ func TestPipelineSpillRun(t *testing.T) {
 // with an out-of-memory error. Tuples are wide enough that the join's
 // rows would dominate the estimate's fixed slack if it sized them whole,
 // so the figure must follow the emitted row width: key and value under
-// the native hash join, whichever strategy an EXPLAIN run's planner
-// picks.
+// the native hash join, whichever strategy the join's planner picks
+// where no fan-out is named.
 func TestScratchBytesBoundsRun(t *testing.T) {
 	spec := workload.Spec{NBuild: 300, TupleSize: 1000, MatchesPerBuild: 8, Skew: 4, Seed: 23}
 	estimate := map[string]uint64{}
 	for _, tc := range []struct {
-		name    string
-		engine  engine.Backend
-		jt      plan.JoinType
-		fanout  int
-		explain bool
+		name   string
+		engine engine.Backend
+		jt     plan.JoinType
+		fanout int
 	}{
-		{"inner fanout=1", engine.Native, plan.Inner, 1, false},
-		{"inner fanout=4", engine.Native, plan.Inner, 4, false},
-		{"semi fanout=1", engine.Native, plan.LeftSemi, 1, false},
-		{"semi fanout=4", engine.Native, plan.LeftSemi, 4, false},
-		{"inner explain", engine.Native, plan.Inner, 1, true},
-		{"semi explain", engine.Native, plan.LeftSemi, 1, true},
-		{"inner sim", engine.Sim, plan.Inner, 1, false},
-		{"semi sim", engine.Sim, plan.LeftSemi, 1, false},
+		{"inner fanout=1", engine.Native, plan.Inner, 1},
+		{"inner fanout=4", engine.Native, plan.Inner, 4},
+		{"semi fanout=1", engine.Native, plan.LeftSemi, 1},
+		{"semi fanout=4", engine.Native, plan.LeftSemi, 4},
+		{"inner planner", engine.Native, plan.Inner, 0},
+		{"semi planner", engine.Native, plan.LeftSemi, 0},
+		{"inner sim", engine.Sim, plan.Inner, 1},
+		{"semi sim", engine.Sim, plan.LeftSemi, 1},
 	} {
 		p := Pipeline{
 			Engine: tc.engine, Spec: spec, Scheme: core.SchemeGroup,
-			JoinType: tc.jt, Fanout: tc.fanout, Workers: 2, Explain: tc.explain,
+			JoinType: tc.jt, Fanout: tc.fanout, Workers: 2,
 		}
 		p.Materialize()
 		estimate[tc.name] = p.scratchBytes()
@@ -504,7 +476,7 @@ func TestScratchBytesBoundsRun(t *testing.T) {
 			t.Errorf("%s: run inside its %d-byte scratch estimate: %v", tc.name, estimate[tc.name], err)
 		}
 	}
-	if estimate["inner explain"] != estimate["inner fanout=1"] || estimate["semi explain"] != estimate["semi fanout=1"] {
-		t.Errorf("an EXPLAIN run is not sized like the run it explains: %v", estimate)
+	if estimate["inner planner"] != estimate["inner fanout=1"] || estimate["semi planner"] != estimate["semi fanout=1"] {
+		t.Errorf("an unbudgeted run the planner decides is not sized like a named stream: %v", estimate)
 	}
 }

@@ -34,7 +34,7 @@
 // alone under Run's counter and for semi/anti, the key and value under
 // an aggregate of a build-half value, the whole tuple for a parent that
 // pulls rows. Sizing (BuildFootprint, the planner, ScratchBytes) still
-// charges the whole tuple: it is decided before the sinks are, and a
+// charges the whole tuple: the estimate precedes the sinks, and a
 // prebuilt side and the partitioned join's pair tables keep whole
 // tuples.
 package engine
@@ -146,14 +146,15 @@ type Config struct {
 	// native.DefaultG natively).
 	Params core.Params
 
-	// Fanout, for the native backend, is the join strategy, run as
-	// given: <= 1 streams probe groups through one resident hash table,
-	// the probe relation's page ranges being the morsels; > 1
-	// radix-partitions both inputs (rounded up to a power of two) and
-	// the partition pairs are the morsels. Either way the workers share
-	// the morsels and feed output batches into the pipeline. The front
-	// ends set it from plan.Resolve's decision.
-	Fanout int
+	// Strategy (plan.Auto: none forced) and Fanout (0: none named) are
+	// the caller's request, which the hash join resolves when it opens,
+	// over the relations it joins (plan.Resolve), and reports in
+	// Report.Plan; a conflicting request fails Compile. The native join
+	// streams through one resident table, the probe relation's page
+	// ranges being the morsels the workers share, or radix-partitions
+	// both inputs, the pairs being the morsels; the simulator streams.
+	Strategy plan.Strategy
+	Fanout   int
 
 	// Workers bounds the native join's workers (0 = GOMAXPROCS) under
 	// both strategies: the streaming join builds its table over that
@@ -173,16 +174,15 @@ type Config struct {
 	Weight int
 
 	// MemBudget, when > 0, bounds the resident footprint of a native
-	// join's build side in bytes. A streaming join (Fanout <= 1) whose
-	// build would exceed it (native.BuildFootprint, the predicate by
-	// which plan.Resolve reports this budget governor's case) runs
-	// partitioned instead: at Fanout 1 one pair split recursively, at 0
-	// the width native.Config derives. The pairs run under the adaptive
-	// hybrid policy (native hybrid.go): the pairs that fit run first,
-	// each hash code too big to fit on its own — irreducible
-	// duplicate-key skew — is joined out of core through internal/spill
-	// rather than failing, and the rest of an oversized pair is
-	// re-partitioned recursively (bounded depth). 0 means unbudgeted.
+	// join's build side in bytes, and is a plan.Resolve input: a build
+	// whose footprint (native.BuildFootprint) exceeds it runs
+	// partitioned — at fan-out 1 the one pair, split recursively. The
+	// pairs run under the adaptive hybrid policy (native hybrid.go): the
+	// pairs that fit run first, each hash code too big to fit on its own
+	// — irreducible duplicate-key skew — is joined out of core through
+	// internal/spill rather than failing, and the rest of an oversized
+	// pair is re-partitioned recursively (bounded depth). 0 means
+	// unbudgeted.
 	MemBudget int
 
 	// SpillDir is the parent directory spec for the native join's
@@ -217,8 +217,8 @@ type Config struct {
 	// Build, when non-nil, supplies the join's build side as a pre-built
 	// immutable row table: the plan's build child is never opened, and
 	// the probe side streams through fresh probe scratch over the shared
-	// table (Fanout and the MemBudget build degradation are ignored for
-	// the join — the table is already resident, accounted to its owner).
+	// table whatever MemBudget says (it is resident, accounted to its
+	// owner); a request for a partitioned run beside it fails Compile.
 	// Native backend only; the handle's width must match the plan's
 	// build width. This is how the service probes one cached build side
 	// from many concurrent queries without rebuilding.
@@ -239,11 +239,15 @@ type Config struct {
 }
 
 // Report carries per-run execution detail out of a compiled pipeline:
-// the join operator's shape, and the native join's own run report by
-// value. The front ends embed it in their results and point
+// the join's decision and shape, and the native join's own run report
+// by value. The front ends embed it in their results and point
 // Config.Report at the embedded value, so there is no copy to keep in
 // step.
 type Report struct {
+	// Plan is the strategy decision the join ran, made over the
+	// relations it joined; nil until a join opens.
+	Plan *plan.Decision
+
 	// JoinFanout is the partition count the native join actually used
 	// (1 for the streaming strategy).
 	JoinFanout int
@@ -278,6 +282,25 @@ func (c Config) workers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return c.Workers
+}
+
+// JoinStats returns the planner's inputs for a join of buildRows tuples
+// of buildWidth bytes with probeRows of probeWidth.
+func JoinStats(buildRows, buildWidth, probeRows, probeWidth int) plan.Stats {
+	return plan.Stats{BuildRows: buildRows, ProbeRows: probeRows, BuildWidth: buildWidth, ProbeWidth: probeWidth,
+		BuildFootprint: native.BuildFootprint(buildRows, buildWidth)}
+}
+
+// decide resolves a join's strategy from the config's request and the
+// stats of the relations it reads, and reports the decision, which the
+// join then runs.
+func (c Config) decide(jt plan.JoinType, st plan.Stats, prebuilt bool) (plan.Decision, error) {
+	d, err := plan.Resolve(plan.Request{Stats: st, JoinType: jt, Budget: c.MemBudget,
+		Forced: c.Strategy, Fanout: c.Fanout, Sim: c.Backend == Sim, Prebuilt: prebuilt})
+	if err == nil && c.Report != nil {
+		c.Report.Plan = &d
+	}
+	return d, err
 }
 
 // NativeScheme maps a simulator scheme onto the native engine's — the
@@ -528,7 +551,11 @@ func (n *Node) ScratchBytes(cfg Config, matchesPerProbe, buildRows, joinRows int
 	}
 	switch {
 	case cfg.Backend == Native:
-		total += native.SpillPoolBytes(cfg.joinConfig(plan.Inner))
+		fanout := cfg.Fanout
+		if cfg.Strategy == plan.PartitionedHash && fanout <= 1 {
+			fanout = 0 // the planner's width, not known yet
+		}
+		total += native.SpillPoolBytes(cfg.joinConfig(plan.Inner, fanout))
 	case join != nil:
 		total += core.ProbeScratchBytes(buildRows)
 		if join.joinType == plan.RightOuter {
@@ -630,6 +657,10 @@ func Compile(n *Node, cfg Config) (Operator, error) {
 				cfg.Build.Width(), w)
 		}
 	}
+	if err := plan.Check(plan.Request{Forced: cfg.Strategy, Fanout: cfg.Fanout,
+		Sim: cfg.Backend == Sim, Prebuilt: cfg.Build != nil}); err != nil {
+		return nil, err
+	}
 	if err := validatePlan(n); err != nil {
 		return nil, err
 	}
@@ -676,8 +707,13 @@ func compileNode(n, parent *Node, cfg Config) Operator {
 		build := compileNode(n.build, n, cfg)
 		probe := compileNode(n.input, n, cfg)
 		if cfg.Backend == Sim {
-			return newSimHashJoin(cfg.Mem, build, probe,
+			j := newSimHashJoin(cfg.Mem, build, probe,
 				n.build.scanRel(), n.build.Width(), n.input.Width(), cfg.Params, n.joinType)
+			j.cfg = cfg
+			if r := n.input.scanRel(); r != nil {
+				j.probeRows = r.NTuples
+			}
+			return j
 		}
 		return newNativeHashJoin(cfg, build, probe,
 			n.build.scanRel(), n.input.scanRel(), n.build.Width(), n.input.Width(), n.joinType,

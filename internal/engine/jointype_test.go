@@ -49,9 +49,9 @@ func TestEngineJoinTypesParity(t *testing.T) {
 
 // TestTinyBuildPlannedParity runs the build sides the planner once sent
 // to a nested-loop scan — none, one, 16 and 32 rows — under plan.Auto
-// on both backends, for every join type: the planner now picks the
-// streaming hash join for them, and its full output multiset must equal
-// the reference over the raw tuples. Build keys repeat and some probe
+// with no fan-out named, on both backends, for every join type: the
+// join's planner now picks the streaming hash join for them, and its
+// full output multiset must equal the reference over the raw tuples. Build keys repeat and some probe
 // keys miss, so every join type has matched, unmatched and chained rows.
 func TestTinyBuildPlannedParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -78,25 +78,18 @@ func TestTinyBuildPlannedParity(t *testing.T) {
 			want = sortedRows(slices.Clone(want))
 			logical := HashJoinTyped(Scan(build), Scan(probe), jt)
 			for _, backend := range []Backend{Sim, Native} {
-				dec, err := plan.Resolve(plan.Request{
-					Stats: plan.Stats{
-						BuildRows: nBuild, ProbeRows: probe.NTuples,
-						BuildWidth: streamTuple, ProbeWidth: streamTuple,
-						BuildFootprint: native.BuildFootprint(nBuild, streamTuple),
-					},
-					JoinType: jt,
-					Sim:      backend == Sim,
-				})
-				if err != nil || dec.Strategy != plan.StreamHash || dec.Fanout != 1 {
-					t.Fatalf("%d build rows, %v on %v: planned %v fanout %d (%v), want stream",
-						nBuild, jt, backend, dec.Strategy, dec.Fanout, err)
-				}
+				// No fan-out named: the join's planner picks.
+				var rep Report
 				cfg := simCfg(m, core.SchemeGroup, core.DefaultParams())
 				if backend == Native {
-					cfg = nativeCfg(a, core.SchemeGroup, core.DefaultParams(), dec.Fanout)
+					cfg = nativeCfg(a, core.SchemeGroup, core.DefaultParams(), 0)
 					cfg.Workers = 2
 				}
+				cfg.Report = &rep
 				got := sortedRows(mustCollect(t, logical, cfg, a))
+				if d := rep.Plan; d == nil || d.Strategy != plan.StreamHash || d.Fanout != 1 || rep.JoinFanout > 1 {
+					t.Fatalf("%d build rows, %v on %v: planned %+v, ran fanout %d; want stream", nBuild, jt, backend, d, rep.JoinFanout)
+				}
 				if !sameRows(got, want) {
 					t.Errorf("%d build rows, %v on %v: %d rows, reference %d (or same count, different rows)",
 						nBuild, jt, backend, len(got), len(want))
@@ -133,11 +126,17 @@ func TestBuildHandleTypedJoin(t *testing.T) {
 
 // TestCompileStrategyValidation pins the misconfiguration taxonomy: the
 // plan shapes the CLI forwards must fail closed at Compile, not produce
-// silently-wrong results deep in a run. (Conflicting strategy requests
-// are plan.Resolve's errors, before any plan compiles: TestResolve.)
+// silently-wrong results deep in a run. A strategy request that
+// conflicts with itself is plan.Check's error, which Compile returns
+// before any operator opens (every row of it: TestResolve).
 func TestCompileStrategyValidation(t *testing.T) {
 	spec := workload.Spec{NBuild: 50, TupleSize: 16, MatchesPerBuild: 1, Seed: 51}
-	pair, a, _ := testEnv(t, spec)
+	pair, a, m := testEnv(t, spec)
+	bs, err := native.BuildRelation(pair.Build, pair.Spec.TupleSize, native.BuildConfig{})
+	if err != nil {
+		t.Fatalf("BuildRelation: %v", err)
+	}
+	join := HashJoin(Scan(pair.Build), Scan(pair.Probe))
 
 	cases := []struct {
 		name string
@@ -149,6 +148,9 @@ func TestCompileStrategyValidation(t *testing.T) {
 			HashJoinTyped(Scan(pair.Build), Scan(pair.Probe), plan.LeftSemi), 20, 8),
 			Config{Backend: Native, A: a},
 			"probe tuple only"},
+		{"forced stream, fanout 8", join, Config{Backend: Native, A: a, Strategy: plan.StreamHash, Fanout: 8}, "fanout 8 conflicts"},
+		{"forced partitioned, sim", join, Config{Backend: Sim, Mem: m, Strategy: plan.PartitionedHash}, "native engine"},
+		{"prebuilt, fanout 8", join, Config{Backend: Native, A: a, Build: bs, Fanout: 8}, "prebuilt build side"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

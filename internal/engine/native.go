@@ -2,11 +2,12 @@ package engine
 
 // Native backend: the batch operators run on real memory with real
 // prefetches, reusing the native engine's radix partitioner, row-storage
-// hash table, and PREFETCHT0 probe loops. A join compiles to one of two
-// physical strategies: with Fanout <= 1 the probe side streams through
-// one resident table a prefetch group at a time, its pages cut into
-// morsels the workers share; with Fanout > 1 both sides are
-// radix-partitioned and the partition pairs are the morsels. Under
+// hash table, and PREFETCHT0 probe loops. A join runs one of two
+// physical strategies, which Open resolves over its inputs
+// (plan.Resolve): the stream, whose probe side streams through one
+// resident table a prefetch group at a time, its pages cut into morsels
+// the workers share; or the partitioned join, whose inputs are both
+// radix-partitioned, the partition pairs being the morsels. Under
 // either, Open runs the whole join, every worker handing its matches to
 // a sink of its own that the join's parent installed: a native
 // aggregate's partial, Run's row counter, or — for a parent that pulls
@@ -169,15 +170,15 @@ func materializeNative(a *arena.Arena, op Operator, width int) (*storage.Relatio
 }
 
 // joinConfig maps the config onto the native joiner's for a join of
-// type jt. The morsel join runs under it and the scratch estimator
-// reads the spill tier's knobs through it, so a knob added to one
-// cannot miss the other.
-func (c Config) joinConfig(jt plan.JoinType) native.Config {
+// type jt at the given fan-out. The morsel join runs under it and the
+// scratch estimator reads the spill tier's knobs through it, so a knob
+// added to one cannot miss the other.
+func (c Config) joinConfig(jt plan.JoinType, fanout int) native.Config {
 	return native.Config{
 		Scheme:   NativeScheme(c.Scheme),
 		JoinType: jt,
 		G:        c.Params.G, D: c.Params.D,
-		Fanout: c.Fanout, Workers: c.workers(),
+		Fanout: fanout, Workers: c.workers(),
 		Pool: c.Pool, Tenant: c.Tenant, Weight: c.Weight,
 		Arena:     c.A,
 		MemBudget: c.MemBudget,
@@ -226,9 +227,10 @@ func splitAtSeam(spans []span, seam int) []emitSpan {
 // has: worker w hands each match to sinkFor(w), which the join calls on
 // the caller's goroutine before worker w starts. Both inputs are
 // relations by then — a child that is not a plain scan is materialized
-// first — and the probe runs on the workers: the streaming join's
-// probers, or the partitioned join's pair joiners. A right-outer sweep
-// into sink 0 follows.
+// first — and the strategy is resolved over them (Config.decide). The
+// probe runs on the workers: the streaming join's probers, or the
+// partitioned join's pair joiners. A right-outer sweep into sink 0
+// follows.
 //
 // A native aggregate over the join installs its partials as sinkFor,
 // and Run its row counter. With none installed — Collect, a join under
@@ -316,7 +318,8 @@ func (h *nativeHashJoin) Open() error {
 	return nil
 }
 
-// run runs the whole join into sinkFor's sinks.
+// run resolves the join's strategy over its inputs and runs the whole
+// join under it into sinkFor's sinks.
 func (h *nativeHashJoin) run(sinkFor func(w int) func([]byte, uint64)) error {
 	if h.cfg.Build != nil {
 		// A pre-built immutable BuildSide replaces the whole build
@@ -331,6 +334,9 @@ func (h *nativeHashJoin) run(sinkFor func(w int) func([]byte, uint64)) error {
 		if err != nil {
 			return err
 		}
+		if _, err := h.cfg.decide(h.jt, JoinStats(h.cfg.Build.NRows(), h.buildWidth, probe.NTuples, h.probeWidth), true); err != nil {
+			return err
+		}
 		return h.runStream(h.cfg.Build, probe, sinkFor)
 	}
 	rel, err := h.resolveBuild()
@@ -341,15 +347,12 @@ func (h *nativeHashJoin) run(sinkFor func(w int) func([]byte, uint64)) error {
 	if err != nil {
 		return err
 	}
-	// Budget governor: a streaming join keeps the whole build side
-	// resident in one table; when that footprint exceeds MemBudget,
-	// degrade to the partitioned morsel strategy, whose fan-out (and,
-	// if a pair is still oversized, recursive re-partitioning) bounds
-	// the per-pair resident set the way the paper's GRACE partition
-	// phase does.
-	if h.cfg.Fanout > 1 || h.cfg.MemBudget > 0 &&
-		native.BuildFootprint(rel.NTuples, h.buildWidth) > h.cfg.MemBudget {
-		return h.runMorsel(rel, probe, sinkFor)
+	dec, err := h.cfg.decide(h.jt, JoinStats(rel.NTuples, h.buildWidth, probe.NTuples, h.probeWidth), false)
+	if err != nil {
+		return err
+	}
+	if dec.Strategy == plan.PartitionedHash {
+		return h.runMorsel(rel, probe, dec.Fanout, sinkFor)
 	}
 	bs, err := native.BuildRelation(rel, h.rowWidth(), native.BuildConfig{
 		Scheme: NativeScheme(h.cfg.Scheme), G: h.cfg.Params.G, D: h.cfg.Params.D,
@@ -371,7 +374,7 @@ func (h *nativeHashJoin) run(sinkFor func(w int) func([]byte, uint64)) error {
 // alone under Run's counter, else the tuple up to the last build byte
 // writeMatch copies — the key alone for semi and anti, whose rows carry
 // no build byte, and the whole tuple under a parent that declared no
-// spans. The budget check above still charges the whole tuple (see the
+// spans. The decision above still charges the whole tuple (see the
 // package comment's row contract).
 func (h *nativeHashJoin) rowWidth() int {
 	w := 4 // the key, which the probe compares in the row
@@ -484,12 +487,12 @@ func (h *nativeHashJoin) Close() {
 // tables. sync.Pool drops a Joiner idle for two GC cycles.
 var joinerPool = sync.Pool{New: func() any { return native.NewJoiner() }}
 
-// runMorsel runs the native morsel join — radix partitioning, one pair
-// joiner per worker — into sinkFor's sinks, on a pooled Joiner. A Joiner
-// an error or a panic left mid-join is not handed back.
-func (h *nativeHashJoin) runMorsel(buildRel, probeRel *storage.Relation, sinkFor func(w int) func([]byte, uint64)) error {
+// runMorsel runs the native morsel join — radix partitioning at fanout,
+// one pair joiner per worker — into sinkFor's sinks, on a pooled Joiner.
+// A Joiner an error or a panic left mid-join is not handed back.
+func (h *nativeHashJoin) runMorsel(buildRel, probeRel *storage.Relation, fanout int, sinkFor func(w int) func([]byte, uint64)) error {
 	jn := joinerPool.Get().(*native.Joiner)
-	res, err := jn.JoinStream(buildRel, probeRel, h.cfg.joinConfig(h.jt), sinkFor)
+	res, err := jn.JoinStream(buildRel, probeRel, h.cfg.joinConfig(h.jt, fanout), sinkFor)
 	if err != nil {
 		return err
 	}

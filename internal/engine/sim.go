@@ -178,14 +178,17 @@ func materializeSim(m *vmem.Mem, op Operator, width int) (*storage.Relation, err
 // simHashJoin is the pipelined, group-prefetched hash join. Open
 // resolves the build side — the build child's base relation when it is
 // a plain scan, otherwise a timed materialization (closing the build
-// child either way) — and constructs the hash table; NextBatch then
-// probes one child batch per group-prefetched pass and yields the
-// concatenated build||probe rows.
+// child either way) — resolves the strategy over it, which on the
+// simulator is always the stream, and constructs the hash table;
+// NextBatch then probes one child batch per group-prefetched pass and
+// yields the concatenated build||probe rows.
 type simHashJoin struct {
 	m          *vmem.Mem
+	cfg        Config // the strategy request it resolves (Config.decide)
 	buildChild Operator
 	probeChild Operator
 	buildRel   *storage.Relation // non-nil: build child is a plain scan
+	probeRows  int               // the probe child's rows if it is a plain scan, else 0
 	buildWidth int
 	probeWidth int
 	outWidth   int
@@ -232,6 +235,9 @@ func (h *simHashJoin) Open() error {
 		h.buildClosed = true
 	}
 	h.probeClosed = false
+	if _, err := h.cfg.decide(h.jt, JoinStats(rel.NTuples, h.buildWidth, h.probeRows, h.probeWidth), false); err != nil {
+		return err
+	}
 	h.rel = rel
 	h.prober = core.NewProber(h.m, rel, h.params)
 	if err := h.probeChild.Open(); err != nil {

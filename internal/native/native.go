@@ -16,12 +16,13 @@
 //
 //  1. Partition: both relations are flattened into compact 16-byte
 //     entries (hash code, join key, tuple address) and radix-partitioned
-//     on the low bits of the memoized hash code — the GRACE fan-out,
-//     sized so a build partition plus its hash table fits the configured
-//     memory budget (Config.MemBudget; set it or Config.Fanout low for
-//     cache-sized partitions, the paper's section 7.5 comparator). A
-//     pair of relations big enough is partitioned on the workers, page
-//     range by page range (Joiner.partition, morsel.go).
+//     on the low bits of the memoized hash code — the GRACE fan-out
+//     (Config.Fanout, which the planner sizes so a build partition plus
+//     its hash table fits the memory budget, or the cache for the
+//     paper's section 7.5 comparator; a pair still over Config.MemBudget
+//     is split recursively). A pair of relations big enough is
+//     partitioned on the workers, page range by page range
+//     (Joiner.partition, morsel.go).
 //  2. Build: each build partition's tuples are serialized once into
 //     self-contained rows, chained per hash code from an open-addressed
 //     directory of tagged slots (RowTable, rowtable.go).
@@ -98,8 +99,8 @@ func ParseScheme(name string) (Scheme, bool) {
 	return 0, false
 }
 
-// Config tunes a native join. The zero value selects Group with the
-// native default parameters, a memory-budget fan-out, and one worker per
+// Config tunes a native join. The zero value runs Baseline over one
+// partition pair with the native default parameters and one worker per
 // CPU.
 type Config struct {
 	Scheme Scheme
@@ -118,17 +119,19 @@ type Config struct {
 	// DefaultD.
 	D int
 
-	// Fanout forces the partition count (rounded up to a power of two).
-	// 0 derives it from MemBudget. 1 joins the relations as one pair —
-	// the paper's join-phase experiment setup.
+	// Fanout is the partition count (rounded up to a power of two); 1,
+	// or anything below, joins the relations as one pair — the paper's
+	// join-phase experiment setup. The Joiner derives none: its callers
+	// name the fan-out plan.Resolve or plan.Choose decided.
 	Fanout int
 
 	// MemBudget is the GRACE memory budget in bytes: a build partition's
 	// entries plus its hash table must fit. 0 defaults to 256 MB, which
 	// keeps workloads up to tens of millions of tuples at fan-out 1 so
 	// the probe loops face real cache misses, as in the paper's join
-	// phase. Set it (or Fanout) low to reproduce cache-sized
-	// partitioning, the section 7.5 comparator.
+	// phase. Set Fanout high, or the budget low, to reproduce
+	// cache-sized partitioning, the section 7.5 comparator: an oversized
+	// pair is split recursively under the budget.
 	MemBudget int
 
 	// Workers bounds the morsel worker pool; 0 means GOMAXPROCS. The
@@ -197,9 +200,7 @@ const (
 )
 
 func (c Config) normalized() Config {
-	if c.Fanout > 1 {
-		c.Fanout = nextPow2(c.Fanout)
-	}
+	c.Fanout = nextPow2(max(c.Fanout, 1))
 	if c.G < 1 {
 		c.G = DefaultG
 	}
@@ -371,12 +372,8 @@ func (jn *Joiner) Join(build, probe *storage.Relation, cfg Config) (Result, erro
 	if err := cfg.Ctx.Err(); err != nil {
 		return Result{}, asCancel(err, 0, 0, 0)
 	}
-	fanout := cfg.Fanout
-	if fanout == 0 {
-		fanout = fanoutFor(build.NTuples, width, cfg.MemBudget)
-	}
 
-	sp := newSpillState(build, probe, cfg, cfg.morselSlots(fanout))
+	sp := newSpillState(build, probe, cfg, cfg.morselSlots(cfg.Fanout))
 	jn.spillSt = sp
 	// The deferred finish covers the panic path (arena exhaustion
 	// unwinding through a sink): temp files are removed before the panic
@@ -387,7 +384,7 @@ func (jn *Joiner) Join(build, probe *storage.Relation, cfg Config) (Result, erro
 		sp.finish()
 	}()
 
-	err := jn.partition(build, probe, fanout, cfg)
+	err := jn.partition(build, probe, cfg.Fanout, cfg)
 	if err == nil {
 		jn.plan.reset(&jn.bp, width, cfg.MemBudget)
 	}
@@ -396,7 +393,7 @@ func (jn *Joiner) Join(build, probe *storage.Relation, cfg Config) (Result, erro
 	if err == nil {
 		r, err = jn.joinPairs(data, width, cfg)
 	} else {
-		err = asCancel(err, 0, fanout, 0)
+		err = asCancel(err, 0, cfg.Fanout, 0)
 	}
 	spStats, spPairs, spErr := sp.finish()
 	if err == nil {
@@ -458,27 +455,16 @@ func (jn *Joiner) JoinStream(build, probe *storage.Relation, cfg Config, sinkFor
 func rowFootprint(width int) int { return entrySize + rowHdrSize + width + 16 }
 
 // pairFootprint estimates the resident bytes a build partition of n
-// tuples of width serialized bytes needs during its join. fanoutFor and
-// the recursive re-partitioner share this estimate so the initial
-// fan-out and the degradation path agree on what "fits" means.
+// tuples of width serialized bytes needs during its join. The planner
+// (through BuildFootprint) and the recursive re-partitioner share this
+// estimate, so the initial fan-out and the degradation path agree on
+// what "fits" means.
 func pairFootprint(nBuild, width int) int { return nBuild * rowFootprint(width) }
 
 // BuildFootprint estimates the resident bytes a build side of nBuild
 // tuples of width serialized bytes needs while being joined: entries
-// plus row table. The batch engine consults it to decide whether a
-// streaming (single-table) join fits a memory budget or must degrade to
-// the partitioned strategy.
+// plus row table. The batch engine's join fills the planner's stats
+// with it (plan.Stats.BuildFootprint), from which plan.Resolve decides
+// whether a streaming (single-table) join fits a memory budget and the
+// cache or runs partitioned, and at what fan-out.
 func BuildFootprint(nBuild, width int) int { return pairFootprint(nBuild, width) }
-
-// fanoutFor picks the smallest power-of-two partition count such that a
-// build partition's entries plus its row table fit budget bytes. Like
-// subFanoutFor it compares in divide form: budget*f overflows int for
-// large budgets and would inflate the fan-out spuriously.
-func fanoutFor(nBuild, width, budget int) int {
-	need := pairFootprint(nBuild, width)
-	f := 1
-	for f < 1<<20 && overBudget(need, budget, f) {
-		f <<= 1
-	}
-	return f
-}

@@ -340,13 +340,3 @@ func waitForGoroutines(t *testing.T, base int) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
-
-func TestFanoutFor(t *testing.T) {
-	if f := fanoutFor(1000, 20, 256<<20); f != 1 {
-		t.Fatalf("small build should not partition, got fanout %d", f)
-	}
-	f := fanoutFor(10_000_000, 20, 1<<20)
-	if f < 64 || f&(f-1) != 0 {
-		t.Fatalf("cache-budget fanout = %d, want a power of two covering the build", f)
-	}
-}

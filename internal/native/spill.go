@@ -142,9 +142,9 @@ func (sp *spillState) poolPages() int {
 // for before any relation exists. Zero when the tier cannot engage
 // (unbudgeted or disabled). chunkPages divides the budget by a page
 // plus its tuples' table overhead; dividing by the page alone bounds it
-// for every build width. A fan-out derived from the budget is not known
-// yet, so the slots are bounded by the workers alone. 64 KiB of slack
-// covers the pool's alignment.
+// for every build width. A fan-out of 0 stands for one the planner has
+// not decided yet, so the slots are bounded by the workers alone. 64
+// KiB of slack covers the pool's alignment.
 func SpillPoolBytes(cfg Config) uint64 {
 	if cfg.MemBudget <= 0 || cfg.NoSpill {
 		return 0
@@ -153,7 +153,7 @@ func SpillPoolBytes(cfg Config) uint64 {
 	chunk := min(cfg.MemBudget/page+1, spillChunkPagesCap)
 	n := cfg.normalized()
 	slots := n.Workers
-	if n.Fanout > 0 {
+	if cfg.Fanout > 0 {
 		slots = n.morselSlots(n.Fanout)
 	}
 	return uint64(slots*chunk+spill.MinPoolPages(cfg.spillWorkers(), slots))*uint64(page) + (64 << 10)

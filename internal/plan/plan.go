@@ -3,9 +3,9 @@
 // the cheapest execution strategy — a single streaming hash probe for
 // cache-resident build sides, of any size down to none, or the
 // radix-partitioned morsel join when the build side overflows the cache
-// or the memory budget. Resolve applies the one rule by which every
-// front end turns a request — a forced strategy, a named fan-out — into
-// the strategy and fan-out that run.
+// or the memory budget. Resolve applies the one rule by which the hash
+// join operator turns a request — a forced strategy, a named fan-out —
+// and the relations it joins into the strategy and fan-out that run.
 //
 // The crossover between the two is not guessed: it is measured by the
 // root package's calibration benchmark (BenchmarkJoinCrossover, which
@@ -22,6 +22,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -208,7 +209,7 @@ func Choose(st Stats, jt JoinType, budget int) Decision {
 	return d
 }
 
-// Request is everything a front end knows when it asks for a strategy:
+// Request is everything the join knows when it asks for a strategy:
 // Choose's inputs plus the facts that can override its pick.
 type Request struct {
 	Stats    Stats
@@ -231,51 +232,63 @@ type Request struct {
 // such as a forced streaming strategy beside a fan-out above 1.
 var ErrConflict = errors.New("conflicting strategy request")
 
+// Check refuses a request that contradicts itself, whatever the stats
+// and budget, which it does not read: Resolve and Compile call it, and a
+// front end may before the join's inputs exist.
+func Check(r Request) error {
+	switch {
+	case r.Forced == StreamHash && r.Fanout > 1:
+		return fmt.Errorf("%w: strategy stream runs over one table; fanout %d conflicts (use strategy partitioned or auto)",
+			ErrConflict, r.Fanout)
+	case r.Forced == PartitionedHash && r.Sim:
+		return fmt.Errorf("%w: strategy partitioned requires the native engine (the simulator executes single-table joins only)", ErrConflict)
+	case r.Forced == PartitionedHash && r.Prebuilt:
+		return fmt.Errorf("%w: strategy partitioned cannot use a prebuilt build side, which only the streaming probe reads", ErrConflict)
+	case r.Forced == Auto && r.Fanout > 1 && r.Prebuilt:
+		return fmt.Errorf("%w: a prebuilt build side is probed by the streaming strategy; fanout %d conflicts",
+			ErrConflict, r.Fanout)
+	}
+	return nil
+}
+
 // Resolve is the only code that turns a request into the strategy and
-// fan-out that run; every front end calls it once per query, executes
-// the decision it returns and reports that decision as its EXPLAIN. The
-// rule, by what the caller gives:
+// fan-out that run. The hash join calls it once per run, when it opens,
+// over the relations it joins (a filtered build as filtered), runs the
+// decision and reports it as its EXPLAIN. The rule, by what the caller
+// gives (conflicts are Check's errors):
 //
-//	forced stream        stream; a named fan-out above 1 is an error
+//	forced stream        stream
 //	forced partitioned   partitioned at the named fan-out if above 1,
 //	                     else at the planner's width if it preferred
-//	                     partitioned, else at 2; an error on the
-//	                     simulator or with a prebuilt side
-//	auto, fan-out N > 1  partitioned at N; the simulator streams, and
-//	                     a prebuilt side is an error
+//	                     partitioned, else at 2
+//	auto, fan-out N > 1  partitioned at N; the simulator streams
 //	auto, fan-out 1      stream
 //	auto, none named     Choose's pick; a prebuilt side or the
 //	                     simulator pins stream
 //
+// A named fan-out above 1 is rounded up to the power of two that runs.
 // A native stream over a built-here table whose footprint exceeds the
-// budget is the engine's budget governor's case: it splits the one pair
-// recursively, so the decision reads partitioned at fan-out 1. The
-// Reason names each override and what the planner preferred.
+// budget is the budget governor's case: partitioned at fan-out 1, the
+// one pair split recursively. The Reason names each override and what
+// the planner preferred.
 func Resolve(r Request) (Decision, error) {
+	if err := Check(r); err != nil {
+		return Decision{}, err
+	}
+	if r.Fanout > 1 {
+		r.Fanout = 1 << bits.Len(uint(r.Fanout-1))
+	}
 	d := Choose(r.Stats, r.JoinType, r.Budget)
 	preferred, width := d.Strategy, d.Fanout
 	switch r.Forced {
 	case StreamHash:
-		if r.Fanout > 1 {
-			return d, fmt.Errorf("%w: strategy stream runs over one table; fanout %d conflicts (use strategy partitioned or auto)",
-				ErrConflict, r.Fanout)
-		}
 		d.Strategy, d.Fanout = StreamHash, 1
 	case PartitionedHash:
-		switch {
-		case r.Sim:
-			return d, fmt.Errorf("%w: strategy partitioned requires the native engine (the simulator executes single-table joins only)", ErrConflict)
-		case r.Prebuilt:
-			return d, fmt.Errorf("%w: strategy partitioned cannot use a prebuilt build side, which only the streaming probe reads", ErrConflict)
-		}
 		if preferred != PartitionedHash {
 			d.Strategy, d.Fanout = PartitionedHash, 2
 		}
 	default:
 		switch {
-		case r.Fanout > 1 && r.Prebuilt:
-			return d, fmt.Errorf("%w: a prebuilt build side is probed by the streaming strategy; fanout %d conflicts",
-				ErrConflict, r.Fanout)
 		case r.Fanout > 1 && !r.Sim:
 			if preferred != PartitionedHash {
 				d.Strategy = PartitionedHash

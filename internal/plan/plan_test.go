@@ -108,7 +108,8 @@ func TestExplainCarriesInputs(t *testing.T) {
 // TestResolve covers every row of Resolve's rule: the pick passing
 // through untouched, each override (the strategy and fan-out that run,
 // and a Reason that names the override or is Choose's own), the budget
-// governor's case, and each conflicting request, which is an error.
+// governor's case, a named fan-out rounded up to the width that runs,
+// and each conflicting request, which is an error.
 func TestResolve(t *testing.T) {
 	stream := Stats{BuildRows: 10000, ProbeRows: 100000, BuildWidth: 32, ProbeWidth: 32,
 		BuildFootprint: DefaultPartitionCrossoverBytes / 2}
@@ -149,6 +150,9 @@ func TestResolve(t *testing.T) {
 		{"planner already partitions: a named fanout replaces its width", Request{Stats: big, Fanout: 8}, PartitionedHash, 8, "pinned fanout 8 replaces the planner's fanout 4"},
 		{"planner already partitions: an equal fanout changes nothing", Request{Stats: big, Fanout: 4}, PartitionedHash, 4, ""},
 		{"fanout N over budget partitions at N", Request{Stats: stream, Budget: under, Fanout: 32}, PartitionedHash, 32, "pinned fanout 32 replaces the planner's fanout 4"},
+		{"fanout 3 runs, and reads, as 4", Request{Stats: stream, Fanout: 3}, PartitionedHash, 4, "fanout 4 pins the partitioned strategy; planner preferred stream"},
+		{"forced partitioned, fanout 3 runs as 4", Request{Stats: stream, Forced: PartitionedHash, Fanout: 3}, PartitionedHash, 4, "forced strategy partitioned"},
+		{"planner already partitions at 4: fanout 3 changes nothing", Request{Stats: big, Fanout: 3}, PartitionedHash, 4, ""},
 	} {
 		d, err := Resolve(tc.req)
 		if err != nil {
@@ -166,7 +170,8 @@ func TestResolve(t *testing.T) {
 	}
 
 	// A request that contradicts itself is refused, whatever the planner
-	// prefers, before anything runs.
+	// prefers, before anything runs: by Check, which reads no stats, and
+	// by Resolve alike.
 	for _, tc := range []struct {
 		name string
 		req  Request
@@ -182,6 +187,11 @@ func TestResolve(t *testing.T) {
 	} {
 		if d, err := Resolve(tc.req); !errors.Is(err, ErrConflict) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Resolve = %v/%d, %v; want an ErrConflict naming %q", tc.name, d.Strategy, d.Fanout, err, tc.want)
+		}
+		statsFree := tc.req
+		statsFree.Stats = Stats{}
+		if err := Check(statsFree); !errors.Is(err, ErrConflict) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Check = %v; want an ErrConflict naming %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -86,7 +86,8 @@ func WithPipelineParams(p Params) PipelineOption {
 }
 
 // WithBuildFilter keeps only build tuples whose key lies in [lo, hi]
-// before the join.
+// before the join, which decides its strategy over the build as
+// filtered (PipelineResult.Plan's stats count the tuples kept).
 func WithBuildFilter(lo, hi uint32) PipelineOption {
 	return func(c *pipelineConfig) { c.filterLo, c.filterHi, c.hasFilter = lo, hi, true }
 }
@@ -102,12 +103,13 @@ func WithAggregation(valueOff, expectedGroups int) PipelineOption {
 // unless WithStrategy is given) streams the probe side through one
 // resident hash table, built and probed by the pipeline's workers
 // together (the probe relation's page ranges are the morsels they
-// share); larger values radix-partition both inputs (rounded up to a
-// power of two) and the workers share the partition pairs; 0 names
-// none and leaves the choice to the planner. A named fan-out holds
-// beside any WithStrategy, by the rule WithStrategy states. Either way
-// the order of the output rows is unspecified. The simulator backend
-// runs every join over one table.
+// share); larger values radix-partition both inputs at the next power
+// of two, which PipelineResult.Plan reports as JoinFanout does, and the
+// workers share the partition pairs; 0 names none and leaves the
+// choice to the join's planner. A named fan-out holds beside any
+// WithStrategy, by the rule WithStrategy states. Either way the order
+// of the output rows is unspecified. The simulator backend runs every
+// join over one table.
 func WithPipelineFanout(n int) PipelineOption {
 	return func(c *pipelineConfig) { c.fanout, c.fanoutSet = n, true }
 }
@@ -122,15 +124,17 @@ func WithPipelineWorkers(n int) PipelineOption {
 }
 
 // WithPipelineMemBudget bounds the resident footprint of the native
-// join's build side in bytes. A streaming join whose build would exceed
-// the budget degrades to the partitioned morsel strategy, whose pairs
-// run under the adaptive hybrid policy: the pairs that fit run first,
-// each hash code too big to fit on its own (heavy key skew) is joined
-// out of core through disk-backed spill partitions, and the rest of an
-// oversized pair is re-partitioned recursively — the GRACE answer to a
-// partition that does not fit memory. On a service Env the grant's
-// advisory budget can lower the budget mid-join, demoting pairs that
-// have not started. 0 (the default) means unbudgeted.
+// join's build side in bytes. The join weighs it against the build it
+// reads (filtered, under WithBuildFilter): a build over the budget runs
+// partitioned (at a named fan-out 1, as one pair split recursively),
+// and the pairs run under the adaptive hybrid policy: the pairs that
+// fit run first, each hash code too big to fit on its own (heavy key
+// skew) is joined out of core through disk-backed spill partitions, and
+// the rest of an oversized pair is re-partitioned recursively — the
+// GRACE answer to a partition that does not fit memory. On a service
+// Env the grant's advisory budget can lower the budget mid-join,
+// demoting pairs that have not started. 0 (the default) means
+// unbudgeted.
 func WithPipelineMemBudget(bytes int) PipelineOption {
 	return func(c *pipelineConfig) { c.memBudget = bytes }
 }
@@ -226,16 +230,17 @@ type PipelineResult struct {
 	Elapsed time.Duration // EngineNative: wall clock of this run
 
 	// Report is the run report, embedded by value from where it is
-	// produced: JoinFanout (the partition count the native join actually
-	// used, 1 for the streaming strategy), JoinRecursionDepth (how deep
-	// the budget degradation had to re-partition oversized pairs, 0:
-	// none), MorselsExecuted (the morsels the run's workers shared:
-	// partition pairs, or at fanout 1 the page ranges the probe relation
-	// was cut into), the spill tier's SpilledPartitions, SpillBytesWritten,
-	// SpillBytesRead, SpillWriteStall, SpillReadStall, SpillFailovers and
-	// SpillRebuilds (all zero when everything fit in memory), and the
-	// hybrid policy's ResidentPartitions, DemotedPartitions and
-	// BytesDemoted (all zero for a streaming join).
+	// produced: Plan (the strategy decision the join ran and its inputs;
+	// see WithStrategy), JoinFanout (the partition count the native join
+	// actually used, 1 for the streaming strategy), JoinRecursionDepth
+	// (how deep the budget degradation had to re-partition oversized
+	// pairs, 0: none), MorselsExecuted (the morsels the run's workers
+	// shared: partition pairs, or at fanout 1 the page ranges the probe
+	// relation was cut into), the spill tier's SpilledPartitions,
+	// SpillBytesWritten, SpillBytesRead, SpillWriteStall, SpillReadStall,
+	// SpillFailovers and SpillRebuilds (all zero when everything fit in
+	// memory), and the hybrid policy's ResidentPartitions,
+	// DemotedPartitions and BytesDemoted (all zero for a streaming join).
 	engine.Report
 
 	// Service-mode accounting: how long admission queued the run and the
@@ -243,10 +248,6 @@ type PipelineResult struct {
 	// Both zero outside service mode.
 	QueueWait     time.Duration
 	AdmittedBytes uint64
-
-	// Plan reports the strategy decision the run executed and its
-	// inputs (see WithStrategy for the rule).
-	Plan *PlanDecision
 }
 
 // RunPipeline executes build ⋈ probe — optionally filtered and
@@ -305,26 +306,12 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 		logical = engine.HashAggregate(logical, pc.aggValueOff, pc.aggGroups)
 	}
 
-	bw := build.rel.Schema.FixedWidth()
-	dec, err := plan.Resolve(plan.Request{
-		Stats: plan.Stats{
-			BuildRows:      build.rel.NTuples,
-			ProbeRows:      probe.rel.NTuples,
-			BuildWidth:     bw,
-			ProbeWidth:     probe.rel.Schema.FixedWidth(),
-			BuildFootprint: native.BuildFootprint(build.rel.NTuples, bw),
-		},
-		JoinType: pc.joinType,
-		Budget:   pc.memBudget,
-		Forced:   pc.strategy,
-		Fanout:   pc.fanout,
-		Sim:      pc.engine == EngineSim,
-		Prebuilt: pc.build != nil,
-	})
-	if err != nil {
+	// A request that conflicts with itself is refused before it queues;
+	// the join resolves the rest over the relations it reads.
+	if err := plan.Check(plan.Request{Forced: pc.strategy, Fanout: pc.fanout,
+		Sim: pc.engine == EngineSim, Prebuilt: pc.build != nil}); err != nil {
 		return PipelineResult{}, fmt.Errorf("hashjoin: %w", err)
 	}
-	res.Plan = &dec
 
 	cfg := engine.Config{
 		Backend:       pc.engine,
@@ -332,7 +319,8 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 		A:             e.mem.A,
 		Scheme:        pc.scheme,
 		Params:        pc.params,
-		Fanout:        dec.Fanout,
+		Strategy:      pc.strategy,
+		Fanout:        pc.fanout,
 		Workers:       pc.workers,
 		Tenant:        pc.tenant,
 		Weight:        pc.weight,

@@ -125,3 +125,68 @@ func TestRunPipelineForeignRelationPanics(t *testing.T) {
 	}()
 	env1.RunPipeline(build, probe2) //nolint:errcheck // must panic before returning
 }
+
+// TestPipelinePlanMatchesRun ties the decision a native run reports to
+// the join it ran, including where the relation the join reads is not
+// the one the caller passed: a 20 000-row build filtered down to a
+// handful of rows, which fits any budget and streams. For every row the
+// reported fan-out is the one that ran, a reported stream ran as one
+// (no resident, spilled or demoted pair, no recursion), and the stats
+// count the build the join read. Unfiltered, a named fan-out 3 is
+// reported as the 4 it runs at.
+func TestPipelinePlanMatchesRun(t *testing.T) {
+	spec := workload.Spec{NBuild: 20000, TupleSize: 40, MatchesPerBuild: 2, PctMatched: 100, Seed: 3}
+	env, build, probe, _ := pipelineTestEnv(t, spec)
+	const lo, hi = 0, 1 << 19
+	kept := 0
+	for _, k := range build.rel.Keys() {
+		if k >= lo && k <= hi {
+			kept++
+		}
+	}
+	if kept == 0 || kept > 64 {
+		t.Fatalf("the filter keeps %d of %d build rows; the test wants a handful", kept, spec.NBuild)
+	}
+	filter := WithBuildFilter(lo, hi)
+	ref := map[bool]PipelineResult{ // by filtered: the simulator's stream
+		true:  mustRunPipeline(t, env, build, probe, WithEngine(EngineSim), filter),
+		false: mustRunPipeline(t, env, build, probe, WithEngine(EngineSim)),
+	}
+	for _, tc := range []struct {
+		name      string
+		filtered  bool
+		opts      []PipelineOption
+		buildRows int
+		strategy  Strategy
+		fanout    int
+	}{
+		{"filtered, fanout 1, budgeted", true, []PipelineOption{WithPipelineFanout(1), WithPipelineMemBudget(65536)}, kept, StrategyStream, 1},
+		{"filtered, none named, budgeted", true, []PipelineOption{WithPipelineFanout(0), WithPipelineMemBudget(65536)}, kept, StrategyStream, 1},
+		{"filtered, none named", true, []PipelineOption{WithPipelineFanout(0)}, kept, StrategyStream, 1},
+		{"fanout 3", false, []PipelineOption{WithPipelineFanout(3)}, spec.NBuild, StrategyPartitioned, 4},
+	} {
+		opts := append([]PipelineOption{WithEngine(EngineNative), WithPipelineWorkers(2),
+			WithPipelineSpillDir(t.TempDir())}, tc.opts...)
+		if tc.filtered {
+			opts = append(opts, filter)
+		}
+		res := mustRunPipeline(t, env, build, probe, opts...)
+		if want := ref[tc.filtered]; res.NOutput != want.NOutput || res.KeySum != want.KeySum {
+			t.Errorf("%s: (%d, %d) rows and keysum, the simulator's (%d, %d)", tc.name, res.NOutput, res.KeySum, want.NOutput, want.KeySum)
+		}
+		d := res.Plan
+		switch {
+		case d == nil:
+			t.Errorf("%s: no plan reported", tc.name)
+		case d.Fanout != res.JoinFanout:
+			t.Errorf("%s: plan says fanout %d, the join ran %d", tc.name, d.Fanout, res.JoinFanout)
+		case d.Strategy != tc.strategy || d.Fanout != tc.fanout:
+			t.Errorf("%s: plan %v at fanout %d, want %v at %d (%s)", tc.name, d.Strategy, d.Fanout, tc.strategy, tc.fanout, d.Reason)
+		case d.Stats.BuildRows != tc.buildRows:
+			t.Errorf("%s: plan read %d build rows, the join read %d", tc.name, d.Stats.BuildRows, tc.buildRows)
+		case d.Strategy == StrategyStream && res.ResidentPartitions+res.SpilledPartitions+res.DemotedPartitions+res.JoinRecursionDepth != 0:
+			t.Errorf("%s: a reported stream ran partitioned: %d resident, %d spilled, %d demoted pairs, depth %d", tc.name,
+				res.ResidentPartitions, res.SpilledPartitions, res.DemotedPartitions, res.JoinRecursionDepth)
+		}
+	}
+}

@@ -2,8 +2,7 @@ package hashjoin
 
 // Public face of the cost-based strategy planner (internal/plan): the
 // join-type and strategy vocabularies, the options that select them,
-// and the EXPLAIN payload RunPipeline reports when the planner is
-// consulted.
+// and the EXPLAIN payload every RunPipeline reports.
 
 import "hashjoin/internal/plan"
 
@@ -51,7 +50,8 @@ const (
 func ParseStrategy(s string) (Strategy, error) { return plan.ParseStrategy(s) }
 
 // PlanDecision is the EXPLAIN payload: the strategy and fan-out a run
-// executed and every input the choice was made from.
+// executed and every input the choice was made from, taken from the
+// relations the join read.
 // Decision.Explain() formats it as the one-line form all EXPLAIN
 // surfaces print.
 type PlanDecision = plan.Decision
@@ -64,15 +64,15 @@ func WithJoinType(jt JoinType) PipelineOption {
 }
 
 // WithStrategy forces the join's strategy, or with StrategyAuto leaves
-// it to the one rule every front end resolves by (plan.Resolve; its
-// table is in DESIGN.md, "One strategy rule"): a fan-out named with WithPipelineFanout
-// holds beside it, and without one the cost-based planner picks from
-// the relations' cardinalities, the build footprint and the budget. A
-// conflicting pair — StrategyStream beside a fan-out above 1,
-// StrategyPartitioned on EngineSim or beside WithBuildSide — makes
-// RunPipeline return an error. Given alone, WithStrategy names no
-// fan-out; the default fan-out 1 holds only when neither option is
-// given.
+// it to the one rule the join resolves by when it opens (plan.Resolve;
+// its table is in DESIGN.md, "One strategy rule"): a fan-out named with
+// WithPipelineFanout holds beside it, and without one the cost-based
+// planner picks from the relations the join reads (a filtered build as
+// filtered) and the budget. A conflicting pair — StrategyStream beside
+// a fan-out above 1, StrategyPartitioned on EngineSim or beside
+// WithBuildSide — makes RunPipeline return an error before admission.
+// Given alone, WithStrategy names no fan-out; the default fan-out 1
+// holds only when neither option is given.
 func WithStrategy(s Strategy) PipelineOption {
 	return func(c *pipelineConfig) {
 		c.strategy = s
