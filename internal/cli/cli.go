@@ -208,7 +208,7 @@ func PipelineErrorDetail(err error) []string {
 	var ce *native.CancelError
 	if errors.As(err, &ce) {
 		lines = append(lines,
-			fmt.Sprintf("cancelled after %v: %d of %d partition pairs joined, %d output rows discarded",
+			fmt.Sprintf("cancelled after %v: %d of %d morsels joined, %d output rows discarded",
 				ce.Elapsed.Round(time.Millisecond), ce.PairsDone, ce.PairsTotal, ce.RowsOut))
 		if errors.Is(err, context.DeadlineExceeded) {
 			lines = append(lines, "hint: raise -timeout, or shrink the workload")
@@ -338,12 +338,17 @@ type PipelineResult struct {
 }
 
 // Validate rejects flag combinations that would otherwise execute as a
-// silently different query — the caller maps the error to the usage
-// exit code (Fatalf). The aggregate offset check depends on the join
-// type because semi/anti joins narrow the output row to the probe
-// tuple: an -agg offset that is fine for an inner join can dangle off
-// the end of a semi join's rows.
+// silently different query, or fail only after the workload is
+// generated — the caller maps the error to the usage exit code
+// (Fatalf). A strategy request that contradicts itself is refused by
+// plan.Check, which reads no relation. The aggregate offset check
+// depends on the join type because semi/anti joins narrow the output
+// row to the probe tuple: an -agg offset that is fine for an inner join
+// can dangle off the end of a semi join's rows.
 func (p *Pipeline) Validate() error {
+	if err := plan.Check(plan.Request{Forced: p.Strategy, Fanout: p.Fanout, Sim: p.Engine == engine.Sim}); err != nil {
+		return err
+	}
 	tuple := p.Spec.TupleSize
 	if tuple < 8 {
 		tuple = 8 // the generator's minimum width

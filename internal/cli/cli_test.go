@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -148,6 +149,35 @@ func TestFatalfExitCodes(t *testing.T) {
 	Dief("prog", "runtime failure")
 	if code != 1 {
 		t.Errorf("Dief exit code = %d, want 1", code)
+	}
+}
+
+// TestValidateRefusesConflict checks that Validate refuses a strategy
+// request that contradicts itself before the workload exists, so a
+// front end exits with the usage code without generating the data: the
+// Pipeline is never materialized.
+func TestValidateRefusesConflict(t *testing.T) {
+	spec := workload.Spec{NBuild: 20000, TupleSize: 20, MatchesPerBuild: 1, Seed: 1}
+	for _, tc := range []struct {
+		name     string
+		backend  engine.Backend
+		strategy plan.Strategy
+		fanout   int
+	}{
+		{"stream beside fanout 8", engine.Native, plan.StreamHash, 8},
+		{"partitioned on the simulator", engine.Sim, plan.PartitionedHash, 0},
+	} {
+		p := &Pipeline{Engine: tc.backend, Spec: spec, Strategy: tc.strategy, Fanout: tc.fanout}
+		if err := p.Validate(); !errors.Is(err, plan.ErrConflict) {
+			t.Errorf("%s: Validate = %v, want plan.ErrConflict", tc.name, err)
+		}
+		if p.Pair != nil || p.A != nil {
+			t.Errorf("%s: Validate generated the workload", tc.name)
+		}
+	}
+	ok := &Pipeline{Engine: engine.Native, Spec: spec, Strategy: plan.PartitionedHash, Fanout: 8}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("partitioned at fanout 8: Validate = %v, want nil", err)
 	}
 }
 
@@ -387,7 +417,7 @@ func TestDiePipelineCancelBreakdown(t *testing.T) {
 		t.Errorf("DiePipeline exit code = %d, want %d (cancelled)", code, ExitCancelled)
 	}
 	out := buf.String()
-	for _, want := range []string{"3 of 8 partition pairs", "-timeout"} {
+	for _, want := range []string{"3 of 8 morsels joined", "-timeout"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stderr missing %q:\n%s", want, out)
 		}

@@ -29,14 +29,15 @@
 // hash join root drained by Run emits no rows: its workers count them
 // (see Run). The simulator's operators always emit whole rows.
 //
-// The native streaming join's table keeps the same prefix: each row
-// holds the leading build-tuple bytes its run's sinks read — the key
-// alone under Run's counter and for semi/anti, the key and value under
-// an aggregate of a build-half value, the whole tuple for a parent that
-// pulls rows. Sizing (BuildFootprint, the planner, ScratchBytes) still
-// charges the whole tuple: the estimate precedes the sinks, and a
-// prebuilt side and the partitioned join's pair tables keep whole
-// tuples.
+// The native join's tables keep the same prefix, on either strategy:
+// each row — of the streaming table, of a partitioned join's pair and
+// spill-chunk tables, and on its spilled build pages — holds the leading
+// build-tuple bytes its run's sinks read: the key alone under Run's
+// counter and for semi/anti, the key and value under an aggregate of a
+// build-half value, the whole tuple for a parent that pulls rows.
+// Sizing (BuildFootprint, the planner, ScratchBytes, the hybrid policy)
+// still charges the whole tuple: the estimate precedes the sinks, and a
+// prebuilt side keeps whole tuples.
 package engine
 
 import (

@@ -370,12 +370,14 @@ func (h *nativeHashJoin) run(sinkFor func(w int) func([]byte, uint64)) error {
 }
 
 // rowWidth returns how many leading bytes of each build tuple this run's
-// sinks read, which is all a row of the table built here keeps: the key
-// alone under Run's counter, else the tuple up to the last build byte
-// writeMatch copies — the key alone for semi and anti, whose rows carry
-// no build byte, and the whole tuple under a parent that declared no
-// spans. The decision above still charges the whole tuple (see the
-// package comment's row contract).
+// sinks read, which is all a row keeps of the tables built here — the
+// streaming table, or a partitioned run's pair tables, spilled build
+// pages and the chunk tables rebuilt from them: the key alone under
+// Run's counter, else the tuple up to the last build byte writeMatch
+// copies — the key alone for semi and anti, whose rows carry no build
+// byte, and the whole tuple under a parent that declared no spans. The
+// decision above still charges the whole tuple (see the package
+// comment's row contract).
 func (h *nativeHashJoin) rowWidth() int {
 	w := 4 // the key, which the probe compares in the row
 	if h.keyOnly {
@@ -492,7 +494,7 @@ var joinerPool = sync.Pool{New: func() any { return native.NewJoiner() }}
 // A Joiner an error or a panic left mid-join is not handed back.
 func (h *nativeHashJoin) runMorsel(buildRel, probeRel *storage.Relation, fanout int, sinkFor func(w int) func([]byte, uint64)) error {
 	jn := joinerPool.Get().(*native.Joiner)
-	res, err := jn.JoinStream(buildRel, probeRel, h.cfg.joinConfig(h.jt, fanout), sinkFor)
+	res, err := jn.JoinStream(buildRel, probeRel, h.cfg.joinConfig(h.jt, fanout), h.rowWidth(), sinkFor)
 	if err != nil {
 		return err
 	}

@@ -154,7 +154,6 @@ func (b *BuildSide) NewTypedProber(jt plan.JoinType, scheme Scheme, g, d int) *P
 	cfg := Config{Scheme: scheme, G: g, D: d}.normalized()
 	j := newPairJoiner()
 	j.t = b.t
-	j.width = b.t.Width()
 	j.g, j.d = cfg.G, cfg.D
 	j.joinType = jt
 	if jt == plan.RightOuter {

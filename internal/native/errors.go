@@ -20,9 +20,9 @@ var ErrOverBudget = errors.New("native: partition pair over memory budget")
 // progress at the stop: how many morsels — partition pairs, or the
 // probe page ranges of a streaming join — had fully joined, out of how
 // many, and the rows the complete pairs produced (0 for a stream). The
-// message says "partition pairs" for either kind; callers match on it. Partial
-// output is never returned through the Result; the counts exist for
-// diagnostics only.
+// message says "morsels", which names either kind. Partial output is
+// never returned through the Result; the counts exist for diagnostics
+// only.
 type CancelError struct {
 	Cause      error         // the context error (Canceled or DeadlineExceeded)
 	PairsDone  int           // morsels fully joined before the stop
@@ -32,7 +32,7 @@ type CancelError struct {
 }
 
 func (e *CancelError) Error() string {
-	return fmt.Sprintf("native: join cancelled after %v (%d/%d partition pairs joined, %d rows discarded): %v",
+	return fmt.Sprintf("native: join cancelled after %v (%d/%d morsels joined, %d rows discarded): %v",
 		e.Elapsed.Round(time.Microsecond), e.PairsDone, e.PairsTotal, e.RowsOut, e.Cause)
 }
 

@@ -60,7 +60,7 @@ func TestJoinPairBudgetDepthOnError(t *testing.T) {
 	es := mkEntries(t, a, codes)
 	j := newPairJoiner()
 	j.data = a.Data()
-	j.width = 8
+	j.width, j.t.width = 8, 8
 	budget := pairFootprint(2, 8) // two entries fit, three do not
 	cfg := Config{Scheme: Group, MemBudget: budget, NoSpill: true}.normalized()
 	j.g, j.d = cfg.G, cfg.D

@@ -17,9 +17,13 @@ import (
 // each morsel worker; the row table and stage-state scratch are recycled
 // across pairs and across joins (see Joiner.worker).
 type pairJoiner struct {
-	data  []byte
+	data []byte
+	// t's width is the build bytes its rows keep, the one row width the
+	// walk, the sweep and the unmatched-entry emits read; width is the
+	// whole build tuple, the width every budget decision charges
+	// (pairFootprint).
 	t     *RowTable
-	width int // serialized build key+payload bytes per row
+	width int
 	g, d  int
 
 	states []probeState // group/pipeline stage state, reused
@@ -33,8 +37,9 @@ type pairJoiner struct {
 	// spill, when set, is the join's shared out-of-core coordinator: an
 	// irreducible over-budget pair goes to disk instead of failing (see
 	// spill.go). The entry and page scratch below is recycled across
-	// spilled chunks; spillCode holds a one-code pair's probe entries of
-	// that code (see probeOfCode).
+	// spilled chunks: spillBuild and spillPinned hold the chunk being
+	// joined, its entries and its pinned build pages; spillCode holds a
+	// one-code pair's probe entries of that code (see probeOfCode).
 	spill       *spillState
 	spillBuild  []Entry
 	spillProbe  []Entry
@@ -112,7 +117,7 @@ func (j *pairJoiner) walkChain(st *probeState) {
 	}
 	t := j.t
 	rows := t.rows
-	w := uint64(j.width)
+	w := uint64(t.width)
 	found := false
 	ref := st.row
 	if ref != 0 && t.codeOf(ref) != st.code {
@@ -339,9 +344,10 @@ func (j *pairJoiner) joinPair(build, probe []Entry, shift uint, scheme Scheme) {
 // with the scheme's loop restructuring. Split out of joinPair because
 // the spill tier builds over chunks of one partition and probes each
 // chunk with the whole probe stream; shrink is false for every chunk
-// after a pair's first table (see RowTable.reset).
+// after a pair's first table (see RowTable.reset). The table keeps the
+// row width the join armed it with (Joiner.worker).
 func (j *pairJoiner) buildSerial(build []Entry, shift uint, scheme Scheme, shrink bool) {
-	j.t.reset(len(build), j.width, shift, shrink)
+	j.t.reset(len(build), j.t.width, shift, shrink)
 	j.t.BuildSerial(j.data, build, scheme, j.g, j.d)
 	if j.joinType == plan.RightOuter {
 		j.armBuildMatched(len(build))

@@ -118,7 +118,7 @@ func (j *pairJoiner) sweepUnmatchedBuild() {
 		return
 	}
 	rows := j.t.rows
-	w := uint64(j.width)
+	w := uint64(j.t.width)
 	for i := uint32(0); i < uint32(j.t.nRows); i++ {
 		if atomic.LoadUint64(&j.buildMatched[i>>6])&(1<<(i&63)) != 0 {
 			continue
@@ -181,7 +181,7 @@ func (j *pairJoiner) emitBuildEntryUnmatched(e *Entry) {
 	j.keySum += uint64(e.Key)
 	if j.sink != nil {
 		base := e.Ref - arena.Base
-		j.sink(j.data[base:base+uint64(j.width)], 0)
+		j.sink(j.data[base:base+uint64(j.t.width)], 0)
 	}
 }
 

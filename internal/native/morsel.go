@@ -18,16 +18,17 @@ import (
 // because NOutput and KeySum are commutative sums.
 
 // worker returns the Joiner's w-th pairJoiner, creating it on first use
-// and re-arming it (data pointer, tuning, zeroed accumulators) for this
-// join. Tables and match buffers carry over, so repeated joins run on
-// recycled memory.
-func (jn *Joiner) worker(w int, data []byte, width int, cfg Config) *pairJoiner {
+// and re-arming it (data pointer, widths, tuning, zeroed accumulators)
+// for this join: width is the whole build tuple, rowWidth the bytes its
+// tables keep. Tables and match buffers carry over, so repeated joins
+// run on recycled memory.
+func (jn *Joiner) worker(w int, data []byte, width, rowWidth int, cfg Config) *pairJoiner {
 	for len(jn.workers) <= w {
 		jn.workers = append(jn.workers, newPairJoiner())
 	}
 	j := jn.workers[w]
 	j.data = data
-	j.width = width
+	j.width, j.t.width = width, rowWidth
 	j.g, j.d = cfg.G, cfg.D
 	j.joinType = cfg.JoinType
 	j.deferProbe, j.probeBase = false, 0
@@ -116,7 +117,7 @@ func (jn *Joiner) partition(build, probe *storage.Relation, fanout int, cfg Conf
 // has finished; a failure never panics across a goroutine boundary and
 // never leaks a worker. Cancellation-class errors come back as a
 // *CancelError carrying how many pairs completed.
-func (jn *Joiner) joinPairs(data []byte, width int, cfg Config) (Result, error) {
+func (jn *Joiner) joinPairs(data []byte, width, rowWidth int, cfg Config) (Result, error) {
 	bp, pp := &jn.bp, &jn.pp
 	n := bp.fanout()
 	workers := cfg.morselSlots(n)
@@ -136,7 +137,7 @@ func (jn *Joiner) joinPairs(data []byte, width int, cfg Config) (Result, error) 
 	accs := make([]slotAcc, workers)
 	js := make([]*pairJoiner, workers)
 	for w := 0; w < workers; w++ {
-		js[w] = jn.worker(w, data, width, cfg)
+		js[w] = jn.worker(w, data, width, rowWidth, cfg)
 	}
 	err := RunMorsels(cfg.Pool, &MorselJob{
 		Tenant: cfg.Tenant,

@@ -356,8 +356,15 @@ func NewJoiner() *Joiner { return &Joiner{} }
 // policy (see hybrid.go): its irreducible duplicate-code skew is joined
 // out of core through internal/spill and the rest re-partitioned
 // recursively, so Join fails with a *BudgetError only under
-// cfg.NoSpill.
+// cfg.NoSpill. Its tables and spilled build pages keep whole tuples.
 func (jn *Joiner) Join(build, probe *storage.Relation, cfg Config) (Result, error) {
+	return jn.join(build, probe, cfg, build.Schema.FixedWidth())
+}
+
+// join is Join whose pair tables and spilled build pages keep the first
+// rowWidth bytes of each build tuple; every budget decision still
+// charges the whole tuple.
+func (jn *Joiner) join(build, probe *storage.Relation, cfg Config, rowWidth int) (Result, error) {
 	if bd, pd := build.Arena().Data(), probe.Arena().Data(); len(bd) != len(pd) || len(bd) > 0 && &bd[0] != &pd[0] {
 		panic("native: build and probe relations use different arenas")
 	}
@@ -373,7 +380,7 @@ func (jn *Joiner) Join(build, probe *storage.Relation, cfg Config) (Result, erro
 		return Result{}, asCancel(err, 0, 0, 0)
 	}
 
-	sp := newSpillState(build, probe, cfg, cfg.morselSlots(cfg.Fanout))
+	sp := newSpillState(build, probe, cfg, cfg.morselSlots(cfg.Fanout), rowWidth)
 	jn.spillSt = sp
 	// The deferred finish covers the panic path (arena exhaustion
 	// unwinding through a sink): temp files are removed before the panic
@@ -391,7 +398,7 @@ func (jn *Joiner) Join(build, probe *storage.Relation, cfg Config) (Result, erro
 	partDone := time.Now()
 	var r Result
 	if err == nil {
-		r, err = jn.joinPairs(data, width, cfg)
+		r, err = jn.joinPairs(data, width, rowWidth, cfg)
 	} else {
 		err = asCancel(err, 0, cfg.Fanout, 0)
 	}
@@ -430,13 +437,16 @@ func Join(build, probe *storage.Relation, cfg Config) (Result, error) {
 
 // JoinStream is Join with match emission: sinkFor(w) returns worker w's
 // sink, which receives every validated match that worker produces — the
-// build row's serialized key+payload bytes (valid only for the duration
-// of the call) and the probe tuple's address. Each worker calls only
-// its own sink, so sinks need no synchronization among themselves;
+// build row's first width bytes (valid only for the duration of the
+// call) and the probe tuple's address. width, from 4 (the key) to the
+// schema's fixed width, is all of each build tuple the sinks read and
+// the pair tables and spilled build pages keep; the budget still
+// charges whole tuples. Each worker calls only its own sink, so sinks
+// need no synchronization among themselves;
 // JoinStream returns only after all workers (and therefore all sink
 // calls) have finished, and keeps neither the sinks nor the join's
 // bytes, so a Joiner kept for reuse pins nothing the sinks reach.
-func (jn *Joiner) JoinStream(build, probe *storage.Relation, cfg Config, sinkFor func(worker int) func(build []byte, probeRef uint64)) (Result, error) {
+func (jn *Joiner) JoinStream(build, probe *storage.Relation, cfg Config, width int, sinkFor func(worker int) func(build []byte, probeRef uint64)) (Result, error) {
 	jn.sinkFor = sinkFor
 	defer func() {
 		jn.sinkFor = nil
@@ -444,7 +454,7 @@ func (jn *Joiner) JoinStream(build, probe *storage.Relation, cfg Config, sinkFor
 			j.sink, j.data, j.spill = nil, nil, nil
 		}
 	}()
-	return jn.Join(build, probe, cfg)
+	return jn.join(build, probe, cfg, width)
 }
 
 // rowFootprint is the resident bytes one build row costs during its

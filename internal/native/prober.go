@@ -36,7 +36,7 @@ func NewProber(data []byte, build []Entry, width int, scheme Scheme, g, d int) *
 // fork has finished, sweeps for the whole stream.
 func (p *Prober) Fork() *Prober {
 	j := newPairJoiner()
-	j.t, j.width = p.j.t, p.j.width
+	j.t = p.j.t
 	j.g, j.d = p.j.g, p.j.d
 	j.joinType = p.j.joinType
 	j.buildMatched = p.j.buildMatched

@@ -20,11 +20,14 @@ import (
 //
 // A row holds the tuple's first width bytes: the prefix the table's
 // consumer reads, which is the whole tuple unless the builder narrows
-// it (BuildRelation) — down to the 4-byte key, which the probe compares
-// in the row. Matches hand out the row's width bytes, so a consumer
-// reads a prefix of what it was handed whatever the width. The budget
-// and every other sizing decision still charge the whole tuple
-// (rowFootprint): they are made before the consumer is known.
+// it — BuildRelation for a streaming table, Joiner.JoinStream for the
+// pair tables, the spilled build pages and the chunk tables rebuilt
+// from them — down to the 4-byte key, which the probe compares in the
+// row. Matches hand out the row's width bytes, so a consumer reads a
+// prefix of what it was handed whatever the width. The budget and every
+// other sizing decision still charge the whole tuple (rowFootprint):
+// they are made before the consumer is known. Only the spill tier's
+// chunk arithmetic counts the narrow width its pages carry.
 //
 // and the table indexes the rows with an open-addressed directory of
 // 4-byte slots, twice as many as rows (rounded up to a power of two):

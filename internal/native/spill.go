@@ -23,6 +23,11 @@ import (
 // paper, with the write-behind/read-ahead overlap iosim models). The
 // reducible path therefore never returns *BudgetError; only Config.
 // NoSpill restores the old failure mode.
+//
+// A spilled build page carries only the bytes of each tuple the join's
+// tables keep (buildWidth); probe pages carry whole tuples, which sinks
+// read from the pinned pages. Budget decisions (hot codes, the resident
+// prefix) charge the whole tuple; only chunkPages counts page bytes.
 
 // spillChunkPagesCap bounds how many build pages one chunk pins, so a
 // huge budget does not translate into a huge buffer pool.
@@ -41,8 +46,8 @@ type spillState struct {
 	dir        string
 	workers    int
 	slots      int // spilled pairs in flight at most: the join's morsel slots
-	buildWidth int
-	probeWidth int
+	buildWidth int // bytes a spilled build tuple keeps: the tables' row width
+	probeWidth int // whole probe tuples
 	budget     int
 	pageSize   int
 	ctx        context.Context // nil: never cancelled
@@ -59,10 +64,11 @@ type spillState struct {
 }
 
 // newSpillState returns the spill coordinator for a join whose morsel
-// phase runs slots slots, or nil when spilling is disabled or the
-// schemas cannot round-trip through slotted pages (variable width, or no
-// leading 4-byte key to re-decode).
-func newSpillState(build, probe *storage.Relation, cfg Config, slots int) *spillState {
+// phase runs slots slots and whose tables keep rowWidth bytes of each
+// build tuple, or nil when spilling is disabled or the schemas cannot
+// round-trip through slotted pages (variable width, or no leading 4-byte
+// key to re-decode).
+func newSpillState(build, probe *storage.Relation, cfg Config, slots, rowWidth int) *spillState {
 	if cfg.NoSpill {
 		return nil
 	}
@@ -82,7 +88,7 @@ func newSpillState(build, probe *storage.Relation, cfg Config, slots int) *spill
 		dir:        cfg.SpillDir,
 		workers:    cfg.spillWorkers(),
 		slots:      slots,
-		buildWidth: bs.FixedWidth(),
+		buildWidth: rowWidth,
 		probeWidth: ps.FixedWidth(),
 		budget:     cfg.MemBudget,
 		pageSize:   cfg.spillPage(),
@@ -115,7 +121,9 @@ func (c Config) spillPage() int {
 // chunkPages returns how many build pages one chunk pins: the largest
 // count whose tuples' pages + entries + hash table fit the budget,
 // clamped to [1, spillChunkPagesCap]. Even chunkPages == 1 always makes
-// progress — that is why the spill tier cannot fail on size.
+// progress — that is why the spill tier cannot fail on size. It counts
+// the width the pages carry: a page of 4-byte rows holds 9x the tuples,
+// and so 9x the table, of a page of 100-byte ones.
 func (sp *spillState) chunkPages() int {
 	perPage := sp.pageSize +
 		spill.PageCapacity(sp.pageSize, sp.buildWidth)*rowFootprint(sp.buildWidth)
@@ -244,13 +252,7 @@ func (j *pairJoiner) joinPairSpill(build, probe []Entry, shift uint, cfg Config)
 	chunkPages := sp.chunkPages()
 	br := sp.openSide(m, bs)
 	defer br.Close()
-	pinned := j.spillPinned[:0]
-	defer func() {
-		for _, p := range pinned {
-			m.Release(p)
-		}
-		j.spillPinned = pinned[:0]
-	}()
+	defer j.releasePinned(m)
 	var pr *sideReader
 	defer func() {
 		if pr != nil {
@@ -269,9 +271,8 @@ func (j *pairJoiner) joinPairSpill(build, probe []Entry, shift uint, cfg Config)
 	defer func() { j.deferProbe = false; j.probeBase = 0 }()
 
 	for {
-		pinned = pinned[:0]
 		j.spillBuild = j.spillBuild[:0]
-		for len(pinned) < chunkPages {
+		for len(j.spillPinned) < chunkPages {
 			pg, ok, err := br.Next()
 			if err != nil {
 				return err
@@ -279,7 +280,7 @@ func (j *pairJoiner) joinPairSpill(build, probe []Entry, shift uint, cfg Config)
 			if !ok {
 				break
 			}
-			pinned = append(pinned, pg)
+			j.spillPinned = append(j.spillPinned, pg)
 			j.spillBuild = appendPageEntries(j.spillBuild, j.data, pg)
 		}
 		if len(j.spillBuild) == 0 {
@@ -310,15 +311,21 @@ func (j *pairJoiner) joinPairSpill(build, probe []Entry, shift uint, cfg Config)
 		if j.joinType == plan.RightOuter {
 			j.sweepUnmatchedBuild()
 		}
-		for _, p := range pinned {
-			m.Release(p)
-		}
+		j.releasePinned(m)
 	}
 	if j.deferProbe {
 		j.probeBase = 0
 		j.finishProbeBits(probe)
 	}
 	return nil
+}
+
+// releasePinned hands the current chunk's build pages back to m.
+func (j *pairJoiner) releasePinned(m *spill.Manager) {
+	for _, p := range j.spillPinned {
+		m.Release(p)
+	}
+	j.spillPinned = j.spillPinned[:0]
 }
 
 // spillSide is one side of a spilled pair together with its immutable

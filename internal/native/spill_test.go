@@ -78,7 +78,7 @@ func TestRecursionDepthBoundary(t *testing.T) {
 		es := mkEntries(t, a, ladderCodes(8))
 		j := newPairJoiner()
 		j.data = a.Data()
-		j.width = 8
+		j.width, j.t.width = 8, 8
 		cfg := Config{Scheme: Group, MemBudget: budget, NoSpill: true}.normalized()
 		j.g, j.d = cfg.G, cfg.D
 		depth, err := j.joinPairBudget(es, es, 0, cfg, 0)
@@ -98,7 +98,7 @@ func TestRecursionDepthBoundary(t *testing.T) {
 		es := mkEntries(t, a, ladderCodes(9))
 		j := newPairJoiner()
 		j.data = a.Data()
-		j.width = 8
+		j.width, j.t.width = 8, 8
 		cfg := Config{Scheme: Group, MemBudget: budget, NoSpill: true}.normalized()
 		j.g, j.d = cfg.G, cfg.D
 		_, err := j.joinPairBudget(es, es, 0, cfg, 0)
@@ -116,7 +116,7 @@ func TestRecursionDepthBoundary(t *testing.T) {
 		es := mkEntries(t, a, ladderCodes(9))
 		j := newPairJoiner()
 		j.data = a.Data()
-		j.width = 8
+		j.width, j.t.width = 8, 8
 		cfg := Config{Scheme: Group, MemBudget: budget}.normalized()
 		j.g, j.d = cfg.G, cfg.D
 		dir := t.TempDir()
@@ -342,7 +342,7 @@ func runPair(t *testing.T, a *arena.Arena, build, probe []Entry, cfg Config, wit
 	t.Helper()
 	cfg = cfg.normalized()
 	j := newPairJoiner()
-	j.data, j.width, j.joinType = a.Data(), 8, cfg.JoinType
+	j.data, j.width, j.t.width, j.joinType = a.Data(), 8, 8, cfg.JoinType
 	j.g, j.d = cfg.G, cfg.D
 	var r pairRun
 	j.sink = func(b []byte, ref uint64) {
@@ -484,7 +484,7 @@ func TestSpillLeafKeepsTableAcrossPairs(t *testing.T) {
 	a := arena.New(1 << 20)
 	cfg := Config{Scheme: Group, MemBudget: resident * rowFootprint(8)}.normalized()
 	j := newPairJoiner()
-	j.data, j.width, j.g, j.d = a.Data(), 8, cfg.G, cfg.D
+	j.data, j.width, j.t.width, j.g, j.d = a.Data(), 8, 8, cfg.G, cfg.D
 	j.spill = &spillState{a: a, dir: t.TempDir(), workers: 2, buildWidth: 8, probeWidth: 8,
 		budget: cfg.MemBudget, pageSize: 4096, scheme: cfg.Scheme, g: cfg.G, d: cfg.D}
 	var slab *byte
@@ -564,7 +564,7 @@ func TestSpilledPairsRunConcurrently(t *testing.T) {
 	}
 	r, err := NewJoiner().JoinStream(build, probe, Config{
 		Scheme: Group, Fanout: 2, Workers: 2, MemBudget: pairFootprint(8, 8), SpillDir: t.TempDir(),
-	}, sinkFor)
+	}, 8, sinkFor)
 	if err != nil {
 		t.Fatalf("JoinStream: %v", err)
 	}
@@ -574,6 +574,71 @@ func TestSpilledPairsRunConcurrently(t *testing.T) {
 	if r.SpilledPartitions != 2 || r.RecursionDepth != 0 || r.NOutput != 2*64*4 {
 		t.Fatalf("spilled %d pairs at depth %d with %d rows, want 2 at depth 0 with %d",
 			r.SpilledPartitions, r.RecursionDepth, r.NOutput, 2*64*4)
+	}
+}
+
+// TestSpillChunkFitsBudget joins a one-code build side of 100-byte
+// tuples out of core through JoinStream at row widths 4, 8 and 100, and
+// checks every chunk from inside the sink its probe emits into: its
+// pages carry the row width, and its pinned pages, entries and table fit
+// the budget — or it pins one page, when a single page is over it. A
+// chunkPages that counted the whole tuple would pin about twice the
+// budget at width 4. The resident prefix before the chunks still charges
+// whole tuples.
+func TestSpillChunkFitsBudget(t *testing.T) {
+	const tuple, page, nBuild, nProbe = 100, 4096, 5000, 2
+	a := arena.New(8 << 20)
+	build := storage.NewRelation(a, storage.KeyPayloadSchema(tuple), 8<<10)
+	probe := storage.NewRelation(a, storage.KeyPayloadSchema(tuple), 8<<10)
+	tup := make([]byte, tuple)
+	binary.LittleEndian.PutUint32(tup, 7)
+	for i := 0; i < nBuild; i++ {
+		build.Append(tup, hash.CodeU32(7))
+	}
+	for i := 0; i < nProbe; i++ {
+		probe.Append(tup, hash.CodeU32(7))
+	}
+	for _, budget := range []int{64 << 10, 8 << 10} {
+		for _, width := range []int{4, 8, tuple} {
+			jn := NewJoiner()
+			var chunkRows, maxPages int
+			var bad string
+			sinkFor := func(w int) func([]byte, uint64) {
+				j := jn.workers[w]
+				return func(b []byte, _ uint64) {
+					if len(b) != width && bad == "" {
+						bad = fmt.Sprintf("a %d-byte build row", len(b))
+					}
+					pages := len(j.spillPinned)
+					if pages == 0 {
+						return // the resident prefix
+					}
+					chunkRows++
+					maxPages = max(maxPages, pages)
+					if _, n := j.spillPinned[0].View().TupleAddr(0); n != width && bad == "" {
+						bad = fmt.Sprintf("a page of %d-byte tuples", n)
+					}
+					foot := pages*page + len(j.spillBuild)*entrySize + j.t.Bytes()
+					if foot > budget && pages > 1 && bad == "" {
+						bad = fmt.Sprintf("a chunk of %d pages and %d rows pinning %d B", pages, len(j.spillBuild), foot)
+					}
+				}
+			}
+			r, err := jn.JoinStream(build, probe, Config{Scheme: Group, Fanout: 1, Workers: 1,
+				MemBudget: budget, SpillPageSize: page, SpillDir: t.TempDir()}, width, sinkFor)
+			if err != nil {
+				t.Fatalf("budget %d width %d: %v", budget, width, err)
+			}
+			if bad != "" {
+				t.Errorf("budget %d width %d: %s", budget, width, bad)
+			}
+			resident := budget / rowFootprint(tuple)
+			if r.SpilledPartitions != 1 || r.NOutput != nBuild*nProbe || chunkRows != (nBuild-resident)*nProbe {
+				t.Errorf("budget %d width %d: %d spilled pairs, %d rows, %d from chunks; want 1, %d, %d",
+					budget, width, r.SpilledPartitions, r.NOutput, chunkRows, nBuild*nProbe, (nBuild-resident)*nProbe)
+			}
+			t.Logf("budget %d width %d: chunks of up to %d pages", budget, width, maxPages)
+		}
 	}
 }
 
@@ -601,7 +666,7 @@ func TestSpillConcurrentParity(t *testing.T) {
 	run := func(t *testing.T, cfg Config) ([]rowPair, Result) {
 		t.Helper()
 		rows := make([][]rowPair, max(cfg.Workers, 1))
-		r, err := NewJoiner().JoinStream(pair.Build, pair.Probe, cfg, func(w int) func([]byte, uint64) {
+		r, err := NewJoiner().JoinStream(pair.Build, pair.Probe, cfg, width, func(w int) func([]byte, uint64) {
 			return func(b []byte, ref uint64) {
 				var p rowPair
 				p.build = string(b)
