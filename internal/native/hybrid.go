@@ -1,6 +1,7 @@
 package native
 
 import (
+	"cmp"
 	"slices"
 
 	"hashjoin/internal/plan"
@@ -97,23 +98,17 @@ func (j *pairJoiner) joinPairHybrid(build, probe []Entry, shift uint, cfg Config
 		// One code, and it is hot: no histogram, no routed copies.
 		return 0, j.joinHotCode(build, j.probeOfCode(probe, build[0].Code), shift, cfg)
 	}
-	if j.codeFreq == nil {
-		j.codeFreq = make(map[uint32]int)
-	} else {
-		clear(j.codeFreq)
-	}
+	j.tally.reset()
 	for i := range build {
-		j.codeFreq[build[i].Code]++
+		j.tally.add(build[i].Code)
 	}
 	// A code is hot when its rows alone overflow the budget:
 	// count > budget/rowFootprint(width) ⇔ pairFootprint(count, width) > budget.
 	threshold := cfg.MemBudget / rowFootprint(j.width)
-	var hot []uint32
-	for code, n := range j.codeFreq {
-		if n > threshold {
-			hot = append(hot, code)
-		} else {
-			delete(j.codeFreq, code)
+	var hot []tallyCell
+	for _, c := range j.tally.cells {
+		if int(c.n) > threshold {
+			hot = append(hot, c)
 		}
 	}
 	if len(hot) == 0 {
@@ -121,19 +116,20 @@ func (j *pairJoiner) joinPairHybrid(build, probe []Entry, shift uint, cfg Config
 	}
 	// Sub-pair g holds hot[g]'s entries; sub-pair len(hot) the cold rest.
 	// The code order is sorted so the spill order is deterministic.
-	slices.Sort(hot)
+	slices.SortFunc(hot, func(x, y tallyCell) int { return cmp.Compare(x.code, y.code) })
+	codes := make([]uint32, len(hot))
 	builds := make([][]Entry, len(hot)+1)
 	nHot := 0
-	for g, code := range hot {
-		builds[g] = make([]Entry, 0, j.codeFreq[code])
-		nHot += j.codeFreq[code]
-		j.codeFreq[code] = g
+	for g, c := range hot {
+		codes[g] = c.code
+		builds[g] = make([]Entry, 0, c.n)
+		nHot += int(c.n)
 	}
 	builds[len(hot)] = make([]Entry, 0, len(build)-nHot)
 	probes := make([][]Entry, len(hot)+1)
-	j.routeByCode(builds, build, true)
+	j.routeByCode(builds, build, codes, true)
 	// With no cold build rows, a cold probe entry is unmatched here.
-	j.routeByCode(probes, probe, nHot < len(build))
+	j.routeByCode(probes, probe, codes, nHot < len(build))
 	for g := range hot {
 		if err := j.joinHotCode(builds[g], probes[g], shift, cfg); err != nil {
 			return 0, err
@@ -142,22 +138,99 @@ func (j *pairJoiner) joinPairHybrid(build, probe []Entry, shift uint, cfg Config
 	return j.joinPairBudget(builds[len(hot)], probes[len(hot)], shift, cfg, 0)
 }
 
-// routeByCode appends each entry, in order, to the sub-pair codeFreq
-// maps its code to. An entry of a code that is not hot goes to the last
-// sub-pair when keepCold is set, and is emitted as an unmatched probe
-// row otherwise.
-func (j *pairJoiner) routeByCode(dst [][]Entry, es []Entry, keepCold bool) {
-	cold := len(dst) - 1
+// routeByCode appends each entry, in order, to the sub-pair of its code
+// among the sorted hot codes. An entry of a code that is not hot goes to
+// the last sub-pair when keepCold is set, and is emitted as an unmatched
+// probe row otherwise.
+func (j *pairJoiner) routeByCode(dst [][]Entry, es []Entry, hot []uint32, keepCold bool) {
+	cold := len(hot)
 	for i := range es {
-		g, ok := j.codeFreq[es[i].Code]
+		g := hotIndex(hot, es[i].Code)
 		switch {
-		case ok:
+		case g < cold:
 			dst[g] = append(dst[g], es[i])
 		case keepCold:
 			dst[cold] = append(dst[cold], es[i])
 		default:
 			j.emitAllProbeUnmatched(es[i : i+1])
 		}
+	}
+}
+
+// hotIndex returns code's index in the sorted hot codes, or len(hot)
+// when it is not hot: a linear scan over a pair's few hot codes, a
+// binary search past eight.
+func hotIndex(hot []uint32, code uint32) int {
+	if len(hot) > 8 {
+		if g, ok := slices.BinarySearch(hot, code); ok {
+			return g
+		}
+		return len(hot)
+	}
+	for g, c := range hot {
+		if c == code {
+			return g
+		}
+	}
+	return len(hot)
+}
+
+// codeTally is the victim split's code-frequency histogram: an
+// open-addressed table of (code, count) cells, a zero count marking an
+// empty cell, doubled when half full. A pair's codes share their low
+// radix bits, so a cell's home is a multiplicative hash of the whole
+// code. Kept per pair joiner and reused across victims.
+type codeTally struct {
+	cells []tallyCell
+	used  int
+	shift uint // 32 - log2(len(cells))
+}
+
+type tallyCell struct{ code, n uint32 }
+
+// reset empties the tally, keeping its cells.
+func (t *codeTally) reset() {
+	if t.cells == nil {
+		t.cells, t.shift = make([]tallyCell, 64), 32-6
+	} else {
+		clear(t.cells)
+	}
+	t.used = 0
+}
+
+// add counts one entry of code.
+func (t *codeTally) add(code uint32) {
+	mask := uint32(len(t.cells) - 1)
+	for i := code * 0x9e3779b1 >> t.shift; ; i = (i + 1) & mask {
+		c := &t.cells[i]
+		if c.n == 0 {
+			*c = tallyCell{code, 1}
+			if t.used++; 2*t.used > len(t.cells) {
+				t.grow()
+			}
+			return
+		}
+		if c.code == code {
+			c.n++
+			return
+		}
+	}
+}
+
+// grow doubles the cells and re-homes every count.
+func (t *codeTally) grow() {
+	old := t.cells
+	t.cells, t.shift = make([]tallyCell, 2*len(old)), t.shift-1
+	mask := uint32(len(t.cells) - 1)
+	for _, c := range old {
+		if c.n == 0 {
+			continue
+		}
+		i := c.code * 0x9e3779b1 >> t.shift
+		for t.cells[i].n != 0 {
+			i = (i + 1) & mask
+		}
+		t.cells[i] = c
 	}
 }
 

@@ -1,14 +1,18 @@
 package native
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/fault"
+	"hashjoin/internal/plan"
 	"hashjoin/internal/spill"
 	"hashjoin/internal/workload"
 )
@@ -84,7 +88,7 @@ func TestJoinPairBudgetDepthOnError(t *testing.T) {
 // page-size override can never over-pin the budget.
 func TestChunkPagesUsesConfiguredPageSize(t *testing.T) {
 	perChunk := func(pageSize, width, budget int) int {
-		perPage := pageSize + spill.PageCapacity(pageSize, width)*(entrySize+rowHdrSize+width+16)
+		perPage := pageSize + spill.PageCapacity(pageSize, width)*(rowHdrSize+width+16)
 		n := budget / perPage
 		if n < 1 {
 			n = 1
@@ -312,4 +316,97 @@ func TestJoinHybridDemotionFault(t *testing.T) {
 			r2.NOutput, r2.KeySum, pair.ExpectedMatches, pair.KeySum)
 	}
 	fault.CheckNoFiles(t, dir)
+}
+
+// TestHybridHotCodeRouting drives the victim split over a pair with
+// three hot codes, under every join type and scheme, and checks the
+// full output multiset against a nested-loop reference. Each hot code
+// has 24 build rows under an 8-row budget, two keys sharing the code;
+// the probe side holds rows of both keys, a third key of the same code
+// that matches nothing, and rows of 20 codes the build side lacks. With
+// cold build rows the cold probe rows join their resident remainder;
+// without, they are emitted (or dropped) by the router itself.
+func TestHybridHotCodeRouting(t *testing.T) {
+	hot := []uint32{0x5a5a0010, 0x5a5a0011, 0x3c3c0012}
+	for _, withCold := range []bool{true, false} {
+		for _, jt := range plan.JoinTypes() {
+			for _, scheme := range []Scheme{Baseline, Group, Pipelined} {
+				t.Run(fmt.Sprintf("cold=%v/%v/%v", withCold, jt, scheme), func(t *testing.T) {
+					a := arena.New(1 << 20)
+					var bKeys, bCodes, pKeys, pCodes []uint32
+					for h, c := range hot {
+						k := uint32(100 + 10*h)
+						for i := 0; i < 24; i++ {
+							bKeys, bCodes = append(bKeys, k+uint32(i%3/2)), append(bCodes, c)
+						}
+						pKeys = append(pKeys, k, k+2, k, k+1, k)
+						pCodes = append(pCodes, c, c, c, c, c)
+					}
+					if withCold {
+						for i := 0; i < 5; i++ {
+							bKeys, bCodes = append(bKeys, uint32(5000+2*i)), append(bCodes, uint32(2*i)*0x9e3779b1)
+						}
+					}
+					for i := 0; i < 20; i++ {
+						pKeys, pCodes = append(pKeys, uint32(5000+i)), append(pCodes, uint32(i)*0x9e3779b1)
+					}
+					build := mkKeyed(t, a, bKeys, bCodes)
+					probe := mkKeyed(t, a, pKeys, pCodes)
+					rand.New(rand.NewSource(5)).Shuffle(len(build), func(i, j int) {
+						build[i], build[j] = build[j], build[i]
+					})
+					rand.New(rand.NewSource(7)).Shuffle(len(probe), func(i, j int) {
+						probe[i], probe[j] = probe[j], probe[i]
+					})
+
+					got := runPair(t, a, build, probe,
+						Config{JoinType: jt, Scheme: scheme, MemBudget: pairFootprint(8, 8)}, true)
+					if got.depth != 0 || got.spilled != len(hot) {
+						t.Fatalf("depth %d with %d spilled pairs, want depth 0 with %d", got.depth, got.spilled, len(hot))
+					}
+					want := referenceEmits(jt, build, probe)
+					if !slices.Equal(got.emits, want) {
+						t.Fatalf("output %v,\nreference %v", got.emits, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// referenceEmits is the nested-loop reference for runPair's emissions
+// over entries whose tuples are their keys: a match is (build key, probe
+// key); a left-outer survivor, a semi row and an anti row are (-1,
+// probe key); a right-outer unmatched build row is (build key, -1).
+// Sorted as runPair sorts.
+func referenceEmits(jt plan.JoinType, build, probe []Entry) []emission {
+	var out []emission
+	matched := make([]bool, len(build))
+	for _, p := range probe {
+		found := false
+		for i, b := range build {
+			if b.Key != p.Key {
+				continue
+			}
+			found, matched[i] = true, true
+			if !jt.ProbeOnly() {
+				out = append(out, emission{int64(b.Key), int64(p.Key)})
+			}
+		}
+		switch {
+		case jt == plan.LeftSemi && found, jt == plan.LeftAnti && !found, jt == plan.LeftOuter && !found:
+			out = append(out, emission{-1, int64(p.Key)})
+		}
+	}
+	if jt == plan.RightOuter {
+		for i, b := range build {
+			if !matched[i] {
+				out = append(out, emission{int64(b.Key), -1})
+			}
+		}
+	}
+	slices.SortFunc(out, func(x, y emission) int {
+		return cmp.Or(cmp.Compare(x.build, y.build), cmp.Compare(x.probe, y.probe))
+	})
+	return out
 }

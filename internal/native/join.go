@@ -37,18 +37,17 @@ type pairJoiner struct {
 	// spill, when set, is the join's shared out-of-core coordinator: an
 	// irreducible over-budget pair goes to disk instead of failing (see
 	// spill.go). The entry and page scratch below is recycled across
-	// spilled chunks: spillBuild and spillPinned hold the chunk being
-	// joined, its entries and its pinned build pages; spillCode holds a
-	// one-code pair's probe entries of that code (see probeOfCode).
+	// spilled chunks: spillPinned holds the chunk being joined, its
+	// pinned build pages; spillProbe one probe page's entries; spillCode
+	// a one-code pair's probe entries of that code (see probeOfCode).
 	spill       *spillState
-	spillBuild  []Entry
 	spillProbe  []Entry
 	spillCode   []Entry
 	spillPinned []spill.Page
 
-	// codeFreq is the victim path's code-frequency histogram scratch,
+	// tally is the victim path's code-frequency histogram scratch,
 	// reused across victims (see joinPairHybrid).
-	codeFreq map[uint32]int
+	tally codeTally
 
 	// joinType selects the match semantics (see jointype.go). Inner is
 	// the zero value, so untyped call sites keep the fast paths.
@@ -226,7 +225,7 @@ func (j *pairJoiner) joinPairBudget(build, probe []Entry, shift uint, cfg Config
 		// Out of depth or hash bits: the final tier of the ladder joins
 		// the pair out of core in budget-sized build chunks; only
 		// Config.NoSpill (or a schema that cannot round-trip through
-		// slotted pages) still fails.
+		// fixed-width spill rows) still fails.
 		switch {
 		case j.spill == nil:
 			return depth, &BudgetError{Budget: cfg.MemBudget, Need: need, Depth: depth}

@@ -301,7 +301,7 @@ func (r Result) Breakdown() string {
 // bound or ran out of hash bits (heavy key skew — identical codes cannot
 // be split further). With the spill tier enabled (the default) such a
 // pair is joined out of core instead; this error now occurs only under
-// Config.NoSpill or for schemas slotted pages cannot round-trip.
+// Config.NoSpill or for schemas fixed-width spill rows cannot round-trip.
 type BudgetError struct {
 	Budget int // configured MemBudget, bytes
 	Need   int // estimated footprint of the irreducible pair

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"hashjoin/internal/arena"
+	"hashjoin/internal/spill"
 	"hashjoin/internal/storage"
 )
 
@@ -28,6 +29,11 @@ import (
 // other sizing decision still charge the whole tuple (rowFootprint):
 // they are made before the consumer is known. Only the spill tier's
 // chunk arithmetic counts the narrow width its pages carry.
+//
+// A spill page's rows are this row, link zeroed (internal/spill), so a
+// spilled build page is a slab segment: a chunk table copies each
+// pinned page's rows in one go to its first row's offset and only
+// links them (linkRows), in the order BuildSerial would insert them.
 //
 // and the table indexes the rows with an open-addressed directory of
 // 4-byte slots, twice as many as rows (rounded up to a power of two):
@@ -84,8 +90,9 @@ import (
 const (
 	// rowHdrSize is the fixed per-row header: link (4, the next row of
 	// the chain as row+1, 0 at its end) + hash_code (4). The serialized
-	// key+payload follows.
-	rowHdrSize = 8
+	// key+payload follows. It is the spill page's row header, so a
+	// spilled page's rows are a segment of the slab.
+	rowHdrSize = spill.RowHeaderSize
 	rowCodeOff = 4
 	rowKeyOff  = 8
 
@@ -355,6 +362,24 @@ func (t *RowTable) BuildSerial(data []byte, entries []Entry, scheme Scheme, g, d
 	for ; pub < len(entries); pub++ {
 		t.insertSerial(pub, entries[pub].Code)
 	}
+}
+
+// linkRows links every row, each already in the slab behind its code —
+// a chunk table's rows, copied in from spill pages — on buildPages'
+// schedule (publishSchedule).
+func (t *RowTable) linkRows(scheme Scheme, g, d int) {
+	batch, step := publishSchedule(scheme, g, d)
+	pub := 0
+	for i := 0; i < t.nRows; i++ {
+		if batch > 1 {
+			prefetchT0(unsafe.Pointer(&t.dir[t.home(t.codeOf(uint32(i+1)))]))
+		}
+		if i+1-pub == batch {
+			t.insertSerialRange(pub, pub+step)
+			pub += step
+		}
+	}
+	t.insertSerialRange(pub, t.nRows)
 }
 
 // LookupRows calls fn for every row of hash code code, passing the

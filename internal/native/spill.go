@@ -2,6 +2,7 @@ package native
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -24,10 +25,14 @@ import (
 // reducible path therefore never returns *BudgetError; only Config.
 // NoSpill restores the old failure mode.
 //
-// A spilled build page carries only the bytes of each tuple the join's
-// tables keep (buildWidth); probe pages carry whole tuples, which sinks
-// read from the pinned pages. Budget decisions (hot codes, the resident
-// prefix) charge the whole tuple; only chunkPages counts page bytes.
+// Both sides spill as pages of the row table's rows (link | code |
+// tuple, see internal/spill's integrity.go). A spilled build row carries
+// only the bytes of its tuple the join's tables keep (buildWidth), so a
+// build page read back is a segment of a chunk table's slab: one copy
+// per page, then the rows are linked. Probe rows carry whole tuples,
+// which sinks read from the pinned pages. Budget decisions (hot codes,
+// the resident prefix) charge the whole tuple; only chunkPages counts
+// page bytes.
 
 // spillChunkPagesCap bounds how many build pages one chunk pins, so a
 // huge budget does not translate into a huge buffer pool.
@@ -66,8 +71,8 @@ type spillState struct {
 // newSpillState returns the spill coordinator for a join whose morsel
 // phase runs slots slots and whose tables keep rowWidth bytes of each
 // build tuple, or nil when spilling is disabled or the schemas cannot
-// round-trip through slotted pages (variable width, or no leading 4-byte
-// key to re-decode).
+// round-trip through fixed-width row pages (variable width, or no
+// leading 4-byte key to re-decode).
 func newSpillState(build, probe *storage.Relation, cfg Config, slots, rowWidth int) *spillState {
 	if cfg.NoSpill {
 		return nil
@@ -119,14 +124,16 @@ func (c Config) spillPage() int {
 }
 
 // chunkPages returns how many build pages one chunk pins: the largest
-// count whose tuples' pages + entries + hash table fit the budget,
-// clamped to [1, spillChunkPagesCap]. Even chunkPages == 1 always makes
-// progress — that is why the spill tier cannot fail on size. It counts
-// the width the pages carry: a page of 4-byte rows holds 9x the tuples,
-// and so 9x the table, of a page of 100-byte ones.
+// count whose pages + hash table fit the budget, clamped to [1,
+// spillChunkPagesCap]. A chunk's rows go from its pages straight into
+// the table, so a row costs its table share of rowFootprint and no
+// entry. Even chunkPages == 1 always makes progress — that is why the
+// spill tier cannot fail on size. It counts the width the pages carry:
+// a page of 4-byte rows holds 9x the tuples, and so 9x the table, of a
+// page of 100-byte ones.
 func (sp *spillState) chunkPages() int {
 	perPage := sp.pageSize +
-		spill.PageCapacity(sp.pageSize, sp.buildWidth)*rowFootprint(sp.buildWidth)
+		spill.PageCapacity(sp.pageSize, sp.buildWidth)*(rowFootprint(sp.buildWidth)-entrySize)
 	return min(max(sp.budget/perPage, 1), spillChunkPagesCap)
 }
 
@@ -228,8 +235,8 @@ func (sp *spillState) finish() (spill.Stats, int, error) {
 // joinPairSpill joins the spilled remainder of one irreducible
 // over-budget pair out of core, for joinPairSpillHybrid: write both
 // sides to disk partitions (write-behind), then for each
-// build chunk that fits the budget, pin its pages, build a table over
-// the decoded entries, and stream the probe partition past it
+// build chunk that fits the budget, pin its pages, copy their rows into
+// a table and link them, and stream the probe partition past it
 // (read-ahead). Output refs point into pinned pool pages, so the
 // emit/sink path is identical to the in-memory join's. Each morsel slot
 // runs its own spilled pair concurrently with the others'.
@@ -271,7 +278,7 @@ func (j *pairJoiner) joinPairSpill(build, probe []Entry, shift uint, cfg Config)
 	defer func() { j.deferProbe = false; j.probeBase = 0 }()
 
 	for {
-		j.spillBuild = j.spillBuild[:0]
+		rows := 0
 		for len(j.spillPinned) < chunkPages {
 			pg, ok, err := br.Next()
 			if err != nil {
@@ -281,12 +288,12 @@ func (j *pairJoiner) joinPairSpill(build, probe []Entry, shift uint, cfg Config)
 				break
 			}
 			j.spillPinned = append(j.spillPinned, pg)
-			j.spillBuild = appendPageEntries(j.spillBuild, j.data, pg)
+			rows += pg.NTuples()
 		}
-		if len(j.spillBuild) == 0 {
+		if rows == 0 {
 			break
 		}
-		j.buildSerial(j.spillBuild, shift, cfg.Scheme, false)
+		j.buildChunk(rows, shift, cfg.Scheme)
 
 		pr = sp.openSide(m, ps)
 		pos := 0
@@ -298,7 +305,7 @@ func (j *pairJoiner) joinPairSpill(build, probe []Entry, shift uint, cfg Config)
 			if !ok {
 				break
 			}
-			j.spillProbe = appendPageEntries(j.spillProbe[:0], j.data, pg)
+			j.spillProbe = appendPageEntries(j.spillProbe[:0], pg)
 			j.probeBase = pos
 			j.probeFor(&probeInput{ents: j.spillProbe}, cfg.Scheme)
 			pos += len(j.spillProbe)
@@ -318,6 +325,22 @@ func (j *pairJoiner) joinPairSpill(build, probe []Entry, shift uint, cfg Config)
 		j.finishProbeBits(probe)
 	}
 	return nil
+}
+
+// buildChunk builds the chunk table over the rows of the pinned build
+// pages. A page's rows are the table's rows already, so each page is one
+// copy into the slab at its first row's offset; the rows are then linked
+// on buildSerial's schedule.
+func (j *pairJoiner) buildChunk(rows int, shift uint, scheme Scheme) {
+	j.t.reset(rows, j.t.width, shift, false)
+	off := 0
+	for _, pg := range j.spillPinned {
+		off += copy(j.t.rows[off:], pg.Rows())
+	}
+	j.t.linkRows(scheme, j.g, j.d)
+	if j.joinType == plan.RightOuter {
+		j.armBuildMatched(rows)
+	}
 }
 
 // releasePinned hands the current chunk's build pages back to m.
@@ -342,10 +365,9 @@ type spillSide struct {
 	rebuilt bool
 }
 
-// spillPartition writes one side's entries to a disk partition: tuple
-// bytes plus the memoized hash code, exactly the slot layout the
-// in-memory partition phase uses (§7.1), so nothing is recomputed on
-// the way back in. On failure the partially written Writer (when one
+// spillPartition writes one side's entries to a disk partition, one
+// row each: the memoized hash code (§7.1), so nothing is recomputed on
+// the way back in, and the tuple's first width bytes. On failure the partially written Writer (when one
 // was created) is returned alongside the error so the caller can
 // quarantine it.
 //
@@ -504,11 +526,18 @@ func (sr *sideReader) recover(cause error) error {
 	return nil
 }
 
-// appendPageEntries decodes a spilled page's slot area back into join
-// entries. Refs address the pool buffer the page sits in, so they are
-// valid exactly while the page is held — the chunk loop's pin
-// discipline.
-func appendPageEntries(dst []Entry, data []byte, pg spill.Page) []Entry {
-	v := pg.View()
-	return appendEntries(dst, data, []arena.Addr{v.Addr}, v.Size)
+// appendPageEntries decodes a spilled probe page's rows into join
+// entries. Refs address each row's tuple in the pool buffer the page
+// sits in, so they are valid exactly while the page is held — the chunk
+// loop's pin discipline.
+func appendPageEntries(dst []Entry, pg spill.Page) []Entry {
+	rows, ref := pg.Rows(), uint64(pg.RowsAddr())+rowKeyOff
+	for off := 0; off < len(rows); off += rowHdrSize + pg.Width() {
+		dst = append(dst, Entry{
+			Code: binary.LittleEndian.Uint32(rows[off+rowCodeOff:]),
+			Key:  binary.LittleEndian.Uint32(rows[off+rowKeyOff:]),
+			Ref:  ref + uint64(off),
+		})
+	}
+	return dst
 }

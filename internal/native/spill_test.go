@@ -580,8 +580,8 @@ func TestSpilledPairsRunConcurrently(t *testing.T) {
 // TestSpillChunkFitsBudget joins a one-code build side of 100-byte
 // tuples out of core through JoinStream at row widths 4, 8 and 100, and
 // checks every chunk from inside the sink its probe emits into: its
-// pages carry the row width, and its pinned pages, entries and table fit
-// the budget — or it pins one page, when a single page is over it. A
+// pages carry the row width, and its pinned pages and table fit the
+// budget — or it pins one page, when a single page is over it. A
 // chunkPages that counted the whole tuple would pin about twice the
 // budget at width 4. The resident prefix before the chunks still charges
 // whole tuples.
@@ -615,12 +615,12 @@ func TestSpillChunkFitsBudget(t *testing.T) {
 					}
 					chunkRows++
 					maxPages = max(maxPages, pages)
-					if _, n := j.spillPinned[0].View().TupleAddr(0); n != width && bad == "" {
+					if n := j.spillPinned[0].Width(); n != width && bad == "" {
 						bad = fmt.Sprintf("a page of %d-byte tuples", n)
 					}
-					foot := pages*page + len(j.spillBuild)*entrySize + j.t.Bytes()
+					foot := pages*page + j.t.Bytes()
 					if foot > budget && pages > 1 && bad == "" {
-						bad = fmt.Sprintf("a chunk of %d pages and %d rows pinning %d B", pages, len(j.spillBuild), foot)
+						bad = fmt.Sprintf("a chunk of %d pages and %d rows pinning %d B", pages, j.t.NRows(), foot)
 					}
 				}
 			}
@@ -752,5 +752,106 @@ func TestSpillPoolBytesBoundsPool(t *testing.T) {
 	four := SpillPoolBytes(Config{Workers: 4, MemBudget: 128 << 10})
 	if four <= one {
 		t.Fatalf("SpillPoolBytes does not grow with the workers: %d at one, %d at four", one, four)
+	}
+}
+
+// TestSpillChunkTableMatchesBuildSerial builds a chunk table from row
+// pages — the entries' tuples spilled at the table's width onto
+// 512-byte pages, read back and pinned — and a table with
+// RowTable.BuildSerial from the same entries, under every scheme at
+// widths 4, 8 and 100. Every code must chain the same rows in the same
+// order in both. One code's 40 rows, under two keys, span several
+// pages, so its chain crosses a page boundary; the other codes are
+// few-row chains of eleven keys.
+func TestSpillChunkTableMatchesBuildSerial(t *testing.T) {
+	const tuple, n, long = 100, 120, 0x5a5a0003
+	a := arena.New(1 << 20)
+	es := make([]Entry, n)
+	for i := range es {
+		addr, err := a.TryAlloc(tuple, 1)
+		if err != nil {
+			t.Fatalf("TryAlloc: %v", err)
+		}
+		b := a.Bytes(addr, tuple)
+		key := uint32(i % 11)
+		if i%3 == 0 {
+			key = uint32(500 + i%2)
+		}
+		binary.LittleEndian.PutUint32(b, key)
+		for k := 4; k < tuple; k++ {
+			b[k] = byte(i + k)
+		}
+		code := hash.CodeU32(key)
+		if key >= 500 {
+			code = long
+		}
+		es[i] = Entry{Code: code, Key: key, Ref: addr}
+	}
+	for _, width := range []int{4, 8, tuple} {
+		for _, scheme := range []Scheme{Baseline, Group, Pipelined} {
+			cfg := Config{Scheme: scheme}.normalized()
+			m, err := spill.NewManager(spill.Config{Dir: t.TempDir(), PageSize: 512, PoolPages: 64, A: a})
+			if err != nil {
+				t.Fatalf("NewManager: %v", err)
+			}
+			w, err := m.NewWriter()
+			if err != nil {
+				t.Fatalf("NewWriter: %v", err)
+			}
+			for _, e := range es {
+				if err := w.Append(a.Bytes(e.Ref, uint64(width)), e.Code); err != nil {
+					t.Fatalf("Append: %v", err)
+				}
+			}
+			if err := w.Finish(); err != nil {
+				t.Fatalf("Finish: %v", err)
+			}
+			j := newPairJoiner()
+			j.data, j.t.width, j.g, j.d = a.Data(), width, cfg.G, cfg.D
+			r := w.OpenReader()
+			rows, longPages := 0, 0
+			for {
+				pg, ok, err := r.Next()
+				if err != nil {
+					t.Fatalf("Next: %v", err)
+				}
+				if !ok {
+					break
+				}
+				j.spillPinned = append(j.spillPinned, pg)
+				rows += pg.NTuples()
+				for i := 0; i < pg.NTuples(); i++ {
+					if pg.HashCode(i) == long {
+						longPages++
+						break
+					}
+				}
+			}
+			r.Close()
+			if longPages < 2 {
+				t.Fatalf("width %d: the long chain sits on %d page(s), want a page boundary inside it", width, longPages)
+			}
+			j.buildChunk(rows, 0, scheme)
+			j.releasePinned(m)
+
+			var want RowTable
+			want.Reset(n, width, 0)
+			want.BuildSerial(a.Data(), es, scheme, cfg.G, cfg.D)
+			if j.t.NRows() != n {
+				t.Fatalf("width %d %v: chunk table of %d rows, want %d", width, scheme, j.t.NRows(), n)
+			}
+			for _, e := range es {
+				var got, exp []string
+				j.t.LookupRows(e.Code, func(row []byte) { got = append(got, string(row)) })
+				want.LookupRows(e.Code, func(row []byte) { exp = append(exp, string(row)) })
+				if !slices.Equal(got, exp) {
+					t.Fatalf("width %d %v: code %#x chains %d rows %x, BuildSerial %d rows %x",
+						width, scheme, e.Code, len(got), got, len(exp), exp)
+				}
+			}
+			if err := m.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		}
 	}
 }

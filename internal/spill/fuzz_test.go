@@ -66,18 +66,17 @@ func FuzzSpillRoundTrip(f *testing.F) {
 			if !ok {
 				break
 			}
-			v := pg.View()
 			for i := 0; i < pg.NTuples(); i++ {
 				if got >= len(tuples) {
 					t.Fatalf("read more tuples than written")
 				}
 				want := tuples[got]
-				tup := v.Tuple(i)
-				if len(tup) < width || !bytes.Equal(tup[:width], want) {
+				tup := pg.Tuple(i)
+				if !bytes.Equal(tup, want) {
 					t.Fatalf("tuple %d mismatch: %x != %x", got, tup, want)
 				}
 				wantCode := binary.LittleEndian.Uint32(append(append([]byte{}, want...), 0, 0, 0, 0))
-				if code := v.HashCode(i); code != wantCode {
+				if code := pg.HashCode(i); code != wantCode {
 					t.Fatalf("tuple %d code = %d, want %d", got, code, wantCode)
 				}
 				got++
@@ -168,11 +167,10 @@ func FuzzPageCorruption(f *testing.F) {
 			if page >= target {
 				t.Fatalf("page %d delivered past the corrupted page %d (false accept)", page, target)
 			}
-			// Intact prefix pages must decode their original tuples.
-			v := pg.View()
+			// Intact prefix pages must hold their original rows.
 			for i := 0; i < pg.NTuples(); i++ {
-				if v.HashCode(i) >= uint32(n) {
-					t.Fatalf("page %d slot %d decoded foreign hash code %d", page, i, v.HashCode(i))
+				if pg.HashCode(i) >= uint32(n) {
+					t.Fatalf("page %d row %d decoded foreign hash code %d", page, i, pg.HashCode(i))
 				}
 			}
 			m.Release(pg)

@@ -9,31 +9,46 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
-
-	"hashjoin/internal/storage"
 )
 
-// Every spill page carries a 16-byte integrity header ahead of the
-// slotted-page payload:
+// A spill page is a 16-byte integrity header, a row count and a row
+// width, then packed fixed-width rows:
 //
 //	[0:4)   magic "HJSP"
-//	[4:6)   format version
+//	[4:6)   format version (2: row pages)
 //	[6:8)   reserved (zero)
 //	[8:12)  page index within the partition file
-//	[12:16) CRC32C (Castagnoli) over the payload
+//	[12:16) CRC32C (Castagnoli) over the rest of the page
+//	[16:20) row count n
+//	[20:24) tuple width w, fixed per partition by its first Append
+//	[24:)   n rows of RowHeaderSize+w bytes: link (4, zero) | hash code (4) | tuple (w)
+//
+// A row is exactly the native row table's row (internal/native
+// rowtable.go) with its link zeroed, so a spilled build page read back
+// is a segment of a chunk table's slab: the join copies its row block
+// in one go and only links the rows. The hash code is the one memoized
+// in the partition phase (section 7.1), carried back without
+// recomputation. Version 1 was a slotted page with a slot array; a
+// version-1 page is refused like any other corruption, never decoded.
 //
 // The header is sealed by the write-behind worker just before the page
 // hits disk (overlapping the checksum with the next page's encoding) and
-// verified by the Reader before the payload is decoded, so a torn write,
+// verified by the Reader before the rows are read, so a torn write,
 // bit flip, or misplaced page surfaces as a typed *CorruptPageError
 // instead of garbage join output.
 const (
 	// HeaderSize is the per-page integrity header, carved out of the
-	// page before the slotted payload.
+	// page before the row count.
 	HeaderSize = 16
+	// RowHeaderSize is the bytes each row carries ahead of its tuple:
+	// link (always zero on disk) and hash code.
+	RowHeaderSize = 8
+
+	rowCodeOff  = 4
+	pageRowsOff = HeaderSize + 8 // row count and width, then the rows
 
 	pageMagic   = 0x48_4A_53_50 // "HJSP"
-	pageVersion = 1
+	pageVersion = 2
 )
 
 // ErrCorrupt is the sentinel every *CorruptPageError unwraps to.
@@ -56,15 +71,15 @@ func (e *CorruptPageError) Error() string {
 func (e *CorruptPageError) Unwrap() error { return ErrCorrupt }
 
 // PageCapacity returns how many tuples of the given width fit one spill
-// page, net of the integrity header — the number callers must use when
+// page, net of the page header — the number callers must use when
 // sizing chunks from page counts.
 func PageCapacity(pageSize, tupleSize int) int {
-	return storage.CapacityFor(pageSize-HeaderSize, tupleSize)
+	return (pageSize - pageRowsOff) / (RowHeaderSize + tupleSize)
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// sealPage stamps the integrity header onto a fully encoded page buffer.
+// sealPage stamps the integrity header onto a filled page buffer.
 func sealPage(buf []byte, idx uint32) {
 	binary.LittleEndian.PutUint32(buf[0:], pageMagic)
 	binary.LittleEndian.PutUint16(buf[4:], pageVersion)

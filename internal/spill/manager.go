@@ -6,11 +6,12 @@
 //
 // A Manager owns a spill area spread over one or more parent directories
 // and a fixed pool of reusable page-sized buffers allocated from the
-// join's arena. Partition Writers encode tuples into internal/storage
-// slotted pages — reusing the memoized-hash-code slot layout of section
-// 7.1, so spilled partitions carry their hash codes back without
-// recomputation — and hand full pages to background writer goroutines
-// (write-behind). Readers stream a partition back with one page of
+// join's arena. Partition Writers pack tuples into pages of fixed-width
+// rows, each row its tuple behind the hash code memoized in section
+// 7.1's partition phase and laid out as the native row table's row, so
+// spilled partitions carry their hash codes back without recomputation
+// and a build page reads back as table rows — and hand full pages to
+// background writer goroutines (write-behind). Readers stream a partition back with one page of
 // read-ahead in flight, so the next page's disk latency overlaps the
 // current page's probe work.
 //
@@ -44,9 +45,8 @@ import (
 )
 
 const (
-	// DefaultPageSize is the spill page size. Slotted pages address
-	// tuples with u16 offsets, so pages must stay under 64 KiB; 32 KiB
-	// amortizes syscall cost while keeping the buffer pool small.
+	// DefaultPageSize is the spill page size: 32 KiB amortizes syscall
+	// cost while keeping the buffer pool small.
 	DefaultPageSize = 32 << 10
 	// DefaultWorkers is the write-behind worker count: enough to overlap
 	// one partition's writes with the next page's encoding without
@@ -55,8 +55,8 @@ const (
 	// minPageSize bounds PageSize from below (tests shrink pages to
 	// force multi-page partitions).
 	minPageSize = 256
-	// maxPageSize keeps every slot offset and the free pointer
-	// representable as u16.
+	// maxPageSize bounds PageSize from above, so one page buffer stays
+	// a small share of the pool a budget pays for.
 	maxPageSize = 63 << 10
 )
 

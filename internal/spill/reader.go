@@ -1,28 +1,50 @@
 package spill
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"time"
 
+	"hashjoin/internal/arena"
 	"hashjoin/internal/fault"
-	"hashjoin/internal/storage"
 )
 
-// Page is one spilled page delivered by a Reader: a slotted-page view
-// over an arena-backed pool buffer. The caller must hand it back with
-// Manager.Release exactly once; until then its tuples stay addressable
-// by arena address.
+// Page is one spilled page delivered by a Reader: NTuples fixed-width
+// rows in an arena-backed pool buffer. The caller must hand it back
+// with Manager.Release exactly once; until then its rows stay
+// addressable by arena address.
 type Page struct {
-	buf  pageBuf
-	view storage.Page
+	buf   pageBuf
+	n     int
+	width int
 }
 
-// View returns the slotted-page view (arena, address, size).
-func (p Page) View() storage.Page { return p.view }
+// NTuples returns the number of rows on the page.
+func (p Page) NTuples() int { return p.n }
 
-// NTuples returns the number of tuples on the page.
-func (p Page) NTuples() int { return p.view.NSlots() }
+// Width returns the tuple bytes each row carries.
+func (p Page) Width() int { return p.width }
+
+// Rows returns the page's packed rows, NTuples of RowHeaderSize+Width
+// bytes each: zero link, hash code, tuple. They alias the pool buffer.
+func (p Page) Rows() []byte {
+	return p.buf.b[pageRowsOff : pageRowsOff+p.n*(RowHeaderSize+p.width)]
+}
+
+// RowsAddr returns the arena address of the first row.
+func (p Page) RowsAddr() arena.Addr { return p.buf.addr + pageRowsOff }
+
+// Tuple returns row i's tuple bytes (aliasing the pool buffer).
+func (p Page) Tuple(i int) []byte {
+	off := pageRowsOff + i*(RowHeaderSize+p.width) + RowHeaderSize
+	return p.buf.b[off : off+p.width]
+}
+
+// HashCode returns row i's memoized hash code.
+func (p Page) HashCode(i int) uint32 {
+	return binary.LittleEndian.Uint32(p.buf.b[pageRowsOff+i*(RowHeaderSize+p.width)+rowCodeOff:])
+}
 
 // readRes is one completed read-ahead.
 type readRes struct {
@@ -38,6 +60,7 @@ type Reader struct {
 	m      *Manager
 	f      *os.File
 	dirIdx int // index into m.parents of the directory holding the file
+	width  int // the partition's tuple width
 	npages int
 	next   int // next page index to deliver
 	issued int // next page index to start reading
@@ -49,13 +72,14 @@ type Reader struct {
 // partition are allowed (the chunked join re-reads the probe partition
 // once per build chunk); each pass uses its own Reader.
 func (w *Writer) OpenReader() *Reader {
-	return &Reader{m: w.m, f: w.f, dirIdx: w.dirIdx, npages: w.npages, ahead: make(chan readRes, 1)}
+	return &Reader{m: w.m, f: w.f, dirIdx: w.dirIdx, width: w.width, npages: w.npages, ahead: make(chan readRes, 1)}
 }
 
 // Next delivers the next page, issuing the following page's read before
 // returning. ok is false at end of partition. The caller owns the page
 // until Manager.Release. Every page is integrity-checked (magic,
-// version, index, CRC32C) before its payload is decoded; a failed check
+// version, index, CRC32C, then its row count and width) before it is
+// delivered; a failed check
 // returns a *CorruptPageError and poisons the reader. Cancellation is
 // checked before each delivered page.
 func (r *Reader) Next() (Page, bool, error) {
@@ -94,12 +118,13 @@ func (r *Reader) Next() (Page, bool, error) {
 	if reason := verifyPage(res.buf.b, uint32(idx)); reason != "" {
 		return Page{}, false, r.corrupt(res.buf, idx, reason)
 	}
-	view := storage.Page{A: r.m.a, Addr: res.buf.addr + HeaderSize, Size: r.m.pageSize - HeaderSize}
-	if got := view.PageID(); got != uint32(idx) {
-		return Page{}, false, r.corrupt(res.buf, idx,
-			fmt.Sprintf("payload decoded page id %d (want %d)", got, idx))
+	n := int(binary.LittleEndian.Uint32(res.buf.b[HeaderSize:]))
+	width := int(binary.LittleEndian.Uint32(res.buf.b[HeaderSize+4:]))
+	if width != r.width || n < 1 || n > PageCapacity(r.m.pageSize, width) {
+		return Page{}, false, r.corrupt(res.buf, idx, fmt.Sprintf("%d rows of %d-byte tuples (want 1 to %d rows of %d-byte tuples)",
+			n, width, PageCapacity(r.m.pageSize, r.width), r.width))
 	}
-	return Page{buf: res.buf, view: view}, true, nil
+	return Page{buf: res.buf, n: n, width: width}, true, nil
 }
 
 // corrupt releases the failed page's buffer, abandons the already-

@@ -2,13 +2,17 @@ package spill
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"hashjoin/internal/arena"
+	"hashjoin/internal/storage"
 )
 
 // newTestManager returns a Manager with a small page size (forcing
@@ -77,14 +81,13 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 			if !ok {
 				break
 			}
-			v := pg.View()
 			for i := 0; i < pg.NTuples(); i++ {
 				want := tupleFor(got, width)
-				tup := v.Tuple(i)[:width]
+				tup := pg.Tuple(i)
 				if string(tup) != string(want) {
 					t.Fatalf("pass %d: tuple %d mismatch: %x != %x", pass, got, tup, want)
 				}
-				if code := v.HashCode(i); code != uint32(got)*2654435761 {
+				if code := pg.HashCode(i); code != uint32(got)*2654435761 {
 					t.Fatalf("pass %d: tuple %d code = %d", pass, got, code)
 				}
 				got++
@@ -148,6 +151,107 @@ func TestTupleTooLarge(t *testing.T) {
 	}
 	if err := w.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
+	}
+}
+
+// TestMixedWidthAppendRefused pins that the first Append fixes a
+// partition's tuple width: a tuple of another width is an error and
+// writes nothing, and the partition reads back with only its
+// fixed-width rows.
+func TestMixedWidthAppendRefused(t *testing.T) {
+	const width = 24
+	m := newTestManager(t, 512)
+	w, err := m.NewWriter()
+	if err != nil {
+		t.Fatalf("NewWriter: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := w.Append(tupleFor(i, width), uint32(i)); err != nil {
+			t.Fatalf("Append(%d): %v", i, err)
+		}
+	}
+	for _, bad := range []int{0, width - 1, width + 1} {
+		if err := w.Append(make([]byte, bad), 99); err == nil {
+			t.Fatalf("a %d-byte tuple in a %d-byte partition was accepted", bad, width)
+		}
+	}
+	if err := w.Append(tupleFor(3, width), 3); err != nil {
+		t.Fatalf("Append after a refused width: %v", err)
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	if w.NTuples() != 4 || w.NPages() != 1 {
+		t.Fatalf("%d tuples on %d pages, want 4 on 1", w.NTuples(), w.NPages())
+	}
+	r := w.OpenReader()
+	defer r.Close()
+	pg, ok, err := r.Next()
+	if !ok || err != nil {
+		t.Fatalf("Next = (%v, %v)", ok, err)
+	}
+	if pg.NTuples() != 4 || pg.Width() != width {
+		t.Fatalf("page of %d rows of %d bytes, want 4 of %d", pg.NTuples(), pg.Width(), width)
+	}
+	for i := 0; i < 4; i++ {
+		if string(pg.Tuple(i)) != string(tupleFor(i, width)) || pg.HashCode(i) != uint32(i) {
+			t.Fatalf("row %d = %x code %d", i, pg.Tuple(i), pg.HashCode(i))
+		}
+	}
+	m.Release(pg)
+}
+
+// TestVersionOnePageRefused writes a well-formed version-1 page — the
+// slotted page this tier wrote before row pages, with a valid header
+// and checksum — over page 0 of a partition. The reader must refuse it
+// with a *CorruptPageError naming the version, and deliver no page.
+func TestVersionOnePageRefused(t *testing.T) {
+	const pageSize, width = 512, 24
+	m := newTestManager(t, pageSize)
+	w, err := m.NewWriter()
+	if err != nil {
+		t.Fatalf("NewWriter: %v", err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := w.Append(tupleFor(i, width), uint32(i)); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+
+	a := arena.New(1 << 16)
+	v1 := storage.AllocPage(a, pageSize-HeaderSize, 0)
+	for i := 0; i < 5; i++ {
+		v1.Append(tupleFor(i, width), uint32(i))
+	}
+	page := make([]byte, pageSize)
+	copy(page[HeaderSize:], a.Bytes(v1.Addr, uint64(v1.Size)))
+	binary.LittleEndian.PutUint32(page[0:], pageMagic)
+	binary.LittleEndian.PutUint16(page[4:], 1)
+	binary.LittleEndian.PutUint32(page[12:], crc32.Checksum(page[HeaderSize:], castagnoli))
+	f, err := os.OpenFile(w.Path(), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if _, err := f.WriteAt(page, 0); err != nil {
+		t.Fatalf("WriteAt: %v", err)
+	}
+	f.Close()
+
+	r := w.OpenReader()
+	defer r.Close()
+	pg, ok, err := r.Next()
+	var cpe *CorruptPageError
+	if ok || !errors.As(err, &cpe) {
+		t.Fatalf("Next over a version-1 page = (%d rows, %v, %v), want a *CorruptPageError", pg.NTuples(), ok, err)
+	}
+	if cpe.Page != 0 || !strings.Contains(cpe.Reason, "format version 1") {
+		t.Fatalf("refused page %d for %q, want page 0 for its format version 1", cpe.Page, cpe.Reason)
+	}
+	if _, ok, err := r.Next(); ok || err != nil {
+		t.Fatalf("Next after the refusal = (%v, %v), want done", ok, err)
 	}
 }
 
@@ -291,10 +395,9 @@ func TestManyPartitions(t *testing.T) {
 			if !ok {
 				break
 			}
-			v := pg.View()
 			for i := 0; i < pg.NTuples(); i++ {
 				want := tupleFor(p*1000+got, 16)
-				if string(v.Tuple(i)[:16]) != string(want) {
+				if string(pg.Tuple(i)) != string(want) {
 					t.Fatalf("partition %d tuple %d mismatch", p, got)
 				}
 				got++

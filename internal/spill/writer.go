@@ -1,25 +1,29 @@
 package spill
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"sync"
 
 	"hashjoin/internal/fault"
-	"hashjoin/internal/storage"
 )
 
-// Writer spills one partition: tuples are encoded into slotted pages in
-// a pool buffer, and each full page is enqueued for a write-behind
-// worker, so encoding the next page overlaps writing the previous one.
-// A Writer is single-goroutine; the Manager's workers do the I/O.
+// Writer spills one partition: tuples are packed as fixed-width rows
+// into pages in a pool buffer (see integrity.go for the layout), and each
+// full page is enqueued for a write-behind worker, so filling the next
+// page overlaps writing the previous one. A Writer is single-goroutine;
+// the Manager's workers do the I/O.
 type Writer struct {
 	m       *Manager
 	f       *os.File
 	dirIdx  int // index into m.parents of the directory holding the file
 	cur     pageBuf
-	page    storage.Page
 	hasCur  bool
+	width   int // tuple bytes per row, fixed by the first Append; -1 before it
+	rowSize int // RowHeaderSize + width
+	perPage int // rows a page holds
+	n       int // rows on the current page
 	npages  int
 	ntuples int
 	pending sync.WaitGroup // pages enqueued but not yet written
@@ -35,51 +39,54 @@ func (m *Manager) NewWriter() (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{m: m, f: f, dirIdx: dirIdx}, nil
+	return &Writer{m: m, f: f, dirIdx: dirIdx, width: -1}, nil
 }
 
 // Path returns the partition file's path (for error reporting).
 func (w *Writer) Path() string { return w.f.Name() }
 
-// Append encodes one tuple with its memoized hash code. A page that
-// fills is handed to the write-behind queue and a fresh buffer taken
-// from the pool; the only wait on this path is pool pressure (charged
-// to WriteStall). Cancellation and the sticky write error are checked
-// at page boundaries, so a cancelled join stops spilling within one
-// page and a failed page write surfaces within one page of tuples after
-// it lands (Finish reports any error the last pages raise).
+// Append writes one tuple as a row behind its memoized hash code: one
+// capacity check and one copy. The first Append fixes the partition's
+// tuple width; a tuple of another width is an error and writes nothing.
+// A page that fills is handed to the write-behind queue and a fresh
+// buffer taken from the pool; the only wait on this path is pool
+// pressure (charged to WriteStall). Cancellation and the sticky write
+// error are checked at page boundaries, so a cancelled join stops
+// spilling within one page and a failed page write surfaces within one
+// page of tuples after it lands (Finish reports any error the last
+// pages raise).
 func (w *Writer) Append(tuple []byte, code uint32) error {
-	if !w.hasCur {
-		if err := w.m.ctxErr(); err != nil {
+	if len(tuple) != w.width {
+		if err := w.fixWidth(len(tuple)); err != nil {
 			return err
 		}
-		w.newPage()
 	}
-	if !w.page.Append(tuple, code) {
-		if err := w.pageErr(); err != nil {
-			// The full page is never written: hand its buffer back.
-			w.m.release(w.cur)
-			w.hasCur = false
+	if w.n == w.perPage {
+		if err := w.nextPage(); err != nil {
 			return err
 		}
-		w.flush()
-		w.newPage()
-		if !w.page.Append(tuple, code) {
-			return fmt.Errorf("spill: %d-byte tuple does not fit a %d-byte page",
-				len(tuple), w.m.pageSize)
-		}
 	}
+	row := w.cur.b[pageRowsOff+w.n*w.rowSize:][:w.rowSize]
+	binary.LittleEndian.PutUint64(row, uint64(code)<<32) // zero link, then the code
+	copy(row[RowHeaderSize:], tuple)
+	w.n++
 	w.ntuples++
 	return nil
 }
 
-// pageErr is the page-boundary check: cancellation, then the first
-// error a write-behind worker recorded for this partition.
-func (w *Writer) pageErr() error {
-	if err := w.m.ctxErr(); err != nil {
-		return err
+// fixWidth fixes the partition's tuple width on its first Append, and
+// refuses every later width and a row no page can hold.
+func (w *Writer) fixWidth(width int) error {
+	if w.width >= 0 {
+		return fmt.Errorf("spill: %d-byte tuple in a partition of %d-byte tuples", width, w.width)
 	}
-	return w.firstErr()
+	perPage := PageCapacity(w.m.pageSize, width)
+	if perPage < 1 {
+		return fmt.Errorf("spill: %d-byte tuple does not fit a %d-byte page", width, w.m.pageSize)
+	}
+	w.width, w.rowSize, w.perPage = width, RowHeaderSize+width, perPage
+	w.n = perPage // no page yet: the first row takes one
+	return nil
 }
 
 // NTuples returns the number of tuples appended so far.
@@ -100,12 +107,7 @@ func (w *Writer) NPages() int {
 // Manager) until Manager.Close.
 func (w *Writer) Finish() error {
 	if w.hasCur {
-		if w.page.NSlots() > 0 {
-			w.flush()
-		} else {
-			w.m.release(w.cur)
-			w.hasCur = false
-		}
+		w.flush()
 	}
 	w.pending.Wait()
 	if err := fault.Hit(fault.SiteSpillSync); err != nil {
@@ -114,19 +116,38 @@ func (w *Writer) Finish() error {
 	return w.firstErr()
 }
 
-// newPage takes a pool buffer and initializes a slotted page in its
-// payload region, past the integrity header (sealed at write time).
-func (w *Writer) newPage() {
+// nextPage is the page boundary: it checks cancellation and the first
+// error a write-behind worker recorded for this partition, enqueues the
+// full page, and takes a fresh pool buffer. A page that errs is never
+// written: its buffer goes back to the pool.
+func (w *Writer) nextPage() error {
+	err := w.m.ctxErr()
+	if err == nil {
+		err = w.firstErr()
+	}
+	if err != nil {
+		if w.hasCur {
+			w.m.release(w.cur)
+			w.hasCur = false
+		}
+		return err
+	}
+	if w.hasCur {
+		w.flush()
+	}
 	w.cur = w.m.acquire(&w.m.writeStallNs)
-	w.page = storage.InitPage(w.m.a, w.cur.addr+HeaderSize,
-		w.m.pageSize-HeaderSize, uint32(w.npages))
 	w.hasCur = true
+	w.n = 0
+	return nil
 }
 
-// flush enqueues the current page for write-behind. Full pages are
-// written whole (a partial final page included — its slot count bounds
-// the valid region), so reads can fetch fixed-size pages.
+// flush stamps the row count and width onto the current page and
+// enqueues it for write-behind. Pages are written whole (a partial final
+// page included — its row count bounds the valid region), so reads can
+// fetch fixed-size pages.
 func (w *Writer) flush() {
+	binary.LittleEndian.PutUint32(w.cur.b[HeaderSize:], uint32(w.n))
+	binary.LittleEndian.PutUint32(w.cur.b[HeaderSize+4:], uint32(w.width))
 	w.pending.Add(1)
 	w.m.writeq <- writeReq{w: w, idx: w.npages, off: int64(w.npages) * int64(w.m.pageSize), buf: w.cur}
 	w.npages++
