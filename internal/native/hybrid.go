@@ -139,40 +139,35 @@ func (j *pairJoiner) joinPairHybrid(build, probe []Entry, shift uint, cfg Config
 }
 
 // routeByCode appends each entry, in order, to the sub-pair of its code
-// among the sorted hot codes. An entry of a code that is not hot goes to
-// the last sub-pair when keepCold is set, and is emitted as an unmatched
-// probe row otherwise.
+// among the sorted hot codes, found by binary search. An entry of a
+// code that is not hot goes to the last sub-pair when keepCold is set,
+// and is emitted as an unmatched probe row otherwise, a run at a time.
 func (j *pairJoiner) routeByCode(dst [][]Entry, es []Entry, hot []uint32, keepCold bool) {
-	cold := len(hot)
+	cold, run := len(hot), 0 // es[run:i] are cold entries not yet emitted
 	for i := range es {
-		g := hotIndex(hot, es[i].Code)
+		code := es[i].Code
+		g, hi := 0, cold
+		for g < hi {
+			if m := int(uint(g+hi) >> 1); hot[m] < code {
+				g = m + 1
+			} else {
+				hi = m
+			}
+		}
 		switch {
-		case g < cold:
+		case g < cold && hot[g] == code:
 			dst[g] = append(dst[g], es[i])
+			if !keepCold {
+				j.emitAllProbeUnmatched(es[run:i])
+				run = i + 1
+			}
 		case keepCold:
 			dst[cold] = append(dst[cold], es[i])
-		default:
-			j.emitAllProbeUnmatched(es[i : i+1])
 		}
 	}
-}
-
-// hotIndex returns code's index in the sorted hot codes, or len(hot)
-// when it is not hot: a linear scan over a pair's few hot codes, a
-// binary search past eight.
-func hotIndex(hot []uint32, code uint32) int {
-	if len(hot) > 8 {
-		if g, ok := slices.BinarySearch(hot, code); ok {
-			return g
-		}
-		return len(hot)
+	if !keepCold {
+		j.emitAllProbeUnmatched(es[run:])
 	}
-	for g, c := range hot {
-		if c == code {
-			return g
-		}
-	}
-	return len(hot)
 }
 
 // codeTally is the victim split's code-frequency histogram: an

@@ -33,7 +33,7 @@ import (
 // A spill page's rows are this row, link zeroed (internal/spill), so a
 // spilled build page is a slab segment: a chunk table copies each
 // pinned page's rows in one go to its first row's offset and only
-// links them (linkRows), in the order BuildSerial would insert them.
+// links them (linkRows), in the order BuildSerial inserts them.
 //
 // and the table indexes the rows with an open-addressed directory of
 // 4-byte slots, twice as many as rows (rounded up to a power of two):
@@ -365,21 +365,19 @@ func (t *RowTable) BuildSerial(data []byte, entries []Entry, scheme Scheme, g, d
 }
 
 // linkRows links every row, each already in the slab behind its code —
-// a chunk table's rows, copied in from spill pages — on buildPages'
-// schedule (publishSchedule).
-func (t *RowTable) linkRows(scheme Scheme, g, d int) {
-	batch, step := publishSchedule(scheme, g, d)
-	pub := 0
+// a chunk table's rows, copied in from spill pages — in row order, as
+// BuildSerial inserts them. A spilled pair is a run of one code, so a
+// row of the previous row's code reuses its slot without a scan.
+func (t *RowTable) linkRows() {
+	var s, code uint32
 	for i := 0; i < t.nRows; i++ {
-		if batch > 1 {
-			prefetchT0(unsafe.Pointer(&t.dir[t.home(t.codeOf(uint32(i+1)))]))
+		if c := t.codeOf(uint32(i + 1)); i == 0 || c != code {
+			code = c
+			s, _ = t.find(code, t.home(code))
 		}
-		if i+1-pub == batch {
-			t.insertSerialRange(pub, pub+step)
-			pub += step
-		}
+		binary.LittleEndian.PutUint32(t.rows[t.rowOff(uint32(i)):], t.dir[s]&t.rowMask)
+		t.dir[s] = t.tag(code) | uint32(i+1)
 	}
-	t.insertSerialRange(pub, t.nRows)
 }
 
 // LookupRows calls fn for every row of hash code code, passing the

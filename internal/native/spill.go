@@ -293,7 +293,7 @@ func (j *pairJoiner) joinPairSpill(build, probe []Entry, shift uint, cfg Config)
 		if rows == 0 {
 			break
 		}
-		j.buildChunk(rows, shift, cfg.Scheme)
+		j.buildChunk(rows, shift)
 
 		pr = sp.openSide(m, ps)
 		pos := 0
@@ -329,15 +329,15 @@ func (j *pairJoiner) joinPairSpill(build, probe []Entry, shift uint, cfg Config)
 
 // buildChunk builds the chunk table over the rows of the pinned build
 // pages. A page's rows are the table's rows already, so each page is one
-// copy into the slab at its first row's offset; the rows are then linked
-// on buildSerial's schedule.
-func (j *pairJoiner) buildChunk(rows int, shift uint, scheme Scheme) {
+// copy into the slab at its first row's offset; the rows are then
+// linked in place.
+func (j *pairJoiner) buildChunk(rows int, shift uint) {
 	j.t.reset(rows, j.t.width, shift, false)
 	off := 0
 	for _, pg := range j.spillPinned {
 		off += copy(j.t.rows[off:], pg.Rows())
 	}
-	j.t.linkRows(scheme, j.g, j.d)
+	j.t.linkRows()
 	if j.joinType == plan.RightOuter {
 		j.armBuildMatched(rows)
 	}

@@ -831,7 +831,7 @@ func TestSpillChunkTableMatchesBuildSerial(t *testing.T) {
 			if longPages < 2 {
 				t.Fatalf("width %d: the long chain sits on %d page(s), want a page boundary inside it", width, longPages)
 			}
-			j.buildChunk(rows, 0, scheme)
+			j.buildChunk(rows, 0)
 			j.releasePinned(m)
 
 			var want RowTable
