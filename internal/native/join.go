@@ -332,7 +332,7 @@ func (j *pairJoiner) joinPair(build, probe []Entry, shift uint, scheme Scheme) {
 		j.emitUnmatchedPair(build, probe)
 		return
 	}
-	j.buildSerial(build, shift, scheme, true)
+	j.buildSerial(build, shift, scheme)
 	j.probeFor(&probeInput{ents: probe}, scheme)
 	if j.joinType == plan.RightOuter {
 		j.sweepUnmatchedBuild()
@@ -341,12 +341,11 @@ func (j *pairJoiner) joinPair(build, probe []Entry, shift uint, scheme Scheme) {
 
 // buildSerial resets the worker's table and serializes + inserts build
 // with the scheme's loop restructuring. Split out of joinPair because
-// the spill tier builds over chunks of one partition and probes each
-// chunk with the whole probe stream; shrink is false for every chunk
-// after a pair's first table (see RowTable.reset). The table keeps the
-// row width the join armed it with (Joiner.worker).
-func (j *pairJoiner) buildSerial(build []Entry, shift uint, scheme Scheme, shrink bool) {
-	j.t.reset(len(build), j.t.width, shift, shrink)
+// the hybrid spill leaf builds its resident prefix and probes it with
+// the whole probe side. The table keeps the row width the join armed
+// it with (Joiner.worker).
+func (j *pairJoiner) buildSerial(build []Entry, shift uint, scheme Scheme) {
+	j.t.Reset(len(build), j.t.width, shift)
 	j.t.BuildSerial(j.data, build, scheme, j.g, j.d)
 	if j.joinType == plan.RightOuter {
 		j.armBuildMatched(len(build))

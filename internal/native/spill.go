@@ -367,9 +367,9 @@ type spillSide struct {
 
 // spillPartition writes one side's entries to a disk partition, one
 // row each: the memoized hash code (§7.1), so nothing is recomputed on
-// the way back in, and the tuple's first width bytes. On failure the partially written Writer (when one
-// was created) is returned alongside the error so the caller can
-// quarantine it.
+// the way back in, and the tuple's first width bytes. On failure the
+// partially written Writer (when one was created) is returned alongside
+// the error so the caller can quarantine it.
 //
 // The partition phase read only slots, so the copy into the page is the
 // first touch of each tuple's bytes and misses. The scheme hides that
