@@ -33,7 +33,7 @@ import (
 // A spill page's rows are this row, link zeroed (internal/spill), so a
 // spilled build page is a slab segment: a chunk table copies each
 // pinned page's rows in one go to its first row's offset and only
-// links them (linkRows), in the order BuildSerial inserts them.
+// links them (insertSerialRange), in the order BuildSerial inserts them.
 //
 // and the table indexes the rows with an open-addressed directory of
 // 4-byte slots, twice as many as rows (rounded up to a power of two):
@@ -93,8 +93,8 @@ const (
 	// key+payload follows. It is the spill page's row header, so a
 	// spilled page's rows are a segment of the slab.
 	rowHdrSize = spill.RowHeaderSize
-	rowCodeOff = 4
-	rowKeyOff  = 8
+	rowCodeOff = spill.RowCodeOffset
+	rowKeyOff  = spill.RowHeaderSize
 
 	// Reset shrinks a slab or directory only when its capacity exceeds
 	// rowShrinkFactor times the new need and the floor below; a table
@@ -305,10 +305,18 @@ func (t *RowTable) casPublishRange(lo, hi int) {
 
 // insertSerialRange is casPublishRange's single-owner fast path: plain loads
 // and stores, same slot and chain discipline (new rows prepend, so chains
-// hold later-inserted rows first).
+// hold later-inserted rows first). A code keeps its slot once it owns
+// one, so a run of rows of one code — a spilled chunk is one — finds it
+// once.
 func (t *RowTable) insertSerialRange(lo, hi int) {
+	var s, code uint32
 	for i := lo; i < hi; i++ {
-		t.insertSerial(i, t.codeOf(uint32(i+1)))
+		if c := t.codeOf(uint32(i + 1)); i == lo || c != code {
+			code = c
+			s, _ = t.find(code, t.home(code))
+		}
+		binary.LittleEndian.PutUint32(t.rows[t.rowOff(uint32(i)):], t.dir[s]&t.rowMask)
+		t.dir[s] = t.tag(code) | uint32(i+1)
 	}
 }
 
@@ -361,22 +369,6 @@ func (t *RowTable) BuildSerial(data []byte, entries []Entry, scheme Scheme, g, d
 	}
 	for ; pub < len(entries); pub++ {
 		t.insertSerial(pub, entries[pub].Code)
-	}
-}
-
-// linkRows links every row, each already in the slab behind its code —
-// a chunk table's rows, copied in from spill pages — in row order, as
-// BuildSerial inserts them. A spilled pair is a run of one code, so a
-// row of the previous row's code reuses its slot without a scan.
-func (t *RowTable) linkRows() {
-	var s, code uint32
-	for i := 0; i < t.nRows; i++ {
-		if c := t.codeOf(uint32(i + 1)); i == 0 || c != code {
-			code = c
-			s, _ = t.find(code, t.home(code))
-		}
-		binary.LittleEndian.PutUint32(t.rows[t.rowOff(uint32(i)):], t.dir[s]&t.rowMask)
-		t.dir[s] = t.tag(code) | uint32(i+1)
 	}
 }
 

@@ -337,7 +337,7 @@ func (j *pairJoiner) buildChunk(rows int, shift uint) {
 	for _, pg := range j.spillPinned {
 		off += copy(j.t.rows[off:], pg.Rows())
 	}
-	j.t.linkRows()
+	j.t.insertSerialRange(0, rows)
 	if j.joinType == plan.RightOuter {
 		j.armBuildMatched(rows)
 	}

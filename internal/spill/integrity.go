@@ -43,8 +43,10 @@ const (
 	// RowHeaderSize is the bytes each row carries ahead of its tuple:
 	// link (always zero on disk) and hash code.
 	RowHeaderSize = 8
+	// RowCodeOffset is the hash code's offset within a row; the link
+	// is at 0 and the tuple at RowHeaderSize.
+	RowCodeOffset = 4
 
-	rowCodeOff  = 4
 	pageRowsOff = HeaderSize + 8 // row count and width, then the rows
 
 	pageMagic   = 0x48_4A_53_50 // "HJSP"

@@ -43,7 +43,7 @@ func (p Page) Tuple(i int) []byte {
 
 // HashCode returns row i's memoized hash code.
 func (p Page) HashCode(i int) uint32 {
-	return binary.LittleEndian.Uint32(p.buf.b[pageRowsOff+i*(RowHeaderSize+p.width)+rowCodeOff:])
+	return binary.LittleEndian.Uint32(p.buf.b[pageRowsOff+i*(RowHeaderSize+p.width)+RowCodeOffset:])
 }
 
 // readRes is one completed read-ahead.
